@@ -18,6 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .symreg import fast_nondominated_sort
+
 __all__ = [
     "pareto_front",
     "hypervolume",
@@ -39,18 +41,7 @@ def pareto_front(points: np.ndarray) -> np.ndarray:
     if pts.size == 0:
         return pts.reshape(0, pts.shape[1] if pts.ndim == 2 else 0)
     pts = np.unique(pts, axis=0)
-    keep = []
-    for i in range(pts.shape[0]):
-        dominated = False
-        for j in range(pts.shape[0]):
-            if i == j:
-                continue
-            if np.all(pts[j] <= pts[i]) and np.any(pts[j] < pts[i]):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    return pts[keep]
+    return pts[fast_nondominated_sort(pts)[0]]
 
 
 def _hv_2d(points: np.ndarray, ref: np.ndarray) -> float:
@@ -112,20 +103,15 @@ def hypervolume_coverage(front: np.ndarray) -> float:
 
     Reference = componentwise max of the non-dominated subset, ideal =
     componentwise min; a degenerate box (any reference component equal to
-    the ideal one) gives coverage 0.
+    the ideal one) gives coverage 0.  This is compare_coverage of the front
+    alone.
     """
     pts = np.atleast_2d(np.asarray(front, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("coverage of an empty front is undefined")
     if not np.all(np.isfinite(pts)):
         raise ValueError("coverage needs finite objective vectors")
-    nd = pareto_front(pts)
-    ref = nd.max(axis=0)
-    ideal = nd.min(axis=0)
-    box = float(np.prod(ref - ideal))
-    if np.any(ref == ideal) or box <= 0.0:
-        return 0.0
-    return hypervolume(nd, ref) / box
+    return compare_coverage([pts])[0]
 
 
 def compare_coverage(fronts: Sequence[np.ndarray]) -> list[float]:

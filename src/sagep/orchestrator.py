@@ -13,9 +13,9 @@ evaluation units rather than wall time, and floats are serialized with
 round-trip repr, so identical configurations produce byte-identical
 databases and reports.
 
-Passive replay re-runs only the selection side against a stored baseline
-database: stored objectives stand in for the expensive evaluator, which is
-never constructed, let alone called.
+Passive replay runs the same generation step against a stored baseline
+database, without evolution: stored objectives stand in for the expensive
+evaluator, which is never constructed, let alone called.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -172,13 +173,7 @@ def build_run_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
                 **{k: tuple(v) for k, v in sur_raw["bounds"].items()})
         surrogate = SurrogateSettings(**sur_raw)
 
-        population = int(raw.get("population", 48))
         sel_raw = raw.pop("selection", None)
-        selection = None
-        if sel_raw is not None:
-            sel_raw = dict(sel_raw)
-            sel_raw.setdefault("n_init", max(1, round(0.4 * population)))
-            selection = sel_mod.SelectionConfig(**sel_raw)
 
         ev_raw = dict(raw.pop("evaluator", {}))
         if isinstance(ev_raw.get("case"), str):
@@ -194,7 +189,12 @@ def build_run_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         if "output_dir" in raw:
             raw["output_dir"] = _resolve(base_dir, raw["output_dir"])
         config = RunConfig(gep=gep, embedding=embedding, surrogate=surrogate,
-                           selection=selection, evaluator=evaluator, **raw)
+                           evaluator=evaluator, **raw)
+        if sel_raw is not None:
+            # Overrides apply on top of the defaults for the real population.
+            config = dataclasses.replace(config, selection=dataclasses.replace(
+                sel_mod.default_selection_config(config.population),
+                **sel_raw))
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -379,65 +379,137 @@ class _History:
                                  restarts=settings.restarts, rng=rng)
 
 
-def _sentinel_flag(candidate: symreg.Candidate, p: int) -> bool:
-    """Mark a candidate whose embedding is unusable; returns True if marked."""
+def _sentinel_flag(candidate: symreg.Candidate, p: int) -> None:
+    """Mark a candidate whose embedding is unusable."""
     coords = candidate.embedding_norm
     if coords is not None and np.all(np.isfinite(coords)):
-        return False
+        return
     candidate.objectives = np.full(p, symreg.DIVERGENCE_SENTINEL)
     candidate.converged = False
     candidate.provenance = "surrogate"
-    return True
+
+
+def _streams(seed: int, generations: int):
+    """The run's random streams, all spawned from one seed: the generation-0
+    population rng, the constants-pool seed, and per-generation evolve,
+    select and fit rngs."""
+    init_ss, pool_ss, *per_gen = np.random.SeedSequence(seed).spawn(5)
+    evolve, select, fit = ([np.random.default_rng(s)
+                            for s in ss.spawn(generations)]
+                           for ss in per_gen)
+    return (np.random.default_rng(init_ss), int(pool_ss.generate_state(1)[0]),
+            evolve, select, fit)
+
+
+# The outcome of one expensive evaluation: (objectives, converged, cost).
+_Oracle = Callable[[symreg.Candidate], tuple[Sequence[float], bool, float]]
+
+
+def _generation_step(gen: int, current: list[symreg.Candidate],
+                     norm_stats: emb_mod.NormStats, history: _History,
+                     config: RunConfig, p: int,
+                     select_rng: np.random.Generator,
+                     fit_rng: np.random.Generator,
+                     oracle: _Oracle) -> tuple[sel_mod.SelectionDecision,
+                                              dict[int, float]]:
+    """One generation of the loop, shared by training and replay.
+
+    Normalizes the embeddings and flags unusable ones, lets the surrogate
+    choose who gets an expensive outcome (everyone with a usable embedding
+    when it is disabled), asks the oracle for each chosen candidate's
+    outcome and notes it in the history.  Training's oracle is the live
+    evaluator, replay's the stored record.  Returns the decision and the
+    cost of each chosen candidate.
+    """
+    for cand in current:
+        cand.embedding_norm = emb_mod.normalize(cand.embedding, norm_stats)
+        _sentinel_flag(cand, p)
+
+    if config.surrogate_enabled:
+        model = (history.fit_model(config.surrogate, fit_rng) if gen >= 1
+                 else None)
+        to_objective = _make_mean_to_objective(config.surrogate.log_error)
+        decision = sel_mod.select_generation(
+            gen, current, model, history.selection_view(),
+            config.selection_config(), select_rng,
+            mean_to_objective=to_objective)
+    else:
+        decision = sel_mod.select_all(current)
+
+    by_id = {c.id: c for c in current}
+    costs: dict[int, float] = {}
+    for cid in decision.selected_ids:
+        cand = by_id[cid]
+        objectives, cand.converged, costs[cid] = oracle(cand)
+        cand.objectives = np.asarray(objectives, dtype=float)
+        cand.provenance = "expensive"
+        history.note(cand.embedding_norm, cand.phenotype_keys,
+                     cand.objectives, cand.converged)
+    return decision, costs
+
+
+# Per generation: (generation, candidate count, (objectives, converged) of
+# each expensive outcome, truth and prediction by id for relative error).
+_GenerationInputs = tuple[int, int, list, dict[int, np.ndarray],
+                         dict[int, np.ndarray]]
+
+
+def _run_metrics(generations: Iterable[_GenerationInputs],
+                 p: int) -> metrics_mod.RunMetrics:
+    """Metric rows over cumulative expensive outcomes, one per generation."""
+    metrics = metrics_mod.RunMetrics()
+    points: list = []
+    expensive = seen = 0
+    truth_all: dict[int, np.ndarray] = {}
+    pred_all: dict[int, np.ndarray] = {}
+    for gen, n_candidates, outcomes, truth, pred in generations:
+        seen += n_candidates
+        expensive += len(outcomes)
+        points += [obj for obj, converged in outcomes if converged]
+        truth_all.update(truth)
+        pred_all.update(pred)
+        if points:
+            front = np.asarray(points, dtype=float)
+            coverage = metrics_mod.hypervolume_coverage(front)
+            best = tuple(float(v) for v in front.min(axis=0))
+        else:
+            coverage = 0.0
+            best = tuple(float("nan") for _ in range(p))
+        metrics.append(metrics_mod.GenerationMetrics(
+            generation=gen, expensive_cumulative=expensive, coverage=coverage,
+            selection_ratio=expensive / seen,
+            relative_error=metrics_mod.surrogate_relative_error(truth, pred),
+            best_objectives=best))
+    metrics.final_selection_ratio = expensive / seen
+    metrics.final_relative_error = metrics_mod.surrogate_relative_error(
+        truth_all, pred_all)
+    return metrics
 
 
 def metrics_from_records(records: Sequence[EvaluationRecord]) -> metrics_mod.RunMetrics:
-    """Reconstruct per-generation metrics from stored records alone."""
+    """Reconstruct per-generation metrics from stored records alone.
+
+    Relative error compares the prediction made for an expensive candidate
+    before its evaluation with the outcome.
+    """
     if not records:
         raise ValueError("no records to summarize")
     by_gen: dict[int, list[EvaluationRecord]] = {}
     for rec in records:
         by_gen.setdefault(rec.generation, []).append(rec)
-    metrics = metrics_mod.RunMetrics()
-    expensive_points: list[tuple[float, ...]] = []
-    expensive_count = 0
-    total = 0
-    truth_all: dict[int, np.ndarray] = {}
-    pred_all: dict[int, np.ndarray] = {}
-    for gen in sorted(by_gen):
-        rows = by_gen[gen]
-        total += len(rows)
-        truth_gen: dict[int, np.ndarray] = {}
-        pred_gen: dict[int, np.ndarray] = {}
-        for rec in rows:
-            if rec.provenance == "expensive":
-                expensive_count += 1
-                if rec.converged:
-                    expensive_points.append(rec.objectives)
-                    if rec.predicted is not None:
-                        truth_gen[rec.id] = np.asarray(rec.objectives)
-                        pred_gen[rec.id] = np.asarray(rec.predicted)
-        truth_all.update(truth_gen)
-        pred_all.update(pred_gen)
-        if expensive_points:
-            front = np.asarray(expensive_points, dtype=float)
-            coverage = metrics_mod.hypervolume_coverage(front)
-            best = tuple(float(v) for v in front.min(axis=0))
-        else:
-            coverage = 0.0
-            p = len(rows[0].objectives)
-            best = tuple(float("nan") for _ in range(p))
-        metrics.append(metrics_mod.GenerationMetrics(
-            generation=gen,
-            expensive_cumulative=expensive_count,
-            coverage=coverage,
-            selection_ratio=expensive_count / total,
-            relative_error=metrics_mod.surrogate_relative_error(truth_gen,
-                                                                pred_gen),
-            best_objectives=best))
-    metrics.final_selection_ratio = expensive_count / total
-    metrics.final_relative_error = metrics_mod.surrogate_relative_error(
-        truth_all, pred_all)
-    return metrics
+
+    def generations():
+        for gen in sorted(by_gen):
+            rows = by_gen[gen]
+            expensive = [r for r in rows if r.provenance == "expensive"]
+            scored = [r for r in expensive
+                      if r.converged and r.predicted is not None]
+            yield (gen, len(rows),
+                   [(r.objectives, r.converged) for r in expensive],
+                   {r.id: np.asarray(r.objectives) for r in scored},
+                   {r.id: np.asarray(r.predicted) for r in scored})
+
+    return _run_metrics(generations(), len(records[0].objectives))
 
 
 # ---------------------------------------------------------------------------
@@ -467,24 +539,14 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
                                   head_len=config.gep.head_len,
                                   mutation_rate=config.gep.mutation_rate,
                                   crossover_rate=config.gep.crossover_rate)
-    sel_config = config.selection_config()
     p = evaluator.n_objectives
     n_slots = evaluator.n_slots
-    to_objective = _make_mean_to_objective(config.surrogate.log_error)
 
-    root = np.random.SeedSequence(config.seed)
-    init_ss, pool_ss, evolve_ss, select_ss, fit_ss = root.spawn(5)
-    init_rng = np.random.default_rng(init_ss)
+    init_rng, pool_seed, evolve_rngs, select_rngs, fit_rngs = _streams(
+        config.seed, config.generations)
     pool = symreg.ConstantsPool.from_seed(
-        int(pool_ss.generate_state(1)[0]),
-        size=config.gep.n_constants,
+        pool_seed, size=config.gep.n_constants,
         low=config.gep.const_range[0], high=config.gep.const_range[1])
-    evolve_rngs = [np.random.default_rng(s)
-                   for s in evolve_ss.spawn(config.generations)]
-    select_rngs = [np.random.default_rng(s)
-                   for s in select_ss.spawn(config.generations)]
-    fit_rngs = [np.random.default_rng(s)
-                for s in fit_ss.spawn(config.generations)]
 
     population = [symreg.Candidate(
         genotypes=tuple(symreg.random_genotype(init_rng, gep_config)
@@ -496,6 +558,11 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
     history = _History(dim=n_slots, log_error=config.surrogate.log_error)
     norm_stats: emb_mod.NormStats | None = None
     survivors: list[symreg.Candidate] = []
+    trees_by_id: dict[int, list[symreg.ExprTree]] = {}
+
+    def evaluate(cand: symreg.Candidate):
+        outcome = evaluator.evaluate(trees_by_id[cand.id], pool)
+        return outcome.objectives, outcome.converged, float(outcome.cost_units)
 
     for gen in range(config.generations):
         if gen == 0:
@@ -507,7 +574,7 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
                                                config.offspring, next_id, gen)
             next_id += config.offspring
 
-        trees_by_id: dict[int, list[symreg.ExprTree]] = {}
+        trees_by_id.clear()
         for cand in current:
             trees = [symreg.decode(g) for g in cand.genotypes]
             trees_by_id[cand.id] = trees
@@ -523,36 +590,10 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
             if not finite:
                 raise RunError("no usable embeddings in generation 0")
             norm_stats = emb_mod.fit_norm_stats(np.vstack(finite))
-        for cand in current:
-            cand.embedding_norm = emb_mod.normalize(cand.embedding, norm_stats)
-            _sentinel_flag(cand, p)
 
-        if config.surrogate_enabled:
-            model = (history.fit_model(config.surrogate, fit_rngs[gen])
-                     if gen >= 1 else None)
-            decision = sel_mod.select_generation(
-                gen, current, model, history.selection_view(), sel_config,
-                select_rngs[gen], mean_to_objective=to_objective)
-        else:
-            selected = sorted(c.id for c in current
-                              if np.all(np.isfinite(c.embedding_norm)))
-            decision = sel_mod.SelectionDecision(
-                selected_ids=selected, values=np.empty((len(current), 0)),
-                scalar=np.full(len(current), np.nan),
-                weights=np.full(len(current), np.nan),
-                front_index=np.full(len(current), -1, dtype=int))
-
-        by_id = {c.id: c for c in current}
-        cost_by_id: dict[int, float] = {}
-        for cid in decision.selected_ids:
-            cand = by_id[cid]
-            outcome = evaluator.evaluate(trees_by_id[cid], pool)
-            cand.objectives = np.asarray(outcome.objectives, dtype=float)
-            cand.converged = outcome.converged
-            cand.provenance = "expensive"
-            cost_by_id[cid] = float(outcome.cost_units)
-            history.note(cand.embedding_norm, cand.phenotype_keys,
-                         cand.objectives, cand.converged)
+        decision, costs = _generation_step(gen, current, norm_stats, history,
+                                           config, p, select_rngs[gen],
+                                           fit_rngs[gen], evaluate)
 
         for cand in sorted(current, key=lambda c: c.id):
             if cand.objectives is None:
@@ -566,7 +607,7 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
                 objectives=tuple(float(v) for v in cand.objectives),
                 converged=bool(cand.converged),
                 provenance=cand.provenance,
-                wall_time=cost_by_id.get(cand.id, 0.0),
+                wall_time=costs.get(cand.id, 0.0),
                 predicted=(None if pred is None
                            else tuple(float(v) for v in pred))))
 
@@ -587,10 +628,10 @@ def passive_replay(db: EvaluationDatabase,
                    config: RunConfig) -> metrics_mod.RunMetrics:
     """Emulate a surrogate-assisted run against stored expensive outcomes.
 
-    Walks the stored generations, re-selects with the configured strategy,
-    reveals only the selected candidates' stored objectives, and predicts
-    the rest; reports selection ratio and relative prediction error against
-    the stored truth.  No evaluator is built or called.
+    Walks the stored generations through the training step with the stored
+    records as the oracle: only the selected candidates' objectives are
+    revealed, the rest are predicted.  Relative error compares those
+    predictions with the stored truth.  No evaluator is built or called.
     """
     by_gen = db.by_generation()
     if not by_gen:
@@ -605,95 +646,35 @@ def passive_replay(db: EvaluationDatabase,
                     "replay needs a baseline database in which every record "
                     f"is expensive (generation {gen}, id {rec.id})")
 
-    sel_config = config.selection_config()
-    to_objective = _make_mean_to_objective(config.surrogate.log_error)
-    dim = len(by_gen[0][0].embedding)
-    p = len(by_gen[0][0].objectives)
-
-    root = np.random.SeedSequence(config.seed)
-    _, _, _, select_ss, fit_ss = root.spawn(5)
-    select_rngs = [np.random.default_rng(s) for s in select_ss.spawn(len(gens))]
-    fit_rngs = [np.random.default_rng(s) for s in fit_ss.spawn(len(gens))]
-
     gen0_finite = [rec.embedding for rec in by_gen[0]
                    if np.all(np.isfinite(rec.embedding))]
     if not gen0_finite:
         raise ReplayError("no finite generation-0 embeddings in database")
     norm_stats = emb_mod.fit_norm_stats(np.asarray(gen0_finite, dtype=float))
 
-    history = _History(dim=dim, log_error=config.surrogate.log_error)
-    metrics = metrics_mod.RunMetrics()
-    revealed = 0
-    seen_records = 0
-    truth_all: dict[int, np.ndarray] = {}
-    pred_all: dict[int, np.ndarray] = {}
-    revealed_points: list[np.ndarray] = []
-
+    first = by_gen[0][0]
+    p = len(first.objectives)
+    history = _History(dim=len(first.embedding),
+                       log_error=config.surrogate.log_error)
+    _, _, _, select_rngs, fit_rngs = _streams(config.seed, len(gens))
+    stored = operator.attrgetter("objectives", "converged", "wall_time")
+    generations: list[_GenerationInputs] = []
     for gen in gens:
-        rows = by_gen[gen]
-        seen_records += len(rows)
-        stand_ins = []
-        for rec in rows:
-            cand = symreg.Candidate(genotypes=(), generation=gen, id=rec.id,
-                                    phenotype_keys=rec.keys,
-                                    embedding=np.asarray(rec.embedding))
-            cand.embedding_norm = emb_mod.normalize(cand.embedding, norm_stats)
-            _sentinel_flag(cand, p)
-            stand_ins.append(cand)
-
-        if not config.surrogate_enabled:
-            selected = [c.id for c in stand_ins
-                        if np.all(np.isfinite(c.embedding_norm))]
-            decision = sel_mod.SelectionDecision(
-                selected_ids=sorted(selected),
-                values=np.empty((len(stand_ins), 0)),
-                scalar=np.full(len(stand_ins), np.nan),
-                weights=np.full(len(stand_ins), np.nan),
-                front_index=np.full(len(stand_ins), -1, dtype=int))
-        else:
-            model = (history.fit_model(config.surrogate, fit_rngs[gen])
-                     if gen >= 1 else None)
-            decision = sel_mod.select_generation(
-                gen, stand_ins, model, history.selection_view(), sel_config,
-                select_rngs[gen], mean_to_objective=to_objective)
-
-        rec_by_id = {rec.id: rec for rec in rows}
-        for cid in decision.selected_ids:
-            rec = rec_by_id[cid]
-            revealed += 1
-            point = emb_mod.normalize(np.asarray(rec.embedding), norm_stats)
-            history.note(point, rec.keys, np.asarray(rec.objectives),
-                         rec.converged)
-            if rec.converged:
-                revealed_points.append(np.asarray(rec.objectives))
-
-        selected_set = set(decision.selected_ids)
-        truth_gen: dict[int, np.ndarray] = {}
-        pred_gen: dict[int, np.ndarray] = {}
-        for cid, pred in decision.predicted.items():
-            rec = rec_by_id[cid]
-            if cid in selected_set or not rec.converged:
-                continue
-            truth_gen[cid] = np.asarray(rec.objectives)
-            pred_gen[cid] = pred
-        truth_all.update(truth_gen)
-        pred_all.update(pred_gen)
-
-        if revealed_points:
-            front = np.asarray(revealed_points, dtype=float)
-            coverage = metrics_mod.hypervolume_coverage(front)
-            best = tuple(float(v) for v in front.min(axis=0))
-        else:
-            coverage = 0.0
-            best = tuple(float("nan") for _ in range(p))
-        metrics.append(metrics_mod.GenerationMetrics(
-            generation=gen, expensive_cumulative=revealed, coverage=coverage,
-            selection_ratio=revealed / seen_records,
-            relative_error=metrics_mod.surrogate_relative_error(truth_gen,
-                                                                pred_gen),
-            best_objectives=best))
-
-    metrics.final_selection_ratio = revealed / len(db.records)
-    metrics.final_relative_error = metrics_mod.surrogate_relative_error(
-        truth_all, pred_all)
-    return metrics
+        rec_by_id = {rec.id: rec for rec in by_gen[gen]}
+        stand_ins = [symreg.Candidate(genotypes=(), generation=gen, id=rec.id,
+                                      phenotype_keys=rec.keys,
+                                      embedding=np.asarray(rec.embedding))
+                     for rec in by_gen[gen]]
+        decision, _ = _generation_step(
+            gen, stand_ins, norm_stats, history, config, p, select_rngs[gen],
+            fit_rngs[gen], lambda c: stored(rec_by_id[c.id]))
+        selected = set(decision.selected_ids)
+        revealed = [rec_by_id[cid] for cid in decision.selected_ids]
+        hidden = {cid: pred for cid, pred in decision.predicted.items()
+                  if cid not in selected and rec_by_id[cid].converged}
+        generations.append((gen, len(stand_ins),
+                            [(r.objectives, r.converged) for r in revealed],
+                            {cid: np.asarray(rec_by_id[cid].objectives)
+                             for cid in hidden},
+                            hidden))
+    return _run_metrics(generations, p)

@@ -39,11 +39,11 @@ __all__ = [
     "SelectionContractError",
     "lcb",
     "ei",
-    "convergence_weight",
     "convergence_weights",
     "aggregate_multiobjective",
     "apply_thresholds",
     "select_generation",
+    "select_all",
     "default_selection_config",
 ]
 
@@ -163,49 +163,55 @@ def ei(mean, std, f_best: float, xi: float = 0.0):
     return float(out) if out.ndim == 0 else out
 
 
-def convergence_weight(x: np.ndarray, converged_set: np.ndarray,
-                       diverged_set: np.ndarray, delta: float) -> float:
-    """Discount in [0, 1] that vanishes on a diverged embedding and grows
-    back to 1 at delta times the local converged-diverged separation.
+def convergence_weights(X: np.ndarray, converged_set: np.ndarray,
+                        diverged_set: np.ndarray, delta: float) -> np.ndarray:
+    """Discount in [0, 1] per row of X that vanishes on a diverged embedding
+    and grows back to 1 at delta times the local converged-diverged
+    separation (the distance between the row's nearest converged and
+    nearest diverged points).
 
-    With no diverged history there is nothing to avoid and the weight is 1.
-    Both sets empty is a contract violation: the weight is only defined
+    With no diverged history there is nothing to avoid and every weight is
+    1.  Both sets empty is a contract violation: the weight is only defined
     relative to some history.
     """
     if not 0.0 < delta <= 1.0:
         raise SelectionContractError("delta must lie in (0, 1]")
+    X = np.atleast_2d(np.asarray(X, dtype=float))
     converged_set = np.atleast_2d(np.asarray(converged_set, dtype=float))
     diverged_set = np.atleast_2d(np.asarray(diverged_set, dtype=float))
-    n_conv = 0 if converged_set.size == 0 else converged_set.shape[0]
-    n_div = 0 if diverged_set.size == 0 else diverged_set.shape[0]
-    if n_conv == 0 and n_div == 0:
+    if converged_set.size == 0 and diverged_set.size == 0:
         raise SelectionContractError(
             "convergence weight needs at least one historical embedding")
-    if n_div == 0:
-        return 1.0
-    x = np.asarray(x, dtype=float).ravel()
-    d_div = np.linalg.norm(diverged_set - x, axis=1)
-    nearest_div = diverged_set[int(np.argmin(d_div))]
-    dist_div = float(np.min(d_div))
-    if n_conv == 0:
-        return 0.0 if dist_div == 0.0 else 1.0
-    d_conv = np.linalg.norm(converged_set - x, axis=1)
-    nearest_conv = converged_set[int(np.argmin(d_conv))]
-    denom = delta * float(np.linalg.norm(nearest_conv - nearest_div))
-    if denom == 0.0:
-        return 0.0 if dist_div == 0.0 else 1.0
-    return float(min(1.0, dist_div / denom))
-
-
-def convergence_weights(X: np.ndarray, converged_set: np.ndarray,
-                        diverged_set: np.ndarray, delta: float) -> np.ndarray:
-    """Vectorized convergence_weight over rows of X."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    diverged_set = np.atleast_2d(np.asarray(diverged_set, dtype=float))
     if diverged_set.size == 0:
         return np.ones(X.shape[0])
-    return np.array([convergence_weight(row, converged_set, diverged_set,
-                                        delta) for row in X])
+    d_div = np.linalg.norm(diverged_set[None, :, :] - X[:, None, :], axis=2)
+    dist_div = d_div.min(axis=1)
+    on_diverged = np.where(dist_div == 0.0, 0.0, 1.0)
+    if converged_set.size == 0:
+        return on_diverged
+    d_conv = np.linalg.norm(converged_set[None, :, :] - X[:, None, :], axis=2)
+    gaps = (converged_set[d_conv.argmin(axis=1)]
+            - diverged_set[d_div.argmin(axis=1)])
+    # A 1-D norm per row: the axis form rounds differently in the last bit.
+    denom = delta * np.array([np.linalg.norm(gap) for gap in gaps])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ramp = np.minimum(1.0, dist_div / denom)
+    return np.where(denom == 0.0, on_diverged, ramp)
+
+
+def select_all(population: Sequence[Candidate],
+               evaluated_keys: frozenset = frozenset()) -> SelectionDecision:
+    """Select every candidate with a usable embedding whose phenotype keys
+    are not in evaluated_keys; the no-surrogate decision."""
+    n = len(population)
+    selected = sorted(c.id for c in population
+                      if c.embedding_norm is not None
+                      and np.all(np.isfinite(c.embedding_norm))
+                      and c.phenotype_keys not in evaluated_keys)
+    return SelectionDecision(selected_ids=selected, values=np.empty((n, 0)),
+                             scalar=np.full(n, np.nan),
+                             weights=np.full(n, np.nan),
+                             front_index=np.full(n, -1, dtype=int))
 
 
 def aggregate_multiobjective(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,13 +304,7 @@ def select_generation(gen_index: int,
     finite = _finite_rows(emb)
 
     if gen_index == 0:
-        selected = sorted(ids[i] for i in np.flatnonzero(finite)
-                          if population[i].phenotype_keys not in history.evaluated_keys)
-        return SelectionDecision(selected_ids=selected,
-                                 values=np.empty((n, 0)),
-                                 scalar=np.full(n, np.nan),
-                                 weights=np.full(n, np.nan),
-                                 front_index=np.full(n, -1, dtype=int))
+        return select_all(population, history.evaluated_keys)
 
     if model is None:
         raise SelectionContractError(

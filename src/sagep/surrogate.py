@@ -38,16 +38,13 @@ __all__ = [
     "ParamBounds",
     "GpModel",
     "MultiGp",
-    "Prediction",
-    "rq_kernel",
     "rq_gram",
     "log_marginal_likelihood",
     "build_gp",
     "fit",
-    "predict",
     "predict_batch",
     "fit_multi",
-    "predict_multi",
+    "predict_multi_batch",
     "default_params",
 ]
 
@@ -121,23 +118,11 @@ def _sqdist(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
     return cdist(np.atleast_2d(X), np.atleast_2d(X2), metric="sqeuclidean")
 
 
-def rq_kernel(x: np.ndarray, x2: np.ndarray, params: KernelParams) -> float:
-    """Rational Quadratic covariance between two points."""
-    x = np.asarray(x, dtype=float).ravel()
-    x2 = np.asarray(x2, dtype=float).ravel()
-    if x.shape != x2.shape:
-        raise ValueError("kernel inputs must share a dimension")
-    sq = float(np.sum((x - x2) ** 2))
-    base = 1.0 + sq / (2.0 * params.alpha * params.ell ** 2)
-    # Underflow to zero covariance is the correct distant-pair limit.
-    with np.errstate(under="ignore"):
-        return params.sigma ** 2 * base ** (-params.alpha)
-
-
 def rq_gram(X: np.ndarray, X2: np.ndarray, params: KernelParams) -> np.ndarray:
     """Kernel matrix between rows of X and rows of X2."""
     sq = _sqdist(X, X2)
     base = 1.0 + sq / (2.0 * params.alpha * params.ell ** 2)
+    # Underflow to zero covariance is the correct distant-pair limit.
     with np.errstate(under="ignore"):
         return params.sigma ** 2 * base ** (-params.alpha)
 
@@ -287,26 +272,6 @@ def predict_batch(model: GpModel, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return mean, np.maximum(var, 0.0)
 
 
-def predict(model: GpModel, x: np.ndarray) -> tuple[float, float]:
-    """Posterior mean/variance at a single query point."""
-    mean, var = predict_batch(model, np.atleast_2d(np.asarray(x, dtype=float)))
-    return float(mean[0]), float(var[0])
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Per-objective posterior mean and variance at one query."""
-
-    mean: np.ndarray
-    var: np.ndarray
-
-    def __post_init__(self):
-        if self.mean.shape != self.var.shape:
-            raise ValueError("mean and var must align")
-        if np.any(self.var < 0):
-            raise ValueError("negative predictive variance")
-
-
 @dataclass(frozen=True)
 class MultiGp:
     """Independent per-objective GPs sharing one input matrix."""
@@ -351,11 +316,6 @@ def fit_multi(X: np.ndarray, Y: np.ndarray,
                        rng=streams[j])
                    for j in range(Y.shape[1]))
     return MultiGp(models=models, objective_names=tuple(objective_names))
-
-
-def predict_multi(model: MultiGp, x: np.ndarray) -> Prediction:
-    means, variances = zip(*(predict(m, x) for m in model.models))
-    return Prediction(mean=np.array(means), var=np.array(variances))
 
 
 def predict_multi_batch(model: MultiGp,

@@ -55,7 +55,6 @@ __all__ = [
     "parse_expression",
     "mutate",
     "crossover",
-    "dominates",
     "fast_nondominated_sort",
     "crowding_distance",
     "rank_population",
@@ -556,43 +555,26 @@ class Candidate:
         return np.asarray(self.objectives, dtype=float)
 
 
-def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
-    """Pareto dominance for minimization: a is nowhere worse and somewhere
-    strictly better."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return bool(np.all(a <= b) and np.any(a < b))
-
-
 def fast_nondominated_sort(objectives: np.ndarray) -> list[list[int]]:
     """Sort rows of an (n, p) objective matrix into Pareto fronts.
 
-    Returns a list of fronts, each a list of row indices; front 0 is the
-    non-dominated set.  Minimization throughout.
+    Returns a list of fronts, each a list of row indices in ascending
+    order; front 0 is the non-dominated set.  Minimization throughout: a
+    row dominates another when it is nowhere worse and somewhere strictly
+    better.
     """
     objs = np.asarray(objectives, dtype=float)
-    n = objs.shape[0]
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    domination_count = np.zeros(n, dtype=int)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(objs[i], objs[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(objs[j], objs[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
+    a, b = objs[:, None, :], objs[None, :, :]
+    # dominates[i, j]: row i dominates row j; count[j]: rows dominating j.
+    dominates = np.all(a <= b, axis=2) & np.any(a < b, axis=2)
+    count = dominates.sum(axis=0)
     fronts: list[list[int]] = []
-    current = [i for i in range(n) if domination_count[i] == 0]
-    while current:
-        fronts.append(current)
-        nxt = []
-        for i in current:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    nxt.append(j)
-        current = sorted(nxt)
+    current = np.flatnonzero(count == 0)
+    while current.size:
+        fronts.append(current.tolist())
+        count[current] = -1  # a placed row never reads zero again
+        count -= dominates[current].sum(axis=0)
+        current = np.flatnonzero(count == 0)
     return fronts
 
 

@@ -40,7 +40,7 @@ from sagep.orchestrator import (
 from sagep.selection import (
     SelectionConfig,
     apply_thresholds,
-    convergence_weight,
+    convergence_weights,
     ei,
     lcb,
 )
@@ -187,11 +187,12 @@ def test_criterion_3_acquisition_correctness():
 
     conv = np.array([[1.0, 0.0]])
     div = np.array([[0.0, 0.0]])
-    cw_ok = (convergence_weight(np.array([0.6, 0.0]), conv, div, 0.5) == 1.0
-             and convergence_weight(np.array([0.2, 0.0]), conv, div, 0.5)
-             == pytest.approx(0.4, abs=1e-12)
-             and convergence_weight(np.array([0.0, 0.0]), conv, div, 0.5)
-             == 0.0)
+    cw = [convergence_weights(np.array([x]), conv, div, 0.5)
+          for x in ([0.6, 0.0], [0.2, 0.0], [0.0, 0.0])]
+    cw_ok = (all(w.shape == (1,) for w in cw)
+             and cw[0][0] == 1.0
+             and cw[1][0] == pytest.approx(0.4, abs=1e-12)
+             and cw[2][0] == 0.0)
 
     elapsed = time.perf_counter() - t0
     ok = ei_ok and lcb_ok and bool(cw_ok) and elapsed < 30.0
@@ -387,12 +388,13 @@ def test_criterion_8_sentinel_property(alpha_const):
     view = history.selection_view()
     assert view.diverged_points.shape == (1, 2)
     near = np.array([2.05, 2.05])  # inside delta times the local separation
-    weight = convergence_weight(near, view.converged_points,
-                                view.diverged_points, 0.75)
-    assert weight < 1.0
-    on_point = convergence_weight(np.array([2.0, 2.0]), view.converged_points,
-                                  view.diverged_points, 0.75)
-    assert on_point == 0.0
+    weight = convergence_weights(near[None, :], view.converged_points,
+                                 view.diverged_points, 0.75)
+    assert weight.shape == (1,) and weight[0] < 1.0
+    on_point = convergence_weights(np.array([[2.0, 2.0]]),
+                                   view.converged_points,
+                                   view.diverged_points, 0.75)
+    assert on_point.shape == (1,) and on_point[0] == 0.0
 
 
 def test_criterion_8_report():

@@ -42,16 +42,30 @@ class TestParetoFront:
     def test_single_point(self):
         assert pareto_front(np.array([[1.0, 2.0]])).shape == (1, 2)
 
+    def test_empty_input(self):
+        assert pareto_front(np.empty((0, 3))).shape == (0, 3)
+
     @given(st.lists(st.tuples(st.floats(0, 5), st.floats(0, 5)),
                     min_size=1, max_size=14))
     def test_front_members_mutually_nondominated(self, rows):
-        front = pareto_front(np.asarray(rows))
+        def dominates(a, b):
+            return bool(np.all(a <= b) and np.any(a < b))
+
+        pts = np.asarray(rows)
+        front = pareto_front(pts)
         for i in range(front.shape[0]):
             for j in range(front.shape[0]):
                 if i == j:
                     continue
-                assert not (np.all(front[j] <= front[i])
-                            and np.any(front[j] < front[i]))
+                assert not dominates(front[j], front[i])
+        # Complete: every input row is a front row or dominated by one, and
+        # no non-dominated input row is missing.
+        members = {tuple(row) for row in front}
+        assert len(members) == front.shape[0]
+        for row in pts:
+            if tuple(row) not in members:
+                assert any(dominates(f, row) for f in front)
+                assert any(dominates(other, row) for other in pts)
 
 
 class TestHypervolume:

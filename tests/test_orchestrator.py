@@ -76,6 +76,19 @@ class TestConfig:
         assert sel.m_fixed == 2
         assert sel.n_init == 5  # still scaled from the population
 
+    def test_empty_selection_block_keeps_defaults(self, tmp_path):
+        plain = load_run_config(write_config(tmp_path))
+        empty = load_run_config(write_config(tmp_path, selection={}))
+        assert empty.selection_config() == plain.selection_config()
+
+    def test_partial_selection_block_keeps_other_defaults(self):
+        # population omitted: the RunConfig default of 96 sets n_init.
+        cfg = build_run_config({"selection": {"m_fixed": 1}})
+        sel = cfg.selection_config()
+        assert sel.n_init == 38
+        assert sel.m_init_rel == 0.5
+        assert sel == RunConfig().selection_config()
+
     def test_missing_table_rejected(self, tmp_path):
         path = write_config(tmp_path)
         (tmp_path / "features.csv").unlink()
@@ -291,6 +304,16 @@ class TestPassiveReplay:
         metrics = passive_replay(db, cfg)  # surrogate disabled: select all
         assert metrics.total_expensive == len(db.records)
         assert metrics.final_selection_ratio == 1.0
+
+    def test_select_all_replay_matches_stored_metrics(self, tmp_path):
+        # Replay runs the training step; with the surrogate off it reveals
+        # every record, so it must give the metrics the records give.
+        db, cfg = self.baseline_db(tmp_path)
+        replayed = passive_replay(db, cfg)
+        stored = metrics_from_records(db.records)
+        assert replayed.rows == stored.rows
+        assert replayed.final_selection_ratio == stored.final_selection_ratio
+        assert replayed.final_relative_error == stored.final_relative_error
 
 
 class TestCli:

@@ -12,7 +12,6 @@ from sagep.selection import (
     SelectionHistory,
     aggregate_multiobjective,
     apply_thresholds,
-    convergence_weight,
     convergence_weights,
     ei,
     lcb,
@@ -88,6 +87,27 @@ class TestEi:
         assert np.all(np.diff(vals) >= -1e-12)
 
 
+def weight_of(x, conv, div, delta):
+    """Weight of one point, through the batch function."""
+    w = convergence_weights(np.array([x], dtype=float), conv, div, delta)
+    assert w.shape == (1,)
+    return w[0]
+
+
+def scalar_weight(x, conv, div, delta):
+    """Reference weight of one point: nearest members found row by row."""
+    d_div = np.linalg.norm(div - x, axis=1)
+    dist_div = float(np.min(d_div))
+    if conv.shape[0] == 0:
+        return 0.0 if dist_div == 0.0 else 1.0
+    nearest_conv = conv[int(np.argmin(np.linalg.norm(conv - x, axis=1)))]
+    denom = delta * float(np.linalg.norm(nearest_conv
+                                         - div[int(np.argmin(d_div))]))
+    if denom == 0.0:
+        return 0.0 if dist_div == 0.0 else 1.0
+    return min(1.0, dist_div / denom)
+
+
 class TestConvergenceWeight:
     # Geometry shared by the examples: one diverged point at the origin, one
     # converged point at distance 1, so the separation scale is exactly 1.
@@ -95,55 +115,58 @@ class TestConvergenceWeight:
     div = np.array([[0.0, 0.0]])
 
     def test_saturates_beyond_delta_fraction(self):
-        w = convergence_weight(np.array([0.6, 0.0]), self.conv, self.div, 0.5)
+        w = weight_of([0.6, 0.0], self.conv, self.div, 0.5)
         assert w == 1.0
 
     def test_linear_ramp_inside(self):
-        w = convergence_weight(np.array([0.2, 0.0]), self.conv, self.div, 0.5)
+        w = weight_of([0.2, 0.0], self.conv, self.div, 0.5)
         assert w == pytest.approx(0.4, abs=1e-12)
 
     def test_zero_on_diverged_point(self):
-        assert convergence_weight(np.array([0.0, 0.0]),
-                                  self.conv, self.div, 0.5) == 0.0
+        assert weight_of([0.0, 0.0], self.conv, self.div, 0.5) == 0.0
 
     def test_no_divergence_history_means_no_discount(self):
-        w = convergence_weight(np.array([5.0, 5.0]), self.conv,
-                               np.empty((0, 2)), 0.5)
+        w = weight_of([5.0, 5.0], self.conv, np.empty((0, 2)), 0.5)
         assert w == 1.0
 
     def test_empty_history_is_contract_violation(self):
         with pytest.raises(SelectionContractError):
-            convergence_weight(np.zeros(2), np.empty((0, 2)),
-                               np.empty((0, 2)), 0.5)
+            convergence_weights(np.zeros((1, 2)), np.empty((0, 2)),
+                                np.empty((0, 2)), 0.5)
 
     def test_delta_validated(self):
         with pytest.raises(SelectionContractError):
-            convergence_weight(np.zeros(2), self.conv, self.div, 0.0)
+            convergence_weights(np.zeros((1, 2)), self.conv, self.div, 0.0)
         with pytest.raises(SelectionContractError):
-            convergence_weight(np.zeros(2), self.conv, self.div, 1.5)
+            convergence_weights(np.zeros((1, 2)), self.conv, self.div, 1.5)
 
     def test_uses_nearest_members(self):
         conv = np.array([[10.0, 0.0], [1.0, 0.0]])
         div = np.array([[0.0, 0.0], [20.0, 0.0]])
         # Nearest diverged is the origin, nearest converged is (1, 0).
-        w = convergence_weight(np.array([0.25, 0.0]), conv, div, 0.5)
+        w = weight_of([0.25, 0.0], conv, div, 0.5)
         assert w == pytest.approx(0.5, abs=1e-12)
 
     @given(st.floats(0.0, 3.0), st.floats(0.0, 3.0))
     def test_monotone_in_distance_from_divergence(self, d1, d2):
         near, far = sorted((d1, d2))
-        w_near = convergence_weight(np.array([near, 0.0]),
-                                    self.conv, self.div, 0.75)
-        w_far = convergence_weight(np.array([far, 0.0]),
-                                   self.conv, self.div, 0.75)
+        w_near = weight_of([near, 0.0], self.conv, self.div, 0.75)
+        w_far = weight_of([far, 0.0], self.conv, self.div, 0.75)
         assert 0.0 <= w_near <= w_far <= 1.0
 
     def test_vectorized_matches_scalar(self):
-        X = np.array([[0.1, 0.0], [0.4, 0.0], [2.0, 1.0]])
-        scalars = [convergence_weight(row, self.conv, self.div, 0.5)
-                   for row in X]
-        assert np.allclose(convergence_weights(X, self.conv, self.div, 0.5),
-                           scalars)
+        # Bit for bit: selection compares weighted values, so a last-bit
+        # difference can change which candidate is evaluated.
+        rng = np.random.default_rng(5)
+        for trial in range(50):
+            dim = int(rng.integers(1, 4))
+            X = rng.normal(size=(20, dim))
+            conv = rng.normal(size=(int(rng.integers(0, 6)), dim))
+            div = np.vstack([rng.normal(size=(int(rng.integers(1, 6)), dim)),
+                             X[:1]])
+            delta = float(rng.uniform(0.1, 1.0))
+            expect = [scalar_weight(row, conv, div, delta) for row in X]
+            assert convergence_weights(X, conv, div, delta).tolist() == expect
 
 
 class TestAggregate:

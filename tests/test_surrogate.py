@@ -15,12 +15,9 @@ from sagep.surrogate import (
     fit,
     fit_multi,
     log_marginal_likelihood,
-    predict,
     predict_batch,
-    predict_multi,
     predict_multi_batch,
     rq_gram,
-    rq_kernel,
 )
 
 UNIT = KernelParams(sigma=1.0, ell=1.0, alpha=1.0, noise=1e-6)
@@ -39,18 +36,21 @@ def dense_lml(X, y, params):
 class TestKernel:
     def test_zero_distance_gives_sigma_squared(self):
         p = KernelParams(sigma=1.7, ell=0.3, alpha=2.0, noise=1e-6)
-        x = np.array([0.4, -1.2])
-        assert rq_kernel(x, x, p) == pytest.approx(1.7 ** 2, rel=1e-12)
+        x = np.array([[0.4, -1.2]])
+        G = rq_gram(x, x, p)
+        assert G.shape == (1, 1)
+        assert G[0, 0] == pytest.approx(1.7 ** 2, rel=1e-12)
 
     def test_unit_params_at_squared_distance_two(self):
         # sigma = ell = alpha = 1 and |x - x'|^2 = 2 gives (1 + 2/2)^-1 = 0.5.
-        x, x2 = np.array([0.0, 0.0]), np.array([1.0, 1.0])
-        assert rq_kernel(x, x2, UNIT) == pytest.approx(0.5, abs=1e-12)
+        x, x2 = np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])
+        assert rq_gram(x, x2, UNIT)[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_large_alpha_approaches_squared_exponential(self):
         p = KernelParams(sigma=1.0, ell=1.0, alpha=1e6, noise=1e-6)
-        x, x2 = np.array([0.0]), np.array([1.0])
-        assert rq_kernel(x, x2, p) == pytest.approx(np.exp(-0.5), abs=1e-3)
+        x, x2 = np.array([[0.0]]), np.array([[1.0]])
+        assert rq_gram(x, x2, p)[0, 0] == pytest.approx(np.exp(-0.5),
+                                                        abs=1e-3)
 
     def test_gram_matches_pairwise_kernel(self):
         rng = np.random.default_rng(3)
@@ -61,16 +61,18 @@ class TestKernel:
         assert G.shape == (5, 4)
         for i in range(5):
             for j in range(4):
-                assert G[i, j] == pytest.approx(rq_kernel(X[i], X2[j], p),
-                                                rel=1e-12)
+                sq = np.sum((X[i] - X2[j]) ** 2)
+                rq = p.sigma ** 2 * (1.0 + sq / (2.0 * p.alpha * p.ell ** 2)
+                                     ) ** -p.alpha
+                assert G[i, j] == pytest.approx(rq, rel=1e-12)
 
     @given(st.floats(0.1, 5.0), st.floats(0.1, 5.0), st.floats(0.1, 50.0),
            st.floats(0.0, 10.0), st.floats(0.0, 10.0))
     def test_kernel_decreases_with_distance(self, sigma, ell, alpha, d1, d2):
         p = KernelParams(sigma=sigma, ell=ell, alpha=alpha, noise=1e-6)
         near, far = sorted((d1, d2))
-        k_near = rq_kernel(np.array([0.0]), np.array([near]), p)
-        k_far = rq_kernel(np.array([0.0]), np.array([far]), p)
+        k_near = rq_gram(np.array([[0.0]]), np.array([[near]]), p)[0, 0]
+        k_far = rq_gram(np.array([[0.0]]), np.array([[far]]), p)[0, 0]
         assert k_near >= k_far
         assert 0.0 < k_far <= sigma ** 2 + 1e-12
 
@@ -141,10 +143,11 @@ class TestPrediction:
         # The RQ tail decays polynomially, so "far" is only approximate.
         p = KernelParams(sigma=1.3, ell=0.5, alpha=1.0, noise=0.04)
         model = build_gp(np.array([[0.0]]), np.array([2.0]), p)
-        mu, var = predict(model, np.array([50.0]))
-        assert mu == pytest.approx(0.0, abs=1e-3)
+        mu, var = predict_batch(model, np.array([[50.0]]))
+        assert mu.shape == var.shape == (1,)
+        assert mu[0] == pytest.approx(0.0, abs=1e-3)
         # Observation variance includes the noise term.
-        assert var == pytest.approx(1.3 ** 2 + 0.04, abs=1e-3)
+        assert var[0] == pytest.approx(1.3 ** 2 + 0.04, abs=1e-3)
 
     def test_variance_collapses_at_training_points(self):
         p = KernelParams(sigma=1.0, ell=1.0, alpha=1.0, noise=1e-8)
@@ -277,7 +280,7 @@ class TestMultiOutput:
         multi = MultiGp(models=tuple(build_gp(X, Y[:, k], UNIT)
                                      for k in range(2)),
                         objective_names=("a", "b"))
-        pred = predict_multi(multi, np.array([0.0]))
-        assert pred.mean.shape == (2,)
-        assert np.allclose(pred.mean, [1.0, 2.0], atol=1e-3)
-        assert np.all(pred.var >= 0.0)
+        mean, var = predict_multi_batch(multi, np.array([[0.0]]))
+        assert mean.shape == var.shape == (1, 2)
+        assert np.allclose(mean[0], [1.0, 2.0], atol=1e-3)
+        assert np.all(var >= 0.0)

@@ -19,7 +19,6 @@ from sagep.symreg import (
     crossover,
     crowding_distance,
     decode,
-    dominates,
     eval_tree,
     evolve_generation,
     fast_nondominated_sort,
@@ -290,12 +289,23 @@ class TestVariation:
 # Dominance, fronts, survivors
 
 
+def brute_dominates(a, b):
+    """Reference Pareto dominance (minimization), one pair at a time."""
+    return (all(x <= y for x, y in zip(a, b))
+            and any(x < y for x, y in zip(a, b)))
+
+
 class TestDominance:
     def test_strict_dominance(self):
-        assert dominates((1.0, 1.0), (2.0, 2.0))
-        assert dominates((1.0, 2.0), (1.0, 3.0))
-        assert not dominates((1.0, 2.0), (1.0, 2.0))
-        assert not dominates((1.0, 3.0), (2.0, 2.0))
+        # A dominated row lands in a later front than its dominator; equal
+        # rows and trade-offs share a front.
+        def fronts(rows):
+            return fast_nondominated_sort(np.array(rows))
+
+        assert fronts([(1.0, 1.0), (2.0, 2.0)]) == [[0], [1]]
+        assert fronts([(1.0, 3.0), (1.0, 2.0)]) == [[1], [0]]
+        assert fronts([(1.0, 2.0), (1.0, 2.0)]) == [[0, 1]]
+        assert fronts([(1.0, 3.0), (2.0, 2.0)]) == [[0, 1]]
 
     def test_tradeoff_points_share_first_front(self):
         fronts = fast_nondominated_sort(np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -305,6 +315,9 @@ class TestDominance:
         fronts = fast_nondominated_sort(np.array([[2.0, 2.0], [1.0, 1.0]]))
         assert fronts == [[1], [0]]
 
+    def test_empty_input_has_no_fronts(self):
+        assert fast_nondominated_sort(np.empty((0, 3))) == []
+
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                     min_size=1, max_size=12))
     def test_sort_against_brute_force(self, rows):
@@ -313,12 +326,14 @@ class TestDominance:
         seen = sorted(i for front in fronts for i in front)
         assert seen == list(range(len(rows)))
         # Brute-force front index: strip nondominated layers one by one.
+        # Each front must also be in ascending order, which crowding ties
+        # and survivor order depend on.
         remaining = set(range(len(rows)))
         for front in fronts:
             expect = {i for i in remaining
-                      if not any(dominates(objs[j], objs[i])
+                      if not any(brute_dominates(rows[j], rows[i])
                                  for j in remaining if j != i)}
-            assert set(front) == expect
+            assert front == sorted(expect)
             remaining -= expect
 
     def test_crowding_boundary_points_infinite(self):
