@@ -354,6 +354,19 @@ def _tridiag_solve(diff_face: np.ndarray, source: np.ndarray,
     return np.concatenate([[walls[0]], inner, [walls[1]]])
 
 
+def _channel_features(case: ChannelCase, u: np.ndarray, T: np.ndarray,
+                      h: float) -> dict[str, np.ndarray]:
+    """The closure inputs I1 and J1 on the profiles u and T."""
+    du = np.gradient(u, h)
+    dT = np.gradient(T, h)
+    return {"I1": (du / case.omega) ** 2, "J1": dT ** 2}
+
+
+def _closure_slots(trees: Sequence) -> tuple:
+    """(g, r, alpha) from (g, alpha) or (g, r, alpha); no r means None."""
+    return (trees[0], None, trees[1]) if len(trees) == 2 else tuple(trees)
+
+
 def _solve_profiles(case: ChannelCase, g_expr: ExprTree | None,
                     r_expr: ExprTree | None, alpha_expr: ExprTree | None,
                     pool: ConstantsPool | None, tol: float,
@@ -376,9 +389,7 @@ def _solve_profiles(case: ChannelCase, g_expr: ExprTree | None,
     theta = case.damping
 
     for iteration in range(1, case.max_iters + 1):
-        du = np.gradient(u, h)
-        dT = np.gradient(T, h)
-        columns = {"I1": (du / case.omega) ** 2, "J1": dT ** 2}
+        columns = _channel_features(case, u, T, h)
         with np.errstate(all="ignore"):
             g_val = np.broadcast_to(np.asarray(
                 eval_tree(g_expr, columns, pool), dtype=float), (n,))
@@ -439,18 +450,12 @@ def solve_channel(case: ChannelCase, g_expr: ExprTree | None,
                              iterations=iterations)
 
 
-def _truth_trees(case: ChannelCase) -> tuple[ExprTree | None, ...]:
-    trees = [parse_expression(t) for t in case.truth_exprs]
-    if len(trees) == 2:
-        return trees[0], None, trees[1]
-    return trees[0], trees[1], trees[2]
-
-
 def make_reference(case: ChannelCase,
                    pool: ConstantsPool | None = None) -> ChannelCase:
     """Generate reference profiles by solving the case with its truth
     expressions at a tenth of the evaluation tolerance."""
-    g_t, r_t, a_t = _truth_trees(case)
+    g_t, r_t, a_t = _closure_slots([parse_expression(t)
+                                    for t in case.truth_exprs])
     u, T, _, ok = _solve_profiles(case, g_t, r_t, a_t, pool, case.tol / 10.0)
     if not ok:
         raise SetupError("truth expressions diverge on this case")
@@ -525,10 +530,7 @@ class ChannelEvaluator:
         if not ok:
             raise SetupError("zero-correction baseline solve diverged")
         _, h = self.case.grid()
-        du = np.gradient(u, h)
-        dT = np.gradient(T, h)
-        return FeatureTable(columns={"I1": (du / self.case.omega) ** 2,
-                                     "J1": dT ** 2},
+        return FeatureTable(columns=_channel_features(self.case, u, T, h),
                             source="channel-baseline")
 
     def evaluate(self, trees: Sequence[ExprTree],
@@ -536,8 +538,4 @@ class ChannelEvaluator:
         if len(trees) != self.n_slots:
             raise ValueError(f"expected {self.n_slots} slots, got {len(trees)}")
         _note_expensive_call()
-        if self.n_slots == 2:
-            g_expr, r_expr, alpha_expr = trees[0], None, trees[1]
-        else:
-            g_expr, r_expr, alpha_expr = trees
-        return solve_channel(self.case, g_expr, r_expr, alpha_expr, pool)
+        return solve_channel(self.case, *_closure_slots(trees), pool)

@@ -25,7 +25,6 @@ __all__ = [
     "hypervolume",
     "hypervolume_coverage",
     "compare_coverage",
-    "selection_ratio",
     "surrogate_relative_error",
     "RunMetrics",
     "GenerationMetrics",
@@ -92,7 +91,8 @@ def hypervolume(points: np.ndarray, ref: np.ndarray) -> float:
         best = float(np.min(pts))
         return max(0.0, float(ref[0]) - best)
     if p == 2:
-        return _hv_2d(pareto_front(pts), ref)
+        # The sweep skips dominated and repeated points by itself.
+        return _hv_2d(pts, ref)
     if p <= 4:
         return _hv_inclusion_exclusion(pareto_front(pts), ref)
     raise ValueError(f"exact hypervolume supports up to 4 objectives, got {p}")
@@ -132,15 +132,6 @@ def compare_coverage(fronts: Sequence[np.ndarray]) -> list[float]:
     if np.any(ref == ideal) or box <= 0.0:
         return [0.0 for _ in nds]
     return [hypervolume(nd, ref) / box for nd in nds]
-
-
-def selection_ratio(records: Sequence) -> float:
-    """Share of candidates that went to expensive evaluation."""
-    total = len(records)
-    if total == 0:
-        raise ValueError("no records")
-    expensive = sum(1 for r in records if r.provenance == "expensive")
-    return expensive / total
 
 
 def surrogate_relative_error(truth: dict[int, np.ndarray],

@@ -5,7 +5,9 @@ each candidate is embedded, the selection policy decides who gets an
 expensive evaluation (everyone, when the surrogate is disabled), outcomes
 are appended to a line-delimited database, the surrogate is refit on all
 converged expensive data, and the combined truth/predicted fitness feeds
-back into survivor selection.
+back into survivor selection.  Selection only decides; the generation step
+here is the one place that writes a candidate's objectives, convergence
+flag and provenance.
 
 Everything is deterministic per seed: random streams are spawned from one
 seed sequence per purpose and generation, costs are counted in abstract
@@ -110,6 +112,12 @@ class EvaluatorSpec:
             raise ConfigError(f"unknown evaluator kind {self.kind!r}")
         if self.kind == "symbolic" and (self.table is None or not self.targets):
             raise ConfigError("symbolic evaluator needs a table and targets")
+        # A field the chosen kind never reads would be silently ignored.
+        ignored = (("case",) if self.kind == "symbolic"
+                   else ("slot_of_objective", "table", "targets"))
+        for name in ignored:
+            if getattr(self, name) not in (None, ()):
+                raise ConfigError(f"{self.kind} evaluator takes no {name}")
 
 
 @dataclass(frozen=True)
@@ -243,13 +251,7 @@ class EvaluationRecord:
     predicted: tuple[float, ...] | None = None
 
     def to_json(self) -> str:
-        payload = dataclasses.asdict(self)
-        payload["keys"] = list(self.keys)
-        payload["embedding"] = list(self.embedding)
-        payload["objectives"] = list(self.objectives)
-        payload["predicted"] = (None if self.predicted is None
-                                else list(self.predicted))
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "EvaluationRecord":
@@ -323,70 +325,27 @@ def build_evaluator(spec: EvaluatorSpec):
                                       spec.slot_of_objective)
 
 
-def _make_mean_to_objective(log_error: bool) -> Callable[[np.ndarray], np.ndarray]:
+def _gp_target_map(log_error: bool) -> tuple[Callable[[np.ndarray], np.ndarray],
+                                             Callable[[np.ndarray], np.ndarray]]:
+    """The map from raw objectives to GP regression targets, and its
+    inverse from posterior means back to objectives."""
     if log_error:
-        def transform(mean: np.ndarray) -> np.ndarray:
-            return np.power(10.0, np.clip(np.asarray(mean, dtype=float),
-                                          -300.0, 300.0))
-    else:
-        def transform(mean: np.ndarray) -> np.ndarray:
-            return np.maximum(np.asarray(mean, dtype=float), 0.0)
-    return transform
+        return (lambda objs: np.log10(np.maximum(objs, _LOG_FLOOR)),
+                lambda means: np.power(10.0, np.clip(means, -300.0, 300.0)))
+    return (lambda objs: objs, lambda means: np.maximum(means, 0.0))
 
 
-def _to_gp_targets(objectives: np.ndarray, log_error: bool) -> np.ndarray:
-    objs = np.asarray(objectives, dtype=float)
-    if log_error:
-        return np.log10(np.maximum(objs, _LOG_FLOOR))
-    return objs
-
-
-class _History:
-    """Expensive-evaluation memory shared by selection and the surrogate."""
-
-    def __init__(self, dim: int, log_error: bool):
-        self.X: list[np.ndarray] = []
-        self.Y: list[np.ndarray] = []
-        self.diverged: list[np.ndarray] = []
-        self.keys: set = set()
-        self.dim = dim
-        self.log_error = log_error
-
-    def note(self, point: np.ndarray, keys: tuple, objectives: np.ndarray,
-             converged: bool) -> None:
-        self.keys.add(tuple(keys))
-        if converged:
-            self.X.append(np.asarray(point, dtype=float))
-            self.Y.append(_to_gp_targets(objectives, self.log_error))
-        else:
-            self.diverged.append(np.asarray(point, dtype=float))
-
-    def selection_view(self) -> sel_mod.SelectionHistory:
-        conv = (np.vstack(self.X) if self.X else np.empty((0, self.dim)))
-        div = (np.vstack(self.diverged) if self.diverged
-               else np.empty((0, self.dim)))
-        return sel_mod.SelectionHistory(converged_points=conv,
-                                        diverged_points=div,
-                                        evaluated_keys=frozenset(self.keys))
-
-    def fit_model(self, settings: SurrogateSettings,
-                  rng: np.random.Generator) -> sur_mod.MultiGp:
-        if not self.X:
-            raise RunError("no converged expensive data to fit the surrogate")
-        X = np.vstack(self.X)
-        Y = np.vstack(self.Y)
-        return sur_mod.fit_multi(X, Y, bounds=settings.bounds,
-                                 restarts=settings.restarts, rng=rng)
-
-
-def _sentinel_flag(candidate: symreg.Candidate, p: int) -> None:
-    """Mark a candidate whose embedding is unusable."""
-    coords = candidate.embedding_norm
-    if coords is not None and np.all(np.isfinite(coords)):
-        return
-    candidate.objectives = np.full(p, symreg.DIVERGENCE_SENTINEL)
-    candidate.converged = False
-    candidate.provenance = "surrogate"
+def _fit_surrogate(history: sel_mod.SelectionHistory,
+                   settings: SurrogateSettings,
+                   rng: np.random.Generator) -> sur_mod.MultiGp:
+    """Fit the GP on every converged expensive outcome so far."""
+    if history.converged_points.shape[0] == 0:
+        raise RunError("no converged expensive data to fit the surrogate")
+    to_gp, _ = _gp_target_map(settings.log_error)
+    return sur_mod.fit_multi(history.converged_points,
+                             to_gp(history.converged_objectives),
+                             bounds=settings.bounds,
+                             restarts=settings.restarts, rng=rng)
 
 
 def _streams(seed: int, generations: int):
@@ -406,46 +365,65 @@ _Oracle = Callable[[symreg.Candidate], tuple[Sequence[float], bool, float]]
 
 
 def _generation_step(gen: int, current: list[symreg.Candidate],
-                     norm_stats: emb_mod.NormStats, history: _History,
+                     norm_stats: emb_mod.NormStats,
+                     history: sel_mod.SelectionHistory,
                      config: RunConfig, p: int,
                      select_rng: np.random.Generator,
                      fit_rng: np.random.Generator,
-                     oracle: _Oracle) -> tuple[sel_mod.SelectionDecision,
-                                              dict[int, float]]:
-    """One generation of the loop, shared by training and replay.
+                     oracle: _Oracle) -> tuple[list[int],
+                                               dict[int, np.ndarray],
+                                               dict[int, float]]:
+    """One generation of the loop, shared by training and replay, and the
+    only code that writes a candidate's outcome.
 
-    Normalizes the embeddings and flags unusable ones, lets the surrogate
-    choose who gets an expensive outcome (everyone with a usable embedding
-    when it is disabled), asks the oracle for each chosen candidate's
-    outcome and notes it in the history.  Training's oracle is the live
-    evaluator, replay's the stored record.  Returns the decision and the
-    cost of each chosen candidate.
+    Normalizes the embeddings; a candidate whose normalized embedding is not
+    finite gets the divergence sentinel.  The surrogate chooses which of the
+    rest get an expensive outcome (all of them when it is disabled), the
+    oracle gives each chosen one its outcome, which joins the history, and
+    every other candidate gets its predicted objectives.  Training's oracle
+    is the live evaluator, replay's the stored record.  Returns the selected
+    ids, the predicted objectives by id and the cost of each selected
+    candidate.
     """
+    usable = []
     for cand in current:
         cand.embedding_norm = emb_mod.normalize(cand.embedding, norm_stats)
-        _sentinel_flag(cand, p)
+        if np.all(np.isfinite(cand.embedding_norm)):
+            usable.append(cand)
+        else:
+            cand.objectives = np.full(p, symreg.DIVERGENCE_SENTINEL)
+            cand.converged = False
+            cand.provenance = "surrogate"
 
     if config.surrogate_enabled:
-        model = (history.fit_model(config.surrogate, fit_rng) if gen >= 1
-                 else None)
-        to_objective = _make_mean_to_objective(config.surrogate.log_error)
+        model = (_fit_surrogate(history, config.surrogate, fit_rng)
+                 if gen >= 1 else None)
         decision = sel_mod.select_generation(
-            gen, current, model, history.selection_view(),
-            config.selection_config(), select_rng,
-            mean_to_objective=to_objective)
+            gen, usable, model, history, config.selection_config(),
+            select_rng)
     else:
-        decision = sel_mod.select_all(current)
+        decision = sel_mod.select_all(usable)
 
-    by_id = {c.id: c for c in current}
+    predicted: dict[int, np.ndarray] = {}
+    if decision.means is not None:
+        _, to_objective = _gp_target_map(config.surrogate.log_error)
+        predicted = dict(zip([c.id for c in usable],
+                             to_objective(decision.means)))
+    by_id = {c.id: c for c in usable}
     costs: dict[int, float] = {}
     for cid in decision.selected_ids:
         cand = by_id[cid]
         objectives, cand.converged, costs[cid] = oracle(cand)
         cand.objectives = np.asarray(objectives, dtype=float)
         cand.provenance = "expensive"
-        history.note(cand.embedding_norm, cand.phenotype_keys,
-                     cand.objectives, cand.converged)
-    return decision, costs
+        history.add(cand.embedding_norm, cand.phenotype_keys,
+                    cand.objectives, cand.converged)
+    for cid in predicted.keys() - costs.keys():
+        cand = by_id[cid]
+        cand.objectives = predicted[cid]
+        cand.converged = True
+        cand.provenance = "surrogate"
+    return decision.selected_ids, predicted, costs
 
 
 # Per generation: (generation, candidate count, (objectives, converged) of
@@ -494,9 +472,7 @@ def metrics_from_records(records: Sequence[EvaluationRecord]) -> metrics_mod.Run
     """
     if not records:
         raise ValueError("no records to summarize")
-    by_gen: dict[int, list[EvaluationRecord]] = {}
-    for rec in records:
-        by_gen.setdefault(rec.generation, []).append(rec)
+    by_gen = EvaluationDatabase(list(records)).by_generation()
 
     def generations():
         for gen in sorted(by_gen):
@@ -555,7 +531,7 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
     next_id = config.population
 
     db = EvaluationDatabase()
-    history = _History(dim=n_slots, log_error=config.surrogate.log_error)
+    history = sel_mod.SelectionHistory.empty(n_slots, p)
     norm_stats: emb_mod.NormStats | None = None
     survivors: list[symreg.Candidate] = []
     trees_by_id: dict[int, list[symreg.ExprTree]] = {}
@@ -591,15 +567,15 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
                 raise RunError("no usable embeddings in generation 0")
             norm_stats = emb_mod.fit_norm_stats(np.vstack(finite))
 
-        decision, costs = _generation_step(gen, current, norm_stats, history,
-                                           config, p, select_rngs[gen],
-                                           fit_rngs[gen], evaluate)
+        selected, predicted, costs = _generation_step(
+            gen, current, norm_stats, history, config, p, select_rngs[gen],
+            fit_rngs[gen], evaluate)
 
         for cand in sorted(current, key=lambda c: c.id):
             if cand.objectives is None:
                 raise RunError(
                     f"candidate {cand.id} left without objectives")
-            pred = decision.predicted.get(cand.id)
+            pred = predicted.get(cand.id)
             db.append(EvaluationRecord(
                 generation=gen, id=cand.id,
                 keys=tuple(cand.phenotype_keys),
@@ -615,7 +591,7 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
                      else symreg.select_survivors(survivors + current,
                                                   config.population))
         log.info("generation %d: %d expensive, %d total",
-                 gen, len(decision.selected_ids), len(current))
+                 gen, len(selected), len(current))
 
     return db, metrics_from_records(db.records)
 
@@ -654,8 +630,7 @@ def passive_replay(db: EvaluationDatabase,
 
     first = by_gen[0][0]
     p = len(first.objectives)
-    history = _History(dim=len(first.embedding),
-                       log_error=config.surrogate.log_error)
+    history = sel_mod.SelectionHistory.empty(len(first.embedding), p)
     _, _, _, select_rngs, fit_rngs = _streams(config.seed, len(gens))
     stored = operator.attrgetter("objectives", "converged", "wall_time")
     generations: list[_GenerationInputs] = []
@@ -665,12 +640,11 @@ def passive_replay(db: EvaluationDatabase,
                                       phenotype_keys=rec.keys,
                                       embedding=np.asarray(rec.embedding))
                      for rec in by_gen[gen]]
-        decision, _ = _generation_step(
+        selected, predicted, _ = _generation_step(
             gen, stand_ins, norm_stats, history, config, p, select_rngs[gen],
             fit_rngs[gen], lambda c: stored(rec_by_id[c.id]))
-        selected = set(decision.selected_ids)
-        revealed = [rec_by_id[cid] for cid in decision.selected_ids]
-        hidden = {cid: pred for cid, pred in decision.predicted.items()
+        revealed = [rec_by_id[cid] for cid in selected]
+        hidden = {cid: pred for cid, pred in predicted.items()
                   if cid not in selected and rec_by_id[cid].converged}
         generations.append((gen, len(stand_ins),
                             [(r.objectives, r.converged) for r in revealed],

@@ -14,16 +14,18 @@ The decision pipeline, generation by generation:
           through the configured thresholds (fixed count, relative value,
           Pareto front membership).
 
-Candidates that are not selected receive the surrogate posterior means as
-their objective values; phenotypes whose keys were already expensively
-evaluated are never re-selected.  All tie-breaks go to the lower candidate
-id so decisions are reproducible.
+Selection only decides: it returns the chosen ids and, from generation 1
+on, every candidate's GP-space posterior means, and writes nothing to the
+candidates.  The orchestrator's generation step writes every outcome.
+Phenotypes whose keys were already expensively evaluated are never
+re-selected.  All tie-breaks go to the lower candidate id so decisions are
+reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import AbstractSet, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -102,30 +104,40 @@ def default_selection_config(population_size: int) -> SelectionConfig:
 
 @dataclass
 class SelectionHistory:
-    """Normalized embeddings and keys of everything evaluated so far."""
+    """Every expensive outcome so far: the normalized embeddings of the
+    converged and of the diverged ones, the raw objectives of the converged
+    ones (row for row), and every evaluated phenotype key."""
 
     converged_points: np.ndarray
+    converged_objectives: np.ndarray
     diverged_points: np.ndarray
-    evaluated_keys: frozenset
+    evaluated_keys: set
 
     @classmethod
-    def empty(cls, dim: int) -> "SelectionHistory":
+    def empty(cls, dim: int, p: int) -> "SelectionHistory":
         return cls(converged_points=np.empty((0, dim)),
+                   converged_objectives=np.empty((0, p)),
                    diverged_points=np.empty((0, dim)),
-                   evaluated_keys=frozenset())
+                   evaluated_keys=set())
 
-    def all_points(self) -> np.ndarray:
-        return np.vstack([self.converged_points, self.diverged_points])
+    def add(self, point: np.ndarray, keys: tuple, objectives: np.ndarray,
+            converged: bool) -> None:
+        self.evaluated_keys.add(tuple(keys))
+        if converged:
+            self.converged_points = np.vstack([self.converged_points, point])
+            self.converged_objectives = np.vstack([self.converged_objectives,
+                                                   objectives])
+        else:
+            self.diverged_points = np.vstack([self.diverged_points, point])
 
 
 @dataclass
 class SelectionDecision:
     """Outcome of one generation's selection pass.
 
-    Arrays align with the population order; rows without a usable embedding
-    hold NaN.  `predicted` maps candidate id to the surrogate's objective
-    prediction (back-transformed to raw objective units) for every candidate
-    that was predicted, selected or not.
+    Arrays align with the population order.  `means` holds the surrogate's
+    GP-space posterior means, one row per candidate, selected or not; it is
+    None when no surrogate took part (generation 0, or no surrogate at all).
     """
 
     selected_ids: list[int]
@@ -133,7 +145,7 @@ class SelectionDecision:
     scalar: np.ndarray
     weights: np.ndarray
     front_index: np.ndarray
-    predicted: dict[int, np.ndarray] = field(default_factory=dict)
+    means: np.ndarray | None = None
 
 
 def lcb(mean, std, beta: float):
@@ -200,14 +212,12 @@ def convergence_weights(X: np.ndarray, converged_set: np.ndarray,
 
 
 def select_all(population: Sequence[Candidate],
-               evaluated_keys: frozenset = frozenset()) -> SelectionDecision:
-    """Select every candidate with a usable embedding whose phenotype keys
-    are not in evaluated_keys; the no-surrogate decision."""
+               evaluated_keys: AbstractSet = frozenset()) -> SelectionDecision:
+    """Select every candidate whose phenotype keys are not in
+    evaluated_keys; the no-surrogate decision."""
     n = len(population)
     selected = sorted(c.id for c in population
-                      if c.embedding_norm is not None
-                      and np.all(np.isfinite(c.embedding_norm))
-                      and c.phenotype_keys not in evaluated_keys)
+                      if c.phenotype_keys not in evaluated_keys)
     return SelectionDecision(selected_ids=selected, values=np.empty((n, 0)),
                              scalar=np.full(n, np.nan),
                              weights=np.full(n, np.nan),
@@ -265,30 +275,16 @@ def apply_thresholds(scalar: np.ndarray, front_index: np.ndarray,
     return sorted(ids[i] for i in passing)
 
 
-def _finite_rows(points: np.ndarray) -> np.ndarray:
-    return np.all(np.isfinite(points), axis=1)
-
-
-def _identity(mean: np.ndarray) -> np.ndarray:
-    return np.asarray(mean, dtype=float)
-
-
 def select_generation(gen_index: int,
                       population: Sequence[Candidate],
                       model: MultiGp | None,
                       history: SelectionHistory,
                       config: SelectionConfig,
-                      rng: np.random.Generator,
-                      mean_to_objective: Callable[[np.ndarray], np.ndarray] = _identity,
-                      ) -> SelectionDecision:
-    """Decide expensive evaluations for one generation and fill the rest of
-    the population with surrogate predictions.
+                      rng: np.random.Generator) -> SelectionDecision:
+    """Decide which candidates of one generation get an expensive evaluation.
 
-    mean_to_objective maps a vector of GP-space posterior means back to raw
-    objective units (identity unless the run regresses transformed errors).
-    Selected candidates are left untouched for the evaluator; every other
-    candidate with a usable embedding gets predicted objectives and
-    provenance "surrogate".
+    Every candidate must carry a finite normalized embedding; the caller
+    leaves out the unusable ones.  Nothing is written to the candidates.
     """
     if gen_index < 0:
         raise SelectionContractError("generation index must be >= 0")
@@ -296,14 +292,11 @@ def select_generation(gen_index: int,
     ids = [c.id for c in population]
     if len(set(ids)) != n:
         raise SelectionContractError("population ids must be unique")
-    dim = len(population[0].embedding_norm) if n else 0
-    emb = np.full((n, dim), np.nan)
-    for i, cand in enumerate(population):
-        if cand.embedding_norm is not None:
-            emb[i] = np.asarray(cand.embedding_norm, dtype=float)
-    finite = _finite_rows(emb)
+    emb = np.array([c.embedding_norm for c in population], dtype=float)
+    if not np.all(np.isfinite(emb)):
+        raise SelectionContractError("normalized embeddings must be finite")
 
-    if gen_index == 0:
+    if gen_index == 0 or not population:
         return select_all(population, history.evaluated_keys)
 
     if model is None:
@@ -313,79 +306,50 @@ def select_generation(gen_index: int,
         raise SelectionContractError(
             "generations >= 2 need at least one of m_fixed, m_rel, m_pareto")
 
-    p = model.n_objectives
-    means = np.full((n, p), np.nan)
-    stds = np.full((n, p), np.nan)
-    if np.any(finite):
-        fin_idx = np.flatnonzero(finite)
-        m, v = predict_multi_batch(model, emb[fin_idx])
-        means[fin_idx] = m
-        stds[fin_idx] = np.sqrt(v)
+    means, variances = predict_multi_batch(model, emb)
+    stds = np.sqrt(variances)
 
-    # Eligibility: usable embedding, phenotype not already evaluated, first
-    # occurrence of its key within this generation.
-    eligible = finite.copy()
+    # Eligibility: phenotype not already evaluated, first occurrence of its
+    # key within this generation.
+    eligible = np.ones(n, dtype=bool)
     seen = set(history.evaluated_keys)
     for i, cand in enumerate(population):
-        if not finite[i]:
-            continue
         if cand.phenotype_keys in seen:
             eligible[i] = False
         else:
             seen.add(cand.phenotype_keys)
 
-    weights = np.full(n, np.nan)
-    values = np.full((n, p), np.nan)
-    scalar = np.full(n, np.nan)
-    front_index = np.full(n, -1, dtype=int)
-    fin_idx = np.flatnonzero(finite)
-    if fin_idx.size:
-        weights[fin_idx] = convergence_weights(emb[fin_idx],
-                                               history.converged_points,
-                                               history.diverged_points,
-                                               config.delta)
-        if config.metric == "lcb":
-            raw = lcb(means[fin_idx], stds[fin_idx], config.beta)
-        else:
-            best = model.best_observed()
-            raw = np.column_stack([ei(means[fin_idx, j], stds[fin_idx, j],
-                                      float(best[j]), config.xi)
-                                   for j in range(p)])
-        values[fin_idx] = raw * weights[fin_idx, None]
-        sc, fr = aggregate_multiobjective(values[fin_idx])
-        scalar[fin_idx] = sc
-        front_index[fin_idx] = fr
+    weights = convergence_weights(emb, history.converged_points,
+                                  history.diverged_points, config.delta)
+    if config.metric == "lcb":
+        raw = lcb(means, stds, config.beta)
+    else:
+        best = model.best_observed()
+        raw = np.column_stack([ei(means[:, j], stds[:, j], float(best[j]),
+                                  config.xi)
+                               for j in range(model.n_objectives)])
+    values = raw * weights[:, None]
+    scalar, front_index = aggregate_multiobjective(values)
 
     if gen_index == 1:
-        selected = _initial_sampling(emb, finite, eligible, scalar, ids,
-                                     history, config, rng)
+        selected = _initial_sampling(emb, eligible, scalar, ids, history,
+                                     config, rng)
     else:
         selected = apply_thresholds(scalar, front_index, config, ids=ids,
                                     eligible=eligible)
-
-    predicted: dict[int, np.ndarray] = {}
-    selected_set = set(selected)
-    for i in fin_idx:
-        pred = mean_to_objective(means[i])
-        predicted[ids[i]] = np.asarray(pred, dtype=float)
-        if ids[i] not in selected_set:
-            cand = population[i]
-            cand.objectives = np.asarray(pred, dtype=float).copy()
-            cand.provenance = "surrogate"
-            cand.converged = True
     return SelectionDecision(selected_ids=selected, values=values,
                              scalar=scalar, weights=weights,
-                             front_index=front_index, predicted=predicted)
+                             front_index=front_index, means=means)
 
 
-def _initial_sampling(emb: np.ndarray, finite: np.ndarray,
-                      eligible: np.ndarray, scalar: np.ndarray,
+def _initial_sampling(emb: np.ndarray, eligible: np.ndarray,
+                      scalar: np.ndarray,
                       ids: Sequence[int], history: SelectionHistory,
                       config: SelectionConfig,
                       rng: np.random.Generator) -> list[int]:
     """Generation-1 warm-up: Halton points over the history bounding box,
     each claiming its nearest unclaimed candidate."""
-    hist = history.all_points()
+    hist = np.vstack([history.converged_points, history.diverged_points])
     if hist.size == 0:
         raise SelectionContractError(
             "initial sampling needs a non-empty history")

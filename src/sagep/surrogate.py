@@ -45,7 +45,6 @@ __all__ = [
     "predict_batch",
     "fit_multi",
     "predict_multi_batch",
-    "default_params",
 ]
 
 NOISE_FLOOR = 1e-8
@@ -108,10 +107,6 @@ class ParamBounds:
         lo = np.log([self.sigma[0], self.ell[0], self.alpha[0], self.noise[0]])
         hi = np.log([self.sigma[1], self.ell[1], self.alpha[1], self.noise[1]])
         return lo, hi
-
-
-def default_params() -> KernelParams:
-    return KernelParams(sigma=1.0, ell=1.0, alpha=1.0, noise=1e-6)
 
 
 def _sqdist(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
@@ -222,7 +217,7 @@ def fit(X: np.ndarray, y: np.ndarray,
     if X.shape[0] == 0:
         raise ValueError("cannot fit a GP on zero samples")
     if X.shape[0] == 1:
-        return build_gp(X, y, default_params())
+        return build_gp(X, y, KernelParams())
     bounds = bounds or ParamBounds()
     rng = np.random.default_rng(rng)
     lo, hi = bounds.log_box()
@@ -253,7 +248,7 @@ def fit(X: np.ndarray, y: np.ndarray,
     if best_theta is None:
         warnings.warn("GP hyperparameter search failed on every restart; "
                       "falling back to default parameters")
-        return build_gp(X, y, default_params(), warned=True)
+        return build_gp(X, y, KernelParams(), warned=True)
     return build_gp(X, y, KernelParams.from_log_array(best_theta))
 
 
@@ -277,7 +272,6 @@ class MultiGp:
     """Independent per-objective GPs sharing one input matrix."""
 
     models: tuple[GpModel, ...]
-    objective_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.models:
@@ -299,8 +293,7 @@ class MultiGp:
 def fit_multi(X: np.ndarray, Y: np.ndarray,
               bounds: ParamBounds | None = None,
               restarts: int = 8,
-              rng: np.random.Generator | int | None = None,
-              objective_names: tuple[str, ...] = ()) -> MultiGp:
+              rng: np.random.Generator | int | None = None) -> MultiGp:
     """Fit one GP per column of Y.
 
     Equivalent to the joint block-diagonal model under objective
@@ -315,7 +308,7 @@ def fit_multi(X: np.ndarray, Y: np.ndarray,
     models = tuple(fit(X, Y[:, j], bounds=bounds, restarts=restarts,
                        rng=streams[j])
                    for j in range(Y.shape[1]))
-    return MultiGp(models=models, objective_names=tuple(objective_names))
+    return MultiGp(models=models)
 
 
 def predict_multi_batch(model: MultiGp,

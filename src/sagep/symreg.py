@@ -22,6 +22,7 @@ are demoted behind every finitely-ranked front.
 from __future__ import annotations
 
 import ast
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -79,30 +80,14 @@ class ExpressionSyntaxError(ValueError):
     """A textual expression uses syntax outside the supported ring ops."""
 
 
-def _add(a, b):
-    return a + b
-
-
-def _sub(a, b):
-    return a - b
-
-
-def _mul(a, b):
-    return a * b
-
-
-def _neg(a):
-    return -a
-
-
 # name -> (arity, implementation).  All operators are closed over floats and
 # numpy arrays alike; broadcasting is what lets one tree evaluate a whole
 # feature table column-wise.
 OP_TABLE: dict[str, tuple[int, Callable]] = {
-    "+": (2, _add),
-    "-": (2, _sub),
-    "*": (2, _mul),
-    "neg": (1, _neg),
+    "+": (2, operator.add),
+    "-": (2, operator.sub),
+    "*": (2, operator.mul),
+    "neg": (1, operator.neg),
 }
 
 
@@ -549,11 +534,6 @@ class Candidate:
     converged: bool = True
     provenance: str = ""
 
-    def objective_vector(self) -> np.ndarray:
-        if self.objectives is None:
-            raise ValueError(f"candidate {self.id} has no objectives yet")
-        return np.asarray(self.objectives, dtype=float)
-
 
 def fast_nondominated_sort(objectives: np.ndarray) -> list[list[int]]:
     """Sort rows of an (n, p) objective matrix into Pareto fronts.
@@ -596,10 +576,6 @@ def crowding_distance(objectives: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _is_sentinel_row(row: np.ndarray) -> bool:
-    return bool(np.any(row >= DIVERGENCE_SENTINEL) or not np.all(np.isfinite(row)))
-
-
 def rank_population(population: Sequence[Candidate]) -> list[tuple[int, float]]:
     """Assign (front rank, crowding distance) per candidate.
 
@@ -609,8 +585,12 @@ def rank_population(population: Sequence[Candidate]) -> list[tuple[int, float]]:
     """
     if not population:
         return []
-    objs = np.array([c.objective_vector() for c in population], dtype=float)
-    sentinel_mask = np.array([_is_sentinel_row(row) for row in objs])
+    for c in population:
+        if c.objectives is None:
+            raise ValueError(f"candidate {c.id} has no objectives yet")
+    objs = np.array([c.objectives for c in population], dtype=float)
+    sentinel_mask = (np.any(objs >= DIVERGENCE_SENTINEL, axis=1)
+                     | ~np.all(np.isfinite(objs), axis=1))
     finite_idx = np.flatnonzero(~sentinel_mask)
     ranks: list[tuple[int, float]] = [(0, 0.0)] * len(population)
     n_fronts = 0

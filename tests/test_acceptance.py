@@ -39,6 +39,7 @@ from sagep.orchestrator import (
 )
 from sagep.selection import (
     SelectionConfig,
+    SelectionHistory,
     apply_thresholds,
     convergence_weights,
     ei,
@@ -135,8 +136,7 @@ def test_criterion_2_gp_correctness():
     params = [KernelParams(sigma=1.2, ell=0.7, alpha=1.5, noise=1e-4),
               KernelParams(sigma=0.9, ell=1.1, alpha=2.5, noise=1e-3)]
     multi = MultiGp(models=tuple(build_gp(X, Y[:, k], params[k])
-                                 for k in range(2)),
-                    objective_names=("a", "b"))
+                                 for k in range(2)))
     Xq = rng.uniform(-1, 1, size=(6, 2))
     mean, var = predict_multi_batch(multi, Xq)
     n = 4
@@ -373,27 +373,26 @@ def test_criterion_8_sentinel_property(alpha_const):
     assert np.array_equal(out.objectives,
                           [DIVERGENCE_SENTINEL, DIVERGENCE_SENTINEL])
 
-    history = orch._History(dim=2, log_error=True)
-    history.note(np.array([0.0, 0.0]), ("good_a",), np.array([0.1, 0.2]),
-                 converged=True)
-    history.note(np.array([1.0, 1.0]), ("good_b",), np.array([0.2, 0.1]),
-                 converged=True)
-    history.note(np.array([2.0, 2.0]), ("diverged",), out.objectives,
-                 converged=False)
-    model = history.fit_model(SurrogateSettings(restarts=1),
-                              np.random.default_rng(0))
+    history = SelectionHistory.empty(2, 2)
+    history.add(np.array([0.0, 0.0]), ("good_a",), np.array([0.1, 0.2]),
+                converged=True)
+    history.add(np.array([1.0, 1.0]), ("good_b",), np.array([0.2, 0.1]),
+                converged=True)
+    history.add(np.array([2.0, 2.0]), ("diverged",), out.objectives,
+                converged=False)
+    model = orch._fit_surrogate(history, SurrogateSettings(restarts=1),
+                                np.random.default_rng(0))
     assert all(m.n == 2 for m in model.models)
     assert float(np.max(model.models[0].y)) < np.log10(DIVERGENCE_SENTINEL)
 
-    view = history.selection_view()
-    assert view.diverged_points.shape == (1, 2)
+    assert history.diverged_points.shape == (1, 2)
     near = np.array([2.05, 2.05])  # inside delta times the local separation
-    weight = convergence_weights(near[None, :], view.converged_points,
-                                 view.diverged_points, 0.75)
+    weight = convergence_weights(near[None, :], history.converged_points,
+                                 history.diverged_points, 0.75)
     assert weight.shape == (1,) and weight[0] < 1.0
     on_point = convergence_weights(np.array([[2.0, 2.0]]),
-                                   view.converged_points,
-                                   view.diverged_points, 0.75)
+                                   history.converged_points,
+                                   history.diverged_points, 0.75)
     assert on_point.shape == (1,) and on_point[0] == 0.0
 
 

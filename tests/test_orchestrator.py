@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import sagep.evaluators as ev
+import sagep.orchestrator as orch
 from sagep.cli import main
-from sagep.embedding import FeatureTable, write_feature_table
+from sagep.embedding import FeatureTable, NormStats, write_feature_table
 from sagep.metrics import RunMetrics
 from sagep.orchestrator import (
     ConfigError,
@@ -22,6 +23,9 @@ from sagep.orchestrator import (
     passive_replay,
     run_training,
 )
+from sagep.selection import SelectionConfig, SelectionHistory
+from sagep.surrogate import KernelParams, MultiGp, build_gp
+from sagep.symreg import DIVERGENCE_SENTINEL, Candidate
 
 TARGETS = ["I1*I1 - 0.5*I2", "0.3 + I2"]
 
@@ -119,6 +123,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_run_config(write_config(tmp_path, generations=0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("slot_of_objective", [0, 1]),
+        ("table", "features.csv"),
+        ("targets", TARGETS),
+    ])
+    def test_channel_rejects_symbolic_fields(self, tmp_path, field, value):
+        write_features(tmp_path)
+        with pytest.raises(ConfigError, match=field):
+            build_run_config({"evaluator": {"kind": "channel", field: value}},
+                             base_dir=tmp_path)
+
+    def test_symbolic_rejects_case(self, tmp_path):
+        evaluator = {"kind": "symbolic", "table": "features.csv",
+                     "targets": TARGETS, "case": {"n_cells": 16}}
+        with pytest.raises(ConfigError, match="case"):
+            load_run_config(write_config(tmp_path, evaluator=evaluator))
+
 
 class TestDatabase:
     def make_record(self, gen=0, cid=0, **overrides):
@@ -168,6 +189,94 @@ class TestDatabase:
         grouped = db.by_generation()
         assert sorted(grouped) == [0, 1]
         assert [r.id for r in grouped[0]] == [0, 1]
+
+
+class TestGenerationStep:
+    """The step writes every outcome: oracle, prediction or sentinel."""
+
+    IDENTITY = NormStats(mean=np.zeros(2), std=np.ones(2))
+
+    def population(self, *embeddings):
+        return [Candidate(genotypes=(), generation=0, id=i,
+                          phenotype_keys=(f"k{i}",),
+                          embedding=np.asarray(e, dtype=float))
+                for i, e in enumerate(embeddings)]
+
+    def step(self, gen, pop, history, surrogate_enabled=True,
+             log_error=False):
+        config = RunConfig(
+            surrogate_enabled=surrogate_enabled,
+            surrogate=orch.SurrogateSettings(log_error=log_error),
+            selection=SelectionConfig(metric="lcb", beta=50.0, m_fixed=1))
+        calls = []
+
+        def oracle(cand):
+            calls.append(cand.id)
+            return (0.1, 0.2), True, 1.0
+
+        selected, predicted, costs = orch._generation_step(
+            gen, pop, self.IDENTITY, history, config, 2,
+            np.random.default_rng(0), np.random.default_rng(1), oracle)
+        assert calls == selected == sorted(costs)
+        return selected, predicted
+
+    def tight_fit(self, monkeypatch):
+        # A fixed-hyperparameter GP on the targets the step passes in.
+        tight = KernelParams(sigma=1.0, ell=1.0, alpha=1.0, noise=1e-8)
+
+        def fit_multi(X, Y, **_):
+            return MultiGp(models=tuple(build_gp(X, Y[:, k], tight)
+                                        for k in range(Y.shape[1])))
+
+        monkeypatch.setattr(orch.sur_mod, "fit_multi", fit_multi)
+
+    def history(self, objectives):
+        history = SelectionHistory.empty(2, 2)
+        for i, point in enumerate([[0.0, 0.0], [1.0, 1.0]]):
+            history.add(np.array(point), (f"seen{i}",),
+                        np.asarray(objectives, dtype=float), True)
+        return history
+
+    def test_generation_zero_selects_all_finite(self):
+        # Surrogate on at generation 0; off at generations 0 and 2.  The
+        # candidate with an unusable embedding gets the sentinel.
+        for gen, surrogate_enabled in [(0, True), (0, False), (2, False)]:
+            pop = self.population([0.0, 0.0], [1.0, 1.0], [np.nan, 0.0])
+            history = SelectionHistory.empty(2, 2)
+            selected, predicted = self.step(gen, pop, history,
+                                            surrogate_enabled)
+            assert selected == [0, 1]
+            assert predicted == {}
+            assert [c.provenance for c in pop] == ["expensive", "expensive",
+                                                  "surrogate"]
+            assert np.array_equal(pop[2].objectives,
+                                  [DIVERGENCE_SENTINEL, DIVERGENCE_SENTINEL])
+            assert pop[2].converged is False
+            assert history.evaluated_keys == {("k0",), ("k1",)}
+            assert history.converged_objectives.tolist() == [[0.1, 0.2]] * 2
+
+    def test_unselected_candidates_get_surrogate_predictions(self,
+                                                             monkeypatch):
+        self.tight_fit(monkeypatch)
+        pop = self.population([0.0, 0.0], [7.0, 7.0], [np.inf, 0.0])
+        selected, predicted = self.step(2, pop, self.history([1.0, 2.0]))
+        assert selected == [1]
+        filled = pop[0]
+        assert filled.provenance == "surrogate"
+        assert filled.converged is True
+        assert np.allclose(filled.objectives, [1.0, 2.0], atol=1e-3)
+        assert set(predicted) == {0, 1}
+        assert np.array_equal(predicted[0], filled.objectives)
+        assert pop[1].provenance == "expensive"
+        assert pop[2].converged is False
+
+    def test_mean_transform_applied_to_predictions(self, monkeypatch):
+        # log_error: the GP regresses log10 of the objectives, and the step
+        # maps the posterior means back with 10**mean.
+        self.tight_fit(monkeypatch)
+        pop = self.population([0.0, 0.0], [6.0, 6.0])
+        self.step(2, pop, self.history([10.0, 10.0]), log_error=True)
+        assert np.allclose(pop[0].objectives, [10.0, 10.0], rtol=1e-3)
 
 
 class TestRunTraining:

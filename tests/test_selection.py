@@ -28,8 +28,14 @@ def make_model(X, Y, params=TIGHT):
     X = np.asarray(X, dtype=float)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     return MultiGp(models=tuple(build_gp(X, Y[:, k], params)
-                                for k in range(Y.shape[1])),
-                   objective_names=tuple(f"e{k}" for k in range(Y.shape[1])))
+                                for k in range(Y.shape[1])))
+
+
+def make_history(X, diverged=np.empty((0, 2)), keys=()):
+    """A history whose converged objectives (unread by selection) are 0."""
+    return SelectionHistory(converged_points=X,
+                            converged_objectives=np.zeros((len(X), 2)),
+                            diverged_points=diverged, evaluated_keys=set(keys))
 
 
 def make_candidate(cid, emb, key=None):
@@ -268,22 +274,18 @@ class TestThresholds:
 
 
 class TestSelectGeneration:
-    def test_generation_zero_selects_all_finite(self):
-        pop = [make_candidate(0, [0.0, 0.0]),
-               make_candidate(1, [1.0, 1.0]),
-               make_candidate(2, [np.nan, 0.0])]
-        decision = select_generation(0, pop, None,
-                                     SelectionHistory.empty(2),
-                                     SelectionConfig(m_fixed=1),
-                                     np.random.default_rng(0))
-        assert decision.selected_ids == [0, 1]
+    def test_non_finite_embedding_rejected(self):
+        # Unusable candidates are the caller's to handle.
+        pop = [make_candidate(0, [0.0, 0.0]), make_candidate(1, [np.nan, 0.0])]
+        with pytest.raises(SelectionContractError):
+            select_generation(0, pop, None, SelectionHistory.empty(2, 2),
+                              SelectionConfig(m_fixed=1),
+                              np.random.default_rng(0))
 
     def test_generation_zero_skips_already_evaluated_keys(self):
         pop = [make_candidate(0, [0.0, 0.0], key="seen"),
                make_candidate(1, [1.0, 1.0])]
-        history = SelectionHistory(converged_points=np.empty((0, 2)),
-                                   diverged_points=np.empty((0, 2)),
-                                   evaluated_keys=frozenset({("seen",)}))
+        history = make_history(np.empty((0, 2)), keys={("seen",)})
         decision = select_generation(0, pop, None, history,
                                      SelectionConfig(m_fixed=1),
                                      np.random.default_rng(0))
@@ -292,16 +294,14 @@ class TestSelectGeneration:
     def test_later_generations_need_a_model(self):
         pop = [make_candidate(0, [0.0, 0.0])]
         with pytest.raises(SelectionContractError):
-            select_generation(1, pop, None, SelectionHistory.empty(2),
+            select_generation(1, pop, None, SelectionHistory.empty(2, 2),
                               SelectionConfig(m_fixed=1),
                               np.random.default_rng(0))
 
     def test_gen_two_needs_a_threshold(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         model = make_model(X, np.zeros((2, 2)))
-        history = SelectionHistory(converged_points=X,
-                                   diverged_points=np.empty((0, 2)),
-                                   evaluated_keys=frozenset())
+        history = make_history(X)
         with pytest.raises(SelectionContractError):
             select_generation(2, [make_candidate(0, [0.5, 0.5])], model,
                               history, SelectionConfig(),
@@ -310,9 +310,7 @@ class TestSelectGeneration:
     def test_uncertain_candidate_beats_known_one_under_large_beta(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         model = make_model(X, np.zeros((2, 2)))
-        history = SelectionHistory(converged_points=X,
-                                   diverged_points=np.empty((0, 2)),
-                                   evaluated_keys=frozenset())
+        history = make_history(X)
         pop = [make_candidate(0, [0.0, 0.0]),   # at a training embedding
                make_candidate(1, [8.0, 8.0])]   # far away, high variance
         cfg = SelectionConfig(metric="lcb", beta=50.0, m_fixed=1)
@@ -323,9 +321,7 @@ class TestSelectGeneration:
     def test_evaluated_phenotypes_never_reselected(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         model = make_model(X, np.zeros((2, 2)))
-        history = SelectionHistory(converged_points=X,
-                                   diverged_points=np.empty((0, 2)),
-                                   evaluated_keys=frozenset({("stale",)}))
+        history = make_history(X, keys={("stale",)})
         pop = [make_candidate(0, [9.0, 9.0], key="stale"),
                make_candidate(1, [0.1, 0.1], key="fresh")]
         cfg = SelectionConfig(metric="lcb", beta=50.0, m_fixed=2)
@@ -336,9 +332,7 @@ class TestSelectGeneration:
     def test_within_generation_duplicate_keys_deduped(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         model = make_model(X, np.zeros((2, 2)))
-        history = SelectionHistory(converged_points=X,
-                                   diverged_points=np.empty((0, 2)),
-                                   evaluated_keys=frozenset())
+        history = make_history(X)
         pop = [make_candidate(0, [5.0, 5.0], key="twin"),
                make_candidate(1, [5.0, 5.0], key="twin"),
                make_candidate(2, [0.2, 0.2], key="other")]
@@ -348,43 +342,30 @@ class TestSelectGeneration:
         assert 1 not in decision.selected_ids
         assert 0 in decision.selected_ids
 
-    def test_unselected_candidates_get_surrogate_predictions(self):
+    @pytest.mark.parametrize("gen", [0, 1, 2])
+    def test_leaves_candidates_untouched(self, gen):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         model = make_model(X, np.array([[1.0, 2.0], [1.0, 2.0]]))
-        history = SelectionHistory(converged_points=X,
-                                   diverged_points=np.empty((0, 2)),
-                                   evaluated_keys=frozenset())
-        pop = [make_candidate(0, [0.0, 0.0]),
-               make_candidate(1, [7.0, 7.0])]
-        cfg = SelectionConfig(metric="lcb", beta=50.0, m_fixed=1)
-        decision = select_generation(2, pop, model, history, cfg,
+        pop = [make_candidate(0, [0.0, 0.0]), make_candidate(1, [7.0, 7.0])]
+        cfg = SelectionConfig(metric="lcb", beta=50.0, n_init=1, m_fixed=1)
+        decision = select_generation(gen, pop, model, make_history(X), cfg,
                                      np.random.default_rng(0))
-        assert decision.selected_ids == [1]
-        filled = pop[0]
-        assert filled.provenance == "surrogate"
-        assert filled.objectives is not None
-        assert np.allclose(filled.objectives, [1.0, 2.0], atol=1e-3)
-        assert set(decision.predicted) == {0, 1}
-
-    def test_mean_transform_applied_to_predictions(self):
-        X = np.array([[0.0, 0.0], [1.0, 1.0]])
-        model = make_model(X, np.array([[1.0, 1.0], [1.0, 1.0]]))
-        history = SelectionHistory(converged_points=X,
-                                   diverged_points=np.empty((0, 2)),
-                                   evaluated_keys=frozenset())
-        pop = [make_candidate(0, [0.0, 0.0]), make_candidate(1, [6.0, 6.0])]
-        cfg = SelectionConfig(metric="lcb", beta=50.0, m_fixed=1)
-        decision = select_generation(2, pop, model, history, cfg,
-                                     np.random.default_rng(0),
-                                     mean_to_objective=lambda m: 10.0 ** m)
-        assert np.allclose(pop[0].objectives, [10.0, 10.0], rtol=1e-3)
+        assert decision.selected_ids
+        for cand in pop:
+            assert cand.objectives is None
+            assert cand.provenance == ""
+            assert cand.converged is True
+        if gen == 0:
+            assert decision.means is None
+        else:
+            # GP-space means for every candidate, selected or not.
+            assert decision.means.shape == (2, 2)
+            assert np.allclose(decision.means[0], [1.0, 2.0], atol=1e-3)
 
     def test_diverged_neighbor_discounts_weight(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         model = make_model(X, np.zeros((2, 2)))
-        history = SelectionHistory(converged_points=X,
-                                   diverged_points=np.array([[2.0, 2.0]]),
-                                   evaluated_keys=frozenset())
+        history = make_history(X, diverged=np.array([[2.0, 2.0]]))
         pop = [make_candidate(0, [2.0, 2.0]),
                make_candidate(1, [2.1, 2.1]),
                make_candidate(2, [0.0, 0.0])]
@@ -399,9 +380,7 @@ class TestSelectGeneration:
         rng = np.random.default_rng(4)
         X = rng.uniform(0, 1, size=(6, 2))
         model = make_model(X, np.zeros((6, 2)))
-        history = SelectionHistory(converged_points=X,
-                                   diverged_points=np.empty((0, 2)),
-                                   evaluated_keys=frozenset())
+        history = make_history(X)
         pop = [make_candidate(i, rng.uniform(0, 1, size=2))
                for i in range(20)]
         cfg = SelectionConfig(metric="lcb", beta=5.0, n_init=5, m_fixed=1)
@@ -414,9 +393,7 @@ class TestSelectGeneration:
         rng = np.random.default_rng(4)
         X = rng.uniform(0, 1, size=(4, 2))
         model = make_model(X, np.zeros((4, 2)))
-        history = SelectionHistory(converged_points=X,
-                                   diverged_points=np.empty((0, 2)),
-                                   evaluated_keys=frozenset())
+        history = make_history(X)
         pop = [make_candidate(i, rng.uniform(0, 1, size=2)) for i in range(8)]
         cfg = SelectionConfig(metric="lcb", beta=5.0, n_init=8,
                               m_init_rel=1.0, m_fixed=1)
@@ -432,9 +409,7 @@ class TestSelectGeneration:
         rng = np.random.default_rng(14)
         X = rng.uniform(0, 1, size=(5, 2))
         model = make_model(X, rng.normal(size=(5, 2)))
-        history = SelectionHistory(converged_points=X,
-                                   diverged_points=np.empty((0, 2)),
-                                   evaluated_keys=frozenset())
+        history = make_history(X)
 
         def run():
             pop = [make_candidate(i, rng_pop.uniform(0, 1, size=2))
@@ -452,9 +427,7 @@ class TestSelectGeneration:
     def test_ei_metric_route(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         model = make_model(X, np.array([[0.5, 0.4], [0.2, 0.3]]))
-        history = SelectionHistory(converged_points=X,
-                                   diverged_points=np.empty((0, 2)),
-                                   evaluated_keys=frozenset())
+        history = make_history(X)
         pop = [make_candidate(0, [0.5, 0.5]), make_candidate(1, [4.0, 4.0])]
         cfg = SelectionConfig(metric="ei", xi=0.0, m_fixed=1)
         decision = select_generation(2, pop, model, history, cfg,

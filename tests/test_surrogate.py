@@ -11,7 +11,6 @@ from sagep.surrogate import (
     MultiGp,
     ParamBounds,
     build_gp,
-    default_params,
     fit,
     fit_multi,
     log_marginal_likelihood,
@@ -177,7 +176,7 @@ class TestPrediction:
 class TestFit:
     def test_single_sample_uses_defaults(self):
         model = fit(np.array([[0.3]]), np.array([1.0]), rng=0)
-        assert model.params == default_params()
+        assert model.params == KernelParams()
         assert not model.warned
 
     def test_fit_improves_on_default_evidence(self):
@@ -186,7 +185,7 @@ class TestFit:
         y = 0.3 * X[:, 0] ** 2 - 1.0
         model = fit(X, y, restarts=6, rng=1)
         fitted = log_marginal_likelihood(X, y, model.params)
-        baseline = log_marginal_likelihood(X, y, default_params())
+        baseline = log_marginal_likelihood(X, y, KernelParams())
         assert fitted >= baseline - 1e-6
 
     def test_extra_start_never_hurts(self):
@@ -233,8 +232,7 @@ class TestMultiOutput:
         params = [KernelParams(sigma=1.2, ell=0.7, alpha=1.5, noise=1e-4),
                   KernelParams(sigma=0.9, ell=1.1, alpha=2.5, noise=1e-3)]
         multi = MultiGp(models=tuple(build_gp(X, Y[:, k], params[k])
-                                     for k in range(2)),
-                        objective_names=("a", "b"))
+                                     for k in range(2)))
         Xq = rng.uniform(-1, 1, size=(3, 2))
         mean, var = predict_multi_batch(multi, Xq)
 
@@ -270,16 +268,14 @@ class TestMultiOutput:
         X = np.array([[0.0], [1.0], [2.0]])
         Y = np.array([[3.0, -1.0], [1.0, 5.0], [2.0, 0.0]])
         multi = MultiGp(models=tuple(build_gp(X, Y[:, k], UNIT)
-                                     for k in range(2)),
-                        objective_names=("a", "b"))
+                                     for k in range(2)))
         assert np.array_equal(multi.best_observed(), [1.0, -1.0])
 
     def test_predict_multi_single_point(self):
         X = np.array([[0.0], [1.0]])
         Y = np.array([[1.0, 2.0], [3.0, 4.0]])
         multi = MultiGp(models=tuple(build_gp(X, Y[:, k], UNIT)
-                                     for k in range(2)),
-                        objective_names=("a", "b"))
+                                     for k in range(2)))
         mean, var = predict_multi_batch(multi, np.array([[0.0]]))
         assert mean.shape == var.shape == (1, 2)
         assert np.allclose(mean[0], [1.0, 2.0], atol=1e-3)

@@ -365,6 +365,12 @@ class TestRanking:
         assert ranks[1][0] > max(finite_ranks)
         assert ranks[1][1] == 0.0
 
+    def test_candidate_without_objectives_rejected(self):
+        pop = [_candidate(0, (1.0, 1.0)),
+               Candidate(genotypes=(), generation=0, id=7)]
+        with pytest.raises(ValueError, match="candidate 7"):
+            rank_population(pop)
+
     def test_select_survivors_prefers_rank_then_spread(self):
         pop = [_candidate(0, (1.0, 1.0)),
                _candidate(1, (2.0, 2.0)),
