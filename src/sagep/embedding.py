@@ -4,8 +4,8 @@ An expression has no natural coordinates, but the surrogate needs one point
 per candidate.  The embedding evaluates each model slot's canonical
 polynomial on every row of a shared baseline feature table and averages the
 results, giving one coordinate per slot.  Because the polynomial (not the
-raw tree) is evaluated, two genotypes with the same phenotype key map to
-bit-identical coordinates.
+raw tree) is evaluated and polynomial_eval adds its monomials in key order,
+two genotypes with the same phenotype key map to bit-identical coordinates.
 
 Normalization statistics are frozen on the first evaluated generation and
 reused afterwards so surrogate training inputs stay in one coordinate frame

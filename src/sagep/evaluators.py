@@ -11,6 +11,10 @@ Two evaluator families stand in for a CFD solver at desk scale:
   are rebuilt from the current iterate, which is exactly the feedback that
   makes bad closures diverge.
 
+Closures and targets are evaluated as canonical polynomials, monomials
+added in key order, so objectives depend only on the phenotype keys;
+symreg.eval_tree is the reference semantics the tests check against.
+
 Both evaluators bump a module-level call counter; passive replay must leave
 that counter untouched, which is how tests prove no expensive call happens
 during replay.
@@ -33,8 +37,9 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .embedding import FeatureTable
-from .symreg import (DIVERGENCE_SENTINEL, ConstantsPool, ExprTree, eval_tree,
-                     literal, parse_expression)
+from .symreg import (DIVERGENCE_SENTINEL, ConfigurationError, ConstantsPool,
+                     ExprTree, parse_expression, polynomial_eval, preorder,
+                     tree_polynomial)
 
 __all__ = [
     "EvaluationOutcome",
@@ -90,6 +95,17 @@ class EvaluationOutcome:
         if not self.converged and not np.all(objs == DIVERGENCE_SENTINEL):
             raise ValueError(
                 "diverged outcomes must carry the sentinel in every objective")
+
+
+def _polynomial(tree: ExprTree | None, pool: ConstantsPool | None) -> dict:
+    """A slot's canonical polynomial; a missing slot (None) is zero."""
+    if tree is None:
+        return {}
+    if pool is None and any(sym.kind == "const" for sym in preorder(tree)):
+        # Opaque constants "c<i>" would be looked up as feature columns.
+        raise ConfigurationError(
+            "tree references a constant but no pool was given")
+    return tree_polynomial(tree, pool)
 
 
 def _sentinel_outcome(p: int, iterations: int = 0) -> EvaluationOutcome:
@@ -242,8 +258,7 @@ class SymbolicBenchmark:
         self.n_slots = max(self.slot_of_objective) + 1
         self.n_objectives = len(self.targets)
         self._target_values = [
-            np.broadcast_to(np.asarray(eval_tree(t, table.columns), dtype=float),
-                            (table.n_rows,)).astype(float)
+            polynomial_eval(_polynomial(t, None), table.columns)
             for t in self.targets]
         if not all(np.all(np.isfinite(v)) for v in self._target_values):
             raise SetupError("target expressions must be finite on the table")
@@ -260,15 +275,14 @@ class SymbolicBenchmark:
         if len(trees) != self.n_slots:
             raise ValueError(f"expected {self.n_slots} slots, got {len(trees)}")
         _note_expensive_call()
+        polys = [_polynomial(tree, pool) for tree in trees]
         objectives = np.empty(self.n_objectives)
         for j, target in enumerate(self._target_values):
-            tree = trees[self.slot_of_objective[j]]
+            values = polynomial_eval(polys[self.slot_of_objective[j]],
+                                     self.table.columns)
+            if not np.all(np.isfinite(values)):
+                return _sentinel_outcome(self.n_objectives)
             with np.errstate(all="ignore"):
-                values = np.broadcast_to(
-                    np.asarray(eval_tree(tree, self.table.columns, pool),
-                               dtype=float), (self.table.n_rows,))
-                if not np.all(np.isfinite(values)):
-                    return _sentinel_outcome(self.n_objectives)
                 objectives[j] = float(np.sqrt(np.mean((values - target) ** 2)))
         if not np.all(np.isfinite(objectives)):
             return _sentinel_outcome(self.n_objectives)
@@ -379,10 +393,7 @@ def _solve_profiles(case: ChannelCase, g_expr: ExprTree | None,
     y, h = case.grid()
     n = case.n_cells
     nut = case.nut_profile()
-    zero = ExprTree(literal(0.0))
-    g_expr = g_expr if g_expr is not None else zero
-    r_expr = r_expr if r_expr is not None else zero
-    alpha_expr = alpha_expr if alpha_expr is not None else zero
+    polys = [_polynomial(tree, pool) for tree in (g_expr, r_expr, alpha_expr)]
 
     u = np.linspace(case.wall_u[0], case.wall_u[1], n)
     T = np.linspace(case.wall_t[0], case.wall_t[1], n)
@@ -390,13 +401,8 @@ def _solve_profiles(case: ChannelCase, g_expr: ExprTree | None,
 
     for iteration in range(1, case.max_iters + 1):
         columns = _channel_features(case, u, T, h)
+        g_val, r_val, a_val = (polynomial_eval(poly, columns) for poly in polys)
         with np.errstate(all="ignore"):
-            g_val = np.broadcast_to(np.asarray(
-                eval_tree(g_expr, columns, pool), dtype=float), (n,))
-            r_val = np.broadcast_to(np.asarray(
-                eval_tree(r_expr, columns, pool), dtype=float), (n,))
-            a_val = np.broadcast_to(np.asarray(
-                eval_tree(alpha_expr, columns, pool), dtype=float), (n,))
             diff_u = case.nu + g_val * nut
             diff_t = case.alpha_base + a_val * nut
         if (not np.all(np.isfinite(diff_u)) or not np.all(np.isfinite(diff_t))
@@ -524,8 +530,7 @@ class ChannelEvaluator:
 
     def baseline_table(self) -> FeatureTable:
         """Feature columns from the zero-correction (closure-free) solve."""
-        zero = ExprTree(literal(0.0))
-        u, T, _, ok = _solve_profiles(self.case, zero, zero, zero, None,
+        u, T, _, ok = _solve_profiles(self.case, None, None, None, None,
                                       self.case.tol)
         if not ok:
             raise SetupError("zero-correction baseline solve diverged")

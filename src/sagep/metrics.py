@@ -1,9 +1,9 @@
 """Efficiency metrics: Pareto fronts, exact hypervolume, coverage, ratios.
 
 All objective vectors are minimized.  Hypervolume is computed exactly: a
-sweep for two objectives, inclusion-exclusion over point subsets for three
-or four (desk-scale fronts only; the subset enumeration is exponential in
-the front size, so it is capped).  Coverage normalizes hypervolume by the
+sweep for two objectives, and for three or more a recursion that slices
+along the last objective down to that sweep (one sweep per point for three
+objectives).  Coverage normalizes hypervolume by the
 axis-aligned box between the front's own ideal and reference points, which
 makes runs comparable only when they share a reference; compare_coverage
 provides that shared-reference variant for cross-run curves.
@@ -31,9 +31,6 @@ __all__ = [
     "emit_report",
 ]
 
-_MAX_INCLUSION_EXCLUSION = 20
-
-
 def pareto_front(points: np.ndarray) -> np.ndarray:
     """Non-dominated subset of the rows, deduplicated and sorted."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -58,22 +55,23 @@ def _hv_2d(points: np.ndarray, ref: np.ndarray) -> float:
     return float(area)
 
 
-def _hv_inclusion_exclusion(points: np.ndarray, ref: np.ndarray) -> float:
+def _hv_slices(points: np.ndarray, ref: np.ndarray) -> float:
+    """Hypervolume for three or more objectives.
+
+    Sorted by the last objective, the points cut the box into slices; the
+    slice from point k up to the next point (or the reference) has the
+    (p-1)-objective volume of points 0..k as its base.
+    """
     pts = points[np.all(points < ref, axis=1)]
-    n = pts.shape[0]
-    if n == 0:
-        return 0.0
-    if n > _MAX_INCLUSION_EXCLUSION:
-        raise ValueError(
-            f"inclusion-exclusion hypervolume capped at "
-            f"{_MAX_INCLUSION_EXCLUSION} points, got {n}")
+    pts = pts[np.argsort(pts[:, -1], kind="stable")]
+    tops = np.append(pts[1:, -1], ref[-1])
+    below = _hv_2d if pts.shape[1] == 3 else _hv_slices
     total = 0.0
-    for mask in range(1, 1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
-        corner = np.max(pts[members], axis=0)
-        volume = float(np.prod(ref - corner))
-        total += volume if len(members) % 2 == 1 else -volume
-    return total
+    for k in range(pts.shape[0]):
+        depth = tops[k] - pts[k, -1]
+        if depth > 0.0:
+            total += depth * below(pts[:k + 1, :-1], ref[:-1])
+    return float(total)
 
 
 def hypervolume(points: np.ndarray, ref: np.ndarray) -> float:
@@ -93,9 +91,7 @@ def hypervolume(points: np.ndarray, ref: np.ndarray) -> float:
     if p == 2:
         # The sweep skips dominated and repeated points by itself.
         return _hv_2d(pts, ref)
-    if p <= 4:
-        return _hv_inclusion_exclusion(pareto_front(pts), ref)
-    raise ValueError(f"exact hypervolume supports up to 4 objectives, got {p}")
+    return _hv_slices(pareto_front(pts), ref)
 
 
 def hypervolume_coverage(front: np.ndarray) -> float:

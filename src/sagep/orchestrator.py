@@ -360,6 +360,13 @@ def _streams(seed: int, generations: int):
             evolve, select, fit)
 
 
+def _gen0_norm_stats(embeddings: list) -> emb_mod.NormStats | None:
+    """Training's and replay's one rule for the embedding scale: statistics
+    of the finite generation-0 embeddings, None if there are none."""
+    finite = [e for e in embeddings if np.all(np.isfinite(e))]
+    return emb_mod.fit_norm_stats(finite) if finite else None
+
+
 # The outcome of one expensive evaluation: (objectives, converged, cost).
 _Oracle = Callable[[symreg.Candidate], tuple[Sequence[float], bool, float]]
 
@@ -532,7 +539,6 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
 
     db = EvaluationDatabase()
     history = sel_mod.SelectionHistory.empty(n_slots, p)
-    norm_stats: emb_mod.NormStats | None = None
     survivors: list[symreg.Candidate] = []
     trees_by_id: dict[int, list[symreg.ExprTree]] = {}
 
@@ -560,12 +566,10 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
                 trees, table, pool,
                 average_inputs_first=config.embedding.average_inputs_first)
 
-        if norm_stats is None:
-            finite = [c.embedding for c in current
-                      if np.all(np.isfinite(c.embedding))]
-            if not finite:
+        if gen == 0:
+            norm_stats = _gen0_norm_stats([c.embedding for c in current])
+            if norm_stats is None:
                 raise RunError("no usable embeddings in generation 0")
-            norm_stats = emb_mod.fit_norm_stats(np.vstack(finite))
 
         selected, predicted, costs = _generation_step(
             gen, current, norm_stats, history, config, p, select_rngs[gen],
@@ -622,11 +626,9 @@ def passive_replay(db: EvaluationDatabase,
                     "replay needs a baseline database in which every record "
                     f"is expensive (generation {gen}, id {rec.id})")
 
-    gen0_finite = [rec.embedding for rec in by_gen[0]
-                   if np.all(np.isfinite(rec.embedding))]
-    if not gen0_finite:
+    norm_stats = _gen0_norm_stats([rec.embedding for rec in by_gen[0]])
+    if norm_stats is None:
         raise ReplayError("no finite generation-0 embeddings in database")
-    norm_stats = emb_mod.fit_norm_stats(np.asarray(gen0_finite, dtype=float))
 
     first = by_gen[0][0]
     p = len(first.objectives)

@@ -110,15 +110,6 @@ class Symbol:
     def is_leaf(self) -> bool:
         return self.kind != "op"
 
-    def label(self) -> str:
-        if self.kind == "op":
-            return self.name
-        if self.kind == "term":
-            return self.name
-        if self.kind == "const":
-            return f"c{self.index}"
-        return repr(self.value)
-
 
 def op_symbol(name: str) -> Symbol:
     if name not in OP_TABLE:
@@ -324,6 +315,8 @@ def eval_tree(tree: ExprTree, row: Mapping[str, float],
               pool: ConstantsPool | None = None):
     """Evaluate a tree on one input row (or on whole columns via broadcasting).
 
+    The reference semantics the tests check the canonical polynomial
+    against; the package evaluates expressions with polynomial_eval.
     Unknown terminal names raise KeyError; a constant reference without a
     pool raises ConfigurationError.  Arithmetic itself is never trapped, so
     overflow propagates as inf/nan for the caller to detect.
@@ -435,15 +428,16 @@ def canonical_key(tree: ExprTree, pool: ConstantsPool | None = None) -> str:
 
 def polynomial_eval(poly: Mapping[tuple[str, ...], float],
                     columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Evaluate a polynomial on named columns, vectorized over rows."""
+    """Evaluate a polynomial on named columns, vectorized over rows, adding
+    the monomials in key order so that the bits depend only on the key."""
     names = list(columns)
     if not names:
         raise ValueError("no columns to evaluate on")
     length = len(np.asarray(columns[names[0]], dtype=float))
     total = np.zeros(length, dtype=float)
     with np.errstate(all="ignore"):
-        for mono, coeff in poly.items():
-            term = np.full(length, float(coeff))
+        for mono in sorted(poly):
+            term = np.full(length, float(poly[mono]))
             for var in mono:
                 try:
                     term = term * np.asarray(columns[var], dtype=float)

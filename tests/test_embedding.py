@@ -1,5 +1,7 @@
 """Feature-space embedding and frozen normalization."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -124,6 +126,17 @@ class TestEmbed:
         b = parse_expression("I2 * I1 + I1 * I2")
         ca, cb = embed([a], t)[0], embed([b], t)[0]
         assert ca == cb
+        # So must every order of the terms of a polynomial, on both routes.
+        rng = np.random.default_rng(7)
+        t = table_from(I1=rng.uniform(0.2, 1.0, size=12),
+                       I2=rng.uniform(-1.0, -0.1, size=12))
+        for terms in (("I1", "I1*I2", "I2"), ("0.3", "I1", "I2")):
+            trees = [parse_expression(" + ".join(order))
+                     for order in itertools.permutations(terms)]
+            for first in (False, True):
+                coords = {embed([tree], t, average_inputs_first=first)
+                          .tobytes() for tree in trees}
+                assert len(coords) == 1, (terms, first)
 
     def test_pool_constants_fold_into_embedding(self):
         t = table_from(I1=[2.0, 4.0])

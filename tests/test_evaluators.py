@@ -1,5 +1,7 @@
 """Oracles: invariant features, symbolic benchmark, coupled channel solver."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,14 @@ from sagep.evaluators import (
     read_invariant_fields,
     solve_channel,
 )
-from sagep.symreg import ConstantsPool, parse_expression
+from sagep.symreg import (ConfigurationError, ConstantsPool, ExprTree,
+                          constant, op_symbol, parse_expression, terminal)
+
+
+def term_orders(terms):
+    """One tree per order of the terms, all with the same phenotype key."""
+    return [parse_expression(" + ".join(order))
+            for order in itertools.permutations(terms)]
 
 
 def fields_from_tensors(S, W, grad_t=None, omega=None, k=None, nu=None,
@@ -215,6 +224,24 @@ class TestSymbolicBenchmark:
         with pytest.raises(SetupError):
             SymbolicBenchmark(self.table, targets=())
 
+    def test_term_order_changes_no_bit(self):
+        # Objectives depend only on the phenotype key, so every order of
+        # the same terms gives the same bits.
+        pool = ConstantsPool(values=(), seed=0)
+        for terms in (("I1", "I1*I2", "I2"), ("0.3", "I1", "I2")):
+            outcomes = {self.bench.evaluate([tree, tree], pool)
+                        .objectives.tobytes() for tree in term_orders(terms)}
+            assert len(outcomes) == 1, terms
+
+    def test_constant_without_pool_rejected(self):
+        tree = ExprTree(op_symbol("*"), (ExprTree(constant(0)),
+                                         ExprTree(terminal("I1"))))
+        with pytest.raises(ConfigurationError):
+            self.bench.evaluate([tree, tree], None)
+        with pytest.raises(ConfigurationError):
+            ChannelEvaluator(default_channel_case()).evaluate([tree, tree],
+                                                              None)
+
 
 class TestChannelSolver:
     def test_truth_expressions_reproduce_reference(self):
@@ -289,6 +316,16 @@ class TestChannelSolver:
         trees = [parse_expression("0"), parse_expression("0")]
         ev_channel.evaluate(trees, ConstantsPool(values=(), seed=0))
         assert expensive_call_count() == before + 1
+
+    def test_term_order_changes_no_bit(self):
+        ev_channel = ChannelEvaluator(default_channel_case())
+        pool = ConstantsPool(values=(), seed=0)
+        alpha = parse_expression("0.945 - 2.108*J1")
+        for terms in (("I1", "I1*J1", "J1"), ("0.3", "I1", "J1")):
+            outcomes = [ev_channel.evaluate([g, alpha], pool)
+                        for g in term_orders(terms)]
+            assert all(out.converged for out in outcomes)
+            assert len({out.objectives.tobytes() for out in outcomes}) == 1
 
     def test_three_slot_case(self):
         case = ChannelCase(truth_exprs=("-0.1 - I1", "0", "0.945 - 2.108*J1"))

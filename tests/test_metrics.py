@@ -1,5 +1,8 @@
 """Pareto fronts, hypervolume, coverage, run-level reporting."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,16 @@ def mc_dominated_area(points, ref, ideal, n=200_000, seed=0):
     for p in np.atleast_2d(points):
         dominated |= np.all(samples >= p, axis=1)
     return dominated.mean() * np.prod(np.asarray(ref) - ideal)
+
+
+def simplex_front(p, n):
+    """The integer points of p objectives summing to n, which are mutually
+    non-dominated, and their exact hypervolume up to (n + 1, ..., n + 1):
+    a unit cell with corner c is dominated iff sum(c) >= n, and
+    comb(n - 1 + p, p) corners in the box have a smaller sum."""
+    pts = np.array([c for c in itertools.product(range(n + 1), repeat=p)
+                    if sum(c) == n], dtype=float)
+    return pts, np.full(p, n + 1.0), (n + 1) ** p - math.comb(n - 1 + p, p)
 
 
 class TestParetoFront:
@@ -92,6 +105,21 @@ class TestHypervolume:
         ref = np.array([2.0, 2.0, 2.0])
         expect = 3 * 2.0 - 3 * 1.0 + 1.0
         assert hypervolume(pts, ref) == pytest.approx(expect)
+
+    def test_many_points_in_3d(self):
+        for n in (5, 12):  # 21 and 91 points
+            pts, ref, expect = simplex_front(3, n)
+            assert hypervolume(pts, ref) == expect
+
+    def test_four_objectives(self):
+        for n in (2, 5):  # 10 and 56 points
+            pts, ref, expect = simplex_front(4, n)
+            assert hypervolume(pts, ref) == expect
+        rng = np.random.default_rng(0)
+        pts = rng.random((6, 4))
+        ref = np.full(4, 1.1)
+        assert hypervolume(pts, ref) == pytest.approx(
+            mc_dominated_area(pts, ref, np.zeros(4)), abs=0.01)
 
     @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)),
                     min_size=1, max_size=8),

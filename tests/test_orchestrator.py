@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from sagep.orchestrator import (
 )
 from sagep.selection import SelectionConfig, SelectionHistory
 from sagep.surrogate import KernelParams, MultiGp, build_gp
-from sagep.symreg import DIVERGENCE_SENTINEL, Candidate
+from sagep.symreg import DIVERGENCE_SENTINEL, Candidate, parse_expression
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TARGETS = ["I1*I1 - 0.5*I2", "0.3 + I2"]
 
 
@@ -365,6 +367,26 @@ class TestRunTraining:
         a = [r.to_json() for r in db_a.records]
         b = [r.to_json() for r in db_b.records]
         assert a != b
+
+    @pytest.mark.parametrize("name, generations", [("channel_run", 2),
+                                                   ("symbolic_quadratic", 8)])
+    def test_stored_keys_reproduce_objectives(self, name, generations):
+        # An outcome is a function of the phenotype keys alone: evaluating
+        # the parsed keys without a pool gives the stored objectives.
+        cfg = dataclasses.replace(load_run_config(CONFIGS / f"{name}.json"),
+                                  surrogate_enabled=False,
+                                  generations=generations)
+        db, _ = run_training(cfg)
+        evaluator = orch.build_evaluator(cfg.evaluator)
+        outcomes = {}
+        for rec in db.records:
+            if not rec.converged:
+                continue
+            if rec.keys not in outcomes:
+                outcomes[rec.keys] = evaluator.evaluate(
+                    [parse_expression(key) for key in rec.keys], None)
+            assert outcomes[rec.keys].converged
+            assert tuple(outcomes[rec.keys].objectives) == rec.objectives
 
 
 class TestPassiveReplay:
