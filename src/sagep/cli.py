@@ -18,8 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import IngestError
-from .evaluators import SetupError
 from .metrics import emit_report, hypervolume, hypervolume_coverage
 from .orchestrator import (ConfigError, EvaluationDatabase, ReplayError,
                            RunError, load_run_config, metrics_from_records,
@@ -132,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
                 "report": _cmd_report, "hv": _cmd_hv}
     try:
         return handlers[args.command](args)
-    except (ConfigError, IngestError, SetupError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RunError, ReplayError, OSError, ValueError) as exc:

@@ -44,7 +44,6 @@ class FeatureTable:
     """Column-oriented table of input features, one row per sample point."""
 
     columns: dict[str, np.ndarray]
-    source: str = ""
 
     def __post_init__(self):
         lengths = {name: len(col) for name, col in self.columns.items()}
@@ -109,7 +108,7 @@ def ingest_feature_table(path: str | Path) -> FeatureTable:
         raise IngestError(f"feature table {path} has a header but no rows")
     array = np.asarray(data, dtype=float)
     columns = {name: array[:, k].copy() for k, name in enumerate(header)}
-    return FeatureTable(columns=columns, source=str(path))
+    return FeatureTable(columns=columns)
 
 
 def write_feature_table(table: FeatureTable, path: str | Path) -> None:

@@ -27,16 +27,15 @@ features N1, N2 (N3 is accepted as an input column, never computed).
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .embedding import FeatureTable
+from .embedding import FeatureTable, ingest_feature_table
 from .symreg import (DIVERGENCE_SENTINEL, ConfigurationError, ConstantsPool,
                      ExprTree, parse_expression, polynomial_eval, preorder,
                      tree_polynomial)
@@ -87,7 +86,6 @@ class EvaluationOutcome:
 
     objectives: np.ndarray
     converged: bool
-    cost_units: float = 1.0
     iterations: int = 0
 
     def __post_init__(self):
@@ -106,6 +104,13 @@ def _polynomial(tree: ExprTree | None, pool: ConstantsPool | None) -> dict:
         raise ConfigurationError(
             "tree references a constant but no pool was given")
     return tree_polynomial(tree, pool)
+
+
+def _unknown_terminals(trees: Sequence[ExprTree],
+                       names: Sequence[str]) -> list[str]:
+    """Terminal names the trees use that are not among names."""
+    return sorted({sym.name for tree in trees for sym in preorder(tree)
+                   if sym.kind == "term"} - set(names))
 
 
 def _sentinel_outcome(p: int, iterations: int = 0) -> EvaluationOutcome:
@@ -186,7 +191,7 @@ def compute_invariants(fields: InvariantFields,
         if n3.shape != fields.omega.shape:
             raise DomainError("N3 column must align with the sample points")
         columns["N3"] = n3
-    return FeatureTable(columns=columns, source="invariants")
+    return FeatureTable(columns=columns)
 
 
 # Fixed ingest column order: the symmetric strain components, the three
@@ -199,24 +204,18 @@ INVARIANT_COLUMNS = ("S11", "S12", "S13", "S22", "S23", "S33",
 
 def read_invariant_fields(path: str | Path) -> InvariantFields:
     """Read raw fields from a comma-separated file with the documented fixed
-    column order (see INVARIANT_COLUMNS)."""
-    path = Path(path)
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise DomainError(f"{path} is empty")
-    header = tuple(cell.strip() for cell in rows[0])
-    if header != INVARIANT_COLUMNS:
+    column order (see INVARIANT_COLUMNS).
+
+    The file is read as a feature table (ingest_feature_table: every cell a
+    finite float, else IngestError); a header other than INVARIANT_COLUMNS
+    raises DomainError.
+    """
+    table = ingest_feature_table(path)
+    if table.names != INVARIANT_COLUMNS:
         raise DomainError(
-            f"{path}: expected columns {INVARIANT_COLUMNS}, got {header}")
-    try:
-        data = np.array([[float(cell) for cell in row] for row in rows[1:]],
-                        dtype=float)
-    except ValueError as exc:
-        raise DomainError(f"{path}: non-numeric cell ({exc})") from None
-    if data.ndim != 2 or data.shape[1] != len(INVARIANT_COLUMNS):
-        raise DomainError(f"{path}: ragged or empty data block")
-    n = data.shape[0]
+            f"{path}: expected columns {INVARIANT_COLUMNS}, got {table.names}")
+    data = np.column_stack([table.columns[name] for name in table.names])
+    n = table.n_rows
     s6 = data[:, 0:6]
     S = np.zeros((n, 3, 3))
     S[:, 0, 0], S[:, 0, 1], S[:, 0, 2] = s6[:, 0], s6[:, 1], s6[:, 2]
@@ -255,6 +254,11 @@ class SymbolicBenchmark:
                                   else tuple(slot_of_objective))
         if len(self.slot_of_objective) != len(self.targets):
             raise SetupError("slot map must align with targets")
+        if min(self.slot_of_objective) < 0:
+            raise SetupError("slot_of_objective entries must be >= 0")
+        unknown = _unknown_terminals(self.targets, table.names)
+        if unknown:
+            raise SetupError(f"targets name columns the table lacks: {unknown}")
         self.n_slots = max(self.slot_of_objective) + 1
         self.n_objectives = len(self.targets)
         self._target_values = [
@@ -280,8 +284,6 @@ class SymbolicBenchmark:
         for j, target in enumerate(self._target_values):
             values = polynomial_eval(polys[self.slot_of_objective[j]],
                                      self.table.columns)
-            if not np.all(np.isfinite(values)):
-                return _sentinel_outcome(self.n_objectives)
             with np.errstate(all="ignore"):
                 objectives[j] = float(np.sqrt(np.mean((values - target) ** 2)))
         if not np.all(np.isfinite(objectives)):
@@ -368,12 +370,15 @@ def _tridiag_solve(diff_face: np.ndarray, source: np.ndarray,
     return np.concatenate([[walls[0]], inner, [walls[1]]])
 
 
+_CHANNEL_TERMINALS = ("I1", "J1")
+
+
 def _channel_features(case: ChannelCase, u: np.ndarray, T: np.ndarray,
                       h: float) -> dict[str, np.ndarray]:
     """The closure inputs I1 and J1 on the profiles u and T."""
     du = np.gradient(u, h)
     dT = np.gradient(T, h)
-    return {"I1": (du / case.omega) ** 2, "J1": dT ** 2}
+    return dict(zip(_CHANNEL_TERMINALS, ((du / case.omega) ** 2, dT ** 2)))
 
 
 def _closure_slots(trees: Sequence) -> tuple:
@@ -460,8 +465,11 @@ def make_reference(case: ChannelCase,
                    pool: ConstantsPool | None = None) -> ChannelCase:
     """Generate reference profiles by solving the case with its truth
     expressions at a tenth of the evaluation tolerance."""
-    g_t, r_t, a_t = _closure_slots([parse_expression(t)
-                                    for t in case.truth_exprs])
+    truth = [parse_expression(t) for t in case.truth_exprs]
+    unknown = _unknown_terminals(truth, _CHANNEL_TERMINALS)
+    if unknown:
+        raise SetupError(f"truth expressions name unknown features {unknown}")
+    g_t, r_t, a_t = _closure_slots(truth)
     u, T, _, ok = _solve_profiles(case, g_t, r_t, a_t, pool, case.tol / 10.0)
     if not ok:
         raise SetupError("truth expressions diverge on this case")
@@ -477,7 +485,8 @@ def load_channel_case(source: str | Path | dict) -> ChannelCase:
 
     The truth block maps slot names to expression strings: {"g": ...,
     "alpha": ...} with an optional "r".  Reference profiles are regenerated
-    from the truth unless explicitly included.
+    from the truth unless explicitly included.  Every other key names a
+    ChannelCase field.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -488,30 +497,26 @@ def load_channel_case(source: str | Path | dict) -> ChannelCase:
     else:
         raw = dict(source)
     truth = raw.pop("truth", None)
-    kwargs = {}
-    scalar_fields = ("n_cells", "forcing", "coupling", "nu", "alpha_base",
-                     "nut_max", "omega", "tol", "max_iters", "damping")
-    for name in scalar_fields:
-        if name in raw:
-            kwargs[name] = raw[name]
-    for name in ("wall_u", "wall_t"):
-        if name in raw:
-            kwargs[name] = tuple(float(v) for v in raw[name])
-    if truth is not None:
-        order = ("g", "r", "alpha") if "r" in truth else ("g", "alpha")
-        unknown = set(truth) - set(order)
-        if unknown:
-            raise SetupError(f"unknown truth slots {sorted(unknown)}")
-        kwargs["truth_exprs"] = tuple(str(truth[k]) for k in order)
-    for name in ("reference_u", "reference_t"):
-        if name in raw and raw[name] is not None:
-            kwargs[name] = np.asarray(raw[name], dtype=float)
-    known = set(scalar_fields) | {"wall_u", "wall_t", "reference_u",
-                                  "reference_t"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(ChannelCase)} - {"truth_exprs"}
     if unknown:
         raise SetupError(f"unknown channel case fields {sorted(unknown)}")
-    case = ChannelCase(**kwargs)
+    kwargs = dict(raw)
+    try:
+        if truth is not None:
+            order = ("g", "r", "alpha") if "r" in truth else ("g", "alpha")
+            unknown = set(truth) - set(order)
+            if unknown:
+                raise SetupError(f"unknown truth slots {sorted(unknown)}")
+            kwargs["truth_exprs"] = tuple(str(truth[k]) for k in order)
+        for name in ("wall_u", "wall_t"):
+            if name in raw:
+                kwargs[name] = tuple(float(v) for v in raw[name])
+        for name in ("reference_u", "reference_t"):
+            if raw.get(name) is not None:
+                kwargs[name] = np.asarray(raw[name], dtype=float)
+        case = ChannelCase(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise SetupError(f"invalid channel case: {exc}") from None
     if case.reference_u is None or case.reference_t is None:
         case = make_reference(case)
     return case
@@ -526,7 +531,7 @@ class ChannelEvaluator:
         self.case = case
         self.n_objectives = 2
         self.n_slots = len(case.truth_exprs)
-        self.terminals = ("I1", "J1")
+        self.terminals = _CHANNEL_TERMINALS
 
     def baseline_table(self) -> FeatureTable:
         """Feature columns from the zero-correction (closure-free) solve."""
@@ -535,8 +540,7 @@ class ChannelEvaluator:
         if not ok:
             raise SetupError("zero-correction baseline solve diverged")
         _, h = self.case.grid()
-        return FeatureTable(columns=_channel_features(self.case, u, T, h),
-                            source="channel-baseline")
+        return FeatureTable(columns=_channel_features(self.case, u, T, h))
 
     def evaluate(self, trees: Sequence[ExprTree],
                  pool: ConstantsPool) -> EvaluationOutcome:

@@ -52,6 +52,7 @@ __all__ = [
     "EvaluationDatabase",
     "load_run_config",
     "build_run_config",
+    "build_evaluator",
     "run_training",
     "passive_replay",
     "metrics_from_records",
@@ -148,11 +149,28 @@ class RunConfig:
         return sel_mod.default_selection_config(self.population)
 
 
-def _resolve(base: Path | None, value: str) -> str:
-    path = Path(value)
-    if base is not None and not path.is_absolute():
-        path = base / path
-    return str(path)
+# Settings blocks nested in a config object, and the fields that name files.
+_BLOCKS = {"gep": GepSettings, "embedding": EmbeddingSettings,
+           "surrogate": SurrogateSettings, "bounds": sur_mod.ParamBounds,
+           "evaluator": EvaluatorSpec}
+_PATH_FIELDS = ("output_dir", "feature_table", "case", "table")
+
+
+def _settings(cls, raw: dict, base_dir: Path | None):
+    """cls built from one JSON object: nested blocks are built the same way,
+    arrays become tuples, and relative paths resolve against base_dir."""
+    kwargs = {}
+    for name, value in dict(raw).items():
+        if name in _BLOCKS:
+            value = _settings(_BLOCKS[name], value, base_dir)
+        elif isinstance(value, list):
+            value = tuple(value)
+        elif name in _PATH_FIELDS and isinstance(value, str):
+            path = Path(value)
+            if base_dir is not None and not path.is_absolute():
+                value = str(base_dir / path)
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
 def build_run_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
@@ -162,42 +180,9 @@ def build_run_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     so a config plus its referenced files stay relocatable as a unit.
     """
     raw = dict(raw)
+    sel_raw = raw.pop("selection", None)
     try:
-        gep_raw = dict(raw.pop("gep", {}))
-        if "operators" in gep_raw:
-            gep_raw["operators"] = tuple(gep_raw["operators"])
-        if "const_range" in gep_raw:
-            gep_raw["const_range"] = tuple(gep_raw["const_range"])
-        gep = GepSettings(**gep_raw)
-
-        emb_raw = dict(raw.pop("embedding", {}))
-        if emb_raw.get("feature_table"):
-            emb_raw["feature_table"] = _resolve(base_dir, emb_raw["feature_table"])
-        embedding = EmbeddingSettings(**emb_raw)
-
-        sur_raw = dict(raw.pop("surrogate", {}))
-        if "bounds" in sur_raw:
-            sur_raw["bounds"] = sur_mod.ParamBounds(
-                **{k: tuple(v) for k, v in sur_raw["bounds"].items()})
-        surrogate = SurrogateSettings(**sur_raw)
-
-        sel_raw = raw.pop("selection", None)
-
-        ev_raw = dict(raw.pop("evaluator", {}))
-        if isinstance(ev_raw.get("case"), str):
-            ev_raw["case"] = _resolve(base_dir, ev_raw["case"])
-        if ev_raw.get("table"):
-            ev_raw["table"] = _resolve(base_dir, ev_raw["table"])
-        if "targets" in ev_raw:
-            ev_raw["targets"] = tuple(ev_raw["targets"])
-        if ev_raw.get("slot_of_objective") is not None:
-            ev_raw["slot_of_objective"] = tuple(ev_raw["slot_of_objective"])
-        evaluator = EvaluatorSpec(**ev_raw)
-
-        if "output_dir" in raw:
-            raw["output_dir"] = _resolve(base_dir, raw["output_dir"])
-        config = RunConfig(gep=gep, embedding=embedding, surrogate=surrogate,
-                           evaluator=evaluator, **raw)
+        config = _settings(RunConfig, raw, base_dir)
         if sel_raw is not None:
             # Overrides apply on top of the defaults for the real population.
             config = dataclasses.replace(config, selection=dataclasses.replace(
@@ -367,8 +352,8 @@ def _gen0_norm_stats(embeddings: list) -> emb_mod.NormStats | None:
     return emb_mod.fit_norm_stats(finite) if finite else None
 
 
-# The outcome of one expensive evaluation: (objectives, converged, cost).
-_Oracle = Callable[[symreg.Candidate], tuple[Sequence[float], bool, float]]
+# The outcome of one expensive evaluation: (objectives, converged).
+_Oracle = Callable[[symreg.Candidate], tuple[Sequence[float], bool]]
 
 
 def _generation_step(gen: int, current: list[symreg.Candidate],
@@ -378,8 +363,7 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
                      select_rng: np.random.Generator,
                      fit_rng: np.random.Generator,
                      oracle: _Oracle) -> tuple[list[int],
-                                               dict[int, np.ndarray],
-                                               dict[int, float]]:
+                                               dict[int, np.ndarray]]:
     """One generation of the loop, shared by training and replay, and the
     only code that writes a candidate's outcome.
 
@@ -389,8 +373,7 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
     oracle gives each chosen one its outcome, which joins the history, and
     every other candidate gets its predicted objectives.  Training's oracle
     is the live evaluator, replay's the stored record.  Returns the selected
-    ids, the predicted objectives by id and the cost of each selected
-    candidate.
+    ids and the predicted objectives by id.
     """
     usable = []
     for cand in current:
@@ -417,20 +400,19 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
         predicted = dict(zip([c.id for c in usable],
                              to_objective(decision.means)))
     by_id = {c.id: c for c in usable}
-    costs: dict[int, float] = {}
     for cid in decision.selected_ids:
         cand = by_id[cid]
-        objectives, cand.converged, costs[cid] = oracle(cand)
+        objectives, cand.converged = oracle(cand)
         cand.objectives = np.asarray(objectives, dtype=float)
         cand.provenance = "expensive"
         history.add(cand.embedding_norm, cand.phenotype_keys,
                     cand.objectives, cand.converged)
-    for cid in predicted.keys() - costs.keys():
+    for cid in predicted.keys() - set(decision.selected_ids):
         cand = by_id[cid]
         cand.objectives = predicted[cid]
         cand.converged = True
         cand.provenance = "surrogate"
-    return decision.selected_ids, predicted, costs
+    return decision.selected_ids, predicted
 
 
 # Per generation: (generation, candidate count, (objectives, converged) of
@@ -501,35 +483,38 @@ def metrics_from_records(records: Sequence[EvaluationRecord]) -> metrics_mod.Run
 
 def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
                                              metrics_mod.RunMetrics]:
-    """Execute a full training run; deterministic per seed."""
-    try:
-        evaluator = build_evaluator(config.evaluator)
-    except (eval_mod.SetupError, emb_mod.IngestError) as exc:
-        raise RunError(f"evaluator setup failed: {exc}") from exc
+    """Execute a full training run; deterministic per seed.
 
-    if config.embedding.feature_table is not None:
-        table = emb_mod.ingest_feature_table(config.embedding.feature_table)
-        missing = set(evaluator.terminals) - set(table.names)
-        if missing:
-            raise RunError(f"feature table lacks terminals {sorted(missing)}")
-    else:
-        table = evaluator.baseline_table()
-
-    symbols = symreg.SymbolSet(operators=config.gep.operators,
-                               terminals=tuple(evaluator.terminals),
-                               n_constants=config.gep.n_constants)
-    gep_config = symreg.GepConfig(symbols=symbols,
-                                  head_len=config.gep.head_len,
-                                  mutation_rate=config.gep.mutation_rate,
-                                  crossover_rate=config.gep.crossover_rate)
-    p = evaluator.n_objectives
-    n_slots = evaluator.n_slots
-
+    Everything wrong with the config or the files it names surfaces during
+    set-up, before generation 0, as a ConfigError.
+    """
     init_rng, pool_seed, evolve_rngs, select_rngs, fit_rngs = _streams(
         config.seed, config.generations)
-    pool = symreg.ConstantsPool.from_seed(
-        pool_seed, size=config.gep.n_constants,
-        low=config.gep.const_range[0], high=config.gep.const_range[1])
+    try:
+        evaluator = build_evaluator(config.evaluator)
+        if config.embedding.feature_table is not None:
+            table = emb_mod.ingest_feature_table(config.embedding.feature_table)
+            missing = set(evaluator.terminals) - set(table.names)
+            if missing:
+                raise ConfigError(
+                    f"feature table lacks terminals {sorted(missing)}")
+        else:
+            table = evaluator.baseline_table()
+        symbols = symreg.SymbolSet(operators=config.gep.operators,
+                                   terminals=tuple(evaluator.terminals),
+                                   n_constants=config.gep.n_constants)
+        gep_config = symreg.GepConfig(symbols=symbols,
+                                      head_len=config.gep.head_len,
+                                      mutation_rate=config.gep.mutation_rate,
+                                      crossover_rate=config.gep.crossover_rate)
+        pool = symreg.ConstantsPool.from_seed(
+            pool_seed, size=config.gep.n_constants,
+            low=config.gep.const_range[0], high=config.gep.const_range[1])
+    except (eval_mod.SetupError, emb_mod.IngestError,
+            symreg.ConfigurationError, symreg.ExpressionSyntaxError) as exc:
+        raise ConfigError(str(exc)) from exc
+    p = evaluator.n_objectives
+    n_slots = evaluator.n_slots
 
     population = [symreg.Candidate(
         genotypes=tuple(symreg.random_genotype(init_rng, gep_config)
@@ -544,7 +529,7 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
 
     def evaluate(cand: symreg.Candidate):
         outcome = evaluator.evaluate(trees_by_id[cand.id], pool)
-        return outcome.objectives, outcome.converged, float(outcome.cost_units)
+        return outcome.objectives, outcome.converged
 
     for gen in range(config.generations):
         if gen == 0:
@@ -571,7 +556,7 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
             if norm_stats is None:
                 raise RunError("no usable embeddings in generation 0")
 
-        selected, predicted, costs = _generation_step(
+        selected, predicted = _generation_step(
             gen, current, norm_stats, history, config, p, select_rngs[gen],
             fit_rngs[gen], evaluate)
 
@@ -587,7 +572,7 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
                 objectives=tuple(float(v) for v in cand.objectives),
                 converged=bool(cand.converged),
                 provenance=cand.provenance,
-                wall_time=costs.get(cand.id, 0.0),
+                wall_time=float(cand.provenance == "expensive"),
                 predicted=(None if pred is None
                            else tuple(float(v) for v in pred))))
 
@@ -634,7 +619,7 @@ def passive_replay(db: EvaluationDatabase,
     p = len(first.objectives)
     history = sel_mod.SelectionHistory.empty(len(first.embedding), p)
     _, _, _, select_rngs, fit_rngs = _streams(config.seed, len(gens))
-    stored = operator.attrgetter("objectives", "converged", "wall_time")
+    stored = operator.attrgetter("objectives", "converged")
     generations: list[_GenerationInputs] = []
     for gen in gens:
         rec_by_id = {rec.id: rec for rec in by_gen[gen]}
@@ -642,7 +627,7 @@ def passive_replay(db: EvaluationDatabase,
                                       phenotype_keys=rec.keys,
                                       embedding=np.asarray(rec.embedding))
                      for rec in by_gen[gen]]
-        selected, predicted, _ = _generation_step(
+        selected, predicted = _generation_step(
             gen, stand_ins, norm_stats, history, config, p, select_rngs[gen],
             fit_rngs[gen], lambda c: stored(rec_by_id[c.id]))
         revealed = [rec_by_id[cid] for cid in selected]

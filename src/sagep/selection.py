@@ -156,8 +156,7 @@ def lcb(mean, std, beta: float):
     """
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
-    out = -mean + beta * std
-    return float(out) if out.ndim == 0 else out
+    return -mean + beta * std
 
 
 def ei(mean, std, f_best: float, xi: float = 0.0):
@@ -171,8 +170,7 @@ def ei(mean, std, f_best: float, xi: float = 0.0):
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(std > 0, improve / np.where(std > 0, std, 1.0), 0.0)
         spread = improve * norm.cdf(z) + std * norm.pdf(z)
-    out = np.where(std > 0, spread, np.maximum(improve, 0.0))
-    return float(out) if out.ndim == 0 else out
+    return np.where(std > 0, spread, np.maximum(improve, 0.0))
 
 
 def convergence_weights(X: np.ndarray, converged_set: np.ndarray,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import sagep.evaluators as ev
-from sagep.embedding import FeatureTable
+from sagep.embedding import FeatureTable, IngestError
 from sagep.evaluators import (
     DIVERGENCE_SENTINEL,
     ChannelCase,
@@ -155,7 +155,17 @@ class TestInvariants:
     def test_field_file_header_must_match(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("A,B\n1,2\n")
-        with pytest.raises(Exception):
+        with pytest.raises(DomainError, match="expected columns"):
+            read_invariant_fields(path)
+
+    def test_field_file_rejects_non_finite_cell(self, tmp_path):
+        # Read like a feature table: a NaN cell is an ingest fault, not a
+        # field full of NaN features.
+        row = ["0.0"] * 12 + ["1.0", "nan", "1.0", "1.0", "1.0"]
+        path = tmp_path / "fields.csv"
+        path.write_text(",".join(INVARIANT_COLUMNS) + "\n"
+                        + ",".join(row) + "\n")
+        with pytest.raises(IngestError, match="non-finite"):
             read_invariant_fields(path)
 
 
@@ -223,6 +233,15 @@ class TestSymbolicBenchmark:
     def test_needs_targets(self):
         with pytest.raises(SetupError):
             SymbolicBenchmark(self.table, targets=())
+
+    def test_target_naming_unknown_column_rejected(self):
+        with pytest.raises(SetupError, match="Q"):
+            SymbolicBenchmark(self.table, targets=("I1 + Q",))
+
+    def test_negative_slot_rejected(self):
+        with pytest.raises(SetupError, match="slot_of_objective"):
+            SymbolicBenchmark(self.table, targets=("I1",),
+                              slot_of_objective=(-1,))
 
     def test_term_order_changes_no_bit(self):
         # Objectives depend only on the phenotype key, so every order of
@@ -310,6 +329,11 @@ class TestChannelSolver:
         with pytest.raises(SetupError):
             make_reference(case)
 
+    def test_make_reference_rejects_unknown_feature(self):
+        case = ChannelCase(truth_exprs=("-0.1 - I2", "0.945 - 2.108*J1"))
+        with pytest.raises(SetupError, match="I2"):
+            make_reference(case)
+
     def test_counter_increments(self):
         ev_channel = ChannelEvaluator(default_channel_case())
         before = expensive_call_count()
@@ -358,6 +382,12 @@ class TestLoadChannelCase:
     def test_unknown_truth_slot_rejected(self):
         with pytest.raises(SetupError):
             load_channel_case({"truth": {"g": "0", "alpha": "0", "zz": "0"}})
+
+    @pytest.mark.parametrize("payload", [{"n_cells": "64"},
+                                         {"wall_u": ["a", 0.0]}])
+    def test_ill_typed_fields_rejected(self, payload):
+        with pytest.raises(SetupError, match="invalid channel case"):
+            load_channel_case(payload)
 
     def test_shipped_default_case_matches_builtin(self):
         case = load_channel_case("configs/channel_default.json")

@@ -214,12 +214,12 @@ class TestGenerationStep:
 
         def oracle(cand):
             calls.append(cand.id)
-            return (0.1, 0.2), True, 1.0
+            return (0.1, 0.2), True
 
-        selected, predicted, costs = orch._generation_step(
+        selected, predicted = orch._generation_step(
             gen, pop, self.IDENTITY, history, config, 2,
             np.random.default_rng(0), np.random.default_rng(1), oracle)
-        assert calls == selected == sorted(costs)
+        assert calls == selected
         return selected, predicted
 
     def tight_fit(self, monkeypatch):
@@ -473,6 +473,33 @@ class TestCli:
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize("overrides", [
+        {"gep": {"operators": ["/"]}},
+        {"gep": {"head_len": 0}},
+        {"gep": {"const_range": [2, -2]}},
+        {"gep": {"mutation_rate": 2}},
+        {"evaluator": {"kind": "symbolic", "table": "features.csv",
+                       "targets": ["I1/I2"]}},
+        {"evaluator": {"kind": "symbolic", "table": "features.csv",
+                       "targets": ["I1 + Q"]}},
+        {"evaluator": {"kind": "symbolic", "table": "features.csv",
+                       "targets": TARGETS[:1], "slot_of_objective": [-1]}},
+        {"evaluator": {"kind": "channel", "case": {"n_cells": 4}}},
+        {"evaluator": {"kind": "channel", "case": {"bogus": 1}}},
+        {"evaluator": {"kind": "channel", "case": {"truth": {
+            "g": "-0.1 - I2", "alpha": "0.945 - 2.108*J1"}}}},
+        {"evaluator": {"kind": "channel"},
+         "embedding": {"feature_table": "features.csv"}},  # lacks J1
+    ], ids=["operator", "head_len", "const_range", "mutation_rate",
+            "target_syntax", "target_column", "negative_slot",
+            "case_n_cells", "case_field", "case_truth_feature",
+            "table_terminals"])
+    def test_set_up_faults_are_config_errors(self, tmp_path, capsys,
+                                             overrides):
+        cfg_path = write_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
 
     def test_replay_round_trip(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
