@@ -321,6 +321,11 @@ class ChannelCase:
     reference_t: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("n_cells", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise SetupError(f"invalid channel case: {name} must be an "
+                                 f"integer, got {value!r}")
         if self.n_cells < 8:
             raise SetupError("n_cells must be >= 8")
         if self.tol <= 0:

@@ -77,6 +77,15 @@ class ReplayError(RuntimeError):
     """A stored database cannot be replayed."""
 
 
+def _require_integers(settings, *names: str) -> None:
+    """ConfigError unless each named field of settings holds an integer; a
+    bool is not one."""
+    for name in names:
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GepSettings:
     head_len: int = 8
@@ -85,6 +94,9 @@ class GepSettings:
     const_range: tuple[float, float] = (-2.0, 2.0)
     mutation_rate: float = 0.1
     crossover_rate: float = 0.9
+
+    def __post_init__(self):
+        _require_integers(self, "head_len", "n_constants")
 
 
 @dataclass(frozen=True)
@@ -98,6 +110,11 @@ class SurrogateSettings:
     restarts: int = 8
     log_error: bool = True
     bounds: sur_mod.ParamBounds = field(default_factory=sur_mod.ParamBounds)
+
+    def __post_init__(self):
+        _require_integers(self, "restarts")
+        if self.restarts < 1:
+            raise ConfigError("surrogate restarts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -136,6 +153,10 @@ class RunConfig:
     evaluator: EvaluatorSpec = field(default_factory=EvaluatorSpec)
 
     def __post_init__(self):
+        _require_integers(self, "seed", "generations", "population",
+                          "offspring")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.generations < 1:
             raise ConfigError("generations must be >= 1")
         # population 2 is the floor because embedding normalization fits its

@@ -12,6 +12,12 @@ marginal likelihood over log-parameters with multi-start simplex search; all
 solves go through a Cholesky factor of K + sigma_n^2 I, with a small jitter
 escalation when near-duplicate inputs make the matrix numerically singular.
 
+The search evaluates the likelihood thousands of times on one data set, so
+`fit` validates the data on entry and computes the squared distances once
+per fit; each evaluation only builds the kernel from them and calls LAPACK
+`potrf` / `potrs` directly, the routines `scipy.linalg.cholesky` and
+`cho_solve` call after their finiteness checks, so the bits are the same.
+
 Observation noise is a fitted hyperparameter with a hard floor: the history
 of expensive evaluations can contain near-identical embeddings with
 slightly different outcomes, and a noiseless kernel matrix goes singular on
@@ -21,11 +27,12 @@ includes the noise term, so far from data it recovers sigma^2 + sigma_n^2.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import lapack, solve_triangular
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 from scipy.stats import qmc
@@ -113,31 +120,60 @@ def _sqdist(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
     return cdist(np.atleast_2d(X), np.atleast_2d(X2), metric="sqeuclidean")
 
 
-def rq_gram(X: np.ndarray, X2: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Kernel matrix between rows of X and rows of X2."""
-    sq = _sqdist(X, X2)
+def _rq_from_sqdist(sq: np.ndarray, params: KernelParams) -> np.ndarray:
     base = 1.0 + sq / (2.0 * params.alpha * params.ell ** 2)
     # Underflow to zero covariance is the correct distant-pair limit.
     with np.errstate(under="ignore"):
         return params.sigma ** 2 * base ** (-params.alpha)
 
 
+def rq_gram(X: np.ndarray, X2: np.ndarray, params: KernelParams) -> np.ndarray:
+    """Kernel matrix between rows of X and rows of X2."""
+    return _rq_from_sqdist(_sqdist(X, X2), params)
+
+
+def _training_data(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X as a float matrix and y as a float vector, checked to match and be
+    finite."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    if X.shape[0] != y.shape[0]:
+        raise ValueError("X and y row counts differ")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("GP training data must be finite")
+    return X, y
+
+
 def _chol_with_jitter(K: np.ndarray, noise: float) -> tuple[np.ndarray, float]:
+    """Lower factor of K + (noise + jitter) I on the first rung that
+    factorizes, and its jitter; each rung starts from the unjittered K.
+
+    A non-finite K (reachable only through extreme bounds) fails every rung
+    or carries a NaN or inf onto the diagonal of L.  Finite diagonal entries
+    are square roots, at most ~1e154, so the trace is finite exactly when
+    the diagonal is.
+    """
     n = K.shape[0]
-    eye = np.eye(n)
     for jitter in JITTER_LADDER:
-        try:
-            L = cholesky(K + (noise + jitter) * eye, lower=True)
+        A = np.array(K, order="F")
+        # ravel of a Fortran-ordered array in Fortran order is a view.
+        A.ravel(order="F")[::n + 1] += noise + jitter
+        L, info = lapack.dpotrf(A, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
+            if not math.isfinite(L.trace()):
+                raise ValueError("kernel matrix must be finite")
             return L, jitter
-        except np.linalg.LinAlgError:
-            continue
     raise FitError(
         f"kernel matrix not positive definite after jitter up to "
         f"{JITTER_LADDER[-1]} (n={n}, noise={noise})")
 
 
+def _cho_solve(L: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return lapack.dpotrs(L, y, lower=1)[0]
+
+
 def _lml_from_factor(L: np.ndarray, y: np.ndarray) -> float:
-    alpha_vec = cho_solve((L, True), y)
+    alpha_vec = _cho_solve(L, y)
     n = len(y)
     return float(-0.5 * y @ alpha_vec
                  - np.sum(np.log(np.diag(L)))
@@ -145,18 +181,20 @@ def _lml_from_factor(L: np.ndarray, y: np.ndarray) -> float:
 
 
 def log_marginal_likelihood(X: np.ndarray, y: np.ndarray,
-                            params: KernelParams) -> float:
+                            params: KernelParams,
+                            sqdist: np.ndarray | None = None) -> float:
     """Zero-mean Gaussian log evidence of y under the kernel.
 
     Computed through the Cholesky factor of K + sigma_n^2 I; raises FitError
-    if the matrix stays indefinite after the jitter ladder.
+    if the matrix stays indefinite after the jitter ladder.  A caller that
+    passes sqdist, the squared distances between the rows of X, has already
+    validated X and y as float arrays; without it, non-finite or mismatched
+    data raise ValueError.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X and y row counts differ")
-    K = rq_gram(X, X, params)
-    L, _ = _chol_with_jitter(K, params.noise)
+    if sqdist is None:
+        X, y = _training_data(X, y)
+        sqdist = _sqdist(X, X)
+    L, _ = _chol_with_jitter(_rq_from_sqdist(sqdist, params), params.noise)
     return _lml_from_factor(L, y)
 
 
@@ -180,17 +218,11 @@ class GpModel:
 def build_gp(X: np.ndarray, y: np.ndarray, params: KernelParams,
              warned: bool = False) -> GpModel:
     """Factorize the training system for fixed hyperparameters."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X and y row counts differ")
+    X, y = _training_data(X, y)
     if X.shape[0] == 0:
         raise ValueError("cannot build a GP on zero samples")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("GP training data must be finite")
-    K = rq_gram(X, X, params)
-    L, jitter = _chol_with_jitter(K, params.noise)
-    weights = cho_solve((L, True), y)
+    L, jitter = _chol_with_jitter(rq_gram(X, X, params), params.noise)
+    weights = _cho_solve(L, y)
     return GpModel(X=X, y=y, params=params, L=L, weights=weights,
                    jitter=jitter, warned=warned)
 
@@ -208,30 +240,33 @@ def fit(X: np.ndarray, y: np.ndarray,
     that point up to optimizer tolerance).  Deterministic for a fixed rng
     seed.  A single sample admits no meaningful evidence maximization and
     yields default parameters; if every restart fails the model falls back
-    to defaults with `warned` set.
+    to defaults with `warned` set.  Non-finite data raise ValueError on
+    entry, as does `restarts` below 1.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X and y row counts differ")
+    X, y = _training_data(X, y)
     if X.shape[0] == 0:
         raise ValueError("cannot fit a GP on zero samples")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     if X.shape[0] == 1:
         return build_gp(X, y, KernelParams())
     bounds = bounds or ParamBounds()
     rng = np.random.default_rng(rng)
     lo, hi = bounds.log_box()
+    sqdist = _sqdist(X, X)
 
+    # Every evaluation goes through the module attribute, so a wrapper
+    # patched onto log_marginal_likelihood (a tracer, a counter) sees it.
     def objective(log_theta: np.ndarray) -> float:
         try:
             params = KernelParams.from_log_array(log_theta)
-            return -log_marginal_likelihood(X, y, params)
+            return -log_marginal_likelihood(X, y, params, sqdist)
         except (FitError, ValueError, FloatingPointError, OverflowError):
             return 1e25
 
     sampler = qmc.Halton(d=4, scramble=True,
                          seed=int(rng.integers(2 ** 31 - 1)))
-    starts = [lo + (hi - lo) * row for row in sampler.random(max(restarts, 1))]
+    starts = [lo + (hi - lo) * row for row in sampler.random(restarts)]
     for params in extra_starts:
         starts.append(np.clip(params.as_log_array(), lo, hi))
 

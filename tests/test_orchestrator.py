@@ -501,6 +501,27 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("configuration error:")
 
+    @pytest.mark.parametrize("overrides, args", [
+        ({"population": 6.5}, []),
+        ({"offspring": True}, []),
+        ({"gep": {"head_len": 2.5}}, []),
+        ({"gep": {"n_constants": 1.5}}, []),
+        ({"surrogate": {"restarts": 2.5}}, []),
+        ({"surrogate": {"restarts": 0}}, []),
+        ({"surrogate": {"restarts": -3}}, []),
+        ({"evaluator": {"kind": "channel", "case": {"n_cells": 16.5}}}, []),
+        ({"evaluator": {"kind": "channel", "case": {"max_iters": 10.5}}}, []),
+        ({"seed": -1}, []),
+        ({}, ["--seed", "-1"]),
+    ], ids=["population", "offspring_bool", "head_len", "n_constants",
+            "restarts_float", "restarts_zero", "restarts_negative",
+            "case_n_cells", "case_max_iters", "seed", "seed_flag"])
+    def test_ill_typed_or_negative_counts_are_config_errors(
+            self, tmp_path, capsys, overrides, args):
+        cfg_path = write_config(tmp_path, **overrides)
+        assert main(["run", "--config", str(cfg_path), *args]) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
+
     def test_replay_round_trip(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)
         assert main(["run", "--config", str(cfg_path), "--baseline"]) == 0

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve, cholesky
+from scipy.optimize import minimize
+from scipy.stats import qmc
 
+from sagep import surrogate
 from sagep.surrogate import (
+    JITTER_LADDER,
     FitError,
     KernelParams,
     MultiGp,
@@ -30,6 +35,74 @@ def dense_lml(X, y, params):
     return float(-0.5 * y @ np.linalg.solve(K, y)
                  - 0.5 * logdet
                  - 0.5 * len(y) * np.log(2.0 * np.pi))
+
+
+def reference_lml(X, y, params):
+    """The evidence through the checked scipy wrappers, each jitter rung on
+    K + (noise + jitter) I, as the search computed it before distances were
+    cached and LAPACK was called directly."""
+    K = rq_gram(X, X, params)
+    for jitter in JITTER_LADDER:
+        try:
+            L = cholesky(K + (params.noise + jitter) * np.eye(len(y)),
+                         lower=True)
+            break
+        except np.linalg.LinAlgError:
+            continue
+    else:
+        raise FitError("indefinite after the jitter ladder")
+    weights = cho_solve((L, True), y)
+    return float(-0.5 * y @ weights
+                 - np.sum(np.log(np.diag(L)))
+                 - 0.5 * len(y) * np.log(2.0 * np.pi))
+
+
+def reference_search(X, y, restarts, rng, bounds=ParamBounds()):
+    """fit's multi-start search with reference_lml as its objective: the best
+    log-parameters (None when every restart failed) and the summed nfev."""
+    lo, hi = bounds.log_box()
+    rng = np.random.default_rng(rng)
+
+    def objective(log_theta):
+        try:
+            return -reference_lml(X, y, KernelParams.from_log_array(log_theta))
+        except (FitError, ValueError, FloatingPointError, OverflowError):
+            return 1e25
+
+    sampler = qmc.Halton(d=4, scramble=True,
+                         seed=int(rng.integers(2 ** 31 - 1)))
+    best_val, best_theta, nfev = np.inf, None, 0
+    for theta0 in [lo + (hi - lo) * row for row in sampler.random(restarts)]:
+        res = minimize(objective, theta0, method="Nelder-Mead",
+                       bounds=list(zip(lo, hi)),
+                       options={"maxiter": 200, "fatol": 1e-7, "xatol": 1e-5})
+        nfev += res.nfev
+        if np.isfinite(res.fun) and res.fun < best_val and res.fun < 1e24:
+            best_val, best_theta = float(res.fun), res.x
+    return best_theta, nfev
+
+
+def search_data():
+    """Fixed data for the search tests, with one duplicated row."""
+    rng = np.random.default_rng(41)
+    X = rng.uniform(-2, 2, size=(14, 2))
+    X[13] = X[2]
+    y = np.sin(X[:, 0]) - 0.5 * X[:, 1] ** 2 + 0.05 * rng.normal(size=14)
+    return X, y
+
+
+def count_lml_calls(monkeypatch):
+    """Wrap the surrogate.log_marginal_likelihood attribute with a counter;
+    the returned list grows by one entry per call."""
+    calls = []
+    original = surrogate.log_marginal_likelihood
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(surrogate, "log_marginal_likelihood", counted)
+    return calls
 
 
 class TestKernel:
@@ -118,6 +191,41 @@ class TestEvidence:
         p = KernelParams(sigma=1.0, ell=1.0, alpha=1.0, noise=1e-8)
         val = log_marginal_likelihood(X, y, p)
         assert np.isfinite(val)
+
+    def test_equals_checked_reference_bitwise(self):
+        rng = np.random.default_rng(29)
+        lo, hi = ParamBounds().log_box()
+        for n, d in ((2, 1), (7, 2), (20, 3), (45, 2)):
+            X = rng.normal(size=(n, d))
+            y = rng.normal(size=n)
+            for _ in range(10):
+                p = KernelParams.from_log_array(lo + (hi - lo) * rng.random(4))
+                assert log_marginal_likelihood(X, y, p) == reference_lml(X, y, p)
+
+    def test_precomputed_distances_give_the_same_bits(self):
+        rng = np.random.default_rng(31)
+        lo, hi = ParamBounds().log_box()
+        X = rng.normal(size=(30, 2))
+        y = rng.normal(size=30)
+        sq = surrogate._sqdist(X, X)
+        for _ in range(20):
+            p = KernelParams.from_log_array(lo + (hi - lo) * rng.random(4))
+            assert (log_marginal_likelihood(X, y, p, sq)
+                    == log_marginal_likelihood(X, y, p))
+
+    # At (3e4, 3e-8), K_ii + noise + jitter added in two steps rounds
+    # differently from K_ii + (noise + jitter), and the evidence shows it.
+    @pytest.mark.parametrize("sigma, noise, rung", [(3e4, 3e-8, 2),
+                                                    (3e5, 1e-8, 3)])
+    def test_duplicate_rows_take_the_same_jitter_rung(self, sigma, noise,
+                                                      rung):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(6, 2))
+        X = np.vstack([X, X[:3]])
+        y = rng.normal(size=9)
+        p = KernelParams(sigma=sigma, ell=1.0, alpha=1.0, noise=noise)
+        assert build_gp(X, y, p).jitter == JITTER_LADDER[rung]
+        assert log_marginal_likelihood(X, y, p) == reference_lml(X, y, p)
 
     def test_noise_floor_enforced(self):
         with pytest.raises(ValueError):
@@ -208,6 +316,56 @@ class TestFit:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
             fit(np.zeros((0, 2)), np.zeros(0))
+
+    @pytest.mark.parametrize("call", [
+        lambda X, y: fit(X, y, restarts=1, rng=0),
+        lambda X, y: log_marginal_likelihood(X, y, UNIT),
+    ], ids=["fit", "lml"])
+    def test_non_finite_training_data_rejected(self, call):
+        with pytest.raises(ValueError):
+            call(np.array([[0.0], [np.nan], [1.0]]), np.array([1.0, 2.0, 0.0]))
+        with pytest.raises(ValueError):
+            call(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, np.inf, 0.0]))
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_restarts_below_one_rejected(self, restarts):
+        X, y = search_data()
+        with pytest.raises(ValueError, match="restarts"):
+            fit(X, y, restarts=restarts, rng=0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_params_equal_reference_search_bitwise(self, seed):
+        X, y = search_data()
+        best_theta, _ = reference_search(X, y, restarts=3, rng=seed)
+        model = fit(X, y, restarts=3, rng=seed)
+        assert model.params == KernelParams.from_log_array(best_theta)
+        assert not model.warned
+
+    def test_every_lml_call_goes_through_the_module_attribute(
+            self, monkeypatch):
+        # The benchmark counts surrogate.lml calls by patching this
+        # attribute; a fast path around it would zero that counter.
+        X, y = search_data()
+        _, nfev = reference_search(X, y, restarts=3, rng=5)
+        calls = count_lml_calls(monkeypatch)
+        fit(X, y, restarts=3, rng=5)
+        assert len(calls) == nfev
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_kernel_fails_like_reference(self, monkeypatch):
+        # ell**2 underflows to 0 on these bounds, so every kernel matrix
+        # holds NaN: every evaluation must fail as the checked wrappers
+        # did, for the same number of evaluations, before the fallback.
+        X, y = search_data()
+        bounds = ParamBounds(ell=(1e-300, 1e-200))
+        best_theta, nfev = reference_search(X, y, restarts=2, rng=0,
+                                            bounds=bounds)
+        assert best_theta is None
+        calls = count_lml_calls(monkeypatch)
+        with pytest.warns(UserWarning, match="every restart"):
+            model = fit(X, y, bounds=bounds, restarts=2, rng=0)
+        assert model.warned and model.params == KernelParams()
+        assert len(calls) == nfev
 
     def test_bounds_are_respected(self):
         rng = np.random.default_rng(12)
