@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -130,16 +130,15 @@ def compare_coverage(fronts: Sequence[np.ndarray]) -> list[float]:
     return [hypervolume(nd, ref) / box for nd in nds]
 
 
-def surrogate_relative_error(truth: dict[int, np.ndarray],
-                             predicted: dict[int, np.ndarray]) -> float:
-    """Mean relative prediction error |mu - t| / |t| over ids present in
-    both maps, averaged across objectives; zero-truth components are
-    skipped.  Returns 0.0 when no pair exists (nothing was predicted)."""
+def surrogate_relative_error(pairs: Iterable[tuple[Sequence[float],
+                                                   Sequence[float]]]) -> float:
+    """Mean relative prediction error |mu - t| / |t| over (truth t,
+    prediction mu) pairs, each averaged across objectives; zero-truth
+    components are skipped, and so is a pair whose truth is all zero.
+    Returns 0.0 when no pair is left (nothing was predicted)."""
     errors: list[float] = []
-    for cid, pred in predicted.items():
-        if cid not in truth:
-            continue
-        t = np.asarray(truth[cid], dtype=float)
+    for truth, pred in pairs:
+        t = np.asarray(truth, dtype=float)
         mu = np.asarray(pred, dtype=float)
         mask = t != 0.0
         if not np.any(mask):
@@ -165,7 +164,6 @@ class RunMetrics:
     """Per-generation metric rows plus run-level summary values."""
 
     rows: list[GenerationMetrics] = field(default_factory=list)
-    final_selection_ratio: float = 0.0
     final_relative_error: float = 0.0
 
     def append(self, row: GenerationMetrics) -> None:
@@ -176,6 +174,10 @@ class RunMetrics:
     @property
     def final_coverage(self) -> float:
         return self.rows[-1].coverage if self.rows else 0.0
+
+    @property
+    def final_selection_ratio(self) -> float:
+        return self.rows[-1].selection_ratio if self.rows else 0.0
 
     @property
     def total_expensive(self) -> int:

@@ -6,8 +6,9 @@ expensive evaluation (everyone, when the surrogate is disabled), outcomes
 are appended to a line-delimited database, the surrogate is refit on all
 converged expensive data, and the combined truth/predicted fitness feeds
 back into survivor selection.  Selection only decides; the generation step
-here is the one place that writes a candidate's objectives, convergence
-flag and provenance.
+here is the one place that writes a candidate's objectives and the one
+builder of the generation's records, which training appends to the
+database and from which training, replay and report compute metrics.
 
 Everything is deterministic per seed: random streams are spawned from one
 seed sequence per purpose and generation, costs are counted in abstract
@@ -25,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -115,6 +115,16 @@ class SurrogateSettings:
         _require_integers(self, "restarts")
         if self.restarts < 1:
             raise ConfigError("surrogate restarts must be >= 1")
+        # Bounds failing these checks leave no point the LML can evaluate, so
+        # every fit would fall back to defaults; the RQ kernel's denominator
+        # 2 * alpha * ell**2 is smallest at the box's lower corner.
+        b = self.bounds
+        if not np.all(np.isfinite([b.sigma, b.ell, b.alpha, b.noise])):
+            raise ConfigError("surrogate bounds must be finite")
+        if 2.0 * b.alpha[0] * b.ell[0] ** 2 == 0.0:
+            raise ConfigError(
+                "surrogate bounds: 2 * alpha * ell**2 underflows to 0 at "
+                f"alpha = {b.alpha[0]!r}, ell = {b.ell[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -262,6 +272,8 @@ class EvaluationRecord:
     @classmethod
     def from_json(cls, line: str) -> "EvaluationRecord":
         payload = json.loads(line)
+        if payload["provenance"] not in ("expensive", "surrogate"):
+            raise ValueError(f"unknown provenance {payload['provenance']!r}")
         return cls(generation=int(payload["generation"]),
                    id=int(payload["id"]),
                    keys=tuple(payload["keys"]),
@@ -373,29 +385,28 @@ def _gen0_norm_stats(embeddings: list) -> emb_mod.NormStats | None:
     return emb_mod.fit_norm_stats(finite) if finite else None
 
 
-# The outcome of one expensive evaluation: (objectives, converged).
-_Oracle = Callable[[symreg.Candidate], tuple[Sequence[float], bool]]
-
-
 def _generation_step(gen: int, current: list[symreg.Candidate],
                      norm_stats: emb_mod.NormStats,
                      history: sel_mod.SelectionHistory,
                      config: RunConfig, p: int,
                      select_rng: np.random.Generator,
                      fit_rng: np.random.Generator,
-                     oracle: _Oracle) -> tuple[list[int],
-                                               dict[int, np.ndarray]]:
-    """One generation of the loop, shared by training and replay, and the
-    only code that writes a candidate's outcome.
+                     oracle: Callable[[symreg.Candidate], object]
+                     ) -> list[EvaluationRecord]:
+    """One generation of the loop, shared by training and replay: the only
+    code that writes a candidate's objectives and the only builder of
+    records.
 
     Normalizes the embeddings; a candidate whose normalized embedding is not
     finite gets the divergence sentinel.  The surrogate chooses which of the
     rest get an expensive outcome (all of them when it is disabled), the
     oracle gives each chosen one its outcome, which joins the history, and
-    every other candidate gets its predicted objectives.  Training's oracle
-    is the live evaluator, replay's the stored record.  Returns the selected
-    ids and the predicted objectives by id.
+    every other candidate gets its predicted objectives.  The oracle's
+    outcome has .objectives and .converged: the evaluator's
+    EvaluationOutcome in training, the stored EvaluationRecord in replay.
+    Returns the generation's records in id order.
     """
+    converged: dict[int, bool] = {}
     usable = []
     for cand in current:
         cand.embedding_norm = emb_mod.normalize(cand.embedding, norm_stats)
@@ -403,8 +414,7 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
             usable.append(cand)
         else:
             cand.objectives = np.full(p, symreg.DIVERGENCE_SENTINEL)
-            cand.converged = False
-            cand.provenance = "surrogate"
+            converged[cand.id] = False
 
     if config.surrogate_enabled:
         model = (_fit_surrogate(history, config.surrogate, fit_rng)
@@ -421,56 +431,65 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
         predicted = dict(zip([c.id for c in usable],
                              to_objective(decision.means)))
     by_id = {c.id: c for c in usable}
+    expensive = set(decision.selected_ids)
     for cid in decision.selected_ids:
         cand = by_id[cid]
-        objectives, cand.converged = oracle(cand)
-        cand.objectives = np.asarray(objectives, dtype=float)
-        cand.provenance = "expensive"
+        outcome = oracle(cand)
+        cand.objectives = np.asarray(outcome.objectives, dtype=float)
+        converged[cid] = bool(outcome.converged)
         history.add(cand.embedding_norm, cand.phenotype_keys,
-                    cand.objectives, cand.converged)
-    for cid in predicted.keys() - set(decision.selected_ids):
-        cand = by_id[cid]
-        cand.objectives = predicted[cid]
-        cand.converged = True
-        cand.provenance = "surrogate"
-    return decision.selected_ids, predicted
+                    cand.objectives, outcome.converged)
+    for cid in predicted.keys() - expensive:
+        by_id[cid].objectives = predicted[cid]
+        converged[cid] = True
+
+    records = []
+    for cand in sorted(current, key=lambda c: c.id):
+        if cand.objectives is None:
+            raise RunError(f"candidate {cand.id} left without objectives")
+        pred = predicted.get(cand.id)
+        records.append(EvaluationRecord(
+            generation=gen, id=cand.id, keys=tuple(cand.phenotype_keys),
+            embedding=tuple(float(v) for v in cand.embedding),
+            objectives=tuple(float(v) for v in cand.objectives),
+            converged=converged[cand.id],
+            provenance="expensive" if cand.id in expensive else "surrogate",
+            wall_time=float(cand.id in expensive),
+            predicted=None if pred is None else tuple(float(v) for v in pred)))
+    return records
 
 
-# Per generation: (generation, candidate count, (objectives, converged) of
-# each expensive outcome, truth and prediction by id for relative error).
-_GenerationInputs = tuple[int, int, list, dict[int, np.ndarray],
-                         dict[int, np.ndarray]]
+def _run_metrics(generations: Iterable[tuple[list[EvaluationRecord], list]]
+                 ) -> metrics_mod.RunMetrics:
+    """Metric rows over cumulative expensive outcomes, one per generation.
 
-
-def _run_metrics(generations: Iterable[_GenerationInputs],
-                 p: int) -> metrics_mod.RunMetrics:
-    """Metric rows over cumulative expensive outcomes, one per generation."""
+    Each generation gives its records and the (truth, prediction) pairs
+    its relative error scores.
+    """
     metrics = metrics_mod.RunMetrics()
     points: list = []
+    scored_all: list = []
     expensive = seen = 0
-    truth_all: dict[int, np.ndarray] = {}
-    pred_all: dict[int, np.ndarray] = {}
-    for gen, n_candidates, outcomes, truth, pred in generations:
-        seen += n_candidates
+    for records, scored in generations:
+        outcomes = [r for r in records if r.provenance == "expensive"]
+        seen += len(records)
         expensive += len(outcomes)
-        points += [obj for obj, converged in outcomes if converged]
-        truth_all.update(truth)
-        pred_all.update(pred)
+        points += [r.objectives for r in outcomes if r.converged]
+        scored_all += scored
         if points:
             front = np.asarray(points, dtype=float)
             coverage = metrics_mod.hypervolume_coverage(front)
             best = tuple(float(v) for v in front.min(axis=0))
         else:
             coverage = 0.0
-            best = tuple(float("nan") for _ in range(p))
+            best = tuple(float("nan") for _ in records[0].objectives)
         metrics.append(metrics_mod.GenerationMetrics(
-            generation=gen, expensive_cumulative=expensive, coverage=coverage,
-            selection_ratio=expensive / seen,
-            relative_error=metrics_mod.surrogate_relative_error(truth, pred),
+            generation=records[0].generation, expensive_cumulative=expensive,
+            coverage=coverage, selection_ratio=expensive / seen,
+            relative_error=metrics_mod.surrogate_relative_error(scored),
             best_objectives=best))
-    metrics.final_selection_ratio = expensive / seen
     metrics.final_relative_error = metrics_mod.surrogate_relative_error(
-        truth_all, pred_all)
+        scored_all)
     return metrics
 
 
@@ -483,19 +502,11 @@ def metrics_from_records(records: Sequence[EvaluationRecord]) -> metrics_mod.Run
     if not records:
         raise ValueError("no records to summarize")
     by_gen = EvaluationDatabase(list(records)).by_generation()
-
-    def generations():
-        for gen in sorted(by_gen):
-            rows = by_gen[gen]
-            expensive = [r for r in rows if r.provenance == "expensive"]
-            scored = [r for r in expensive
-                      if r.converged and r.predicted is not None]
-            yield (gen, len(rows),
-                   [(r.objectives, r.converged) for r in expensive],
-                   {r.id: np.asarray(r.objectives) for r in scored},
-                   {r.id: np.asarray(r.predicted) for r in scored})
-
-    return _run_metrics(generations(), len(records[0].objectives))
+    return _run_metrics(
+        (rows, [(r.objectives, r.predicted) for r in rows
+                if r.provenance == "expensive" and r.converged
+                and r.predicted is not None])
+        for _, rows in sorted(by_gen.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +559,8 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
     survivors: list[symreg.Candidate] = []
     trees_by_id: dict[int, list[symreg.ExprTree]] = {}
 
-    def evaluate(cand: symreg.Candidate):
-        outcome = evaluator.evaluate(trees_by_id[cand.id], pool)
-        return outcome.objectives, outcome.converged
+    def evaluate(cand: symreg.Candidate) -> eval_mod.EvaluationOutcome:
+        return evaluator.evaluate(trees_by_id[cand.id], pool)
 
     for gen in range(config.generations):
         if gen == 0:
@@ -577,31 +587,18 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
             if norm_stats is None:
                 raise RunError("no usable embeddings in generation 0")
 
-        selected, predicted = _generation_step(
+        records = _generation_step(
             gen, current, norm_stats, history, config, p, select_rngs[gen],
             fit_rngs[gen], evaluate)
-
-        for cand in sorted(current, key=lambda c: c.id):
-            if cand.objectives is None:
-                raise RunError(
-                    f"candidate {cand.id} left without objectives")
-            pred = predicted.get(cand.id)
-            db.append(EvaluationRecord(
-                generation=gen, id=cand.id,
-                keys=tuple(cand.phenotype_keys),
-                embedding=tuple(float(v) for v in cand.embedding),
-                objectives=tuple(float(v) for v in cand.objectives),
-                converged=bool(cand.converged),
-                provenance=cand.provenance,
-                wall_time=float(cand.provenance == "expensive"),
-                predicted=(None if pred is None
-                           else tuple(float(v) for v in pred))))
+        for record in records:
+            db.append(record)
 
         survivors = (list(current) if gen == 0
                      else symreg.select_survivors(survivors + current,
                                                   config.population))
-        log.info("generation %d: %d expensive, %d total",
-                 gen, len(selected), len(current))
+        log.info("generation %d: %d expensive, %d total", gen,
+                 sum(r.provenance == "expensive" for r in records),
+                 len(records))
 
     return db, metrics_from_records(db.records)
 
@@ -640,23 +637,18 @@ def passive_replay(db: EvaluationDatabase,
     p = len(first.objectives)
     history = sel_mod.SelectionHistory.empty(len(first.embedding), p)
     _, _, _, select_rngs, fit_rngs = _streams(config.seed, len(gens))
-    stored = operator.attrgetter("objectives", "converged")
-    generations: list[_GenerationInputs] = []
+    generations = []
     for gen in gens:
         rec_by_id = {rec.id: rec for rec in by_gen[gen]}
         stand_ins = [symreg.Candidate(genotypes=(), generation=gen, id=rec.id,
                                       phenotype_keys=rec.keys,
                                       embedding=np.asarray(rec.embedding))
                      for rec in by_gen[gen]]
-        selected, predicted = _generation_step(
+        records = _generation_step(
             gen, stand_ins, norm_stats, history, config, p, select_rngs[gen],
-            fit_rngs[gen], lambda c: stored(rec_by_id[c.id]))
-        revealed = [rec_by_id[cid] for cid in selected]
-        hidden = {cid: pred for cid, pred in predicted.items()
-                  if cid not in selected and rec_by_id[cid].converged}
-        generations.append((gen, len(stand_ins),
-                            [(r.objectives, r.converged) for r in revealed],
-                            {cid: np.asarray(rec_by_id[cid].objectives)
-                             for cid in hidden},
-                            hidden))
-    return _run_metrics(generations, p)
+            fit_rngs[gen], lambda c: rec_by_id[c.id])
+        generations.append((records, [
+            (rec_by_id[r.id].objectives, r.predicted) for r in records
+            if r.provenance == "surrogate" and r.predicted is not None
+            and rec_by_id[r.id].converged]))
+    return _run_metrics(generations)

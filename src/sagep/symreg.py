@@ -525,8 +525,6 @@ class Candidate:
     embedding: np.ndarray | None = None
     embedding_norm: np.ndarray | None = None
     objectives: np.ndarray | None = None
-    converged: bool = True
-    provenance: str = ""
 
 
 def fast_nondominated_sort(objectives: np.ndarray) -> list[list[int]]:

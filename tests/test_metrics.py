@@ -197,19 +197,15 @@ class TestCoverage:
 
 class TestRatiosAndErrors:
     def test_relative_error_componentwise(self):
-        truth = {1: np.array([1.0, 2.0])}
-        predicted = {1: np.array([1.1, 2.2])}
-        assert surrogate_relative_error(truth, predicted) == pytest.approx(0.1)
+        pairs = [(np.array([1.0, 2.0]), np.array([1.1, 2.2]))]
+        assert surrogate_relative_error(pairs) == pytest.approx(0.1)
 
     def test_relative_error_skips_zero_truth(self):
-        truth = {1: np.array([0.0, 2.0])}
-        predicted = {1: np.array([5.0, 2.2])}
-        assert surrogate_relative_error(truth, predicted) == pytest.approx(0.1)
+        pairs = [(np.array([0.0, 2.0]), np.array([5.0, 2.2]))]
+        assert surrogate_relative_error(pairs) == pytest.approx(0.1)
 
     def test_relative_error_no_pairs(self):
-        assert surrogate_relative_error({1: np.array([1.0])},
-                                        {2: np.array([1.0])}) == 0.0
-        assert surrogate_relative_error({}, {}) == 0.0
+        assert surrogate_relative_error([]) == 0.0
 
 
 class TestRunMetrics:
@@ -229,14 +225,16 @@ class TestRunMetrics:
     def test_summary_properties(self):
         run = RunMetrics()
         assert run.final_coverage == 0.0
+        assert run.final_selection_ratio == 0.0
         assert run.total_expensive == 0
         run.append(self.make_row(0, 10, cov=0.3))
         run.append(self.make_row(1, 12, cov=0.6))
         assert run.final_coverage == 0.6
+        assert run.final_selection_ratio == 1.0
         assert run.total_expensive == 12
 
     def test_emit_report_files(self, tmp_path):
-        run = RunMetrics(final_selection_ratio=0.5, final_relative_error=0.1)
+        run = RunMetrics(final_relative_error=0.1)
         run.append(self.make_row(0, 10))
         run.append(self.make_row(1, 11))
         csv_path, summary_path = emit_report(run, tmp_path / "out")
@@ -248,8 +246,7 @@ class TestRunMetrics:
         assert "expensive evaluations: 11" in summary_path.read_text()
 
     def test_emit_report_is_reproducible(self, tmp_path):
-        run = RunMetrics(final_selection_ratio=1 / 3,
-                         final_relative_error=0.07)
+        run = RunMetrics(final_relative_error=0.07)
         run.append(self.make_row(0, 5, cov=1 / 7))
         first, _ = emit_report(run, tmp_path / "a")
         second, _ = emit_report(run, tmp_path / "b")

@@ -9,6 +9,7 @@ import pytest
 
 import sagep.evaluators as ev
 import sagep.orchestrator as orch
+import sagep.selection as sel
 from sagep.cli import main
 from sagep.embedding import FeatureTable, NormStats, write_feature_table
 from sagep.metrics import RunMetrics
@@ -183,6 +184,15 @@ class TestDatabase:
         assert back.records == db.records
         assert path.read_bytes() == db.write(tmp_path / "again.jsonl").read_bytes()
 
+    def test_unknown_provenance_is_malformed(self, tmp_path):
+        db = EvaluationDatabase()
+        db.append(self.make_record(provenance="bogus"))
+        path = db.write(tmp_path / "db.jsonl")
+        with pytest.raises(ReplayError, match="malformed database"):
+            EvaluationDatabase.read(path)
+        assert main(["report", "--db", str(path),
+                     "--out", str(tmp_path / "rep")]) == 2
+
     def test_by_generation_groups(self):
         db = EvaluationDatabase()
         db.append(self.make_record(gen=0, cid=0))
@@ -214,13 +224,16 @@ class TestGenerationStep:
 
         def oracle(cand):
             calls.append(cand.id)
-            return (0.1, 0.2), True
+            return ev.EvaluationOutcome(objectives=np.array([0.1, 0.2]),
+                                        converged=True)
 
-        selected, predicted = orch._generation_step(
+        records = orch._generation_step(
             gen, pop, self.IDENTITY, history, config, 2,
             np.random.default_rng(0), np.random.default_rng(1), oracle)
+        assert [r.id for r in records] == sorted(c.id for c in pop)
+        selected = [r.id for r in records if r.provenance == "expensive"]
         assert calls == selected
-        return selected, predicted
+        return selected, records
 
     def tight_fit(self, monkeypatch):
         # A fixed-hyperparameter GP on the targets the step passes in.
@@ -245,15 +258,18 @@ class TestGenerationStep:
         for gen, surrogate_enabled in [(0, True), (0, False), (2, False)]:
             pop = self.population([0.0, 0.0], [1.0, 1.0], [np.nan, 0.0])
             history = SelectionHistory.empty(2, 2)
-            selected, predicted = self.step(gen, pop, history,
-                                            surrogate_enabled)
+            selected, records = self.step(gen, pop, history,
+                                          surrogate_enabled)
             assert selected == [0, 1]
-            assert predicted == {}
-            assert [c.provenance for c in pop] == ["expensive", "expensive",
-                                                  "surrogate"]
+            assert all(r.predicted is None for r in records)
+            assert [r.provenance for r in records] == ["expensive",
+                                                      "expensive",
+                                                      "surrogate"]
             assert np.array_equal(pop[2].objectives,
                                   [DIVERGENCE_SENTINEL, DIVERGENCE_SENTINEL])
-            assert pop[2].converged is False
+            assert records[2].objectives == (DIVERGENCE_SENTINEL,
+                                             DIVERGENCE_SENTINEL)
+            assert records[2].converged is False
             assert history.evaluated_keys == {("k0",), ("k1",)}
             assert history.converged_objectives.tolist() == [[0.1, 0.2]] * 2
 
@@ -261,16 +277,18 @@ class TestGenerationStep:
                                                              monkeypatch):
         self.tight_fit(monkeypatch)
         pop = self.population([0.0, 0.0], [7.0, 7.0], [np.inf, 0.0])
-        selected, predicted = self.step(2, pop, self.history([1.0, 2.0]))
+        selected, records = self.step(2, pop, self.history([1.0, 2.0]))
         assert selected == [1]
-        filled = pop[0]
+        filled = records[0]
         assert filled.provenance == "surrogate"
         assert filled.converged is True
-        assert np.allclose(filled.objectives, [1.0, 2.0], atol=1e-3)
-        assert set(predicted) == {0, 1}
-        assert np.array_equal(predicted[0], filled.objectives)
-        assert pop[1].provenance == "expensive"
-        assert pop[2].converged is False
+        assert np.allclose(pop[0].objectives, [1.0, 2.0], atol=1e-3)
+        assert [r.predicted is not None for r in records] == [True, True,
+                                                              False]
+        assert np.array_equal(filled.predicted, pop[0].objectives)
+        assert filled.objectives == filled.predicted
+        assert records[1].provenance == "expensive"
+        assert records[2].converged is False
 
     def test_mean_transform_applied_to_predictions(self, monkeypatch):
         # log_error: the GP regresses log10 of the objectives, and the step
@@ -430,6 +448,39 @@ class TestPassiveReplay:
         with pytest.raises(ReplayError):
             passive_replay(EvaluationDatabase(), cfg)
 
+    def test_relative_error_scores_hidden_truth_only(self, tmp_path,
+                                                     monkeypatch):
+        # The stored objectives of converged records replay does not reveal
+        # are the truth of its relative error and feed nothing else.
+        db, cfg = self.baseline_db(tmp_path)
+        replay_cfg = dataclasses.replace(cfg, surrogate_enabled=True)
+        revealed = set()
+        select = sel.select_generation
+
+        def spy(*args, **kwargs):
+            decision = select(*args, **kwargs)
+            revealed.update(decision.selected_ids)
+            return decision
+
+        monkeypatch.setattr(sel, "select_generation", spy)
+        first = passive_replay(db, replay_cfg)
+        hidden = [r for r in db.records
+                  if r.converged and r.id not in revealed]
+        assert hidden
+        scaled = EvaluationDatabase([
+            dataclasses.replace(r, objectives=tuple(1.5 * v
+                                                    for v in r.objectives))
+            if r in hidden else r for r in db.records])
+        second = passive_replay(scaled, replay_cfg)
+
+        def shown(metrics):
+            return [(row.expensive_cumulative, row.coverage,
+                     row.selection_ratio, row.best_objectives)
+                    for row in metrics.rows]
+
+        assert shown(second) == shown(first)
+        assert second.final_relative_error != first.final_relative_error
+
     def test_select_all_strategy_reveals_everything(self, tmp_path):
         db, cfg = self.baseline_db(tmp_path)
         metrics = passive_replay(db, cfg)  # surrogate disabled: select all
@@ -491,10 +542,13 @@ class TestCli:
             "g": "-0.1 - I2", "alpha": "0.945 - 2.108*J1"}}}},
         {"evaluator": {"kind": "channel"},
          "embedding": {"feature_table": "features.csv"}},  # lacks J1
+        # Bounds under which every GP fit would fall back to defaults.
+        {"surrogate": {"bounds": {"sigma": [0.001, float("inf")]}}},
+        {"surrogate": {"bounds": {"ell": [1e-300, 1e-200]}}},
     ], ids=["operator", "head_len", "const_range", "mutation_rate",
             "target_syntax", "target_column", "negative_slot",
             "case_n_cells", "case_field", "case_truth_feature",
-            "table_terminals"])
+            "table_terminals", "bounds_infinite", "bounds_ell_underflow"])
     def test_set_up_faults_are_config_errors(self, tmp_path, capsys,
                                              overrides):
         cfg_path = write_config(tmp_path, **overrides)

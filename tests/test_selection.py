@@ -353,8 +353,6 @@ class TestSelectGeneration:
         assert decision.selected_ids
         for cand in pop:
             assert cand.objectives is None
-            assert cand.provenance == ""
-            assert cand.converged is True
         if gen == 0:
             assert decision.means is None
         else:
