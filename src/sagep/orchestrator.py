@@ -271,19 +271,41 @@ class EvaluationRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "EvaluationRecord":
+        """The record one line holds; ValueError (KeyError for a missing
+        field) unless every field has its type: a bool is neither an
+        integer nor a number, and only `predicted` may be null."""
         payload = json.loads(line)
+        if not isinstance(payload, dict):
+            raise ValueError("a record must be a JSON object")
         if payload["provenance"] not in ("expensive", "surrogate"):
             raise ValueError(f"unknown provenance {payload['provenance']!r}")
-        return cls(generation=int(payload["generation"]),
-                   id=int(payload["id"]),
-                   keys=tuple(payload["keys"]),
-                   embedding=tuple(float(v) for v in payload["embedding"]),
-                   objectives=tuple(float(v) for v in payload["objectives"]),
-                   converged=bool(payload["converged"]),
-                   provenance=str(payload["provenance"]),
-                   wall_time=float(payload["wall_time"]),
+
+        def typed(name: str, what: str, ok: Callable[[object], bool]):
+            value = payload[name]
+            if not ok(value):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            return value
+
+        integer = lambda v: isinstance(v, int) and not isinstance(v, bool)
+        number = lambda v: integer(v) or isinstance(v, float)
+        list_of = lambda ok: lambda v: isinstance(v, list) and all(map(ok, v))
+        strings = list_of(lambda v: isinstance(v, str))
+
+        def numbers(name: str) -> tuple[float, ...]:
+            return tuple(float(v) for v in typed(name, "a list of numbers",
+                                                 list_of(number)))
+
+        return cls(generation=typed("generation", "an integer", integer),
+                   id=typed("id", "an integer", integer),
+                   keys=tuple(typed("keys", "a list of strings", strings)),
+                   embedding=numbers("embedding"),
+                   objectives=numbers("objectives"),
+                   converged=typed("converged", "a bool",
+                                   lambda v: isinstance(v, bool)),
+                   provenance=payload["provenance"],
+                   wall_time=float(typed("wall_time", "a number", number)),
                    predicted=(None if payload.get("predicted") is None
-                              else tuple(float(v) for v in payload["predicted"])))
+                              else numbers("predicted")))
 
 
 @dataclass
@@ -356,14 +378,16 @@ def _gp_target_map(log_error: bool) -> tuple[Callable[[np.ndarray], np.ndarray],
 def _fit_surrogate(history: sel_mod.SelectionHistory,
                    settings: SurrogateSettings,
                    rng: np.random.Generator) -> sur_mod.MultiGp:
-    """Fit the GP on every converged expensive outcome so far."""
+    """Fit the GP on every converged expensive outcome so far, warm-started
+    from the history's last fit when there is one."""
     if history.converged_points.shape[0] == 0:
         raise RunError("no converged expensive data to fit the surrogate")
     to_gp, _ = _gp_target_map(settings.log_error)
     return sur_mod.fit_multi(history.converged_points,
                              to_gp(history.converged_objectives),
                              bounds=settings.bounds,
-                             restarts=settings.restarts, rng=rng)
+                             restarts=settings.restarts, rng=rng,
+                             warm=history.last_fit)
 
 
 def _streams(seed: int, generations: int):
@@ -398,11 +422,12 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
     records.
 
     Normalizes the embeddings; a candidate whose normalized embedding is not
-    finite gets the divergence sentinel.  The surrogate chooses which of the
-    rest get an expensive outcome (all of them when it is disabled), the
-    oracle gives each chosen one its outcome, which joins the history, and
-    every other candidate gets its predicted objectives.  The oracle's
-    outcome has .objectives and .converged: the evaluator's
+    finite gets the divergence sentinel.  The surrogate, refit from
+    generation 1 on and kept in the history as the next fit's warm start,
+    chooses which of the rest get an expensive outcome (all of them when it
+    is disabled), the oracle gives each chosen one its outcome, which joins
+    the history, and every other candidate gets its predicted objectives.
+    The oracle's outcome has .objectives and .converged: the evaluator's
     EvaluationOutcome in training, the stored EvaluationRecord in replay.
     Returns the generation's records in id order.
     """
@@ -417,8 +442,10 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
             converged[cand.id] = False
 
     if config.surrogate_enabled:
-        model = (_fit_surrogate(history, config.surrogate, fit_rng)
-                 if gen >= 1 else None)
+        model = None
+        if gen >= 1:
+            model = history.last_fit = _fit_surrogate(
+                history, config.surrogate, fit_rng)
         decision = sel_mod.select_generation(
             gen, usable, model, history, config.selection_config(),
             select_rng)

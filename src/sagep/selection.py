@@ -106,12 +106,14 @@ def default_selection_config(population_size: int) -> SelectionConfig:
 class SelectionHistory:
     """Every expensive outcome so far: the normalized embeddings of the
     converged and of the diverged ones, the raw objectives of the converged
-    ones (row for row), and every evaluated phenotype key."""
+    ones (row for row), and every evaluated phenotype key; plus the
+    surrogate last fitted to them, from which the next fit warm-starts."""
 
     converged_points: np.ndarray
     converged_objectives: np.ndarray
     diverged_points: np.ndarray
     evaluated_keys: set
+    last_fit: MultiGp | None = None
 
     @classmethod
     def empty(cls, dim: int, p: int) -> "SelectionHistory":

@@ -17,6 +17,9 @@ The search evaluates the likelihood thousands of times on one data set, so
 per fit; each evaluation only builds the kernel from them and calls LAPACK
 `potrf` / `potrs` directly, the routines `scipy.linalg.cholesky` and
 `cho_solve` call after their finiteness checks, so the bits are the same.
+A training run refits on a history that grows by a few rows per
+generation, so `fit_multi` can warm-start each objective from the previous
+model's optimum and then runs a quarter of the cold starts.
 
 Observation noise is a fitted hyperparameter with a hard floor: the history
 of expensive evaluations can contain near-identical embeddings with
@@ -235,12 +238,13 @@ def fit(X: np.ndarray, y: np.ndarray,
     """Fit hyperparameters by maximizing log marginal likelihood.
 
     Multi-start local search: `restarts` scrambled-Halton points in the
-    log-bounds box, plus any caller-supplied starting parameters (useful when
-    a feasible point is already known; the result is then never worse than
-    that point up to optimizer tolerance).  Deterministic for a fixed rng
-    seed.  A single sample admits no meaningful evidence maximization and
-    yields default parameters; if every restart fails the model falls back
-    to defaults with `warned` set.  Non-finite data raise ValueError on
+    log-bounds box, plus any caller-supplied starting parameters after them
+    (a warm start from a previous optimum; the result is then never worse
+    than that point up to optimizer tolerance).  The first k points of the
+    Halton stream are the same for any `restarts` >= k.  Deterministic for
+    a fixed rng seed.  A single sample admits no meaningful evidence
+    maximization and yields default parameters; if every restart fails the
+    model falls back to defaults with `warned` set.  Non-finite data raise ValueError on
     entry, as does `restarts` below 1.
     """
     X, y = _training_data(X, y)
@@ -328,20 +332,32 @@ class MultiGp:
 def fit_multi(X: np.ndarray, Y: np.ndarray,
               bounds: ParamBounds | None = None,
               restarts: int = 8,
-              rng: np.random.Generator | int | None = None) -> MultiGp:
+              rng: np.random.Generator | int | None = None,
+              warm: MultiGp | None = None) -> MultiGp:
     """Fit one GP per column of Y.
 
     Equivalent to the joint block-diagonal model under objective
     independence.  Each column gets its own child rng stream so per-objective
-    fits stay deterministic regardless of fitting order.
+    fits stay deterministic regardless of fitting order.  Without `warm`
+    each column's search runs `restarts` cold starts.  A refit passes the
+    previous model as `warm`: column j then runs the first
+    max(1, restarts // 4) of those cold starts plus one warm start at
+    `warm.models[j].params`, since a few new rows rarely move the optimum
+    far.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if Y.ndim != 2:
         raise ValueError("Y must be (n, p)")
+    if warm is not None:
+        restarts = max(1, restarts // 4)
     rng = np.random.default_rng(rng)
     streams = rng.spawn(Y.shape[1])
+    # fit is looked up as a module global on each call, so a wrapper patched
+    # onto the attribute sees every per-objective fit.
     models = tuple(fit(X, Y[:, j], bounds=bounds, restarts=restarts,
-                       rng=streams[j])
+                       rng=streams[j],
+                       extra_starts=() if warm is None
+                       else (warm.models[j].params,))
                    for j in range(Y.shape[1]))
     return MultiGp(models=models)
 

@@ -193,6 +193,57 @@ class TestDatabase:
         assert main(["report", "--db", str(path),
                      "--out", str(tmp_path / "rep")]) == 2
 
+    @pytest.mark.parametrize("name, value", [
+        ("generation", 1.0), ("generation", True), ("id", 1.7), ("id", "1"),
+        ("id", False), ("converged", "false"), ("converged", 1),
+        ("keys", "I1"), ("keys", None), ("keys", [1]),
+        ("embedding", None), ("embedding", ["0.5", 1.5]),
+        ("embedding", [True, 1.5]), ("objectives", 0.1),
+        ("objectives", [0.1, None]), ("predicted", "x"),
+        ("predicted", [0.1, "0.2"]), ("wall_time", "1.0"),
+        ("wall_time", None), ("wall_time", True)])
+    def test_wrongly_typed_field_is_malformed(self, tmp_path, name, value):
+        payload = json.loads(self.make_record().to_json())
+        payload[name] = value
+        line = json.dumps(payload)
+        with pytest.raises(ValueError, match=name):
+            EvaluationRecord.from_json(line)
+        path = tmp_path / "db.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ReplayError, match="malformed database"):
+            EvaluationDatabase.read(path)
+        assert main(["report", "--db", str(path),
+                     "--out", str(tmp_path / "rep")]) == 2
+
+    def test_non_object_line_is_malformed(self, tmp_path):
+        path = tmp_path / "db.jsonl"
+        path.write_text(json.dumps([self.make_record().to_json()]) + "\n")
+        with pytest.raises(ReplayError, match="malformed database"):
+            EvaluationDatabase.read(path)
+        assert main(["report", "--db", str(path),
+                     "--out", str(tmp_path / "rep")]) == 2
+
+    def test_integral_numbers_read_as_floats(self):
+        payload = json.loads(self.make_record(predicted=(0.15, 0.25)).to_json())
+        payload.update(embedding=[1, 2], objectives=[0, 1], predicted=[3, 4],
+                       wall_time=1)
+        rec = EvaluationRecord.from_json(json.dumps(payload))
+        assert rec == self.make_record(embedding=(1.0, 2.0),
+                                       objectives=(0.0, 1.0),
+                                       predicted=(3.0, 4.0))
+        assert all(type(v) is float for v in rec.embedding + rec.objectives
+                   + rec.predicted + (rec.wall_time,))
+
+    @pytest.mark.parametrize("surrogate_enabled", [True, False])
+    @pytest.mark.parametrize("name", ["channel_run", "symbolic_quadratic"])
+    def test_shipped_run_records_round_trip(self, name, surrogate_enabled):
+        cfg = dataclasses.replace(load_run_config(CONFIGS / f"{name}.json"),
+                                  surrogate_enabled=surrogate_enabled,
+                                  generations=3)
+        db, _ = run_training(cfg)
+        assert [EvaluationRecord.from_json(r.to_json())
+                for r in db.records] == db.records
+
     def test_by_generation_groups(self):
         db = EvaluationDatabase()
         db.append(self.make_record(gen=0, cid=0))
@@ -405,6 +456,43 @@ class TestRunTraining:
                     [parse_expression(key) for key in rec.keys], None)
             assert outcomes[rec.keys].converged
             assert tuple(outcomes[rec.keys].objectives) == rec.objectives
+
+
+class TestWarmStart:
+    """After a run's first GP fit, each objective's fit starts from its
+    previous optimum plus a quarter of the cold starts, at least one."""
+
+    @pytest.mark.parametrize("mode", ["training", "replay"])
+    @pytest.mark.parametrize("restarts, later", [(8, 2), (3, 1)])
+    def test_later_fits_start_from_previous_optimum(self, tmp_path,
+                                                    monkeypatch, mode,
+                                                    restarts, later):
+        cfg = load_run_config(write_config(
+            tmp_path, surrogate={"restarts": restarts},
+            surrogate_enabled=mode == "training"))
+        if mode == "replay":
+            db, _ = run_training(cfg)
+            cfg = dataclasses.replace(cfg, surrogate_enabled=True)
+        calls = []
+        original = orch.sur_mod.fit
+
+        def spy(X, y, bounds=None, restarts=8, rng=None, extra_starts=()):
+            model = original(X, y, bounds=bounds, restarts=restarts, rng=rng,
+                             extra_starts=extra_starts)
+            calls.append((restarts, tuple(extra_starts), model.params))
+            return model
+
+        monkeypatch.setattr(orch.sur_mod, "fit", spy)
+        if mode == "training":
+            run_training(cfg)
+        else:
+            passive_replay(db, cfg)
+        p = len(TARGETS)
+        assert len(calls) == p * (cfg.generations - 1)
+        for n_cold, extra, _ in calls[:p]:
+            assert (n_cold, extra) == (restarts, ())
+        for i, (n_cold, extra, _) in enumerate(calls[p:]):
+            assert (n_cold, extra) == (later, (calls[i][2],))
 
 
 class TestPassiveReplay:

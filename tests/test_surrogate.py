@@ -305,6 +305,17 @@ class TestFit:
         assert log_marginal_likelihood(X, y, model.params) >= (
             log_marginal_likelihood(X, y, good) - 1e-4)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_warm_start_never_below_cold_fit(self, seed):
+        # Two cold starts plus the 8-start optimum as a warm start never
+        # lose evidence against the 8-start fit on the same data.
+        X, y = search_data()
+        cold = fit(X, y, restarts=8, rng=seed)
+        warm = fit(X, y, restarts=2, rng=seed + 10,
+                   extra_starts=(cold.params,))
+        assert log_marginal_likelihood(X, y, warm.params) >= (
+            log_marginal_likelihood(X, y, cold.params) - 1e-6)
+
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(6, 2))
