@@ -1,10 +1,11 @@
 """Training loop, persistence, metrics assembly, and passive replay.
 
 A run proceeds generation by generation: the engine proposes candidates,
-each candidate is embedded, the selection policy decides who gets an
-expensive evaluation (everyone, when the surrogate is disabled), outcomes
-are appended to a line-delimited database, the surrogate is refit on all
-converged expensive data, and the combined truth/predicted fitness feeds
+each candidate is embedded, the selection policy decides who gets a true
+outcome (everyone, when the surrogate is disabled), the evaluator runs once
+per phenotype key and later candidates with that key reuse its outcome,
+outcomes are appended to a line-delimited database, the surrogate is refit
+on all converged true outcomes, and the combined truth/predicted fitness feeds
 back into survivor selection.  Selection only decides; the generation step
 here is the one place that writes a candidate's objectives and the one
 builder of the generation's records, which training appends to the
@@ -63,6 +64,12 @@ log = logging.getLogger("sagep")
 # Objectives are clamped here before the optional log10 transform; a perfect
 # candidate would otherwise send the regression target to -inf.
 _LOG_FLOOR = 1e-12
+
+# A record's provenance: an evaluator call, the reuse of an earlier call's
+# outcome for the same phenotype keys, or a surrogate prediction (or the
+# divergence sentinel).  The first two are true outcomes.
+_TRUE_OUTCOMES = ("expensive", "cache")
+_PROVENANCES = _TRUE_OUTCOMES + ("surrogate",)
 
 
 class ConfigError(ValueError):
@@ -277,7 +284,7 @@ class EvaluationRecord:
         payload = json.loads(line)
         if not isinstance(payload, dict):
             raise ValueError("a record must be a JSON object")
-        if payload["provenance"] not in ("expensive", "surrogate"):
+        if payload["provenance"] not in _PROVENANCES:
             raise ValueError(f"unknown provenance {payload['provenance']!r}")
 
         def typed(name: str, what: str, ok: Callable[[object], bool]):
@@ -424,9 +431,11 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
     Normalizes the embeddings; a candidate whose normalized embedding is not
     finite gets the divergence sentinel.  The surrogate, refit from
     generation 1 on and kept in the history as the next fit's warm start,
-    chooses which of the rest get an expensive outcome (all of them when it
-    is disabled), the oracle gives each chosen one its outcome, which joins
-    the history, and every other candidate gets its predicted objectives.
+    chooses which of the rest get a true outcome (all of them when it is
+    disabled).  A chosen one whose keys already have an outcome in the
+    history reuses it (provenance "cache"); the oracle gives each other
+    chosen one its outcome ("expensive").  Either outcome joins the history,
+    and every other candidate gets its predicted objectives ("surrogate").
     The oracle's outcome has .objectives and .converged: the evaluator's
     EvaluationOutcome in training, the stored EvaluationRecord in replay.
     Returns the generation's records in id order.
@@ -458,15 +467,21 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
         predicted = dict(zip([c.id for c in usable],
                              to_objective(decision.means)))
     by_id = {c.id: c for c in usable}
-    expensive = set(decision.selected_ids)
+    provenance: dict[int, str] = {}
     for cid in decision.selected_ids:
         cand = by_id[cid]
-        outcome = oracle(cand)
-        cand.objectives = np.asarray(outcome.objectives, dtype=float)
-        converged[cid] = bool(outcome.converged)
+        if cand.phenotype_keys in history.outcomes:
+            objectives, ok = history.outcomes[cand.phenotype_keys]
+            provenance[cid] = "cache"
+        else:
+            outcome = oracle(cand)
+            objectives, ok = outcome.objectives, outcome.converged
+            provenance[cid] = "expensive"
+        cand.objectives = np.asarray(objectives, dtype=float)
+        converged[cid] = bool(ok)
         history.add(cand.embedding_norm, cand.phenotype_keys,
-                    cand.objectives, outcome.converged)
-    for cid in predicted.keys() - expensive:
+                    cand.objectives, ok)
+    for cid in predicted.keys() - provenance.keys():
         by_id[cid].objectives = predicted[cid]
         converged[cid] = True
 
@@ -480,15 +495,16 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
             embedding=tuple(float(v) for v in cand.embedding),
             objectives=tuple(float(v) for v in cand.objectives),
             converged=converged[cand.id],
-            provenance="expensive" if cand.id in expensive else "surrogate",
-            wall_time=float(cand.id in expensive),
+            provenance=provenance.get(cand.id, "surrogate"),
+            wall_time=float(provenance.get(cand.id) == "expensive"),
             predicted=None if pred is None else tuple(float(v) for v in pred)))
     return records
 
 
 def _run_metrics(generations: Iterable[tuple[list[EvaluationRecord], list]]
                  ) -> metrics_mod.RunMetrics:
-    """Metric rows over cumulative expensive outcomes, one per generation.
+    """Metric rows over cumulative true outcomes, one per generation; the
+    expensive count is the evaluator calls, which cache records do not make.
 
     Each generation gives its records and the (truth, prediction) pairs
     its relative error scores.
@@ -498,10 +514,10 @@ def _run_metrics(generations: Iterable[tuple[list[EvaluationRecord], list]]
     scored_all: list = []
     expensive = seen = 0
     for records, scored in generations:
-        outcomes = [r for r in records if r.provenance == "expensive"]
         seen += len(records)
-        expensive += len(outcomes)
-        points += [r.objectives for r in outcomes if r.converged]
+        expensive += sum(r.provenance == "expensive" for r in records)
+        points += [r.objectives for r in records
+                   if r.provenance in _TRUE_OUTCOMES and r.converged]
         scored_all += scored
         if points:
             front = np.asarray(points, dtype=float)
@@ -523,15 +539,15 @@ def _run_metrics(generations: Iterable[tuple[list[EvaluationRecord], list]]
 def metrics_from_records(records: Sequence[EvaluationRecord]) -> metrics_mod.RunMetrics:
     """Reconstruct per-generation metrics from stored records alone.
 
-    Relative error compares the prediction made for an expensive candidate
-    before its evaluation with the outcome.
+    Relative error compares each true outcome with the prediction made for
+    it beforehand.
     """
     if not records:
         raise ValueError("no records to summarize")
     by_gen = EvaluationDatabase(list(records)).by_generation()
     return _run_metrics(
         (rows, [(r.objectives, r.predicted) for r in rows
-                if r.provenance == "expensive" and r.converged
+                if r.provenance in _TRUE_OUTCOMES and r.converged
                 and r.predicted is not None])
         for _, rows in sorted(by_gen.items()))
 
@@ -623,9 +639,9 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
         survivors = (list(current) if gen == 0
                      else symreg.select_survivors(survivors + current,
                                                   config.population))
-        log.info("generation %d: %d expensive, %d total", gen,
+        log.info("generation %d: %d expensive, %d cache hits, %d total", gen,
                  sum(r.provenance == "expensive" for r in records),
-                 len(records))
+                 sum(r.provenance == "cache" for r in records), len(records))
 
     return db, metrics_from_records(db.records)
 
@@ -636,8 +652,9 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
 
 def passive_replay(db: EvaluationDatabase,
                    config: RunConfig) -> metrics_mod.RunMetrics:
-    """Emulate a surrogate-assisted run against stored expensive outcomes.
+    """Emulate a surrogate-assisted run against stored true outcomes.
 
+    Every stored record must be a true outcome, "expensive" or "cache".
     Walks the stored generations through the training step with the stored
     records as the oracle: only the selected candidates' objectives are
     revealed, the rest are predicted.  Relative error compares those
@@ -651,10 +668,11 @@ def passive_replay(db: EvaluationDatabase,
         raise ReplayError(f"database generations are not contiguous: {gens}")
     for gen, rows in by_gen.items():
         for rec in rows:
-            if rec.provenance != "expensive":
+            if rec.provenance not in _TRUE_OUTCOMES:
                 raise ReplayError(
                     "replay needs a baseline database in which every record "
-                    f"is expensive (generation {gen}, id {rec.id})")
+                    'is a true outcome, "expensive" or "cache"; '
+                    f"generation {gen}, id {rec.id} is {rec.provenance!r}")
 
     norm_stats = _gen0_norm_stats([rec.embedding for rec in by_gen[0]])
     if norm_stats is None:

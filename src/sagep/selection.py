@@ -104,15 +104,16 @@ def default_selection_config(population_size: int) -> SelectionConfig:
 
 @dataclass
 class SelectionHistory:
-    """Every expensive outcome so far: the normalized embeddings of the
+    """Every true outcome so far: the normalized embeddings of the
     converged and of the diverged ones, the raw objectives of the converged
-    ones (row for row), and every evaluated phenotype key; plus the
-    surrogate last fitted to them, from which the next fit warm-starts."""
+    ones (row for row), and each evaluated phenotype's outcome, as
+    (objectives, converged) under its keys; plus the surrogate last fitted
+    to them, from which the next fit warm-starts."""
 
     converged_points: np.ndarray
     converged_objectives: np.ndarray
     diverged_points: np.ndarray
-    evaluated_keys: set
+    outcomes: dict
     last_fit: MultiGp | None = None
 
     @classmethod
@@ -120,11 +121,12 @@ class SelectionHistory:
         return cls(converged_points=np.empty((0, dim)),
                    converged_objectives=np.empty((0, p)),
                    diverged_points=np.empty((0, dim)),
-                   evaluated_keys=set())
+                   outcomes={})
 
     def add(self, point: np.ndarray, keys: tuple, objectives: np.ndarray,
             converged: bool) -> None:
-        self.evaluated_keys.add(tuple(keys))
+        self.outcomes[tuple(keys)] = (tuple(float(v) for v in objectives),
+                                      bool(converged))
         if converged:
             self.converged_points = np.vstack([self.converged_points, point])
             self.converged_objectives = np.vstack([self.converged_objectives,
@@ -297,7 +299,7 @@ def select_generation(gen_index: int,
         raise SelectionContractError("normalized embeddings must be finite")
 
     if gen_index == 0 or not population:
-        return select_all(population, history.evaluated_keys)
+        return select_all(population, history.outcomes.keys())
 
     if model is None:
         raise SelectionContractError(
@@ -312,7 +314,7 @@ def select_generation(gen_index: int,
     # Eligibility: phenotype not already evaluated, first occurrence of its
     # key within this generation.
     eligible = np.ones(n, dtype=bool)
-    seen = set(history.evaluated_keys)
+    seen = set(history.outcomes)
     for i, cand in enumerate(population):
         if cand.phenotype_keys in seen:
             eligible[i] = False

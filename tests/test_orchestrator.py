@@ -179,6 +179,8 @@ class TestDatabase:
         db.append(self.make_record(gen=0, cid=0))
         db.append(self.make_record(gen=1, cid=1, provenance="surrogate",
                                    wall_time=0.0))
+        db.append(self.make_record(gen=1, cid=2, provenance="cache",
+                                   wall_time=0.0))
         path = db.write(tmp_path / "db.jsonl")
         back = EvaluationDatabase.read(path)
         assert back.records == db.records
@@ -321,8 +323,26 @@ class TestGenerationStep:
             assert records[2].objectives == (DIVERGENCE_SENTINEL,
                                              DIVERGENCE_SENTINEL)
             assert records[2].converged is False
-            assert history.evaluated_keys == {("k0",), ("k1",)}
+            assert history.outcomes == {("k0",): ((0.1, 0.2), True),
+                                        ("k1",): ((0.1, 0.2), True)}
             assert history.converged_objectives.tolist() == [[0.1, 0.2]] * 2
+
+    @pytest.mark.parametrize("surrogate_enabled", [True, False])
+    def test_repeated_key_is_evaluated_once(self, surrogate_enabled):
+        # Two selected candidates with one key: the second reuses the
+        # first's outcome, costs nothing, and still joins the GP history.
+        pop = self.population([0.0, 0.0], [1.0, 1.0])
+        pop[1].phenotype_keys = pop[0].phenotype_keys
+        history = SelectionHistory.empty(2, 2)
+        selected, records = self.step(0, pop, history, surrogate_enabled)
+        assert selected == [0]  # one oracle call
+        assert [r.provenance for r in records] == ["expensive", "cache"]
+        assert [r.wall_time for r in records] == [1.0, 0.0]
+        assert records[1].objectives == records[0].objectives == (0.1, 0.2)
+        assert records[1].converged is True
+        assert history.converged_points.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+        assert history.converged_objectives.tolist() == [[0.1, 0.2]] * 2
+        assert history.outcomes == {("k0",): ((0.1, 0.2), True)}
 
     def test_unselected_candidates_get_surrogate_predictions(self,
                                                              monkeypatch):
@@ -352,14 +372,21 @@ class TestGenerationStep:
 
 class TestRunTraining:
     def test_baseline_evaluates_everything(self, tmp_path):
+        # Every candidate gets a true outcome, and the evaluator is called
+        # once per distinct key; only those calls cost anything.
         cfg = load_run_config(write_config(tmp_path,
                                            surrogate_enabled=False))
+        before = ev.expensive_call_count()
         db, metrics = run_training(cfg)
-        assert all(r.provenance == "expensive" for r in db.records)
+        calls = ev.expensive_call_count() - before
+        assert all(r.provenance in ("expensive", "cache") for r in db.records)
         # mu in generation 0, lambda offspring per later generation.
         assert len(db.records) == 12 + 6 * 3
-        assert metrics.total_expensive == 12 + 6 * 3
-        assert all(r.wall_time == 1.0 for r in db.records)
+        distinct = {r.keys for r in db.records}
+        assert len(distinct) < len(db.records)  # some keys repeat
+        assert calls == metrics.total_expensive == len(distinct)
+        assert all(r.wall_time == float(r.provenance == "expensive")
+                   for r in db.records)
 
     def test_baseline_is_deterministic(self, tmp_path):
         cfg = load_run_config(write_config(tmp_path,
@@ -456,6 +483,35 @@ class TestRunTraining:
                     [parse_expression(key) for key in rec.keys], None)
             assert outcomes[rec.keys].converged
             assert tuple(outcomes[rec.keys].objectives) == rec.objectives
+
+
+class TestOutcomeCache:
+    """A phenotype's outcome is computed once per run; later candidates with
+    its keys reuse it as "cache" records."""
+
+    @pytest.mark.parametrize("surrogate_enabled", [True, False])
+    @pytest.mark.parametrize("name", ["channel_run", "symbolic_quadratic"])
+    def test_evaluator_called_once_per_distinct_key(self, name,
+                                                    surrogate_enabled):
+        cfg = dataclasses.replace(load_run_config(CONFIGS / f"{name}.json"),
+                                  surrogate_enabled=surrogate_enabled,
+                                  generations=3)
+        before = ev.expensive_call_count()
+        db, metrics = run_training(cfg)
+        calls = ev.expensive_call_count() - before
+        true = [r for r in db.records if r.provenance != "surrogate"]
+        assert calls == len({r.keys for r in true}) == metrics.total_expensive
+        first: dict = {}
+        for rec in true:
+            if rec.keys not in first:
+                assert rec.provenance == "expensive"
+                first[rec.keys] = rec
+                continue
+            assert rec.provenance == "cache"
+            assert rec.wall_time == 0.0
+            assert rec.objectives == first[rec.keys].objectives
+            assert rec.converged == first[rec.keys].converged
+        assert len(first) < len(true)  # the cache was used
 
 
 class TestWarmStart:
@@ -570,10 +626,33 @@ class TestPassiveReplay:
         assert second.final_relative_error != first.final_relative_error
 
     def test_select_all_strategy_reveals_everything(self, tmp_path):
+        # Every record is revealed; each distinct key once through the
+        # stored outcome, each repeat from the cache, as in training.
         db, cfg = self.baseline_db(tmp_path)
         metrics = passive_replay(db, cfg)  # surrogate disabled: select all
-        assert metrics.total_expensive == len(db.records)
-        assert metrics.final_selection_ratio == 1.0
+        distinct = len({r.keys for r in db.records})
+        assert metrics.total_expensive == distinct == sum(
+            r.provenance == "expensive" for r in db.records)
+        assert metrics.final_selection_ratio == distinct / len(db.records)
+
+    @pytest.mark.parametrize("surrogate_enabled", [True, False])
+    def test_cache_records_replay_without_evaluator_calls(
+            self, tmp_path, surrogate_enabled):
+        db, cfg = self.baseline_db(tmp_path)
+        assert any(r.provenance == "cache" for r in db.records)
+        before = ev.expensive_call_count()
+        metrics = passive_replay(db, dataclasses.replace(
+            cfg, surrogate_enabled=surrogate_enabled))
+        assert ev.expensive_call_count() == before
+        assert len(metrics.rows) == cfg.generations
+
+    def test_rejects_a_surrogate_record(self, tmp_path):
+        db, cfg = self.baseline_db(tmp_path)
+        records = list(db.records)
+        records[5] = dataclasses.replace(records[5], provenance="surrogate",
+                                         wall_time=0.0)
+        with pytest.raises(ReplayError, match="id 5 is 'surrogate'"):
+            passive_replay(EvaluationDatabase(records), cfg)
 
     def test_select_all_replay_matches_stored_metrics(self, tmp_path):
         # Replay runs the training step; with the surrogate off it reveals
@@ -601,7 +680,9 @@ class TestCli:
         cfg_path = write_config(tmp_path)
         assert main(["run", "--config", str(cfg_path), "--baseline"]) == 0
         db = EvaluationDatabase.read(tmp_path / "out" / "db.jsonl")
-        assert all(r.provenance == "expensive" for r in db.records)
+        assert all(r.provenance in ("expensive", "cache") for r in db.records)
+        assert sum(r.provenance == "expensive" for r in db.records) == len(
+            {r.keys for r in db.records})
 
     def test_run_seed_override(self, tmp_path):
         cfg_path = write_config(tmp_path)

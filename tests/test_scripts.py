@@ -6,7 +6,8 @@ import math
 import sys
 from pathlib import Path
 
-from sagep.orchestrator import load_run_config
+import sagep.evaluators as ev
+from sagep.orchestrator import load_run_config, run_training
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,8 +33,15 @@ def test_efficiency_study_pair_on_small_channel_run():
     config = dataclasses.replace(
         load_run_config(ROOT / "configs" / "channel_run.json"),
         generations=3, population=12, offspring=6)
+    before = ev.expensive_call_count()
     cov_ratio, eval_ratio, n_surrogate, n_baseline = load_script(
         "efficiency_study").run_pair(config, 0)
+    assert ev.expensive_call_count() - before == n_surrogate + n_baseline
     assert eval_ratio == n_surrogate / n_baseline
-    assert n_baseline == 12 + 6 * 2
+    # The baseline calls the evaluator once per distinct key it meets.
+    baseline, _ = run_training(dataclasses.replace(
+        config, seed=0, surrogate_enabled=False))
+    assert len(baseline.records) == 12 + 6 * 2
+    assert n_baseline == len({r.keys for r in baseline.records
+                              if r.provenance != "surrogate"})
     assert math.isfinite(cov_ratio)

@@ -32,10 +32,12 @@ def make_model(X, Y, params=TIGHT):
 
 
 def make_history(X, diverged=np.empty((0, 2)), keys=()):
-    """A history whose converged objectives (unread by selection) are 0."""
+    """A history whose objectives (unread by selection) are 0; keys name
+    the evaluated phenotypes."""
     return SelectionHistory(converged_points=X,
                             converged_objectives=np.zeros((len(X), 2)),
-                            diverged_points=diverged, evaluated_keys=set(keys))
+                            diverged_points=diverged,
+                            outcomes={k: ((0.0, 0.0), True) for k in keys})
 
 
 def make_candidate(cid, emb, key=None):
