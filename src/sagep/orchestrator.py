@@ -1,15 +1,18 @@
 """Training loop, persistence, metrics assembly, and passive replay.
 
 A run proceeds generation by generation: the engine proposes candidates,
-each candidate is embedded, the selection policy decides who gets a true
-outcome (everyone, when the surrogate is disabled), the evaluator runs once
-per phenotype key and later candidates with that key reuse its outcome,
-outcomes are appended to a line-delimited database, the surrogate is refit
-on all converged true outcomes, and the combined truth/predicted fitness feeds
-back into survivor selection.  Selection only decides; the generation step
-here is the one place that writes a candidate's objectives and the one
-builder of the generation's records, which training appends to the
-database and from which training, replay and report compute metrics.
+each candidate is embedded, a candidate whose phenotype keys already have
+an outcome reuses it, one candidate per remaining phenotype is offered, the
+selection policy decides which offered candidates get a true outcome (all
+of them in generation 0 and when the surrogate is disabled), the evaluator
+runs on those, outcomes are appended to a line-delimited database, the
+surrogate is refit on the converged true outcomes, one row per evaluated
+phenotype, and the combined truth/predicted fitness feeds back into
+survivor selection.  Selection only decides; the generation step here is
+the one place that asks whether a phenotype has an outcome, the one place
+that writes a candidate's objectives and the one builder of the
+generation's records, which training appends to the database and from
+which training, replay and report compute metrics.
 
 Everything is deterministic per seed: random streams are spawned from one
 seed sequence per purpose and generation, costs are counted in abstract
@@ -84,13 +87,21 @@ class ReplayError(RuntimeError):
     """A stored database cannot be replayed."""
 
 
-def _require_integers(settings, *names: str) -> None:
-    """ConfigError unless each named field of settings holds an integer; a
-    bool is not one."""
+# Field types, as config and database readers check them: a bool is neither
+# an integer nor a number, and only a bool is a bool.
+_integer = lambda v: (isinstance(v, (int, np.integer))
+                      and not isinstance(v, bool))
+_number = lambda v: _integer(v) or isinstance(v, (float, np.floating))
+_bool = lambda v: isinstance(v, bool)
+
+
+def _require(settings, what: str, ok: Callable[[object], bool],
+             *names: str) -> None:
+    """ConfigError unless each named field of settings passes ok."""
     for name in names:
         value = getattr(settings, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not ok(value):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -103,13 +114,20 @@ class GepSettings:
     crossover_rate: float = 0.9
 
     def __post_init__(self):
-        _require_integers(self, "head_len", "n_constants")
+        _require(self, "an integer", _integer, "head_len", "n_constants")
+        _require(self, "a number", _number, "mutation_rate", "crossover_rate")
+        _require(self, "a pair of numbers",
+                 lambda v: isinstance(v, tuple) and len(v) == 2
+                 and all(map(_number, v)), "const_range")
 
 
 @dataclass(frozen=True)
 class EmbeddingSettings:
     feature_table: str | None = None
     average_inputs_first: bool = False
+
+    def __post_init__(self):
+        _require(self, "a bool", _bool, "average_inputs_first")
 
 
 @dataclass(frozen=True)
@@ -119,7 +137,8 @@ class SurrogateSettings:
     bounds: sur_mod.ParamBounds = field(default_factory=sur_mod.ParamBounds)
 
     def __post_init__(self):
-        _require_integers(self, "restarts")
+        _require(self, "an integer", _integer, "restarts")
+        _require(self, "a bool", _bool, "log_error")
         if self.restarts < 1:
             raise ConfigError("surrogate restarts must be >= 1")
         # Bounds failing these checks leave no point the LML can evaluate, so
@@ -170,8 +189,9 @@ class RunConfig:
     evaluator: EvaluatorSpec = field(default_factory=EvaluatorSpec)
 
     def __post_init__(self):
-        _require_integers(self, "seed", "generations", "population",
-                          "offspring")
+        _require(self, "an integer", _integer, "seed", "generations",
+                 "population", "offspring")
+        _require(self, "a bool", _bool, "surrogate_enabled")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.generations < 1:
@@ -293,24 +313,21 @@ class EvaluationRecord:
                 raise ValueError(f"{name} must be {what}, got {value!r}")
             return value
 
-        integer = lambda v: isinstance(v, int) and not isinstance(v, bool)
-        number = lambda v: integer(v) or isinstance(v, float)
         list_of = lambda ok: lambda v: isinstance(v, list) and all(map(ok, v))
         strings = list_of(lambda v: isinstance(v, str))
 
         def numbers(name: str) -> tuple[float, ...]:
             return tuple(float(v) for v in typed(name, "a list of numbers",
-                                                 list_of(number)))
+                                                 list_of(_number)))
 
-        return cls(generation=typed("generation", "an integer", integer),
-                   id=typed("id", "an integer", integer),
+        return cls(generation=typed("generation", "an integer", _integer),
+                   id=typed("id", "an integer", _integer),
                    keys=tuple(typed("keys", "a list of strings", strings)),
                    embedding=numbers("embedding"),
                    objectives=numbers("objectives"),
-                   converged=typed("converged", "a bool",
-                                   lambda v: isinstance(v, bool)),
+                   converged=typed("converged", "a bool", _bool),
                    provenance=payload["provenance"],
-                   wall_time=float(typed("wall_time", "a number", number)),
+                   wall_time=float(typed("wall_time", "a number", _number)),
                    predicted=(None if payload.get("predicted") is None
                               else numbers("predicted")))
 
@@ -425,78 +442,80 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
                      oracle: Callable[[symreg.Candidate], object]
                      ) -> list[EvaluationRecord]:
     """One generation of the loop, shared by training and replay: the only
-    code that writes a candidate's objectives and the only builder of
-    records.
+    code that asks whether a phenotype already has an outcome, the only code
+    that writes a candidate's objectives and the only builder of records.
 
     Normalizes the embeddings; a candidate whose normalized embedding is not
-    finite gets the divergence sentinel.  The surrogate, refit from
-    generation 1 on and kept in the history as the next fit's warm start,
-    chooses which of the rest get a true outcome (all of them when it is
-    disabled).  A chosen one whose keys already have an outcome in the
-    history reuses it (provenance "cache"); the oracle gives each other
-    chosen one its outcome ("expensive").  Either outcome joins the history,
-    and every other candidate gets its predicted objectives ("surrogate").
-    The oracle's outcome has .objectives and .converged: the evaluator's
-    EvaluationOutcome in training, the stored EvaluationRecord in replay.
-    Returns the generation's records in id order.
+    finite gets the divergence sentinel.  A usable candidate whose keys have
+    an outcome in the history reuses it (provenance "cache").  The lowest-id
+    candidate of each other phenotype is offered.  In generation 0 and
+    without a surrogate every offered candidate is selected; otherwise the
+    surrogate, refit from generation 1 on and kept in the history as the
+    next fit's warm start, predicts the offered candidates and selection
+    ranks them.  The oracle gives each selected candidate, in id order, its
+    outcome ("expensive"), which joins the history: one row per evaluated
+    phenotype.  Every other candidate reuses its keys' outcome if they now
+    have one ("cache"), and otherwise gets its phenotype's prediction
+    ("surrogate").  Only expensive and surrogate records carry a
+    prediction.  The oracle's outcome has .objectives and .converged: the
+    evaluator's EvaluationOutcome in training, the stored EvaluationRecord
+    in replay.  Returns the generation's records in id order.
     """
+    current = sorted(current, key=lambda c: c.id)
     converged: dict[int, bool] = {}
+    offered: dict[tuple, symreg.Candidate] = {}
     usable = []
     for cand in current:
         cand.embedding_norm = emb_mod.normalize(cand.embedding, norm_stats)
         if np.all(np.isfinite(cand.embedding_norm)):
             usable.append(cand)
+            if cand.phenotype_keys not in history.outcomes:
+                offered.setdefault(cand.phenotype_keys, cand)
         else:
             cand.objectives = np.full(p, symreg.DIVERGENCE_SENTINEL)
             converged[cand.id] = False
 
-    if config.surrogate_enabled:
-        model = None
-        if gen >= 1:
-            model = history.last_fit = _fit_surrogate(
-                history, config.surrogate, fit_rng)
-        decision = sel_mod.select_generation(
-            gen, usable, model, history, config.selection_config(),
-            select_rng)
-    else:
-        decision = sel_mod.select_all(usable)
+    selected = list(offered.values())
+    predicted: dict[tuple, np.ndarray] = {}
+    if config.surrogate_enabled and gen >= 1:
+        model = history.last_fit = _fit_surrogate(history, config.surrogate,
+                                                  fit_rng)
+        if offered:
+            decision = sel_mod.select_generation(
+                gen, selected, model, history, config.selection_config(),
+                select_rng)
+            _, to_objective = _gp_target_map(config.surrogate.log_error)
+            predicted = dict(zip(offered, to_objective(decision.means)))
+            chosen = set(decision.selected_ids)
+            selected = [c for c in selected if c.id in chosen]
 
-    predicted: dict[int, np.ndarray] = {}
-    if decision.means is not None:
-        _, to_objective = _gp_target_map(config.surrogate.log_error)
-        predicted = dict(zip([c.id for c in usable],
-                             to_objective(decision.means)))
-    by_id = {c.id: c for c in usable}
     provenance: dict[int, str] = {}
-    for cid in decision.selected_ids:
-        cand = by_id[cid]
-        if cand.phenotype_keys in history.outcomes:
-            objectives, ok = history.outcomes[cand.phenotype_keys]
-            provenance[cid] = "cache"
-        else:
-            outcome = oracle(cand)
-            objectives, ok = outcome.objectives, outcome.converged
-            provenance[cid] = "expensive"
-        cand.objectives = np.asarray(objectives, dtype=float)
-        converged[cid] = bool(ok)
+    for cand in selected:
+        outcome = oracle(cand)
         history.add(cand.embedding_norm, cand.phenotype_keys,
-                    cand.objectives, ok)
-    for cid in predicted.keys() - provenance.keys():
-        by_id[cid].objectives = predicted[cid]
-        converged[cid] = True
+                    outcome.objectives, outcome.converged)
+        provenance[cand.id] = "expensive"
+    for cand in usable:
+        keys = cand.phenotype_keys
+        if keys in history.outcomes:
+            provenance.setdefault(cand.id, "cache")
+            objectives, converged[cand.id] = history.outcomes[keys]
+        else:
+            provenance[cand.id] = "surrogate"
+            objectives, converged[cand.id] = predicted[keys], True
+        cand.objectives = np.asarray(objectives, dtype=float)
 
     records = []
-    for cand in sorted(current, key=lambda c: c.id):
-        if cand.objectives is None:
-            raise RunError(f"candidate {cand.id} left without objectives")
-        pred = predicted.get(cand.id)
+    for cand in current:
+        kind = provenance.get(cand.id)
+        pred = (predicted.get(cand.phenotype_keys)
+                if kind in ("expensive", "surrogate") else None)
         records.append(EvaluationRecord(
             generation=gen, id=cand.id, keys=tuple(cand.phenotype_keys),
             embedding=tuple(float(v) for v in cand.embedding),
             objectives=tuple(float(v) for v in cand.objectives),
-            converged=converged[cand.id],
-            provenance=provenance.get(cand.id, "surrogate"),
-            wall_time=float(provenance.get(cand.id) == "expensive"),
+            converged=converged[cand.id], provenance=kind or "surrogate",
+            wall_time=float(kind == "expensive"),
             predicted=None if pred is None else tuple(float(v) for v in pred)))
     return records
 
@@ -656,9 +675,10 @@ def passive_replay(db: EvaluationDatabase,
 
     Every stored record must be a true outcome, "expensive" or "cache".
     Walks the stored generations through the training step with the stored
-    records as the oracle: only the selected candidates' objectives are
-    revealed, the rest are predicted.  Relative error compares those
-    predictions with the stored truth.  No evaluator is built or called.
+    records as the oracle: only the selected candidates' stored outcomes
+    are read, a candidate whose phenotype already has one reuses it, and
+    the rest are predicted.  Relative error compares those predictions with
+    the stored truth.  No evaluator is built or called.
     """
     by_gen = db.by_generation()
     if not by_gen:

@@ -1,9 +1,10 @@
-"""Per-generation choice of which candidates get expensive evaluation.
+"""Per-generation choice of which new phenotypes get expensive evaluation.
 
-The decision pipeline, generation by generation:
+The orchestrator's generation step offers one candidate per phenotype that
+has no outcome yet; in generation 0, before any surrogate exists, and in
+runs without one it evaluates every offered candidate.  From generation 1
+on, selection ranks the offered candidates:
 
-  gen 0   no surrogate exists yet, so every candidate with a usable
-          embedding is evaluated expensively.
   gen 1   space-filling warm-up: low-discrepancy points are drawn over the
           bounding box of the evaluated history and each point claims its
           nearest still-unclaimed candidate, spreading the n_init picks
@@ -14,18 +15,17 @@ The decision pipeline, generation by generation:
           through the configured thresholds (fixed count, relative value,
           Pareto front membership).
 
-Selection only decides: it returns the chosen ids and, from generation 1
-on, every candidate's GP-space posterior means, and writes nothing to the
-candidates.  The orchestrator's generation step writes every outcome.
-Phenotypes whose keys were already expensively evaluated are never
-re-selected.  All tie-breaks go to the lower candidate id so decisions are
-reproducible.
+Selection only decides: it returns the chosen ids and every offered
+candidate's GP-space posterior means, and writes nothing to the
+candidates.  Whether a phenotype already has an outcome is the generation
+step's question, and the step writes every outcome.  All tie-breaks go to
+the lower candidate id so decisions are reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -45,7 +45,6 @@ __all__ = [
     "aggregate_multiobjective",
     "apply_thresholds",
     "select_generation",
-    "select_all",
     "default_selection_config",
 ]
 
@@ -73,6 +72,13 @@ class SelectionConfig:
     m_pareto: int | None = None
 
     def __post_init__(self):
+        for name in ("n_init", "m_fixed", "m_pareto"):
+            value = getattr(self, name)
+            integer = (isinstance(value, (int, np.integer))
+                       and not isinstance(value, bool))
+            if not (integer or value is None and name != "n_init"):
+                raise SelectionContractError(
+                    f"{name} must be an integer, got {value!r}")
         if self.metric not in ("lcb", "ei"):
             raise SelectionContractError(f"unknown metric {self.metric!r}")
         if self.beta < 0 or self.xi < 0:
@@ -104,11 +110,11 @@ def default_selection_config(population_size: int) -> SelectionConfig:
 
 @dataclass
 class SelectionHistory:
-    """Every true outcome so far: the normalized embeddings of the
-    converged and of the diverged ones, the raw objectives of the converged
-    ones (row for row), and each evaluated phenotype's outcome, as
-    (objectives, converged) under its keys; plus the surrogate last fitted
-    to them, from which the next fit warm-starts."""
+    """Every true outcome the oracle gave so far, one per phenotype: the
+    normalized embeddings of the converged and of the diverged ones, the raw
+    objectives of the converged ones (row for row), and each phenotype's
+    outcome, as (objectives, converged) under its keys; plus the surrogate
+    last fitted to them, from which the next fit warm-starts."""
 
     converged_points: np.ndarray
     converged_objectives: np.ndarray
@@ -140,8 +146,7 @@ class SelectionDecision:
     """Outcome of one generation's selection pass.
 
     Arrays align with the population order.  `means` holds the surrogate's
-    GP-space posterior means, one row per candidate, selected or not; it is
-    None when no surrogate took part (generation 0, or no surrogate at all).
+    GP-space posterior means, one row per candidate, selected or not.
     """
 
     selected_ids: list[int]
@@ -149,7 +154,7 @@ class SelectionDecision:
     scalar: np.ndarray
     weights: np.ndarray
     front_index: np.ndarray
-    means: np.ndarray | None = None
+    means: np.ndarray
 
 
 def lcb(mean, std, beta: float):
@@ -213,19 +218,6 @@ def convergence_weights(X: np.ndarray, converged_set: np.ndarray,
     return np.where(denom == 0.0, on_diverged, ramp)
 
 
-def select_all(population: Sequence[Candidate],
-               evaluated_keys: AbstractSet = frozenset()) -> SelectionDecision:
-    """Select every candidate whose phenotype keys are not in
-    evaluated_keys; the no-surrogate decision."""
-    n = len(population)
-    selected = sorted(c.id for c in population
-                      if c.phenotype_keys not in evaluated_keys)
-    return SelectionDecision(selected_ids=selected, values=np.empty((n, 0)),
-                             scalar=np.full(n, np.nan),
-                             weights=np.full(n, np.nan),
-                             front_index=np.full(n, -1, dtype=int))
-
-
 def aggregate_multiobjective(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Collapse per-objective selection values to one scalar per candidate.
 
@@ -252,20 +244,18 @@ def aggregate_multiobjective(values: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def apply_thresholds(scalar: np.ndarray, front_index: np.ndarray,
                      config: SelectionConfig,
-                     ids: Sequence[int] | None = None,
-                     eligible: np.ndarray | None = None) -> list[int]:
+                     ids: Sequence[int] | None = None) -> list[int]:
     """Threshold battery over aggregated scalars.
 
     A candidate passes when it satisfies every present threshold (relative
     value, Pareto front), then the fixed-count cap keeps the top m_fixed by
-    scalar with ties broken by lower id.  Ineligible rows (already-evaluated
-    phenotypes) never pass.  Returns selected ids in ascending order.
+    scalar with ties broken by lower id.  Returns selected ids in ascending
+    order.
     """
     scalar = np.asarray(scalar, dtype=float)
     n = scalar.shape[0]
     ids = list(range(n)) if ids is None else list(ids)
-    mask = np.ones(n, dtype=bool) if eligible is None else np.asarray(eligible,
-                                                                      dtype=bool).copy()
+    mask = np.ones(n, dtype=bool)
     if config.m_rel is not None:
         mask &= scalar >= config.m_rel
     if config.m_pareto is not None:
@@ -283,23 +273,22 @@ def select_generation(gen_index: int,
                       history: SelectionHistory,
                       config: SelectionConfig,
                       rng: np.random.Generator) -> SelectionDecision:
-    """Decide which candidates of one generation get an expensive evaluation.
+    """Decide which offered candidates of generation gen_index >= 1 get an
+    expensive evaluation.
 
-    Every candidate must carry a finite normalized embedding; the caller
-    leaves out the unusable ones.  Nothing is written to the candidates.
+    The population is the offered candidates, at least one: one per new
+    phenotype, each with a finite normalized embedding.  Nothing is written
+    to the candidates.
     """
-    if gen_index < 0:
-        raise SelectionContractError("generation index must be >= 0")
-    n = len(population)
+    if gen_index < 1 or not population:
+        raise SelectionContractError(
+            "selection ranks a non-empty population from generation 1 on")
     ids = [c.id for c in population]
-    if len(set(ids)) != n:
+    if len(set(ids)) != len(ids):
         raise SelectionContractError("population ids must be unique")
     emb = np.array([c.embedding_norm for c in population], dtype=float)
     if not np.all(np.isfinite(emb)):
         raise SelectionContractError("normalized embeddings must be finite")
-
-    if gen_index == 0 or not population:
-        return select_all(population, history.outcomes.keys())
 
     if model is None:
         raise SelectionContractError(
@@ -310,17 +299,6 @@ def select_generation(gen_index: int,
 
     means, variances = predict_multi_batch(model, emb)
     stds = np.sqrt(variances)
-
-    # Eligibility: phenotype not already evaluated, first occurrence of its
-    # key within this generation.
-    eligible = np.ones(n, dtype=bool)
-    seen = set(history.outcomes)
-    for i, cand in enumerate(population):
-        if cand.phenotype_keys in seen:
-            eligible[i] = False
-        else:
-            seen.add(cand.phenotype_keys)
-
     weights = convergence_weights(emb, history.converged_points,
                                   history.diverged_points, config.delta)
     if config.metric == "lcb":
@@ -334,18 +312,15 @@ def select_generation(gen_index: int,
     scalar, front_index = aggregate_multiobjective(values)
 
     if gen_index == 1:
-        selected = _initial_sampling(emb, eligible, scalar, ids, history,
-                                     config, rng)
+        selected = _initial_sampling(emb, scalar, ids, history, config, rng)
     else:
-        selected = apply_thresholds(scalar, front_index, config, ids=ids,
-                                    eligible=eligible)
+        selected = apply_thresholds(scalar, front_index, config, ids=ids)
     return SelectionDecision(selected_ids=selected, values=values,
                              scalar=scalar, weights=weights,
                              front_index=front_index, means=means)
 
 
-def _initial_sampling(emb: np.ndarray, eligible: np.ndarray,
-                      scalar: np.ndarray,
+def _initial_sampling(emb: np.ndarray, scalar: np.ndarray,
                       ids: Sequence[int], history: SelectionHistory,
                       config: SelectionConfig,
                       rng: np.random.Generator) -> list[int]:
@@ -355,16 +330,13 @@ def _initial_sampling(emb: np.ndarray, eligible: np.ndarray,
     if hist.size == 0:
         raise SelectionContractError(
             "initial sampling needs a non-empty history")
-    pool = [i for i in np.flatnonzero(eligible)]
-    if not pool:
-        return []
     lo = hist.min(axis=0)
     hi = hist.max(axis=0)
     sampler = qmc.Halton(d=emb.shape[1], scramble=True,
                          seed=int(rng.integers(2 ** 31 - 1)))
     points = lo + (hi - lo) * sampler.random(config.n_init)
     picks: list[int] = []
-    remaining = list(pool)
+    remaining = list(range(len(ids)))
     for point in points:
         if not remaining:
             break

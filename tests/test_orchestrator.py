@@ -137,6 +137,35 @@ class TestConfig:
             build_run_config({"evaluator": {"kind": "channel", field: value}},
                              base_dir=tmp_path)
 
+    @pytest.mark.parametrize("name, overrides", [
+        ("surrogate_enabled", {"surrogate_enabled": "false"}),
+        ("surrogate_enabled", {"surrogate_enabled": 0}),
+        ("log_error", {"surrogate": {"log_error": "false"}}),
+        ("average_inputs_first", {"embedding": {
+            "average_inputs_first": "no"}}),
+        ("n_init", {"selection": {"n_init": 2.5}}),
+        ("m_fixed", {"selection": {"m_fixed": 1.5}}),
+        ("m_fixed", {"selection": {"m_fixed": True}}),
+        ("m_pareto", {"selection": {"m_pareto": 1.5}}),
+        ("mutation_rate", {"gep": {"head_len": 4, "mutation_rate": "0.1"}}),
+        ("crossover_rate", {"gep": {"head_len": 4, "crossover_rate": None}}),
+        ("const_range", {"gep": {"head_len": 4, "const_range": ["-2", 2]}}),
+        ("const_range", {"gep": {"head_len": 4, "const_range": None}}),
+        ("const_range", {"gep": {"head_len": 4, "const_range": [1.0]}}),
+    ], ids=["surrogate_enabled_string", "surrogate_enabled_int",
+            "log_error", "average_inputs_first", "n_init", "m_fixed_float",
+            "m_fixed_bool", "m_pareto", "mutation_rate", "crossover_rate",
+            "const_range_string", "const_range_null", "const_range_short"])
+    def test_ill_typed_field_rejected_on_load(self, tmp_path, capsys, name,
+                                              overrides):
+        # Each is caught while the config loads, and `sagep run` exits 1
+        # instead of running with another meaning or crashing mid-run.
+        path = write_config(tmp_path, **overrides)
+        with pytest.raises(ConfigError, match=name):
+            load_run_config(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
+
     def test_symbolic_rejects_case(self, tmp_path):
         evaluator = {"kind": "symbolic", "table": "features.csv",
                      "targets": TARGETS, "case": {"n_cells": 16}}
@@ -329,8 +358,8 @@ class TestGenerationStep:
 
     @pytest.mark.parametrize("surrogate_enabled", [True, False])
     def test_repeated_key_is_evaluated_once(self, surrogate_enabled):
-        # Two selected candidates with one key: the second reuses the
-        # first's outcome, costs nothing, and still joins the GP history.
+        # Two candidates with one key: the second reuses the first's
+        # outcome, costs nothing, and adds no row to the GP history.
         pop = self.population([0.0, 0.0], [1.0, 1.0])
         pop[1].phenotype_keys = pop[0].phenotype_keys
         history = SelectionHistory.empty(2, 2)
@@ -340,9 +369,76 @@ class TestGenerationStep:
         assert [r.wall_time for r in records] == [1.0, 0.0]
         assert records[1].objectives == records[0].objectives == (0.1, 0.2)
         assert records[1].converged is True
-        assert history.converged_points.tolist() == [[0.0, 0.0], [1.0, 1.0]]
-        assert history.converged_objectives.tolist() == [[0.1, 0.2]] * 2
+        assert history.converged_points.tolist() == [[0.0, 0.0]]
+        assert history.converged_objectives.tolist() == [[0.1, 0.2]]
         assert history.outcomes == {("k0",): ((0.1, 0.2), True)}
+
+    def offered_to_selection(self, monkeypatch):
+        """The ids of each select_generation call's population."""
+        offered = []
+        select = sel.select_generation
+
+        def spy(gen, population, *args):
+            offered.append([c.id for c in population])
+            return select(gen, population, *args)
+
+        monkeypatch.setattr(sel, "select_generation", spy)
+        return offered
+
+    def test_known_phenotype_reuses_its_outcome_unranked(self, monkeypatch):
+        # Candidate 0 repeats an evaluated phenotype far from the data, where
+        # beta = 50 would rank it first: it reuses the stored outcome, with
+        # no prediction, and only candidate 1 is offered.
+        self.tight_fit(monkeypatch)
+        offered = self.offered_to_selection(monkeypatch)
+        pop = self.population([9.0, 9.0], [0.1, 0.1])
+        pop[0].phenotype_keys = ("seen0",)
+        history = self.history([1.0, 2.0])
+        selected, records = self.step(2, pop, history)
+        assert offered == [[1]]
+        assert selected == [1]
+        assert (records[0].provenance, records[0].objectives,
+                records[0].predicted) == ("cache", (1.0, 2.0), None)
+        assert records[1].predicted is not None
+        assert history.converged_points.shape == (3, 2)
+
+    @pytest.mark.parametrize("twin_at, twin_selected", [(5.0, True),
+                                                        (0.2, False)])
+    def test_phenotype_twins_share_one_outcome(self, monkeypatch, twin_at,
+                                                twin_selected):
+        # Candidates 0 and 1 share a phenotype, so only 0 is offered.  When
+        # it is evaluated, 1 reuses its outcome; when not, 1 carries 0's
+        # prediction even though its own embedding differs.
+        self.tight_fit(monkeypatch)
+        offered = self.offered_to_selection(monkeypatch)
+        pop = self.population([twin_at] * 2, [twin_at + 0.1] * 2,
+                              [7.0 - twin_at] * 2)
+        pop[1].phenotype_keys = pop[0].phenotype_keys
+        selected, records = self.step(2, pop, self.history([1.0, 2.0]))
+        assert offered == [[0, 2]]
+        assert selected == ([0] if twin_selected else [2])
+        if twin_selected:
+            assert records[1].provenance == "cache"
+            assert records[1].objectives == records[0].objectives
+            assert records[1].predicted is None
+        else:
+            assert [r.provenance for r in records[:2]] == ["surrogate"] * 2
+            assert records[1].predicted == records[0].predicted
+            assert records[1].objectives == records[0].objectives
+
+    def test_nothing_offered_still_refits(self, monkeypatch):
+        # Every phenotype is known: no ranking, but the surrogate is refit so
+        # the next fit warm-starts from it.
+        self.tight_fit(monkeypatch)
+        offered = self.offered_to_selection(monkeypatch)
+        pop = self.population([9.0, 9.0], [0.1, 0.1])
+        for i, cand in enumerate(pop):
+            cand.phenotype_keys = (f"seen{i}",)
+        history = self.history([1.0, 2.0])
+        selected, records = self.step(3, pop, history)
+        assert (offered, selected) == ([], [])
+        assert [r.provenance for r in records] == ["cache", "cache"]
+        assert history.last_fit is not None
 
     def test_unselected_candidates_get_surrogate_predictions(self,
                                                              monkeypatch):
@@ -401,14 +497,14 @@ class TestRunTraining:
         db, metrics = run_training(cfg)
         by_gen = db.by_generation()
         gen0 = by_gen[0]
-        assert all(r.provenance == "expensive" for r in gen0)
+        assert all(r.provenance in ("expensive", "cache") for r in gen0)
         assert len(gen0) == 12
         for gen in range(2, 4):
             expensive = [r for r in by_gen[gen]
                          if r.provenance == "expensive"]
             assert len(expensive) <= 1  # m_fixed=1 under default settings
         assert metrics.total_expensive < 12 + 6 * 3
-        assert {r.provenance for r in db.records} <= {"expensive",
+        assert {r.provenance for r in db.records} == {"expensive", "cache",
                                                       "surrogate"}
 
     def test_surrogate_rows_cost_nothing(self, tmp_path):
@@ -420,7 +516,7 @@ class TestRunTraining:
                 assert rec.converged
                 assert np.all(np.isfinite(rec.objectives))
             else:
-                assert rec.wall_time == 1.0
+                assert rec.wall_time == float(rec.provenance == "expensive")
 
     def test_same_seed_shares_generation_zero(self, tmp_path):
         cfg = load_run_config(write_config(tmp_path))
@@ -513,6 +609,48 @@ class TestOutcomeCache:
             assert rec.converged == first[rec.keys].converged
         assert len(first) < len(true)  # the cache was used
 
+    @pytest.mark.parametrize("mode", ["training", "replay"])
+    def test_one_outcome_and_one_gp_row_per_phenotype(self, monkeypatch,
+                                                      mode):
+        # A surrogate run, and the replay of its config's baseline database:
+        # each phenotype has one "expensive" record, every "cache" record
+        # repeats it, and the GP history holds one row per converged one.
+        cfg = dataclasses.replace(
+            load_run_config(CONFIGS / "symbolic_quadratic.json"),
+            generations=4)
+        if mode == "replay":
+            db, _ = run_training(dataclasses.replace(cfg,
+                                                     surrogate_enabled=False))
+        steps = []
+        step = orch._generation_step
+
+        def spy(gen, current, norm_stats, history, *rest):
+            records = step(gen, current, norm_stats, history, *rest)
+            steps.append((records, history.converged_points.shape[0]))
+            return records
+
+        monkeypatch.setattr(orch, "_generation_step", spy)
+        if mode == "training":
+            run_training(cfg)
+        else:
+            passive_replay(db, cfg)
+        assert len(steps) == cfg.generations
+        evaluated: dict = {}
+        for records, gp_rows in steps:
+            for rec in records:
+                if rec.provenance == "expensive":
+                    assert rec.keys not in evaluated
+                    evaluated[rec.keys] = rec
+            for rec in records:
+                if rec.provenance == "cache":
+                    first = evaluated[rec.keys]
+                    assert rec.objectives == first.objectives
+                    assert rec.converged == first.converged
+            assert gp_rows == sum(r.converged for r in evaluated.values())
+        later = [r for records, _ in steps[1:] for r in records]
+        assert {r.provenance for r in later} == {"expensive", "cache",
+                                                 "surrogate"}
+
 
 class TestWarmStart:
     """After a run's first GP fit, each objective's fit starts from its
@@ -594,19 +732,22 @@ class TestPassiveReplay:
 
     def test_relative_error_scores_hidden_truth_only(self, tmp_path,
                                                      monkeypatch):
-        # The stored objectives of converged records replay does not reveal
-        # are the truth of its relative error and feed nothing else.
+        # The stored objectives of converged records replay does not read
+        # are the truth of its relative error and feed nothing else.  Replay
+        # reads a stored record only for an "expensive" replay record; a
+        # "cache" one reuses the outcome read for its phenotype.
         db, cfg = self.baseline_db(tmp_path)
         replay_cfg = dataclasses.replace(cfg, surrogate_enabled=True)
         revealed = set()
-        select = sel.select_generation
+        step = orch._generation_step
 
-        def spy(*args, **kwargs):
-            decision = select(*args, **kwargs)
-            revealed.update(decision.selected_ids)
-            return decision
+        def spy(*args):
+            records = step(*args)
+            revealed.update(r.id for r in records
+                            if r.provenance == "expensive")
+            return records
 
-        monkeypatch.setattr(sel, "select_generation", spy)
+        monkeypatch.setattr(orch, "_generation_step", spy)
         first = passive_replay(db, replay_cfg)
         hidden = [r for r in db.records
                   if r.converged and r.id not in revealed]

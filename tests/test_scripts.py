@@ -1,7 +1,9 @@
 """The shipped scripts still run against the package they import."""
 
 import dataclasses
+import hashlib
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -45,3 +47,33 @@ def test_efficiency_study_pair_on_small_channel_run():
     assert n_baseline == len({r.keys for r in baseline.records
                               if r.provenance != "surrogate"})
     assert math.isfinite(cov_ratio)
+
+
+def test_output_digests_on_small_config(tmp_path, capsys):
+    raw = json.loads((ROOT / "configs" / "symbolic_quadratic.json").read_text())
+    raw.update(population=12, offspring=6, generations=3,
+               surrogate={"restarts": 1},
+               evaluator=dict(raw["evaluator"], table=str(
+                   ROOT / "configs" / raw["evaluator"]["table"])))
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(raw))
+    script = load_script("output_digests")
+    script.main([str(path), "--seed", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines]
+    assert [row[:3] for row in rows] == [
+        ["small", mode, name]
+        for mode in ("surrogate", "baseline")
+        for name in ("db.jsonl", "metrics.csv", "summary.txt")] + [
+        ["small", mode, name]
+        for mode in ("replay-surrogate", "replay-baseline")
+        for name in ("metrics.csv", "summary.txt")]
+    # Each digest is that of the file the run writes.
+    db, _ = run_training(dataclasses.replace(
+        load_run_config(path), seed=2, surrogate_enabled=False))
+    written = db.write(tmp_path / "db.jsonl")
+    assert rows[3][3] == hashlib.sha256(written.read_bytes()).hexdigest()
+    # Replaying every record reproduces the baseline's own report.
+    assert [row[3] for row in rows[8:]] == [row[3] for row in rows[4:6]]
+    script.main([str(path), "--seed", "2"])
+    assert capsys.readouterr().out.splitlines() == lines

@@ -31,20 +31,19 @@ def make_model(X, Y, params=TIGHT):
                                 for k in range(Y.shape[1])))
 
 
-def make_history(X, diverged=np.empty((0, 2)), keys=()):
-    """A history whose objectives (unread by selection) are 0; keys name
-    the evaluated phenotypes."""
+def make_history(X, diverged=np.empty((0, 2))):
+    """A history whose objectives and outcomes, unread by selection, are 0
+    and empty."""
     return SelectionHistory(converged_points=X,
                             converged_objectives=np.zeros((len(X), 2)),
-                            diverged_points=diverged,
-                            outcomes={k: ((0.0, 0.0), True) for k in keys})
+                            diverged_points=diverged, outcomes={})
 
 
-def make_candidate(cid, emb, key=None):
+def make_candidate(cid, emb):
     emb = np.asarray(emb, dtype=float)
     return Candidate(genotypes=(), generation=0, id=cid,
-                     phenotype_keys=(key if key is not None else f"k{cid}",),
-                     embedding=emb, embedding_norm=emb)
+                     phenotype_keys=(f"k{cid}",), embedding=emb,
+                     embedding_norm=emb)
 
 
 class TestLcb:
@@ -254,12 +253,6 @@ class TestThresholds:
                                np.zeros(3, dtype=int), cfg)
         assert out == [0, 1]
 
-    def test_ineligible_rows_never_pass(self):
-        cfg = SelectionConfig(m_fixed=5)
-        out = apply_thresholds(np.array([0.9, 0.8]), np.zeros(2, dtype=int),
-                               cfg, eligible=np.array([False, True]))
-        assert out == [1]
-
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=12),
            st.one_of(st.none(), st.integers(1, 12)),
            st.one_of(st.none(), st.floats(0, 1)),
@@ -279,19 +272,22 @@ class TestSelectGeneration:
     def test_non_finite_embedding_rejected(self):
         # Unusable candidates are the caller's to handle.
         pop = [make_candidate(0, [0.0, 0.0]), make_candidate(1, [np.nan, 0.0])]
-        with pytest.raises(SelectionContractError):
-            select_generation(0, pop, None, SelectionHistory.empty(2, 2),
+        with pytest.raises(SelectionContractError, match="finite"):
+            select_generation(1, pop, None, SelectionHistory.empty(2, 2),
                               SelectionConfig(m_fixed=1),
                               np.random.default_rng(0))
 
-    def test_generation_zero_skips_already_evaluated_keys(self):
-        pop = [make_candidate(0, [0.0, 0.0], key="seen"),
-               make_candidate(1, [1.0, 1.0])]
-        history = make_history(np.empty((0, 2)), keys={("seen",)})
-        decision = select_generation(0, pop, None, history,
-                                     SelectionConfig(m_fixed=1),
-                                     np.random.default_rng(0))
-        assert decision.selected_ids == [1]
+    @pytest.mark.parametrize("gen, size", [(0, 1), (2, 0)])
+    def test_ranks_a_non_empty_population_from_generation_one(self, gen,
+                                                             size):
+        # Generation 0 evaluates every offered candidate without ranking,
+        # and the caller skips selection when nothing is offered.
+        X = np.array([[0.0, 0.0], [1.0, 1.0]])
+        pop = [make_candidate(0, [0.5, 0.5])][:size]
+        with pytest.raises(SelectionContractError, match="generation 1"):
+            select_generation(gen, pop, make_model(X, np.zeros((2, 2))),
+                              make_history(X), SelectionConfig(m_fixed=1),
+                              np.random.default_rng(0))
 
     def test_later_generations_need_a_model(self):
         pop = [make_candidate(0, [0.0, 0.0])]
@@ -320,31 +316,7 @@ class TestSelectGeneration:
                                      np.random.default_rng(0))
         assert decision.selected_ids == [1]
 
-    def test_evaluated_phenotypes_never_reselected(self):
-        X = np.array([[0.0, 0.0], [1.0, 1.0]])
-        model = make_model(X, np.zeros((2, 2)))
-        history = make_history(X, keys={("stale",)})
-        pop = [make_candidate(0, [9.0, 9.0], key="stale"),
-               make_candidate(1, [0.1, 0.1], key="fresh")]
-        cfg = SelectionConfig(metric="lcb", beta=50.0, m_fixed=2)
-        decision = select_generation(2, pop, model, history, cfg,
-                                     np.random.default_rng(0))
-        assert decision.selected_ids == [1]
-
-    def test_within_generation_duplicate_keys_deduped(self):
-        X = np.array([[0.0, 0.0], [1.0, 1.0]])
-        model = make_model(X, np.zeros((2, 2)))
-        history = make_history(X)
-        pop = [make_candidate(0, [5.0, 5.0], key="twin"),
-               make_candidate(1, [5.0, 5.0], key="twin"),
-               make_candidate(2, [0.2, 0.2], key="other")]
-        cfg = SelectionConfig(metric="lcb", beta=50.0, m_fixed=3)
-        decision = select_generation(2, pop, model, history, cfg,
-                                     np.random.default_rng(0))
-        assert 1 not in decision.selected_ids
-        assert 0 in decision.selected_ids
-
-    @pytest.mark.parametrize("gen", [0, 1, 2])
+    @pytest.mark.parametrize("gen", [1, 2])
     def test_leaves_candidates_untouched(self, gen):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         model = make_model(X, np.array([[1.0, 2.0], [1.0, 2.0]]))
@@ -355,12 +327,9 @@ class TestSelectGeneration:
         assert decision.selected_ids
         for cand in pop:
             assert cand.objectives is None
-        if gen == 0:
-            assert decision.means is None
-        else:
-            # GP-space means for every candidate, selected or not.
-            assert decision.means.shape == (2, 2)
-            assert np.allclose(decision.means[0], [1.0, 2.0], atol=1e-3)
+        # GP-space means for every candidate, selected or not.
+        assert decision.means.shape == (2, 2)
+        assert np.allclose(decision.means[0], [1.0, 2.0], atol=1e-3)
 
     def test_diverged_neighbor_discounts_weight(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
