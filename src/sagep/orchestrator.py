@@ -93,6 +93,9 @@ _integer = lambda v: (isinstance(v, (int, np.integer))
                       and not isinstance(v, bool))
 _number = lambda v: _integer(v) or isinstance(v, (float, np.floating))
 _bool = lambda v: isinstance(v, bool)
+_string = lambda v: isinstance(v, str)
+_pair = lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_number, v))
+_optional = lambda ok: lambda v: v is None or ok(v)
 
 
 def _require(settings, what: str, ok: Callable[[object], bool],
@@ -116,9 +119,7 @@ class GepSettings:
     def __post_init__(self):
         _require(self, "an integer", _integer, "head_len", "n_constants")
         _require(self, "a number", _number, "mutation_rate", "crossover_rate")
-        _require(self, "a pair of numbers",
-                 lambda v: isinstance(v, tuple) and len(v) == 2
-                 and all(map(_number, v)), "const_range")
+        _require(self, "a pair of numbers", _pair, "const_range")
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,7 @@ class EmbeddingSettings:
     average_inputs_first: bool = False
 
     def __post_init__(self):
+        _require(self, "a string or null", _optional(_string), "feature_table")
         _require(self, "a bool", _bool, "average_inputs_first")
 
 
@@ -141,6 +143,8 @@ class SurrogateSettings:
         _require(self, "a bool", _bool, "log_error")
         if self.restarts < 1:
             raise ConfigError("surrogate restarts must be >= 1")
+        _require(self.bounds, "a pair of numbers", _pair, "sigma", "ell",
+                 "alpha", "noise")
         # Bounds failing these checks leave no point the LML can evaluate, so
         # every fit would fall back to defaults; the RQ kernel's denominator
         # 2 * alpha * ell**2 is smallest at the box's lower corner.
@@ -162,6 +166,9 @@ class EvaluatorSpec:
     slot_of_objective: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        _require(self, "a string, an object or null",
+                 _optional(lambda v: isinstance(v, (str, dict))), "case")
+        _require(self, "a string or null", _optional(_string), "table")
         if self.kind not in ("channel", "symbolic"):
             raise ConfigError(f"unknown evaluator kind {self.kind!r}")
         if self.kind == "symbolic" and (self.table is None or not self.targets):
@@ -192,6 +199,12 @@ class RunConfig:
         _require(self, "an integer", _integer, "seed", "generations",
                  "population", "offspring")
         _require(self, "a bool", _bool, "surrogate_enabled")
+        _require(self, "a string", _string, "output_dir")
+        if self.selection is not None:
+            _require(self.selection, "a number", _number, "beta", "xi",
+                     "delta")
+            _require(self.selection, "a number or null", _optional(_number),
+                     "m_init_rel", "m_rel")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.generations < 1:

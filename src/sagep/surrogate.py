@@ -1,16 +1,27 @@
 """Gaussian-process surrogate over candidate embeddings.
 
-One zero-mean GP per objective, all sharing the same input matrix, with a
-Rational Quadratic kernel
+The p objectives share one input matrix and one matrix-valued kernel of the
+separable form B (x) k (Bonilla, Chai & Williams 2007; Alvarez, Rosasco &
+Lawrence 2012): the n x p targets Y are matrix normal, MN(0, A, B), with
+row covariance A = k(X, X) + tau I under the Rational Quadratic kernel at
+unit scale,
 
-    k(x, x') = sigma^2 (1 + ||x - x'||^2 / (2 alpha ell^2))^(-alpha).
+    k(x, x') = (1 + ||x - x'||^2 / (2 alpha ell^2))^(-alpha),
 
-Objectives are assumed independent, so the multi-output model is exactly a
-block-diagonal joint GP and can be trained and queried one output at a time.
-Hyperparameters (sigma, ell, alpha, noise) are fitted by maximizing the log
-marginal likelihood over log-parameters with multi-start simplex search; all
-solves go through a Cholesky factor of K + sigma_n^2 I, with a small jitter
-escalation when near-duplicate inputs make the matrix numerically singular.
+tau a noise-to-signal variance ratio, and B diagonal, holding each
+objective's signal variance.  For fixed (ell, alpha, tau), B has the
+closed-form optimum B_jj = y_j' A^-1 y_j / n, which leaves the profiled log
+evidence
+
+    -(n/2) sum_j log B_jj - (p/2) log|A| - (np/2)(1 + log 2 pi).
+
+Multi-start L-BFGS-B maximizes it over log(ell, alpha, tau) with its
+analytic gradient; each evaluation factorizes A once (Cholesky, with a
+small jitter escalation when near-duplicate inputs make it numerically
+singular) and solves for all p columns with that one factor.  Every
+objective is observed at every input, so each objective's posterior mean
+uses only its own column, and the fitted model is one GP per objective:
+sigma_j^2 = B_jj, the shared ell and alpha, and noise tau B_jj.
 
 The search evaluates the likelihood thousands of times on one data set, so
 `fit` validates the data on entry and computes the squared distances once
@@ -18,14 +29,14 @@ per fit; each evaluation only builds the kernel from them and calls LAPACK
 `potrf` / `potrs` directly, the routines `scipy.linalg.cholesky` and
 `cho_solve` call after their finiteness checks, so the bits are the same.
 A training run refits on a history that grows by a few rows per
-generation, so `fit_multi` can warm-start each objective from the previous
-model's optimum and then runs a quarter of the cold starts.
+generation, so `fit_multi` can warm-start the search from the previous
+optimum and then runs a quarter of the cold starts.
 
-Observation noise is a fitted hyperparameter with a hard floor: the history
-of expensive evaluations can contain near-identical embeddings with
-slightly different outcomes, and a noiseless kernel matrix goes singular on
-those.  Predictive variance is reported for a new observation, i.e. it
-includes the noise term, so far from data it recovers sigma^2 + sigma_n^2.
+Observation noise has a hard floor: the history of expensive evaluations
+can contain near-identical embeddings with slightly different outcomes, and
+a noiseless kernel matrix goes singular on those.  Predictive variance is
+reported for a new observation, i.e. it includes the noise term, so far
+from data it recovers sigma^2 + sigma_n^2.
 """
 
 from __future__ import annotations
@@ -82,9 +93,6 @@ class KernelParams:
         if self.noise < NOISE_FLOOR:
             raise ValueError(f"noise variance below floor {NOISE_FLOOR}")
 
-    def as_log_array(self) -> np.ndarray:
-        return np.log([self.sigma, self.ell, self.alpha, self.noise])
-
     @classmethod
     def from_log_array(cls, values: np.ndarray) -> "KernelParams":
         sigma, ell, alpha, noise = np.exp(np.asarray(values, dtype=float))
@@ -96,8 +104,10 @@ class KernelParams:
 class ParamBounds:
     """Box bounds for hyperparameter search, in natural units.
 
-    Defaults assume standardized inputs, where unit-order length scales
-    dominate.
+    The search runs over ell, alpha and tau, whose box is `noise`: tau is a
+    noise-to-signal variance ratio.  `sigma` clips each objective's fitted
+    signal standard deviation sqrt(B_jj).  Defaults assume standardized
+    inputs, where unit-order length scales dominate.
     """
 
     sigma: tuple[float, float] = (1e-3, 1e2)
@@ -135,16 +145,18 @@ def rq_gram(X: np.ndarray, X2: np.ndarray, params: KernelParams) -> np.ndarray:
     return _rq_from_sqdist(_sqdist(X, X2), params)
 
 
-def _training_data(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X as a float matrix and y as a float vector, checked to match and be
-    finite."""
+def _training_data(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X as a float matrix and Y as an (n, p) float matrix or else a float
+    vector, checked to match and be finite."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X and y row counts differ")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2:
+        Y = Y.ravel()
+    if X.shape[0] != Y.shape[0]:
+        raise ValueError("X and Y row counts differ")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
         raise ValueError("GP training data must be finite")
-    return X, y
+    return X, Y
 
 
 def _chol_with_jitter(K: np.ndarray, noise: float) -> tuple[np.ndarray, float]:
@@ -175,30 +187,57 @@ def _cho_solve(L: np.ndarray, y: np.ndarray) -> np.ndarray:
     return lapack.dpotrs(L, y, lower=1)[0]
 
 
-def _lml_from_factor(L: np.ndarray, y: np.ndarray) -> float:
-    alpha_vec = _cho_solve(L, y)
-    n = len(y)
-    return float(-0.5 * y @ alpha_vec
-                 - np.sum(np.log(np.diag(L)))
-                 - 0.5 * n * np.log(2.0 * np.pi))
-
-
-def log_marginal_likelihood(X: np.ndarray, y: np.ndarray,
+def log_marginal_likelihood(X: np.ndarray, Y: np.ndarray,
                             params: KernelParams,
-                            sqdist: np.ndarray | None = None) -> float:
-    """Zero-mean Gaussian log evidence of y under the kernel.
+                            sqdist: np.ndarray | None = None,
+                            profiled: bool = False):
+    """Zero-mean Gaussian log evidence of Y under the kernel.
 
-    Computed through the Cholesky factor of K + sigma_n^2 I; raises FitError
-    if the matrix stays indefinite after the jitter ladder.  A caller that
-    passes sqdist, the squared distances between the rows of X, has already
-    validated X and y as float arrays; without it, non-finite or mismatched
-    data raise ValueError.
+    Y is a vector, or an (n, p) matrix whose columns are independent draws
+    under the same kernel; the evidence of a matrix is the sum over its
+    columns.  With `profiled`, each column's covariance K + sigma_n^2 I is
+    first scaled by the factor that maximizes that column's evidence, and
+    the result is the pair (evidence, gradient): the separable model's
+    profiled evidence, which depends on params only through ell, alpha and
+    tau = noise / sigma^2 (+inf for a column of zeros), and its gradient in
+    log(ell, alpha, tau), Rasmussen & Williams eq. 5.9 with the scales at
+    their optimum.
+
+    Computed through one Cholesky factor of K + sigma_n^2 I for all
+    columns; raises FitError if the matrix stays indefinite after the
+    jitter ladder.  A caller that passes sqdist, the squared distances
+    between the rows of X, has already validated X and Y as float arrays;
+    without it, non-finite or mismatched data raise ValueError.
     """
     if sqdist is None:
-        X, y = _training_data(X, y)
+        X, Y = _training_data(X, Y)
         sqdist = _sqdist(X, X)
-    L, _ = _chol_with_jitter(_rq_from_sqdist(sqdist, params), params.noise)
-    return _lml_from_factor(L, y)
+    K = _rq_from_sqdist(sqdist, params)
+    L, _ = _chol_with_jitter(K, params.noise)
+    W = _cho_solve(L, Y)
+    quad = Y @ W if Y.ndim == 1 else np.einsum("ij,ij->j", Y, W)
+    n = Y.shape[0]
+    p = 1 if Y.ndim == 1 else Y.shape[1]
+    half_logdet = np.sum(np.log(np.diag(L)))
+    if not profiled:
+        return float(-0.5 * np.sum(quad) - p * half_logdet
+                     - 0.5 * n * p * np.log(2.0 * np.pi))
+    # Underflow to zero covariance is the distant-pair limit, as in the
+    # kernel; a column of zeros makes the value +inf and M NaN.
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        value = float(-0.5 * n * np.sum(np.log(quad / n)) - p * half_logdet
+                      - 0.5 * n * p * (1.0 + np.log(2.0 * np.pi)))
+        # d value / d theta = tr(M dK/dtheta) / 2 with
+        # M = n sum_j w_j w_j' / (y_j' w_j) - p (K + sigma_n^2 I)^-1.
+        W = W.reshape(n, -1)
+        M = n * (W / quad) @ W.T - p * _cho_solve(L, np.eye(n))
+        u = 1.0 + sqdist / (2.0 * params.alpha * params.ell ** 2)
+        KM = K * M
+        gradient = 0.5 * np.array([
+            np.sum(KM / u * sqdist) / params.ell ** 2,
+            params.alpha * np.sum(KM * ((u - 1.0) / u - np.log(u))),
+            params.noise * np.trace(M)])
+    return value, gradient
 
 
 @dataclass(frozen=True)
@@ -230,67 +269,6 @@ def build_gp(X: np.ndarray, y: np.ndarray, params: KernelParams,
                    jitter=jitter, warned=warned)
 
 
-def fit(X: np.ndarray, y: np.ndarray,
-        bounds: ParamBounds | None = None,
-        restarts: int = 8,
-        rng: np.random.Generator | int | None = None,
-        extra_starts: tuple[KernelParams, ...] = ()) -> GpModel:
-    """Fit hyperparameters by maximizing log marginal likelihood.
-
-    Multi-start local search: `restarts` scrambled-Halton points in the
-    log-bounds box, plus any caller-supplied starting parameters after them
-    (a warm start from a previous optimum; the result is then never worse
-    than that point up to optimizer tolerance).  The first k points of the
-    Halton stream are the same for any `restarts` >= k.  Deterministic for
-    a fixed rng seed.  A single sample admits no meaningful evidence
-    maximization and yields default parameters; if every restart fails the
-    model falls back to defaults with `warned` set.  Non-finite data raise ValueError on
-    entry, as does `restarts` below 1.
-    """
-    X, y = _training_data(X, y)
-    if X.shape[0] == 0:
-        raise ValueError("cannot fit a GP on zero samples")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if X.shape[0] == 1:
-        return build_gp(X, y, KernelParams())
-    bounds = bounds or ParamBounds()
-    rng = np.random.default_rng(rng)
-    lo, hi = bounds.log_box()
-    sqdist = _sqdist(X, X)
-
-    # Every evaluation goes through the module attribute, so a wrapper
-    # patched onto log_marginal_likelihood (a tracer, a counter) sees it.
-    def objective(log_theta: np.ndarray) -> float:
-        try:
-            params = KernelParams.from_log_array(log_theta)
-            return -log_marginal_likelihood(X, y, params, sqdist)
-        except (FitError, ValueError, FloatingPointError, OverflowError):
-            return 1e25
-
-    sampler = qmc.Halton(d=4, scramble=True,
-                         seed=int(rng.integers(2 ** 31 - 1)))
-    starts = [lo + (hi - lo) * row for row in sampler.random(restarts)]
-    for params in extra_starts:
-        starts.append(np.clip(params.as_log_array(), lo, hi))
-
-    best_val = np.inf
-    best_theta = None
-    nm_bounds = list(zip(lo, hi))
-    for theta0 in starts:
-        res = minimize(objective, theta0, method="Nelder-Mead",
-                       bounds=nm_bounds,
-                       options={"maxiter": 200, "fatol": 1e-7, "xatol": 1e-5})
-        if np.isfinite(res.fun) and res.fun < best_val and res.fun < 1e24:
-            best_val = float(res.fun)
-            best_theta = res.x
-    if best_theta is None:
-        warnings.warn("GP hyperparameter search failed on every restart; "
-                      "falling back to default parameters")
-        return build_gp(X, y, KernelParams(), warned=True)
-    return build_gp(X, y, KernelParams.from_log_array(best_theta))
-
-
 def predict_batch(model: GpModel, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and observation variance at each query row.
 
@@ -308,9 +286,12 @@ def predict_batch(model: GpModel, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True)
 class MultiGp:
-    """Independent per-objective GPs sharing one input matrix."""
+    """Per-objective GPs sharing one input matrix, and the unit-scale kernel
+    (sigma 1, noise tau) that `fit` found for all of them; None when the
+    sub-models were built by hand."""
 
     models: tuple[GpModel, ...]
+    kernel: KernelParams | None = None
 
     def __post_init__(self):
         if not self.models:
@@ -324,9 +305,114 @@ class MultiGp:
     def n_objectives(self) -> int:
         return len(self.models)
 
+    @property
+    def n(self) -> int:
+        return self.models[0].n
+
+    @property
+    def warned(self) -> bool:
+        return any(m.warned for m in self.models)
+
+    @property
+    def jitter(self) -> float:
+        return max(m.jitter for m in self.models)
+
     def best_observed(self) -> np.ndarray:
         """Per-objective minimum of the training targets."""
         return np.array([float(np.min(m.y)) for m in self.models])
+
+
+def _unit_kernel(log_theta: np.ndarray) -> KernelParams:
+    """The kernel with sigma 1 at a search point log(ell, alpha, tau)."""
+    return KernelParams.from_log_array(np.concatenate(([0.0], log_theta)))
+
+
+def _default_fit(X: np.ndarray, Y: np.ndarray, warned: bool) -> MultiGp:
+    return MultiGp(models=tuple(build_gp(X, y, KernelParams(), warned)
+                                for y in Y.T), kernel=KernelParams())
+
+
+def fit(X: np.ndarray, Y: np.ndarray,
+        bounds: ParamBounds | None = None,
+        restarts: int = 8,
+        rng: np.random.Generator | int | None = None,
+        extra_starts: tuple[KernelParams, ...] = ()) -> MultiGp:
+    """Fit the shared kernel to the columns of Y, shape (n, p) or a vector
+    for p = 1, by maximizing the profiled log evidence.
+
+    Multi-start local search over log(ell, alpha, tau): `restarts`
+    scrambled-Halton points in the box of bounds.ell, bounds.alpha and
+    bounds.noise, then each of `extra_starts` as the point (ell, alpha,
+    noise / sigma^2), clipped into the box (a warm start from a previous
+    fit's `kernel`; the result is then never worse than that point up to
+    optimizer tolerance).  The first k points of the Halton stream are the
+    same for any `restarts` >= k.  Deterministic for a fixed rng seed.
+    Objective j then gets sigma_j = sqrt(B_jj) clipped to bounds.sigma and
+    noise tau sigma_j^2, floored at NOISE_FLOOR.  A single sample admits no
+    meaningful evidence maximization and yields default parameters; if
+    every restart fails the model falls back to defaults with `warned` set.
+    Non-finite data raise ValueError on entry, as does `restarts` below 1.
+    """
+    X, Y = _training_data(X, Y)
+    n = X.shape[0]
+    if n == 0:
+        raise ValueError("cannot fit a GP on zero samples")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    Y = Y.reshape(n, -1)
+    if n == 1:
+        return _default_fit(X, Y, warned=False)
+    bounds = bounds or ParamBounds()
+    rng = np.random.default_rng(rng)
+    lo, hi = (side[1:] for side in bounds.log_box())
+    sqdist = _sqdist(X, X)
+
+    # Every evaluation goes through the module attribute, so a wrapper
+    # patched onto log_marginal_likelihood (a tracer, a counter) sees it.
+    def objective(log_theta: np.ndarray) -> tuple[float, np.ndarray]:
+        try:
+            value, gradient = log_marginal_likelihood(
+                X, Y, _unit_kernel(log_theta), sqdist, profiled=True)
+        except (FitError, ValueError, FloatingPointError, OverflowError):
+            return 1e25, np.zeros(3)
+        if not (math.isfinite(value) and np.all(np.isfinite(gradient))):
+            return 1e25, np.zeros(3)
+        return -value, -gradient
+
+    sampler = qmc.Halton(d=3, scramble=True,
+                         seed=int(rng.integers(2 ** 31 - 1)))
+    starts = [lo + (hi - lo) * row for row in sampler.random(restarts)]
+    for params in extra_starts:
+        starts.append(np.clip(np.log([params.ell, params.alpha,
+                                      params.noise / params.sigma ** 2]),
+                              lo, hi))
+
+    best_val = np.inf
+    best_theta = None
+    for theta0 in starts:
+        res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
+                       bounds=list(zip(lo, hi)))
+        if res.fun < min(best_val, 1e24):
+            best_val = float(res.fun)
+            best_theta = res.x
+    if best_theta is None:
+        warnings.warn("GP hyperparameter search failed on every restart; "
+                      "falling back to default parameters")
+        return _default_fit(X, Y, warned=True)
+    # exp(log(bound)) can land an ulp outside the box.
+    ell, alpha, tau = np.clip(np.exp(best_theta), *zip(
+        bounds.ell, bounds.alpha, bounds.noise))
+    kernel = KernelParams(sigma=1.0, ell=float(ell), alpha=float(alpha),
+                          noise=float(tau))
+    L, _ = _chol_with_jitter(_rq_from_sqdist(sqdist, kernel), kernel.noise)
+    quad = np.einsum("ij,ij->j", Y, _cho_solve(L, Y))
+    sigmas = np.clip(np.sqrt(quad / n), *bounds.sigma)
+    return MultiGp(models=tuple(
+        build_gp(X, y, KernelParams(sigma=float(s), ell=kernel.ell,
+                                    alpha=kernel.alpha,
+                                    noise=max(kernel.noise * s * s,
+                                              NOISE_FLOOR)))
+        for y, s in zip(Y.T, sigmas)), kernel=kernel)
 
 
 def fit_multi(X: np.ndarray, Y: np.ndarray,
@@ -334,32 +420,19 @@ def fit_multi(X: np.ndarray, Y: np.ndarray,
               restarts: int = 8,
               rng: np.random.Generator | int | None = None,
               warm: MultiGp | None = None) -> MultiGp:
-    """Fit one GP per column of Y.
+    """One `fit` of the shared kernel to every column of Y.
 
-    Equivalent to the joint block-diagonal model under objective
-    independence.  Each column gets its own child rng stream so per-objective
-    fits stay deterministic regardless of fitting order.  Without `warm`
-    each column's search runs `restarts` cold starts.  A refit passes the
-    previous model as `warm`: column j then runs the first
+    Without `warm` the search runs `restarts` cold starts.  A refit passes
+    the previous fit as `warm`: the search then runs the first
     max(1, restarts // 4) of those cold starts plus one warm start at
-    `warm.models[j].params`, since a few new rows rarely move the optimum
-    far.
+    `warm.kernel`, since a few new rows rarely move the optimum far.
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if Y.ndim != 2:
-        raise ValueError("Y must be (n, p)")
     if warm is not None:
         restarts = max(1, restarts // 4)
-    rng = np.random.default_rng(rng)
-    streams = rng.spawn(Y.shape[1])
     # fit is looked up as a module global on each call, so a wrapper patched
-    # onto the attribute sees every per-objective fit.
-    models = tuple(fit(X, Y[:, j], bounds=bounds, restarts=restarts,
-                       rng=streams[j],
-                       extra_starts=() if warm is None
-                       else (warm.models[j].params,))
-                   for j in range(Y.shape[1]))
-    return MultiGp(models=models)
+    # onto the attribute sees every fit.
+    return fit(X, Y, bounds=bounds, restarts=restarts, rng=rng,
+               extra_starts=() if warm is None else (warm.kernel,))
 
 
 def predict_multi_batch(model: MultiGp,

@@ -152,10 +152,27 @@ class TestConfig:
         ("const_range", {"gep": {"head_len": 4, "const_range": ["-2", 2]}}),
         ("const_range", {"gep": {"head_len": 4, "const_range": None}}),
         ("const_range", {"gep": {"head_len": 4, "const_range": [1.0]}}),
+        ("beta", {"selection": {"beta": True}}),
+        ("xi", {"selection": {"xi": False}}),
+        ("delta", {"selection": {"delta": True}}),
+        ("m_rel", {"selection": {"m_rel": True}}),
+        ("m_init_rel", {"selection": {"m_init_rel": False}}),
+        ("sigma", {"surrogate": {"bounds": {"sigma": [True, 10.0]}}}),
+        ("ell", {"surrogate": {"bounds": {"ell": [0.01, True]}}}),
+        ("output_dir", {"output_dir": 5}),
+        ("output_dir", {"output_dir": None}),
+        ("feature_table", {"embedding": {"feature_table": 3}}),
+        ("case", {"evaluator": {"kind": "channel", "case": 7}}),
+        ("table", {"evaluator": {"kind": "symbolic", "table": 4,
+                                 "targets": TARGETS}}),
     ], ids=["surrogate_enabled_string", "surrogate_enabled_int",
             "log_error", "average_inputs_first", "n_init", "m_fixed_float",
             "m_fixed_bool", "m_pareto", "mutation_rate", "crossover_rate",
-            "const_range_string", "const_range_null", "const_range_short"])
+            "const_range_string", "const_range_null", "const_range_short",
+            "beta_bool", "xi_bool", "delta_bool", "m_rel_bool",
+            "m_init_rel_bool", "bounds_sigma_bool", "bounds_ell_bool",
+            "output_dir_int", "output_dir_null", "feature_table_int",
+            "case_int", "table_int"])
     def test_ill_typed_field_rejected_on_load(self, tmp_path, capsys, name,
                                               overrides):
         # Each is caught while the config loads, and `sagep run` exits 1
@@ -653,8 +670,9 @@ class TestOutcomeCache:
 
 
 class TestWarmStart:
-    """After a run's first GP fit, each objective's fit starts from its
-    previous optimum plus a quarter of the cold starts, at least one."""
+    """A run's first GP fit is one search from `restarts` cold starts; each
+    later fit searches from the previous optimum's (ell, alpha, tau) plus a
+    quarter of the cold starts, at least one."""
 
     @pytest.mark.parametrize("mode", ["training", "replay"])
     @pytest.mark.parametrize("restarts, later", [(8, 2), (3, 1)])
@@ -670,10 +688,11 @@ class TestWarmStart:
         calls = []
         original = orch.sur_mod.fit
 
-        def spy(X, y, bounds=None, restarts=8, rng=None, extra_starts=()):
-            model = original(X, y, bounds=bounds, restarts=restarts, rng=rng,
+        def spy(X, Y, bounds=None, restarts=8, rng=None, extra_starts=()):
+            model = original(X, Y, bounds=bounds, restarts=restarts, rng=rng,
                              extra_starts=extra_starts)
-            calls.append((restarts, tuple(extra_starts), model.params))
+            calls.append((Y.shape[1], restarts, tuple(extra_starts),
+                          model.kernel))
             return model
 
         monkeypatch.setattr(orch.sur_mod, "fit", spy)
@@ -682,11 +701,12 @@ class TestWarmStart:
         else:
             passive_replay(db, cfg)
         p = len(TARGETS)
-        assert len(calls) == p * (cfg.generations - 1)
-        for n_cold, extra, _ in calls[:p]:
-            assert (n_cold, extra) == (restarts, ())
-        for i, (n_cold, extra, _) in enumerate(calls[p:]):
-            assert (n_cold, extra) == (later, (calls[i][2],))
+        assert len(calls) == cfg.generations - 1
+        assert calls[0][:3] == (p, restarts, ())
+        for i, (n_objectives, n_cold, extra, _) in enumerate(calls[1:]):
+            assert (n_objectives, n_cold, extra) == (p, later,
+                                                     (calls[i][3],))
+            assert extra[0].sigma == 1.0
 
 
 class TestPassiveReplay:

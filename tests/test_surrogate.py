@@ -57,38 +57,85 @@ def reference_lml(X, y, params):
                  - 0.5 * len(y) * np.log(2.0 * np.pi))
 
 
-def reference_search(X, y, restarts, rng, bounds=ParamBounds()):
-    """fit's multi-start search with reference_lml as its objective: the best
-    log-parameters (None when every restart failed) and the summed nfev."""
-    lo, hi = bounds.log_box()
+def unit_kernel(log_theta):
+    """The kernel with sigma 1 at a search point log(ell, alpha, tau)."""
+    return KernelParams.from_log_array(np.concatenate(([0.0], log_theta)))
+
+
+def reference_profiled(X, Y, params):
+    """The profiled evidence of the columns of Y, each at its own best
+    scale, and its gradient in log(ell, alpha, tau), through the checked
+    scipy wrappers and each jitter rung."""
+    K = rq_gram(X, X, params)
+    for jitter in JITTER_LADDER:
+        try:
+            L = cholesky(K + (params.noise + jitter) * np.eye(len(Y)),
+                         lower=True)
+            break
+        except np.linalg.LinAlgError:
+            continue
+    else:
+        raise FitError("indefinite after the jitter ladder")
+    n, p = Y.shape
+    W = cho_solve((L, True), Y)
+    quad = np.einsum("ij,ij->j", Y, W)
+    value = float(-0.5 * n * np.sum(np.log(quad / n))
+                  - p * np.sum(np.log(np.diag(L)))
+                  - 0.5 * n * p * (1.0 + np.log(2.0 * np.pi)))
+    M = n * (W / quad) @ W.T - p * cho_solve((L, True), np.eye(n))
+    sq = surrogate._sqdist(X, X)
+    u = 1.0 + sq / (2.0 * params.alpha * params.ell ** 2)
+    with np.errstate(under="ignore"):
+        KM = K * M
+        return value, 0.5 * np.array([
+            np.sum(KM / u * sq) / params.ell ** 2,
+            params.alpha * np.sum(KM * ((u - 1.0) / u - np.log(u))),
+            params.noise * np.trace(M)])
+
+
+def reference_search(X, Y, restarts, rng, bounds=ParamBounds()):
+    """fit's multi-start search over log(ell, alpha, tau) with
+    reference_profiled as its objective: the best search point (None when
+    every restart failed) and the summed nfev."""
+    lo, hi = (side[1:] for side in bounds.log_box())
     rng = np.random.default_rng(rng)
 
     def objective(log_theta):
         try:
-            return -reference_lml(X, y, KernelParams.from_log_array(log_theta))
+            value, gradient = reference_profiled(X, Y, unit_kernel(log_theta))
         except (FitError, ValueError, FloatingPointError, OverflowError):
-            return 1e25
+            return 1e25, np.zeros(3)
+        if not (np.isfinite(value) and np.all(np.isfinite(gradient))):
+            return 1e25, np.zeros(3)
+        return -value, -gradient
 
-    sampler = qmc.Halton(d=4, scramble=True,
+    sampler = qmc.Halton(d=3, scramble=True,
                          seed=int(rng.integers(2 ** 31 - 1)))
     best_val, best_theta, nfev = np.inf, None, 0
     for theta0 in [lo + (hi - lo) * row for row in sampler.random(restarts)]:
-        res = minimize(objective, theta0, method="Nelder-Mead",
-                       bounds=list(zip(lo, hi)),
-                       options={"maxiter": 200, "fatol": 1e-7, "xatol": 1e-5})
+        res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
+                       bounds=list(zip(lo, hi)))
         nfev += res.nfev
-        if np.isfinite(res.fun) and res.fun < best_val and res.fun < 1e24:
+        if res.fun < min(best_val, 1e24):
             best_val, best_theta = float(res.fun), res.x
     return best_theta, nfev
 
 
-def search_data():
-    """Fixed data for the search tests, with one duplicated row."""
+def search_data(p=2):
+    """Fixed data for the search tests, with one duplicated row: p
+    objectives of different scales."""
     rng = np.random.default_rng(41)
     X = rng.uniform(-2, 2, size=(14, 2))
     X[13] = X[2]
-    y = np.sin(X[:, 0]) - 0.5 * X[:, 1] ** 2 + 0.05 * rng.normal(size=14)
-    return X, y
+    columns = [np.sin(X[:, 0]) - 0.5 * X[:, 1] ** 2,
+               3.0 * np.cos(X[:, 1]),
+               0.2 * X[:, 0] * X[:, 1]]
+    Y = np.column_stack(columns[:p]) + 0.05 * rng.normal(size=(14, p))
+    return X, Y
+
+
+def profiled(X, Y, params):
+    return log_marginal_likelihood(X, Y, params, profiled=True)[0]
 
 
 def count_lml_calls(monkeypatch):
@@ -158,7 +205,8 @@ class TestKernel:
 
     def test_log_array_round_trip(self):
         p = KernelParams(sigma=0.3, ell=2.0, alpha=7.0, noise=1e-4)
-        back = KernelParams.from_log_array(p.as_log_array())
+        back = KernelParams.from_log_array(
+            np.log([p.sigma, p.ell, p.alpha, p.noise]))
         for name in ("sigma", "ell", "alpha", "noise"):
             assert getattr(back, name) == pytest.approx(getattr(p, name),
                                                         rel=1e-12)
@@ -284,7 +332,8 @@ class TestPrediction:
 class TestFit:
     def test_single_sample_uses_defaults(self):
         model = fit(np.array([[0.3]]), np.array([1.0]), rng=0)
-        assert model.params == KernelParams()
+        assert model.kernel == KernelParams()
+        assert [m.params for m in model.models] == [KernelParams()]
         assert not model.warned
 
     def test_fit_improves_on_default_evidence(self):
@@ -292,37 +341,47 @@ class TestFit:
         X = rng.uniform(-3, 3, size=(12, 1))
         y = 0.3 * X[:, 0] ** 2 - 1.0
         model = fit(X, y, restarts=6, rng=1)
-        fitted = log_marginal_likelihood(X, y, model.params)
+        fitted = log_marginal_likelihood(X, y, model.models[0].params)
         baseline = log_marginal_likelihood(X, y, KernelParams())
         assert fitted >= baseline - 1e-6
 
     def test_extra_start_never_hurts(self):
         rng = np.random.default_rng(9)
         X = rng.uniform(-2, 2, size=(8, 2))
-        y = X[:, 0] - 2.0 * X[:, 1]
-        good = KernelParams(sigma=2.0, ell=1.5, alpha=1.0, noise=1e-6)
-        model = fit(X, y, restarts=2, rng=2, extra_starts=(good,))
-        assert log_marginal_likelihood(X, y, model.params) >= (
-            log_marginal_likelihood(X, y, good) - 1e-4)
+        Y = np.column_stack([X[:, 0] - 2.0 * X[:, 1], X[:, 0] * X[:, 1]])
+        # Only ell, alpha and noise / sigma^2 of a start matter.
+        good = KernelParams(sigma=2.0, ell=1.5, alpha=1.0, noise=4e-6)
+        model = fit(X, Y, restarts=2, rng=2, extra_starts=(good,))
+        assert profiled(X, Y, model.kernel) >= profiled(X, Y, good) - 1e-4
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_warm_start_never_below_cold_fit(self, seed):
         # Two cold starts plus the 8-start optimum as a warm start never
         # lose evidence against the 8-start fit on the same data.
-        X, y = search_data()
-        cold = fit(X, y, restarts=8, rng=seed)
-        warm = fit(X, y, restarts=2, rng=seed + 10,
-                   extra_starts=(cold.params,))
-        assert log_marginal_likelihood(X, y, warm.params) >= (
-            log_marginal_likelihood(X, y, cold.params) - 1e-6)
+        X, Y = search_data()
+        cold = fit(X, Y, restarts=8, rng=seed)
+        warm = fit(X, Y, restarts=2, rng=seed + 10,
+                   extra_starts=(cold.kernel,))
+        assert profiled(X, Y, warm.kernel) >= (
+            profiled(X, Y, cold.kernel) - 1e-6)
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(6, 2))
-        y = rng.normal(size=6)
-        a = fit(X, y, restarts=4, rng=123)
-        b = fit(X, y, restarts=4, rng=123)
-        assert a.params == b.params
+        Y = rng.normal(size=(6, 2))
+        a = fit(X, Y, restarts=4, rng=123)
+        b = fit(X, Y, restarts=4, rng=123)
+        assert a.kernel == b.kernel
+        assert ([m.params for m in a.models]
+                == [m.params for m in b.models])
+
+    def test_vector_is_one_objective(self):
+        X, Y = search_data(p=1)
+        vector = fit(X, Y[:, 0], restarts=2, rng=4)
+        column = fit(X, Y, restarts=2, rng=4)
+        assert vector.n_objectives == 1
+        assert vector.kernel == column.kernel
+        assert vector.models[0].params == column.models[0].params
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -346,20 +405,20 @@ class TestFit:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_params_equal_reference_search_bitwise(self, seed):
-        X, y = search_data()
-        best_theta, _ = reference_search(X, y, restarts=3, rng=seed)
-        model = fit(X, y, restarts=3, rng=seed)
-        assert model.params == KernelParams.from_log_array(best_theta)
+        X, Y = search_data()
+        best_theta, _ = reference_search(X, Y, restarts=3, rng=seed)
+        model = fit(X, Y, restarts=3, rng=seed)
+        assert model.kernel == unit_kernel(best_theta)
         assert not model.warned
 
     def test_every_lml_call_goes_through_the_module_attribute(
             self, monkeypatch):
         # The benchmark counts surrogate.lml calls by patching this
         # attribute; a fast path around it would zero that counter.
-        X, y = search_data()
-        _, nfev = reference_search(X, y, restarts=3, rng=5)
+        X, Y = search_data()
+        _, nfev = reference_search(X, Y, restarts=3, rng=5)
         calls = count_lml_calls(monkeypatch)
-        fit(X, y, restarts=3, rng=5)
+        fit(X, Y, restarts=3, rng=5)
         assert len(calls) == nfev
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -367,28 +426,157 @@ class TestFit:
         # ell**2 underflows to 0 on these bounds, so every kernel matrix
         # holds NaN: every evaluation must fail as the checked wrappers
         # did, for the same number of evaluations, before the fallback.
-        X, y = search_data()
+        X, Y = search_data()
         bounds = ParamBounds(ell=(1e-300, 1e-200))
-        best_theta, nfev = reference_search(X, y, restarts=2, rng=0,
+        best_theta, nfev = reference_search(X, Y, restarts=2, rng=0,
                                             bounds=bounds)
         assert best_theta is None
         calls = count_lml_calls(monkeypatch)
         with pytest.warns(UserWarning, match="every restart"):
-            model = fit(X, y, bounds=bounds, restarts=2, rng=0)
-        assert model.warned and model.params == KernelParams()
+            model = fit(X, Y, bounds=bounds, restarts=2, rng=0)
+        assert model.warned and model.kernel == KernelParams()
+        assert all(m.params == KernelParams() for m in model.models)
         assert len(calls) == nfev
 
     def test_bounds_are_respected(self):
+        # noise bounds the noise-to-signal ratio tau; sigma clips each
+        # objective's fitted scale, here on targets of scale 0.1 and 10.
         rng = np.random.default_rng(12)
         X = rng.normal(size=(8, 1))
-        y = rng.normal(size=8)
+        Y = rng.normal(size=(8, 2)) * [0.1, 10.0]
         bounds = ParamBounds(sigma=(0.5, 2.0), ell=(0.5, 2.0),
                              alpha=(0.5, 2.0), noise=(1e-6, 1e-2))
-        model = fit(X, y, bounds=bounds, restarts=4, rng=3)
-        assert 0.5 <= model.params.sigma <= 2.0
-        assert 0.5 <= model.params.ell <= 2.0
-        assert 0.5 <= model.params.alpha <= 2.0
-        assert 1e-6 <= model.params.noise <= 1e-2
+        model = fit(X, Y, bounds=bounds, restarts=4, rng=3)
+        assert 0.5 <= model.kernel.ell <= 2.0
+        assert 0.5 <= model.kernel.alpha <= 2.0
+        assert 1e-6 <= model.kernel.noise <= 1e-2
+        assert [m.params.sigma for m in model.models] == [0.5, 2.0]
+        for m in model.models:
+            assert (m.params.ell, m.params.alpha) == (model.kernel.ell,
+                                                      model.kernel.alpha)
+            assert m.params.noise == max(
+                model.kernel.noise * m.params.sigma ** 2,
+                surrogate.NOISE_FLOOR)
+
+
+class TestProfiledKernel:
+    """One search over the separable kernel B (x) k with B diagonal and
+    profiled out: B_jj = y_j' A^-1 y_j / n, A = RQ(ell, alpha; 1) + tau I."""
+
+    @staticmethod
+    def scales(X, Y, kernel):
+        A = rq_gram(X, X, kernel) + kernel.noise * np.eye(len(Y))
+        return np.einsum("ij,ij->j", Y, np.linalg.solve(A, Y)) / len(Y)
+
+    @staticmethod
+    def column_sum(X, Y, kernel, scales):
+        return sum(log_marginal_likelihood(
+            X, y, KernelParams(sigma=float(np.sqrt(b)), ell=kernel.ell,
+                               alpha=kernel.alpha, noise=kernel.noise * b))
+            for y, b in zip(Y.T, scales))
+
+    def random_kernels(self, seed, count=10):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            yield KernelParams(sigma=1.0, ell=float(rng.uniform(0.3, 3.0)),
+                               alpha=float(rng.uniform(0.5, 10.0)),
+                               noise=float(10 ** rng.uniform(-4, 0)))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_equals_sum_of_column_evidences_at_the_profiled_scales(self, p):
+        X, Y = search_data(p)
+        for kernel in self.random_kernels(p):
+            b = self.scales(X, Y, kernel)
+            assert profiled(X, Y, kernel) == pytest.approx(
+                self.column_sum(X, Y, kernel, b), abs=1e-8)
+            # Unprofiled, a matrix's evidence is the sum over its columns.
+            assert log_marginal_likelihood(X, Y, kernel) == pytest.approx(
+                sum(log_marginal_likelihood(X, y, kernel) for y in Y.T),
+                abs=1e-8)
+            # Only the noise-to-signal ratio matters, not sigma itself.
+            scaled = KernelParams(sigma=3.0, ell=kernel.ell,
+                                  alpha=kernel.alpha, noise=9 * kernel.noise)
+            assert profiled(X, Y, scaled) == pytest.approx(
+                profiled(X, Y, kernel), abs=1e-8)
+
+    def test_every_scale_sits_at_its_optimum(self):
+        X, Y = search_data(p=3)
+        for kernel in self.random_kernels(7, count=4):
+            b = self.scales(X, Y, kernel)
+            best = profiled(X, Y, kernel)
+            for j in range(3):
+                for factor in (0.9, 1.1):
+                    moved = b.copy()
+                    moved[j] *= factor
+                    assert self.column_sum(X, Y, kernel, moved) < best
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_gradient_matches_central_differences(self, p):
+        X, Y = search_data(p)
+        for kernel in self.random_kernels(11 + p, count=4):
+            theta = np.log([kernel.ell, kernel.alpha, kernel.noise])
+            _, gradient = log_marginal_likelihood(X, Y, kernel,
+                                                  profiled=True)
+            h = 1e-5
+            numeric = [(profiled(X, Y, unit_kernel(theta + h * e))
+                        - profiled(X, Y, unit_kernel(theta - h * e))) / (2 * h)
+                       for e in np.eye(3)]
+            assert gradient == pytest.approx(numeric, rel=1e-5, abs=1e-5)
+
+    def test_search_equals_reference_bitwise(self):
+        # Value and gradient through the checked scipy wrappers drive the
+        # same L-BFGS-B path to the same bits.
+        X, Y = search_data(p=3)
+        for kernel in self.random_kernels(5, count=5):
+            value, gradient = log_marginal_likelihood(X, Y, kernel,
+                                                      profiled=True)
+            ref_value, ref_gradient = reference_profiled(X, Y, kernel)
+            assert value == ref_value
+            assert np.array_equal(gradient, ref_gradient)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_one_factorization_per_evaluation_for_all_objectives(
+            self, monkeypatch, p):
+        # A noise ratio of at least 1e-3 keeps every factorization on the
+        # first jitter rung, so each one is a single dpotrf call.
+        X, Y = search_data(p)
+        X[13] += 0.5
+        factorizations = []
+        dpotrf = surrogate.lapack.dpotrf
+
+        def counted_dpotrf(*args, **kwargs):
+            factorizations.append(1)
+            return dpotrf(*args, **kwargs)
+
+        per_call = []
+        lml = surrogate.log_marginal_likelihood
+
+        def counted_lml(X_, Y_, *args, **kwargs):
+            before = len(factorizations)
+            value = lml(X_, Y_, *args, **kwargs)
+            per_call.append((Y_.shape, len(factorizations) - before))
+            return value
+
+        monkeypatch.setattr(surrogate.lapack, "dpotrf", counted_dpotrf)
+        monkeypatch.setattr(surrogate, "log_marginal_likelihood", counted_lml)
+        model = fit(X, Y, bounds=ParamBounds(noise=(1e-3, 1.0)), restarts=2,
+                    rng=0)
+        assert per_call and set(per_call) == {((14, p), 1)}
+        # Then one factor for the scales and one per objective's model.
+        assert len(factorizations) == len(per_call) + 1 + p
+        assert model.n_objectives == p
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_warm_refit_never_ends_below_its_warm_start(self, seed):
+        # A refit on a history grown by four rows, from the previous fit
+        # and from kernels drawn at random.
+        X, Y = search_data(p=2)
+        previous = fit_multi(X[:10], Y[:10], restarts=8, rng=seed)
+        for start in (previous.kernel, *self.random_kernels(seed, count=3)):
+            warm = MultiGp(models=previous.models, kernel=start)
+            refit = fit_multi(X, Y, restarts=8, rng=seed + 10, warm=warm)
+            assert profiled(X, Y, refit.kernel) >= (
+                profiled(X, Y, start) - 1e-6)
 
 
 class TestMultiOutput:
@@ -432,6 +620,8 @@ class TestMultiOutput:
         assert multi.n_objectives == 2
         for model in multi.models:
             assert model.X is not None and model.X.shape == (7, 2)
+            assert (model.params.ell, model.params.alpha) == (
+                multi.kernel.ell, multi.kernel.alpha)
 
     def test_best_observed_is_columnwise_min(self):
         X = np.array([[0.0], [1.0], [2.0]])
