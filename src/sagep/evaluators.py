@@ -1,4 +1,4 @@
-"""Expensive-evaluation oracles and the scalar feature library.
+"""Expensive-evaluation oracles and the feature tables they embed on.
 
 Two evaluator families stand in for a CFD solver at desk scale:
 
@@ -18,11 +18,6 @@ symreg.eval_tree is the reference semantics the tests check against.
 Both evaluators bump a module-level call counter; passive replay must leave
 that counter untouched, which is how tests prove no expensive call happens
 during replay.
-
-The feature library computes the scalar invariants used as expression
-terminals: I1, I2 from normalized strain/rotation tensors, J1..J5 from
-temperature gradients contracted with raw tensors, and the wall-proximity
-features N1, N2 (N3 is accepted as an input column, never computed).
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .embedding import FeatureTable, ingest_feature_table
+from .embedding import FeatureTable
 from .symreg import (DIVERGENCE_SENTINEL, ConfigurationError, ConstantsPool,
                      ExprTree, parse_expression, polynomial_eval, preorder,
                      tree_polynomial)
@@ -43,12 +38,7 @@ from .symreg import (DIVERGENCE_SENTINEL, ConfigurationError, ConstantsPool,
 __all__ = [
     "EvaluationOutcome",
     "ChannelCase",
-    "InvariantFields",
     "SetupError",
-    "DomainError",
-    "compute_invariants",
-    "read_invariant_fields",
-    "INVARIANT_COLUMNS",
     "SymbolicBenchmark",
     "ChannelEvaluator",
     "solve_channel",
@@ -61,10 +51,6 @@ __all__ = [
 
 class SetupError(RuntimeError):
     """An evaluator cannot be constructed from the given case."""
-
-
-class DomainError(ValueError):
-    """Input fields violate the physical domain requirements."""
 
 
 _expensive_calls = 0
@@ -116,118 +102,6 @@ def _unknown_terminals(trees: Sequence[ExprTree],
 def _sentinel_outcome(p: int, iterations: int = 0) -> EvaluationOutcome:
     return EvaluationOutcome(objectives=np.full(p, DIVERGENCE_SENTINEL),
                              converged=False, iterations=iterations)
-
-
-# ---------------------------------------------------------------------------
-# Invariant feature library
-
-
-@dataclass(frozen=True)
-class InvariantFields:
-    """Raw per-point tensor fields the scalar features are built from.
-
-    S is the strain-rate tensor (symmetric), W the rotation-rate tensor
-    (antisymmetric), both with shape (n, 3, 3).  grad_t is the temperature
-    gradient (n, 3); omega, k, nu, nut, y are flat arrays of the specific
-    dissipation rate, turbulence kinetic energy, molecular and turbulent
-    viscosities, and wall distance.
-    """
-
-    S: np.ndarray
-    W: np.ndarray
-    grad_t: np.ndarray
-    omega: np.ndarray
-    k: np.ndarray
-    nu: np.ndarray
-    nut: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        n = self.omega.shape[0]
-        if self.S.shape != (n, 3, 3) or self.W.shape != (n, 3, 3):
-            raise DomainError("S and W must have shape (n, 3, 3)")
-        if self.grad_t.shape != (n, 3):
-            raise DomainError("grad_t must have shape (n, 3)")
-        for name in ("k", "nu", "nut", "y"):
-            if getattr(self, name).shape != (n,):
-                raise DomainError(f"{name} must be a flat array of length {n}")
-        if np.any(self.omega <= 0):
-            raise DomainError("omega must be positive at every point")
-        if np.max(np.abs(self.S - np.transpose(self.S, (0, 2, 1)))) > 1e-12:
-            raise DomainError("S must be symmetric to 1e-12")
-        if np.max(np.abs(self.W + np.transpose(self.W, (0, 2, 1)))) > 1e-12:
-            raise DomainError("W must be antisymmetric to 1e-12")
-
-
-def compute_invariants(fields: InvariantFields,
-                       n3: np.ndarray | None = None) -> FeatureTable:
-    """Scalar features per sample point.
-
-    I1, I2 contract the omega-normalized deviatoric strain and rotation
-    tensors with themselves; J1..J5 contract the temperature gradient with
-    the raw tensors; N1 is the wall-distance Reynolds number clamped at 2,
-    N2 the viscosity ratio.  N3 (shear-layer blending) must be supplied
-    externally when wanted.
-    """
-    S, W, g = fields.S, fields.W, fields.grad_t
-    omega = fields.omega
-    trace = np.trace(S, axis1=1, axis2=2)
-    S_dev = S - trace[:, None, None] / 3.0 * np.eye(3)
-    s = S_dev / omega[:, None, None]
-    w = W / omega[:, None, None]
-
-    columns: dict[str, np.ndarray] = {}
-    columns["I1"] = np.einsum("pmn,pnm->p", s, s)
-    columns["I2"] = np.einsum("pmn,pnm->p", w, w)
-    columns["J1"] = np.einsum("pi,pi->p", g, g)
-    columns["J2"] = np.einsum("pi,pij,pj->p", g, S, g)
-    columns["J3"] = np.einsum("pi,pij,pjk,pk->p", g, S, S, g)
-    columns["J4"] = np.einsum("pi,pij,pjk,pk->p", g, W, W, g)
-    columns["J5"] = np.einsum("pi,pij,pjk,pk->p", g, W, S, g)
-    columns["N1"] = np.minimum(np.sqrt(fields.k) * fields.y / (50.0 * fields.nu), 2.0)
-    columns["N2"] = fields.nut / (fields.nut + fields.nu)
-    if n3 is not None:
-        n3 = np.asarray(n3, dtype=float)
-        if n3.shape != fields.omega.shape:
-            raise DomainError("N3 column must align with the sample points")
-        columns["N3"] = n3
-    return FeatureTable(columns=columns)
-
-
-# Fixed ingest column order: the symmetric strain components, the three
-# independent rotation components, the temperature gradient, then scalars.
-INVARIANT_COLUMNS = ("S11", "S12", "S13", "S22", "S23", "S33",
-                     "W12", "W13", "W23",
-                     "TX", "TY", "TZ",
-                     "OMEGA", "K", "NU", "NUT", "Y")
-
-
-def read_invariant_fields(path: str | Path) -> InvariantFields:
-    """Read raw fields from a comma-separated file with the documented fixed
-    column order (see INVARIANT_COLUMNS).
-
-    The file is read as a feature table (ingest_feature_table: every cell a
-    finite float, else IngestError); a header other than INVARIANT_COLUMNS
-    raises DomainError.
-    """
-    table = ingest_feature_table(path)
-    if table.names != INVARIANT_COLUMNS:
-        raise DomainError(
-            f"{path}: expected columns {INVARIANT_COLUMNS}, got {table.names}")
-    data = np.column_stack([table.columns[name] for name in table.names])
-    n = table.n_rows
-    s6 = data[:, 0:6]
-    S = np.zeros((n, 3, 3))
-    S[:, 0, 0], S[:, 0, 1], S[:, 0, 2] = s6[:, 0], s6[:, 1], s6[:, 2]
-    S[:, 1, 1], S[:, 1, 2], S[:, 2, 2] = s6[:, 3], s6[:, 4], s6[:, 5]
-    S[:, 1, 0], S[:, 2, 0], S[:, 2, 1] = s6[:, 1], s6[:, 2], s6[:, 4]
-    w3 = data[:, 6:9]
-    W = np.zeros((n, 3, 3))
-    W[:, 0, 1], W[:, 0, 2], W[:, 1, 2] = w3[:, 0], w3[:, 1], w3[:, 2]
-    W[:, 1, 0], W[:, 2, 0], W[:, 2, 1] = -w3[:, 0], -w3[:, 1], -w3[:, 2]
-    return InvariantFields(S=S, W=W, grad_t=data[:, 9:12],
-                           omega=data[:, 12], k=data[:, 13],
-                           nu=data[:, 14], nut=data[:, 15], y=data[:, 16])
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ __all__ = [
 
 log = logging.getLogger("sagep")
 
-# Objectives are clamped here before the optional log10 transform; a perfect
+# The GP regresses log10 of the objectives, clamped here first; a perfect
 # candidate would otherwise send the regression target to -inf.
 _LOG_FLOOR = 1e-12
 
@@ -135,12 +135,10 @@ class EmbeddingSettings:
 @dataclass(frozen=True)
 class SurrogateSettings:
     restarts: int = 8
-    log_error: bool = True
     bounds: sur_mod.ParamBounds = field(default_factory=sur_mod.ParamBounds)
 
     def __post_init__(self):
         _require(self, "an integer", _integer, "restarts")
-        _require(self, "a bool", _bool, "log_error")
         if self.restarts < 1:
             raise ConfigError("surrogate restarts must be >= 1")
         _require(self.bounds, "a pair of numbers", _pair, "sigma", "ell",
@@ -402,14 +400,14 @@ def build_evaluator(spec: EvaluatorSpec):
                                       spec.slot_of_objective)
 
 
-def _gp_target_map(log_error: bool) -> tuple[Callable[[np.ndarray], np.ndarray],
-                                             Callable[[np.ndarray], np.ndarray]]:
-    """The map from raw objectives to GP regression targets, and its
-    inverse from posterior means back to objectives."""
-    if log_error:
-        return (lambda objs: np.log10(np.maximum(objs, _LOG_FLOOR)),
-                lambda means: np.power(10.0, np.clip(means, -300.0, 300.0)))
-    return (lambda objs: objs, lambda means: np.maximum(means, 0.0))
+def _to_gp_target(objectives: np.ndarray) -> np.ndarray:
+    """GP regression targets: log10 of the objectives."""
+    return np.log10(np.maximum(objectives, _LOG_FLOOR))
+
+
+def _to_objective(means: np.ndarray) -> np.ndarray:
+    """Objectives from GP posterior means: the inverse of _to_gp_target."""
+    return np.power(10.0, np.clip(means, -300.0, 300.0))
 
 
 def _fit_surrogate(history: sel_mod.SelectionHistory,
@@ -419,9 +417,8 @@ def _fit_surrogate(history: sel_mod.SelectionHistory,
     from the history's last fit when there is one."""
     if history.converged_points.shape[0] == 0:
         raise RunError("no converged expensive data to fit the surrogate")
-    to_gp, _ = _gp_target_map(settings.log_error)
     return sur_mod.fit_multi(history.converged_points,
-                             to_gp(history.converged_objectives),
+                             _to_gp_target(history.converged_objectives),
                              bounds=settings.bounds,
                              restarts=settings.restarts, rng=rng,
                              warm=history.last_fit)
@@ -497,8 +494,7 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
             decision = sel_mod.select_generation(
                 gen, selected, model, history, config.selection_config(),
                 select_rng)
-            _, to_objective = _gp_target_map(config.surrogate.log_error)
-            predicted = dict(zip(offered, to_objective(decision.means)))
+            predicted = dict(zip(offered, _to_objective(decision.means)))
             chosen = set(decision.selected_ids)
             selected = [c for c in selected if c.id in chosen]
 

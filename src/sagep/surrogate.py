@@ -134,9 +134,10 @@ def _sqdist(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
 
 
 def _rq_from_sqdist(sq: np.ndarray, params: KernelParams) -> np.ndarray:
-    base = 1.0 + sq / (2.0 * params.alpha * params.ell ** 2)
-    # Underflow to zero covariance is the correct distant-pair limit.
+    # Underflow is harmless in both steps: a tiny squared distance scales to
+    # 0 (base 1, full covariance) and a distant pair's covariance to 0.
     with np.errstate(under="ignore"):
+        base = 1.0 + sq / (2.0 * params.alpha * params.ell ** 2)
         return params.sigma ** 2 * base ** (-params.alpha)
 
 

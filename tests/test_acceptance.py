@@ -18,8 +18,6 @@ import sagep.orchestrator as orch
 from sagep.embedding import FeatureTable, write_feature_table
 from sagep.evaluators import (
     DIVERGENCE_SENTINEL,
-    InvariantFields,
-    compute_invariants,
     default_channel_case,
     solve_channel,
 )
@@ -398,42 +396,3 @@ def test_criterion_8_sentinel_property(alpha_const):
 
 def test_criterion_8_report():
     report(8, True, "sentinel exact, GP excludes diverged, neighbor weight < 1")
-
-
-# ---------------------------------------------------------------------------
-# 9. Invariant features
-
-
-def test_criterion_9_invariant_features():
-    zero = InvariantFields(S=np.zeros((5, 3, 3)), W=np.zeros((5, 3, 3)),
-                           grad_t=np.zeros((5, 3)), omega=np.ones(5),
-                           k=np.ones(5), nu=np.ones(5), nut=np.ones(5),
-                           y=np.ones(5))
-    table = compute_invariants(zero)
-    zero_ok = all(np.array_equal(table.columns[name], np.zeros(5))
-                  for name in ("I1", "I2", "J1", "J2", "J3", "J4", "J5"))
-
-    clamp = InvariantFields(S=np.zeros((1, 3, 3)), W=np.zeros((1, 3, 3)),
-                            grad_t=np.zeros((1, 3)), omega=np.ones(1),
-                            k=np.array([9.0]), nu=np.array([1.0]),
-                            nut=np.ones(1), y=np.array([50.0]))
-    clamp_ok = compute_invariants(clamp).columns["N1"][0] == 2.0
-
-    rng = np.random.default_rng(9)
-    n = 1000
-    W = np.zeros((n, 3, 3))
-    W[:, 0, 1] = rng.uniform(-5, 5, size=n)
-    W[:, 0, 2] = rng.uniform(-5, 5, size=n)
-    W[:, 1, 2] = rng.uniform(-5, 5, size=n)
-    W = W - np.transpose(W, (0, 2, 1))
-    fields = InvariantFields(S=np.zeros((n, 3, 3)), W=W,
-                             grad_t=np.zeros((n, 3)),
-                             omega=rng.uniform(0.5, 2.0, size=n),
-                             k=np.ones(n), nu=np.ones(n), nut=np.ones(n),
-                             y=np.ones(n))
-    i2 = compute_invariants(fields).columns["I2"]
-    sign_ok = bool(np.all(i2 <= 0.0))
-
-    ok = zero_ok and bool(clamp_ok) and sign_ok
-    report(9, ok, "zero fields zero, N1 clamps at 2, I2 <= 0 on 1000 tensors")
-    assert ok

@@ -1,31 +1,23 @@
-"""Oracles: invariant features, symbolic benchmark, coupled channel solver."""
+"""Oracles: symbolic benchmark, coupled channel solver."""
 
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 import sagep.evaluators as ev
-from sagep.embedding import FeatureTable, IngestError
+from sagep.embedding import FeatureTable
 from sagep.evaluators import (
     DIVERGENCE_SENTINEL,
     ChannelCase,
     ChannelEvaluator,
-    DomainError,
     EvaluationOutcome,
-    INVARIANT_COLUMNS,
-    InvariantFields,
     SetupError,
     SymbolicBenchmark,
-    compute_invariants,
     default_channel_case,
     expensive_call_count,
     load_channel_case,
     make_reference,
-    read_invariant_fields,
     solve_channel,
 )
 from sagep.symreg import (ConfigurationError, ConstantsPool, ExprTree,
@@ -36,137 +28,6 @@ def term_orders(terms):
     """One tree per order of the terms, all with the same phenotype key."""
     return [parse_expression(" + ".join(order))
             for order in itertools.permutations(terms)]
-
-
-def fields_from_tensors(S, W, grad_t=None, omega=None, k=None, nu=None,
-                        nut=None, y=None):
-    n = S.shape[0]
-    return InvariantFields(
-        S=S, W=W,
-        grad_t=np.zeros((n, 3)) if grad_t is None else grad_t,
-        omega=np.ones(n) if omega is None else omega,
-        k=np.ones(n) if k is None else k,
-        nu=np.ones(n) if nu is None else nu,
-        nut=np.ones(n) if nut is None else nut,
-        y=np.ones(n) if y is None else y,
-    )
-
-
-class TestInvariants:
-    def test_zero_fields_give_zero_features(self):
-        f = fields_from_tensors(np.zeros((4, 3, 3)), np.zeros((4, 3, 3)))
-        table = compute_invariants(f)
-        for name in ("I1", "I2", "J1", "J2", "J3", "J4", "J5"):
-            assert np.array_equal(table.columns[name], np.zeros(4)), name
-
-    def test_pure_shear_first_invariant(self):
-        # s12 = s21 = a with unit omega contracts to 2 a^2.
-        a = 0.7
-        S = np.zeros((1, 3, 3))
-        S[0, 0, 1] = S[0, 1, 0] = a
-        f = fields_from_tensors(S, np.zeros((1, 3, 3)))
-        table = compute_invariants(f)
-        assert table.columns["I1"][0] == pytest.approx(2 * a ** 2, rel=1e-12)
-
-    def test_omega_normalizes_first_invariant(self):
-        S = np.zeros((1, 3, 3))
-        S[0, 0, 1] = S[0, 1, 0] = 1.0
-        f = fields_from_tensors(S, np.zeros((1, 3, 3)), omega=np.array([2.0]))
-        table = compute_invariants(f)
-        assert table.columns["I1"][0] == pytest.approx(0.5, rel=1e-12)
-
-    def test_wall_reynolds_clamps_at_two(self):
-        # sqrt(k) y / (50 nu) = 3 clamps to the cap.
-        f = fields_from_tensors(np.zeros((1, 3, 3)), np.zeros((1, 3, 3)),
-                                k=np.array([9.0]), y=np.array([50.0]),
-                                nu=np.array([1.0]))
-        table = compute_invariants(f)
-        assert table.columns["N1"][0] == 2.0
-
-    def test_wall_reynolds_below_cap(self):
-        f = fields_from_tensors(np.zeros((1, 3, 3)), np.zeros((1, 3, 3)),
-                                k=np.array([1.0]), y=np.array([25.0]),
-                                nu=np.array([1.0]))
-        table = compute_invariants(f)
-        assert table.columns["N1"][0] == pytest.approx(0.5, rel=1e-12)
-
-    def test_viscosity_ratio(self):
-        f = fields_from_tensors(np.zeros((1, 3, 3)), np.zeros((1, 3, 3)),
-                                nu=np.array([1.0]), nut=np.array([3.0]))
-        assert compute_invariants(f).columns["N2"][0] == pytest.approx(0.75)
-
-    def test_temperature_gradient_invariant(self):
-        g = np.array([[1.0, 2.0, -1.0]])
-        f = fields_from_tensors(np.zeros((1, 3, 3)), np.zeros((1, 3, 3)),
-                                grad_t=g)
-        assert compute_invariants(f).columns["J1"][0] == pytest.approx(6.0)
-
-    def test_n3_passthrough_and_alignment(self):
-        f = fields_from_tensors(np.zeros((2, 3, 3)), np.zeros((2, 3, 3)))
-        table = compute_invariants(f, n3=np.array([0.1, 0.9]))
-        assert np.array_equal(table.columns["N3"], [0.1, 0.9])
-        with pytest.raises(DomainError):
-            compute_invariants(f, n3=np.zeros(3))
-
-    @given(hnp.arrays(np.float64, (6, 3),
-                      elements=st.floats(-3, 3, allow_nan=False)))
-    def test_rotation_invariant_never_positive(self, upper):
-        W = np.zeros((6, 3, 3))
-        W[:, 0, 1], W[:, 0, 2], W[:, 1, 2] = upper[:, 0], upper[:, 1], upper[:, 2]
-        W = W - np.transpose(W, (0, 2, 1))
-        f = fields_from_tensors(np.zeros((6, 3, 3)), W)
-        assert np.all(compute_invariants(f).columns["I2"] <= 0.0)
-
-    def test_validation_rejects_bad_tensors(self):
-        S = np.zeros((1, 3, 3))
-        S[0, 0, 1] = 1.0  # not symmetric
-        with pytest.raises(DomainError):
-            fields_from_tensors(S, np.zeros((1, 3, 3)))
-        W = np.zeros((1, 3, 3))
-        W[0, 0, 0] = 1.0  # not antisymmetric
-        with pytest.raises(DomainError):
-            fields_from_tensors(np.zeros((1, 3, 3)), W)
-
-    def test_validation_rejects_nonpositive_omega(self):
-        with pytest.raises(DomainError):
-            fields_from_tensors(np.zeros((1, 3, 3)), np.zeros((1, 3, 3)),
-                                omega=np.array([0.0]))
-
-    def test_field_file_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        n = 3
-        rows = []
-        for _ in range(n):
-            s_upper = rng.normal(size=6)
-            w_upper = rng.normal(size=3)
-            g = rng.normal(size=3)
-            scal = [abs(rng.normal()) + 0.5 for _ in range(5)]
-            rows.append(list(s_upper) + list(w_upper) + list(g) + scal)
-        path = tmp_path / "fields.csv"
-        with open(path, "w") as fh:
-            fh.write(",".join(INVARIANT_COLUMNS) + "\n")
-            for row in rows:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-        fields = read_invariant_fields(path)
-        table = compute_invariants(fields)
-        assert table.n_rows == n
-        assert np.all(np.isfinite(table.columns["I1"]))
-
-    def test_field_file_header_must_match(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("A,B\n1,2\n")
-        with pytest.raises(DomainError, match="expected columns"):
-            read_invariant_fields(path)
-
-    def test_field_file_rejects_non_finite_cell(self, tmp_path):
-        # Read like a feature table: a NaN cell is an ingest fault, not a
-        # field full of NaN features.
-        row = ["0.0"] * 12 + ["1.0", "nan", "1.0", "1.0", "1.0"]
-        path = tmp_path / "fields.csv"
-        path.write_text(",".join(INVARIANT_COLUMNS) + "\n"
-                        + ",".join(row) + "\n")
-        with pytest.raises(IngestError, match="non-finite"):
-            read_invariant_fields(path)
 
 
 class TestEvaluationOutcome:

@@ -141,6 +141,8 @@ class TestConfig:
         ("surrogate_enabled", {"surrogate_enabled": "false"}),
         ("surrogate_enabled", {"surrogate_enabled": 0}),
         ("log_error", {"surrogate": {"log_error": "false"}}),
+        ("log_error", {"surrogate": {"log_error": True}}),
+        ("log_error", {"surrogate": {"log_error": False}}),
         ("average_inputs_first", {"embedding": {
             "average_inputs_first": "no"}}),
         ("n_init", {"selection": {"n_init": 2.5}}),
@@ -166,7 +168,8 @@ class TestConfig:
         ("table", {"evaluator": {"kind": "symbolic", "table": 4,
                                  "targets": TARGETS}}),
     ], ids=["surrogate_enabled_string", "surrogate_enabled_int",
-            "log_error", "average_inputs_first", "n_init", "m_fixed_float",
+            "log_error", "log_error_true", "log_error_false",
+            "average_inputs_first", "n_init", "m_fixed_float",
             "m_fixed_bool", "m_pareto", "mutation_rate", "crossover_rate",
             "const_range_string", "const_range_null", "const_range_short",
             "beta_bool", "xi_bool", "delta_bool", "m_rel_bool",
@@ -176,7 +179,8 @@ class TestConfig:
     def test_ill_typed_field_rejected_on_load(self, tmp_path, capsys, name,
                                               overrides):
         # Each is caught while the config loads, and `sagep run` exits 1
-        # instead of running with another meaning or crashing mid-run.
+        # instead of running with another meaning or crashing mid-run.  The
+        # removed switch surrogate.log_error is rejected whatever its value.
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=name):
             load_run_config(path)
@@ -313,11 +317,9 @@ class TestGenerationStep:
                           embedding=np.asarray(e, dtype=float))
                 for i, e in enumerate(embeddings)]
 
-    def step(self, gen, pop, history, surrogate_enabled=True,
-             log_error=False):
+    def step(self, gen, pop, history, surrogate_enabled=True):
         config = RunConfig(
             surrogate_enabled=surrogate_enabled,
-            surrogate=orch.SurrogateSettings(log_error=log_error),
             selection=SelectionConfig(metric="lcb", beta=50.0, m_fixed=1))
         calls = []
 
@@ -475,11 +477,11 @@ class TestGenerationStep:
         assert records[2].converged is False
 
     def test_mean_transform_applied_to_predictions(self, monkeypatch):
-        # log_error: the GP regresses log10 of the objectives, and the step
-        # maps the posterior means back with 10**mean.
+        # The GP regresses log10 of the objectives, and the step maps the
+        # posterior means back with 10**mean.
         self.tight_fit(monkeypatch)
         pop = self.population([0.0, 0.0], [6.0, 6.0])
-        self.step(2, pop, self.history([10.0, 10.0]), log_error=True)
+        self.step(2, pop, self.history([10.0, 10.0]))
         assert np.allclose(pop[0].objectives, [10.0, 10.0], rtol=1e-3)
 
 
@@ -560,14 +562,6 @@ class TestRunTraining:
         cums = [row.expensive_cumulative for row in metrics.rows]
         assert cums == sorted(cums)
         assert 0.0 < metrics.final_selection_ratio <= 1.0
-
-    def test_plain_error_regression_mode(self, tmp_path):
-        cfg = load_run_config(write_config(
-            tmp_path, surrogate={"restarts": 2, "log_error": False}))
-        db, metrics = run_training(cfg)
-        for rec in db.records:
-            if rec.provenance == "surrogate":
-                assert np.all(np.asarray(rec.objectives) >= 0.0)
 
     def test_seed_changes_outcomes(self, tmp_path):
         cfg = load_run_config(write_config(tmp_path))

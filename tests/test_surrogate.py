@@ -195,6 +195,14 @@ class TestKernel:
         assert k_near >= k_far
         assert 0.0 < k_far <= sigma ** 2 + 1e-12
 
+    def test_tiny_squared_distance_does_not_underflow(self):
+        # 1e-320 / (2 alpha ell^2) underflows to 0, and the kernel at a
+        # squared distance of 0 is the correct value there.
+        with np.errstate(all="raise"):
+            K = surrogate._rq_from_sqdist(np.array([[0.0, 1e-320]]),
+                                          KernelParams(ell=10.0))
+        assert K.tolist() == [[1.0, 1.0]]
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             KernelParams(sigma=-1.0, ell=1.0, alpha=1.0, noise=1e-6)
