@@ -1,11 +1,12 @@
 """Fixed-length numeric embeddings for candidate expressions.
 
 An expression has no natural coordinates, but the surrogate needs one point
-per candidate.  The embedding evaluates each model slot's canonical
-polynomial on every row of a shared baseline feature table and averages the
-results, giving one coordinate per slot.  Because the polynomial (not the
-raw tree) is evaluated and polynomial_eval adds its monomials in key order,
-two genotypes with the same phenotype key map to bit-identical coordinates.
+per candidate.  As in the paper, the embedding evaluates each model slot's
+canonical polynomial on "the averaged values of the input symbols": once,
+on the mean row of a shared baseline feature table, giving one coordinate
+per slot.  Because the polynomial (not the raw tree) is evaluated and
+polynomial_eval adds its monomials in key order, two genotypes with the
+same phenotype key map to bit-identical coordinates.
 
 Normalization statistics are frozen on the first evaluated generation and
 reused afterwards so surrogate training inputs stay in one coordinate frame
@@ -123,31 +124,17 @@ def write_feature_table(table: FeatureTable, path: str | Path) -> None:
 
 
 def embed(trees: Sequence[ExprTree], table: FeatureTable,
-          pool: ConstantsPool | None = None,
-          average_inputs_first: bool = False) -> np.ndarray:
-    """Embed a candidate as one coordinate per model slot.
+          pool: ConstantsPool | None = None) -> np.ndarray:
+    """Embed a candidate as one coordinate per model slot: the slot's
+    polynomial evaluated on the table's mean row.
 
-    Default route: evaluate each slot's polynomial on all table rows, then
-    average.  The alternative route averages the inputs first and evaluates
-    once on the mean row; for non-linear expressions the two differ, so the
-    choice is a run-level switch, never mixed within a run.  Overflow or
-    invalid arithmetic is not trapped here: non-finite coordinates mark the
-    candidate as diverged upstream.
+    Overflow or invalid arithmetic is not trapped here: non-finite
+    coordinates mark the candidate as diverged upstream.
     """
-    coords = np.empty(len(trees), dtype=float)
-    mean_columns = None
-    if average_inputs_first:
-        mean_columns = {name: np.asarray([value]) for name, value
-                        in table.mean_row().items()}
-    for k, tree in enumerate(trees):
-        poly = tree_polynomial(tree, pool)
-        if average_inputs_first:
-            coords[k] = float(polynomial_eval(poly, mean_columns)[0])
-        else:
-            values = polynomial_eval(poly, table.columns)
-            with np.errstate(all="ignore"):
-                coords[k] = float(np.mean(values))
-    return coords
+    mean_row = {name: np.asarray([value])
+                for name, value in table.mean_row().items()}
+    return np.array([polynomial_eval(tree_polynomial(tree, pool), mean_row)[0]
+                     for tree in trees], dtype=float)
 
 
 @dataclass(frozen=True)

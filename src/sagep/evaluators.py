@@ -1,4 +1,4 @@
-"""Expensive-evaluation oracles and the feature tables they embed on.
+"""Expensive-evaluation oracles.
 
 Two evaluator families stand in for a CFD solver at desk scale:
 

@@ -125,11 +125,9 @@ class GepSettings:
 @dataclass(frozen=True)
 class EmbeddingSettings:
     feature_table: str | None = None
-    average_inputs_first: bool = False
 
     def __post_init__(self):
         _require(self, "a string or null", _optional(_string), "feature_table")
-        _require(self, "a bool", _bool, "average_inputs_first")
 
 
 @dataclass(frozen=True)
@@ -649,9 +647,7 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
             trees_by_id[cand.id] = trees
             cand.phenotype_keys = tuple(symreg.canonical_key(t, pool)
                                         for t in trees)
-            cand.embedding = emb_mod.embed(
-                trees, table, pool,
-                average_inputs_first=config.embedding.average_inputs_first)
+            cand.embedding = emb_mod.embed(trees, table, pool)
 
         if gen == 0:
             norm_stats = _gen0_norm_stats([c.embedding for c in current])

@@ -92,31 +92,28 @@ class TestIngest:
 
 class TestEmbed:
     def test_slot_mean_worked_example(self):
-        # I1 + I2 over rows (1, 2) and (3, 4) evaluates to 3 and 7, mean 5.
+        # Rows (1, 2) and (3, 4) have the mean row (2, 3), where I1 + I2 is 5.
         t = table_from(I1=[1.0, 3.0], I2=[2.0, 4.0])
         tree = parse_expression("I1 + I2")
         assert embed([tree], t)[0] == 5.0
 
-    def test_average_inputs_first_differs_for_nonlinear(self):
+    def test_nonlinear_expression_embeds_at_mean_row(self):
+        # I1 * I1 at the mean I1 = 1, not the mean 2 of its row values 0, 4.
         t = table_from(I1=[0.0, 2.0])
-        sq = parse_expression("I1 * I1")
-        rows_then_mean = embed([sq], t)[0]
-        mean_then_eval = embed([sq], t, average_inputs_first=True)[0]
-        assert rows_then_mean == 2.0
-        assert mean_then_eval == 1.0
+        assert embed([parse_expression("I1 * I1")], t)[0] == 1.0
 
-    def test_average_inputs_first_matches_for_linear(self):
+    def test_linear_expression_embeds_at_mean_row(self):
+        # 2*I1 - I2 at the mean row (2, 2) is 2, which for a linear
+        # expression is also the mean 2 of its row values 3 and 1.
         t = table_from(I1=[1.0, 3.0], I2=[-1.0, 5.0])
-        tree = parse_expression("2*I1 - I2")
-        assert embed([tree], t)[0] == embed([tree], t,
-                                            average_inputs_first=True)[0]
+        assert embed([parse_expression("2*I1 - I2")], t)[0] == 2.0
 
     def test_one_coordinate_per_slot(self):
         t = table_from(I1=[1.0, 3.0])
         trees = [parse_expression(s) for s in ("I1", "I1*I1", "1 - I1")]
         coords = embed(trees, t)
         assert coords.shape == (3,)
-        assert np.array_equal(coords, [2.0, 5.0, -1.0])
+        assert np.array_equal(coords, [2.0, 4.0, -1.0])
 
     def test_equal_phenotypes_embed_identically(self):
         # Same polynomial reached through different trees must give the same
@@ -126,17 +123,15 @@ class TestEmbed:
         b = parse_expression("I2 * I1 + I1 * I2")
         ca, cb = embed([a], t)[0], embed([b], t)[0]
         assert ca == cb
-        # So must every order of the terms of a polynomial, on both routes.
+        # So must every order of the terms of a polynomial.
         rng = np.random.default_rng(7)
         t = table_from(I1=rng.uniform(0.2, 1.0, size=12),
                        I2=rng.uniform(-1.0, -0.1, size=12))
         for terms in (("I1", "I1*I2", "I2"), ("0.3", "I1", "I2")):
             trees = [parse_expression(" + ".join(order))
                      for order in itertools.permutations(terms)]
-            for first in (False, True):
-                coords = {embed([tree], t, average_inputs_first=first)
-                          .tobytes() for tree in trees}
-                assert len(coords) == 1, (terms, first)
+            coords = {embed([tree], t).tobytes() for tree in trees}
+            assert len(coords) == 1, terms
 
     def test_pool_constants_fold_into_embedding(self):
         t = table_from(I1=[2.0, 4.0])

@@ -145,6 +145,10 @@ class TestConfig:
         ("log_error", {"surrogate": {"log_error": False}}),
         ("average_inputs_first", {"embedding": {
             "average_inputs_first": "no"}}),
+        ("average_inputs_first", {"embedding": {
+            "average_inputs_first": True}}),
+        ("average_inputs_first", {"embedding": {
+            "average_inputs_first": False}}),
         ("n_init", {"selection": {"n_init": 2.5}}),
         ("m_fixed", {"selection": {"m_fixed": 1.5}}),
         ("m_fixed", {"selection": {"m_fixed": True}}),
@@ -169,7 +173,8 @@ class TestConfig:
                                  "targets": TARGETS}}),
     ], ids=["surrogate_enabled_string", "surrogate_enabled_int",
             "log_error", "log_error_true", "log_error_false",
-            "average_inputs_first", "n_init", "m_fixed_float",
+            "average_inputs_first", "average_inputs_first_true",
+            "average_inputs_first_false", "n_init", "m_fixed_float",
             "m_fixed_bool", "m_pareto", "mutation_rate", "crossover_rate",
             "const_range_string", "const_range_null", "const_range_short",
             "beta_bool", "xi_bool", "delta_bool", "m_rel_bool",
@@ -180,7 +185,8 @@ class TestConfig:
                                               overrides):
         # Each is caught while the config loads, and `sagep run` exits 1
         # instead of running with another meaning or crashing mid-run.  The
-        # removed switch surrogate.log_error is rejected whatever its value.
+        # removed switches surrogate.log_error and
+        # embedding.average_inputs_first are rejected whatever their value.
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=name):
             load_run_config(path)
@@ -337,14 +343,18 @@ class TestGenerationStep:
         return selected, records
 
     def tight_fit(self, monkeypatch):
-        # A fixed-hyperparameter GP on the targets the step passes in.
+        """A fixed-hyperparameter GP on the targets the step passes in;
+        returns the list those targets are appended to."""
         tight = KernelParams(sigma=1.0, ell=1.0, alpha=1.0, noise=1e-8)
+        targets = []
 
         def fit_multi(X, Y, **_):
+            targets.append(Y)
             return MultiGp(models=tuple(build_gp(X, Y[:, k], tight)
                                         for k in range(Y.shape[1])))
 
         monkeypatch.setattr(orch.sur_mod, "fit_multi", fit_multi)
+        return targets
 
     def history(self, objectives):
         history = SelectionHistory.empty(2, 2)
@@ -479,10 +489,11 @@ class TestGenerationStep:
     def test_mean_transform_applied_to_predictions(self, monkeypatch):
         # The GP regresses log10 of the objectives, and the step maps the
         # posterior means back with 10**mean.
-        self.tight_fit(monkeypatch)
+        targets = self.tight_fit(monkeypatch)
         pop = self.population([0.0, 0.0], [6.0, 6.0])
-        self.step(2, pop, self.history([10.0, 10.0]))
-        assert np.allclose(pop[0].objectives, [10.0, 10.0], rtol=1e-3)
+        self.step(2, pop, self.history([10.0, 100.0]))
+        assert np.array_equal(targets[0], [[1.0, 2.0], [1.0, 2.0]])
+        assert np.allclose(pop[0].objectives, [10.0, 100.0], rtol=1e-3)
 
 
 class TestRunTraining:
