@@ -29,9 +29,9 @@ from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.stats import norm, qmc
+from scipy.special import ndtr
 
-from .surrogate import MultiGp, predict_multi_batch
+from .surrogate import MultiGp, _halton, predict_multi_batch
 from .symreg import Candidate, fast_nondominated_sort
 
 __all__ = [
@@ -176,9 +176,13 @@ def ei(mean, std, f_best: float, xi: float = 0.0):
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
     improve = f_best - mean - xi
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Standard normal cdf and pdf, the expressions behind scipy.stats.norm;
+    # a huge |z| overflows z**2 or underflows the exp to a pdf of 0.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
+                     under="ignore"):
         z = np.where(std > 0, improve / np.where(std > 0, std, 1.0), 0.0)
-        spread = improve * norm.cdf(z) + std * norm.pdf(z)
+        pdf = np.exp(-z ** 2 / 2.0) / np.sqrt(2 * np.pi)
+        spread = improve * ndtr(z) + std * pdf
     return np.where(std > 0, spread, np.maximum(improve, 0.0))
 
 
@@ -332,9 +336,8 @@ def _initial_sampling(emb: np.ndarray, scalar: np.ndarray,
             "initial sampling needs a non-empty history")
     lo = hist.min(axis=0)
     hi = hist.max(axis=0)
-    sampler = qmc.Halton(d=emb.shape[1], scramble=True,
-                         seed=int(rng.integers(2 ** 31 - 1)))
-    points = lo + (hi - lo) * sampler.random(config.n_init)
+    points = lo + (hi - lo) * _halton(emb.shape[1], config.n_init,
+                                      int(rng.integers(2 ** 31 - 1)))
     picks: list[int] = []
     remaining = list(range(len(ids)))
     for point in points:

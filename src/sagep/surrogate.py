@@ -49,7 +49,6 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
-from scipy.stats import qmc
 
 __all__ = [
     "NOISE_FLOOR",
@@ -323,6 +322,39 @@ class MultiGp:
         return np.array([float(np.min(m.y)) for m in self.models])
 
 
+def _halton(d: int, n: int, seed: int) -> np.ndarray:
+    """The first n points, shape (n, d), of Owen's randomized Halton
+    sequence (arXiv:1706.02808), bit for bit those of
+    `scipy.stats.qmc.Halton(d=d, scramble=True, seed=seed).random(n)`.
+
+    Dimension i uses the i-th prime b as its base.  One generator seeded
+    with `seed` shuffles, base by base, a permutation of the digits 0..b-1
+    for each digit position j < ceil(54 / log2 b) - 1, the ones with
+    b^-(j+1) > 2^-54; a coordinate sums perm_j[digit_j] b^-(j+1) over them
+    in order of j.
+    """
+    rng = np.random.default_rng(seed)
+    bases: list[int] = []
+    candidate = 2
+    while len(bases) < d:
+        if all(candidate % b for b in bases):
+            bases.append(candidate)
+        candidate += 1
+    points = np.zeros((n, d))
+    for column, base in zip(points.T, bases):
+        perms = np.repeat(np.arange(base)[None],
+                          math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        index = np.arange(n)
+        scale = 1.0 / base
+        for perm in perms:
+            column += perm[index % base] * scale
+            index //= base
+            scale /= base
+    return points
+
+
 def _unit_kernel(log_theta: np.ndarray) -> KernelParams:
     """The kernel with sigma 1 at a search point log(ell, alpha, tau)."""
     return KernelParams.from_log_array(np.concatenate(([0.0], log_theta)))
@@ -380,9 +412,8 @@ def fit(X: np.ndarray, Y: np.ndarray,
             return 1e25, np.zeros(3)
         return -value, -gradient
 
-    sampler = qmc.Halton(d=3, scramble=True,
-                         seed=int(rng.integers(2 ** 31 - 1)))
-    starts = [lo + (hi - lo) * row for row in sampler.random(restarts)]
+    starts = [lo + (hi - lo) * row
+              for row in _halton(3, restarts, int(rng.integers(2 ** 31 - 1)))]
     for params in extra_starts:
         starts.append(np.clip(np.log([params.ell, params.alpha,
                                       params.noise / params.sigma ** 2]),

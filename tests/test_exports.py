@@ -1,8 +1,13 @@
-"""Each module's __all__ names exactly its public top-level API."""
+"""Each module's __all__ names exactly its public top-level API, and
+importing the package stays off scipy.stats."""
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +35,14 @@ def test_every_public_definition_is_exported(name):
               and (inspect.isfunction(obj) or inspect.isclass(obj))
               and obj.__module__ == module.__name__}
     assert sorted(public - set(module.__all__)) == []
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs more to import than a short run takes; the package
+    # needs only scipy.linalg, optimize, spatial and special.
+    code = "import sys, sagep; print('scipy.stats' in sys.modules)"
+    src = str(Path(sagep.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"

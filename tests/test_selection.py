@@ -55,7 +55,8 @@ class TestLcb:
         out = lcb(np.array([1.0, 0.0]), np.array([0.5, 1.0]), 2.0)
         assert np.array_equal(out, [0.0, 2.0])
 
-    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=20))
+    @given(st.lists(st.floats(-10, 10, allow_subnormal=False), min_size=1,
+                    max_size=20))
     def test_beta_zero_ranks_by_smallest_mean(self, means):
         means = np.asarray(means)
         stds = np.abs(means) * 0.1 + 0.5
@@ -84,6 +85,14 @@ class TestEi:
            st.floats(0, 2))
     def test_never_negative(self, mu, sigma, f_best, xi):
         assert ei(mu, sigma, f_best, xi) >= 0.0
+
+    def test_tiny_spread_raises_no_floating_point_error(self):
+        # z = improvement / sigma of 1e200 overflows z**2 and one of +-40
+        # underflows the pdf's exp; EI is then the clipped improvement.
+        with np.errstate(all="raise"):
+            vals = ei(np.array([-1.0, -4e-199, 4e-199]), np.full(3, 1e-200),
+                      0.0)
+        assert np.array_equal(vals, [1.0, 4e-199, 0.0])
 
     def test_monotone_in_mean_and_spread(self):
         mus = np.linspace(-2, 2, 9)

@@ -109,10 +109,9 @@ def reference_search(X, Y, restarts, rng, bounds=ParamBounds()):
             return 1e25, np.zeros(3)
         return -value, -gradient
 
-    sampler = qmc.Halton(d=3, scramble=True,
-                         seed=int(rng.integers(2 ** 31 - 1)))
+    starts = surrogate._halton(3, restarts, int(rng.integers(2 ** 31 - 1)))
     best_val, best_theta, nfev = np.inf, None, 0
-    for theta0 in [lo + (hi - lo) * row for row in sampler.random(restarts)]:
+    for theta0 in [lo + (hi - lo) * row for row in starts]:
         res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
                        bounds=list(zip(lo, hi)))
         nfev += res.nfev
@@ -150,6 +149,32 @@ def count_lml_calls(monkeypatch):
 
     monkeypatch.setattr(surrogate, "log_marginal_likelihood", counted)
     return calls
+
+
+class TestHalton:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_equals_scipy_scrambled_halton_bitwise(self, d):
+        for n in (1, 2, 3, 8, 27, 100, 200):
+            for seed in (0, 1, 41, 12345, 987654321, 2 ** 31 - 2):
+                ref = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+                assert (surrogate._halton(d, n, seed).tobytes()
+                        == ref.tobytes())
+
+    def test_golden_rows(self):
+        # Literal values, so the pin holds without the scipy oracle.
+        assert surrogate._halton(3, 4, 12345).tolist() == [
+            [0.1533356327231844, 0.5925589076600479, 0.8245656388940836],
+            [0.6533356327231844, 0.9258922409933812, 0.42456563889408355],
+            [0.4033356327231844, 0.25922557432671445, 0.024565638894083558],
+            [0.9033356327231844, 0.48144779654893666, 0.2245656388940835]]
+        assert surrogate._halton(2, 3, 2 ** 31 - 2).tolist() == [
+            [0.6009173291052463, 0.6908094935295156],
+            [0.10091732910524631, 0.3574761601961823],
+            [0.8509173291052463, 0.02414282686284906]]
+
+    def test_first_points_do_not_depend_on_n(self):
+        assert np.array_equal(surrogate._halton(4, 200, 7)[:9],
+                              surrogate._halton(4, 9, 7))
 
 
 class TestKernel:
