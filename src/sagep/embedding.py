@@ -149,6 +149,8 @@ class NormStats:
             raise ValueError("mean and std must share a shape")
 
 
+# Underflow only rounds a subnormal mean or squared deviation.
+@np.errstate(under="ignore")
 def fit_norm_stats(points: np.ndarray) -> NormStats:
     """Population z-score statistics (ddof=0) over rows of (n, d) points."""
     pts = np.asarray(points, dtype=float)

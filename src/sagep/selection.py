@@ -168,8 +168,9 @@ def lcb(mean, std, beta: float):
     return -mean + beta * std
 
 
-def ei(mean, std, f_best: float, xi: float = 0.0):
-    """Expected improvement below f_best with exploration margin xi.
+def ei(mean, std, f_best, xi: float = 0.0):
+    """Expected improvement below f_best with exploration margin xi; f_best
+    broadcasts like the means, e.g. one value per objective column.
 
     For sigma = 0 the integral collapses to max(0, f_best - mu - xi).
     """
@@ -186,6 +187,8 @@ def ei(mean, std, f_best: float, xi: float = 0.0):
     return np.where(std > 0, spread, np.maximum(improve, 0.0))
 
 
+# Underflow in the norms only rounds a subnormal difference's square to 0.
+@np.errstate(under="ignore")
 def convergence_weights(X: np.ndarray, converged_set: np.ndarray,
                         diverged_set: np.ndarray, delta: float) -> np.ndarray:
     """Discount in [0, 1] per row of X that vanishes on a diverged embedding
@@ -237,7 +240,9 @@ def aggregate_multiobjective(values: np.ndarray) -> tuple[np.ndarray, np.ndarray
     span = values.max(axis=0) - lo
     normed = np.zeros_like(values)
     nz = span > 0
-    normed[:, nz] = (values[:, nz] - lo[nz]) / span[nz]
+    # A subnormal quotient is the value, rounded.
+    with np.errstate(under="ignore"):
+        normed[:, nz] = (values[:, nz] - lo[nz]) / span[nz]
     scalar = normed.max(axis=1)
     fronts = fast_nondominated_sort(-values)
     front_index = np.empty(values.shape[0], dtype=int)
@@ -308,10 +313,7 @@ def select_generation(gen_index: int,
     if config.metric == "lcb":
         raw = lcb(means, stds, config.beta)
     else:
-        best = model.best_observed()
-        raw = np.column_stack([ei(means[:, j], stds[:, j], float(best[j]),
-                                  config.xi)
-                               for j in range(model.n_objectives)])
+        raw = ei(means, stds, model.best_observed(), config.xi)
     values = raw * weights[:, None]
     scalar, front_index = aggregate_multiobjective(values)
 

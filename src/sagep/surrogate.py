@@ -18,10 +18,12 @@ evidence
 Multi-start L-BFGS-B maximizes it over log(ell, alpha, tau) with its
 analytic gradient; each evaluation factorizes A once (Cholesky, with a
 small jitter escalation when near-duplicate inputs make it numerically
-singular) and solves for all p columns with that one factor.  Every
-objective is observed at every input, so each objective's posterior mean
-uses only its own column, and the fitted model is one GP per objective:
-sigma_j^2 = B_jj, the shared ell and alpha, and noise tau B_jj.
+singular) and solves for all p columns with that one factor.  The fitted
+`MultiGp` is this separable model, with sigma_j^2 = B_jj and one factor of
+A.  Every objective is observed at every input, so objective j's posterior
+mean uses only its own column, k*' A^-1 y_j, and its variance is sigma_j^2
+times the unit-scale one: one cross-kernel and one triangular solve
+predict all p objectives.
 
 The search evaluates the likelihood thousands of times on one data set, so
 `fit` validates the data on entry and computes the squared distances once
@@ -32,18 +34,19 @@ A training run refits on a history that grows by a few rows per
 generation, so `fit_multi` can warm-start the search from the previous
 optimum and then runs a quarter of the cold starts.
 
-Observation noise has a hard floor: the history of expensive evaluations
-can contain near-identical embeddings with slightly different outcomes, and
-a noiseless kernel matrix goes singular on those.  Predictive variance is
-reported for a new observation, i.e. it includes the noise term, so far
-from data it recovers sigma^2 + sigma_n^2.
+Observation noise has a hard floor, tau >= NOISE_FLOOR on the unit scale:
+the history of expensive evaluations can contain near-identical embeddings
+with slightly different outcomes, and a noiseless kernel matrix goes
+singular on those.  Predictive variance is reported for a new observation,
+i.e. it includes the noise term, so far from data objective j's recovers
+sigma_j^2 (1 + tau).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
@@ -56,13 +59,11 @@ __all__ = [
     "FitError",
     "KernelParams",
     "ParamBounds",
-    "GpModel",
     "MultiGp",
     "rq_gram",
     "log_marginal_likelihood",
     "build_gp",
     "fit",
-    "predict_batch",
     "fit_multi",
     "predict_multi_batch",
 ]
@@ -241,85 +242,50 @@ def log_marginal_likelihood(X: np.ndarray, Y: np.ndarray,
 
 
 @dataclass(frozen=True)
-class GpModel:
-    """A fitted single-output GP: data, hyperparameters, and solve cache."""
+class MultiGp:
+    """The fitted separable GP B (x) k on inputs X and (n, p) targets Y.
+
+    `kernel` is k, shared by all objectives, at unit scale (sigma 1, noise
+    tau) as `fit` finds it, and `sigmas` holds sqrt(B_jj) per objective.  L
+    is the one lower Cholesky factor of k(X, X) + (tau + jitter) I, and
+    weights = L^-T L^-1 Y.
+    """
 
     X: np.ndarray
-    y: np.ndarray
-    params: KernelParams
+    Y: np.ndarray
+    kernel: KernelParams
+    sigmas: np.ndarray
     L: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     jitter: float = 0.0
     warned: bool = False
 
     @property
+    def n_objectives(self) -> int:
+        return self.Y.shape[1]
+
+    @property
     def n(self) -> int:
         return self.X.shape[0]
 
-
-def build_gp(X: np.ndarray, y: np.ndarray, params: KernelParams,
-             warned: bool = False) -> GpModel:
-    """Factorize the training system for fixed hyperparameters."""
-    X, y = _training_data(X, y)
-    if X.shape[0] == 0:
-        raise ValueError("cannot build a GP on zero samples")
-    L, jitter = _chol_with_jitter(rq_gram(X, X, params), params.noise)
-    weights = _cho_solve(L, y)
-    return GpModel(X=X, y=y, params=params, L=L, weights=weights,
-                   jitter=jitter, warned=warned)
-
-
-def predict_batch(model: GpModel, Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and observation variance at each query row.
-
-    Variance is for a new noisy observation: sigma^2 + sigma_n^2 minus the
-    explained part, clamped at zero against roundoff.
-    """
-    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-    K_star = rq_gram(model.X, Xq, model.params)
-    mean = K_star.T @ model.weights
-    v = solve_triangular(model.L, K_star, lower=True)
-    prior = model.params.sigma ** 2 + model.params.noise + model.jitter
-    var = prior - np.einsum("ij,ij->j", v, v)
-    return mean, np.maximum(var, 0.0)
-
-
-@dataclass(frozen=True)
-class MultiGp:
-    """Per-objective GPs sharing one input matrix, and the unit-scale kernel
-    (sigma 1, noise tau) that `fit` found for all of them; None when the
-    sub-models were built by hand."""
-
-    models: tuple[GpModel, ...]
-    kernel: KernelParams | None = None
-
-    def __post_init__(self):
-        if not self.models:
-            raise ValueError("MultiGp needs at least one sub-model")
-        first = self.models[0].X
-        for m in self.models[1:]:
-            if m.X.shape != first.shape or not np.array_equal(m.X, first):
-                raise ValueError("all sub-models must share the input matrix")
-
-    @property
-    def n_objectives(self) -> int:
-        return len(self.models)
-
-    @property
-    def n(self) -> int:
-        return self.models[0].n
-
-    @property
-    def warned(self) -> bool:
-        return any(m.warned for m in self.models)
-
-    @property
-    def jitter(self) -> float:
-        return max(m.jitter for m in self.models)
-
     def best_observed(self) -> np.ndarray:
         """Per-objective minimum of the training targets."""
-        return np.array([float(np.min(m.y)) for m in self.models])
+        return self.Y.min(axis=0)
+
+
+def build_gp(X: np.ndarray, Y: np.ndarray, kernel: KernelParams,
+             sigmas: np.ndarray, warned: bool = False) -> MultiGp:
+    """Factorize the training system for fixed hyperparameters: Y is (n, p)
+    or a vector for p = 1, `kernel` is shared by all objectives, and
+    objective j's covariance is sigmas[j]^2 times the kernel's."""
+    X, Y = _training_data(X, Y)
+    if X.shape[0] == 0:
+        raise ValueError("cannot build a GP on zero samples")
+    Y = Y.reshape(X.shape[0], -1)
+    L, jitter = _chol_with_jitter(rq_gram(X, X, kernel), kernel.noise)
+    return MultiGp(X=X, Y=Y, kernel=kernel,
+                   sigmas=np.asarray(sigmas, dtype=float), L=L,
+                   weights=_cho_solve(L, Y), jitter=jitter, warned=warned)
 
 
 def _halton(d: int, n: int, seed: int) -> np.ndarray:
@@ -360,11 +326,6 @@ def _unit_kernel(log_theta: np.ndarray) -> KernelParams:
     return KernelParams.from_log_array(np.concatenate(([0.0], log_theta)))
 
 
-def _default_fit(X: np.ndarray, Y: np.ndarray, warned: bool) -> MultiGp:
-    return MultiGp(models=tuple(build_gp(X, y, KernelParams(), warned)
-                                for y in Y.T), kernel=KernelParams())
-
-
 def fit(X: np.ndarray, Y: np.ndarray,
         bounds: ParamBounds | None = None,
         restarts: int = 8,
@@ -380,8 +341,8 @@ def fit(X: np.ndarray, Y: np.ndarray,
     fit's `kernel`; the result is then never worse than that point up to
     optimizer tolerance).  The first k points of the Halton stream are the
     same for any `restarts` >= k.  Deterministic for a fixed rng seed.
-    Objective j then gets sigma_j = sqrt(B_jj) clipped to bounds.sigma and
-    noise tau sigma_j^2, floored at NOISE_FLOOR.  A single sample admits no
+    The factor of A at the optimum gives sigma_j = sqrt(B_jj), clipped to
+    bounds.sigma, and is the model's factor.  A single sample admits no
     meaningful evidence maximization and yields default parameters; if
     every restart fails the model falls back to defaults with `warned` set.
     Non-finite data raise ValueError on entry, as does `restarts` below 1.
@@ -394,7 +355,7 @@ def fit(X: np.ndarray, Y: np.ndarray,
         raise ValueError("restarts must be >= 1")
     Y = Y.reshape(n, -1)
     if n == 1:
-        return _default_fit(X, Y, warned=False)
+        return build_gp(X, Y, KernelParams(), np.ones(Y.shape[1]))
     bounds = bounds or ParamBounds()
     rng = np.random.default_rng(rng)
     lo, hi = (side[1:] for side in bounds.log_box())
@@ -430,21 +391,16 @@ def fit(X: np.ndarray, Y: np.ndarray,
     if best_theta is None:
         warnings.warn("GP hyperparameter search failed on every restart; "
                       "falling back to default parameters")
-        return _default_fit(X, Y, warned=True)
+        return build_gp(X, Y, KernelParams(), np.ones(Y.shape[1]),
+                        warned=True)
     # exp(log(bound)) can land an ulp outside the box.
     ell, alpha, tau = np.clip(np.exp(best_theta), *zip(
         bounds.ell, bounds.alpha, bounds.noise))
     kernel = KernelParams(sigma=1.0, ell=float(ell), alpha=float(alpha),
                           noise=float(tau))
-    L, _ = _chol_with_jitter(_rq_from_sqdist(sqdist, kernel), kernel.noise)
-    quad = np.einsum("ij,ij->j", Y, _cho_solve(L, Y))
-    sigmas = np.clip(np.sqrt(quad / n), *bounds.sigma)
-    return MultiGp(models=tuple(
-        build_gp(X, y, KernelParams(sigma=float(s), ell=kernel.ell,
-                                    alpha=kernel.alpha,
-                                    noise=max(kernel.noise * s * s,
-                                              NOISE_FLOOR)))
-        for y, s in zip(Y.T, sigmas)), kernel=kernel)
+    model = build_gp(X, Y, kernel, np.ones(Y.shape[1]))
+    quad = np.einsum("ij,ij->j", Y, model.weights)
+    return replace(model, sigmas=np.clip(np.sqrt(quad / n), *bounds.sigma))
 
 
 def fit_multi(X: np.ndarray, Y: np.ndarray,
@@ -469,8 +425,17 @@ def fit_multi(X: np.ndarray, Y: np.ndarray,
 
 def predict_multi_batch(model: MultiGp,
                         Xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means and variances, shape (n_query, p) each."""
-    cols = [predict_batch(m, Xq) for m in model.models]
-    means = np.column_stack([c[0] for c in cols])
-    variances = np.column_stack([c[1] for c in cols])
-    return means, variances
+    """Posterior means and observation variances, shape (n_query, p) each.
+
+    One cross-kernel and one triangular solve serve every objective: the
+    means are K*' weights, and objective j's variance, for a new noisy
+    observation, is sigma_j^2 (1 + tau + jitter - v'v) at unit kernel scale,
+    with v = L^-1 K*, clamped at zero against roundoff.
+    """
+    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+    K_star = rq_gram(model.X, Xq, model.kernel)
+    v = solve_triangular(model.L, K_star, lower=True)
+    var = (model.kernel.sigma ** 2 + model.kernel.noise + model.jitter
+           - np.einsum("ij,ij->j", v, v))
+    return (K_star.T @ model.weights,
+            np.maximum(var, 0.0)[:, None] * model.sigmas ** 2)

@@ -45,10 +45,8 @@ from sagep.selection import (
 )
 from sagep.surrogate import (
     KernelParams,
-    MultiGp,
     build_gp,
     log_marginal_likelihood,
-    predict_batch,
     predict_multi_batch,
     rq_gram,
 )
@@ -107,10 +105,10 @@ def test_criterion_2_gp_correctness():
     for _ in range(5):
         X = rng.uniform(-2, 2, size=(6, 2))
         y = np.sin(X[:, 0]) - 0.5 * X[:, 1]
-        model = build_gp(X, y, KernelParams(sigma=1.5, ell=1.0, alpha=2.0,
-                                            noise=1e-8))
-        mean, _ = predict_batch(model, X)
-        interp_ok &= bool(np.max(np.abs(mean - y)) < 1e-6)
+        model = build_gp(X, y, KernelParams(ell=1.0, alpha=2.0, noise=1e-8),
+                         [1.5])
+        mean, _ = predict_multi_batch(model, X)
+        interp_ok &= bool(np.max(np.abs(mean[:, 0] - y)) < 1e-6)
 
     lml_ok = True
     for _ in range(20):
@@ -127,28 +125,25 @@ def test_criterion_2_gp_correctness():
         lml_ok &= bool(abs(log_marginal_likelihood(X, y, params) - dense)
                        < 1e-8)
 
-    # Independent per-objective GPs against one joint system whose Gram
-    # matrix is block-diagonal (p = 2, n = 4).
+    # The separable model against one joint system whose Gram matrix is
+    # diag(B) (x) (RQ(ell, alpha; 1) + tau I), B_jj = sigma_j^2 (p = 2,
+    # n = 4).
     X = rng.uniform(-1, 1, size=(4, 2))
     Y = np.column_stack([np.sin(X[:, 0]), np.cos(X[:, 1])])
-    params = [KernelParams(sigma=1.2, ell=0.7, alpha=1.5, noise=1e-4),
-              KernelParams(sigma=0.9, ell=1.1, alpha=2.5, noise=1e-3)]
-    multi = MultiGp(models=tuple(build_gp(X, Y[:, k], params[k])
-                                 for k in range(2)))
+    kernel = KernelParams(ell=0.7, alpha=1.5, noise=1e-4)
+    sigmas = np.array([1.2, 0.9])
+    multi = build_gp(X, Y, kernel, sigmas)
     Xq = rng.uniform(-1, 1, size=(6, 2))
     mean, var = predict_multi_batch(multi, Xq)
     n = 4
     joint_ok = True
-    K = np.zeros((2 * n, 2 * n))
-    for k in range(2):
-        K[k * n:(k + 1) * n, k * n:(k + 1) * n] = (
-            rq_gram(X, X, params[k]) + params[k].noise * np.eye(n))
+    B = np.diag(sigmas ** 2)
+    K = np.kron(B, rq_gram(X, X, kernel) + kernel.noise * np.eye(n))
     y_joint = np.concatenate([Y[:, 0], Y[:, 1]])
     for k in range(2):
-        k_star = np.zeros((2 * n, Xq.shape[0]))
-        k_star[k * n:(k + 1) * n] = rq_gram(X, Xq, params[k])
+        k_star = np.kron(B[:, [k]], rq_gram(X, Xq, kernel))
         mean_joint = k_star.T @ np.linalg.solve(K, y_joint)
-        prior = params[k].sigma ** 2 + params[k].noise
+        prior = B[k, k] * (1.0 + kernel.noise)
         var_joint = prior - np.einsum("ij,ij->j", k_star,
                                       np.linalg.solve(K, k_star))
         joint_ok &= bool(np.max(np.abs(mean[:, k] - mean_joint)) < 1e-10)
@@ -380,8 +375,8 @@ def test_criterion_8_sentinel_property(alpha_const):
                 converged=False)
     model = orch._fit_surrogate(history, SurrogateSettings(restarts=1),
                                 np.random.default_rng(0))
-    assert all(m.n == 2 for m in model.models)
-    assert float(np.max(model.models[0].y)) < np.log10(DIVERGENCE_SENTINEL)
+    assert model.n == 2
+    assert float(np.max(model.Y[:, 0])) < np.log10(DIVERGENCE_SENTINEL)
 
     assert history.diverged_points.shape == (1, 2)
     near = np.array([2.05, 2.05])  # inside delta times the local separation

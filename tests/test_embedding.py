@@ -196,3 +196,13 @@ class TestNormalization:
     def test_normalize_preserves_shape(self, pts):
         stats = fit_norm_stats(pts)
         assert normalize(pts, stats).shape == pts.shape
+
+    def test_tiny_spread_raises_no_floating_point_error(self):
+        # Deviations near 2e-205 square below the smallest subnormal, and
+        # a third of 5e-324 rounds to 0.
+        pts = np.array([[2.84372217e-205, 5e-324, 1.0],
+                        [0.0, 0.0, 2.0], [0.0, 0.0, 3.0]])
+        with np.errstate(all="raise"):
+            stats = fit_norm_stats(pts)
+            out = normalize(pts, stats)
+        assert stats.std[0] >= 0.0 and np.all(np.isfinite(out))

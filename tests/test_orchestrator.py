@@ -26,7 +26,7 @@ from sagep.orchestrator import (
     run_training,
 )
 from sagep.selection import SelectionConfig, SelectionHistory
-from sagep.surrogate import KernelParams, MultiGp, build_gp
+from sagep.surrogate import KernelParams, build_gp
 from sagep.symreg import DIVERGENCE_SENTINEL, Candidate, parse_expression
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -350,8 +350,7 @@ class TestGenerationStep:
 
         def fit_multi(X, Y, **_):
             targets.append(Y)
-            return MultiGp(models=tuple(build_gp(X, Y[:, k], tight)
-                                        for k in range(Y.shape[1])))
+            return build_gp(X, Y, tight, np.ones(Y.shape[1]))
 
         monkeypatch.setattr(orch.sur_mod, "fit_multi", fit_multi)
         return targets

@@ -18,17 +18,15 @@ from sagep.selection import (
     select_generation,
     default_selection_config,
 )
-from sagep.surrogate import KernelParams, MultiGp, build_gp
+from sagep.surrogate import KernelParams, build_gp, predict_multi_batch
 from sagep.symreg import Candidate
 
 TIGHT = KernelParams(sigma=1.0, ell=1.0, alpha=1.0, noise=1e-8)
 
 
-def make_model(X, Y, params=TIGHT):
-    X = np.asarray(X, dtype=float)
+def make_model(X, Y):
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    return MultiGp(models=tuple(build_gp(X, Y[:, k], params)
-                                for k in range(Y.shape[1])))
+    return build_gp(X, Y, TIGHT, np.ones(Y.shape[1]))
 
 
 def make_history(X, diverged=np.empty((0, 2))):
@@ -59,7 +57,9 @@ class TestLcb:
                     max_size=20))
     def test_beta_zero_ranks_by_smallest_mean(self, means):
         means = np.asarray(means)
-        stds = np.abs(means) * 0.1 + 0.5
+        # The test's own data: 0.1 times the smallest normal is subnormal.
+        with np.errstate(under="ignore"):
+            stds = np.abs(means) * 0.1 + 0.5
         assert np.argmax(lcb(means, stds, 0.0)) == np.argmin(means)
 
 
@@ -170,6 +170,15 @@ class TestConvergenceWeight:
         w_far = weight_of([far, 0.0], self.conv, self.div, 0.75)
         assert 0.0 <= w_near <= w_far <= 1.0
 
+    def test_subnormal_distance_raises_no_floating_point_error(self):
+        # The squared difference of 5e-324 underflows to 0 in the norm.
+        with np.errstate(all="raise"):
+            w = weight_of([5e-324, 0.0], self.conv, self.div, 0.75)
+            conv = np.vstack([self.conv, [5e-324, 5e-324]])
+            w_conv = weight_of([5e-324, 0.0], conv, self.div, 0.75)
+        assert 0.0 <= w <= weight_of([1e-3, 0.0], self.conv, self.div, 0.75)
+        assert 0.0 <= w_conv <= 1.0
+
     def test_vectorized_matches_scalar(self):
         # Bit for bit: selection compares weighted values, so a last-bit
         # difference can change which candidate is evaluated.
@@ -212,6 +221,13 @@ class TestAggregate:
     def test_non_finite_rejected(self):
         with pytest.raises(SelectionContractError):
             aggregate_multiobjective(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+
+    def test_subnormal_value_raises_no_floating_point_error(self):
+        # 2.2e-311 / 0.4375 is subnormal, the normalized value it rounds to.
+        with np.errstate(all="raise"):
+            scalar, _ = aggregate_multiobjective(np.array(
+                [[0.0, 0.0], [0.0, 0.4375], [0.0, 2.225073858507e-311]]))
+        assert scalar[:2].tolist() == [0.0, 1.0] and 0.0 < scalar[2] < 1e-300
 
     @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-5, 5)),
                     min_size=1, max_size=15))
@@ -412,6 +428,13 @@ class TestSelectGeneration:
                                      np.random.default_rng(0))
         assert len(decision.selected_ids) == 1
         assert np.all(np.isfinite(decision.scalar))
+        # Each objective's EI is below its own best observed target, 0.2
+        # and 0.3; no weight discounts without a diverged history.
+        means, variances = predict_multi_batch(model, [[0.5, 0.5], [4.0, 4.0]])
+        expect = np.column_stack([ei(means[:, j], np.sqrt(variances[:, j]),
+                                     best, 0.0)
+                                  for j, best in enumerate([0.2, 0.3])])
+        assert decision.values.tolist() == expect.tolist()
 
 
 class TestDefaultSelectionScaling:

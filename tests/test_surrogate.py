@@ -1,5 +1,7 @@
 """Rational-quadratic GP: kernel algebra, evidence, fitting, prediction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,13 +15,11 @@ from sagep.surrogate import (
     JITTER_LADDER,
     FitError,
     KernelParams,
-    MultiGp,
     ParamBounds,
     build_gp,
     fit,
     fit_multi,
     log_marginal_likelihood,
-    predict_batch,
     predict_multi_batch,
     rq_gram,
 )
@@ -305,7 +305,7 @@ class TestEvidence:
         X = np.vstack([X, X[:3]])
         y = rng.normal(size=9)
         p = KernelParams(sigma=sigma, ell=1.0, alpha=1.0, noise=noise)
-        assert build_gp(X, y, p).jitter == JITTER_LADDER[rung]
+        assert build_gp(X, y, p, [1.0]).jitter == JITTER_LADDER[rung]
         assert log_marginal_likelihood(X, y, p) == reference_lml(X, y, p)
 
     def test_noise_floor_enforced(self):
@@ -322,17 +322,17 @@ class TestPrediction:
         rng = np.random.default_rng(21)
         X = rng.uniform(-2, 2, size=(6, 2))
         y = np.sin(X[:, 0]) + X[:, 1]
-        p = KernelParams(sigma=1.5, ell=1.0, alpha=2.0, noise=1e-8)
-        model = build_gp(X, y, p)
-        mean, _ = predict_batch(model, X)
-        assert np.allclose(mean, y, atol=1e-6)
+        model = build_gp(X, y, KernelParams(ell=1.0, alpha=2.0, noise=1e-8),
+                         [1.5])
+        mean, _ = predict_multi_batch(model, X)
+        assert np.allclose(mean[:, 0], y, atol=1e-6)
 
     def test_prior_recovered_far_from_data(self):
         # The RQ tail decays polynomially, so "far" is only approximate.
-        p = KernelParams(sigma=1.3, ell=0.5, alpha=1.0, noise=0.04)
-        model = build_gp(np.array([[0.0]]), np.array([2.0]), p)
-        mu, var = predict_batch(model, np.array([[50.0]]))
-        assert mu.shape == var.shape == (1,)
+        p = KernelParams(ell=0.5, alpha=1.0, noise=0.04 / 1.3 ** 2)
+        model = build_gp(np.array([[0.0]]), np.array([2.0]), p, [1.3])
+        mu, var = predict_multi_batch(model, np.array([[50.0]]))
+        assert mu.shape == var.shape == (1, 1)
         assert mu[0] == pytest.approx(0.0, abs=1e-3)
         # Observation variance includes the noise term.
         assert var[0] == pytest.approx(1.3 ** 2 + 0.04, abs=1e-3)
@@ -340,9 +340,9 @@ class TestPrediction:
     def test_variance_collapses_at_training_points(self):
         p = KernelParams(sigma=1.0, ell=1.0, alpha=1.0, noise=1e-8)
         X = np.array([[0.0], [10.0]])
-        model = build_gp(X, np.array([0.5, -0.5]), p)
-        _, var_train = predict_batch(model, X)
-        _, var_away = predict_batch(model, np.array([[5.0]]))
+        model = build_gp(X, np.array([0.5, -0.5]), p, [1.0])
+        _, var_train = predict_multi_batch(model, X)
+        _, var_away = predict_multi_batch(model, np.array([[5.0]]))
         assert np.all(var_train < 1e-6)
         assert np.all(var_away > 0.5)
 
@@ -351,22 +351,25 @@ class TestPrediction:
         X = rng.normal(size=(8, 2))
         model = build_gp(X, rng.normal(size=8),
                          KernelParams(sigma=1.0, ell=1.0, alpha=1.0,
-                                      noise=1e-8))
-        _, var = predict_batch(model, np.vstack([X, rng.normal(size=(20, 2))]))
+                                      noise=1e-8), [1.0])
+        _, var = predict_multi_batch(model,
+                                     np.vstack([X, rng.normal(size=(20, 2))]))
         assert np.all(var >= 0.0)
 
     def test_non_finite_training_data_rejected(self):
         with pytest.raises(ValueError):
-            build_gp(np.array([[0.0], [np.nan]]), np.array([1.0, 2.0]), UNIT)
+            build_gp(np.array([[0.0], [np.nan]]), np.array([1.0, 2.0]), UNIT,
+                     [1.0])
         with pytest.raises(ValueError):
-            build_gp(np.array([[0.0], [1.0]]), np.array([1.0, np.inf]), UNIT)
+            build_gp(np.array([[0.0], [1.0]]), np.array([1.0, np.inf]), UNIT,
+                     [1.0])
 
 
 class TestFit:
     def test_single_sample_uses_defaults(self):
         model = fit(np.array([[0.3]]), np.array([1.0]), rng=0)
         assert model.kernel == KernelParams()
-        assert [m.params for m in model.models] == [KernelParams()]
+        assert model.sigmas.tolist() == [1.0]
         assert not model.warned
 
     def test_fit_improves_on_default_evidence(self):
@@ -374,7 +377,10 @@ class TestFit:
         X = rng.uniform(-3, 3, size=(12, 1))
         y = 0.3 * X[:, 0] ** 2 - 1.0
         model = fit(X, y, restarts=6, rng=1)
-        fitted = log_marginal_likelihood(X, y, model.models[0].params)
+        sigma = float(model.sigmas[0])
+        fitted = log_marginal_likelihood(X, y, KernelParams(
+            sigma=sigma, ell=model.kernel.ell, alpha=model.kernel.alpha,
+            noise=model.kernel.noise * sigma ** 2))
         baseline = log_marginal_likelihood(X, y, KernelParams())
         assert fitted >= baseline - 1e-6
 
@@ -405,8 +411,7 @@ class TestFit:
         a = fit(X, Y, restarts=4, rng=123)
         b = fit(X, Y, restarts=4, rng=123)
         assert a.kernel == b.kernel
-        assert ([m.params for m in a.models]
-                == [m.params for m in b.models])
+        assert a.sigmas.tolist() == b.sigmas.tolist()
 
     def test_vector_is_one_objective(self):
         X, Y = search_data(p=1)
@@ -414,7 +419,7 @@ class TestFit:
         column = fit(X, Y, restarts=2, rng=4)
         assert vector.n_objectives == 1
         assert vector.kernel == column.kernel
-        assert vector.models[0].params == column.models[0].params
+        assert vector.sigmas.tolist() == column.sigmas.tolist()
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -468,7 +473,7 @@ class TestFit:
         with pytest.warns(UserWarning, match="every restart"):
             model = fit(X, Y, bounds=bounds, restarts=2, rng=0)
         assert model.warned and model.kernel == KernelParams()
-        assert all(m.params == KernelParams() for m in model.models)
+        assert model.sigmas.tolist() == [1.0, 1.0]
         assert len(calls) == nfev
 
     def test_bounds_are_respected(self):
@@ -483,13 +488,7 @@ class TestFit:
         assert 0.5 <= model.kernel.ell <= 2.0
         assert 0.5 <= model.kernel.alpha <= 2.0
         assert 1e-6 <= model.kernel.noise <= 1e-2
-        assert [m.params.sigma for m in model.models] == [0.5, 2.0]
-        for m in model.models:
-            assert (m.params.ell, m.params.alpha) == (model.kernel.ell,
-                                                      model.kernel.alpha)
-            assert m.params.noise == max(
-                model.kernel.noise * m.params.sigma ** 2,
-                surrogate.NOISE_FLOOR)
+        assert model.sigmas.tolist() == [0.5, 2.0]
 
 
 class TestProfiledKernel:
@@ -595,9 +594,26 @@ class TestProfiledKernel:
         model = fit(X, Y, bounds=ParamBounds(noise=(1e-3, 1.0)), restarts=2,
                     rng=0)
         assert per_call and set(per_call) == {((14, p), 1)}
-        # Then one factor for the scales and one per objective's model.
-        assert len(factorizations) == len(per_call) + 1 + p
+        # Then one factor for the scales, which is the model's factor.
+        assert len(factorizations) == len(per_call) + 1
         assert model.n_objectives == p
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_one_triangular_solve_per_prediction_for_all_objectives(
+            self, monkeypatch, p):
+        X, Y = search_data(p)
+        model = fit(X, Y, restarts=1, rng=0)
+        solves = []
+        solve_triangular = surrogate.solve_triangular
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return solve_triangular(*args, **kwargs)
+
+        monkeypatch.setattr(surrogate, "solve_triangular", counted)
+        mean, var = predict_multi_batch(model, X[:5] + 0.1)
+        assert mean.shape == var.shape == (5, p)
+        assert len(solves) == 1
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_warm_refit_never_ends_below_its_warm_start(self, seed):
@@ -606,7 +622,7 @@ class TestProfiledKernel:
         X, Y = search_data(p=2)
         previous = fit_multi(X[:10], Y[:10], restarts=8, rng=seed)
         for start in (previous.kernel, *self.random_kernels(seed, count=3)):
-            warm = MultiGp(models=previous.models, kernel=start)
+            warm = dataclasses.replace(previous, kernel=start)
             refit = fit_multi(X, Y, restarts=8, rng=seed + 10, warm=warm)
             assert profiled(X, Y, refit.kernel) >= (
                 profiled(X, Y, start) - 1e-6)
@@ -614,32 +630,26 @@ class TestProfiledKernel:
 
 class TestMultiOutput:
     def test_block_diagonal_matches_joint_oracle(self):
-        # Two independent outputs stacked as one joint GP with a
-        # block-diagonal Gram matrix must give identical predictions.
+        # The separable model stacked as one joint GP whose Gram matrix is
+        # diag(B) (x) (RQ(ell, alpha; 1) + tau I), B_jj = sigma_j^2, must
+        # give identical predictions.
         rng = np.random.default_rng(17)
         X = rng.uniform(-1, 1, size=(4, 2))
         Y = np.column_stack([np.sin(X[:, 0]), np.cos(X[:, 1])])
-        params = [KernelParams(sigma=1.2, ell=0.7, alpha=1.5, noise=1e-4),
-                  KernelParams(sigma=0.9, ell=1.1, alpha=2.5, noise=1e-3)]
-        multi = MultiGp(models=tuple(build_gp(X, Y[:, k], params[k])
-                                     for k in range(2)))
+        kernel = KernelParams(ell=0.7, alpha=1.5, noise=1e-3)
+        sigmas = np.array([1.2, 0.9])
+        multi = build_gp(X, Y, kernel, sigmas)
         Xq = rng.uniform(-1, 1, size=(3, 2))
         mean, var = predict_multi_batch(multi, Xq)
 
         n = X.shape[0]
+        B = np.diag(sigmas ** 2)
+        K = np.kron(B, rq_gram(X, X, kernel) + kernel.noise * np.eye(n))
+        y_joint = np.concatenate([Y[:, 0], Y[:, 1]])
         for k in range(2):
-            K = np.zeros((2 * n, 2 * n))
-            K[k * n:(k + 1) * n, k * n:(k + 1) * n] = (
-                rq_gram(X, X, params[k]) + params[k].noise * np.eye(n))
-            other = 1 - k
-            K[other * n:(other + 1) * n, other * n:(other + 1) * n] = (
-                rq_gram(X, X, params[other])
-                + params[other].noise * np.eye(n))
-            y_joint = np.concatenate([Y[:, 0], Y[:, 1]])
-            k_star = np.zeros((2 * n, Xq.shape[0]))
-            k_star[k * n:(k + 1) * n] = rq_gram(X, Xq, params[k])
+            k_star = np.kron(B[:, [k]], rq_gram(X, Xq, kernel))
             mean_joint = k_star.T @ np.linalg.solve(K, y_joint)
-            prior = params[k].sigma ** 2 + params[k].noise
+            prior = B[k, k] * (1.0 + kernel.noise)
             var_joint = prior - np.einsum(
                 "ij,ij->j", k_star, np.linalg.solve(K, k_star))
             assert np.allclose(mean[:, k], mean_joint, atol=1e-10)
@@ -651,23 +661,19 @@ class TestMultiOutput:
         Y = np.column_stack([X[:, 0], X[:, 1] ** 2])
         multi = fit_multi(X, Y, restarts=2, rng=rng)
         assert multi.n_objectives == 2
-        for model in multi.models:
-            assert model.X is not None and model.X.shape == (7, 2)
-            assert (model.params.ell, model.params.alpha) == (
-                multi.kernel.ell, multi.kernel.alpha)
+        assert multi.X.shape == multi.Y.shape == (7, 2)
+        assert multi.sigmas.shape == (2,) and multi.L.shape == (7, 7)
 
     def test_best_observed_is_columnwise_min(self):
         X = np.array([[0.0], [1.0], [2.0]])
         Y = np.array([[3.0, -1.0], [1.0, 5.0], [2.0, 0.0]])
-        multi = MultiGp(models=tuple(build_gp(X, Y[:, k], UNIT)
-                                     for k in range(2)))
+        multi = build_gp(X, Y, UNIT, [1.0, 1.0])
         assert np.array_equal(multi.best_observed(), [1.0, -1.0])
 
     def test_predict_multi_single_point(self):
         X = np.array([[0.0], [1.0]])
         Y = np.array([[1.0, 2.0], [3.0, 4.0]])
-        multi = MultiGp(models=tuple(build_gp(X, Y[:, k], UNIT)
-                                     for k in range(2)))
+        multi = build_gp(X, Y, UNIT, [1.0, 1.0])
         mean, var = predict_multi_batch(multi, np.array([[0.0]]))
         assert mean.shape == var.shape == (1, 2)
         assert np.allclose(mean[0], [1.0, 2.0], atol=1e-3)
