@@ -28,7 +28,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .embedding import FeatureTable
 from .symreg import (DIVERGENCE_SENTINEL, ConfigurationError, ConstantsPool,
@@ -232,21 +233,29 @@ def _tridiag_solve(diff_face: np.ndarray, source: np.ndarray,
     """Solve d/dy(D du/dy) = -source with Dirichlet walls.
 
     diff_face holds face diffusivities D_{i+1/2} (length n-1); interior
-    equations use conservative second-order differences.
+    equations use conservative second-order differences, solved by LAPACK
+    dgtsv, the routine scipy's solve_banded calls for one band each side.
     """
-    n = len(source)
-    lower = diff_face[:-1]
-    upper = diff_face[1:]
-    main = -(diff_face[:-1] + diff_face[1:])
     rhs = -source[1:-1] * h * h
-    rhs[0] -= lower[0] * walls[0]
-    rhs[-1] -= upper[-1] * walls[1]
-    ab = np.zeros((3, n - 2))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = main
-    ab[2, :-1] = lower[1:]
-    inner = solve_banded((1, 1), ab, rhs)
-    return np.concatenate([[walls[0]], inner, [walls[1]]])
+    rhs[0] -= diff_face[0] * walls[0]
+    rhs[-1] -= diff_face[-1] * walls[1]
+    off = diff_face[1:-1]
+    # dl and du alias one buffer, so neither may be overwritten.
+    *_, inner, info = dgtsv(off, -(diff_face[:-1] + diff_face[1:]), off, rhs)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    out = np.empty(len(source))
+    out[0], out[1:-1], out[-1] = walls[0], inner, walls[1]
+    return out
+
+
+def _gradient(f: np.ndarray, h: float) -> np.ndarray:
+    """np.gradient(f, h) of a 1-D profile, as its own slice expressions."""
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    out[0] = (f[1] - f[0]) / h
+    out[-1] = (f[-1] - f[-2]) / h
+    return out
 
 
 _CHANNEL_TERMINALS = ("I1", "J1")
@@ -255,8 +264,7 @@ _CHANNEL_TERMINALS = ("I1", "J1")
 def _channel_features(case: ChannelCase, u: np.ndarray, T: np.ndarray,
                       h: float) -> dict[str, np.ndarray]:
     """The closure inputs I1 and J1 on the profiles u and T."""
-    du = np.gradient(u, h)
-    dT = np.gradient(T, h)
+    du, dT = _gradient(u, h), _gradient(T, h)
     return dict(zip(_CHANNEL_TERMINALS, ((du / case.omega) ** 2, dT ** 2)))
 
 
@@ -283,32 +291,33 @@ def _solve_profiles(case: ChannelCase, g_expr: ExprTree | None,
     T = np.linspace(case.wall_t[0], case.wall_t[1], n)
     theta = case.damping
 
-    for iteration in range(1, case.max_iters + 1):
-        columns = _channel_features(case, u, T, h)
-        g_val, r_val, a_val = (polynomial_eval(poly, columns) for poly in polys)
-        with np.errstate(all="ignore"):
+    # Any value a closure drives non-finite is divergence, caught below.
+    with np.errstate(all="ignore"):
+        for iteration in range(1, case.max_iters + 1):
+            columns = _channel_features(case, u, T, h)
+            g_val, r_val, a_val = (polynomial_eval(poly, columns)
+                                   for poly in polys)
             diff_u = case.nu + g_val * nut
             diff_t = case.alpha_base + a_val * nut
-        if (not np.all(np.isfinite(diff_u)) or not np.all(np.isfinite(diff_t))
-                or np.min(diff_u) <= 0.0 or np.min(diff_t) <= 0.0):
-            return u, T, iteration, False
-        face_u = 0.5 * (diff_u[:-1] + diff_u[1:])
-        face_t = 0.5 * (diff_t[:-1] + diff_t[1:])
-        source_u = case.coupling * T + case.forcing + r_val * nut
-        with np.errstate(all="ignore"):
+            if not (np.isfinite(diff_u).all() and np.isfinite(diff_t).all()
+                    and diff_u.min() > 0.0 and diff_t.min() > 0.0):
+                return u, T, iteration, False
+            face_u = 0.5 * (diff_u[:-1] + diff_u[1:])
+            face_t = 0.5 * (diff_t[:-1] + diff_t[1:])
+            source_u = case.coupling * T + case.forcing + r_val * nut
             u_new = _tridiag_solve(face_u, source_u, case.wall_u, h)
             t_new = _tridiag_solve(face_t, np.zeros(n), case.wall_t, h)
-        if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(t_new))):
-            return u, T, iteration, False
-        u_next = (1.0 - theta) * u + theta * u_new
-        t_next = (1.0 - theta) * T + theta * t_new
-        residual = max(float(np.max(np.abs(u_next - u))),
-                       float(np.max(np.abs(t_next - T))))
-        u, T = u_next, t_next
-        if not np.isfinite(residual):
-            return u, T, iteration, False
-        if residual < tol:
-            return u, T, iteration, True
+            if not (np.isfinite(u_new).all() and np.isfinite(t_new).all()):
+                return u, T, iteration, False
+            u_next = (1.0 - theta) * u + theta * u_new
+            t_next = (1.0 - theta) * T + theta * t_new
+            residual = max(float(np.abs(u_next - u).max()),
+                           float(np.abs(t_next - T).max()))
+            u, T = u_next, t_next
+            if not np.isfinite(residual):
+                return u, T, iteration, False
+            if residual < tol:
+                return u, T, iteration, True
     return u, T, case.max_iters, False
 
 

@@ -47,10 +47,10 @@ def _hv_2d(points: np.ndarray, ref: np.ndarray) -> float:
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     pts = pts[order]
     area = 0.0
-    prev_y = ref[1]
-    for x, yv in pts:
+    x_ref, prev_y = ref.tolist()  # floats: an underflowing strip never warns
+    for x, yv in pts.tolist():
         if yv < prev_y:
-            area += (ref[0] - x) * (prev_y - yv)
+            area += (x_ref - x) * (prev_y - yv)
             prev_y = yv
     return float(area)
 

@@ -1,9 +1,15 @@
 """Oracles: symbolic benchmark, coupled channel solver."""
 
+import dataclasses
+import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, solve_banded
 
 import sagep.evaluators as ev
 from sagep.embedding import FeatureTable
@@ -22,6 +28,25 @@ from sagep.evaluators import (
 )
 from sagep.symreg import (ConfigurationError, ConstantsPool, ExprTree,
                           constant, op_symbol, parse_expression, terminal)
+
+
+THREE_SLOT_TRUTH = ("-0.1 - I1", "0.0", "0.945 - 2.108*J1")
+
+
+def reference_tridiag_solve(diff_face, source, walls, h):
+    """The channel's tridiagonal solve through scipy's checked banded route."""
+    n = len(source)
+    lower = diff_face[:-1]
+    upper = diff_face[1:]
+    rhs = -source[1:-1] * h * h
+    rhs[0] -= lower[0] * walls[0]
+    rhs[-1] -= upper[-1] * walls[1]
+    ab = np.zeros((3, n - 2))
+    ab[0, 1:] = upper[:-1]
+    ab[1, :] = -(diff_face[:-1] + diff_face[1:])
+    ab[2, :-1] = lower[1:]
+    inner = solve_banded((1, 1), ab, rhs)
+    return np.concatenate([[walls[0]], inner, [walls[1]]])
 
 
 def term_orders(terms):
@@ -220,6 +245,94 @@ class TestChannelSolver:
         out = ev_channel.evaluate(trees, ConstantsPool(values=(), seed=0))
         assert out.converged
         assert np.all(out.objectives <= case.tol * 10)
+
+    @pytest.mark.parametrize("r", ["1e200*1e200", "1e300*I1*I1*I1"],
+                             ids=["infinite-production", "feature-overflow"])
+    def test_non_finite_closure_gives_sentinel_without_warning(self, r):
+        # r = inf makes the source NaN at the walls, where nut is 0; a huge
+        # finite r overflows the squared gradients of the next iterate.
+        ev_channel = ChannelEvaluator(ChannelCase(truth_exprs=THREE_SLOT_TRUTH))
+        trees = [parse_expression(e) for e in
+                 (THREE_SLOT_TRUTH[0], r, THREE_SLOT_TRUTH[2])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ev_channel.evaluate(trees, ConstantsPool(values=(), seed=0))
+        assert out.converged is False
+        assert np.all(out.objectives == DIVERGENCE_SENTINEL)
+
+
+# sha256 of u.tobytes() + T.tobytes(), iterations and converged of
+# _solve_profiles on the default case at its tolerance.
+SOLVE_PINS = {
+    "truth": (("-0.1 - I1", "0.945 - 2.108*J1"), None,
+              "3eb261cabd4604bada973195d8b00535ebccf9024f3b45f2cabf42255775e146",
+              29, True),
+    "zero": ((None, None), None,
+             "ef729a65fbbb371f3c67624b6143be8a4b05ed9208aa94471e850af614e544bd",
+             15, True),
+    "gep-linear": (("0.3*I1 - 0.2*J1", "0.5 + I1*J1"), None,
+                   "d13590032bdd3f6e339fa760a223a7be0fcde9a6152f14a20d6b6f6e180647b1",
+                   14, True),
+    "gep-square": (("-0.05 - 0.8*I1*I1", "1.2*J1 - 0.3*I1"), None,
+                   "24bcf9817e801c7db45d47a33c84abc3e48000f011e0c1e0ea4502ae966f79ac",
+                   15, True),
+    "gep-cross": (("I1 + J1 + 0.1*I1*J1", "0.945 - 2.108*J1*J1"), None,
+                  "315615b1c391b525d8f55d0605a48cad7f4e5b0781505d52cb8ee7ac3b404773",
+                  10, False),
+    "gep-strong": (("-1.7*I1 + 0.4", "-0.9 + 3.1*J1"), None,
+                   "9984d8de33e60da536f0f58225c2a43113ec1ed5da8ce36f19aea9a6d0953b57",
+                   17, True),
+    "negative-diffusivity": (("0", "-1000"), None,
+                             "cf0b8a67f44786d645e071fdaa49813e23e349dbddd183e43739014ad26f1d0c",
+                             1, False),
+    "cut-off": (("-0.1 - I1", "0.945 - 2.108*J1"), 4,
+                "e323f3c42cff730213f1b610110154a89a2372171574efd8cb044f94d03585cc",
+                4, False),
+}
+
+positive = st.floats(1e-3, 1e3)
+finite = st.floats(-1e3, 1e3)
+
+
+class TestSolveBits:
+    @pytest.mark.parametrize("name", SOLVE_PINS)
+    def test_solve_bits_pinned(self, name):
+        exprs, max_iters, digest, iterations, converged = SOLVE_PINS[name]
+        case = default_channel_case()
+        if max_iters is not None:
+            case = dataclasses.replace(case, max_iters=max_iters)
+        trees = [None if e is None else parse_expression(e) for e in exprs]
+        u, T, its, ok = ev._solve_profiles(case, *ev._closure_slots(trees),
+                                           None, case.tol)
+        assert hashlib.sha256(u.tobytes() + T.tobytes()).hexdigest() == digest
+        assert (its, ok) == (iterations, converged)
+
+    @given(st.integers(8, 80).flatmap(lambda n: st.tuples(
+        st.lists(positive, min_size=n - 1, max_size=n - 1),
+        st.lists(finite, min_size=n, max_size=n))),
+        st.tuples(finite, finite), st.floats(1e-2, 1.0))
+    def test_tridiag_solve_equals_banded_route_bitwise(self, arrays, walls, h):
+        diff_face, source = (np.array(a) for a in arrays)
+        with np.errstate(all="ignore"):
+            got = ev._tridiag_solve(diff_face, source, walls, h)
+            ref = reference_tridiag_solve(diff_face, source, walls, h)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_singular_system_raises_like_banded_route(self):
+        args = (np.zeros(7), np.ones(8), (0.0, 1.0), 0.1)
+        with pytest.raises(LinAlgError):
+            reference_tridiag_solve(*args)
+        with pytest.raises(LinAlgError):
+            ev._tridiag_solve(*args)
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=80),
+           st.floats(1e-3, 10.0))
+    def test_gradient_equals_numpy_bitwise(self, values, h):
+        f = np.array(values)
+        with np.errstate(all="ignore"):
+            got = ev._gradient(f, h)
+            ref = np.gradient(f, h)
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestLoadChannelCase:

@@ -145,6 +145,11 @@ class TestHypervolume:
         ref = np.array([1.2, 1.4])
         assert hypervolume(pts, ref) == hypervolume(pareto_front(pts), ref)
 
+    def test_subnormal_strip_raises_no_warning(self):
+        # The last strip's area, 0.2 * 2.2e-309, underflows to a subnormal.
+        pts = np.array([[0.0, 2.225073858507203e-309], [1.0, 0.0]])
+        assert hypervolume(pts, np.array([1.2, 1.2])) == 1.2 * 1.2
+
     def test_monotone_in_points(self):
         pts = np.array([[0.5, 0.5]])
         more = np.array([[0.5, 0.5], [0.1, 0.9]])

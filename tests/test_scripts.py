@@ -8,6 +8,8 @@ import math
 import sys
 from pathlib import Path
 
+import pytest
+
 import sagep.evaluators as ev
 from sagep.orchestrator import load_run_config, run_training
 
@@ -77,3 +79,71 @@ def test_output_digests_on_small_config(tmp_path, capsys):
     assert [row[3] for row in rows[8:]] == [row[3] for row in rows[4:6]]
     script.main([str(path), "--seed", "2"])
     assert capsys.readouterr().out.splitlines() == lines
+
+
+def stub_result(workload, trace, src_sha256="abc"):
+    metric = "evaluators.iterations" if trace else "run_s"
+    return {"workload": workload, "seed": 0, "trace": trace, "correct": True,
+            "attempted": 2, "failed": 0,
+            "metrics": {metric: {"value": 1.5, "unit": "s"}},
+            "runs": [], "layers": None,
+            "context": {"commit": "c0ffee", "src_lines": 3178,
+                        "src_sha256": src_sha256}}
+
+
+def test_bench_collects_stub_results(tmp_path, monkeypatch):
+    bench = load_script("bench")
+    for name in bench.WORKLOADS:
+        for trace in (0, 1):
+            (tmp_path / f"result-{name}-trace{trace}.json").write_text(
+                json.dumps(stub_result(name, trace)))
+    line = "break-even evaluator cost: 7.5 ms per call (...)"
+    calls = []
+
+    def fake_perfbench(workload, trace, seed, seconds):
+        # Channel workloads print the line, complete once the last of them
+        # (channel-baseline, traced) has stored its result.
+        calls.append((workload, trace, seed, seconds))
+        if not workload.startswith("channel-"):
+            return "report\n{}\n"
+        done = (workload, trace) == ("channel-baseline", 1)
+        stale = "break-even evaluator cost: needs stored results"
+        return f"report\n{line if done else stale}\n{{}}\n"
+
+    tier1 = {"passed": 425, "wall_s": 55.0}
+    monkeypatch.setattr(bench, "RESULTS", tmp_path)
+    monkeypatch.setattr(bench, "run_perfbench", fake_perfbench)
+    monkeypatch.setattr(bench, "run_tier1", lambda: tier1)
+    out = tmp_path / "BENCH_test.json"
+    bench.main(["--out", str(out), "--seconds", "3"])
+    assert calls == [(name, trace, 0, 3.0) for name in bench.WORKLOADS
+                     for trace in (0, 1)]
+    record = json.loads(out.read_text())
+    assert record["context"]["src_lines"] == 3178
+    assert record["context"]["commit"] == "c0ffee"
+    assert record["tier1"] == tier1
+    # The last channel workload's line is the one with every result stored.
+    assert record["break_even"] == line
+    for name in bench.WORKLOADS:
+        entry = record["workloads"][name]
+        assert entry["correct"] is True
+        assert entry["end_to_end"] == {"run_s": {"value": 1.5, "unit": "s"}}
+        assert list(entry["per_layer"]) == ["evaluators.iterations"]
+
+
+def test_bench_rejects_results_of_different_trees(tmp_path):
+    bench = load_script("bench")
+    for name in bench.WORKLOADS:
+        for trace in (0, 1):
+            (tmp_path / f"result-{name}-trace{trace}.json").write_text(
+                json.dumps(stub_result(name, trace, src_sha256=name)))
+    with pytest.raises(ValueError, match="different source trees"):
+        bench.collect(tmp_path, {}, None)
+
+
+def test_bench_reads_pytest_summary():
+    bench = load_script("bench")
+    assert bench.tier1_counts("..\n425 passed in 55.47s\n") == {"passed": 425}
+    assert bench.tier1_counts("F.\n1 failed, 2 passed, 3 errors in 1.0s") == {
+        "failed": 1, "passed": 2, "errors": 3}
+    assert bench.tier1_counts("") == {}
