@@ -9,7 +9,7 @@ the measurement (commit, src_lines, tool versions), tier-1's pass count and
 wall time, and the channel break-even line perfbench prints.  perfbench
 itself is only run, never changed.
 
-Usage (from anywhere; about 3 minutes on a 2-vCPU host):
+Usage (from anywhere; about 4 minutes on a 2-vCPU host):
     python3 scripts/bench.py --out BENCH_<n>.json [--seed 0] [--seconds 20]
 """
 
