@@ -7,10 +7,12 @@ once.  The output file gathers, per workload, the end-to-end metrics of the
 untraced result and the per-layer metrics of the traced one, the context of
 the measurement (commit, src_lines, tool versions), tier-1's pass count and
 wall time, and the channel break-even line perfbench prints.  perfbench
-itself is only run, never changed.
+itself is only run, never changed.  Every invocation uses seed 0 and the
+run length BENCHMARK.json declares (`run_seconds`), and the record stores
+both.
 
 Usage (from anywhere; about 4 minutes on a 2-vCPU host):
-    python3 scripts/bench.py --out BENCH_<n>.json [--seed 0] [--seconds 20]
+    python3 scripts/bench.py --out BENCH_<n>.json
 """
 
 import argparse
@@ -28,23 +30,29 @@ WORKLOADS = ("channel-surrogate", "channel-baseline", "symbolic-surrogate")
 TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors"]
 BREAK_EVEN = "break-even evaluator cost:"
+SEED = 0
+RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+# pytest writes "1 error" / "2 errors" and "1 warning" / "2 warnings".
+OUTCOME = re.compile(r"(\d+) (passed|failed|skipped|xfailed|xpassed|"
+                     r"deselected|errors?|warnings?)\b")
+PLURAL = {"error": "errors", "warning": "warnings"}
 
 
-def run_perfbench(workload: str, trace: int, seed: int,
-                  seconds: float) -> str:
+def run_perfbench(workload: str, trace: int) -> str:
     """One perfbench invocation; its standard output."""
     return subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(RUN_SECONDS), "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, check=True).stdout
 
 
 def tier1_counts(output: str) -> dict[str, int]:
-    """Outcome counts from pytest's closing summary line."""
+    """Outcome counts from pytest's closing summary line, keyed by the
+    plural form of each outcome."""
     summary = output.strip().splitlines()[-1] if output.strip() else ""
-    return {word: int(count) for count, word in
-            re.findall(r"(\d+) (passed|failed|errors?|skipped)", summary)}
+    return {PLURAL.get(word, word): int(count)
+            for count, word in OUTCOME.findall(summary)}
 
 
 def run_tier1() -> dict:
@@ -81,22 +89,20 @@ def collect(results: Path, tier1: dict, break_even: str | None) -> dict:
         }
     if len({c["src_sha256"] for c in contexts}) != 1:
         raise ValueError("perfbench results come from different source trees")
-    return {"context": contexts[0], "workloads": workloads, "tier1": tier1,
-            "break_even": break_even}
+    return {"context": contexts[0], "run_seconds": RUN_SECONDS,
+            "workloads": workloads, "tier1": tier1, "break_even": break_even}
 
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, required=True,
                         help="file to write, BENCH_<n>.json")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
 
     break_even = None
     for name in WORKLOADS:
         for trace in (0, 1):
-            stdout = run_perfbench(name, trace, args.seed, args.seconds)
+            stdout = run_perfbench(name, trace)
             break_even = break_even_line(stdout) or break_even
     record = collect(RESULTS, run_tier1(), break_even)
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

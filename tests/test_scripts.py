@@ -100,10 +100,10 @@ def test_bench_collects_stub_results(tmp_path, monkeypatch):
     line = "break-even evaluator cost: 7.5 ms per call (...)"
     calls = []
 
-    def fake_perfbench(workload, trace, seed, seconds):
+    def fake_perfbench(workload, trace):
         # Channel workloads print the line, complete once the last of them
         # (channel-baseline, traced) has stored its result.
-        calls.append((workload, trace, seed, seconds))
+        calls.append((workload, trace))
         if not workload.startswith("channel-"):
             return "report\n{}\n"
         done = (workload, trace) == ("channel-baseline", 1)
@@ -115,10 +115,11 @@ def test_bench_collects_stub_results(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "run_perfbench", fake_perfbench)
     monkeypatch.setattr(bench, "run_tier1", lambda: tier1)
     out = tmp_path / "BENCH_test.json"
-    bench.main(["--out", str(out), "--seconds", "3"])
-    assert calls == [(name, trace, 0, 3.0) for name in bench.WORKLOADS
+    bench.main(["--out", str(out)])
+    assert calls == [(name, trace) for name in bench.WORKLOADS
                      for trace in (0, 1)]
     record = json.loads(out.read_text())
+    assert record["run_seconds"] == 20
     assert record["context"]["src_lines"] == 3178
     assert record["context"]["commit"] == "c0ffee"
     assert record["tier1"] == tier1
@@ -146,4 +147,12 @@ def test_bench_reads_pytest_summary():
     assert bench.tier1_counts("..\n425 passed in 55.47s\n") == {"passed": 425}
     assert bench.tier1_counts("F.\n1 failed, 2 passed, 3 errors in 1.0s") == {
         "failed": 1, "passed": 2, "errors": 3}
+    # The singular forms pytest prints for one are stored under the same key.
+    assert bench.tier1_counts(
+        "E\n4 passed, 1 skipped, 2 xfailed, 1 xpassed, 3 deselected, "
+        "1 warning, 1 error in 2.0s") == {
+        "passed": 4, "skipped": 1, "xfailed": 2, "xpassed": 1,
+        "deselected": 3, "warnings": 1, "errors": 1}
+    assert bench.tier1_counts("5 passed, 2 warnings in 1.0s") == {
+        "passed": 5, "warnings": 2}
     assert bench.tier1_counts("") == {}
