@@ -3,7 +3,8 @@
 For each seed the study runs the evolutionary loop twice with identical
 settings, once evaluating every candidate and once with surrogate gating,
 then compares the hypervolume coverage of the expensive-evaluation Pareto
-fronts and the total expensive-evaluation counts.
+fronts, the total expensive-evaluation counts and the wall time of each
+run (`time.perf_counter` around `run_training`).
 
 Usage:
     python3 scripts/efficiency_study.py [--seeds 10] [--generations 12]
@@ -13,6 +14,7 @@ Usage:
 import argparse
 import dataclasses
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,25 +27,40 @@ from sagep.orchestrator import (
 )
 
 
+class Pair(NamedTuple):
+    coverage_ratio: float
+    eval_ratio: float
+    n_surrogate: int
+    n_baseline: int
+    surrogate_s: float
+    baseline_s: float
+
+
 def expensive_front(db):
     points = np.array([r.objectives for r in db.records
                        if r.converged and r.provenance == "expensive"])
     return pareto_front(points)
 
 
-def run_pair(config: RunConfig, seed: int) -> tuple[float, float, int, int]:
-    base = dataclasses.replace(config, seed=seed, surrogate_enabled=False)
-    surr = dataclasses.replace(config, seed=seed, surrogate_enabled=True)
-    db_b, met_b = run_training(base)
-    db_s, met_s = run_training(surr)
+def timed_run(config: RunConfig):
+    t0 = time.perf_counter()
+    db, metrics = run_training(config)
+    return db, metrics, time.perf_counter() - t0
+
+
+def run_pair(config: RunConfig, seed: int) -> Pair:
+    db_b, met_b, t_b = timed_run(
+        dataclasses.replace(config, seed=seed, surrogate_enabled=False))
+    db_s, met_s, t_s = timed_run(
+        dataclasses.replace(config, seed=seed, surrogate_enabled=True))
     cov_b, cov_s = compare_coverage([expensive_front(db_b),
                                      expensive_front(db_s)])
     ratio = cov_s / cov_b if cov_b > 0 else float("nan")
-    return ratio, met_s.total_expensive / met_b.total_expensive, \
-        met_s.total_expensive, met_b.total_expensive
+    return Pair(ratio, met_s.total_expensive / met_b.total_expensive,
+                met_s.total_expensive, met_b.total_expensive, t_s, t_b)
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=10,
                         help="number of seeds, run as 0..N-1")
@@ -52,7 +69,7 @@ def main() -> None:
     parser.add_argument("--offspring", type=int, default=24)
     parser.add_argument("--config", default=None,
                         help="run config JSON; overrides the size flags")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if args.config is not None:
         config = load_run_config(args.config)
@@ -63,19 +80,26 @@ def main() -> None:
                            surrogate_enabled=True,
                            evaluator=EvaluatorSpec(kind="channel"))
 
-    cov_ratios = []
-    eval_ratios = []
+    pairs = []
     t0 = time.perf_counter()
-    print("seed  coverage_ratio  eval_ratio  expensive(surr/base)")
+    print("seed  coverage_ratio  eval_ratio  expensive(surr/base)  "
+          "time_s(surr/base)  time_ratio")
     for seed in range(args.seeds):
-        cov, ev_ratio, n_s, n_b = run_pair(config, seed)
-        cov_ratios.append(cov)
-        eval_ratios.append(ev_ratio)
-        print(f"{seed:4d}  {cov:14.4f}  {ev_ratio:10.4f}  {n_s:6d}/{n_b}")
+        pair = run_pair(config, seed)
+        pairs.append(pair)
+        print(f"{seed:4d}  {pair.coverage_ratio:14.4f}  "
+              f"{pair.eval_ratio:10.4f}  "
+              f"{pair.n_surrogate:6d}/{pair.n_baseline:<13d}  "
+              f"{pair.surrogate_s:7.3f}/{pair.baseline_s:<9.3f}  "
+              f"{pair.surrogate_s / pair.baseline_s:10.4f}")
     elapsed = time.perf_counter() - t0
 
-    print(f"median coverage ratio: {np.median(cov_ratios):.4f}")
-    print(f"median eval ratio:     {np.median(eval_ratios):.4f}")
+    print(f"median coverage ratio: "
+          f"{np.median([p.coverage_ratio for p in pairs]):.4f}")
+    print(f"median eval ratio:     "
+          f"{np.median([p.eval_ratio for p in pairs]):.4f}")
+    print(f"median time ratio:     "
+          f"{np.median([p.surrogate_s / p.baseline_s for p in pairs]):.4f}")
     print(f"elapsed: {elapsed:.1f} s")
 
 

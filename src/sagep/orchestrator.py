@@ -411,15 +411,15 @@ def _to_objective(means: np.ndarray) -> np.ndarray:
 def _fit_surrogate(history: sel_mod.SelectionHistory,
                    settings: SurrogateSettings,
                    rng: np.random.Generator) -> sur_mod.MultiGp:
-    """Fit the GP on every converged expensive outcome so far, warm-started
-    from the history's last fit when there is one."""
+    """The GP on every converged expensive outcome so far, after the
+    history's last fit (`fit_multi` decides whether to search)."""
     if history.converged_points.shape[0] == 0:
         raise RunError("no converged expensive data to fit the surrogate")
     return sur_mod.fit_multi(history.converged_points,
                              _to_gp_target(history.converged_objectives),
                              bounds=settings.bounds,
                              restarts=settings.restarts, rng=rng,
-                             warm=history.last_fit)
+                             last=history.last_fit)
 
 
 def _streams(seed: int, generations: int):
@@ -458,8 +458,8 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
     an outcome in the history reuses it (provenance "cache").  The lowest-id
     candidate of each other phenotype is offered.  In generation 0 and
     without a surrogate every offered candidate is selected; otherwise the
-    surrogate, refit from generation 1 on and kept in the history as the
-    next fit's warm start, predicts the offered candidates and selection
+    surrogate, refit from generation 1 on and kept in the history for the
+    next refit, predicts the offered candidates and selection
     ranks them.  The oracle gives each selected candidate, in id order, its
     outcome ("expensive"), which joins the history: one row per evaluated
     phenotype.  Every other candidate reuses its keys' outcome if they now

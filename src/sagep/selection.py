@@ -114,7 +114,7 @@ class SelectionHistory:
     normalized embeddings of the converged and of the diverged ones, the raw
     objectives of the converged ones (row for row), and each phenotype's
     outcome, as (objectives, converged) under its keys; plus the surrogate
-    last fitted to them, from which the next fit warm-starts."""
+    last fitted to them, whose kernel the next fit may keep."""
 
     converged_points: np.ndarray
     converged_objectives: np.ndarray

@@ -30,9 +30,10 @@ The search evaluates the likelihood thousands of times on one data set, so
 per fit; each evaluation only builds the kernel from them and calls LAPACK
 `potrf` / `potrs` directly, the routines `scipy.linalg.cholesky` and
 `cho_solve` call after their finiteness checks, so the bits are the same.
-A training run refits on a history that grows by a few rows per
-generation, so `fit_multi` can warm-start the search from the previous
-optimum and then runs a quarter of the cold starts.
+A run refits every generation on a history grown by a few rows, which
+rarely moves the optimum, so `fit_multi` searches only once the history has
+SEARCH_GROWTH times the rows of the last search; in between it keeps that
+search's (ell, alpha, tau) and refactors A and re-profiles B on every row.
 
 Observation noise has a hard floor, tau >= NOISE_FLOOR on the unit scale:
 the history of expensive evaluations can contain near-identical embeddings
@@ -56,6 +57,7 @@ from scipy.spatial.distance import cdist
 __all__ = [
     "NOISE_FLOOR",
     "JITTER_LADDER",
+    "SEARCH_GROWTH",
     "FitError",
     "KernelParams",
     "ParamBounds",
@@ -72,6 +74,9 @@ NOISE_FLOOR = 1e-8
 
 # Extra diagonal jitter tried in order when the Cholesky factorization fails.
 JITTER_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
+
+# fit_multi searches again at this many times the rows of the last search.
+SEARCH_GROWTH = 1.25
 
 
 class FitError(RuntimeError):
@@ -248,7 +253,7 @@ class MultiGp:
     `kernel` is k, shared by all objectives, at unit scale (sigma 1, noise
     tau) as `fit` finds it, and `sigmas` holds sqrt(B_jj) per objective.  L
     is the one lower Cholesky factor of k(X, X) + (tau + jitter) I, and
-    weights = L^-T L^-1 Y.
+    weights = L^-T L^-1 Y.  The kernel was searched on `searched_n` rows.
     """
 
     X: np.ndarray
@@ -259,6 +264,7 @@ class MultiGp:
     weights: np.ndarray = field(repr=False)
     jitter: float = 0.0
     warned: bool = False
+    searched_n: int = 0
 
     @property
     def n_objectives(self) -> int:
@@ -326,26 +332,30 @@ def _unit_kernel(log_theta: np.ndarray) -> KernelParams:
     return KernelParams.from_log_array(np.concatenate(([0.0], log_theta)))
 
 
+def _profiled_gp(X: np.ndarray, Y: np.ndarray, kernel: KernelParams,
+                 bounds: ParamBounds, searched_n: int) -> MultiGp:
+    """The model at unit-scale `kernel` on (n, p) targets Y, with sigma_j =
+    sqrt(B_jj) clipped to bounds.sigma."""
+    model = build_gp(X, Y, kernel, np.ones(Y.shape[1]))
+    quad = np.einsum("ij,ij->j", model.Y, model.weights)
+    return replace(model, searched_n=searched_n,
+                   sigmas=np.clip(np.sqrt(quad / model.n), *bounds.sigma))
+
+
 def fit(X: np.ndarray, Y: np.ndarray,
         bounds: ParamBounds | None = None,
         restarts: int = 8,
-        rng: np.random.Generator | int | None = None,
-        extra_starts: tuple[KernelParams, ...] = ()) -> MultiGp:
+        rng: np.random.Generator | int | None = None) -> MultiGp:
     """Fit the shared kernel to the columns of Y, shape (n, p) or a vector
     for p = 1, by maximizing the profiled log evidence.
 
-    Multi-start local search over log(ell, alpha, tau): `restarts`
+    Multi-start local search over log(ell, alpha, tau) from `restarts`
     scrambled-Halton points in the box of bounds.ell, bounds.alpha and
-    bounds.noise, then each of `extra_starts` as the point (ell, alpha,
-    noise / sigma^2), clipped into the box (a warm start from a previous
-    fit's `kernel`; the result is then never worse than that point up to
-    optimizer tolerance).  The first k points of the Halton stream are the
-    same for any `restarts` >= k.  Deterministic for a fixed rng seed.
-    The factor of A at the optimum gives sigma_j = sqrt(B_jj), clipped to
-    bounds.sigma, and is the model's factor.  A single sample admits no
-    meaningful evidence maximization and yields default parameters; if
-    every restart fails the model falls back to defaults with `warned` set.
-    Non-finite data raise ValueError on entry, as does `restarts` below 1.
+    bounds.noise; the first k points are the same for any `restarts` >= k,
+    and a fixed rng seed fixes the result.  The model is `_profiled_gp` at
+    the optimum, searched on n rows.  A single sample yields default
+    parameters, and so does failure on every restart, with `warned` set.
+    Non-finite data, or `restarts` below 1, raise ValueError on entry.
     """
     X, Y = _training_data(X, Y)
     n = X.shape[0]
@@ -373,18 +383,11 @@ def fit(X: np.ndarray, Y: np.ndarray,
             return 1e25, np.zeros(3)
         return -value, -gradient
 
-    starts = [lo + (hi - lo) * row
-              for row in _halton(3, restarts, int(rng.integers(2 ** 31 - 1)))]
-    for params in extra_starts:
-        starts.append(np.clip(np.log([params.ell, params.alpha,
-                                      params.noise / params.sigma ** 2]),
-                              lo, hi))
-
     best_val = np.inf
     best_theta = None
-    for theta0 in starts:
-        res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
-                       bounds=list(zip(lo, hi)))
+    for row in _halton(3, restarts, int(rng.integers(2 ** 31 - 1))):
+        res = minimize(objective, lo + (hi - lo) * row, jac=True,
+                       method="L-BFGS-B", bounds=list(zip(lo, hi)))
         if res.fun < min(best_val, 1e24):
             best_val = float(res.fun)
             best_theta = res.x
@@ -398,29 +401,26 @@ def fit(X: np.ndarray, Y: np.ndarray,
         bounds.ell, bounds.alpha, bounds.noise))
     kernel = KernelParams(sigma=1.0, ell=float(ell), alpha=float(alpha),
                           noise=float(tau))
-    model = build_gp(X, Y, kernel, np.ones(Y.shape[1]))
-    quad = np.einsum("ij,ij->j", Y, model.weights)
-    return replace(model, sigmas=np.clip(np.sqrt(quad / n), *bounds.sigma))
+    return _profiled_gp(X, Y, kernel, bounds, searched_n=n)
 
 
 def fit_multi(X: np.ndarray, Y: np.ndarray,
               bounds: ParamBounds | None = None,
               restarts: int = 8,
               rng: np.random.Generator | int | None = None,
-              warm: MultiGp | None = None) -> MultiGp:
-    """One `fit` of the shared kernel to every column of Y.
-
-    Without `warm` the search runs `restarts` cold starts.  A refit passes
-    the previous fit as `warm`: the search then runs the first
-    max(1, restarts // 4) of those cold starts plus one warm start at
-    `warm.kernel`, since a few new rows rarely move the optimum far.
+              last: MultiGp | None = None) -> MultiGp:
+    """The GP on every row of X and column of Y after the fit `last`: a
+    search (`fit`, which the rng serves) if `last` is None or `warned`, or
+    n >= SEARCH_GROWTH * last.searched_n; else `fit`'s closing step at the
+    kept `last.kernel` on all n rows, a new factor and re-profiled sigmas.
     """
-    if warm is not None:
-        restarts = max(1, restarts // 4)
-    # fit is looked up as a module global on each call, so a wrapper patched
-    # onto the attribute sees every fit.
-    return fit(X, Y, bounds=bounds, restarts=restarts, rng=rng,
-               extra_starts=() if warm is None else (warm.kernel,))
+    X, Y = _training_data(X, Y)
+    n = X.shape[0]
+    if last is None or last.warned or n >= SEARCH_GROWTH * last.searched_n:
+        # A wrapper patched onto the module attribute fit sees every search.
+        return fit(X, Y, bounds=bounds, restarts=restarts, rng=rng)
+    return _profiled_gp(X, Y.reshape(n, -1), last.kernel,
+                        bounds or ParamBounds(), last.searched_n)
 
 
 def predict_multi_batch(model: MultiGp,

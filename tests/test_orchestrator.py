@@ -455,8 +455,8 @@ class TestGenerationStep:
             assert records[1].objectives == records[0].objectives
 
     def test_nothing_offered_still_refits(self, monkeypatch):
-        # Every phenotype is known: no ranking, but the surrogate is refit so
-        # the next fit warm-starts from it.
+        # Every phenotype is known: no ranking, but the surrogate is refit and
+        # kept in the history for the next refit.
         self.tight_fit(monkeypatch)
         offered = self.offered_to_selection(monkeypatch)
         pop = self.population([9.0, 9.0], [0.1, 0.1])
@@ -673,44 +673,83 @@ class TestOutcomeCache:
                                                  "surrogate"}
 
 
-class TestWarmStart:
-    """A run's first GP fit is one search from `restarts` cold starts; each
-    later fit searches from the previous optimum's (ell, alpha, tau) plus a
-    quarter of the cold starts, at least one."""
+class TestSearchGrowth:
+    """Each generation's GP comes from `fit_multi`, which searches the
+    hyperparameters (a `fit` from `restarts` cold starts) only when there is
+    no usable last fit or the history has grown to SEARCH_GROWTH times the
+    rows of the last search, and otherwise refits with the kept kernel."""
 
-    @pytest.mark.parametrize("mode", ["training", "replay"])
-    @pytest.mark.parametrize("restarts, later", [(8, 2), (3, 1)])
-    def test_later_fits_start_from_previous_optimum(self, tmp_path,
-                                                    monkeypatch, mode,
-                                                    restarts, later):
+    # Seed 1 at five generations searches at n = 11 and n = 15, then keeps
+    # that kernel at n = 16 and 17, in training and in replay alike.
+    GROWS = dict(seed=1, generations=5)
+
+    def run(self, tmp_path, mode, **overrides):
         cfg = load_run_config(write_config(
-            tmp_path, surrogate={"restarts": restarts},
-            surrogate_enabled=mode == "training"))
-        if mode == "replay":
-            db, _ = run_training(cfg)
-            cfg = dataclasses.replace(cfg, surrogate_enabled=True)
-        calls = []
-        original = orch.sur_mod.fit
+            tmp_path, surrogate_enabled=mode == "training", **overrides))
+        if mode == "training":
+            return cfg, run_training(cfg)[0]
+        db, _ = run_training(cfg)
+        cfg = dataclasses.replace(cfg, surrogate_enabled=True)
+        passive_replay(db, cfg)
+        return cfg, db
 
-        def spy(X, Y, bounds=None, restarts=8, rng=None, extra_starts=()):
-            model = original(X, Y, bounds=bounds, restarts=restarts, rng=rng,
-                             extra_starts=extra_starts)
-            calls.append((Y.shape[1], restarts, tuple(extra_starts),
-                          model.kernel))
+    def spy(self, monkeypatch, warn_first=False):
+        """Log [n, searched restarts or None, the fit's searched_n] per
+        fit_multi call; with warn_first, the first search falls back."""
+        calls = []
+        fit, fit_multi = orch.sur_mod.fit, orch.sur_mod.fit_multi
+
+        def fit_spy(X, Y, bounds=None, restarts=8, rng=None):
+            calls[-1][1] = restarts
+            model = fit(X, Y, bounds=bounds, restarts=restarts, rng=rng)
+            if warn_first and sum(c[1] is not None for c in calls) == 1:
+                model = dataclasses.replace(model, warned=True)
             return model
 
-        monkeypatch.setattr(orch.sur_mod, "fit", spy)
-        if mode == "training":
-            run_training(cfg)
-        else:
-            passive_replay(db, cfg)
-        p = len(TARGETS)
+        def fit_multi_spy(X, Y, **kwargs):
+            calls.append([len(X), None, None])
+            model = fit_multi(X, Y, **kwargs)
+            calls[-1][2] = model.searched_n
+            return model
+
+        monkeypatch.setattr(orch.sur_mod, "fit", fit_spy)
+        monkeypatch.setattr(orch.sur_mod, "fit_multi", fit_multi_spy)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["training", "replay"])
+    @pytest.mark.parametrize("restarts", [8, 3])
+    def test_searches_exactly_on_growth(self, tmp_path, monkeypatch, mode,
+                                        restarts):
+        calls = self.spy(monkeypatch)
+        cfg, _ = self.run(tmp_path, mode, surrogate={"restarts": restarts},
+                          **self.GROWS)
         assert len(calls) == cfg.generations - 1
-        assert calls[0][:3] == (p, restarts, ())
-        for i, (n_objectives, n_cold, extra, _) in enumerate(calls[1:]):
-            assert (n_objectives, n_cold, extra) == (p, later,
-                                                     (calls[i][3],))
-            assert extra[0].sigma == 1.0
+        searched_n = None
+        for n, searched_restarts, model_searched_n in calls:
+            search = (searched_n is None
+                      or n >= orch.sur_mod.SEARCH_GROWTH * searched_n)
+            if search:
+                searched_n = n
+            assert searched_restarts == (restarts if search else None)
+            assert model_searched_n == searched_n
+        searches = sum(c[1] is not None for c in calls)
+        assert searches == 2 and len(calls) - searches == 2
+
+    @pytest.mark.parametrize("mode", ["training", "replay"])
+    def test_fallback_fit_is_searched_again(self, tmp_path, monkeypatch,
+                                            mode):
+        # Seed 0 grows 12 -> 13 -> 13 rows: only the fallback forces the
+        # second search, and the third generation keeps its kernel.
+        calls = self.spy(monkeypatch, warn_first=True)
+        self.run(tmp_path, mode)
+        assert [c[:2] for c in calls] == [[12, 2], [13, 2], [13, None]]
+        assert calls[2][2] == 13
+
+    def test_same_seed_writes_identical_db(self, tmp_path):
+        cfg = load_run_config(write_config(tmp_path, **self.GROWS))
+        first = run_training(cfg)[0].write(tmp_path / "first.jsonl")
+        second = run_training(cfg)[0].write(tmp_path / "second.jsonl")
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestPassiveReplay:

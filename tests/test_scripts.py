@@ -38,10 +38,11 @@ def test_efficiency_study_pair_on_small_channel_run():
         load_run_config(ROOT / "configs" / "channel_run.json"),
         generations=3, population=12, offspring=6)
     before = ev.expensive_call_count()
-    cov_ratio, eval_ratio, n_surrogate, n_baseline = load_script(
-        "efficiency_study").run_pair(config, 0)
+    (cov_ratio, eval_ratio, n_surrogate, n_baseline, surrogate_s,
+     baseline_s) = load_script("efficiency_study").run_pair(config, 0)
     assert ev.expensive_call_count() - before == n_surrogate + n_baseline
     assert eval_ratio == n_surrogate / n_baseline
+    assert surrogate_s > 0.0 and baseline_s > 0.0
     # The baseline calls the evaluator once per distinct key it meets.
     baseline, _ = run_training(dataclasses.replace(
         config, seed=0, surrogate_enabled=False))
@@ -49,6 +50,27 @@ def test_efficiency_study_pair_on_small_channel_run():
     assert n_baseline == len({r.keys for r in baseline.records
                               if r.provenance != "surrogate"})
     assert math.isfinite(cov_ratio)
+
+
+def test_efficiency_study_prints_wall_times(monkeypatch, capsys):
+    script = load_script("efficiency_study")
+    times = iter([(0.8, 1.6), (1.5, 1.0)])
+
+    def run_pair(config, seed):
+        surrogate_s, baseline_s = next(times)
+        return script.Pair(1.0, 0.5, 10 + seed, 20, surrogate_s, baseline_s)
+
+    monkeypatch.setattr(script, "run_pair", run_pair)
+    script.main(["--seeds", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["seed", "coverage_ratio", "eval_ratio",
+                                "expensive(surr/base)", "time_s(surr/base)",
+                                "time_ratio"]
+    assert [line.split() for line in lines[1:3]] == [
+        ["0", "1.0000", "0.5000", "10/20", "0.800/1.600", "0.5000"],
+        ["1", "1.0000", "0.5000", "11/20", "1.500/1.000", "1.5000"]]
+    # The median of 0.5 and 1.5.
+    assert lines[5] == "median time ratio:     1.0000"
 
 
 def test_output_digests_on_small_config(tmp_path, capsys):

@@ -384,26 +384,6 @@ class TestFit:
         baseline = log_marginal_likelihood(X, y, KernelParams())
         assert fitted >= baseline - 1e-6
 
-    def test_extra_start_never_hurts(self):
-        rng = np.random.default_rng(9)
-        X = rng.uniform(-2, 2, size=(8, 2))
-        Y = np.column_stack([X[:, 0] - 2.0 * X[:, 1], X[:, 0] * X[:, 1]])
-        # Only ell, alpha and noise / sigma^2 of a start matter.
-        good = KernelParams(sigma=2.0, ell=1.5, alpha=1.0, noise=4e-6)
-        model = fit(X, Y, restarts=2, rng=2, extra_starts=(good,))
-        assert profiled(X, Y, model.kernel) >= profiled(X, Y, good) - 1e-4
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_warm_start_never_below_cold_fit(self, seed):
-        # Two cold starts plus the 8-start optimum as a warm start never
-        # lose evidence against the 8-start fit on the same data.
-        X, Y = search_data()
-        cold = fit(X, Y, restarts=8, rng=seed)
-        warm = fit(X, Y, restarts=2, rng=seed + 10,
-                   extra_starts=(cold.kernel,))
-        assert profiled(X, Y, warm.kernel) >= (
-            profiled(X, Y, cold.kernel) - 1e-6)
-
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(10)
         X = rng.normal(size=(6, 2))
@@ -616,16 +596,29 @@ class TestProfiledKernel:
         assert len(solves) == 1
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_warm_refit_never_ends_below_its_warm_start(self, seed):
-        # A refit on a history grown by four rows, from the previous fit
-        # and from kernels drawn at random.
+    def test_kept_kernel_refit_is_fits_closing_step(self, seed):
+        # A refit on the search's own 10 rows is the searched model, and one
+        # on 12 rows (< 1.25 x 10) is the factor and profiled scales at the
+        # kept kernel, bit for bit.
         X, Y = search_data(p=2)
-        previous = fit_multi(X[:10], Y[:10], restarts=8, rng=seed)
-        for start in (previous.kernel, *self.random_kernels(seed, count=3)):
-            warm = dataclasses.replace(previous, kernel=start)
-            refit = fit_multi(X, Y, restarts=8, rng=seed + 10, warm=warm)
-            assert profiled(X, Y, refit.kernel) >= (
-                profiled(X, Y, start) - 1e-6)
+        searched = fit(X[:10], Y[:10], restarts=8, rng=seed)
+        same = fit_multi(X[:10], Y[:10], restarts=8, rng=seed + 10,
+                         last=searched)
+        grown = fit_multi(X[:12], Y[:12], restarts=8, rng=seed + 10,
+                          last=searched)
+        reference = build_gp(X[:12], Y[:12], searched.kernel, [1.0, 1.0])
+        quad = np.einsum("ij,ij->j", Y[:12], reference.weights)
+        reference = dataclasses.replace(
+            reference, sigmas=np.clip(np.sqrt(quad / 12), 1e-3, 1e2),
+            searched_n=10)
+        for refit, expected in ((same, searched), (grown, reference)):
+            assert refit.kernel == expected.kernel
+            assert refit.searched_n == expected.searched_n == 10
+            assert refit.jitter == expected.jitter
+            assert not refit.warned
+            for name in ("X", "Y", "L", "weights", "sigmas"):
+                assert (getattr(refit, name).tobytes()
+                        == getattr(expected, name).tobytes())
 
 
 class TestMultiOutput:
@@ -663,6 +656,37 @@ class TestMultiOutput:
         assert multi.n_objectives == 2
         assert multi.X.shape == multi.Y.shape == (7, 2)
         assert multi.sigmas.shape == (2,) and multi.L.shape == (7, 7)
+
+    @pytest.mark.parametrize("last_n, warned, n, search", [
+        (None, False, 12, True),
+        (10, False, 12, False),
+        (10, False, 13, True),
+        (10, True, 12, True),
+        (0, False, 12, True),
+    ], ids=["first", "grown-20pct", "grown-30pct", "fallback", "unsearched"])
+    def test_fit_multi_searches_only_on_growth(self, monkeypatch, last_n,
+                                               warned, n, search):
+        X, Y = search_data(p=2)
+        last = None if last_n is None else dataclasses.replace(
+            build_gp(X[:10], Y[:10], UNIT, [1.0, 1.0], warned=warned),
+            searched_n=last_n)
+        searches = []
+        original = surrogate.fit
+
+        def spy(*args, **kwargs):
+            searches.append(kwargs["restarts"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(surrogate, "fit", spy)
+        model = fit_multi(X[:n], Y[:n], restarts=3, rng=5, last=last)
+        assert searches == ([3] if search else [])
+        if search:
+            expected = original(X[:n], Y[:n], restarts=3, rng=5)
+            assert model.kernel == expected.kernel and model.searched_n == n
+            assert model.sigmas.tobytes() == expected.sigmas.tobytes()
+        else:
+            assert model.kernel == UNIT and model.searched_n == last_n
+        assert model.n == n
 
     def test_best_observed_is_columnwise_min(self):
         X = np.array([[0.0], [1.0], [2.0]])
