@@ -661,9 +661,11 @@ class TestMultiOutput:
         (None, False, 12, True),
         (10, False, 12, False),
         (10, False, 13, True),
+        (8, False, 10, True),
         (10, True, 12, True),
         (0, False, 12, True),
-    ], ids=["first", "grown-20pct", "grown-30pct", "fallback", "unsearched"])
+    ], ids=["first", "grown-20pct", "grown-30pct", "grown-25pct", "fallback",
+            "unsearched"])
     def test_fit_multi_searches_only_on_growth(self, monkeypatch, last_n,
                                                warned, n, search):
         X, Y = search_data(p=2)
