@@ -6,7 +6,11 @@ traced (--trace 1); each invocation leaves its result in
 once.  The output file gathers, per workload, the end-to-end metrics of the
 untraced result and the per-layer metrics of the traced one, the context of
 the measurement (commit, src_lines, tool versions), tier-1's pass count and
-wall time, and the channel break-even line perfbench prints.  perfbench
+wall time, and the channel break-even line perfbench prints.  That line
+adds perfbench's traced cost per `evaluators.evaluate` call; when the
+traced channel-baseline run records no such call (the channel evaluator
+solves a generation through `evaluate_batch`, which perfbench does not
+wrap), the record says the figure is unavailable instead.  perfbench
 itself is only run, never changed.  Every invocation uses seed 0 and the
 run length BENCHMARK.json declares (`run_seconds`), and the record stores
 both.
@@ -30,6 +34,11 @@ WORKLOADS = ("channel-surrogate", "channel-baseline", "symbolic-surrogate")
 TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors"]
 BREAK_EVEN = "break-even evaluator cost:"
+NO_EVALUATE_CALLS = (
+    f"{BREAK_EVEN} unavailable: the traced channel-baseline run records no "
+    "evaluators.evaluate call (training solves each generation through "
+    "evaluate_batch, which perfbench does not wrap), so perfbench's figure "
+    "would add 0 ms per call")
 SEED = 0
 RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 # pytest writes "1 error" / "2 errors" and "1 warning" / "2 warnings".
@@ -89,6 +98,10 @@ def collect(results: Path, tier1: dict, break_even: str | None) -> dict:
         }
     if len({c["src_sha256"] for c in contexts}) != 1:
         raise ValueError("perfbench results come from different source trees")
+    calls = workloads["channel-baseline"]["per_layer"].get(
+        "evaluators.evaluate.calls")
+    if calls is not None and calls["value"] == 0:
+        break_even = NO_EVALUATE_CALLS
     return {"context": contexts[0], "run_seconds": RUN_SECONDS,
             "workloads": workloads, "tier1": tier1, "break_even": break_even}
 

@@ -15,6 +15,10 @@ Closures and targets are evaluated as canonical polynomials, monomials
 added in key order, so objectives depend only on the phenotype keys;
 symreg.eval_tree is the reference semantics the tests check against.
 
+The channel evaluator solves a generation's candidates as one batch: one
+damped fixed-point loop on (k, n) profiles, whose rows leave as they exit,
+each with the bits of its candidate's solve alone.
+
 Both evaluators bump a module-level call counter; passive replay must leave
 that counter untouched, which is how tests prove no expensive call happens
 during replay.
@@ -165,6 +169,12 @@ class SymbolicBenchmark:
             return _sentinel_outcome(self.n_objectives)
         return EvaluationOutcome(objectives=objectives, converged=True)
 
+    def evaluate_batch(self, trees_list: Sequence[Sequence[ExprTree]],
+                       pool: ConstantsPool) -> list[EvaluationOutcome]:
+        """evaluate of each candidate in turn: at about 0.1 ms a call there
+        is no loop overhead to share."""
+        return [self.evaluate(trees, pool) for trees in trees_list]
+
 
 # ---------------------------------------------------------------------------
 # 1-D coupled channel
@@ -230,42 +240,88 @@ class ChannelCase:
 
 def _tridiag_solve(diff_face: np.ndarray, source: np.ndarray,
                    walls: tuple[float, float], h: float) -> np.ndarray:
-    """Solve d/dy(D du/dy) = -source with Dirichlet walls.
+    """Solve d/dy(D du/dy) = -source with Dirichlet walls, one system per
+    row of diff_face (k, n-1) and source (k, n); a 1-D pair is one row.
 
-    diff_face holds face diffusivities D_{i+1/2} (length n-1); interior
-    equations use conservative second-order differences, solved by LAPACK
+    diff_face holds face diffusivities D_{i+1/2}; interior equations use
+    conservative second-order differences, each row solved by LAPACK
     dgtsv, the routine scipy's solve_banded calls for one band each side.
+    Returns a (k, n) array.
     """
-    rhs = -source[1:-1] * h * h
-    rhs[0] -= diff_face[0] * walls[0]
-    rhs[-1] -= diff_face[-1] * walls[1]
-    off = diff_face[1:-1]
-    # dl and du alias one buffer, so neither may be overwritten.
-    *_, inner, info = dgtsv(off, -(diff_face[:-1] + diff_face[1:]), off, rhs)
-    if info > 0:
-        raise LinAlgError("singular matrix")
-    out = np.empty(len(source))
-    out[0], out[1:-1], out[-1] = walls[0], inner, walls[1]
+    diff_face, source = np.atleast_2d(diff_face, source)
+    rhs = -source[:, 1:-1] * h * h
+    rhs[:, 0] -= diff_face[:, 0] * walls[0]
+    rhs[:, -1] -= diff_face[:, -1] * walls[1]
+    off = diff_face[:, 1:-1]
+    diag = -(diff_face[:, :-1] + diff_face[:, 1:])
+    out = np.empty(source.shape)
+    out[:, 0], out[:, -1] = walls
+    for o, d, b, x in zip(off, diag, rhs, out[:, 1:-1]):
+        # dl and du alias one buffer, so neither may be overwritten.
+        *_, x[:], info = dgtsv(o, d, o, b)
+        if info > 0:
+            raise LinAlgError("singular matrix")
     return out
 
 
 def _gradient(f: np.ndarray, h: float) -> np.ndarray:
-    """np.gradient(f, h) of a 1-D profile, as its own slice expressions."""
+    """np.gradient(f, h, axis=-1), as its own slice expressions."""
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    out[0] = (f[1] - f[0]) / h
-    out[-1] = (f[-1] - f[-2]) / h
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
+    out[..., 0] = (f[..., 1] - f[..., 0]) / h
+    out[..., -1] = (f[..., -1] - f[..., -2]) / h
     return out
 
 
 _CHANNEL_TERMINALS = ("I1", "J1")
 
 
-def _channel_features(case: ChannelCase, u: np.ndarray, T: np.ndarray,
-                      h: float) -> dict[str, np.ndarray]:
-    """The closure inputs I1 and J1 on the profiles u and T."""
-    du, dT = _gradient(u, h), _gradient(T, h)
-    return dict(zip(_CHANNEL_TERMINALS, ((du / case.omega) ** 2, dT ** 2)))
+def _channel_factors(case: ChannelCase, u: np.ndarray, T: np.ndarray,
+                     h: float) -> np.ndarray:
+    """The closure inputs I1 and J1 on the profiles u and T, then ones (the
+    factor a closure plan pads with), stacked along a new first axis."""
+    out = np.ones((len(_CHANNEL_TERMINALS) + 1, *u.shape))
+    out[0] = (_gradient(u, h) / case.omega) ** 2
+    out[1] = _gradient(T, h) ** 2
+    return out
+
+
+def _closure_plan(polys: Sequence[dict]) -> tuple[np.ndarray, np.ndarray]:
+    """One slot's polynomials of a batch as (coefficients (k, m), factor
+    indices into _channel_factors (k, m, d)).
+
+    Row i lists its monomials in key order, each as its coefficient, then
+    its variables in key order.  Missing terms pad with coefficient 0.0 and
+    missing factors with ones.  Both pads are exact: x * 1.0 == x, and a
+    sum that starts at +0.0 never becomes -0.0, so adding 0.0 changes no
+    bit.  _plan_eval therefore gives each row polynomial_eval's bits.
+    """
+    monos = [sorted(poly) for poly in polys]
+    m = max(map(len, monos), default=0)
+    d = max((len(mono) for row in monos for mono in row), default=0)
+    row_of = {name: i for i, name in enumerate(_CHANNEL_TERMINALS)}
+    coefficients = np.zeros((len(polys), m))
+    factors = np.full((len(polys), m, d), len(row_of))
+    for i, (poly, row) in enumerate(zip(polys, monos)):
+        for j, mono in enumerate(row):
+            coefficients[i, j] = poly[mono]
+            factors[i, j, :len(mono)] = [row_of[var] for var in mono]
+    return coefficients, factors
+
+
+def _plan_eval(plan: tuple[np.ndarray, np.ndarray],
+               factors: np.ndarray) -> np.ndarray:
+    """Each row's closure on its own row of the stacked factors (f, k, n):
+    the monomials added in key order from +0.0, as polynomial_eval does."""
+    coefficients, index = plan
+    rows = np.arange(len(coefficients))
+    total = np.zeros(factors.shape[1:])
+    for j in range(coefficients.shape[1]):
+        term = coefficients[:, j, None]
+        for v in range(index.shape[2]):
+            term = term * factors[index[:, j, v], rows]
+        total = total + term
+    return total
 
 
 def _closure_slots(trees: Sequence) -> tuple:
@@ -273,52 +329,90 @@ def _closure_slots(trees: Sequence) -> tuple:
     return (trees[0], None, trees[1]) if len(trees) == 2 else tuple(trees)
 
 
-def _solve_profiles(case: ChannelCase, g_expr: ExprTree | None,
-                    r_expr: ExprTree | None, alpha_expr: ExprTree | None,
-                    pool: ConstantsPool | None, tol: float,
-                    ) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Damped fixed-point iteration on the coupled system.
+Profiles = tuple[np.ndarray, np.ndarray, int, bool]
 
-    Returns (u, T, iterations, converged); converged False covers both
-    non-positive effective diffusivity and running out of iterations.
+
+def _solve_batch(case: ChannelCase, closures: Sequence[tuple],
+                 pool: ConstantsPool | None, tol: float) -> list[Profiles]:
+    """Damped fixed-point iteration on the coupled system, for a batch of
+    (g, r, alpha) closures at once on (k, n) profiles.
+
+    Returns (u, T, iterations, converged) per closure.  Each row's result
+    has the bits of its solve alone: all work is elementwise or an exact
+    per-row reduction, and each row's tridiagonal systems are solved on
+    their own.  A row leaves the batch, holding a copy of its iterate, at
+    the first check it fails: a non-finite or non-positive diffusivity,
+    then a non-finite solve (both keep the previous iterate), then a
+    non-finite residual; or when it converges.  converged False covers
+    every divergence and running out of iterations.
     """
-    y, h = case.grid()
-    n = case.n_cells
+    _, h = case.grid()
+    k, n = len(closures), case.n_cells
     nut = case.nut_profile()
-    polys = [_polynomial(tree, pool) for tree in (g_expr, r_expr, alpha_expr)]
-
-    u = np.linspace(case.wall_u[0], case.wall_u[1], n)
-    T = np.linspace(case.wall_t[0], case.wall_t[1], n)
+    plans = [_closure_plan([_polynomial(closure[s], pool)
+                            for closure in closures]) for s in range(3)]
+    rows = np.arange(k)  # batch index of each active row
+    u = np.tile(np.linspace(case.wall_u[0], case.wall_u[1], n), (k, 1))
+    T = np.tile(np.linspace(case.wall_t[0], case.wall_t[1], n), (k, 1))
     theta = case.damping
+    out: list = [None] * k
 
     # Any value a closure drives non-finite is divergence, caught below.
     with np.errstate(all="ignore"):
         for iteration in range(1, case.max_iters + 1):
-            columns = _channel_features(case, u, T, h)
-            g_val, r_val, a_val = (polynomial_eval(poly, columns)
-                                   for poly in polys)
+            if not len(rows):
+                break
+            factors = _channel_factors(case, u, T, h)
+            g_val, r_val, a_val = (_plan_eval(plan, factors)
+                                   for plan in plans)
+            del factors
             diff_u = case.nu + g_val * nut
             diff_t = case.alpha_base + a_val * nut
-            if not (np.isfinite(diff_u).all() and np.isfinite(diff_t).all()
-                    and diff_u.min() > 0.0 and diff_t.min() > 0.0):
-                return u, T, iteration, False
-            face_u = 0.5 * (diff_u[:-1] + diff_u[1:])
-            face_t = 0.5 * (diff_t[:-1] + diff_t[1:])
+            del g_val, a_val
+            usable = (np.isfinite(diff_u).all(1) & np.isfinite(diff_t).all(1)
+                      & (diff_u.min(1) > 0.0) & (diff_t.min(1) > 0.0))
+            face_u = 0.5 * (diff_u[:, :-1] + diff_u[:, 1:])
+            face_t = 0.5 * (diff_t[:, :-1] + diff_t[:, 1:])
+            del diff_u, diff_t
+            if not usable.all():
+                # These rows leave with their previous iterate; a unit
+                # system keeps dgtsv from meeting a zero pivot on them.
+                face_u[~usable] = face_t[~usable] = 1.0
             source_u = case.coupling * T + case.forcing + r_val * nut
             u_new = _tridiag_solve(face_u, source_u, case.wall_u, h)
-            t_new = _tridiag_solve(face_t, np.zeros(n), case.wall_t, h)
-            if not (np.isfinite(u_new).all() and np.isfinite(t_new).all()):
-                return u, T, iteration, False
+            t_new = _tridiag_solve(face_t, np.zeros((len(rows), n)),
+                                   case.wall_t, h)
+            del face_u, face_t, source_u, r_val
+            solved = (usable & np.isfinite(u_new).all(1)
+                      & np.isfinite(t_new).all(1))
             u_next = (1.0 - theta) * u + theta * u_new
             t_next = (1.0 - theta) * T + theta * t_new
-            residual = max(float(np.abs(u_next - u).max()),
-                           float(np.abs(t_next - T).max()))
+            del u_new, t_new
+            res_u = np.abs(u_next - u).max(1)
+            res_t = np.abs(t_next - T).max(1)
+            # max(res_u, res_t) as Python's max picks it.
+            residual = np.where(res_t > res_u, res_t, res_u)
+            leave = ~solved | ~np.isfinite(residual) | (residual < tol)
+            if leave.any():
+                for i in np.flatnonzero(leave):
+                    u_i, t_i = ((u_next[i], t_next[i]) if solved[i]
+                                else (u[i], T[i]))
+                    out[rows[i]] = (u_i.copy(), t_i.copy(), iteration,
+                                    bool(solved[i] and residual[i] < tol))
+                stay = ~leave
+                rows, u_next, t_next = rows[stay], u_next[stay], t_next[stay]
+                plans = [(c[stay], f[stay]) for c, f in plans]
             u, T = u_next, t_next
-            if not np.isfinite(residual):
-                return u, T, iteration, False
-            if residual < tol:
-                return u, T, iteration, True
-    return u, T, case.max_iters, False
+    for i, row in enumerate(rows):
+        out[row] = (u[i].copy(), T[i].copy(), case.max_iters, False)
+    return out
+
+
+def _solve_profiles(case: ChannelCase, g_expr: ExprTree | None,
+                    r_expr: ExprTree | None, alpha_expr: ExprTree | None,
+                    pool: ConstantsPool | None, tol: float) -> Profiles:
+    """_solve_batch of one closure."""
+    return _solve_batch(case, [(g_expr, r_expr, alpha_expr)], pool, tol)[0]
 
 
 def _normalized_rms(profile: np.ndarray, reference: np.ndarray) -> float:
@@ -327,26 +421,34 @@ def _normalized_rms(profile: np.ndarray, reference: np.ndarray) -> float:
     return err / scale if scale > 0 else err
 
 
-def solve_channel(case: ChannelCase, g_expr: ExprTree | None,
-                  r_expr: ExprTree | None, alpha_expr: ExprTree | None,
-                  pool: ConstantsPool | None = None) -> EvaluationOutcome:
-    """Run the coupled solve for one candidate closure.
+def _channel_outcomes(case: ChannelCase, closures: Sequence[tuple],
+                      pool: ConstantsPool | None) -> list[EvaluationOutcome]:
+    """Run the coupled solve for a batch of (g, r, alpha) closures.
 
     Objectives are (normalized RMS of u vs reference, same for T); any
     divergence mechanism yields the sentinel pair with converged False.
     """
     if case.reference_u is None or case.reference_t is None:
         raise SetupError("case has no reference profiles; run make_reference")
-    u, T, iterations, ok = _solve_profiles(case, g_expr, r_expr, alpha_expr,
-                                           pool, case.tol)
-    if not ok:
-        return _sentinel_outcome(2, iterations)
-    objectives = np.array([_normalized_rms(u, np.asarray(case.reference_u)),
-                           _normalized_rms(T, np.asarray(case.reference_t))])
-    if not np.all(np.isfinite(objectives)):
-        return _sentinel_outcome(2, iterations)
-    return EvaluationOutcome(objectives=objectives, converged=True,
-                             iterations=iterations)
+    ref_u, ref_t = np.asarray(case.reference_u), np.asarray(case.reference_t)
+    outcomes = []
+    for u, T, iterations, ok in _solve_batch(case, closures, pool, case.tol):
+        if ok:
+            objectives = np.array([_normalized_rms(u, ref_u),
+                                   _normalized_rms(T, ref_t)])
+            ok = np.all(np.isfinite(objectives))
+        outcomes.append(EvaluationOutcome(objectives=objectives, converged=True,
+                                          iterations=iterations) if ok
+                        else _sentinel_outcome(2, iterations))
+    return outcomes
+
+
+def solve_channel(case: ChannelCase, g_expr: ExprTree | None,
+                  r_expr: ExprTree | None, alpha_expr: ExprTree | None,
+                  pool: ConstantsPool | None = None) -> EvaluationOutcome:
+    """Run the coupled solve for one candidate closure; see
+    _channel_outcomes."""
+    return _channel_outcomes(case, [(g_expr, r_expr, alpha_expr)], pool)[0]
 
 
 def make_reference(case: ChannelCase,
@@ -428,11 +530,22 @@ class ChannelEvaluator:
         if not ok:
             raise SetupError("zero-correction baseline solve diverged")
         _, h = self.case.grid()
-        return FeatureTable(columns=_channel_features(self.case, u, T, h))
+        return FeatureTable(columns=dict(zip(
+            _CHANNEL_TERMINALS, _channel_factors(self.case, u, T, h))))
 
     def evaluate(self, trees: Sequence[ExprTree],
                  pool: ConstantsPool) -> EvaluationOutcome:
-        if len(trees) != self.n_slots:
-            raise ValueError(f"expected {self.n_slots} slots, got {len(trees)}")
-        _note_expensive_call()
-        return solve_channel(self.case, *_closure_slots(trees), pool)
+        return self.evaluate_batch([trees], pool)[0]
+
+    def evaluate_batch(self, trees_list: Sequence[Sequence[ExprTree]],
+                       pool: ConstantsPool) -> list[EvaluationOutcome]:
+        """Solve a generation's candidates as one batch; outcome i is
+        evaluate(trees_list[i], pool), bit for bit."""
+        for trees in trees_list:
+            if len(trees) != self.n_slots:
+                raise ValueError(
+                    f"expected {self.n_slots} slots, got {len(trees)}")
+        for _ in trees_list:
+            _note_expensive_call()
+        return _channel_outcomes(
+            self.case, [_closure_slots(trees) for trees in trees_list], pool)

@@ -447,7 +447,7 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
                      config: RunConfig, p: int,
                      select_rng: np.random.Generator,
                      fit_rng: np.random.Generator,
-                     oracle: Callable[[symreg.Candidate], object]
+                     oracle: Callable[[list[symreg.Candidate]], list]
                      ) -> list[EvaluationRecord]:
     """One generation of the loop, shared by training and replay: the only
     code that asks whether a phenotype already has an outcome, the only code
@@ -460,9 +460,9 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
     without a surrogate every offered candidate is selected; otherwise the
     surrogate, refit from generation 1 on and kept in the history for the
     next refit, predicts the offered candidates and selection
-    ranks them.  The oracle gives each selected candidate, in id order, its
-    outcome ("expensive"), which joins the history: one row per evaluated
-    phenotype.  Every other candidate reuses its keys' outcome if they now
+    ranks them.  The oracle takes the selected candidates, in id order, in
+    one call and returns their outcomes in that order ("expensive"); each
+    joins the history: one row per evaluated phenotype.  Every other candidate reuses its keys' outcome if they now
     have one ("cache"), and otherwise gets its phenotype's prediction
     ("surrogate").  Only expensive and surrogate records carry a
     prediction.  The oracle's outcome has .objectives and .converged: the
@@ -497,8 +497,7 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
             selected = [c for c in selected if c.id in chosen]
 
     provenance: dict[int, str] = {}
-    for cand in selected:
-        outcome = oracle(cand)
+    for cand, outcome in zip(selected, oracle(selected), strict=True):
         history.add(cand.embedding_norm, cand.phenotype_keys,
                     outcome.objectives, outcome.converged)
         provenance[cand.id] = "expensive"
@@ -628,8 +627,10 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
     survivors: list[symreg.Candidate] = []
     trees_by_id: dict[int, list[symreg.ExprTree]] = {}
 
-    def evaluate(cand: symreg.Candidate) -> eval_mod.EvaluationOutcome:
-        return evaluator.evaluate(trees_by_id[cand.id], pool)
+    def evaluate(cands: list[symreg.Candidate]
+                 ) -> list[eval_mod.EvaluationOutcome]:
+        return evaluator.evaluate_batch([trees_by_id[c.id] for c in cands],
+                                        pool)
 
     for gen in range(config.generations):
         if gen == 0:
@@ -716,7 +717,7 @@ def passive_replay(db: EvaluationDatabase,
                      for rec in by_gen[gen]]
         records = _generation_step(
             gen, stand_ins, norm_stats, history, config, p, select_rngs[gen],
-            fit_rngs[gen], lambda c: rec_by_id[c.id])
+            fit_rngs[gen], lambda cands: [rec_by_id[c.id] for c in cands])
         generations.append((records, [
             (rec_by_id[r.id].objectives, r.predicted) for r in records
             if r.provenance == "surrogate" and r.predicted is not None

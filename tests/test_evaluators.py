@@ -335,6 +335,128 @@ class TestSolveBits:
         assert got.tobytes() == ref.tobytes()
 
 
+def pin_closures(name):
+    exprs = SOLVE_PINS[name][0]
+    return ev._closure_slots([None if e is None else parse_expression(e)
+                              for e in exprs])
+
+
+def profile_digest(u, T):
+    return hashlib.sha256(u.tobytes() + T.tobytes()).hexdigest()
+
+
+SOLO: dict = {}
+
+
+def solo(name):
+    """The batch-of-one solve of a pin's closures on the default case."""
+    if name not in SOLO:
+        case = default_channel_case()
+        SOLO[name] = ev._solve_batch(case, [pin_closures(name)], None,
+                                     case.tol)[0]
+    return SOLO[name]
+
+
+class TestSolveBatch:
+    def test_default_case_batch_reproduces_the_pins(self):
+        # Exit at iteration 1, divergence at 10 and convergence at 14-29,
+        # all in one batch.
+        case = default_channel_case()
+        solved = ev._solve_batch(case, [pin_closures(name)
+                                        for name in SOLVE_PINS], None,
+                                 case.tol)
+        rows = dict(zip(SOLVE_PINS, solved))
+        for name, (_, max_iters, digest, iterations, converged) in (
+                SOLVE_PINS.items()):
+            u, T, its, ok = rows[name if max_iters is None else "truth"]
+            if max_iters is None:
+                assert profile_digest(u, T) == digest, name
+                assert (its, ok) == (iterations, converged), name
+            else:  # the cut-off pin's closures are the truth's
+                assert rows[name][0].tobytes() == u.tobytes()
+                assert rows[name][1].tobytes() == T.tobytes()
+
+    def test_cut_off_batch_reproduces_the_pins(self):
+        # On the case cut off at 4 iterations, the cut-off pin and the exit
+        # at iteration 1 reproduce their pins; every other row is cut off.
+        case = dataclasses.replace(default_channel_case(), max_iters=4)
+        solved = ev._solve_batch(case, [pin_closures(name)
+                                        for name in SOLVE_PINS], None,
+                                 case.tol)
+        for (name, (_, max_iters, digest, iterations, converged)), (
+                u, T, its, ok) in zip(SOLVE_PINS.items(), solved):
+            if max_iters == 4 or iterations < 4:
+                assert profile_digest(u, T) == digest, name
+                assert (its, ok) == (iterations, converged), name
+            else:
+                assert (its, ok) == (4, False), name
+
+    @given(st.lists(st.sampled_from(list(SOLVE_PINS)), max_size=10))
+    def test_rows_equal_their_solo_solve(self, names):
+        # Any order, subset or repetition of the pins' closures: each row
+        # has the bits of its batch-of-one solve.
+        case = default_channel_case()
+        solved = ev._solve_batch(case, [pin_closures(n) for n in names],
+                                 None, case.tol)
+        assert len(solved) == len(names)
+        for name, (u, T, its, ok) in zip(names, solved):
+            su, sT, s_its, s_ok = solo(name)
+            assert u.tobytes() == su.tobytes(), name
+            assert T.tobytes() == sT.tobytes(), name
+            assert (its, ok) == (s_its, s_ok), name
+
+    def test_evaluate_equals_evaluate_batch(self):
+        evaluator = ChannelEvaluator(default_channel_case())
+        trees = [[parse_expression(e) for e in SOLVE_PINS[name][0]]
+                 for name in SOLVE_PINS if None not in SOLVE_PINS[name][0]]
+        pool = ConstantsPool(values=(), seed=0)
+        batch = evaluator.evaluate_batch(trees, pool)
+        for t, in_batch in zip(trees, batch):
+            alone = evaluator.evaluate(t, pool)
+            for other in (evaluator.evaluate_batch([t], pool)[0], in_batch):
+                assert other.objectives.tobytes() == alone.objectives.tobytes()
+                assert (other.converged, other.iterations) == (
+                    alone.converged, alone.iterations)
+
+    @pytest.mark.parametrize("kind", ["channel", "symbolic"])
+    def test_counter_counts_candidates(self, kind):
+        if kind == "channel":
+            evaluator = ChannelEvaluator(default_channel_case())
+            trees = [parse_expression("0"), parse_expression("I1")]
+        else:
+            table = FeatureTable(columns={"I1": np.array([0.5, 1.0])})
+            evaluator = SymbolicBenchmark(table, targets=("I1",))
+            trees = [parse_expression("I1")]
+        pool = ConstantsPool(values=(), seed=0)
+        before = expensive_call_count()
+        assert evaluator.evaluate_batch([], pool) == []
+        assert expensive_call_count() == before
+        outcomes = evaluator.evaluate_batch([trees] * 3, pool)
+        assert len(outcomes) == 3
+        assert expensive_call_count() == before + 3
+
+    def test_symbolic_batch_is_evaluate_per_candidate(self):
+        rng = np.random.default_rng(7)
+        table = FeatureTable(columns={"I1": rng.uniform(0.2, 1.0, size=12),
+                                      "I2": rng.uniform(-1.0, 0.0, size=12)})
+        bench = SymbolicBenchmark(table, targets=("I1*I1", "0.5 - I2"))
+        pool = ConstantsPool(values=(), seed=0)
+        trees = [[parse_expression(a), parse_expression(b)]
+                 for a, b in (("I1", "I2"), ("I1*I1", "0.5 - I2"))]
+        batch = bench.evaluate_batch(trees, pool)
+        for t, outcome in zip(trees, batch):
+            assert (outcome.objectives.tobytes()
+                    == bench.evaluate(t, pool).objectives.tobytes())
+
+    def test_bad_slot_count_rejected_before_counting(self):
+        evaluator = ChannelEvaluator(default_channel_case())
+        before = expensive_call_count()
+        with pytest.raises(ValueError, match="expected 2 slots"):
+            evaluator.evaluate_batch([[parse_expression("0")] * 2,
+                                      [parse_expression("0")]], None)
+        assert expensive_call_count() == before
+
+
 class TestLoadChannelCase:
     def test_defaults_round_trip(self, tmp_path):
         import json

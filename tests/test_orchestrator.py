@@ -329,17 +329,18 @@ class TestGenerationStep:
             selection=SelectionConfig(metric="lcb", beta=50.0, m_fixed=1))
         calls = []
 
-        def oracle(cand):
-            calls.append(cand.id)
-            return ev.EvaluationOutcome(objectives=np.array([0.1, 0.2]),
-                                        converged=True)
+        def oracle(cands):
+            calls.append([c.id for c in cands])
+            return [ev.EvaluationOutcome(objectives=np.array([0.1, 0.2]),
+                                         converged=True) for _ in cands]
 
         records = orch._generation_step(
             gen, pop, self.IDENTITY, history, config, 2,
             np.random.default_rng(0), np.random.default_rng(1), oracle)
         assert [r.id for r in records] == sorted(c.id for c in pop)
         selected = [r.id for r in records if r.provenance == "expensive"]
-        assert calls == selected
+        # One oracle call per generation, with the selected ids in order.
+        assert calls == [selected]
         return selected, records
 
     def tight_fit(self, monkeypatch):
@@ -384,6 +385,13 @@ class TestGenerationStep:
                                         ("k1",): ((0.1, 0.2), True)}
             assert history.converged_objectives.tolist() == [[0.1, 0.2]] * 2
 
+    def test_oracle_takes_the_selected_in_id_order(self):
+        # The population arrives in reverse id order; step asserts that the
+        # one oracle call lists the selected ids in order.
+        pop = self.population([0.0, 0.0], [1.0, 1.0], [2.0, 2.0])[::-1]
+        selected, _ = self.step(0, pop, SelectionHistory.empty(2, 2))
+        assert selected == [0, 1, 2]
+
     @pytest.mark.parametrize("surrogate_enabled", [True, False])
     def test_repeated_key_is_evaluated_once(self, surrogate_enabled):
         # Two candidates with one key: the second reuses the first's
@@ -392,7 +400,7 @@ class TestGenerationStep:
         pop[1].phenotype_keys = pop[0].phenotype_keys
         history = SelectionHistory.empty(2, 2)
         selected, records = self.step(0, pop, history, surrogate_enabled)
-        assert selected == [0]  # one oracle call
+        assert selected == [0]  # one candidate evaluated
         assert [r.provenance for r in records] == ["expensive", "cache"]
         assert [r.wall_time for r in records] == [1.0, 0.0]
         assert records[1].objectives == records[0].objectives == (0.1, 0.2)

@@ -154,6 +154,33 @@ def test_bench_collects_stub_results(tmp_path, monkeypatch):
         assert list(entry["per_layer"]) == ["evaluators.iterations"]
 
 
+def test_bench_break_even_unavailable_without_evaluate_calls(tmp_path):
+    # A break-even figure built on 0 ms per evaluate call would be wrong, so
+    # the record says why there is none instead.
+    bench = load_script("bench")
+    for name in bench.WORKLOADS:
+        for trace in (0, 1):
+            result = stub_result(name, trace)
+            if trace:
+                result["metrics"]["evaluators.evaluate.calls"] = {
+                    "value": 0 if name == "channel-baseline" else 88,
+                    "unit": "count"}
+            (tmp_path / f"result-{name}-trace{trace}.json").write_text(
+                json.dumps(result))
+    line = "break-even evaluator cost: 0.1 ms per call (...)"
+    record = bench.collect(tmp_path, {}, line)
+    assert record["break_even"] == bench.NO_EVALUATE_CALLS
+    assert record["break_even"].startswith(bench.BREAK_EVEN + " unavailable")
+    assert "evaluate_batch" in record["break_even"]
+    # With calls recorded, perfbench's line is kept as it is.
+    result = json.loads(
+        (tmp_path / "result-channel-baseline-trace1.json").read_text())
+    result["metrics"]["evaluators.evaluate.calls"]["value"] = 164.5
+    (tmp_path / "result-channel-baseline-trace1.json").write_text(
+        json.dumps(result))
+    assert bench.collect(tmp_path, {}, line)["break_even"] == line
+
+
 def test_bench_rejects_results_of_different_trees(tmp_path):
     bench = load_script("bench")
     for name in bench.WORKLOADS:
