@@ -119,7 +119,8 @@ def main(argv: list[str] | None = None) -> None:
             break_even = break_even_line(stdout) or break_even
     record = collect(RESULTS, run_tier1(), break_even)
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {args.out}: tier-1 {record['tier1']}; {break_even}")
+    print(f"wrote {args.out}: tier-1 {record['tier1']}; "
+          f"{record['break_even']}")
 
 
 if __name__ == "__main__":

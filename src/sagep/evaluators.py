@@ -437,9 +437,10 @@ def _channel_outcomes(case: ChannelCase, closures: Sequence[tuple],
             objectives = np.array([_normalized_rms(u, ref_u),
                                    _normalized_rms(T, ref_t)])
             ok = np.all(np.isfinite(objectives))
-        outcomes.append(EvaluationOutcome(objectives=objectives, converged=True,
-                                          iterations=iterations) if ok
-                        else _sentinel_outcome(2, iterations))
+        outcomes.append(
+            EvaluationOutcome(objectives=objectives, converged=True,
+                              iterations=iterations)
+            if ok else _sentinel_outcome(2, iterations))
     return outcomes
 
 

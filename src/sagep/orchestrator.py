@@ -462,12 +462,13 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
     next refit, predicts the offered candidates and selection
     ranks them.  The oracle takes the selected candidates, in id order, in
     one call and returns their outcomes in that order ("expensive"); each
-    joins the history: one row per evaluated phenotype.  Every other candidate reuses its keys' outcome if they now
-    have one ("cache"), and otherwise gets its phenotype's prediction
-    ("surrogate").  Only expensive and surrogate records carry a
-    prediction.  The oracle's outcome has .objectives and .converged: the
-    evaluator's EvaluationOutcome in training, the stored EvaluationRecord
-    in replay.  Returns the generation's records in id order.
+    joins the history: one row per evaluated phenotype.  Every other
+    candidate reuses its keys' outcome if they now have one ("cache"), and
+    otherwise gets its phenotype's prediction ("surrogate").  Only
+    expensive and surrogate records carry a prediction.  An oracle outcome
+    has .objectives and .converged: the evaluator's EvaluationOutcome in
+    training, the stored EvaluationRecord in replay.  Returns the
+    generation's records in id order.
     """
     current = sorted(current, key=lambda c: c.id)
     converged: dict[int, bool] = {}
