@@ -4,13 +4,14 @@ For each config, training runs at one seed in surrogate and in baseline
 mode, and the digests of db.jsonl, metrics.csv and summary.txt are printed.
 The baseline database is then replayed with the surrogate on and off, and
 the digests of each replay's report (metrics.csv and summary.txt) follow.
-Each line reads `<config> <mode> <file> <sha256>`, so a byte-identity claim
-between two checkouts is one diff:
+Each line reads `<config> <mode> <file> <sha256>`; given several seeds,
+each line starts with `seed=N`.  A byte-identity claim between two
+checkouts is then one diff:
 
-    PYTHONPATH=src python3 scripts/output_digests.py --seed 0 > after.txt
+    PYTHONPATH=src python3 scripts/output_digests.py --seed 0 1 2 > after.txt
 
 Usage:
-    python3 scripts/output_digests.py [--seed 0] [config.json ...]
+    python3 scripts/output_digests.py [config.json ...] [--seed 0 ...]
 """
 
 import argparse
@@ -52,14 +53,16 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("configs", nargs="*", type=Path, default=SHIPPED,
                         help="run configs (default: the shipped ones)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, nargs="+", default=[0])
     args = parser.parse_args(argv)
 
-    for path in args.configs:
-        config = dataclasses.replace(load_run_config(path), seed=args.seed)
-        with tempfile.TemporaryDirectory() as tmp:
-            for mode, name, digest in config_digests(config, Path(tmp)):
-                print(f"{path.stem} {mode} {name} {digest}")
+    for seed in args.seed:
+        prefix = f"seed={seed} " if len(args.seed) > 1 else ""
+        for path in args.configs:
+            config = dataclasses.replace(load_run_config(path), seed=seed)
+            with tempfile.TemporaryDirectory() as tmp:
+                for mode, name, digest in config_digests(config, Path(tmp)):
+                    print(f"{prefix}{path.stem} {mode} {name} {digest}")
 
 
 if __name__ == "__main__":

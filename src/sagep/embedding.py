@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -63,8 +64,14 @@ class FeatureTable:
     def n_rows(self) -> int:
         return len(next(iter(self.columns.values())))
 
+    @cached_property
+    def _mean_columns(self) -> dict[str, np.ndarray]:
+        # Once per table: nothing mutates the columns after construction.
+        return {name: np.asarray([float(np.mean(col))])
+                for name, col in self.columns.items()}
+
     def mean_row(self) -> dict[str, float]:
-        return {name: float(np.mean(col)) for name, col in self.columns.items()}
+        return {name: float(v[0]) for name, v in self._mean_columns.items()}
 
 
 def ingest_feature_table(path: str | Path) -> FeatureTable:
@@ -131,8 +138,7 @@ def embed(trees: Sequence[ExprTree], table: FeatureTable,
     Overflow or invalid arithmetic is not trapped here: non-finite
     coordinates mark the candidate as diverged upstream.
     """
-    mean_row = {name: np.asarray([value])
-                for name, value in table.mean_row().items()}
+    mean_row = table._mean_columns
     return np.array([polynomial_eval(tree_polynomial(tree, pool), mean_row)[0]
                      for tree in trees], dtype=float)
 

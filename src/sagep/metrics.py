@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .symreg import fast_nondominated_sort
+from .symreg import dominance_matrix
 
 __all__ = [
     "pareto_front",
@@ -37,7 +37,7 @@ def pareto_front(points: np.ndarray) -> np.ndarray:
     if pts.size == 0:
         return pts.reshape(0, pts.shape[1] if pts.ndim == 2 else 0)
     pts = np.unique(pts, axis=0)
-    return pts[fast_nondominated_sort(pts)[0]]
+    return pts[~dominance_matrix(pts).any(axis=0)]
 
 
 def _hv_2d(points: np.ndarray, ref: np.ndarray) -> float:

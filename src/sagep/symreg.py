@@ -56,6 +56,7 @@ __all__ = [
     "parse_expression",
     "mutate",
     "crossover",
+    "dominance_matrix",
     "fast_nondominated_sort",
     "crowding_distance",
     "rank_population",
@@ -174,18 +175,22 @@ class SymbolSet:
             raise ConfigurationError("symbol set needs at least one operator")
         if not self.terminals and self.n_constants == 0:
             raise ConfigurationError("symbol set needs terminals or constants")
+        # Built once: a draw indexes into these, so their order is fixed.
+        leaves = (tuple(terminal(name) for name in self.terminals)
+                  + tuple(constant(i) for i in range(self.n_constants)))
+        object.__setattr__(self, "_leaves", leaves)
+        object.__setattr__(self, "_heads", tuple(
+            op_symbol(name) for name in self.operators) + leaves)
 
     @property
     def max_arity(self) -> int:
         return max(OP_TABLE[name][0] for name in self.operators)
 
     def leaf_symbols(self) -> tuple[Symbol, ...]:
-        leaves = [terminal(name) for name in self.terminals]
-        leaves.extend(constant(i) for i in range(self.n_constants))
-        return tuple(leaves)
+        return self._leaves
 
     def head_symbols(self) -> tuple[Symbol, ...]:
-        return tuple(op_symbol(name) for name in self.operators) + self.leaf_symbols()
+        return self._heads
 
 
 @dataclass(frozen=True)
@@ -527,6 +532,19 @@ class Candidate:
     objectives: np.ndarray | None = None
 
 
+def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
+    """[i, j] of the (n, n) result: row i of the (n, p) objectives dominates
+    row j (minimization).  Built a column at a time; NaN compares False."""
+    objs = np.asarray(objectives, dtype=float)
+    n = objs.shape[0]
+    nowhere_worse = np.ones((n, n), dtype=bool)
+    somewhere_better = np.zeros((n, n), dtype=bool)
+    for col in objs.T:
+        nowhere_worse &= col[:, None] <= col[None, :]
+        somewhere_better |= col[:, None] < col[None, :]
+    return nowhere_worse & somewhere_better
+
+
 def fast_nondominated_sort(objectives: np.ndarray) -> list[list[int]]:
     """Sort rows of an (n, p) objective matrix into Pareto fronts.
 
@@ -535,11 +553,8 @@ def fast_nondominated_sort(objectives: np.ndarray) -> list[list[int]]:
     row dominates another when it is nowhere worse and somewhere strictly
     better.
     """
-    objs = np.asarray(objectives, dtype=float)
-    a, b = objs[:, None, :], objs[None, :, :]
-    # dominates[i, j]: row i dominates row j; count[j]: rows dominating j.
-    dominates = np.all(a <= b, axis=2) & np.any(a < b, axis=2)
-    count = dominates.sum(axis=0)
+    dominates = dominance_matrix(objectives)
+    count = dominates.sum(axis=0)  # count[j]: rows dominating row j
     fronts: list[list[int]] = []
     current = np.flatnonzero(count == 0)
     while current.size:
@@ -594,10 +609,8 @@ def rank_population(population: Sequence[Candidate]) -> list[tuple[int, float]]:
             dists = crowding_distance(objs[members])
             for local, idx in enumerate(members):
                 ranks[idx] = (rank, float(dists[local]))
-    sentinel_idx = np.flatnonzero(sentinel_mask)
-    if sentinel_idx.size:
-        for idx in sentinel_idx:
-            ranks[idx] = (n_fronts, 0.0)
+    for idx in np.flatnonzero(sentinel_mask):
+        ranks[idx] = (n_fronts, 0.0)
     return ranks
 
 

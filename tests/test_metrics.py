@@ -18,6 +18,7 @@ from sagep.metrics import (
     pareto_front,
     surrogate_relative_error,
 )
+from sagep.symreg import fast_nondominated_sort
 
 
 def mc_dominated_area(points, ref, ideal, n=200_000, seed=0):
@@ -76,6 +77,20 @@ class TestParetoFront:
             if tuple(row) not in members:
                 assert any(dominates(f, row) for f in front)
                 assert any(dominates(other, row) for other in pts)
+
+    @given(st.integers(2, 3).flatmap(lambda p: st.lists(
+        st.lists(st.integers(0, 4).map(lambda k: k / 2),
+                 min_size=p, max_size=p), min_size=1, max_size=20)),
+        st.data())
+    def test_equals_first_front_of_the_sort(self, rows, data):
+        # Repeat some rows, so deduplication has work to do.
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=10))
+        pts = np.asarray(rows, dtype=float)
+        u = np.unique(pts, axis=0)
+        expect = u[fast_nondominated_sort(u)[0]]
+        front = pareto_front(pts)
+        assert front.shape == expect.shape
+        assert np.array_equal(front, expect)
 
 
 class TestHypervolume:

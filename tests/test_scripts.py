@@ -103,6 +103,28 @@ def test_output_digests_on_small_config(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == lines
 
 
+def test_output_digests_prefix_each_line_with_its_seed(monkeypatch, capsys):
+    script = load_script("output_digests")
+    seeds = []
+
+    def config_digests(config, out):
+        seeds.append(config.seed)
+        return [("baseline", "db.jsonl", f"digest{config.seed}")]
+
+    monkeypatch.setattr(script, "config_digests", config_digests)
+    script.main(["--seed", "3"])
+    assert capsys.readouterr().out.splitlines() == [
+        "channel_run baseline db.jsonl digest3",
+        "symbolic_quadratic baseline db.jsonl digest3"]
+    script.main(["--seed", "4", "1"])
+    assert capsys.readouterr().out.splitlines() == [
+        "seed=4 channel_run baseline db.jsonl digest4",
+        "seed=4 symbolic_quadratic baseline db.jsonl digest4",
+        "seed=1 channel_run baseline db.jsonl digest1",
+        "seed=1 symbolic_quadratic baseline db.jsonl digest1"]
+    assert seeds == [3, 3, 4, 4, 1, 1]
+
+
 def stub_result(workload, trace, src_sha256="abc"):
     metric = "evaluators.iterations" if trace else "run_s"
     return {"workload": workload, "seed": 0, "trace": trace, "correct": True,

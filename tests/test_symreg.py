@@ -19,6 +19,7 @@ from sagep.symreg import (
     crossover,
     crowding_distance,
     decode,
+    dominance_matrix,
     eval_tree,
     evolve_generation,
     fast_nondominated_sort,
@@ -285,6 +286,44 @@ class TestVariation:
             crossover(a, b, np.random.default_rng(0))
 
 
+class TestAlphabets:
+    SYMBOLS = SymbolSet(operators=("+", "-", "*", "neg"),
+                        terminals=("I1", "I2", "J1"), n_constants=3)
+
+    def test_alphabets_equal_fresh_tuples_in_order(self):
+        leaves = (I1, I2, J1, constant(0), constant(1), constant(2))
+        assert self.SYMBOLS.leaf_symbols() == leaves
+        assert self.SYMBOLS.head_symbols() == (ADD, SUB, MUL, NEG) + leaves
+
+    def test_alphabets_are_built_once(self):
+        assert self.SYMBOLS.head_symbols() is self.SYMBOLS.head_symbols()
+        assert self.SYMBOLS.leaf_symbols() is self.SYMBOLS.leaf_symbols()
+
+    def test_cached_alphabets_stay_out_of_equality_and_repr(self):
+        twin = SymbolSet(operators=("+", "-", "*", "neg"),
+                         terminals=("I1", "I2", "J1"), n_constants=3)
+        assert twin == self.SYMBOLS and hash(twin) == hash(self.SYMBOLS)
+        assert "_heads" not in repr(twin)
+
+    def test_seeded_draws_pinned(self):
+        # A draw indexes into the alphabets, so reordering either one
+        # changes these strings.
+        def render(g):
+            return " ".join(s.name if s.kind in ("op", "term")
+                            else f"c{s.index}" for s in g.symbols)
+
+        cfg = GepConfig(symbols=self.SYMBOLS, head_len=4)
+        rng = np.random.default_rng(7)
+        drawn = []
+        for _ in range(2):
+            g = random_genotype(rng, cfg)
+            drawn += [render(g), render(mutate(g, 0.5, rng, self.SYMBOLS))]
+        assert drawn == ["c2 J1 J1 c1 c0 c1 c2 I2 I1",
+                         "c2 neg J1 c1 J1 c0 c0 c0 c0",
+                         "c2 c1 c0 c0 c0 J1 c2 J1 I2",
+                         "* c1 I1 neg c0 I2 c2 J1 I2"]
+
+
 # ---------------------------------------------------------------------------
 # Dominance, fronts, survivors
 
@@ -293,6 +332,44 @@ def brute_dominates(a, b):
     """Reference Pareto dominance (minimization), one pair at a time."""
     return (all(x <= y for x, y in zip(a, b))
             and any(x < y for x, y in zip(a, b)))
+
+
+def check_sort_against_brute_force(rows):
+    objs = np.asarray(rows, dtype=float)
+    fronts = fast_nondominated_sort(objs)
+    seen = sorted(i for front in fronts for i in front)
+    assert seen == list(range(len(rows)))
+    # Brute-force front index: strip nondominated layers one by one.
+    # Each front must also be in ascending order, which crowding ties
+    # and survivor order depend on.
+    remaining = set(range(len(rows)))
+    for front in fronts:
+        expect = {i for i in remaining
+                  if not any(brute_dominates(rows[j], rows[i])
+                             for j in remaining if j != i)}
+        assert front == sorted(expect)
+        remaining -= expect
+
+
+def reference_dominance(objs):
+    """Dominance as one 3-D broadcast: [i, j] when row i dominates row j."""
+    a, b = objs[:, None, :], objs[None, :, :]
+    return np.all(a <= b, axis=2) & np.any(a < b, axis=2)
+
+
+@st.composite
+def objective_matrices(draw):
+    """(n, p) matrices, p in 1-4 and n in 0-40, whose entries come from a
+    few floats (NaN and +-inf included) and whose rows repeat."""
+    p = draw(st.integers(1, 4))
+    values = draw(st.lists(
+        st.floats() | st.sampled_from([np.inf, -np.inf, np.nan, 0.0, -0.0]),
+        min_size=1, max_size=5))
+    rows = draw(st.lists(st.lists(st.sampled_from(values),
+                                  min_size=p, max_size=p),
+                         min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), max_size=40))
+    return np.array([rows[i] for i in picks], dtype=float).reshape(-1, p)
 
 
 class TestDominance:
@@ -321,20 +398,32 @@ class TestDominance:
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                     min_size=1, max_size=12))
     def test_sort_against_brute_force(self, rows):
-        objs = np.asarray(rows, dtype=float)
-        fronts = fast_nondominated_sort(objs)
-        seen = sorted(i for front in fronts for i in front)
-        assert seen == list(range(len(rows)))
-        # Brute-force front index: strip nondominated layers one by one.
-        # Each front must also be in ascending order, which crowding ties
-        # and survivor order depend on.
-        remaining = set(range(len(rows)))
-        for front in fronts:
-            expect = {i for i in remaining
-                      if not any(brute_dominates(rows[j], rows[i])
-                                 for j in remaining if j != i)}
-            assert front == sorted(expect)
-            remaining -= expect
+        check_sort_against_brute_force(rows)
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                              st.integers(0, 3)),
+                    min_size=1, max_size=12))
+    def test_sort_against_brute_force_three_objectives(self, rows):
+        check_sort_against_brute_force(rows)
+
+    @given(objective_matrices())
+    def test_dominance_matrix_matches_reference(self, objs):
+        got = dominance_matrix(objs)
+        assert got.dtype == bool and got.shape == (len(objs), len(objs))
+        assert np.array_equal(got, reference_dominance(objs))
+
+    def test_dominance_matrix_on_ties_infinities_and_nan(self):
+        inf, nan = np.inf, np.nan
+        objs = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, inf], [-inf, 2.0],
+                         [nan, 0.0], [1.0, 1.0]])
+        expect = np.zeros((6, 6), dtype=bool)
+        expect[[0, 1, 5], 2] = True  # inf in the second objective loses
+        expect[3, [0, 1, 2]] = True  # -inf in the first objective wins
+        expect[5, [0, 1]] = True
+        # Equal rows never dominate each other and the NaN row takes no part.
+        assert np.array_equal(dominance_matrix(objs), expect)
+        assert np.array_equal(expect, reference_dominance(objs))
+
 
     def test_crowding_boundary_points_infinite(self):
         objs = np.array([[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
