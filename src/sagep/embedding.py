@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .symreg import ConstantsPool, ExprTree, polynomial_eval, tree_polynomial
+from .symreg import polynomial_eval
 
 __all__ = [
     "FeatureTable",
@@ -130,17 +130,17 @@ def write_feature_table(table: FeatureTable, path: str | Path) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def embed(trees: Sequence[ExprTree], table: FeatureTable,
-          pool: ConstantsPool | None = None) -> np.ndarray:
+def embed(polynomials: Sequence[Mapping[tuple[str, ...], float]],
+          table: FeatureTable) -> np.ndarray:
     """Embed a candidate as one coordinate per model slot: the slot's
-    polynomial evaluated on the table's mean row.
+    polynomial (`symreg.tree_polynomial`) evaluated on the table's mean row.
 
     Overflow or invalid arithmetic is not trapped here: non-finite
     coordinates mark the candidate as diverged upstream.
     """
     mean_row = table._mean_columns
-    return np.array([polynomial_eval(tree_polynomial(tree, pool), mean_row)[0]
-                     for tree in trees], dtype=float)
+    return np.array([polynomial_eval(poly, mean_row)[0]
+                     for poly in polynomials], dtype=float)
 
 
 @dataclass(frozen=True)

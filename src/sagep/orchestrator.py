@@ -647,9 +647,9 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
         for cand in current:
             trees = [symreg.decode(g) for g in cand.genotypes]
             trees_by_id[cand.id] = trees
-            cand.phenotype_keys = tuple(symreg.canonical_key(t, pool)
-                                        for t in trees)
-            cand.embedding = emb_mod.embed(trees, table, pool)
+            polys = [symreg.tree_polynomial(t, pool) for t in trees]
+            cand.phenotype_keys = tuple(map(symreg.canonical_key, polys))
+            cand.embedding = emb_mod.embed(polys, table)
 
         if gen == 0:
             norm_stats = _gen0_norm_stats([c.embedding for c in current])

@@ -24,14 +24,13 @@ the lower candidate id so decisions are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import ndtr
 
-from .surrogate import MultiGp, _halton, predict_multi_batch
+from .surrogate import MultiGp, _halton, _sqdist, predict_multi_batch
 from .symreg import Candidate, fast_nondominated_sort
 
 __all__ = [
@@ -145,15 +144,11 @@ class SelectionHistory:
 class SelectionDecision:
     """Outcome of one generation's selection pass.
 
-    Arrays align with the population order.  `means` holds the surrogate's
-    GP-space posterior means, one row per candidate, selected or not.
+    `means` holds the surrogate's GP-space posterior means, one row per
+    candidate in population order, selected or not.
     """
 
     selected_ids: list[int]
-    values: np.ndarray
-    scalar: np.ndarray
-    weights: np.ndarray
-    front_index: np.ndarray
     means: np.ndarray
 
 
@@ -168,6 +163,9 @@ def lcb(mean, std, beta: float):
     return -mean + beta * std
 
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 def ei(mean, std, f_best, xi: float = 0.0):
     """Expected improvement below f_best with exploration margin xi; f_best
     broadcasts like the means, e.g. one value per objective column.
@@ -177,13 +175,15 @@ def ei(mean, std, f_best, xi: float = 0.0):
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
     improve = f_best - mean - xi
-    # Standard normal cdf and pdf, the expressions behind scipy.stats.norm;
-    # a huge |z| overflows z**2 or underflows the exp to a pdf of 0.
+    # Standard normal cdf and pdf; the cdf is within 2.2e-16 of scipy's
+    # ndtr, and a huge |z| overflows z**2 or underflows the exp to a pdf
+    # of 0.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
         z = np.where(std > 0, improve / np.where(std > 0, std, 1.0), 0.0)
+        cdf = 0.5 * _erfc(-z / math.sqrt(2.0))
         pdf = np.exp(-z ** 2 / 2.0) / np.sqrt(2 * np.pi)
-        spread = improve * ndtr(z) + std * pdf
+        spread = improve * cdf + std * pdf
     return np.where(std > 0, spread, np.maximum(improve, 0.0))
 
 
@@ -321,9 +321,7 @@ def select_generation(gen_index: int,
         selected = _initial_sampling(emb, scalar, ids, history, config, rng)
     else:
         selected = apply_thresholds(scalar, front_index, config, ids=ids)
-    return SelectionDecision(selected_ids=selected, values=values,
-                             scalar=scalar, weights=weights,
-                             front_index=front_index, means=means)
+    return SelectionDecision(selected_ids=selected, means=means)
 
 
 def _initial_sampling(emb: np.ndarray, scalar: np.ndarray,
@@ -345,7 +343,7 @@ def _initial_sampling(emb: np.ndarray, scalar: np.ndarray,
     for point in points:
         if not remaining:
             break
-        dists = cdist(point[None, :], emb[remaining])[0]
+        dists = np.sqrt(_sqdist(point[None, :], emb[remaining])[0])
         best_pos = min(range(len(remaining)),
                        key=lambda k: (dists[k], ids[remaining[k]]))
         picks.append(remaining.pop(best_pos))

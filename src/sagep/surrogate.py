@@ -15,15 +15,16 @@ evidence
 
     -(n/2) sum_j log B_jj - (p/2) log|A| - (np/2)(1 + log 2 pi).
 
-Multi-start L-BFGS-B maximizes it over log(ell, alpha, tau) with its
-analytic gradient; each evaluation factorizes A once (Cholesky, with a
-small jitter escalation when near-duplicate inputs make it numerically
-singular) and solves for all p columns with that one factor.  The fitted
-`MultiGp` is this separable model, with sigma_j^2 = B_jj and one factor of
-A.  Every objective is observed at every input, so objective j's posterior
-mean uses only its own column, k*' A^-1 y_j, and its variance is sigma_j^2
-times the unit-scale one: one cross-kernel and one triangular solve
-predict all p objectives.
+A multi-start projected BFGS search (`_bounded_bfgs`, with L-BFGS-B's
+default stopping rules) maximizes it over the box of log(ell, alpha, tau)
+with its analytic gradient; each evaluation factorizes A once (Cholesky,
+with a small jitter escalation when near-duplicate inputs make it
+numerically singular) and solves for all p columns with that one factor.
+The fitted `MultiGp` is this separable model, with sigma_j^2 = B_jj and one
+factor of A.  Every objective is observed at every input, so objective j's
+posterior mean uses only its own column, k*' A^-1 y_j, and its variance is
+sigma_j^2 times the unit-scale one: one cross-kernel and one triangular
+solve predict all p objectives.
 
 The search evaluates the likelihood thousands of times on one data set, so
 `fit` validates the data on entry and computes the squared distances once
@@ -51,8 +52,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
-from scipy.optimize import minimize
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "NOISE_FLOOR",
@@ -77,6 +76,14 @@ JITTER_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
 
 # fit_multi searches again at this many times the rows of the last search.
 SEARCH_GROWTH = 1.25
+
+# The search's stopping rules are L-BFGS-B's defaults (Byrd, Lu, Nocedal &
+# Zhu 1995): projected-gradient norm, relative decrease, evaluation budget;
+# a step backtracks at most _MAXLS times.
+_PGTOL = 1e-5
+_FTOL = 1e7 * np.finfo(float).eps
+_MAXFUN = 15000
+_MAXLS = 20
 
 
 class FitError(RuntimeError):
@@ -134,8 +141,17 @@ class ParamBounds:
         return lo, hi
 
 
+# Underflow only rounds a subnormal difference's square to 0.
+@np.errstate(under="ignore")
 def _sqdist(X: np.ndarray, X2: np.ndarray) -> np.ndarray:
-    return cdist(np.atleast_2d(X), np.atleast_2d(X2), metric="sqeuclidean")
+    """Squared Euclidean distances between the rows of X and of X2, summed
+    over the columns in order: the bits of scipy's `cdist(X, X2,
+    "sqeuclidean")`."""
+    X, X2 = np.atleast_2d(X), np.atleast_2d(X2)
+    out = np.zeros((X.shape[0], X2.shape[0]))
+    for a, b in zip(X.T, X2.T):
+        out += (a[:, None] - b[None, :]) ** 2
+    return out
 
 
 def _rq_from_sqdist(sq: np.ndarray, params: KernelParams) -> np.ndarray:
@@ -332,6 +348,71 @@ def _unit_kernel(log_theta: np.ndarray) -> KernelParams:
     return KernelParams.from_log_array(np.concatenate(([0.0], log_theta)))
 
 
+def _bounded_bfgs(objective, x: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Minimize `objective`, which returns (value, gradient), over the box
+    [lo, hi] from x by projected BFGS; returns the last point, its value and
+    the number of evaluations.
+
+    The inverse-Hessian estimate H acts on the free variables, those the
+    gradient does not hold at a bound, and restarts when that set changes;
+    it is built from curvature pairs of free components only, and until the
+    first pair the direction is the unit steepest descent.  Each line search
+    starts at the step t0 and backtracks along the projected path by
+    safeguarded quadratic interpolation until the Armijo condition holds;
+    t0 doubles whenever a pair is skipped for non-positive curvature and is
+    1 again after an update.  A failed line search restarts H once, then
+    stops.
+    """
+    x = np.clip(x, lo, hi)
+    f, g = objective(x)
+    nfev, free, H, t0 = 1, None, None, 1.0
+    while (nfev < _MAXFUN
+           and np.max(np.abs(np.clip(x - g, lo, hi) - x)) > _PGTOL):
+        held = ((x <= lo) & (g > 0)) | ((x >= hi) & (g < 0))
+        if free is None or not np.array_equal(free, ~held):
+            free, H = ~held, None
+        d = np.zeros_like(x)
+        d[free] = (-g[free] / np.linalg.norm(g[free]) if H is None
+                   else -H @ g[free])
+        slope = g @ d
+        if slope >= 0.0:
+            # Roundoff cost H its positive definiteness.
+            H = None
+            continue
+        t = t0
+        for _ in range(_MAXLS):
+            x_new = np.clip(x + t * d, lo, hi)
+            f_new, g_new = objective(x_new)
+            nfev += 1
+            if f_new <= f + 1e-4 * (g @ (x_new - x)):
+                break
+            if nfev >= _MAXFUN:
+                return x, f, nfev
+            t *= min(max(-slope * t / (2.0 * (f_new - f - slope * t)), 0.1),
+                     0.5)
+        else:
+            if H is None:
+                break
+            H = None
+            continue
+        s, y = (x_new - x)[free], (g_new - g)[free]
+        done = f - f_new <= _FTOL * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if done:
+            break
+        sy = s @ y
+        if sy <= 0.0:
+            t0 *= 2.0
+            continue
+        t0 = 1.0
+        if H is None:
+            H = np.eye(s.size) * sy / (y @ y)
+        V = np.eye(s.size) - np.outer(s, y) / sy
+        H = V @ H @ V.T + np.outer(s, s) / sy
+    return x, f, nfev
+
+
 def _profiled_gp(X: np.ndarray, Y: np.ndarray, kernel: KernelParams,
                  bounds: ParamBounds, searched_n: int) -> MultiGp:
     """The model at unit-scale `kernel` on (n, p) targets Y, with sigma_j =
@@ -386,11 +467,11 @@ def fit(X: np.ndarray, Y: np.ndarray,
     best_val = np.inf
     best_theta = None
     for row in _halton(3, restarts, int(rng.integers(2 ** 31 - 1))):
-        res = minimize(objective, lo + (hi - lo) * row, jac=True,
-                       method="L-BFGS-B", bounds=list(zip(lo, hi)))
-        if res.fun < min(best_val, 1e24):
-            best_val = float(res.fun)
-            best_theta = res.x
+        theta, value, _ = _bounded_bfgs(objective, lo + (hi - lo) * row,
+                                        lo, hi)
+        if value < min(best_val, 1e24):
+            best_val = float(value)
+            best_theta = theta
     if best_theta is None:
         warnings.warn("GP hyperparameter search failed on every restart; "
                       "falling back to default parameters")

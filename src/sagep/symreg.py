@@ -425,10 +425,14 @@ def polynomial_key(poly: Mapping[tuple[str, ...], float]) -> str:
     return " + ".join(terms)
 
 
-def canonical_key(tree: ExprTree, pool: ConstantsPool | None = None) -> str:
-    """Canonical phenotype key: two trees share a key iff they are the same
-    polynomial, hence the same function on every input."""
-    return polynomial_key(tree_polynomial(tree, pool))
+def canonical_key(tree: ExprTree | Mapping[tuple[str, ...], float],
+                  pool: ConstantsPool | None = None) -> str:
+    """Canonical phenotype key of a tree, or of its `tree_polynomial`: two
+    trees share a key iff they are the same polynomial, hence the same
+    function on every input."""
+    if isinstance(tree, ExprTree):
+        tree = tree_polynomial(tree, pool)
+    return polynomial_key(tree)
 
 
 def polynomial_eval(poly: Mapping[tuple[str, ...], float],

@@ -25,7 +25,13 @@ from sagep.symreg import (
     op_symbol,
     parse_expression,
     terminal,
+    tree_polynomial,
 )
+
+
+def embed_trees(trees, table, pool=None):
+    """Embed trees through their polynomials, as the generation step does."""
+    return embed([tree_polynomial(tree, pool) for tree in trees], table)
 
 
 def table_from(**columns):
@@ -95,23 +101,23 @@ class TestEmbed:
         # Rows (1, 2) and (3, 4) have the mean row (2, 3), where I1 + I2 is 5.
         t = table_from(I1=[1.0, 3.0], I2=[2.0, 4.0])
         tree = parse_expression("I1 + I2")
-        assert embed([tree], t)[0] == 5.0
+        assert embed_trees([tree], t)[0] == 5.0
 
     def test_nonlinear_expression_embeds_at_mean_row(self):
         # I1 * I1 at the mean I1 = 1, not the mean 2 of its row values 0, 4.
         t = table_from(I1=[0.0, 2.0])
-        assert embed([parse_expression("I1 * I1")], t)[0] == 1.0
+        assert embed_trees([parse_expression("I1 * I1")], t)[0] == 1.0
 
     def test_linear_expression_embeds_at_mean_row(self):
         # 2*I1 - I2 at the mean row (2, 2) is 2, which for a linear
         # expression is also the mean 2 of its row values 3 and 1.
         t = table_from(I1=[1.0, 3.0], I2=[-1.0, 5.0])
-        assert embed([parse_expression("2*I1 - I2")], t)[0] == 2.0
+        assert embed_trees([parse_expression("2*I1 - I2")], t)[0] == 2.0
 
     def test_one_coordinate_per_slot(self):
         t = table_from(I1=[1.0, 3.0])
         trees = [parse_expression(s) for s in ("I1", "I1*I1", "1 - I1")]
-        coords = embed(trees, t)
+        coords = embed_trees(trees, t)
         assert coords.shape == (3,)
         assert np.array_equal(coords, [2.0, 4.0, -1.0])
 
@@ -121,7 +127,7 @@ class TestEmbed:
         t = table_from(I1=[0.3, 1.7, -2.2], I2=[1.1, 0.0, 4.4])
         a = parse_expression("(I1 + I1) * I2")
         b = parse_expression("I2 * I1 + I1 * I2")
-        ca, cb = embed([a], t)[0], embed([b], t)[0]
+        ca, cb = embed_trees([a], t)[0], embed_trees([b], t)[0]
         assert ca == cb
         # So must every order of the terms of a polynomial.
         rng = np.random.default_rng(7)
@@ -130,7 +136,7 @@ class TestEmbed:
         for terms in (("I1", "I1*I2", "I2"), ("0.3", "I1", "I2")):
             trees = [parse_expression(" + ".join(order))
                      for order in itertools.permutations(terms)]
-            coords = {embed([tree], t).tobytes() for tree in trees}
+            coords = {embed_trees([tree], t).tobytes() for tree in trees}
             assert len(coords) == 1, terms
 
     def test_pool_constants_fold_into_embedding(self):
@@ -138,12 +144,12 @@ class TestEmbed:
         pool = ConstantsPool(values=(0.5,), seed=0)
         tree = ExprTree(op_symbol("*"), (ExprTree(constant(0)),
                                          ExprTree(terminal("I1"))))
-        assert embed([tree], t, pool=pool)[0] == 1.5
+        assert embed_trees([tree], t, pool=pool)[0] == 1.5
 
     def test_overflow_becomes_non_finite(self):
         t = table_from(I1=[1e200, 1e200])
         tree = parse_expression("I1 * I1 * I1")
-        assert not np.isfinite(embed([tree], t)[0])
+        assert not np.isfinite(embed_trees([tree], t)[0])
 
 
 class TestNormalization:

@@ -10,6 +10,7 @@ import pytest
 import sagep.evaluators as ev
 import sagep.orchestrator as orch
 import sagep.selection as sel
+import sagep.symreg as symreg
 from sagep.cli import main
 from sagep.embedding import FeatureTable, NormStats, write_feature_table
 from sagep.metrics import RunMetrics
@@ -520,6 +521,43 @@ class TestRunTraining:
         assert calls == metrics.total_expensive == len(distinct)
         assert all(r.wall_time == float(r.provenance == "expensive")
                    for r in db.records)
+
+    def test_key_and_embedding_share_one_polynomial_per_slot(
+            self, tmp_path, monkeypatch):
+        cfg = load_run_config(write_config(tmp_path))
+        roots, expanded, keyed, embedded = {}, [], [], []
+        decode, expand = symreg.decode, symreg.tree_polynomial
+        key, embed = symreg.canonical_key, orch.emb_mod.embed
+
+        def decode_spy(genotype):
+            tree = decode(genotype)
+            roots[id(tree)] = tree
+            return tree
+
+        def expand_spy(tree, pool=None):
+            if id(tree) in roots:
+                expanded.append(id(tree))
+            return expand(tree, pool)
+
+        def key_spy(poly, pool=None):
+            keyed.append(poly)
+            return key(poly, pool)
+
+        def embed_spy(polys, table):
+            embedded.extend(polys)
+            return embed(polys, table)
+
+        monkeypatch.setattr(symreg, "decode", decode_spy)
+        monkeypatch.setattr(symreg, "tree_polynomial", expand_spy)
+        monkeypatch.setattr(symreg, "canonical_key", key_spy)
+        monkeypatch.setattr(orch.emb_mod, "embed", embed_spy)
+        run_training(cfg)
+        # Each decoded tree is expanded once, and that polynomial is both
+        # keyed and embedded.
+        assert len(roots) == (12 + 6 * 3) * 2
+        assert sorted(expanded) == sorted(roots)
+        assert all(isinstance(poly, dict) for poly in keyed)
+        assert list(map(id, keyed)) == list(map(id, embedded))
 
     def test_baseline_is_deterministic(self, tmp_path):
         cfg = load_run_config(write_config(tmp_path,

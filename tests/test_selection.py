@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from sagep.selection import (
     SelectionConfig,
@@ -63,7 +64,35 @@ class TestLcb:
         assert np.argmax(lcb(means, stds, 0.0)) == np.argmin(means)
 
 
+def ndtr_ei(mean, std, f_best, xi):
+    """EI with scipy's ndtr as its normal cdf, as selection computed it
+    while it imported scipy.special."""
+    improve = f_best - mean - xi
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
+                     under="ignore"):
+        z = np.where(std > 0, improve / np.where(std > 0, std, 1.0), 0.0)
+        pdf = np.exp(-z ** 2 / 2.0) / np.sqrt(2 * np.pi)
+        spread = improve * ndtr(z) + std * pdf
+    return np.where(std > 0, spread, np.maximum(improve, 0.0))
+
+
 class TestEi:
+    @given(st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(0, 1),
+                              st.floats(-0.5, 0.5)), min_size=1, max_size=8),
+           st.floats(0, 0.2))
+    def test_matches_scipy_ndtr_formula(self, rows, xi):
+        mean, std, f_best = (np.array(c) for c in zip(*rows))
+        assert np.max(np.abs(ei(mean, std, f_best, xi)
+                             - ndtr_ei(mean, std, f_best, xi))) <= 1e-15
+
+    def test_matches_scipy_ndtr_formula_across_z(self):
+        # z from -1e4 to 1e4, through both tails and the centre.
+        mean = np.linspace(-0.5, 0.5, 2001)[:, None]
+        std = np.array([1e-4, 1e-2, 0.05, 0.3, 1.0])[None, :]
+        mean, std = np.broadcast_arrays(mean, std)
+        assert np.max(np.abs(ei(mean, std, 0.0, 0.0)
+                             - ndtr_ei(mean, std, 0.0, 0.0))) <= 1e-15
+
     def test_at_the_incumbent(self):
         # mu = f_best, sigma = 1: EI collapses to the standard normal pdf at 0.
         assert ei(0.0, 1.0, 0.0, 0.0) == pytest.approx(0.3989423, abs=1e-6)
@@ -366,9 +395,14 @@ class TestSelectGeneration:
         cfg = SelectionConfig(metric="lcb", beta=5.0, delta=0.75, m_fixed=1)
         decision = select_generation(2, pop, model, history, cfg,
                                      np.random.default_rng(0))
-        assert decision.weights[0] == 0.0
-        assert decision.weights[1] < 1.0
-        assert decision.weights[2] == 1.0
+        weights = convergence_weights([c.embedding_norm for c in pop],
+                                      X, history.diverged_points, cfg.delta)
+        assert weights[0] == 0.0
+        assert 0.0 < weights[1] < 1.0
+        assert weights[2] == 1.0
+        # On the diverged point the discount zeroes the large spread; next
+        # to it the discounted spread still beats the known point's.
+        assert decision.selected_ids == [1]
 
     def test_initial_sampling_bounds_and_dedupe(self):
         rng = np.random.default_rng(4)
@@ -393,10 +427,15 @@ class TestSelectGeneration:
                               m_init_rel=1.0, m_fixed=1)
         decision = select_generation(1, pop, model, history, cfg,
                                      np.random.default_rng(1))
-        # A floor of exactly 1.0 keeps only picks at the top scalar value.
+        # A floor of exactly 1.0 keeps only picks at the top scalar value;
+        # with no diverged history every weight is 1.
+        means, variances = predict_multi_batch(
+            model, [c.embedding_norm for c in pop])
+        scalar, _ = aggregate_multiobjective(
+            lcb(means, np.sqrt(variances), cfg.beta))
         picked = [i for i, c in enumerate(pop)
                   if c.id in decision.selected_ids]
-        assert all(decision.scalar[i] == 1.0 for i in picked)
+        assert all(scalar[i] == 1.0 for i in picked)
         assert len(decision.selected_ids) < len(pop)
 
     def test_selection_is_deterministic(self):
@@ -427,14 +466,16 @@ class TestSelectGeneration:
         decision = select_generation(2, pop, model, history, cfg,
                                      np.random.default_rng(0))
         assert len(decision.selected_ids) == 1
-        assert np.all(np.isfinite(decision.scalar))
         # Each objective's EI is below its own best observed target, 0.2
         # and 0.3; no weight discounts without a diverged history.
         means, variances = predict_multi_batch(model, [[0.5, 0.5], [4.0, 4.0]])
         expect = np.column_stack([ei(means[:, j], np.sqrt(variances[:, j]),
                                      best, 0.0)
                                   for j, best in enumerate([0.2, 0.3])])
-        assert decision.values.tolist() == expect.tolist()
+        scalar, front_index = aggregate_multiobjective(expect)
+        assert np.all(np.isfinite(scalar))
+        assert decision.selected_ids == apply_thresholds(scalar, front_index,
+                                                         cfg, ids=[0, 1])
 
 
 class TestDefaultSelectionScaling:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky
 from scipy.optimize import minimize
+from scipy.spatial.distance import cdist
 from scipy.stats import qmc
 
 from sagep import surrogate
@@ -94,9 +95,10 @@ def reference_profiled(X, Y, params):
 
 
 def reference_search(X, Y, restarts, rng, bounds=ParamBounds()):
-    """fit's multi-start search over log(ell, alpha, tau) with
-    reference_profiled as its objective: the best search point (None when
-    every restart failed) and the summed nfev."""
+    """fit's multi-start search over log(ell, alpha, tau), from the same
+    starts, by scipy's L-BFGS-B with reference_profiled as its objective:
+    the best search point (None when every restart failed) and the summed
+    nfev."""
     lo, hi = (side[1:] for side in bounds.log_box())
     rng = np.random.default_rng(rng)
 
@@ -149,6 +151,128 @@ def count_lml_calls(monkeypatch):
 
     monkeypatch.setattr(surrogate, "log_marginal_likelihood", counted)
     return calls
+
+
+def spy_searches(monkeypatch):
+    """Wrap surrogate._bounded_bfgs; the returned list gets each search's
+    evaluation count."""
+    counts = []
+    search = surrogate._bounded_bfgs
+
+    def spy(*args):
+        result = search(*args)
+        counts.append(result[2])
+        return result
+
+    monkeypatch.setattr(surrogate, "_bounded_bfgs", spy)
+    return counts
+
+
+def quadratic(A, c):
+    """f(x) = (x - c)' A (x - c) / 2 with its gradient."""
+    def objective(x):
+        r = A @ (x - c)
+        return 0.5 * (x - c) @ r, r
+    return objective
+
+
+class TestBoundedBfgs:
+    def test_box_quadratic_stops_on_the_projected_optimum(self):
+        objective = quadratic(np.diag([1.0, 10.0, 100.0]), [2.0, -3.0, 0.5])
+        lo, hi = -np.ones(3), np.ones(3)
+        x, f, nfev = surrogate._bounded_bfgs(objective, np.zeros(3), lo, hi)
+        assert x[:2].tolist() == [1.0, -1.0]
+        assert x[2] == pytest.approx(0.5, abs=1e-6)
+        assert f == objective(x)[0]
+        assert np.max(np.abs(np.clip(x - objective(x)[1], lo, hi) - x)
+                      ) <= surrogate._PGTOL
+        assert nfev < 30
+
+    def test_reaches_lbfgsb_optimum_on_random_quadratics(self):
+        rng = np.random.default_rng(2)
+        for _ in range(40):
+            Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            A = Q @ np.diag(10 ** rng.uniform(-1, 2, size=3)) @ Q.T
+            objective = quadratic(A, rng.normal(scale=3, size=3))
+            lo = rng.uniform(-3, 0, size=3)
+            hi = lo + rng.uniform(0.5, 4, size=3)
+            x0 = lo + (hi - lo) * rng.random(3)
+            ref = minimize(objective, x0, jac=True, method="L-BFGS-B",
+                           bounds=list(zip(lo, hi)))
+            _, f, _ = surrogate._bounded_bfgs(objective, x0, lo, hi)
+            assert f <= ref.fun + 1e-8
+
+    def test_negative_curvature_grows_the_step(self):
+        # Concave in x0: every step finds negative curvature, so each line
+        # search starts at twice the last trial, and the bound is reached
+        # in a few steps, not in one unit step at a time.
+        def objective(x):
+            return (-0.5 * x[0] ** 2 + (x[1] - 0.5) ** 2,
+                    np.array([-x[0], 2.0 * (x[1] - 0.5)]))
+
+        x, _, nfev = surrogate._bounded_bfgs(objective, np.array([0.1, 0.5]),
+                                            np.full(2, -50.0),
+                                            np.full(2, 50.0))
+        assert x[0] == -50.0 or x[0] == 50.0
+        assert nfev <= 12
+
+    def test_failed_start_costs_one_evaluation(self):
+        calls = []
+
+        def failing(x):
+            calls.append(x)
+            return 1e25, np.zeros(3)
+
+        lo, hi = np.zeros(3), np.ones(3)
+        x, f, nfev = surrogate._bounded_bfgs(failing, np.array([0.5, 2.0, 0.2]),
+                                             lo, hi)
+        assert (f, nfev, len(calls)) == (1e25, 1, 1)
+        assert x.tolist() == [0.5, 1.0, 0.2]
+
+    @pytest.mark.parametrize("budget", [2, 3, 7])
+    def test_evaluation_budget_is_a_hard_cap(self, monkeypatch, budget):
+        # The first trial step overshoots; a budget spent inside a line
+        # search keeps the last accepted point, not the rejected trial.
+        monkeypatch.setattr(surrogate, "_MAXFUN", budget)
+        objective = quadratic(np.diag([1e3, 1.0, 1e-2]), [0.8, -0.2, 5.0])
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return objective(x)
+
+        x0 = np.array([0.9, 0.0, 0.0])
+        x, f, nfev = surrogate._bounded_bfgs(counted, x0, -np.ones(3),
+                                             np.ones(3))
+        assert nfev == len(calls) == budget
+        assert f == objective(x)[0] <= objective(x0)[0]
+
+
+class TestSqdist:
+    @settings(deadline=None)
+    @given(st.integers(1, 33), st.integers(1, 6), st.integers(1, 6),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([1e-300, 1e-3, 1.0,
+                                                         1e150]))
+    def test_equals_cdist_bitwise(self, d, n, m, seed, scale):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d)) * scale
+        X2 = rng.normal(size=(m, d)) * scale
+        X2[0] = X[0]
+        assert (surrogate._sqdist(X, X2).tobytes()
+                == cdist(X, X2, "sqeuclidean").tobytes())
+
+    def test_subnormal_differences_raise_no_warning(self):
+        # Rows an ulp or a subnormal apart: each square underflows to 0.
+        X = np.array([[5e-324, 0.0, 1.0], [1e-310, -3e-320, 1.0],
+                      [2.2250738585072014e-308, 0.0, 1.0 + 2 ** -52]])
+        with np.errstate(all="raise"):
+            sq = surrogate._sqdist(X, X)
+        assert sq.tobytes() == cdist(X, X, "sqeuclidean").tobytes()
+        assert sq[0, 1] == 0.0 and np.all(np.diag(sq) == 0.0)
+
+    def test_vector_rows(self):
+        a, b = np.array([1.0, 2.0]), np.array([[0.0, 0.0], [1.0, 0.0]])
+        assert surrogate._sqdist(a, b).tolist() == [[5.0, 4.0]]
 
 
 class TestHalton:
@@ -421,23 +545,47 @@ class TestFit:
         with pytest.raises(ValueError, match="restarts"):
             fit(X, y, restarts=restarts, rng=0)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_params_equal_reference_search_bitwise(self, seed):
-        X, Y = search_data()
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_best_evidence_reaches_reference_search(self, seed, p):
+        # L-BFGS-B from the same starts is the oracle: the in-repo search
+        # may stop at other bits, but not on a lower optimum.
+        X, Y = search_data(p)
         best_theta, _ = reference_search(X, Y, restarts=3, rng=seed)
         model = fit(X, Y, restarts=3, rng=seed)
-        assert model.kernel == unit_kernel(best_theta)
         assert not model.warned
+        assert (profiled(X, Y, model.kernel)
+                >= profiled(X, Y, unit_kernel(best_theta)) - 1e-7)
 
     def test_every_lml_call_goes_through_the_module_attribute(
             self, monkeypatch):
         # The benchmark counts surrogate.lml calls by patching this
         # attribute; a fast path around it would zero that counter.
         X, Y = search_data()
-        _, nfev = reference_search(X, Y, restarts=3, rng=5)
+        counts = spy_searches(monkeypatch)
         calls = count_lml_calls(monkeypatch)
         fit(X, Y, restarts=3, rng=5)
-        assert len(calls) == nfev
+        assert len(counts) == 3 and min(counts) > 1
+        assert len(calls) == sum(counts)
+
+    def test_a_failing_start_costs_one_call(self, monkeypatch):
+        # The first start's only evaluation fails; the others search.
+        X, Y = search_data()
+        counts = spy_searches(monkeypatch)
+        calls = count_lml_calls(monkeypatch)
+        counted = surrogate.log_marginal_likelihood
+
+        def first_fails(*args, **kwargs):
+            value = counted(*args, **kwargs)
+            if len(calls) == 1:
+                raise FitError("indefinite")
+            return value
+
+        monkeypatch.setattr(surrogate, "log_marginal_likelihood", first_fails)
+        model = fit(X, Y, restarts=3, rng=5)
+        assert counts[0] == 1 and min(counts[1:]) > 1
+        assert len(calls) == sum(counts)
+        assert not model.warned
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_kernel_fails_like_reference(self, monkeypatch):
@@ -454,7 +602,8 @@ class TestFit:
             model = fit(X, Y, bounds=bounds, restarts=2, rng=0)
         assert model.warned and model.kernel == KernelParams()
         assert model.sigmas.tolist() == [1.0, 1.0]
-        assert len(calls) == nfev
+        # One call per failing start.
+        assert len(calls) == nfev == 2
 
     def test_bounds_are_respected(self):
         # noise bounds the noise-to-signal ratio tau; sigma clips each

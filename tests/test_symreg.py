@@ -216,6 +216,14 @@ class TestCanonicalKey:
         via_poly = polynomial_eval(poly, cols)
         assert np.allclose(direct, via_poly, atol=1e-9, rtol=1e-9)
 
+    @given(genotypes())
+    def test_key_of_the_polynomial_is_the_key_of_the_tree(self, g):
+        pool = ConstantsPool(values=(0.5, -1.5), seed=0)
+        tree = decode(g)
+        for pool_or_none in (pool, None):
+            assert (canonical_key(tree_polynomial(tree, pool_or_none))
+                    == canonical_key(tree, pool_or_none))
+
     @given(genotypes(), genotypes())
     def test_equal_keys_imply_equal_functions(self, a, b):
         pool = ConstantsPool(values=(0.5, -1.5), seed=0)
