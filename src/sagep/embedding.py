@@ -4,8 +4,9 @@ An expression has no natural coordinates, but the surrogate needs one point
 per candidate.  As in the paper, the embedding evaluates each model slot's
 canonical polynomial on "the averaged values of the input symbols": once,
 on the mean row of a shared baseline feature table, giving one coordinate
-per slot.  Because the polynomial (not the raw tree) is evaluated and
-polynomial_eval adds its monomials in key order, two genotypes with the
+per slot.  A generation is embedded in one call, one polynomial plan per
+slot.  Because the polynomial (not the raw tree) is evaluated and
+symreg.plan_eval adds its monomials in key order, two genotypes with the
 same phenotype key map to bit-identical coordinates.
 
 Normalization statistics are frozen on the first evaluated generation and
@@ -23,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .symreg import polynomial_eval
+from .symreg import polynomials_eval
 
 __all__ = [
     "FeatureTable",
@@ -130,17 +131,18 @@ def write_feature_table(table: FeatureTable, path: str | Path) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def embed(polynomials: Sequence[Mapping[tuple[str, ...], float]],
+def embed(polynomials: Sequence[Sequence[Mapping[tuple[str, ...], float]]],
           table: FeatureTable) -> np.ndarray:
-    """Embed a candidate as one coordinate per model slot: the slot's
-    polynomial (`symreg.tree_polynomial`) evaluated on the table's mean row.
+    """Embed candidates, given as their slots' polynomials
+    (`symreg.tree_polynomial`), as a (k, slots) array: each slot's
+    polynomial evaluated on the table's mean row.
 
     Overflow or invalid arithmetic is not trapped here: non-finite
     coordinates mark the candidate as diverged upstream.
     """
     mean_row = table._mean_columns
-    return np.array([polynomial_eval(poly, mean_row)[0]
-                     for poly in polynomials], dtype=float)
+    return np.stack([polynomials_eval(slot, mean_row)[:, 0]
+                     for slot in zip(*polynomials)], axis=1)
 
 
 @dataclass(frozen=True)

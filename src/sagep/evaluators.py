@@ -11,9 +11,12 @@ Two evaluator families stand in for a CFD solver at desk scale:
   are rebuilt from the current iterate, which is exactly the feedback that
   makes bad closures diverge.
 
-Closures and targets are evaluated as canonical polynomials, monomials
-added in key order, so objectives depend only on the phenotype keys;
-symreg.eval_tree is the reference semantics the tests check against.
+A candidate's slots are ExprTrees or their canonical polynomials
+(symreg.tree_polynomial); training passes the polynomials it already
+built.  Closures and targets are evaluated by symreg.plan_eval, the
+package's one polynomial evaluator, monomials added in key order, so
+objectives depend only on the phenotype keys; symreg.eval_tree is the
+reference semantics the tests check against.
 
 The channel evaluator solves a generation's candidates as one batch: one
 damped fixed-point loop on (k, n) profiles, whose rows leave as they exit,
@@ -29,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -37,8 +40,8 @@ from scipy.linalg.lapack import dgtsv
 
 from .embedding import FeatureTable
 from .symreg import (DIVERGENCE_SENTINEL, ConfigurationError, ConstantsPool,
-                     ExprTree, parse_expression, polynomial_eval, preorder,
-                     tree_polynomial)
+                     ExprTree, parse_expression, plan_eval, polynomial_plan,
+                     polynomials_eval, preorder, tree_polynomial)
 
 __all__ = [
     "EvaluationOutcome",
@@ -46,7 +49,6 @@ __all__ = [
     "SetupError",
     "SymbolicBenchmark",
     "ChannelEvaluator",
-    "solve_channel",
     "make_reference",
     "default_channel_case",
     "load_channel_case",
@@ -61,9 +63,9 @@ class SetupError(RuntimeError):
 _expensive_calls = 0
 
 
-def _note_expensive_call() -> None:
+def _note_expensive_call(n: int = 1) -> None:
     global _expensive_calls
-    _expensive_calls += 1
+    _expensive_calls += n
 
 
 def expensive_call_count() -> int:
@@ -86,22 +88,18 @@ class EvaluationOutcome:
                 "diverged outcomes must carry the sentinel in every objective")
 
 
-def _polynomial(tree: ExprTree | None, pool: ConstantsPool | None) -> dict:
-    """A slot's canonical polynomial; a missing slot (None) is zero."""
-    if tree is None:
-        return {}
-    if pool is None and any(sym.kind == "const" for sym in preorder(tree)):
+Slot = ExprTree | Mapping[tuple[str, ...], float]
+
+
+def _polynomial(slot: Slot, pool: ConstantsPool | None) -> Mapping:
+    """A slot's canonical polynomial: the slot itself, or its tree's."""
+    if not isinstance(slot, ExprTree):
+        return slot
+    if pool is None and any(sym.kind == "const" for sym in preorder(slot)):
         # Opaque constants "c<i>" would be looked up as feature columns.
         raise ConfigurationError(
             "tree references a constant but no pool was given")
-    return tree_polynomial(tree, pool)
-
-
-def _unknown_terminals(trees: Sequence[ExprTree],
-                       names: Sequence[str]) -> list[str]:
-    """Terminal names the trees use that are not among names."""
-    return sorted({sym.name for tree in trees for sym in preorder(tree)
-                   if sym.kind == "term"} - set(names))
+    return tree_polynomial(slot, pool)
 
 
 def _sentinel_outcome(p: int, iterations: int = 0) -> EvaluationOutcome:
@@ -135,15 +133,15 @@ class SymbolicBenchmark:
             raise SetupError("slot map must align with targets")
         if min(self.slot_of_objective) < 0:
             raise SetupError("slot_of_objective entries must be >= 0")
-        unknown = _unknown_terminals(self.targets, table.names)
-        if unknown:
-            raise SetupError(f"targets name columns the table lacks: {unknown}")
         self.n_slots = max(self.slot_of_objective) + 1
         self.n_objectives = len(self.targets)
-        self._target_values = [
-            polynomial_eval(_polynomial(t, None), table.columns)
-            for t in self.targets]
-        if not all(np.all(np.isfinite(v)) for v in self._target_values):
+        try:
+            self._target_values = polynomials_eval(
+                [_polynomial(t, None) for t in self.targets], table.columns)
+        except KeyError as exc:
+            raise SetupError(
+                f"targets name columns the table lacks: {exc}") from None
+        if not np.all(np.isfinite(self._target_values)):
             raise SetupError("target expressions must be finite on the table")
 
     @property
@@ -153,31 +151,41 @@ class SymbolicBenchmark:
     def baseline_table(self) -> FeatureTable:
         return self.table
 
-    def evaluate(self, trees: Sequence[ExprTree],
-                 pool: ConstantsPool) -> EvaluationOutcome:
-        if len(trees) != self.n_slots:
-            raise ValueError(f"expected {self.n_slots} slots, got {len(trees)}")
+    def evaluate(self, slots: Sequence[Slot],
+                 pool: ConstantsPool | None = None) -> EvaluationOutcome:
+        if len(slots) != self.n_slots:
+            raise ValueError(f"expected {self.n_slots} slots, got {len(slots)}")
         _note_expensive_call()
-        polys = [_polynomial(tree, pool) for tree in trees]
-        objectives = np.empty(self.n_objectives)
-        for j, target in enumerate(self._target_values):
-            values = polynomial_eval(polys[self.slot_of_objective[j]],
-                                     self.table.columns)
-            with np.errstate(all="ignore"):
-                objectives[j] = float(np.sqrt(np.mean((values - target) ** 2)))
+        values = polynomials_eval([_polynomial(s, pool) for s in slots],
+                                  self.table.columns)
+        with np.errstate(all="ignore"):
+            errors = values[list(self.slot_of_objective)] - self._target_values
+            objectives = np.sqrt(np.mean(errors ** 2, axis=1))
         if not np.all(np.isfinite(objectives)):
             return _sentinel_outcome(self.n_objectives)
         return EvaluationOutcome(objectives=objectives, converged=True)
 
-    def evaluate_batch(self, trees_list: Sequence[Sequence[ExprTree]],
-                       pool: ConstantsPool) -> list[EvaluationOutcome]:
+    def evaluate_batch(self, slots_list: Sequence[Sequence[Slot]],
+                       pool: ConstantsPool | None = None
+                       ) -> list[EvaluationOutcome]:
         """evaluate of each candidate in turn: at about 0.1 ms a call there
         is no loop overhead to share."""
-        return [self.evaluate(trees, pool) for trees in trees_list]
+        return [self.evaluate(slots, pool) for slots in slots_list]
 
 
 # ---------------------------------------------------------------------------
 # 1-D coupled channel
+
+
+_FLOAT_FIELDS = ("forcing", "coupling", "nu", "alpha_base", "nut_max", "omega",
+                 "tol", "damping")
+
+
+def _finite_number(value) -> bool:
+    """A finite int or float; a bool is not a number."""
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, float, np.integer, np.floating))
+            and bool(np.isfinite(value)))
 
 
 @dataclass(frozen=True)
@@ -211,6 +219,17 @@ class ChannelCase:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise SetupError(f"invalid channel case: {name} must be an "
                                  f"integer, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            if not _finite_number(getattr(self, name)):
+                raise SetupError(f"invalid channel case: {name} must be a "
+                                 f"finite number, got {getattr(self, name)!r}")
+        for name in ("wall_u", "wall_t"):
+            wall = getattr(self, name)
+            if (not isinstance(wall, (tuple, list)) or len(wall) != 2
+                    or not all(map(_finite_number, wall))):
+                raise SetupError(f"invalid channel case: {name} must be a "
+                                 f"pair of finite numbers, got {wall!r}")
+            object.__setattr__(self, name, tuple(float(v) for v in wall))
         if self.n_cells < 8:
             raise SetupError("n_cells must be >= 8")
         if self.tol <= 0:
@@ -279,63 +298,25 @@ _CHANNEL_TERMINALS = ("I1", "J1")
 def _channel_factors(case: ChannelCase, u: np.ndarray, T: np.ndarray,
                      h: float) -> np.ndarray:
     """The closure inputs I1 and J1 on the profiles u and T, then ones (the
-    factor a closure plan pads with), stacked along a new first axis."""
+    factor a polynomial plan pads with), stacked along a new first axis."""
     out = np.ones((len(_CHANNEL_TERMINALS) + 1, *u.shape))
     out[0] = (_gradient(u, h) / case.omega) ** 2
     out[1] = _gradient(T, h) ** 2
     return out
 
 
-def _closure_plan(polys: Sequence[dict]) -> tuple[np.ndarray, np.ndarray]:
-    """One slot's polynomials of a batch as (coefficients (k, m), factor
-    indices into _channel_factors (k, m, d)).
-
-    Row i lists its monomials in key order, each as its coefficient, then
-    its variables in key order.  Missing terms pad with coefficient 0.0 and
-    missing factors with ones.  Both pads are exact: x * 1.0 == x, and a
-    sum that starts at +0.0 never becomes -0.0, so adding 0.0 changes no
-    bit.  _plan_eval therefore gives each row polynomial_eval's bits.
-    """
-    monos = [sorted(poly) for poly in polys]
-    m = max(map(len, monos), default=0)
-    d = max((len(mono) for row in monos for mono in row), default=0)
-    row_of = {name: i for i, name in enumerate(_CHANNEL_TERMINALS)}
-    coefficients = np.zeros((len(polys), m))
-    factors = np.full((len(polys), m, d), len(row_of))
-    for i, (poly, row) in enumerate(zip(polys, monos)):
-        for j, mono in enumerate(row):
-            coefficients[i, j] = poly[mono]
-            factors[i, j, :len(mono)] = [row_of[var] for var in mono]
-    return coefficients, factors
-
-
-def _plan_eval(plan: tuple[np.ndarray, np.ndarray],
-               factors: np.ndarray) -> np.ndarray:
-    """Each row's closure on its own row of the stacked factors (f, k, n):
-    the monomials added in key order from +0.0, as polynomial_eval does."""
-    coefficients, index = plan
-    rows = np.arange(len(coefficients))
-    total = np.zeros(factors.shape[1:])
-    for j in range(coefficients.shape[1]):
-        term = coefficients[:, j, None]
-        for v in range(index.shape[2]):
-            term = term * factors[index[:, j, v], rows]
-        total = total + term
-    return total
-
-
-def _closure_slots(trees: Sequence) -> tuple:
-    """(g, r, alpha) from (g, alpha) or (g, r, alpha); no r means None."""
-    return (trees[0], None, trees[1]) if len(trees) == 2 else tuple(trees)
+def _closure_slots(polys: Sequence[Mapping]) -> tuple:
+    """(g, r, alpha) from (g, alpha) or (g, r, alpha); no r is zero, {}."""
+    return (polys[0], {}, polys[1]) if len(polys) == 2 else tuple(polys)
 
 
 Profiles = tuple[np.ndarray, np.ndarray, int, bool]
 
 
 def _solve_batch(case: ChannelCase, closures: Sequence[tuple],
-                 pool: ConstantsPool | None, tol: float) -> list[Profiles]:
+                 tol: float) -> list[Profiles]:
     """Damped fixed-point iteration on the coupled system, for a batch of
-    (g, r, alpha) closures at once on (k, n) profiles.
+    (g, r, alpha) closure polynomials at once on (k, n) profiles.
 
     Returns (u, T, iterations, converged) per closure.  Each row's result
     has the bits of its solve alone: all work is elementwise or an exact
@@ -349,8 +330,8 @@ def _solve_batch(case: ChannelCase, closures: Sequence[tuple],
     _, h = case.grid()
     k, n = len(closures), case.n_cells
     nut = case.nut_profile()
-    plans = [_closure_plan([_polynomial(closure[s], pool)
-                            for closure in closures]) for s in range(3)]
+    plans = [polynomial_plan([closure[s] for closure in closures],
+                             _CHANNEL_TERMINALS) for s in range(3)]
     rows = np.arange(k)  # batch index of each active row
     u = np.tile(np.linspace(case.wall_u[0], case.wall_u[1], n), (k, 1))
     T = np.tile(np.linspace(case.wall_t[0], case.wall_t[1], n), (k, 1))
@@ -363,7 +344,7 @@ def _solve_batch(case: ChannelCase, closures: Sequence[tuple],
             if not len(rows):
                 break
             factors = _channel_factors(case, u, T, h)
-            g_val, r_val, a_val = (_plan_eval(plan, factors)
+            g_val, r_val, a_val = (plan_eval(plan, factors)
                                    for plan in plans)
             del factors
             diff_u = case.nu + g_val * nut
@@ -408,60 +389,22 @@ def _solve_batch(case: ChannelCase, closures: Sequence[tuple],
     return out
 
 
-def _solve_profiles(case: ChannelCase, g_expr: ExprTree | None,
-                    r_expr: ExprTree | None, alpha_expr: ExprTree | None,
-                    pool: ConstantsPool | None, tol: float) -> Profiles:
-    """_solve_batch of one closure."""
-    return _solve_batch(case, [(g_expr, r_expr, alpha_expr)], pool, tol)[0]
-
-
 def _normalized_rms(profile: np.ndarray, reference: np.ndarray) -> float:
     scale = float(np.sqrt(np.mean(reference ** 2)))
     err = float(np.sqrt(np.mean((profile - reference) ** 2)))
     return err / scale if scale > 0 else err
 
 
-def _channel_outcomes(case: ChannelCase, closures: Sequence[tuple],
-                      pool: ConstantsPool | None) -> list[EvaluationOutcome]:
-    """Run the coupled solve for a batch of (g, r, alpha) closures.
-
-    Objectives are (normalized RMS of u vs reference, same for T); any
-    divergence mechanism yields the sentinel pair with converged False.
-    """
-    if case.reference_u is None or case.reference_t is None:
-        raise SetupError("case has no reference profiles; run make_reference")
-    ref_u, ref_t = np.asarray(case.reference_u), np.asarray(case.reference_t)
-    outcomes = []
-    for u, T, iterations, ok in _solve_batch(case, closures, pool, case.tol):
-        if ok:
-            objectives = np.array([_normalized_rms(u, ref_u),
-                                   _normalized_rms(T, ref_t)])
-            ok = np.all(np.isfinite(objectives))
-        outcomes.append(
-            EvaluationOutcome(objectives=objectives, converged=True,
-                              iterations=iterations)
-            if ok else _sentinel_outcome(2, iterations))
-    return outcomes
-
-
-def solve_channel(case: ChannelCase, g_expr: ExprTree | None,
-                  r_expr: ExprTree | None, alpha_expr: ExprTree | None,
-                  pool: ConstantsPool | None = None) -> EvaluationOutcome:
-    """Run the coupled solve for one candidate closure; see
-    _channel_outcomes."""
-    return _channel_outcomes(case, [(g_expr, r_expr, alpha_expr)], pool)[0]
-
-
-def make_reference(case: ChannelCase,
-                   pool: ConstantsPool | None = None) -> ChannelCase:
+def make_reference(case: ChannelCase) -> ChannelCase:
     """Generate reference profiles by solving the case with its truth
     expressions at a tenth of the evaluation tolerance."""
-    truth = [parse_expression(t) for t in case.truth_exprs]
-    unknown = _unknown_terminals(truth, _CHANNEL_TERMINALS)
-    if unknown:
-        raise SetupError(f"truth expressions name unknown features {unknown}")
-    g_t, r_t, a_t = _closure_slots(truth)
-    u, T, _, ok = _solve_profiles(case, g_t, r_t, a_t, pool, case.tol / 10.0)
+    truth = [tree_polynomial(parse_expression(t)) for t in case.truth_exprs]
+    try:
+        u, T, _, ok = _solve_batch(case, [_closure_slots(truth)],
+                                   case.tol / 10.0)[0]
+    except KeyError as exc:
+        raise SetupError(
+            f"truth expressions name unknown features: {exc}") from None
     if not ok:
         raise SetupError("truth expressions diverge on this case")
     return replace(case, reference_u=u, reference_t=T)
@@ -486,12 +429,16 @@ def load_channel_case(source: str | Path | dict) -> ChannelCase:
         except (OSError, json.JSONDecodeError) as exc:
             raise SetupError(f"cannot load channel case {source}: {exc}") from None
     else:
-        raw = dict(source)
-    truth = raw.pop("truth", None)
-    unknown = set(raw) - {f.name for f in fields(ChannelCase)} - {"truth_exprs"}
+        raw = source
+    if not isinstance(raw, dict):
+        raise SetupError("channel case must be a JSON object, got "
+                         f"{type(raw).__name__}")
+    kwargs = dict(raw)
+    truth = kwargs.pop("truth", None)
+    unknown = (set(kwargs) - {f.name for f in fields(ChannelCase)}
+               - {"truth_exprs"})
     if unknown:
         raise SetupError(f"unknown channel case fields {sorted(unknown)}")
-    kwargs = dict(raw)
     try:
         if truth is not None:
             order = ("g", "r", "alpha") if "r" in truth else ("g", "alpha")
@@ -499,12 +446,9 @@ def load_channel_case(source: str | Path | dict) -> ChannelCase:
             if unknown:
                 raise SetupError(f"unknown truth slots {sorted(unknown)}")
             kwargs["truth_exprs"] = tuple(str(truth[k]) for k in order)
-        for name in ("wall_u", "wall_t"):
-            if name in raw:
-                kwargs[name] = tuple(float(v) for v in raw[name])
         for name in ("reference_u", "reference_t"):
-            if raw.get(name) is not None:
-                kwargs[name] = np.asarray(raw[name], dtype=float)
+            if kwargs.get(name) is not None:
+                kwargs[name] = np.asarray(kwargs[name], dtype=float)
         case = ChannelCase(**kwargs)
     except (TypeError, ValueError) as exc:
         raise SetupError(f"invalid channel case: {exc}") from None
@@ -526,27 +470,45 @@ class ChannelEvaluator:
 
     def baseline_table(self) -> FeatureTable:
         """Feature columns from the zero-correction (closure-free) solve."""
-        u, T, _, ok = _solve_profiles(self.case, None, None, None, None,
-                                      self.case.tol)
+        u, T, _, ok = _solve_batch(self.case, [({}, {}, {})],
+                                   self.case.tol)[0]
         if not ok:
             raise SetupError("zero-correction baseline solve diverged")
         _, h = self.case.grid()
         return FeatureTable(columns=dict(zip(
             _CHANNEL_TERMINALS, _channel_factors(self.case, u, T, h))))
 
-    def evaluate(self, trees: Sequence[ExprTree],
-                 pool: ConstantsPool) -> EvaluationOutcome:
-        return self.evaluate_batch([trees], pool)[0]
+    def evaluate(self, slots: Sequence[Slot],
+                 pool: ConstantsPool | None = None) -> EvaluationOutcome:
+        return self.evaluate_batch([slots], pool)[0]
 
-    def evaluate_batch(self, trees_list: Sequence[Sequence[ExprTree]],
-                       pool: ConstantsPool) -> list[EvaluationOutcome]:
+    def evaluate_batch(self, slots_list: Sequence[Sequence[Slot]],
+                       pool: ConstantsPool | None = None
+                       ) -> list[EvaluationOutcome]:
         """Solve a generation's candidates as one batch; outcome i is
-        evaluate(trees_list[i], pool), bit for bit."""
-        for trees in trees_list:
-            if len(trees) != self.n_slots:
+        evaluate(slots_list[i], pool), bit for bit.
+
+        Objectives are (normalized RMS of u vs reference, same for T); any
+        divergence mechanism yields the sentinel pair with converged False.
+        """
+        for slots in slots_list:
+            if len(slots) != self.n_slots:
                 raise ValueError(
-                    f"expected {self.n_slots} slots, got {len(trees)}")
-        for _ in trees_list:
-            _note_expensive_call()
-        return _channel_outcomes(
-            self.case, [_closure_slots(trees) for trees in trees_list], pool)
+                    f"expected {self.n_slots} slots, got {len(slots)}")
+        closures = [_closure_slots([_polynomial(s, pool) for s in slots])
+                    for slots in slots_list]
+        _note_expensive_call(len(slots_list))
+        ref_u, ref_t = (np.asarray(self.case.reference_u),
+                        np.asarray(self.case.reference_t))
+        outcomes = []
+        for u, T, iterations, ok in _solve_batch(self.case, closures,
+                                                 self.case.tol):
+            if ok:
+                objectives = np.array([_normalized_rms(u, ref_u),
+                                       _normalized_rms(T, ref_t)])
+                ok = np.all(np.isfinite(objectives))
+            outcomes.append(
+                EvaluationOutcome(objectives=objectives, converged=True,
+                                  iterations=iterations)
+                if ok else _sentinel_outcome(2, iterations))
+        return outcomes

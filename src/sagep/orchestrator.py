@@ -474,9 +474,11 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
     converged: dict[int, bool] = {}
     offered: dict[tuple, symreg.Candidate] = {}
     usable = []
-    for cand in current:
-        cand.embedding_norm = emb_mod.normalize(cand.embedding, norm_stats)
-        if np.all(np.isfinite(cand.embedding_norm)):
+    points = emb_mod.normalize(np.array([c.embedding for c in current]),
+                               norm_stats)
+    for cand, point in zip(current, points):
+        cand.embedding_norm = point
+        if np.all(np.isfinite(point)):
             usable.append(cand)
             if cand.phenotype_keys not in history.outcomes:
                 offered.setdefault(cand.phenotype_keys, cand)
@@ -626,13 +628,6 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
     db = EvaluationDatabase()
     history = sel_mod.SelectionHistory.empty(n_slots, p)
     survivors: list[symreg.Candidate] = []
-    trees_by_id: dict[int, list[symreg.ExprTree]] = {}
-
-    def evaluate(cands: list[symreg.Candidate]
-                 ) -> list[eval_mod.EvaluationOutcome]:
-        return evaluator.evaluate_batch([trees_by_id[c.id] for c in cands],
-                                        pool)
-
     for gen in range(config.generations):
         if gen == 0:
             current = population
@@ -643,13 +638,15 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
                                                config.offspring, next_id, gen)
             next_id += config.offspring
 
-        trees_by_id.clear()
-        for cand in current:
-            trees = [symreg.decode(g) for g in cand.genotypes]
-            trees_by_id[cand.id] = trees
-            polys = [symreg.tree_polynomial(t, pool) for t in trees]
-            cand.phenotype_keys = tuple(map(symreg.canonical_key, polys))
-            cand.embedding = emb_mod.embed(polys, table)
+        # Each slot's polynomial is built once, then keyed, embedded and
+        # handed to the evaluator.
+        polys = {cand.id: [symreg.tree_polynomial(symreg.decode(g), pool)
+                           for g in cand.genotypes] for cand in current}
+        points = emb_mod.embed(list(polys.values()), table)
+        for cand, point in zip(current, points):
+            cand.embedding = point
+            cand.phenotype_keys = tuple(map(symreg.canonical_key,
+                                            polys[cand.id]))
 
         if gen == 0:
             norm_stats = _gen0_norm_stats([c.embedding for c in current])
@@ -658,7 +655,8 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
 
         records = _generation_step(
             gen, current, norm_stats, history, config, p, select_rngs[gen],
-            fit_rngs[gen], evaluate)
+            fit_rngs[gen], lambda cands: evaluator.evaluate_batch(
+                [polys[c.id] for c in cands], pool))
         for record in records:
             db.append(record)
 

@@ -51,7 +51,9 @@ __all__ = [
     "eval_tree",
     "tree_polynomial",
     "polynomial_key",
-    "polynomial_eval",
+    "polynomial_plan",
+    "plan_eval",
+    "polynomials_eval",
     "canonical_key",
     "parse_expression",
     "mutate",
@@ -321,7 +323,7 @@ def eval_tree(tree: ExprTree, row: Mapping[str, float],
     """Evaluate a tree on one input row (or on whole columns via broadcasting).
 
     The reference semantics the tests check the canonical polynomial
-    against; the package evaluates expressions with polynomial_eval.
+    against; the package evaluates expressions with plan_eval.
     Unknown terminal names raise KeyError; a constant reference without a
     pool raises ConfigurationError.  Arithmetic itself is never trapped, so
     overflow propagates as inf/nan for the caller to detect.
@@ -435,25 +437,56 @@ def canonical_key(tree: ExprTree | Mapping[tuple[str, ...], float],
     return polynomial_key(tree)
 
 
-def polynomial_eval(poly: Mapping[tuple[str, ...], float],
-                    columns: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Evaluate a polynomial on named columns, vectorized over rows, adding
-    the monomials in key order so that the bits depend only on the key."""
-    names = list(columns)
-    if not names:
-        raise ValueError("no columns to evaluate on")
-    length = len(np.asarray(columns[names[0]], dtype=float))
-    total = np.zeros(length, dtype=float)
-    with np.errstate(all="ignore"):
-        for mono in sorted(poly):
-            term = np.full(length, float(poly[mono]))
-            for var in mono:
-                try:
-                    term = term * np.asarray(columns[var], dtype=float)
-                except KeyError:
-                    raise KeyError(f"unknown terminal {var!r}") from None
-            total = total + term
+def polynomial_plan(polys: Sequence[Mapping[tuple[str, ...], float]],
+                    names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of polynomials as (coefficients (k, m), factor indices
+    (k, m, d)) into a stack of the named factors followed by a row of ones;
+    a variable not among names raises KeyError.
+
+    Row i lists its monomials in key order, each as its coefficient, then
+    its variables in key order.  Missing terms pad with coefficient 0.0 and
+    missing factors with the ones.  Both pads are exact: x * 1.0 == x, and
+    a sum that starts at +0.0 never becomes -0.0, so adding 0.0 changes no
+    bit; each row therefore gets the bits of its polynomial alone.
+    """
+    row_of = {name: i for i, name in enumerate(names)}
+    monos = [sorted(poly) for poly in polys]
+    m = max(map(len, monos), default=0)
+    d = max((len(mono) for row in monos for mono in row), default=0)
+    coefficients = np.zeros((len(polys), m))
+    factors = np.full((len(polys), m, d), len(row_of))
+    for i, (poly, row) in enumerate(zip(polys, monos)):
+        for j, mono in enumerate(row):
+            coefficients[i, j] = poly[mono]
+            factors[i, j, :len(mono)] = [row_of[var] for var in mono]
+    return coefficients, factors
+
+
+def plan_eval(plan: tuple[np.ndarray, np.ndarray],
+              factors: np.ndarray) -> np.ndarray:
+    """Each row of a polynomial_plan on its own row of the stacked factors
+    (f, k, n), the monomials added in key order from +0.0.  Arithmetic is
+    not trapped: overflow gives inf or nan for the caller to detect."""
+    coefficients, index = plan
+    rows = np.arange(len(coefficients))
+    total = np.zeros(factors.shape[1:])
+    for j in range(coefficients.shape[1]):
+        term = coefficients[:, j, None]
+        for v in range(index.shape[2]):
+            term = term * factors[index[:, j, v], rows]
+        total = total + term
     return total
+
+
+def polynomials_eval(polys: Sequence[Mapping[tuple[str, ...], float]],
+                     columns: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Every polynomial on the same named columns: a (k, n) array whose row
+    i depends only on the key of polys[i]."""
+    stack = np.array(list(columns.values()), dtype=float)
+    stack = np.vstack([stack, np.ones_like(stack[:1])])[:, None]
+    factors = np.broadcast_to(stack, (len(stack), len(polys), stack.shape[2]))
+    with np.errstate(all="ignore"):
+        return plan_eval(polynomial_plan(polys, tuple(columns)), factors)
 
 
 def parse_expression(text: str) -> ExprTree:

@@ -18,8 +18,8 @@ import sagep.orchestrator as orch
 from sagep.embedding import FeatureTable, write_feature_table
 from sagep.evaluators import (
     DIVERGENCE_SENTINEL,
+    ChannelEvaluator,
     default_channel_case,
-    solve_channel,
 )
 from sagep.metrics import (
     compare_coverage,
@@ -360,8 +360,8 @@ def test_criterion_8_sentinel_property(alpha_const):
     case = default_channel_case()
     # alpha correction below -alpha_base/nut_max makes the effective thermal
     # diffusivity non-positive somewhere in the channel.
-    out = solve_channel(case, parse_expression("0"), None,
-                        parse_expression(repr(alpha_const)))
+    out = ChannelEvaluator(case).evaluate(
+        [parse_expression("0"), parse_expression(repr(alpha_const))])
     assert not out.converged
     assert np.array_equal(out.objectives,
                           [DIVERGENCE_SENTINEL, DIVERGENCE_SENTINEL])

@@ -30,8 +30,9 @@ from sagep.symreg import (
 
 
 def embed_trees(trees, table, pool=None):
-    """Embed trees through their polynomials, as the generation step does."""
-    return embed([tree_polynomial(tree, pool) for tree in trees], table)
+    """One candidate's slots embedded through their polynomials, as the
+    generation step embeds a generation: a batch of one."""
+    return embed([[tree_polynomial(tree, pool) for tree in trees]], table)[0]
 
 
 def table_from(**columns):
@@ -136,8 +137,21 @@ class TestEmbed:
         for terms in (("I1", "I1*I2", "I2"), ("0.3", "I1", "I2")):
             trees = [parse_expression(" + ".join(order))
                      for order in itertools.permutations(terms)]
-            coords = {embed_trees([tree], t).tobytes() for tree in trees}
-            assert len(coords) == 1, terms
+            coords = embed([[tree_polynomial(tree)] for tree in trees], t)
+            assert len({row.tobytes() for row in coords}) == 1, terms
+
+    def test_generation_rows_are_candidates_alone(self):
+        # One call embeds a generation, one row per candidate and one
+        # column per slot; each row has the bits of its candidate alone.
+        t = table_from(I1=[0.3, 1.7, -2.2], I2=[1.1, 0.0, 4.4])
+        candidates = [[parse_expression(a), parse_expression(b)]
+                      for a, b in (("I1", "0"), ("I1*I2 - 0.3", "I2*I2"),
+                                   ("1e308*I2*I2", "2"), ("0", "I1 + I2"))]
+        coords = embed([[tree_polynomial(tree) for tree in trees]
+                        for trees in candidates], t)
+        assert coords.shape == (4, 2)
+        for row, trees in zip(coords, candidates):
+            assert row.tobytes() == embed_trees(trees, t).tobytes()
 
     def test_pool_constants_fold_into_embedding(self):
         t = table_from(I1=[2.0, 4.0])

@@ -24,10 +24,10 @@ from sagep.evaluators import (
     expensive_call_count,
     load_channel_case,
     make_reference,
-    solve_channel,
 )
 from sagep.symreg import (ConfigurationError, ConstantsPool, ExprTree,
-                          constant, op_symbol, parse_expression, terminal)
+                          constant, op_symbol, parse_expression, terminal,
+                          tree_polynomial)
 
 
 THREE_SLOT_TRUTH = ("-0.1 - I1", "0.0", "0.945 - 2.108*J1")
@@ -159,8 +159,8 @@ class TestChannelSolver:
 
     def test_zero_correction_baseline_converges(self):
         case = default_channel_case()
-        out = solve_channel(case, parse_expression("0"),
-                            None, parse_expression("0"))
+        out = ChannelEvaluator(case).evaluate([parse_expression("0"),
+                                               parse_expression("0")])
         assert out.converged
         assert 0 < out.iterations <= case.max_iters
         assert np.all(out.objectives >= 0.0)
@@ -169,8 +169,8 @@ class TestChannelSolver:
         case = default_channel_case()
         # Forcing alpha_expr to a large negative value makes the effective
         # thermal diffusivity negative, the canonical divergence mode.
-        out = solve_channel(case, parse_expression("0"), None,
-                            parse_expression("-1000"))
+        out = ChannelEvaluator(case).evaluate([parse_expression("0"),
+                                               parse_expression("-1000")])
         assert not out.converged
         assert np.all(out.objectives == DIVERGENCE_SENTINEL)
 
@@ -192,9 +192,8 @@ class TestChannelSolver:
 
     def test_wall_values_pinned(self):
         case = default_channel_case()
-        u, T, _, ok = ev._solve_profiles(case, parse_expression("0"), None,
-                                         parse_expression("0"), None,
-                                         case.tol)
+        zero = tree_polynomial(parse_expression("0"))
+        u, T, _, ok = ev._solve_batch(case, [(zero, {}, zero)], case.tol)[0]
         assert ok
         assert T[0] == pytest.approx(case.wall_t[0], abs=1e-12)
         assert T[-1] == pytest.approx(case.wall_t[1], abs=1e-12)
@@ -261,8 +260,8 @@ class TestChannelSolver:
         assert np.all(out.objectives == DIVERGENCE_SENTINEL)
 
 
-# sha256 of u.tobytes() + T.tobytes(), iterations and converged of
-# _solve_profiles on the default case at its tolerance.
+# sha256 of u.tobytes() + T.tobytes(), iterations and converged of the
+# batch-of-one _solve_batch on the default case at its tolerance.
 SOLVE_PINS = {
     "truth": (("-0.1 - I1", "0.945 - 2.108*J1"), None,
               "3eb261cabd4604bada973195d8b00535ebccf9024f3b45f2cabf42255775e146",
@@ -301,9 +300,8 @@ class TestSolveBits:
         case = default_channel_case()
         if max_iters is not None:
             case = dataclasses.replace(case, max_iters=max_iters)
-        trees = [None if e is None else parse_expression(e) for e in exprs]
-        u, T, its, ok = ev._solve_profiles(case, *ev._closure_slots(trees),
-                                           None, case.tol)
+        u, T, its, ok = ev._solve_batch(case, [pin_closures(name)],
+                                        case.tol)[0]
         assert hashlib.sha256(u.tobytes() + T.tobytes()).hexdigest() == digest
         assert (its, ok) == (iterations, converged)
 
@@ -337,7 +335,8 @@ class TestSolveBits:
 
 def pin_closures(name):
     exprs = SOLVE_PINS[name][0]
-    return ev._closure_slots([None if e is None else parse_expression(e)
+    return ev._closure_slots([{} if e is None
+                              else tree_polynomial(parse_expression(e))
                               for e in exprs])
 
 
@@ -352,7 +351,7 @@ def solo(name):
     """The batch-of-one solve of a pin's closures on the default case."""
     if name not in SOLO:
         case = default_channel_case()
-        SOLO[name] = ev._solve_batch(case, [pin_closures(name)], None,
+        SOLO[name] = ev._solve_batch(case, [pin_closures(name)],
                                      case.tol)[0]
     return SOLO[name]
 
@@ -363,8 +362,7 @@ class TestSolveBatch:
         # all in one batch.
         case = default_channel_case()
         solved = ev._solve_batch(case, [pin_closures(name)
-                                        for name in SOLVE_PINS], None,
-                                 case.tol)
+                                        for name in SOLVE_PINS], case.tol)
         rows = dict(zip(SOLVE_PINS, solved))
         for name, (_, max_iters, digest, iterations, converged) in (
                 SOLVE_PINS.items()):
@@ -381,8 +379,7 @@ class TestSolveBatch:
         # at iteration 1 reproduce their pins; every other row is cut off.
         case = dataclasses.replace(default_channel_case(), max_iters=4)
         solved = ev._solve_batch(case, [pin_closures(name)
-                                        for name in SOLVE_PINS], None,
-                                 case.tol)
+                                        for name in SOLVE_PINS], case.tol)
         for (name, (_, max_iters, digest, iterations, converged)), (
                 u, T, its, ok) in zip(SOLVE_PINS.items(), solved):
             if max_iters == 4 or iterations < 4:
@@ -397,7 +394,7 @@ class TestSolveBatch:
         # has the bits of its batch-of-one solve.
         case = default_channel_case()
         solved = ev._solve_batch(case, [pin_closures(n) for n in names],
-                                 None, case.tol)
+                                 case.tol)
         assert len(solved) == len(names)
         for name, (u, T, its, ok) in zip(names, solved):
             su, sT, s_its, s_ok = solo(name)
@@ -479,12 +476,35 @@ class TestLoadChannelCase:
         with pytest.raises(SetupError):
             load_channel_case({"truth": {"g": "0", "alpha": "0", "zz": "0"}})
 
-    @pytest.mark.parametrize("payload", [{"n_cells": "64"},
-                                         {"wall_u": ["a", 0.0]}])
+    @pytest.mark.parametrize("payload", [
+        {"n_cells": "64"}, {"wall_u": ["a", 0.0]}, {"wall_u": ["1.0", 0.0]},
+        {"wall_u": [0, 0, 0]}, {"wall_u": [0]}, {"wall_t": 0.5},
+        {"wall_t": [True, 0.0]}, {"wall_t": [0.5, float("inf")]},
+        {"nu": "1.0"}, {"coupling": True}, {"omega": float("inf")},
+        {"forcing": None}, {"tol": float("nan")}, {"damping": [0.7]}])
     def test_ill_typed_fields_rejected(self, payload):
         with pytest.raises(SetupError, match="invalid channel case"):
             load_channel_case(payload)
 
+    def test_float_fields_must_be_finite_numbers(self):
+        for name in ("forcing", "coupling", "nu", "alpha_base", "nut_max",
+                     "omega", "tol", "damping"):
+            for bad in (True, "1.0", float("nan"), float("-inf")):
+                with pytest.raises(SetupError, match=name):
+                    ChannelCase(**{name: bad})
+
+    def test_integral_numbers_accepted(self):
+        case = load_channel_case({"wall_u": [0, 1], "coupling": 12,
+                                  "truth": {"g": "0", "alpha": "0"}})
+        assert case.wall_u == (0.0, 1.0) and case.coupling == 12
+
+    @pytest.mark.parametrize("payload", [[{"n_cells": 16}], "n_cells", 3])
+    def test_case_file_must_hold_an_object(self, tmp_path, payload):
+        import json
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SetupError, match="JSON object"):
+            load_channel_case(path)
     def test_shipped_default_case_matches_builtin(self):
         case = load_channel_case("configs/channel_default.json")
         built = default_channel_case()

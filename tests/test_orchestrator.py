@@ -525,9 +525,10 @@ class TestRunTraining:
     def test_key_and_embedding_share_one_polynomial_per_slot(
             self, tmp_path, monkeypatch):
         cfg = load_run_config(write_config(tmp_path))
-        roots, expanded, keyed, embedded = {}, [], [], []
+        roots, expanded, keyed, embedded, evaluated = {}, [], [], [], []
         decode, expand = symreg.decode, symreg.tree_polynomial
         key, embed = symreg.canonical_key, orch.emb_mod.embed
+        evaluate = ev.SymbolicBenchmark.evaluate
 
         def decode_spy(genotype):
             tree = decode(genotype)
@@ -544,20 +545,29 @@ class TestRunTraining:
             return key(poly, pool)
 
         def embed_spy(polys, table):
-            embedded.extend(polys)
+            embedded.extend(poly for slots in polys for poly in slots)
             return embed(polys, table)
+
+        def evaluate_spy(self, slots, pool=None):
+            evaluated.extend(slots)
+            return evaluate(self, slots, pool)
 
         monkeypatch.setattr(symreg, "decode", decode_spy)
         monkeypatch.setattr(symreg, "tree_polynomial", expand_spy)
+        monkeypatch.setattr(ev, "tree_polynomial", expand_spy)
         monkeypatch.setattr(symreg, "canonical_key", key_spy)
         monkeypatch.setattr(orch.emb_mod, "embed", embed_spy)
+        monkeypatch.setattr(ev.SymbolicBenchmark, "evaluate", evaluate_spy)
         run_training(cfg)
-        # Each decoded tree is expanded once, and that polynomial is both
-        # keyed and embedded.
+        # Each decoded tree is expanded once, by the generation step or by
+        # the evaluator alike, and that polynomial is keyed, embedded and
+        # handed to the evaluator.
         assert len(roots) == (12 + 6 * 3) * 2
         assert sorted(expanded) == sorted(roots)
         assert all(isinstance(poly, dict) for poly in keyed)
         assert list(map(id, keyed)) == list(map(id, embedded))
+        assert evaluated
+        assert {id(poly) for poly in evaluated} <= set(map(id, keyed))
 
     def test_baseline_is_deterministic(self, tmp_path):
         cfg = load_run_config(write_config(tmp_path,
@@ -993,6 +1003,20 @@ class TestCli:
             self, tmp_path, capsys, overrides, args):
         cfg_path = write_config(tmp_path, **overrides)
         assert main(["run", "--config", str(cfg_path), *args]) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+    @pytest.mark.parametrize("case", [
+        {"wall_u": [0, 0, 0]}, {"wall_u": [0]}, {"wall_t": 0.5},
+        {"nu": "1.0"}, {"coupling": True}, {"omega": float("inf")},
+        {"tol": float("nan")}, [{"n_cells": 16}],
+    ], ids=["wall_triple", "wall_single", "wall_number", "nu_string",
+            "coupling_bool", "omega_infinite", "tol_nan", "array"])
+    def test_ill_typed_channel_case_file_is_config_error(
+            self, tmp_path, capsys, case):
+        (tmp_path / "case.json").write_text(json.dumps(case))
+        cfg_path = write_config(tmp_path, evaluator={"kind": "channel",
+                                                     "case": "case.json"})
+        assert main(["run", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("configuration error:")
 
     def test_replay_round_trip(self, tmp_path, capsys):

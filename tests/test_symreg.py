@@ -1,5 +1,7 @@
 """Expression engine: decoding, canonical keys, variation, dominance."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from sagep.symreg import (
     Candidate,
     ConfigurationError,
     ConstantsPool,
+    ExprTree,
     ExpressionSyntaxError,
     GepConfig,
     Genotype,
@@ -23,11 +26,14 @@ from sagep.symreg import (
     eval_tree,
     evolve_generation,
     fast_nondominated_sort,
+    literal,
     mutate,
     op_symbol,
     parse_expression,
-    polynomial_eval,
+    plan_eval,
     polynomial_key,
+    polynomial_plan,
+    polynomials_eval,
     preorder,
     random_genotype,
     rank_population,
@@ -213,7 +219,7 @@ class TestCanonicalKey:
         rng = np.random.default_rng(0)
         cols = {name: rng.normal(size=4) for name in ("I1", "I2", "J1")}
         direct = eval_tree(tree, cols, pool=pool)
-        via_poly = polynomial_eval(poly, cols)
+        via_poly = polynomials_eval([poly], cols)[0]
         assert np.allclose(direct, via_poly, atol=1e-9, rtol=1e-9)
 
     @given(genotypes())
@@ -235,6 +241,73 @@ class TestCanonicalKey:
         assert np.allclose(eval_tree(ta, cols, pool=pool),
                            eval_tree(tb, cols, pool=pool),
                            atol=1e-8, rtol=1e-8)
+
+
+VARS = ("I1", "I2", "J1")
+# Coefficients up to 1e308 overflow to inf on columns up to 1e3, and a sum
+# of infinities of both signs is nan.
+coefficients = st.one_of(
+    st.floats(-10.0, 10.0).filter(lambda c: c != 0.0),
+    st.sampled_from([1e300, -1e300, 1.7e308, -1.7e308]))
+monomials = st.lists(st.sampled_from(VARS), max_size=4).map(
+    lambda names: tuple(sorted(names)))
+polynomials = st.one_of(
+    st.dictionaries(monomials, coefficients, max_size=6),
+    st.builds(lambda c: {(): c}, coefficients))
+
+
+def poly_tree(poly):
+    """The polynomial as a tree: each monomial as its coefficient times its
+    variables, summed in key order; the empty polynomial is literal 0."""
+    terms = [functools.reduce(
+        lambda tree, var: ExprTree(MUL, (tree, ExprTree(terminal(var)))),
+        mono, ExprTree(literal(poly[mono]))) for mono in sorted(poly)]
+    return functools.reduce(lambda a, b: ExprTree(ADD, (a, b)), terms,
+                            ExprTree(literal(0.0)))
+
+
+class TestPolynomialEvaluation:
+    """plan_eval is the one evaluator of the embedding, the symbolic
+    benchmark and the channel: each batch row must be its polynomial
+    alone, bit for bit."""
+
+    @given(st.lists(polynomials, max_size=8), st.integers(1, 5), st.data())
+    def test_rows_equal_each_polynomial_alone(self, polys, n, data):
+        cols = {name: np.array(data.draw(st.lists(
+            st.floats(-1e3, 1e3), min_size=n, max_size=n))) for name in VARS}
+        batch = polynomials_eval(polys, cols)
+        assert batch.shape == (len(polys), n)
+        for poly, row in zip(polys, batch):
+            assert row.tobytes() == polynomials_eval([poly], cols)[0].tobytes()
+            with np.errstate(all="ignore"):
+                assert np.allclose(row, eval_tree(poly_tree(poly), cols),
+                                   equal_nan=True)
+
+    @given(st.lists(polynomials, min_size=1, max_size=8), st.integers(1, 5),
+           st.data())
+    def test_rows_on_their_own_factors_equal_each_alone(self, polys, n, data):
+        # The channel's form: every row has its own factor values.
+        k = len(polys)
+        factors = np.ones((len(VARS) + 1, k, n))
+        factors[:-1] = np.reshape(data.draw(st.lists(
+            st.floats(-1e3, 1e3), min_size=len(VARS) * k * n,
+            max_size=len(VARS) * k * n)), (len(VARS), k, n))
+        with np.errstate(all="ignore"):
+            batch = plan_eval(polynomial_plan(polys, VARS), factors)
+            for i, poly in enumerate(polys):
+                alone = plan_eval(polynomial_plan([poly], VARS),
+                                  factors[:, i:i + 1])
+                assert batch[i].tobytes() == alone[0].tobytes()
+
+    def test_worked_example(self):
+        cols = {"I1": np.array([1.0, 2.0]), "J1": np.array([3.0, -1.0])}
+        polys = [{}, {(): 0.5}, {("I1", "J1"): 2.0, ("I1",): -1.0}]
+        assert np.array_equal(polynomials_eval(polys, cols),
+                              [[0.0, 0.0], [0.5, 0.5], [5.0, -6.0]])
+
+    def test_unknown_terminal_raises(self):
+        with pytest.raises(KeyError, match="Q"):
+            polynomials_eval([{("Q",): 1.0}], {"I1": np.ones(2)})
 
 
 class TestParseExpression:
