@@ -2,9 +2,10 @@
 
 For each seed the study runs the evolutionary loop twice with identical
 settings, once evaluating every candidate and once with surrogate gating,
-then compares the hypervolume coverage of the expensive-evaluation Pareto
-fronts, the total expensive-evaluation counts and the wall time of each
-run (`time.perf_counter` around `run_training`).
+then compares the runs' final hypervolumes (against the reference both
+runs share, fixed by their common generation 0), the total
+expensive-evaluation counts, the counts after generation 0 and the wall
+time of each run (`time.perf_counter` around `run_training`).
 
 Usage:
     python3 scripts/efficiency_study.py [--seeds 10] [--generations 12]
@@ -18,7 +19,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from sagep.metrics import compare_coverage, pareto_front
 from sagep.orchestrator import (
     EvaluatorSpec,
     RunConfig,
@@ -28,36 +28,35 @@ from sagep.orchestrator import (
 
 
 class Pair(NamedTuple):
-    coverage_ratio: float
+    hv_ratio: float
     eval_ratio: float
+    later_eval_ratio: float  # evaluator calls after generation 0
     n_surrogate: int
     n_baseline: int
     surrogate_s: float
     baseline_s: float
-
-
-def expensive_front(db):
-    points = np.array([r.objectives for r in db.records
-                       if r.converged and r.provenance == "expensive"])
-    return pareto_front(points)
+    shared_reference: bool
 
 
 def timed_run(config: RunConfig):
     t0 = time.perf_counter()
-    db, metrics = run_training(config)
-    return db, metrics, time.perf_counter() - t0
+    _, metrics = run_training(config)
+    return metrics, time.perf_counter() - t0
 
 
 def run_pair(config: RunConfig, seed: int) -> Pair:
-    db_b, met_b, t_b = timed_run(
+    met_b, t_b = timed_run(
         dataclasses.replace(config, seed=seed, surrogate_enabled=False))
-    db_s, met_s, t_s = timed_run(
+    met_s, t_s = timed_run(
         dataclasses.replace(config, seed=seed, surrogate_enabled=True))
-    cov_b, cov_s = compare_coverage([expensive_front(db_b),
-                                     expensive_front(db_s)])
-    ratio = cov_s / cov_b if cov_b > 0 else float("nan")
-    return Pair(ratio, met_s.total_expensive / met_b.total_expensive,
-                met_s.total_expensive, met_b.total_expensive, t_s, t_b)
+    hv_b = met_b.final_hypervolume
+    ratio = met_s.final_hypervolume / hv_b if hv_b > 0 else float("nan")
+    n_s, n_b = met_s.total_expensive, met_b.total_expensive
+    later_s = n_s - met_s.rows[0].expensive_cumulative
+    later_b = n_b - met_b.rows[0].expensive_cumulative
+    return Pair(ratio, n_s / n_b,
+                later_s / later_b if later_b else float("nan"), n_s, n_b,
+                t_s, t_b, met_s.reference == met_b.reference)
 
 
 def main(argv=None) -> None:
@@ -82,20 +81,22 @@ def main(argv=None) -> None:
 
     pairs = []
     t0 = time.perf_counter()
-    print("seed  coverage_ratio  eval_ratio  expensive(surr/base)  "
-          "time_s(surr/base)  time_ratio")
+    print("seed  hv_ratio  eval_ratio  later_eval_ratio  "
+          "expensive(surr/base)  time_s(surr/base)  time_ratio  "
+          "shared_reference")
     for seed in range(args.seeds):
         pair = run_pair(config, seed)
         pairs.append(pair)
-        print(f"{seed:4d}  {pair.coverage_ratio:14.4f}  "
-              f"{pair.eval_ratio:10.4f}  "
+        print(f"{seed:4d}  {pair.hv_ratio:8.4f}  "
+              f"{pair.eval_ratio:10.4f}  {pair.later_eval_ratio:16.4f}  "
               f"{pair.n_surrogate:6d}/{pair.n_baseline:<13d}  "
               f"{pair.surrogate_s:7.3f}/{pair.baseline_s:<9.3f}  "
-              f"{pair.surrogate_s / pair.baseline_s:10.4f}")
+              f"{pair.surrogate_s / pair.baseline_s:10.4f}  "
+              f"{pair.shared_reference}")
     elapsed = time.perf_counter() - t0
 
-    print(f"median coverage ratio: "
-          f"{np.median([p.coverage_ratio for p in pairs]):.4f}")
+    print(f"median hv ratio:       "
+          f"{np.median([p.hv_ratio for p in pairs]):.4f}")
     print(f"median eval ratio:     "
           f"{np.median([p.eval_ratio for p in pairs]):.4f}")
     print(f"median time ratio:     "

@@ -1,7 +1,12 @@
 """SHA-256 digests of every output of the shipped run configs.
 
 For each config, training runs at one seed in surrogate and in baseline
-mode, and the digests of db.jsonl, metrics.csv and summary.txt are printed.
+mode, and the digests of db.jsonl, metrics.csv and summary.txt are printed,
+then the run's `decisions` digest: that of every record's generation, id
+and provenance, with the objectives of each true outcome (expensive and
+cache records).  It leaves out the GP's means, so it matches between two
+checkouts whenever both runs evaluate the same phenotypes and get the same
+outcomes, even if the surrogate's predictions differ in the last bits.
 The baseline database is then replayed with the surrogate on and off, and
 the digests of each replay's report (metrics.csv and summary.txt) follow.
 Each line reads `<config> <mode> <file> <sha256>`; given several seeds,
@@ -31,6 +36,15 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def decisions_digest(records) -> str:
+    """sha256 of the run's decisions and true outcomes, not its predictions."""
+    lines = [f"{r.generation} {r.id} {r.provenance}"
+             + ("" if r.provenance == "surrogate"
+                else " " + " ".join(map(repr, r.objectives)))
+             for r in records]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def config_digests(config, out: Path) -> list[tuple[str, str, str]]:
     """(mode, file, digest) for the runs and replays of one config."""
     rows = []
@@ -40,6 +54,7 @@ def config_digests(config, out: Path) -> list[tuple[str, str, str]]:
         paths = [db.write(out / mode / "db.jsonl"),
                  *emit_report(metrics, out / mode)]
         rows += [(mode, path.name, sha256(path)) for path in paths]
+        rows.append((mode, "decisions", decisions_digest(db.records)))
     for mode, surrogate in (("replay-surrogate", True),
                             ("replay-baseline", False)):
         metrics = passive_replay(db, dataclasses.replace(

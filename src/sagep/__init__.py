@@ -6,8 +6,8 @@ with a Gaussian-process surrogate (surrogate) over expression embeddings
 (embedding).  A per-generation selection policy (selection) decides which
 candidates earn a true evaluation against an expensive oracle (evaluators);
 the orchestrator runs the loop, persists every outcome, and supports
-passive replay of stored runs; metrics provides hypervolume coverage and
-the efficiency measures.
+passive replay of stored runs; metrics provides the Pareto front, the
+hypervolume against each run's one reference point, and the run reports.
 """
 
 from . import (cli, embedding, evaluators, metrics, orchestrator, selection,

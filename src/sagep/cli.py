@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: run (execute a training run from a JSON config), replay
-(passively re-run selection against a stored baseline database), report
-(recompute metrics files from a database), hv (hypervolume coverage of a
-point file).  Exit codes: 0 success, 1 configuration error, 2 runtime
-error.  SAGEP_LOG_LEVEL controls log verbosity (DEBUG/INFO/WARNING/...).
+(passively re-run selection against a stored baseline database) and report
+(recompute metrics files from a database).  run and replay print the
+final hypervolume, against the reference the run's generation-0 outcomes
+fix (see metrics).  Exit codes: 0 success, 1 configuration error, 2
+runtime error.  SAGEP_LOG_LEVEL controls log verbosity
+(DEBUG/INFO/WARNING/...).
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .metrics import emit_report, hypervolume, hypervolume_coverage
+from .metrics import emit_report
 from .orchestrator import (ConfigError, EvaluationDatabase, ReplayError,
                            RunError, load_run_config, metrics_from_records,
                            passive_replay, run_training)
@@ -60,10 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--db", required=True, help="JSONL database")
     p_report.add_argument("--out", required=True, help="output directory")
 
-    p_hv = sub.add_parser("hv", help="hypervolume coverage of a point file")
-    p_hv.add_argument("--points", required=True,
-                      help="text file, one comma-separated objective vector "
-                           "per line")
     return parser
 
 
@@ -81,7 +77,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"metrics: {csv_path}")
     print(f"summary: {summary_path}")
     print(f"expensive evaluations: {metrics.total_expensive}")
-    print(f"final coverage: {metrics.final_coverage!r}")
+    print(f"final hypervolume: {metrics.final_hypervolume!r}")
     return EXIT_OK
 
 
@@ -94,7 +90,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
           f"of {len(db.records)}")
     print(f"selection ratio: {metrics.final_selection_ratio!r}")
     print(f"relative error: {metrics.final_relative_error!r}")
-    print(f"final coverage: {metrics.final_coverage!r}")
+    print(f"final hypervolume: {metrics.final_hypervolume!r}")
     return EXIT_OK
 
 
@@ -107,27 +103,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_hv(args: argparse.Namespace) -> int:
-    try:
-        points = np.loadtxt(args.points, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise ConfigError(f"cannot read points file: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"points file is not numeric CSV: {exc}") from None
-    coverage = hypervolume_coverage(points)
-    ref = points.max(axis=0)
-    print(f"points: {points.shape[0]}")
-    print(f"hypervolume: {hypervolume(points, ref)!r}")
-    print(f"coverage: {coverage!r}")
-    return EXIT_OK
-
-
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = _build_parser()
     args = parser.parse_args(argv)
     handlers = {"run": _cmd_run, "replay": _cmd_replay,
-                "report": _cmd_report, "hv": _cmd_hv}
+                "report": _cmd_report}
     try:
         return handlers[args.command](args)
     except ConfigError as exc:

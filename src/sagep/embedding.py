@@ -61,18 +61,11 @@ class FeatureTable:
     def names(self) -> tuple[str, ...]:
         return tuple(self.columns)
 
-    @property
-    def n_rows(self) -> int:
-        return len(next(iter(self.columns.values())))
-
     @cached_property
     def _mean_columns(self) -> dict[str, np.ndarray]:
         # Once per table: nothing mutates the columns after construction.
         return {name: np.asarray([float(np.mean(col))])
                 for name, col in self.columns.items()}
-
-    def mean_row(self) -> dict[str, float]:
-        return {name: float(v[0]) for name, v in self._mean_columns.items()}
 
 
 def ingest_feature_table(path: str | Path) -> FeatureTable:

@@ -194,7 +194,8 @@ class ChannelCase:
 
     truth_exprs holds the hidden generating expressions, either (g, alpha)
     or (g, r, alpha) when an artificial production slot is trained too.
-    reference profiles are produced by make_reference from the truth.
+    reference profiles are produced by make_reference from the truth; given
+    by hand, both come together, one finite number per cell.
     """
 
     n_cells: int = 64
@@ -240,9 +241,20 @@ class ChannelCase:
             raise SetupError("omega must be positive")
         if len(self.truth_exprs) not in (2, 3):
             raise SetupError("truth_exprs must be (g, alpha) or (g, r, alpha)")
-        for ref in (self.reference_u, self.reference_t):
-            if ref is not None and len(ref) != self.n_cells:
+        given = [name for name in ("reference_u", "reference_t")
+                 if getattr(self, name) is not None]
+        if len(given) == 1:
+            raise SetupError("invalid channel case: reference_u and "
+                             "reference_t come together or not at all")
+        for name in given:
+            ref = getattr(self, name)
+            if (not isinstance(ref, (tuple, list, np.ndarray))
+                    or not all(map(_finite_number, ref))):
+                raise SetupError(f"invalid channel case: {name} must be a "
+                                 "list of finite numbers")
+            if len(ref) != self.n_cells:
                 raise SetupError("reference profiles must match n_cells")
+            object.__setattr__(self, name, np.asarray(ref, dtype=float))
 
     @property
     def slot_names(self) -> tuple[str, ...]:
@@ -419,7 +431,7 @@ def load_channel_case(source: str | Path | dict) -> ChannelCase:
 
     The truth block maps slot names to expression strings: {"g": ...,
     "alpha": ...} with an optional "r".  Reference profiles are regenerated
-    from the truth unless explicitly included.  Every other key names a
+    from the truth unless both are included.  Every other key names a
     ChannelCase field.
     """
     if isinstance(source, (str, Path)):
@@ -446,13 +458,10 @@ def load_channel_case(source: str | Path | dict) -> ChannelCase:
             if unknown:
                 raise SetupError(f"unknown truth slots {sorted(unknown)}")
             kwargs["truth_exprs"] = tuple(str(truth[k]) for k in order)
-        for name in ("reference_u", "reference_t"):
-            if kwargs.get(name) is not None:
-                kwargs[name] = np.asarray(kwargs[name], dtype=float)
         case = ChannelCase(**kwargs)
     except (TypeError, ValueError) as exc:
         raise SetupError(f"invalid channel case: {exc}") from None
-    if case.reference_u is None or case.reference_t is None:
+    if case.reference_u is None:
         case = make_reference(case)
     return case
 
@@ -461,7 +470,7 @@ class ChannelEvaluator:
     """Candidate evaluator backed by the coupled channel solve."""
 
     def __init__(self, case: ChannelCase):
-        if case.reference_u is None or case.reference_t is None:
+        if case.reference_u is None:
             case = make_reference(case)
         self.case = case
         self.n_objectives = 2

@@ -1,12 +1,13 @@
-"""Efficiency metrics: Pareto fronts, exact hypervolume, coverage, ratios.
+"""Efficiency metrics: Pareto fronts, exact hypervolume, run reports.
 
 All objective vectors are minimized.  Hypervolume is computed exactly: a
 sweep for two objectives, and for three or more a recursion that slices
 along the last objective down to that sweep (one sweep per point for three
-objectives).  Coverage normalizes hypervolume by the
-axis-aligned box between the front's own ideal and reference points, which
-makes runs comparable only when they share a reference; compare_coverage
-provides that shared-reference variant for cross-run curves.
+objectives).  Two hypervolumes compare only against one fixed reference
+point; a run's reference (RunMetrics.reference) is the componentwise max of
+the converged true outcomes of its first generation that has any, which a
+seed's baseline run, its surrogate run and a replay of its baseline
+database all share.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .symreg import dominance_matrix
 __all__ = [
     "pareto_front",
     "hypervolume",
-    "hypervolume_coverage",
-    "compare_coverage",
     "surrogate_relative_error",
     "RunMetrics",
     "GenerationMetrics",
@@ -94,42 +93,6 @@ def hypervolume(points: np.ndarray, ref: np.ndarray) -> float:
     return _hv_slices(pareto_front(pts), ref)
 
 
-def hypervolume_coverage(front: np.ndarray) -> float:
-    """Fraction of the front's own ideal-to-reference box it dominates.
-
-    Reference = componentwise max of the non-dominated subset, ideal =
-    componentwise min; a degenerate box (any reference component equal to
-    the ideal one) gives coverage 0.  This is compare_coverage of the front
-    alone.
-    """
-    pts = np.atleast_2d(np.asarray(front, dtype=float))
-    if pts.shape[0] == 0:
-        raise ValueError("coverage of an empty front is undefined")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("coverage needs finite objective vectors")
-    return compare_coverage([pts])[0]
-
-
-def compare_coverage(fronts: Sequence[np.ndarray]) -> list[float]:
-    """Coverage of several fronts against one shared reference box.
-
-    The reference is the componentwise max over the union of the fronts'
-    non-dominated subsets, the ideal the componentwise min, so the returned
-    values are directly comparable across runs.
-    """
-    if not fronts:
-        raise ValueError("no fronts to compare")
-    nds = [pareto_front(np.atleast_2d(np.asarray(f, dtype=float)))
-           for f in fronts]
-    union = np.vstack(nds)
-    ref = union.max(axis=0)
-    ideal = union.min(axis=0)
-    box = float(np.prod(ref - ideal))
-    if np.any(ref == ideal) or box <= 0.0:
-        return [0.0 for _ in nds]
-    return [hypervolume(nd, ref) / box for nd in nds]
-
-
 def surrogate_relative_error(pairs: Iterable[tuple[Sequence[float],
                                                    Sequence[float]]]) -> float:
     """Mean relative prediction error |mu - t| / |t| over (truth t,
@@ -153,7 +116,7 @@ class GenerationMetrics:
 
     generation: int
     expensive_cumulative: int
-    coverage: float
+    hypervolume: float
     selection_ratio: float
     relative_error: float
     best_objectives: tuple[float, ...]
@@ -161,10 +124,13 @@ class GenerationMetrics:
 
 @dataclass
 class RunMetrics:
-    """Per-generation metric rows plus run-level summary values."""
+    """Per-generation metric rows plus run-level summary values; every
+    row's hypervolume is measured against `reference` (empty until a
+    generation has a converged true outcome)."""
 
     rows: list[GenerationMetrics] = field(default_factory=list)
     final_relative_error: float = 0.0
+    reference: tuple[float, ...] = ()
 
     def append(self, row: GenerationMetrics) -> None:
         if self.rows and row.expensive_cumulative < self.rows[-1].expensive_cumulative:
@@ -172,8 +138,8 @@ class RunMetrics:
         self.rows.append(row)
 
     @property
-    def final_coverage(self) -> float:
-        return self.rows[-1].coverage if self.rows else 0.0
+    def final_hypervolume(self) -> float:
+        return self.rows[-1].hypervolume if self.rows else 0.0
 
     @property
     def final_selection_ratio(self) -> float:
@@ -190,7 +156,7 @@ def emit_report(metrics: RunMetrics, out_dir: str | Path) -> tuple[Path, Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "metrics.csv"
     p = len(metrics.rows[0].best_objectives) if metrics.rows else 0
-    header = (["generation", "expensive_cumulative", "coverage",
+    header = (["generation", "expensive_cumulative", "hypervolume",
                "selection_ratio", "relative_error"]
               + [f"best_objective_{k}" for k in range(p)])
     with open(csv_path, "w", newline="") as fh:
@@ -198,16 +164,17 @@ def emit_report(metrics: RunMetrics, out_dir: str | Path) -> tuple[Path, Path]:
         writer.writerow(header)
         for row in metrics.rows:
             writer.writerow([row.generation, row.expensive_cumulative,
-                             repr(row.coverage), repr(row.selection_ratio),
+                             repr(row.hypervolume), repr(row.selection_ratio),
                              repr(row.relative_error)]
                             + [repr(v) for v in row.best_objectives])
     summary_path = out_dir / "summary.txt"
     lines = [
         f"generations: {len(metrics.rows)}",
         f"expensive evaluations: {metrics.total_expensive}",
-        f"final coverage: {metrics.final_coverage!r}",
+        f"final hypervolume: {metrics.final_hypervolume!r}",
         f"final selection ratio: {metrics.final_selection_ratio!r}",
         f"final relative error: {metrics.final_relative_error!r}",
+        f"reference: {list(metrics.reference)!r}",
     ]
     summary_path.write_text("\n".join(lines) + "\n")
     return csv_path, summary_path

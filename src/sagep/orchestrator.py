@@ -88,14 +88,13 @@ class ReplayError(RuntimeError):
 
 
 # Field types, as config and database readers check them: a bool is neither
-# an integer nor a number, and only a bool is a bool.
-_integer = lambda v: (isinstance(v, (int, np.integer))
-                      and not isinstance(v, bool))
-_number = lambda v: _integer(v) or isinstance(v, (float, np.floating))
+# an integer nor a number (selection's rule, shared), and only a bool is a
+# bool.
+_integer, _number, _optional = (sel_mod._integer, sel_mod._number,
+                                sel_mod._optional)
 _bool = lambda v: isinstance(v, bool)
 _string = lambda v: isinstance(v, str)
 _pair = lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_number, v))
-_optional = lambda ok: lambda v: v is None or ok(v)
 
 
 def _require(settings, what: str, ok: Callable[[object], bool],
@@ -196,11 +195,6 @@ class RunConfig:
                  "population", "offspring")
         _require(self, "a bool", _bool, "surrogate_enabled")
         _require(self, "a string", _string, "output_dir")
-        if self.selection is not None:
-            _require(self.selection, "a number", _number, "beta", "xi",
-                     "delta")
-            _require(self.selection, "a number or null", _optional(_number),
-                     "m_init_rel", "m_rel")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.generations < 1:
@@ -534,29 +528,41 @@ def _run_metrics(generations: Iterable[tuple[list[EvaluationRecord], list]]
     """Metric rows over cumulative true outcomes, one per generation; the
     expensive count is the evaluator calls, which cache records do not make.
 
-    Each generation gives its records and the (truth, prediction) pairs
-    its relative error scores.
+    The run's reference is the componentwise max of the converged true
+    outcomes of the first generation that has any: generation 0 evaluates
+    every phenotype in training and in replay, so the runs and replays of
+    one seed share it.  Each row's hypervolume is that of the true outcomes
+    so far against it, so it never decreases; a row before the reference
+    exists reads 0.0 with NaN best objectives.  Each generation gives its
+    records and the (truth, prediction) pairs its relative error scores.
     """
     metrics = metrics_mod.RunMetrics()
-    points: list = []
+    front = None
     scored_all: list = []
     expensive = seen = 0
     for records, scored in generations:
         seen += len(records)
         expensive += sum(r.provenance == "expensive" for r in records)
-        points += [r.objectives for r in records
-                   if r.provenance in _TRUE_OUTCOMES and r.converged]
+        new = [r.objectives for r in records
+               if r.provenance in _TRUE_OUTCOMES and r.converged]
         scored_all += scored
-        if points:
-            front = np.asarray(points, dtype=float)
-            coverage = metrics_mod.hypervolume_coverage(front)
+        if new:
+            if front is None:
+                metrics.reference = tuple(
+                    float(v) for v in np.max(new, axis=0))
+                front = np.empty((0, len(metrics.reference)))
+            # The front of the outcomes so far is that of the last front
+            # and the new outcomes.
+            front = metrics_mod.pareto_front(np.vstack([front, new]))
+        if front is not None:
+            volume = metrics_mod.hypervolume(front, metrics.reference)
             best = tuple(float(v) for v in front.min(axis=0))
         else:
-            coverage = 0.0
+            volume = 0.0
             best = tuple(float("nan") for _ in records[0].objectives)
         metrics.append(metrics_mod.GenerationMetrics(
             generation=records[0].generation, expensive_cumulative=expensive,
-            coverage=coverage, selection_ratio=expensive / seen,
+            hypervolume=volume, selection_ratio=expensive / seen,
             relative_error=metrics_mod.surrogate_relative_error(scored),
             best_objectives=best))
     metrics.final_relative_error = metrics_mod.surrogate_relative_error(

@@ -52,6 +52,14 @@ class SelectionContractError(ValueError):
     """A selection call violates its preconditions."""
 
 
+# Field types: a bool is neither an integer nor a number.
+_integer = lambda v: (isinstance(v, (int, np.integer))
+                      and not isinstance(v, bool))
+_number = lambda v: _integer(v) or isinstance(v, (float, np.floating))
+_finite = lambda v: _number(v) and math.isfinite(v)
+_optional = lambda ok: lambda v: v is None or ok(v)
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     """Acquisition metric plus the threshold battery of the selection loop.
@@ -71,13 +79,19 @@ class SelectionConfig:
     m_pareto: int | None = None
 
     def __post_init__(self):
-        for name in ("n_init", "m_fixed", "m_pareto"):
+        for name, what, ok in (
+                ("n_init", "an integer", _integer),
+                ("m_fixed", "an integer or null", _optional(_integer)),
+                ("m_pareto", "an integer or null", _optional(_integer)),
+                ("beta", "a finite number", _finite),
+                ("xi", "a finite number", _finite),
+                ("delta", "a finite number", _finite),
+                ("m_init_rel", "a number or null", _optional(_number)),
+                ("m_rel", "a number or null", _optional(_number))):
             value = getattr(self, name)
-            integer = (isinstance(value, (int, np.integer))
-                       and not isinstance(value, bool))
-            if not (integer or value is None and name != "n_init"):
+            if not ok(value):
                 raise SelectionContractError(
-                    f"{name} must be an integer, got {value!r}")
+                    f"{name} must be {what}, got {value!r}")
         if self.metric not in ("lcb", "ei"):
             raise SelectionContractError(f"unknown metric {self.metric!r}")
         if self.beta < 0 or self.xi < 0:
@@ -278,7 +292,7 @@ def apply_thresholds(scalar: np.ndarray, front_index: np.ndarray,
 
 def select_generation(gen_index: int,
                       population: Sequence[Candidate],
-                      model: MultiGp | None,
+                      model: MultiGp,
                       history: SelectionHistory,
                       config: SelectionConfig,
                       rng: np.random.Generator) -> SelectionDecision:
@@ -299,9 +313,6 @@ def select_generation(gen_index: int,
     if not np.all(np.isfinite(emb)):
         raise SelectionContractError("normalized embeddings must be finite")
 
-    if model is None:
-        raise SelectionContractError(
-            f"generation {gen_index} needs a fitted surrogate")
     if config.has_threshold() is False and gen_index >= 2:
         raise SelectionContractError(
             "generations >= 2 need at least one of m_fixed, m_rel, m_pareto")

@@ -283,10 +283,6 @@ class MultiGp:
     searched_n: int = 0
 
     @property
-    def n_objectives(self) -> int:
-        return self.Y.shape[1]
-
-    @property
     def n(self) -> int:
         return self.X.shape[0]
 

@@ -228,31 +228,6 @@ class Genotype:
     symbols: tuple[Symbol, ...]
     head_len: int
 
-    @property
-    def tail_len(self) -> int:
-        return len(self.symbols) - self.head_len
-
-    def validate(self, max_arity: int | None = None) -> None:
-        """Raise StructureError unless the layout invariants hold."""
-        if self.head_len < 1:
-            raise StructureError("head length must be >= 1")
-        if len(self.symbols) <= self.head_len:
-            raise StructureError("genotype has no tail")
-        for pos, sym in enumerate(self.symbols):
-            if sym.kind == "op" and sym.arity != OP_TABLE[sym.name][0]:
-                raise StructureError(
-                    f"operator {sym.name!r} at position {pos} declares arity "
-                    f"{sym.arity}, table says {OP_TABLE[sym.name][0]}")
-            if pos >= self.head_len and not sym.is_leaf():
-                raise StructureError(
-                    f"operator {sym.name!r} in tail at position {pos}")
-        if max_arity is not None:
-            expected = self.head_len * (max_arity - 1) + 1
-            if self.tail_len != expected:
-                raise StructureError(
-                    f"tail length {self.tail_len} != {expected} required for "
-                    f"head {self.head_len} and max arity {max_arity}")
-
 
 @dataclass(frozen=True)
 class ExprTree:

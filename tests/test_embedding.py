@@ -53,8 +53,8 @@ class TestFeatureTable:
 
     def test_mean_row(self):
         t = table_from(I1=[1.0, 3.0], I2=[2.0, 4.0])
-        assert t.mean_row() == {"I1": 2.0, "I2": 3.0}
-        assert t.n_rows == 2
+        assert {name: col.tolist() for name, col in
+                t._mean_columns.items()} == {"I1": [2.0], "I2": [3.0]}
         assert t.names == ("I1", "I2")
 
 

@@ -481,7 +481,18 @@ class TestLoadChannelCase:
         {"wall_u": [0, 0, 0]}, {"wall_u": [0]}, {"wall_t": 0.5},
         {"wall_t": [True, 0.0]}, {"wall_t": [0.5, float("inf")]},
         {"nu": "1.0"}, {"coupling": True}, {"omega": float("inf")},
-        {"forcing": None}, {"tol": float("nan")}, {"damping": [0.7]}])
+        {"forcing": None}, {"tol": float("nan")}, {"damping": [0.7]},
+        {"n_cells": 16, "reference_u": [float("nan")] * 16,
+         "reference_t": [0.0] * 16},
+        {"n_cells": 16, "reference_u": ["1.0"] * 16,
+         "reference_t": [0.0] * 16},
+        {"n_cells": 16, "reference_u": [0.0] * 16,
+         "reference_t": [0.0] * 15 + [True]},
+        {"n_cells": 16, "reference_u": [[0.0]] * 16,
+         "reference_t": [0.0] * 16},
+        {"n_cells": 16, "reference_u": 0.0, "reference_t": [0.0] * 16},
+        {"n_cells": 16, "reference_u": [0.0] * 16},
+        {"n_cells": 16, "reference_t": [0.0] * 16}])
     def test_ill_typed_fields_rejected(self, payload):
         with pytest.raises(SetupError, match="invalid channel case"):
             load_channel_case(payload)
@@ -492,6 +503,28 @@ class TestLoadChannelCase:
             for bad in (True, "1.0", float("nan"), float("-inf")):
                 with pytest.raises(SetupError, match=name):
                     ChannelCase(**{name: bad})
+
+    def test_reference_cells_must_be_finite_numbers(self):
+        good = [0.0] * 16
+        for bad in (float("nan"), float("inf"), "1.0", True, None):
+            for name in ("reference_u", "reference_t"):
+                refs = {"reference_u": good, "reference_t": good,
+                        name: good[:-1] + [bad]}
+                with pytest.raises(SetupError, match=name):
+                    ChannelCase(n_cells=16, **refs)
+
+    def test_reference_profiles_come_in_pairs(self):
+        with pytest.raises(SetupError, match="reference_u and reference_t"):
+            ChannelCase(n_cells=16, reference_u=[0.0] * 16)
+        with pytest.raises(SetupError, match="reference_u and reference_t"):
+            ChannelCase(n_cells=16, reference_t=[0.0] * 16)
+
+    def test_given_reference_profiles_are_kept(self):
+        u = [0.5 * k for k in range(16)]
+        case = load_channel_case({"n_cells": 16, "reference_u": u,
+                                  "reference_t": list(range(16))})
+        assert case.reference_u.tolist() == u
+        assert case.reference_t.tolist() == [float(k) for k in range(16)]
 
     def test_integral_numbers_accepted(self):
         case = load_channel_case({"wall_u": [0, 1], "coupling": 12,

@@ -1,4 +1,4 @@
-"""Pareto fronts, hypervolume, coverage, run-level reporting."""
+"""Pareto fronts, hypervolume, run-level reporting."""
 
 import itertools
 import math
@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from sagep.metrics import (
     GenerationMetrics,
     RunMetrics,
-    compare_coverage,
     emit_report,
     hypervolume,
-    hypervolume_coverage,
     pareto_front,
     surrogate_relative_error,
 )
@@ -173,46 +171,51 @@ class TestHypervolume:
 
 
 class TestCoverage:
+    """Hypervolume against one fixed reference point, the one measure two
+    fronts (two runs) are compared on."""
+
     def test_staircase_coverage(self):
         pts = np.array([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]])
-        assert hypervolume_coverage(pts) == pytest.approx(0.25)
+        ref = pts.max(axis=0)
+        box = np.prod(ref - pts.min(axis=0))
+        assert hypervolume(pts, ref) / box == pytest.approx(0.25)
 
     def test_degenerate_box_is_zero(self):
-        assert hypervolume_coverage(np.array([[1.0, 2.0]])) == 0.0
-        assert hypervolume_coverage(np.array([[1.0, 2.0], [1.0, 3.0]])) == 0.0
-
-    def test_empty_front_rejected(self):
-        with pytest.raises(ValueError):
-            hypervolume_coverage(np.empty((0, 2)))
+        assert hypervolume(np.array([[1.0, 2.0]]), np.array([1.0, 2.0])) == 0.0
+        pts = np.array([[1.0, 2.0], [1.0, 3.0]])
+        assert hypervolume(pts, pts.max(axis=0)) == 0.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            hypervolume_coverage(np.array([[np.nan, 1.0]]))
+            hypervolume(np.array([[np.nan, 1.0]]), np.array([2.0, 2.0]))
+        with pytest.raises(ValueError):
+            hypervolume(np.array([[1.0, 1.0]]), np.array([np.inf, 2.0]))
 
     def test_coverage_bounded(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             pts = rng.uniform(0, 1, size=(6, 2))
-            cov = hypervolume_coverage(pts)
-            assert 0.0 <= cov <= 1.0
+            ref = pts.max(axis=0)
+            box = np.prod(ref - pts.min(axis=0))
+            assert 0.0 <= hypervolume(pts, ref) <= box
 
     def test_shared_reference_comparison(self):
         a = np.array([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]])
         b = np.array([[1.0, 1.0]])
-        cov_a, cov_b = compare_coverage([a, b])
-        # b dominates everything, so it fills the whole shared box.
-        assert cov_b == pytest.approx(1.0)
-        assert cov_a < cov_b
+        ref = np.array([3.0, 3.0])
+        # b dominates everything, so it fills the whole box below ref.
+        assert hypervolume(b, ref) == 4.0
+        assert hypervolume(a, ref) < hypervolume(b, ref)
 
     def test_shared_reference_identical_fronts(self):
         a = np.array([[1.0, 3.0], [3.0, 1.0]])
-        covs = compare_coverage([a, a.copy()])
-        assert covs[0] == covs[1]
+        ref = np.array([4.0, 4.0])
+        assert hypervolume(a, ref) == hypervolume(a.copy(), ref)
 
     def test_union_degenerate_gives_zeros(self):
-        covs = compare_coverage([np.array([[1.0, 1.0]]),
-                                 np.array([[1.0, 1.0]])])
-        assert covs == [0.0, 0.0]
+        ref = np.array([1.0, 1.0])
+        assert hypervolume(np.array([[1.0, 1.0]]), ref) == 0.0
+        assert hypervolume(np.array([[1.0, 0.5], [0.5, 1.0]]), ref) == 0.0
 
 
 class TestRatiosAndErrors:
@@ -229,9 +232,9 @@ class TestRatiosAndErrors:
 
 
 class TestRunMetrics:
-    def make_row(self, gen, cum, cov=0.5):
+    def make_row(self, gen, cum, hv=0.5):
         return GenerationMetrics(generation=gen, expensive_cumulative=cum,
-                                 coverage=cov, selection_ratio=1.0,
+                                 hypervolume=hv, selection_ratio=1.0,
                                  relative_error=0.0,
                                  best_objectives=(0.1, 0.2))
 
@@ -244,30 +247,34 @@ class TestRunMetrics:
 
     def test_summary_properties(self):
         run = RunMetrics()
-        assert run.final_coverage == 0.0
+        assert run.final_hypervolume == 0.0
         assert run.final_selection_ratio == 0.0
         assert run.total_expensive == 0
-        run.append(self.make_row(0, 10, cov=0.3))
-        run.append(self.make_row(1, 12, cov=0.6))
-        assert run.final_coverage == 0.6
+        assert run.reference == ()
+        run.append(self.make_row(0, 10, hv=0.3))
+        run.append(self.make_row(1, 12, hv=0.6))
+        assert run.final_hypervolume == 0.6
         assert run.final_selection_ratio == 1.0
         assert run.total_expensive == 12
 
     def test_emit_report_files(self, tmp_path):
-        run = RunMetrics(final_relative_error=0.1)
+        run = RunMetrics(final_relative_error=0.1, reference=(0.5, 0.25))
         run.append(self.make_row(0, 10))
         run.append(self.make_row(1, 11))
         csv_path, summary_path = emit_report(run, tmp_path / "out")
         lines = csv_path.read_text().strip().split("\n")
-        assert lines[0] == ("generation,expensive_cumulative,coverage,"
+        assert lines[0] == ("generation,expensive_cumulative,hypervolume,"
                             "selection_ratio,relative_error,"
                             "best_objective_0,best_objective_1")
         assert len(lines) == 3
-        assert "expensive evaluations: 11" in summary_path.read_text()
+        summary = summary_path.read_text().splitlines()
+        assert "expensive evaluations: 11" in summary
+        assert "final hypervolume: 0.5" in summary
+        assert summary[-1] == "reference: [0.5, 0.25]"
 
     def test_emit_report_is_reproducible(self, tmp_path):
         run = RunMetrics(final_relative_error=0.07)
-        run.append(self.make_row(0, 5, cov=1 / 7))
+        run.append(self.make_row(0, 5, hv=1 / 7))
         first, _ = emit_report(run, tmp_path / "a")
         second, _ = emit_report(run, tmp_path / "b")
         assert first.read_bytes() == second.read_bytes()

@@ -164,6 +164,9 @@ class TestConfig:
         ("delta", {"selection": {"delta": True}}),
         ("m_rel", {"selection": {"m_rel": True}}),
         ("m_init_rel", {"selection": {"m_init_rel": False}}),
+        ("beta", {"selection": {"beta": float("nan")}}),
+        ("xi", {"selection": {"metric": "ei", "xi": float("inf")}}),
+        ("delta", {"selection": {"delta": "0.75"}}),
         ("sigma", {"surrogate": {"bounds": {"sigma": [True, 10.0]}}}),
         ("ell", {"surrogate": {"bounds": {"ell": [0.01, True]}}}),
         ("output_dir", {"output_dir": 5}),
@@ -179,7 +182,8 @@ class TestConfig:
             "m_fixed_bool", "m_pareto", "mutation_rate", "crossover_rate",
             "const_range_string", "const_range_null", "const_range_short",
             "beta_bool", "xi_bool", "delta_bool", "m_rel_bool",
-            "m_init_rel_bool", "bounds_sigma_bool", "bounds_ell_bool",
+            "m_init_rel_bool", "beta_nan", "xi_infinite", "delta_string",
+            "bounds_sigma_bool", "bounds_ell_bool",
             "output_dir_int", "output_dir_null", "feature_table_int",
             "case_int", "table_int"])
     def test_ill_typed_field_rejected_on_load(self, tmp_path, capsys, name,
@@ -878,7 +882,7 @@ class TestPassiveReplay:
         second = passive_replay(scaled, replay_cfg)
 
         def shown(metrics):
-            return [(row.expensive_cumulative, row.coverage,
+            return [(row.expensive_cumulative, row.hypervolume,
                      row.selection_ratio, row.best_objectives)
                     for row in metrics.rows]
 
@@ -923,6 +927,81 @@ class TestPassiveReplay:
         assert replayed.rows == stored.rows
         assert replayed.final_selection_ratio == stored.final_selection_ratio
         assert replayed.final_relative_error == stored.final_relative_error
+
+
+class TestRunReference:
+    """Every hypervolume of a run is measured against one reference, the
+    componentwise max of its first generation's converged true outcomes."""
+
+    @staticmethod
+    def record(gen, rid, objectives, converged=True, provenance="expensive"):
+        return EvaluationRecord(
+            generation=gen, id=rid, keys=(f"k{gen}_{rid}",),
+            embedding=(float(rid),), objectives=objectives,
+            converged=converged, provenance=provenance,
+            wall_time=float(provenance == "expensive"))
+
+    @staticmethod
+    def small_channel():
+        return dataclasses.replace(
+            load_run_config(CONFIGS / "channel_run.json"), generations=3,
+            population=12, offspring=6)
+
+    @pytest.mark.parametrize("surrogate_enabled", [True, False])
+    def test_hypervolume_never_decreases(self, tmp_path, surrogate_enabled):
+        for cfg in (load_run_config(write_config(tmp_path)),
+                    self.small_channel()):
+            _, metrics = run_training(dataclasses.replace(
+                cfg, surrogate_enabled=surrogate_enabled))
+            volumes = [row.hypervolume for row in metrics.rows]
+            assert volumes == sorted(volumes)
+            assert volumes[-1] > 0.0
+
+    def test_baseline_and_surrogate_runs_share_it(self):
+        cfg = self.small_channel()
+        _, surrogate = run_training(cfg)
+        db_b, baseline = run_training(
+            dataclasses.replace(cfg, surrogate_enabled=False))
+        assert len(surrogate.reference) == 2
+        assert surrogate.reference == baseline.reference
+        # It is the nadir of generation 0, which both runs evaluate alike.
+        gen0 = [r.objectives for r in db_b.records
+                if r.generation == 0 and r.converged]
+        assert baseline.reference == tuple(np.max(gen0, axis=0))
+
+    def test_report_and_replay_reproduce_it(self, tmp_path):
+        cfg = load_run_config(write_config(tmp_path, surrogate_enabled=False))
+        db, metrics = run_training(cfg)
+        assert metrics_from_records(db.records).reference == metrics.reference
+        for surrogate_enabled in (True, False):
+            replayed = passive_replay(db, dataclasses.replace(
+                cfg, surrogate_enabled=surrogate_enabled))
+            assert replayed.reference == metrics.reference
+        db_path = db.write(tmp_path / "db.jsonl")
+        assert main(["report", "--db", str(db_path),
+                     "--out", str(tmp_path / "rep")]) == 0
+        summary = (tmp_path / "rep" / "summary.txt").read_text().splitlines()
+        assert summary[-1] == f"reference: {list(metrics.reference)!r}"
+
+    def test_rows_before_the_first_true_outcome(self):
+        nan = float("nan")
+        records = [
+            self.record(0, 0, (9999.0, 9999.0), converged=False),
+            self.record(0, 1, (0.5, 0.5), provenance="surrogate"),
+            self.record(1, 2, (1.0, 3.0)),
+            self.record(1, 3, (3.0, 1.0)),
+            self.record(2, 4, (2.0, 2.0)),
+            self.record(2, 5, (5.0, 0.5), provenance="cache"),
+        ]
+        metrics = metrics_from_records(records)
+        first = metrics.rows[0]
+        assert first.hypervolume == 0.0
+        assert all(np.isnan(v) for v in first.best_objectives)
+        # Fixed by generation 1 and kept: the point beyond it in generation
+        # 2 adds no volume.
+        assert metrics.reference == (3.0, 3.0)
+        assert [row.hypervolume for row in metrics.rows] == [0.0, 0.0, 1.0]
+        assert metrics.rows[2].best_objectives == (1.0, 0.5)
 
 
 class TestCli:
@@ -1009,8 +1088,14 @@ class TestCli:
         {"wall_u": [0, 0, 0]}, {"wall_u": [0]}, {"wall_t": 0.5},
         {"nu": "1.0"}, {"coupling": True}, {"omega": float("inf")},
         {"tol": float("nan")}, [{"n_cells": 16}],
+        {"n_cells": 16, "reference_u": [float("nan")] * 16,
+         "reference_t": [0.0] * 16},
+        {"n_cells": 16, "reference_u": ["1.0"] * 16,
+         "reference_t": [0.0] * 16},
+        {"n_cells": 16, "reference_u": [0.0] * 16},
     ], ids=["wall_triple", "wall_single", "wall_number", "nu_string",
-            "coupling_bool", "omega_infinite", "tol_nan", "array"])
+            "coupling_bool", "omega_infinite", "tol_nan", "array",
+            "reference_nan", "reference_strings", "reference_u_only"])
     def test_ill_typed_channel_case_file_is_config_error(
             self, tmp_path, capsys, case):
         (tmp_path / "case.json").write_text(json.dumps(case))
@@ -1042,18 +1127,3 @@ class TestCli:
                      "--out", str(tmp_path / "rep")]) == 0
         assert (tmp_path / "rep" / "metrics.csv").exists()
         assert (tmp_path / "rep" / "summary.txt").exists()
-
-    def test_hv_of_points_file(self, tmp_path, capsys):
-        points = tmp_path / "points.csv"
-        points.write_text("1.0,3.0\n2.0,2.0\n3.0,1.0\n")
-        assert main(["hv", "--points", str(points)]) == 0
-        out = capsys.readouterr().out
-        assert "coverage: 0.25" in out
-
-    def test_hv_missing_file(self, tmp_path):
-        assert main(["hv", "--points", str(tmp_path / "nope.csv")]) == 1
-
-    def test_hv_non_numeric_file(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b\n1,2\n")
-        assert main(["hv", "--points", str(bad)]) == 1

@@ -38,18 +38,23 @@ def test_efficiency_study_pair_on_small_channel_run():
         load_run_config(ROOT / "configs" / "channel_run.json"),
         generations=3, population=12, offspring=6)
     before = ev.expensive_call_count()
-    (cov_ratio, eval_ratio, n_surrogate, n_baseline, surrogate_s,
-     baseline_s) = load_script("efficiency_study").run_pair(config, 0)
-    assert ev.expensive_call_count() - before == n_surrogate + n_baseline
-    assert eval_ratio == n_surrogate / n_baseline
-    assert surrogate_s > 0.0 and baseline_s > 0.0
+    pair = load_script("efficiency_study").run_pair(config, 0)
+    assert ev.expensive_call_count() - before == (pair.n_surrogate
+                                                  + pair.n_baseline)
+    assert pair.eval_ratio == pair.n_surrogate / pair.n_baseline
+    assert pair.surrogate_s > 0.0 and pair.baseline_s > 0.0
     # The baseline calls the evaluator once per distinct key it meets.
-    baseline, _ = run_training(dataclasses.replace(
+    baseline, metrics = run_training(dataclasses.replace(
         config, seed=0, surrogate_enabled=False))
     assert len(baseline.records) == 12 + 6 * 2
-    assert n_baseline == len({r.keys for r in baseline.records
-                              if r.provenance != "surrogate"})
-    assert math.isfinite(cov_ratio)
+    assert pair.n_baseline == len({r.keys for r in baseline.records
+                                   if r.provenance != "surrogate"})
+    # Both runs evaluate generation 0 alike, so they share its reference.
+    assert pair.shared_reference
+    gen0 = metrics.rows[0].expensive_cumulative
+    assert pair.later_eval_ratio == ((pair.n_surrogate - gen0)
+                                     / (pair.n_baseline - gen0))
+    assert math.isfinite(pair.hv_ratio) and pair.hv_ratio > 0.0
 
 
 def test_efficiency_study_prints_wall_times(monkeypatch, capsys):
@@ -58,17 +63,22 @@ def test_efficiency_study_prints_wall_times(monkeypatch, capsys):
 
     def run_pair(config, seed):
         surrogate_s, baseline_s = next(times)
-        return script.Pair(1.0, 0.5, 10 + seed, 20, surrogate_s, baseline_s)
+        return script.Pair(1.0, 0.5, 0.25, 10 + seed, 20, surrogate_s,
+                           baseline_s, True)
 
     monkeypatch.setattr(script, "run_pair", run_pair)
     script.main(["--seeds", "2"])
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["seed", "coverage_ratio", "eval_ratio",
-                                "expensive(surr/base)", "time_s(surr/base)",
-                                "time_ratio"]
+    assert lines[0].split() == ["seed", "hv_ratio", "eval_ratio",
+                                "later_eval_ratio", "expensive(surr/base)",
+                                "time_s(surr/base)", "time_ratio",
+                                "shared_reference"]
     assert [line.split() for line in lines[1:3]] == [
-        ["0", "1.0000", "0.5000", "10/20", "0.800/1.600", "0.5000"],
-        ["1", "1.0000", "0.5000", "11/20", "1.500/1.000", "1.5000"]]
+        ["0", "1.0000", "0.5000", "0.2500", "10/20", "0.800/1.600", "0.5000",
+         "True"],
+        ["1", "1.0000", "0.5000", "0.2500", "11/20", "1.500/1.000", "1.5000",
+         "True"]]
+    assert lines[3] == "median hv ratio:       1.0000"
     # The median of 0.5 and 1.5.
     assert lines[5] == "median time ratio:     1.0000"
 
@@ -88,7 +98,8 @@ def test_output_digests_on_small_config(tmp_path, capsys):
     assert [row[:3] for row in rows] == [
         ["small", mode, name]
         for mode in ("surrogate", "baseline")
-        for name in ("db.jsonl", "metrics.csv", "summary.txt")] + [
+        for name in ("db.jsonl", "metrics.csv", "summary.txt",
+                     "decisions")] + [
         ["small", mode, name]
         for mode in ("replay-surrogate", "replay-baseline")
         for name in ("metrics.csv", "summary.txt")]
@@ -96,11 +107,42 @@ def test_output_digests_on_small_config(tmp_path, capsys):
     db, _ = run_training(dataclasses.replace(
         load_run_config(path), seed=2, surrogate_enabled=False))
     written = db.write(tmp_path / "db.jsonl")
-    assert rows[3][3] == hashlib.sha256(written.read_bytes()).hexdigest()
+    assert rows[4][3] == hashlib.sha256(written.read_bytes()).hexdigest()
+    assert rows[7][3] == script.decisions_digest(db.records)
     # Replaying every record reproduces the baseline's own report.
-    assert [row[3] for row in rows[8:]] == [row[3] for row in rows[4:6]]
+    assert [row[3] for row in rows[10:]] == [row[3] for row in rows[5:7]]
     script.main([str(path), "--seed", "2"])
     assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_decisions_digest_ignores_predictions_only():
+    script = load_script("output_digests")
+    config = load_run_config(ROOT / "configs" / "symbolic_quadratic.json")
+    db, _ = run_training(dataclasses.replace(
+        config, generations=3, population=12, offspring=6,
+        surrogate=dataclasses.replace(config.surrogate, restarts=1)))
+    records = db.records
+    digest = script.decisions_digest(records)
+    surrogate = next(i for i, r in enumerate(records)
+                     if r.provenance == "surrogate")
+    true = next(i for i, r in enumerate(records)
+                if r.provenance == "expensive" and r.predicted is not None)
+
+    def changed(i, **fields):
+        return [dataclasses.replace(r, **fields) if k == i else r
+                for k, r in enumerate(records)]
+
+    # A GP mean moves neither a prediction's record nor a true outcome's.
+    nudged = tuple(v * (1 + 1e-15) for v in records[surrogate].objectives)
+    assert script.decisions_digest(changed(
+        surrogate, objectives=nudged, predicted=nudged)) == digest
+    assert script.decisions_digest(changed(
+        true, predicted=records[true].objectives)) == digest
+    # A true outcome and a provenance do.
+    assert script.decisions_digest(changed(
+        true, objectives=nudged)) != digest
+    assert script.decisions_digest(changed(
+        surrogate, provenance="cache")) != digest
 
 
 def test_output_digests_prefix_each_line_with_its_seed(monkeypatch, capsys):

@@ -325,10 +325,11 @@ class TestThresholds:
 class TestSelectGeneration:
     def test_non_finite_embedding_rejected(self):
         # Unusable candidates are the caller's to handle.
+        X = np.array([[0.0, 0.0], [1.0, 1.0]])
         pop = [make_candidate(0, [0.0, 0.0]), make_candidate(1, [np.nan, 0.0])]
         with pytest.raises(SelectionContractError, match="finite"):
-            select_generation(1, pop, None, SelectionHistory.empty(2, 2),
-                              SelectionConfig(m_fixed=1),
+            select_generation(1, pop, make_model(X, np.zeros((2, 2))),
+                              make_history(X), SelectionConfig(m_fixed=1),
                               np.random.default_rng(0))
 
     @pytest.mark.parametrize("gen, size", [(0, 1), (2, 0)])
@@ -341,13 +342,6 @@ class TestSelectGeneration:
         with pytest.raises(SelectionContractError, match="generation 1"):
             select_generation(gen, pop, make_model(X, np.zeros((2, 2))),
                               make_history(X), SelectionConfig(m_fixed=1),
-                              np.random.default_rng(0))
-
-    def test_later_generations_need_a_model(self):
-        pop = [make_candidate(0, [0.0, 0.0])]
-        with pytest.raises(SelectionContractError):
-            select_generation(1, pop, None, SelectionHistory.empty(2, 2),
-                              SelectionConfig(m_fixed=1),
                               np.random.default_rng(0))
 
     def test_gen_two_needs_a_threshold(self):
@@ -476,6 +470,25 @@ class TestSelectGeneration:
         assert np.all(np.isfinite(scalar))
         assert decision.selected_ids == apply_thresholds(scalar, front_index,
                                                          cfg, ids=[0, 1])
+
+
+class TestSelectionConfig:
+    @pytest.mark.parametrize("name", ["beta", "xi", "delta"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True, "0.5",
+                                     None])
+    def test_float_fields_must_be_finite_numbers(self, name, bad):
+        with pytest.raises(SelectionContractError, match=name):
+            SelectionConfig(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["m_init_rel", "m_rel"])
+    @pytest.mark.parametrize("bad", [True, False, "0.5"])
+    def test_ratios_must_be_numbers_or_none(self, name, bad):
+        with pytest.raises(SelectionContractError, match=name):
+            SelectionConfig(**{name: bad})
+
+    def test_integral_numbers_accepted(self):
+        cfg = SelectionConfig(beta=5, xi=0, delta=1, m_init_rel=0, m_rel=1)
+        assert (cfg.beta, cfg.xi, cfg.delta) == (5, 0, 1)
 
 
 class TestDefaultSelectionScaling:

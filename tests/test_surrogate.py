@@ -521,7 +521,7 @@ class TestFit:
         X, Y = search_data(p=1)
         vector = fit(X, Y[:, 0], restarts=2, rng=4)
         column = fit(X, Y, restarts=2, rng=4)
-        assert vector.n_objectives == 1
+        assert vector.Y.shape == (X.shape[0], 1)
         assert vector.kernel == column.kernel
         assert vector.sigmas.tolist() == column.sigmas.tolist()
 
@@ -725,7 +725,7 @@ class TestProfiledKernel:
         assert per_call and set(per_call) == {((14, p), 1)}
         # Then one factor for the scales, which is the model's factor.
         assert len(factorizations) == len(per_call) + 1
-        assert model.n_objectives == p
+        assert model.Y.shape[1] == p
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_one_triangular_solve_per_prediction_for_all_objectives(
@@ -802,7 +802,6 @@ class TestMultiOutput:
         X = rng.normal(size=(7, 2))
         Y = np.column_stack([X[:, 0], X[:, 1] ** 2])
         multi = fit_multi(X, Y, restarts=2, rng=rng)
-        assert multi.n_objectives == 2
         assert multi.X.shape == multi.Y.shape == (7, 2)
         assert multi.sigmas.shape == (2,) and multi.L.shape == (7, 7)
 

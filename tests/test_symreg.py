@@ -106,20 +106,20 @@ class TestGenotypeLayout:
         assert cfg.tail_len == 9
         assert cfg.genome_len == 17
 
-    def test_validate_flags_tail_operator(self):
-        g = make_genotype(I1, ADD, I2, head_len=1)
-        with pytest.raises(StructureError):
-            g.validate()
-
-    def test_validate_checks_tail_arithmetic(self):
-        g = make_genotype(ADD, I1, I2, head_len=1)
-        g.validate(max_arity=2)
-        with pytest.raises(StructureError):
-            g.validate(max_arity=3)
+    def test_decode_rejects_tail_operator(self):
+        g = make_genotype(ADD, ADD, I2, head_len=1)
+        with pytest.raises(StructureError, match="in tail"):
+            decode(g)
 
     def test_head_len_floor(self):
         with pytest.raises(ConfigurationError):
             GepConfig(head_len=0)
+
+
+def assert_layout(g, max_arity=2):
+    """Operators only in the head, and the tail the GEP rule's length."""
+    assert all(s.is_leaf() for s in g.symbols[g.head_len:])
+    assert len(g.symbols) - g.head_len == g.head_len * (max_arity - 1) + 1
 
 
 @st.composite
@@ -138,7 +138,7 @@ def genotypes(draw, head_len=None):
 class TestDecodeProperties:
     @given(genotypes())
     def test_every_layout_legal_string_decodes(self, g):
-        g.validate(max_arity=2)
+        assert_layout(g)
         tree = decode(g)
         assert tree.node in g.symbols
 
@@ -157,7 +157,7 @@ class TestDecodeProperties:
         symbols = SymbolSet(terminals=("I1", "J1"), n_constants=3)
         cfg = GepConfig(symbols=symbols, head_len=head_len)
         g = random_genotype(np.random.default_rng(seed), cfg)
-        g.validate(max_arity=symbols.max_arity)
+        assert_layout(g, symbols.max_arity)
         decode(g)
 
 
@@ -343,7 +343,7 @@ class TestVariation:
         child = mutate(g, rate, np.random.default_rng(seed), symbols)
         assert len(child.symbols) == len(g.symbols)
         assert child.head_len == g.head_len
-        child.validate(max_arity=2)
+        assert_layout(child)
 
     def test_mutation_rate_zero_is_identity(self):
         symbols = SymbolSet(terminals=("I1",), n_constants=1)
@@ -356,7 +356,7 @@ class TestVariation:
         ca, cb = crossover(a, b, np.random.default_rng(seed))
         for child in (ca, cb):
             assert len(child.symbols) == len(a.symbols)
-            child.validate(max_arity=2)
+            assert_layout(child)
         merged = sorted(ca.symbols + cb.symbols, key=id)
         assert merged == sorted(a.symbols + b.symbols, key=id)
 
@@ -572,4 +572,4 @@ class TestRanking:
         for child in children:
             assert len(child.genotypes) == 2
             for g in child.genotypes:
-                g.validate(max_arity=2)
+                assert_layout(g)
