@@ -8,15 +8,17 @@ candidates earn a true evaluation against an expensive oracle (evaluators);
 the orchestrator runs the loop, persists every outcome, and supports
 passive replay of stored runs; metrics provides the Pareto front, the
 hypervolume against each run's one reference point, and the run reports.
+Every config block checks its fields by their declared types (fields).
 """
 
-from . import (cli, embedding, evaluators, metrics, orchestrator, selection,
-               surrogate, symreg)
+from . import (cli, embedding, evaluators, fields, metrics, orchestrator,
+               selection, surrogate, symreg)
 
 __all__ = [
     "cli",
     "embedding",
     "evaluators",
+    "fields",
     "metrics",
     "orchestrator",
     "selection",

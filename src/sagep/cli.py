@@ -12,7 +12,6 @@ runtime error.  SAGEP_LOG_LEVEL controls log verbosity
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
@@ -64,11 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = load_run_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    # The flags replace config fields before the config is checked.
+    overrides = {} if args.seed is None else {"seed": args.seed}
     if args.baseline:
-        config = dataclasses.replace(config, surrogate_enabled=False)
+        overrides["surrogate_enabled"] = False
+    config = load_run_config(args.config, **overrides)
     db, metrics = run_training(config)
     out_dir = Path(config.output_dir)
     db_path = db.write(out_dir / "db.jsonl")

@@ -24,22 +24,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .fields import ConfigError
 from .symreg import polynomials_eval
 
 __all__ = [
     "FeatureTable",
     "NormStats",
-    "IngestError",
     "ingest_feature_table",
     "write_feature_table",
     "embed",
     "fit_norm_stats",
     "normalize",
 ]
-
-
-class IngestError(ValueError):
-    """A feature table file is malformed."""
 
 
 @dataclass(frozen=True)
@@ -51,11 +47,11 @@ class FeatureTable:
     def __post_init__(self):
         lengths = {name: len(col) for name, col in self.columns.items()}
         if not lengths:
-            raise IngestError("feature table has no columns")
+            raise ConfigError("feature table has no columns")
         if len(set(lengths.values())) != 1:
-            raise IngestError(f"ragged feature table: {lengths}")
+            raise ConfigError(f"ragged feature table: {lengths}")
         if next(iter(lengths.values())) == 0:
-            raise IngestError("feature table has no rows")
+            raise ConfigError("feature table has no rows")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -80,16 +76,16 @@ def ingest_feature_table(path: str | Path) -> FeatureTable:
             reader = csv.reader(fh)
             rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     except OSError as exc:
-        raise IngestError(f"cannot read feature table {path}: {exc}") from None
+        raise ConfigError(f"cannot read feature table {path}: {exc}") from None
     if not rows:
-        raise IngestError(f"feature table {path} is empty")
+        raise ConfigError(f"feature table {path} is empty")
     header = [cell.strip() for cell in rows[0]]
     if len(set(header)) != len(header):
-        raise IngestError(f"duplicate column names in {path}: {header}")
+        raise ConfigError(f"duplicate column names in {path}: {header}")
     data: list[list[float]] = []
     for row_idx, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise IngestError(
+            raise ConfigError(
                 f"{path}: row {row_idx} has {len(row)} cells, "
                 f"header has {len(header)}")
         parsed = []
@@ -97,17 +93,17 @@ def ingest_feature_table(path: str | Path) -> FeatureTable:
             try:
                 value = float(cell)
             except ValueError:
-                raise IngestError(
+                raise ConfigError(
                     f"{path}: row {row_idx}, column {name!r}: "
                     f"cannot parse {cell.strip()!r} as float") from None
             if not np.isfinite(value):
-                raise IngestError(
+                raise ConfigError(
                     f"{path}: row {row_idx}, column {name!r}: "
                     f"non-finite value {value}")
             parsed.append(value)
         data.append(parsed)
     if not data:
-        raise IngestError(f"feature table {path} has a header but no rows")
+        raise ConfigError(f"feature table {path} has a header but no rows")
     array = np.asarray(data, dtype=float)
     columns = {name: array[:, k].copy() for k, name in enumerate(header)}
     return FeatureTable(columns=columns)

@@ -39,14 +39,14 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
 from .embedding import FeatureTable
-from .symreg import (DIVERGENCE_SENTINEL, ConfigurationError, ConstantsPool,
-                     ExprTree, parse_expression, plan_eval, polynomial_plan,
+from .fields import ConfigError, check_fields
+from .symreg import (DIVERGENCE_SENTINEL, ConstantsPool, ExprTree,
+                     parse_expression, plan_eval, polynomial_plan,
                      polynomials_eval, preorder, tree_polynomial)
 
 __all__ = [
     "EvaluationOutcome",
     "ChannelCase",
-    "SetupError",
     "SymbolicBenchmark",
     "ChannelEvaluator",
     "make_reference",
@@ -54,10 +54,6 @@ __all__ = [
     "load_channel_case",
     "expensive_call_count",
 ]
-
-
-class SetupError(RuntimeError):
-    """An evaluator cannot be constructed from the given case."""
 
 
 _expensive_calls = 0
@@ -97,7 +93,7 @@ def _polynomial(slot: Slot, pool: ConstantsPool | None) -> Mapping:
         return slot
     if pool is None and any(sym.kind == "const" for sym in preorder(slot)):
         # Opaque constants "c<i>" would be looked up as feature columns.
-        raise ConfigurationError(
+        raise ConfigError(
             "tree references a constant but no pool was given")
     return tree_polynomial(slot, pool)
 
@@ -125,24 +121,24 @@ class SymbolicBenchmark:
         self.targets = tuple(parse_expression(t) if isinstance(t, str) else t
                              for t in targets)
         if not self.targets:
-            raise SetupError("benchmark needs at least one target expression")
+            raise ConfigError("benchmark needs at least one target expression")
         self.slot_of_objective = (tuple(range(len(self.targets)))
                                   if slot_of_objective is None
                                   else tuple(slot_of_objective))
         if len(self.slot_of_objective) != len(self.targets):
-            raise SetupError("slot map must align with targets")
+            raise ConfigError("slot map must align with targets")
         if min(self.slot_of_objective) < 0:
-            raise SetupError("slot_of_objective entries must be >= 0")
+            raise ConfigError("slot_of_objective entries must be >= 0")
         self.n_slots = max(self.slot_of_objective) + 1
         self.n_objectives = len(self.targets)
         try:
             self._target_values = polynomials_eval(
                 [_polynomial(t, None) for t in self.targets], table.columns)
         except KeyError as exc:
-            raise SetupError(
+            raise ConfigError(
                 f"targets name columns the table lacks: {exc}") from None
         if not np.all(np.isfinite(self._target_values)):
-            raise SetupError("target expressions must be finite on the table")
+            raise ConfigError("target expressions must be finite on the table")
 
     @property
     def terminals(self) -> tuple[str, ...]:
@@ -177,17 +173,6 @@ class SymbolicBenchmark:
 # 1-D coupled channel
 
 
-_FLOAT_FIELDS = ("forcing", "coupling", "nu", "alpha_base", "nut_max", "omega",
-                 "tol", "damping")
-
-
-def _finite_number(value) -> bool:
-    """A finite int or float; a bool is not a number."""
-    return (not isinstance(value, bool)
-            and isinstance(value, (int, float, np.integer, np.floating))
-            and bool(np.isfinite(value)))
-
-
 @dataclass(frozen=True)
 class ChannelCase:
     """Definition of the toy wall-bounded coupled flow problem.
@@ -215,50 +200,24 @@ class ChannelCase:
     reference_t: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("n_cells", "max_iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise SetupError(f"invalid channel case: {name} must be an "
-                                 f"integer, got {value!r}")
-        for name in _FLOAT_FIELDS:
-            if not _finite_number(getattr(self, name)):
-                raise SetupError(f"invalid channel case: {name} must be a "
-                                 f"finite number, got {getattr(self, name)!r}")
-        for name in ("wall_u", "wall_t"):
-            wall = getattr(self, name)
-            if (not isinstance(wall, (tuple, list)) or len(wall) != 2
-                    or not all(map(_finite_number, wall))):
-                raise SetupError(f"invalid channel case: {name} must be a "
-                                 f"pair of finite numbers, got {wall!r}")
-            object.__setattr__(self, name, tuple(float(v) for v in wall))
+        check_fields(self)
         if self.n_cells < 8:
-            raise SetupError("n_cells must be >= 8")
+            raise ConfigError("n_cells must be >= 8")
         if self.tol <= 0:
-            raise SetupError("tol must be positive")
+            raise ConfigError("tol must be positive")
         if not 0 < self.damping <= 1:
-            raise SetupError("damping must lie in (0, 1]")
+            raise ConfigError("damping must lie in (0, 1]")
         if self.omega <= 0:
-            raise SetupError("omega must be positive")
+            raise ConfigError("omega must be positive")
         if len(self.truth_exprs) not in (2, 3):
-            raise SetupError("truth_exprs must be (g, alpha) or (g, r, alpha)")
-        given = [name for name in ("reference_u", "reference_t")
-                 if getattr(self, name) is not None]
-        if len(given) == 1:
-            raise SetupError("invalid channel case: reference_u and "
-                             "reference_t come together or not at all")
-        for name in given:
-            ref = getattr(self, name)
-            if (not isinstance(ref, (tuple, list, np.ndarray))
-                    or not all(map(_finite_number, ref))):
-                raise SetupError(f"invalid channel case: {name} must be a "
-                                 "list of finite numbers")
-            if len(ref) != self.n_cells:
-                raise SetupError("reference profiles must match n_cells")
-            object.__setattr__(self, name, np.asarray(ref, dtype=float))
-
-    @property
-    def slot_names(self) -> tuple[str, ...]:
-        return ("g", "alpha") if len(self.truth_exprs) == 2 else ("g", "r", "alpha")
+            raise ConfigError(
+                "truth_exprs must be (g, alpha) or (g, r, alpha)")
+        if (self.reference_u is None) != (self.reference_t is None):
+            raise ConfigError(
+                "reference_u and reference_t come together or not at all")
+        for ref in (self.reference_u, self.reference_t):
+            if ref is not None and len(ref) != self.n_cells:
+                raise ConfigError("reference profiles must match n_cells")
 
     def grid(self) -> tuple[np.ndarray, float]:
         y = np.linspace(0.0, 1.0, self.n_cells)
@@ -415,10 +374,10 @@ def make_reference(case: ChannelCase) -> ChannelCase:
         u, T, _, ok = _solve_batch(case, [_closure_slots(truth)],
                                    case.tol / 10.0)[0]
     except KeyError as exc:
-        raise SetupError(
+        raise ConfigError(
             f"truth expressions name unknown features: {exc}") from None
     if not ok:
-        raise SetupError("truth expressions diverge on this case")
+        raise ConfigError("truth expressions diverge on this case")
     return replace(case, reference_u=u, reference_t=T)
 
 
@@ -439,28 +398,29 @@ def load_channel_case(source: str | Path | dict) -> ChannelCase:
             with open(source) as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise SetupError(f"cannot load channel case {source}: {exc}") from None
+            raise ConfigError(
+                f"cannot load channel case {source}: {exc}") from None
     else:
         raw = source
     if not isinstance(raw, dict):
-        raise SetupError("channel case must be a JSON object, got "
-                         f"{type(raw).__name__}")
+        raise ConfigError("channel case must be a JSON object, got "
+                          f"{type(raw).__name__}")
     kwargs = dict(raw)
     truth = kwargs.pop("truth", None)
     unknown = (set(kwargs) - {f.name for f in fields(ChannelCase)}
                - {"truth_exprs"})
     if unknown:
-        raise SetupError(f"unknown channel case fields {sorted(unknown)}")
+        raise ConfigError(f"unknown channel case fields {sorted(unknown)}")
     try:
         if truth is not None:
             order = ("g", "r", "alpha") if "r" in truth else ("g", "alpha")
             unknown = set(truth) - set(order)
             if unknown:
-                raise SetupError(f"unknown truth slots {sorted(unknown)}")
-            kwargs["truth_exprs"] = tuple(str(truth[k]) for k in order)
+                raise ConfigError(f"unknown truth slots {sorted(unknown)}")
+            kwargs["truth_exprs"] = tuple(truth[k] for k in order)
         case = ChannelCase(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise SetupError(f"invalid channel case: {exc}") from None
+        raise ConfigError(f"invalid channel case: {exc}") from None
     if case.reference_u is None:
         case = make_reference(case)
     return case
@@ -482,7 +442,7 @@ class ChannelEvaluator:
         u, T, _, ok = _solve_batch(self.case, [({}, {}, {})],
                                    self.case.tol)[0]
         if not ok:
-            raise SetupError("zero-correction baseline solve diverged")
+            raise ConfigError("zero-correction baseline solve diverged")
         _, h = self.case.grid()
         return FeatureTable(columns=dict(zip(
             _CHANNEL_TERMINALS, _channel_factors(self.case, u, T, h))))

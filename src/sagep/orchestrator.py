@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -42,6 +43,7 @@ from . import metrics as metrics_mod
 from . import selection as sel_mod
 from . import surrogate as sur_mod
 from . import symreg
+from .fields import ConfigError, check_fields, field_types, integer, number
 
 __all__ = [
     "ConfigError",
@@ -75,35 +77,12 @@ _TRUE_OUTCOMES = ("expensive", "cache")
 _PROVENANCES = _TRUE_OUTCOMES + ("surrogate",)
 
 
-class ConfigError(ValueError):
-    """A run configuration is malformed or references missing files."""
-
-
 class RunError(RuntimeError):
     """A training run cannot proceed."""
 
 
 class ReplayError(RuntimeError):
     """A stored database cannot be replayed."""
-
-
-# Field types, as config and database readers check them: a bool is neither
-# an integer nor a number (selection's rule, shared), and only a bool is a
-# bool.
-_integer, _number, _optional = (sel_mod._integer, sel_mod._number,
-                                sel_mod._optional)
-_bool = lambda v: isinstance(v, bool)
-_string = lambda v: isinstance(v, str)
-_pair = lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(_number, v))
-
-
-def _require(settings, what: str, ok: Callable[[object], bool],
-             *names: str) -> None:
-    """ConfigError unless each named field of settings passes ok."""
-    for name in names:
-        value = getattr(settings, name)
-        if not ok(value):
-            raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -116,9 +95,12 @@ class GepSettings:
     crossover_rate: float = 0.9
 
     def __post_init__(self):
-        _require(self, "an integer", _integer, "head_len", "n_constants")
-        _require(self, "a number", _number, "mutation_rate", "crossover_rate")
-        _require(self, "a pair of numbers", _pair, "const_range")
+        check_fields(self)
+        # The constants pool draws from the range: its width is a float too.
+        low, high = self.const_range
+        if not low < high or not math.isfinite(float(high) - float(low)):
+            raise ConfigError("const_range must be (low, high) with low < "
+                              f"high and a finite width, got {(low, high)!r}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +108,7 @@ class EmbeddingSettings:
     feature_table: str | None = None
 
     def __post_init__(self):
-        _require(self, "a string or null", _optional(_string), "feature_table")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -135,17 +117,13 @@ class SurrogateSettings:
     bounds: sur_mod.ParamBounds = field(default_factory=sur_mod.ParamBounds)
 
     def __post_init__(self):
-        _require(self, "an integer", _integer, "restarts")
+        check_fields(self)
         if self.restarts < 1:
             raise ConfigError("surrogate restarts must be >= 1")
-        _require(self.bounds, "a pair of numbers", _pair, "sigma", "ell",
-                 "alpha", "noise")
-        # Bounds failing these checks leave no point the LML can evaluate, so
+        # Under bounds failing this check the LML can evaluate no point, so
         # every fit would fall back to defaults; the RQ kernel's denominator
         # 2 * alpha * ell**2 is smallest at the box's lower corner.
         b = self.bounds
-        if not np.all(np.isfinite([b.sigma, b.ell, b.alpha, b.noise])):
-            raise ConfigError("surrogate bounds must be finite")
         if 2.0 * b.alpha[0] * b.ell[0] ** 2 == 0.0:
             raise ConfigError(
                 "surrogate bounds: 2 * alpha * ell**2 underflows to 0 at "
@@ -161,9 +139,7 @@ class EvaluatorSpec:
     slot_of_objective: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        _require(self, "a string, an object or null",
-                 _optional(lambda v: isinstance(v, (str, dict))), "case")
-        _require(self, "a string or null", _optional(_string), "table")
+        check_fields(self)
         if self.kind not in ("channel", "symbolic"):
             raise ConfigError(f"unknown evaluator kind {self.kind!r}")
         if self.kind == "symbolic" and (self.table is None or not self.targets):
@@ -191,10 +167,7 @@ class RunConfig:
     evaluator: EvaluatorSpec = field(default_factory=EvaluatorSpec)
 
     def __post_init__(self):
-        _require(self, "an integer", _integer, "seed", "generations",
-                 "population", "offspring")
-        _require(self, "a bool", _bool, "surrogate_enabled")
-        _require(self, "a string", _string, "output_dir")
+        check_fields(self)
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.generations < 1:
@@ -203,6 +176,12 @@ class RunConfig:
         # statistics on the generation-0 population
         if self.population < 2 or self.offspring < 1:
             raise ConfigError("population must be >= 2 and offspring >= 1")
+        # Selection thresholds the surrogate's picks from generation 2 on.
+        if (self.surrogate_enabled and self.generations >= 3
+                and not self.selection_config().has_threshold()):
+            raise ConfigError(
+                "selection: a surrogate run of 3 or more generations needs "
+                "at least one of m_fixed, m_rel, m_pareto")
 
     def selection_config(self) -> sel_mod.SelectionConfig:
         if self.selection is not None:
@@ -210,26 +189,27 @@ class RunConfig:
         return sel_mod.default_selection_config(self.population)
 
 
-# Settings blocks nested in a config object, and the fields that name files.
-_BLOCKS = {"gep": GepSettings, "embedding": EmbeddingSettings,
-           "surrogate": SurrogateSettings, "bounds": sur_mod.ParamBounds,
-           "evaluator": EvaluatorSpec}
+# Fields that name files; every one but output_dir names an input.
 _PATH_FIELDS = ("output_dir", "feature_table", "case", "table")
 
 
 def _settings(cls, raw: dict, base_dir: Path | None):
-    """cls built from one JSON object: nested blocks are built the same way,
-    arrays become tuples, and relative paths resolve against base_dir."""
+    """cls built from one JSON object: an object given for a field typed as
+    a config block is built the same way, relative paths resolve against
+    base_dir, and an input file must exist."""
+    types = field_types(cls)
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} fields {sorted(unknown)}")
     kwargs = {}
-    for name, value in dict(raw).items():
-        if name in _BLOCKS:
-            value = _settings(_BLOCKS[name], value, base_dir)
-        elif isinstance(value, list):
-            value = tuple(value)
+    for name, value in raw.items():
+        if isinstance(value, dict) and dataclasses.is_dataclass(types[name]):
+            value = _settings(types[name], value, base_dir)
         elif name in _PATH_FIELDS and isinstance(value, str):
-            path = Path(value)
-            if base_dir is not None and not path.is_absolute():
-                value = str(base_dir / path)
+            if base_dir is not None and not Path(value).is_absolute():
+                value = str(base_dir / value)
+            if name != "output_dir" and not Path(value).exists():
+                raise ConfigError(f"{name} not found: {value}")
         kwargs[name] = value
     return cls(**kwargs)
 
@@ -241,30 +221,20 @@ def build_run_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     so a config plus its referenced files stay relocatable as a unit.
     """
     raw = dict(raw)
-    sel_raw = raw.pop("selection", None)
-    try:
-        config = _settings(RunConfig, raw, base_dir)
-        if sel_raw is not None:
-            # Overrides apply on top of the defaults for the real population.
-            config = dataclasses.replace(config, selection=dataclasses.replace(
-                sel_mod.default_selection_config(config.population),
-                **sel_raw))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid run configuration: {exc}") from None
-
-    for label, path in (("feature table", config.embedding.feature_table),
-                        ("evaluator case",
-                         config.evaluator.case
-                         if isinstance(config.evaluator.case, str) else None),
-                        ("evaluator table", config.evaluator.table)):
-        if path is not None and not Path(path).exists():
-            raise ConfigError(f"{label} not found: {path}")
-    return config
+    selection = raw.pop("selection", None)
+    config = _settings(RunConfig, raw, base_dir)
+    if isinstance(selection, dict):
+        # Overrides apply on top of the defaults for the real population.
+        defaults = sel_mod.default_selection_config(config.population)
+        selection = _settings(sel_mod.SelectionConfig,
+                              {**dataclasses.asdict(defaults), **selection},
+                              base_dir)
+    return dataclasses.replace(config, selection=selection)
 
 
-def load_run_config(path: str | Path) -> RunConfig:
+def load_run_config(path: str | Path, **overrides) -> RunConfig:
+    """The config a JSON file holds, with overrides in place of its
+    top-level fields of the same names."""
     path = Path(path)
     try:
         with open(path) as fh:
@@ -275,7 +245,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    return build_run_config(raw, base_dir=path.parent)
+    return build_run_config({**raw, **overrides}, base_dir=path.parent)
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +291,17 @@ class EvaluationRecord:
 
         def numbers(name: str) -> tuple[float, ...]:
             return tuple(float(v) for v in typed(name, "a list of numbers",
-                                                 list_of(_number)))
+                                                 list_of(number)))
 
-        return cls(generation=typed("generation", "an integer", _integer),
-                   id=typed("id", "an integer", _integer),
+        return cls(generation=typed("generation", "an integer", integer),
+                   id=typed("id", "an integer", integer),
                    keys=tuple(typed("keys", "a list of strings", strings)),
                    embedding=numbers("embedding"),
                    objectives=numbers("objectives"),
-                   converged=typed("converged", "a bool", _bool),
+                   converged=typed("converged", "a bool",
+                                   lambda v: isinstance(v, bool)),
                    provenance=payload["provenance"],
-                   wall_time=float(typed("wall_time", "a number", _number)),
+                   wall_time=float(typed("wall_time", "a number", number)),
                    predicted=(None if payload.get("predicted") is None
                               else numbers("predicted")))
 
@@ -599,29 +570,25 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
     """
     init_rng, pool_seed, evolve_rngs, select_rngs, fit_rngs = _streams(
         config.seed, config.generations)
-    try:
-        evaluator = build_evaluator(config.evaluator)
-        if config.embedding.feature_table is not None:
-            table = emb_mod.ingest_feature_table(config.embedding.feature_table)
-            missing = set(evaluator.terminals) - set(table.names)
-            if missing:
-                raise ConfigError(
-                    f"feature table lacks terminals {sorted(missing)}")
-        else:
-            table = evaluator.baseline_table()
-        symbols = symreg.SymbolSet(operators=config.gep.operators,
-                                   terminals=tuple(evaluator.terminals),
-                                   n_constants=config.gep.n_constants)
-        gep_config = symreg.GepConfig(symbols=symbols,
-                                      head_len=config.gep.head_len,
-                                      mutation_rate=config.gep.mutation_rate,
-                                      crossover_rate=config.gep.crossover_rate)
-        pool = symreg.ConstantsPool.from_seed(
-            pool_seed, size=config.gep.n_constants,
-            low=config.gep.const_range[0], high=config.gep.const_range[1])
-    except (eval_mod.SetupError, emb_mod.IngestError,
-            symreg.ConfigurationError, symreg.ExpressionSyntaxError) as exc:
-        raise ConfigError(str(exc)) from exc
+    evaluator = build_evaluator(config.evaluator)
+    if config.embedding.feature_table is not None:
+        table = emb_mod.ingest_feature_table(config.embedding.feature_table)
+        missing = set(evaluator.terminals) - set(table.names)
+        if missing:
+            raise ConfigError(
+                f"feature table lacks terminals {sorted(missing)}")
+    else:
+        table = evaluator.baseline_table()
+    symbols = symreg.SymbolSet(operators=config.gep.operators,
+                               terminals=tuple(evaluator.terminals),
+                               n_constants=config.gep.n_constants)
+    gep_config = symreg.GepConfig(symbols=symbols,
+                                  head_len=config.gep.head_len,
+                                  mutation_rate=config.gep.mutation_rate,
+                                  crossover_rate=config.gep.crossover_rate)
+    pool = symreg.ConstantsPool.from_seed(
+        pool_seed, size=config.gep.n_constants,
+        low=config.gep.const_range[0], high=config.gep.const_range[1])
     p = evaluator.n_objectives
     n_slots = evaluator.n_slots
 

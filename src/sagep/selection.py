@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .fields import ConfigError, check_fields
 from .surrogate import MultiGp, _halton, _sqdist, predict_multi_batch
 from .symreg import Candidate, fast_nondominated_sort
 
@@ -52,14 +53,6 @@ class SelectionContractError(ValueError):
     """A selection call violates its preconditions."""
 
 
-# Field types: a bool is neither an integer nor a number.
-_integer = lambda v: (isinstance(v, (int, np.integer))
-                      and not isinstance(v, bool))
-_number = lambda v: _integer(v) or isinstance(v, (float, np.floating))
-_finite = lambda v: _number(v) and math.isfinite(v)
-_optional = lambda ok: lambda v: v is None or ok(v)
-
-
 @dataclass(frozen=True)
 class SelectionConfig:
     """Acquisition metric plus the threshold battery of the selection loop.
@@ -79,35 +72,23 @@ class SelectionConfig:
     m_pareto: int | None = None
 
     def __post_init__(self):
-        for name, what, ok in (
-                ("n_init", "an integer", _integer),
-                ("m_fixed", "an integer or null", _optional(_integer)),
-                ("m_pareto", "an integer or null", _optional(_integer)),
-                ("beta", "a finite number", _finite),
-                ("xi", "a finite number", _finite),
-                ("delta", "a finite number", _finite),
-                ("m_init_rel", "a number or null", _optional(_number)),
-                ("m_rel", "a number or null", _optional(_number))):
-            value = getattr(self, name)
-            if not ok(value):
-                raise SelectionContractError(
-                    f"{name} must be {what}, got {value!r}")
+        check_fields(self)
         if self.metric not in ("lcb", "ei"):
-            raise SelectionContractError(f"unknown metric {self.metric!r}")
+            raise ConfigError(f"unknown metric {self.metric!r}")
         if self.beta < 0 or self.xi < 0:
-            raise SelectionContractError("beta and xi must be >= 0")
+            raise ConfigError("beta and xi must be >= 0")
         if not 0.0 < self.delta <= 1.0:
-            raise SelectionContractError("delta must lie in (0, 1]")
+            raise ConfigError("delta must lie in (0, 1]")
         if self.n_init < 1:
-            raise SelectionContractError("n_init must be >= 1")
+            raise ConfigError("n_init must be >= 1")
         if self.m_init_rel is not None and not 0.0 <= self.m_init_rel <= 1.0:
-            raise SelectionContractError("m_init_rel must lie in [0, 1]")
+            raise ConfigError("m_init_rel must lie in [0, 1]")
         if self.m_fixed is not None and self.m_fixed < 1:
-            raise SelectionContractError("m_fixed must be >= 1")
+            raise ConfigError("m_fixed must be >= 1")
         if self.m_rel is not None and not 0.0 <= self.m_rel <= 1.0:
-            raise SelectionContractError("m_rel must lie in [0, 1]")
+            raise ConfigError("m_rel must lie in [0, 1]")
         if self.m_pareto is not None and self.m_pareto < 1:
-            raise SelectionContractError("m_pareto must be >= 1")
+            raise ConfigError("m_pareto must be >= 1")
 
     def has_threshold(self) -> bool:
         return any(v is not None for v in (self.m_fixed, self.m_rel,

@@ -53,6 +53,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
+from .fields import ConfigError, check_fields
+
 __all__ = [
     "NOISE_FLOOR",
     "JITTER_LADDER",
@@ -128,12 +130,13 @@ class ParamBounds:
     noise: tuple[float, float] = (NOISE_FLOOR, 1e1)
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("sigma", "ell", "alpha", "noise"):
             lo, hi = getattr(self, name)
             if not (0 < lo < hi):
-                raise ValueError(f"invalid bounds for {name}: ({lo}, {hi})")
+                raise ConfigError(f"invalid bounds for {name}: ({lo}, {hi})")
         if self.noise[0] < NOISE_FLOOR:
-            raise ValueError(f"noise lower bound below floor {NOISE_FLOOR}")
+            raise ConfigError(f"noise lower bound below floor {NOISE_FLOOR}")
 
     def log_box(self) -> tuple[np.ndarray, np.ndarray]:
         lo = np.log([self.sigma[0], self.ell[0], self.alpha[0], self.noise[0]])

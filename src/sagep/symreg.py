@@ -28,6 +28,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .fields import ConfigError
+
 __all__ = [
     "DIVERGENCE_SENTINEL",
     "OP_TABLE",
@@ -39,8 +41,6 @@ __all__ = [
     "ExprTree",
     "Candidate",
     "StructureError",
-    "ConfigurationError",
-    "ExpressionSyntaxError",
     "op_symbol",
     "terminal",
     "constant",
@@ -73,14 +73,6 @@ DIVERGENCE_SENTINEL = 9999.0
 
 class StructureError(ValueError):
     """A genotype or tree violates the head/tail layout contract."""
-
-
-class ConfigurationError(ValueError):
-    """An engine configuration cannot produce valid genotypes."""
-
-
-class ExpressionSyntaxError(ValueError):
-    """A textual expression uses syntax outside the supported ring ops."""
 
 
 # name -> (arity, implementation).  All operators are closed over floats and
@@ -116,7 +108,7 @@ class Symbol:
 
 def op_symbol(name: str) -> Symbol:
     if name not in OP_TABLE:
-        raise ConfigurationError(f"unknown operator {name!r}")
+        raise ConfigError(f"unknown operator {name!r}")
     return Symbol(kind="op", name=name, arity=OP_TABLE[name][0])
 
 
@@ -126,7 +118,7 @@ def terminal(name: str) -> Symbol:
 
 def constant(index: int) -> Symbol:
     if index < 0:
-        raise ConfigurationError("constant index must be non-negative")
+        raise ConfigError("constant index must be non-negative")
     return Symbol(kind="const", index=index)
 
 
@@ -150,9 +142,9 @@ class ConstantsPool:
     def from_seed(cls, seed: int, size: int = 5,
                   low: float = -2.0, high: float = 2.0) -> "ConstantsPool":
         if size < 0:
-            raise ConfigurationError("constant pool size must be >= 0")
+            raise ConfigError("constant pool size must be >= 0")
         if not low < high:
-            raise ConfigurationError("constant range must be non-empty")
+            raise ConfigError("constant range must be non-empty")
         rng = np.random.default_rng(seed)
         values = tuple(float(v) for v in rng.uniform(low, high, size=size))
         return cls(values=values, seed=int(seed))
@@ -172,11 +164,11 @@ class SymbolSet:
     def __post_init__(self):
         for name in self.operators:
             if name not in OP_TABLE:
-                raise ConfigurationError(f"unknown operator {name!r}")
+                raise ConfigError(f"unknown operator {name!r}")
         if not self.operators:
-            raise ConfigurationError("symbol set needs at least one operator")
+            raise ConfigError("symbol set needs at least one operator")
         if not self.terminals and self.n_constants == 0:
-            raise ConfigurationError("symbol set needs terminals or constants")
+            raise ConfigError("symbol set needs terminals or constants")
         # Built once: a draw indexes into these, so their order is fixed.
         leaves = (tuple(terminal(name) for name in self.terminals)
                   + tuple(constant(i) for i in range(self.n_constants)))
@@ -206,19 +198,15 @@ class GepConfig:
 
     def __post_init__(self):
         if self.head_len < 1:
-            raise ConfigurationError("head length must be >= 1")
+            raise ConfigError("head length must be >= 1")
         if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ConfigurationError("mutation rate must lie in [0, 1]")
+            raise ConfigError("mutation rate must lie in [0, 1]")
         if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ConfigurationError("crossover rate must lie in [0, 1]")
+            raise ConfigError("crossover rate must lie in [0, 1]")
 
     @property
     def tail_len(self) -> int:
         return self.head_len * (self.symbols.max_arity - 1) + 1
-
-    @property
-    def genome_len(self) -> int:
-        return self.head_len + self.tail_len
 
 
 @dataclass(frozen=True)
@@ -300,7 +288,7 @@ def eval_tree(tree: ExprTree, row: Mapping[str, float],
     The reference semantics the tests check the canonical polynomial
     against; the package evaluates expressions with plan_eval.
     Unknown terminal names raise KeyError; a constant reference without a
-    pool raises ConfigurationError.  Arithmetic itself is never trapped, so
+    pool raises ConfigError.  Arithmetic itself is never trapped, so
     overflow propagates as inf/nan for the caller to detect.
     """
     sym = tree.node
@@ -313,12 +301,12 @@ def eval_tree(tree: ExprTree, row: Mapping[str, float],
         return sym.value
     if sym.kind == "const":
         if pool is None:
-            raise ConfigurationError(
+            raise ConfigError(
                 "tree references a constant but no pool was given")
         try:
             return pool.values[sym.index]
         except IndexError:
-            raise ConfigurationError(
+            raise ConfigError(
                 f"constant index {sym.index} outside pool of "
                 f"size {len(pool)}") from None
     fn = OP_TABLE[sym.name][1]
@@ -473,7 +461,7 @@ def parse_expression(text: str) -> ExprTree:
     try:
         root = ast.parse(text, mode="eval").body
     except SyntaxError as exc:
-        raise ExpressionSyntaxError(f"cannot parse expression: {exc}") from None
+        raise ConfigError(f"cannot parse expression: {exc}") from None
 
     binops = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
 
@@ -490,7 +478,7 @@ def parse_expression(text: str) -> ExprTree:
             return ExprTree(literal(float(node.value)))
         if isinstance(node, ast.Name):
             return ExprTree(terminal(node.id))
-        raise ExpressionSyntaxError(
+        raise ConfigError(
             f"unsupported syntax {type(node).__name__} in expression {text!r}")
 
     return convert(root)

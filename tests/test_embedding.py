@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from sagep.embedding import (
     FeatureTable,
-    IngestError,
     NormStats,
     embed,
     fit_norm_stats,
@@ -18,6 +17,7 @@ from sagep.embedding import (
     normalize,
     write_feature_table,
 )
+from sagep.fields import ConfigError
 from sagep.symreg import (
     ConstantsPool,
     ExprTree,
@@ -42,13 +42,13 @@ def table_from(**columns):
 
 class TestFeatureTable:
     def test_rejects_ragged_columns(self):
-        with pytest.raises(IngestError):
+        with pytest.raises(ConfigError):
             table_from(a=[1.0, 2.0], b=[1.0])
 
     def test_rejects_empty(self):
-        with pytest.raises(IngestError):
+        with pytest.raises(ConfigError):
             FeatureTable(columns={})
-        with pytest.raises(IngestError):
+        with pytest.raises(ConfigError):
             table_from(a=[])
 
     def test_mean_row(self):
@@ -71,29 +71,29 @@ class TestIngest:
     def test_bad_cell_reports_row_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("I1,J1\n1.0,2.0\noops,3.0\n")
-        with pytest.raises(IngestError, match=r"row 3.*'I1'"):
+        with pytest.raises(ConfigError, match=r"row 3.*'I1'"):
             ingest_feature_table(path)
 
     def test_non_finite_cell_rejected(self, tmp_path):
         path = tmp_path / "inf.csv"
         path.write_text("I1\ninf\n")
-        with pytest.raises(IngestError, match="non-finite"):
+        with pytest.raises(ConfigError, match="non-finite"):
             ingest_feature_table(path)
 
     def test_width_mismatch_rejected(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("I1,J1\n1.0\n")
-        with pytest.raises(IngestError, match="row 2"):
+        with pytest.raises(ConfigError, match="row 2"):
             ingest_feature_table(path)
 
     def test_duplicate_header_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("I1,I1\n1.0,2.0\n")
-        with pytest.raises(IngestError, match="duplicate"):
+        with pytest.raises(ConfigError, match="duplicate"):
             ingest_feature_table(path)
 
     def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(IngestError):
+        with pytest.raises(ConfigError):
             ingest_feature_table(tmp_path / "absent.csv")
 
 

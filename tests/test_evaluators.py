@@ -18,16 +18,15 @@ from sagep.evaluators import (
     ChannelCase,
     ChannelEvaluator,
     EvaluationOutcome,
-    SetupError,
     SymbolicBenchmark,
     default_channel_case,
     expensive_call_count,
     load_channel_case,
     make_reference,
 )
-from sagep.symreg import (ConfigurationError, ConstantsPool, ExprTree,
-                          constant, op_symbol, parse_expression, terminal,
-                          tree_polynomial)
+from sagep.fields import ConfigError
+from sagep.symreg import (ConstantsPool, ExprTree, constant, op_symbol,
+                          parse_expression, terminal, tree_polynomial)
 
 
 THREE_SLOT_TRUTH = ("-0.1 - I1", "0.0", "0.945 - 2.108*J1")
@@ -113,19 +112,19 @@ class TestSymbolicBenchmark:
 
     def test_target_must_be_finite_on_table(self):
         table = FeatureTable(columns={"I1": np.array([1e300])})
-        with pytest.raises(SetupError):
+        with pytest.raises(ConfigError):
             SymbolicBenchmark(table, targets=("I1*I1*I1",))
 
     def test_needs_targets(self):
-        with pytest.raises(SetupError):
+        with pytest.raises(ConfigError):
             SymbolicBenchmark(self.table, targets=())
 
     def test_target_naming_unknown_column_rejected(self):
-        with pytest.raises(SetupError, match="Q"):
+        with pytest.raises(ConfigError, match="Q"):
             SymbolicBenchmark(self.table, targets=("I1 + Q",))
 
     def test_negative_slot_rejected(self):
-        with pytest.raises(SetupError, match="slot_of_objective"):
+        with pytest.raises(ConfigError, match="slot_of_objective"):
             SymbolicBenchmark(self.table, targets=("I1",),
                               slot_of_objective=(-1,))
 
@@ -141,9 +140,9 @@ class TestSymbolicBenchmark:
     def test_constant_without_pool_rejected(self):
         tree = ExprTree(op_symbol("*"), (ExprTree(constant(0)),
                                          ExprTree(terminal("I1"))))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             self.bench.evaluate([tree, tree], None)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigError):
             ChannelEvaluator(default_channel_case()).evaluate([tree, tree],
                                                               None)
 
@@ -211,12 +210,12 @@ class TestChannelSolver:
 
     def test_make_reference_rejects_diverging_truth(self):
         case = ChannelCase(truth_exprs=("0", "-1000"))
-        with pytest.raises(SetupError):
+        with pytest.raises(ConfigError):
             make_reference(case)
 
     def test_make_reference_rejects_unknown_feature(self):
         case = ChannelCase(truth_exprs=("-0.1 - I2", "0.945 - 2.108*J1"))
-        with pytest.raises(SetupError, match="I2"):
+        with pytest.raises(ConfigError, match="I2"):
             make_reference(case)
 
     def test_counter_increments(self):
@@ -238,8 +237,8 @@ class TestChannelSolver:
 
     def test_three_slot_case(self):
         case = ChannelCase(truth_exprs=("-0.1 - I1", "0", "0.945 - 2.108*J1"))
-        assert case.slot_names == ("g", "r", "alpha")
         ev_channel = ChannelEvaluator(case)
+        assert ev_channel.n_slots == 3
         trees = [parse_expression(e) for e in case.truth_exprs]
         out = ev_channel.evaluate(trees, ConstantsPool(values=(), seed=0))
         assert out.converged
@@ -468,12 +467,12 @@ class TestLoadChannelCase:
         assert case.reference_u is not None
 
     def test_unknown_fields_rejected(self):
-        with pytest.raises(SetupError):
+        with pytest.raises(ConfigError):
             load_channel_case({"bogus": 1,
                                "truth": {"g": "0", "alpha": "0"}})
 
     def test_unknown_truth_slot_rejected(self):
-        with pytest.raises(SetupError):
+        with pytest.raises(ConfigError):
             load_channel_case({"truth": {"g": "0", "alpha": "0", "zz": "0"}})
 
     @pytest.mark.parametrize("payload", [
@@ -492,16 +491,17 @@ class TestLoadChannelCase:
          "reference_t": [0.0] * 16},
         {"n_cells": 16, "reference_u": 0.0, "reference_t": [0.0] * 16},
         {"n_cells": 16, "reference_u": [0.0] * 16},
-        {"n_cells": 16, "reference_t": [0.0] * 16}])
+        {"n_cells": 16, "reference_t": [0.0] * 16},
+        {"truth": {"g": True, "alpha": "0"}}])
     def test_ill_typed_fields_rejected(self, payload):
-        with pytest.raises(SetupError, match="invalid channel case"):
+        with pytest.raises(ConfigError, match="invalid channel case"):
             load_channel_case(payload)
 
     def test_float_fields_must_be_finite_numbers(self):
         for name in ("forcing", "coupling", "nu", "alpha_base", "nut_max",
                      "omega", "tol", "damping"):
             for bad in (True, "1.0", float("nan"), float("-inf")):
-                with pytest.raises(SetupError, match=name):
+                with pytest.raises(ConfigError, match=name):
                     ChannelCase(**{name: bad})
 
     def test_reference_cells_must_be_finite_numbers(self):
@@ -510,13 +510,13 @@ class TestLoadChannelCase:
             for name in ("reference_u", "reference_t"):
                 refs = {"reference_u": good, "reference_t": good,
                         name: good[:-1] + [bad]}
-                with pytest.raises(SetupError, match=name):
+                with pytest.raises(ConfigError, match=name):
                     ChannelCase(n_cells=16, **refs)
 
     def test_reference_profiles_come_in_pairs(self):
-        with pytest.raises(SetupError, match="reference_u and reference_t"):
+        with pytest.raises(ConfigError, match="reference_u and reference_t"):
             ChannelCase(n_cells=16, reference_u=[0.0] * 16)
-        with pytest.raises(SetupError, match="reference_u and reference_t"):
+        with pytest.raises(ConfigError, match="reference_u and reference_t"):
             ChannelCase(n_cells=16, reference_t=[0.0] * 16)
 
     def test_given_reference_profiles_are_kept(self):
@@ -536,7 +536,7 @@ class TestLoadChannelCase:
         import json
         path = tmp_path / "case.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(SetupError, match="JSON object"):
+        with pytest.raises(ConfigError, match="JSON object"):
             load_channel_case(path)
     def test_shipped_default_case_matches_builtin(self):
         case = load_channel_case("configs/channel_default.json")

@@ -159,6 +159,9 @@ class TestConfig:
         ("const_range", {"gep": {"head_len": 4, "const_range": ["-2", 2]}}),
         ("const_range", {"gep": {"head_len": 4, "const_range": None}}),
         ("const_range", {"gep": {"head_len": 4, "const_range": [1.0]}}),
+        # Each end is a finite float, but high - low overflows.
+        ("const_range", {"gep": {"head_len": 4,
+                                 "const_range": [-1e308, 1e308]}}),
         ("beta", {"selection": {"beta": True}}),
         ("xi", {"selection": {"xi": False}}),
         ("delta", {"selection": {"delta": True}}),
@@ -175,17 +178,34 @@ class TestConfig:
         ("case", {"evaluator": {"kind": "channel", "case": 7}}),
         ("table", {"evaluator": {"kind": "symbolic", "table": 4,
                                  "targets": TARGETS}}),
+        ("slot_of_objective", {"evaluator": {
+            "kind": "symbolic", "table": "features.csv", "targets": TARGETS,
+            "slot_of_objective": ["0", "1"]}}),
+        ("slot_of_objective", {"evaluator": {
+            "kind": "symbolic", "table": "features.csv", "targets": TARGETS,
+            "slot_of_objective": [0.0, 1.0]}}),
+        ("slot_of_objective", {"evaluator": {
+            "kind": "symbolic", "table": "features.csv", "targets": TARGETS,
+            "slot_of_objective": [True, False]}}),
+        ("targets", {"evaluator": {"kind": "symbolic", "table": "features.csv",
+                                   "targets": [1, 2]}}),
+        ("targets", {"evaluator": {"kind": "symbolic", "table": "features.csv",
+                                   "targets": "I1"}}),
+        ("operators", {"gep": {"head_len": 4, "operators": "+-"}}),
     ], ids=["surrogate_enabled_string", "surrogate_enabled_int",
             "log_error", "log_error_true", "log_error_false",
             "average_inputs_first", "average_inputs_first_true",
             "average_inputs_first_false", "n_init", "m_fixed_float",
             "m_fixed_bool", "m_pareto", "mutation_rate", "crossover_rate",
             "const_range_string", "const_range_null", "const_range_short",
+            "const_range_overflow",
             "beta_bool", "xi_bool", "delta_bool", "m_rel_bool",
             "m_init_rel_bool", "beta_nan", "xi_infinite", "delta_string",
             "bounds_sigma_bool", "bounds_ell_bool",
             "output_dir_int", "output_dir_null", "feature_table_int",
-            "case_int", "table_int"])
+            "case_int", "table_int", "slot_of_objective_strings",
+            "slot_of_objective_floats", "slot_of_objective_bools",
+            "targets_numbers", "targets_string", "operators_string"])
     def test_ill_typed_field_rejected_on_load(self, tmp_path, capsys, name,
                                               overrides):
         # Each is caught while the config loads, and `sagep run` exits 1
@@ -197,6 +217,20 @@ class TestConfig:
             load_run_config(path)
         assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("configuration error:")
+
+    def test_surrogate_run_needs_a_threshold(self, tmp_path, capsys):
+        # From generation 2 on the thresholds cut selection's ranking, so
+        # a surrogate run that reaches it needs one; shorter or baseline
+        # runs never apply them.
+        none = {"m_fixed": None, "m_rel": None, "m_pareto": None}
+        path = write_config(tmp_path, selection=none, generations=3)
+        with pytest.raises(ConfigError, match="m_fixed, m_rel, m_pareto"):
+            load_run_config(path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert main(["run", "--config", str(path), "--baseline"]) == 0
+        path = write_config(tmp_path, selection=none, generations=2)
+        assert main(["run", "--config", str(path)]) == 0
 
     def test_symbolic_rejects_case(self, tmp_path):
         evaluator = {"kind": "symbolic", "table": "features.csv",

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from sagep.fields import ConfigError
 from sagep.selection import (
     SelectionConfig,
     SelectionContractError,
@@ -477,13 +478,13 @@ class TestSelectionConfig:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), True, "0.5",
                                      None])
     def test_float_fields_must_be_finite_numbers(self, name, bad):
-        with pytest.raises(SelectionContractError, match=name):
+        with pytest.raises(ConfigError, match=name):
             SelectionConfig(**{name: bad})
 
     @pytest.mark.parametrize("name", ["m_init_rel", "m_rel"])
     @pytest.mark.parametrize("bad", [True, False, "0.5"])
     def test_ratios_must_be_numbers_or_none(self, name, bad):
-        with pytest.raises(SelectionContractError, match=name):
+        with pytest.raises(ConfigError, match=name):
             SelectionConfig(**{name: bad})
 
     def test_integral_numbers_accepted(self):
