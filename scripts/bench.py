@@ -3,17 +3,16 @@
 perfbench/run.py runs each of its three workloads untraced (--trace 0) and
 traced (--trace 1); each invocation leaves its result in
 .bench_out/result-<workload>-trace<t>.json.  The tier-1 suite then runs
-once.  The output file gathers, per workload, the end-to-end metrics of the
-untraced result and the per-layer metrics of the traced one, the context of
-the measurement (commit, src_lines, tool versions), tier-1's pass count and
-wall time, and the channel break-even line perfbench prints.  That line
-adds perfbench's traced cost per `evaluators.evaluate` call; when the
-traced channel-baseline run records no such call (the channel evaluator
-solves a generation through `evaluate_batch`, which perfbench does not
-wrap), the record says the figure is unavailable instead.  perfbench
-itself is only run, never changed.  Every invocation uses seed 0 and the
-run length BENCHMARK.json declares (`run_seconds`), and the record stores
-both.
+once, and so does scripts/efficiency_study.py on the channel config's
+seeds 0-9.  The output file gathers, per workload, the end-to-end metrics of
+the untraced result and the per-layer metrics of the traced one, the
+context of the measurement (commit, src_lines, tool versions), tier-1's
+pass count and wall time, and the break-even evaluator cost: the median
+over those seeds of the study's paired c*, the cost per evaluator call at
+which a surrogate run and a baseline run take equally long.  perfbench
+itself is only run, never changed.  Every perfbench invocation uses seed 0
+and the run length BENCHMARK.json declares (`run_seconds`), and the record
+stores both.
 
 Usage (from anywhere; about 4 minutes on a 2-vCPU host):
     python3 scripts/bench.py --out BENCH_<n>.json
@@ -33,12 +32,10 @@ RESULTS = ROOT / ".bench_out"
 WORKLOADS = ("channel-surrogate", "channel-baseline", "symbolic-surrogate")
 TIER1 = [sys.executable, "-m", "pytest", "-q",
          "--continue-on-collection-errors"]
-BREAK_EVEN = "break-even evaluator cost:"
-NO_EVALUATE_CALLS = (
-    f"{BREAK_EVEN} unavailable: the traced channel-baseline run records no "
-    "evaluators.evaluate call (training solves each generation through "
-    "evaluate_batch, which perfbench does not wrap), so perfbench's figure "
-    "would add 0 ms per call")
+STUDY = [sys.executable, "scripts/efficiency_study.py",
+         "--config", "configs/channel_run.json", "--seeds", "10"]
+STUDY_MEDIAN = re.compile(r"^median break-even: +(\S+) ms per call$",
+                          re.MULTILINE)
 SEED = 0
 RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 # pytest writes "1 error" / "2 errors" and "1 warning" / "2 warnings".
@@ -47,13 +44,13 @@ OUTCOME = re.compile(r"(\d+) (passed|failed|skipped|xfailed|xpassed|"
 PLURAL = {"error": "errors", "warning": "warnings"}
 
 
-def run_perfbench(workload: str, trace: int) -> str:
-    """One perfbench invocation; its standard output."""
-    return subprocess.run(
+def run_perfbench(workload: str, trace: int) -> None:
+    """One perfbench invocation, which stores its result under RESULTS."""
+    subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
          "--workload", workload, "--seed", str(SEED),
          "--seconds", str(RUN_SECONDS), "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True, check=True).stdout
+        cwd=ROOT, capture_output=True, check=True)
 
 
 def tier1_counts(output: str) -> dict[str, int]:
@@ -64,25 +61,39 @@ def tier1_counts(output: str) -> dict[str, int]:
             for count, word in OUTCOME.findall(summary)}
 
 
-def run_tier1() -> dict:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def source_env() -> dict:
+    """The environment with this tree's src/ first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+
+
+def run_tier1() -> dict:
     started = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True,
-                          text=True)
+    proc = subprocess.run(TIER1, cwd=ROOT, env=source_env(),
+                          capture_output=True, text=True)
     wall_s = time.perf_counter() - started
     return {"command": " ".join(["python", *TIER1[1:]]),
             "returncode": proc.returncode, "wall_s": round(wall_s, 1),
             **tier1_counts(proc.stdout)}
 
 
-def break_even_line(stdout: str) -> str | None:
-    lines = [line for line in stdout.splitlines()
-             if line.startswith(BREAK_EVEN)]
-    return lines[-1] if lines else None
+def run_study() -> str:
+    """The efficiency study's standard output."""
+    return subprocess.run(STUDY, cwd=ROOT, env=source_env(),
+                          capture_output=True, text=True, check=True).stdout
 
 
-def collect(results: Path, tier1: dict, break_even: str | None) -> dict:
+def break_even(study_stdout: str) -> dict:
+    """The study's median c* with what it was measured on."""
+    medians = STUDY_MEDIAN.findall(study_stdout)
+    if len(medians) != 1:
+        raise ValueError("the efficiency study printed not one median "
+                         f"break-even line but {len(medians)}")
+    return {"median_ms_per_call": float(medians[0]),
+            "command": " ".join(["python3", *STUDY[1:]])}
+
+
+def collect(results: Path, tier1: dict, break_even: dict) -> dict:
     """The bench record from perfbench's stored results of one source tree."""
     workloads, contexts = {}, []
     for name in WORKLOADS:
@@ -98,10 +109,6 @@ def collect(results: Path, tier1: dict, break_even: str | None) -> dict:
         }
     if len({c["src_sha256"] for c in contexts}) != 1:
         raise ValueError("perfbench results come from different source trees")
-    calls = workloads["channel-baseline"]["per_layer"].get(
-        "evaluators.evaluate.calls")
-    if calls is not None and calls["value"] == 0:
-        break_even = NO_EVALUATE_CALLS
     return {"context": contexts[0], "run_seconds": RUN_SECONDS,
             "workloads": workloads, "tier1": tier1, "break_even": break_even}
 
@@ -112,15 +119,13 @@ def main(argv: list[str] | None = None) -> None:
                         help="file to write, BENCH_<n>.json")
     args = parser.parse_args(argv)
 
-    break_even = None
     for name in WORKLOADS:
         for trace in (0, 1):
-            stdout = run_perfbench(name, trace)
-            break_even = break_even_line(stdout) or break_even
-    record = collect(RESULTS, run_tier1(), break_even)
+            run_perfbench(name, trace)
+    record = collect(RESULTS, run_tier1(), break_even(run_study()))
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {args.out}: tier-1 {record['tier1']}; "
-          f"{record['break_even']}")
+    print(f"wrote {args.out}: tier-1 {record['tier1']}; break-even "
+          f"{record['break_even']['median_ms_per_call']} ms per call")
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ A candidate's slots are ExprTrees or their canonical polynomials
 (symreg.tree_polynomial); training passes the polynomials it already
 built.  Closures and targets are evaluated by symreg.plan_eval, the
 package's one polynomial evaluator, monomials added in key order, so
-objectives depend only on the phenotype keys; symreg.eval_tree is the
-reference semantics the tests check against.
+objectives depend only on the phenotype keys; a tree-walking oracle in
+the tests is the reference semantics they are checked against.
 
 The channel evaluator solves a generation's candidates as one batch: one
 damped fixed-point loop on (k, n) profiles, whose rows leave as they exit,
@@ -411,6 +411,8 @@ def load_channel_case(source: str | Path | dict) -> ChannelCase:
                - {"truth_exprs"})
     if unknown:
         raise ConfigError(f"unknown channel case fields {sorted(unknown)}")
+    if truth is not None and not isinstance(truth, dict):
+        raise ConfigError(f"truth must be an object, got {truth!r}")
     try:
         if truth is not None:
             order = ("g", "r", "alpha") if "r" in truth else ("g", "alpha")

@@ -113,7 +113,7 @@ class EmbeddingSettings:
 
 @dataclass(frozen=True)
 class SurrogateSettings:
-    restarts: int = 8
+    restarts: int = sur_mod.RESTARTS
     bounds: sur_mod.ParamBounds = field(default_factory=sur_mod.ParamBounds)
 
     def __post_init__(self):

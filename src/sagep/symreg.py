@@ -48,7 +48,6 @@ __all__ = [
     "random_genotype",
     "decode",
     "preorder",
-    "eval_tree",
     "tree_polynomial",
     "polynomial_key",
     "polynomial_plan",
@@ -281,40 +280,6 @@ def preorder(tree: ExprTree) -> list[Symbol]:
     return out
 
 
-def eval_tree(tree: ExprTree, row: Mapping[str, float],
-              pool: ConstantsPool | None = None):
-    """Evaluate a tree on one input row (or on whole columns via broadcasting).
-
-    The reference semantics the tests check the canonical polynomial
-    against; the package evaluates expressions with plan_eval.
-    Unknown terminal names raise KeyError; a constant reference without a
-    pool raises ConfigError.  Arithmetic itself is never trapped, so
-    overflow propagates as inf/nan for the caller to detect.
-    """
-    sym = tree.node
-    if sym.kind == "term":
-        try:
-            return row[sym.name]
-        except KeyError:
-            raise KeyError(f"unknown terminal {sym.name!r}") from None
-    if sym.kind == "lit":
-        return sym.value
-    if sym.kind == "const":
-        if pool is None:
-            raise ConfigError(
-                "tree references a constant but no pool was given")
-        try:
-            return pool.values[sym.index]
-        except IndexError:
-            raise ConfigError(
-                f"constant index {sym.index} outside pool of "
-                f"size {len(pool)}") from None
-    fn = OP_TABLE[sym.name][1]
-    args = [eval_tree(child, row, pool) for child in tree.children]
-    with np.errstate(all="ignore"):
-        return fn(*args)
-
-
 # ---------------------------------------------------------------------------
 # Canonical polynomial form
 
@@ -474,7 +439,7 @@ def parse_expression(text: str) -> ExprTree:
             return ExprTree(op_symbol("neg"), (convert(node.operand),))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
             return convert(node.operand)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
             return ExprTree(literal(float(node.value)))
         if isinstance(node, ast.Name):
             return ExprTree(terminal(node.id))

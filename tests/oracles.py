@@ -1,0 +1,45 @@
+"""Reference semantics the package's polynomial evaluator is checked against.
+
+`eval_tree` walks an expression tree node by node; the package itself
+evaluates expressions only through their canonical polynomials
+(`symreg.plan_eval`), so agreement between the two is a real check.
+"""
+
+from collections.abc import Mapping
+
+import numpy as np
+
+from sagep.fields import ConfigError
+from sagep.symreg import OP_TABLE, ConstantsPool, ExprTree
+
+
+def eval_tree(tree: ExprTree, row: Mapping[str, float],
+              pool: ConstantsPool | None = None):
+    """Evaluate a tree on one input row (or on whole columns via broadcasting).
+
+    Unknown terminal names raise KeyError; a constant reference without a
+    pool raises ConfigError.  Arithmetic itself is never trapped, so
+    overflow propagates as inf/nan for the caller to detect.
+    """
+    sym = tree.node
+    if sym.kind == "term":
+        try:
+            return row[sym.name]
+        except KeyError:
+            raise KeyError(f"unknown terminal {sym.name!r}") from None
+    if sym.kind == "lit":
+        return sym.value
+    if sym.kind == "const":
+        if pool is None:
+            raise ConfigError(
+                "tree references a constant but no pool was given")
+        try:
+            return pool.values[sym.index]
+        except IndexError:
+            raise ConfigError(
+                f"constant index {sym.index} outside pool of "
+                f"size {len(pool)}") from None
+    fn = OP_TABLE[sym.name][1]
+    args = [eval_tree(child, row, pool) for child in tree.children]
+    with np.errstate(all="ignore"):
+        return fn(*args)

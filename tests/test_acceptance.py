@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import eval_tree
 import sagep.evaluators as ev
 import sagep.orchestrator as orch
 from sagep.embedding import FeatureTable, write_feature_table
@@ -51,7 +52,6 @@ from sagep.symreg import (
     Genotype,
     canonical_key,
     decode,
-    eval_tree,
     op_symbol,
     parse_expression,
     terminal,

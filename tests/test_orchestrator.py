@@ -1077,19 +1077,24 @@ class TestCli:
         {"evaluator": {"kind": "symbolic", "table": "features.csv",
                        "targets": ["I1 + Q"]}},
         {"evaluator": {"kind": "symbolic", "table": "features.csv",
+                       "targets": ["I1*I1 + True", "0.3 + I2"]}},
+        {"evaluator": {"kind": "symbolic", "table": "features.csv",
                        "targets": TARGETS[:1], "slot_of_objective": [-1]}},
         {"evaluator": {"kind": "channel", "case": {"n_cells": 4}}},
         {"evaluator": {"kind": "channel", "case": {"bogus": 1}}},
         {"evaluator": {"kind": "channel", "case": {"truth": {
             "g": "-0.1 - I2", "alpha": "0.945 - 2.108*J1"}}}},
+        {"evaluator": {"kind": "channel", "case": {"truth": {
+            "g": "-0.1 - I1", "alpha": "False - 2.108*J1"}}}},
         {"evaluator": {"kind": "channel"},
          "embedding": {"feature_table": "features.csv"}},  # lacks J1
         # Bounds under which every GP fit would fall back to defaults.
         {"surrogate": {"bounds": {"sigma": [0.001, float("inf")]}}},
         {"surrogate": {"bounds": {"ell": [1e-300, 1e-200]}}},
     ], ids=["operator", "head_len", "const_range", "mutation_rate",
-            "target_syntax", "target_column", "negative_slot",
+            "target_syntax", "target_column", "target_bool", "negative_slot",
             "case_n_cells", "case_field", "case_truth_feature",
+            "case_truth_bool",
             "table_terminals", "bounds_infinite", "bounds_ell_underflow"])
     def test_set_up_faults_are_config_errors(self, tmp_path, capsys,
                                              overrides):
@@ -1137,6 +1142,16 @@ class TestCli:
                                                      "case": "case.json"})
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err.startswith("configuration error:")
+
+    @pytest.mark.parametrize("truth", [["g"], 5, "abc"],
+                             ids=["list", "number", "string"])
+    def test_channel_truth_must_be_an_object(self, tmp_path, capsys, truth):
+        (tmp_path / "case.json").write_text(json.dumps({"truth": truth}))
+        cfg_path = write_config(tmp_path, evaluator={"kind": "channel",
+                                                     "case": "case.json"})
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "configuration error: truth must be an object, got ")
 
     def test_replay_round_trip(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import sagep.evaluators as ev
-from sagep.orchestrator import load_run_config, run_training
+import sagep.orchestrator as orch
+from sagep import surrogate
+from sagep.orchestrator import build_evaluator, load_run_config, run_training
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,32 +57,60 @@ def test_efficiency_study_pair_on_small_channel_run():
     assert pair.later_eval_ratio == ((pair.n_surrogate - gen0)
                                      / (pair.n_baseline - gen0))
     assert math.isfinite(pair.hv_ratio) and pair.hv_ratio > 0.0
+    # The evaluator's time is part of each run's, and the builder the
+    # study wraps to measure it is put back.
+    assert 0.0 < pair.surrogate_eval_s < pair.surrogate_s
+    assert 0.0 < pair.baseline_eval_s < pair.baseline_s
+    assert orch.build_evaluator is build_evaluator
+    assert math.isfinite(pair.break_even_s)
+
+
+def stub_pair(script, n_surrogate, surrogate_s, baseline_s,
+              surrogate_eval_s=0.0, baseline_eval_s=0.0, n_baseline=20):
+    return script.Pair(1.0, 0.5, 0.25, n_surrogate, n_baseline, surrogate_s,
+                       baseline_s, True, surrogate_eval_s, baseline_eval_s)
+
+
+def test_break_even_is_extra_time_outside_the_evaluator_per_saved_call():
+    script = load_script("efficiency_study")
+    # 0.3 s more outside the evaluator (0.9 - 0.2 against 0.6 - 0.2) for
+    # 20 - 14 saved calls: 0.05 s per call.
+    pair = stub_pair(script, 14, 0.9, 0.6, 0.2, 0.2)
+    assert pair.break_even_s == pytest.approx(0.05)
+    # Time inside the evaluator does not count, however much it is.
+    assert stub_pair(script, 14, 1.9, 0.6, 1.2, 0.2).break_even_s == (
+        pytest.approx(0.05))
+    # A surrogate run faster outside the evaluator pays for itself at any
+    # evaluator cost.
+    assert stub_pair(script, 15, 0.5, 0.6).break_even_s == pytest.approx(
+        -0.02)
+    # With no call saved there is no break-even cost.
+    assert math.isnan(stub_pair(script, 20, 0.5, 0.6).break_even_s)
 
 
 def test_efficiency_study_prints_wall_times(monkeypatch, capsys):
     script = load_script("efficiency_study")
-    times = iter([(0.8, 1.6), (1.5, 1.0)])
-
-    def run_pair(config, seed):
-        surrogate_s, baseline_s = next(times)
-        return script.Pair(1.0, 0.5, 0.25, 10 + seed, 20, surrogate_s,
-                           baseline_s, True)
-
-    monkeypatch.setattr(script, "run_pair", run_pair)
+    pairs = iter([stub_pair(script, 10, 0.8, 1.6, 0.1, 0.4),
+                  stub_pair(script, 11, 1.5, 1.0, 0.2, 0.3)])
+    monkeypatch.setattr(script, "run_pair", lambda config, seed: next(pairs))
     script.main(["--seeds", "2"])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["seed", "hv_ratio", "eval_ratio",
                                 "later_eval_ratio", "expensive(surr/base)",
                                 "time_s(surr/base)", "time_ratio",
-                                "shared_reference"]
+                                "shared_reference", "eval_s(surr/base)",
+                                "break_even_ms"]
+    # c* = (0.7 - 1.2) / 10 s and (1.3 - 0.7) / 9 s per call.
     assert [line.split() for line in lines[1:3]] == [
         ["0", "1.0000", "0.5000", "0.2500", "10/20", "0.800/1.600", "0.5000",
-         "True"],
+         "True", "0.100/0.400", "-50.0000"],
         ["1", "1.0000", "0.5000", "0.2500", "11/20", "1.500/1.000", "1.5000",
-         "True"]]
+         "True", "0.200/0.300", "66.6667"]]
     assert lines[3] == "median hv ratio:       1.0000"
     # The median of 0.5 and 1.5.
     assert lines[5] == "median time ratio:     1.0000"
+    # The median of -50 and 66.67 ms.
+    assert lines[6] == "median break-even:     8.3333 ms per call"
 
 
 def test_output_digests_on_small_config(tmp_path, capsys):
@@ -145,6 +175,23 @@ def test_decisions_digest_ignores_predictions_only():
         surrogate, provenance="cache")) != digest
 
 
+@pytest.mark.parametrize("name, seed", [
+    ("symbolic_quadratic", 0), ("symbolic_quadratic", 1),
+    ("symbolic_quadratic", 2), ("channel_run", 0)])
+def test_default_restarts_make_the_decisions_of_eight(name, seed):
+    # The seeds the benchmark runs: fewer starts search a prefix of the 8
+    # Halton starts, and on these runs they reach the same decisions.
+    script = load_script("output_digests")
+    config = dataclasses.replace(
+        load_run_config(ROOT / "configs" / f"{name}.json"), seed=seed)
+    assert config.surrogate.restarts == surrogate.RESTARTS < 8
+    eight = dataclasses.replace(
+        config, surrogate=dataclasses.replace(config.surrogate, restarts=8))
+    digests = [script.decisions_digest(run_training(c)[0].records)
+               for c in (config, eight)]
+    assert digests[0] == digests[1]
+
+
 def test_output_digests_prefix_each_line_with_its_seed(monkeypatch, capsys):
     script = load_script("output_digests")
     seeds = []
@@ -183,23 +230,16 @@ def test_bench_collects_stub_results(tmp_path, monkeypatch):
         for trace in (0, 1):
             (tmp_path / f"result-{name}-trace{trace}.json").write_text(
                 json.dumps(stub_result(name, trace)))
-    line = "break-even evaluator cost: 7.5 ms per call (...)"
     calls = []
-
-    def fake_perfbench(workload, trace):
-        # Channel workloads print the line, complete once the last of them
-        # (channel-baseline, traced) has stored its result.
-        calls.append((workload, trace))
-        if not workload.startswith("channel-"):
-            return "report\n{}\n"
-        done = (workload, trace) == ("channel-baseline", 1)
-        stale = "break-even evaluator cost: needs stored results"
-        return f"report\n{line if done else stale}\n{{}}\n"
 
     tier1 = {"passed": 425, "wall_s": 55.0}
     monkeypatch.setattr(bench, "RESULTS", tmp_path)
-    monkeypatch.setattr(bench, "run_perfbench", fake_perfbench)
+    monkeypatch.setattr(bench, "run_perfbench",
+                        lambda workload, trace: calls.append((workload, trace)))
     monkeypatch.setattr(bench, "run_tier1", lambda: tier1)
+    monkeypatch.setattr(bench, "run_study", lambda: (
+        "seed ...\nmedian time ratio:     1.0000\n"
+        "median break-even:     -0.1250 ms per call\nelapsed: 4.0 s\n"))
     out = tmp_path / "BENCH_test.json"
     bench.main(["--out", str(out)])
     assert calls == [(name, trace) for name in bench.WORKLOADS
@@ -209,8 +249,10 @@ def test_bench_collects_stub_results(tmp_path, monkeypatch):
     assert record["context"]["src_lines"] == 3178
     assert record["context"]["commit"] == "c0ffee"
     assert record["tier1"] == tier1
-    # The last channel workload's line is the one with every result stored.
-    assert record["break_even"] == line
+    assert record["break_even"] == {
+        "median_ms_per_call": -0.125,
+        "command": "python3 scripts/efficiency_study.py --config "
+                   "configs/channel_run.json --seeds 10"}
     for name in bench.WORKLOADS:
         entry = record["workloads"][name]
         assert entry["correct"] is True
@@ -218,31 +260,18 @@ def test_bench_collects_stub_results(tmp_path, monkeypatch):
         assert list(entry["per_layer"]) == ["evaluators.iterations"]
 
 
-def test_bench_break_even_unavailable_without_evaluate_calls(tmp_path):
-    # A break-even figure built on 0 ms per evaluate call would be wrong, so
-    # the record says why there is none instead.
+def test_bench_reads_the_study_break_even():
     bench = load_script("bench")
-    for name in bench.WORKLOADS:
-        for trace in (0, 1):
-            result = stub_result(name, trace)
-            if trace:
-                result["metrics"]["evaluators.evaluate.calls"] = {
-                    "value": 0 if name == "channel-baseline" else 88,
-                    "unit": "count"}
-            (tmp_path / f"result-{name}-trace{trace}.json").write_text(
-                json.dumps(result))
-    line = "break-even evaluator cost: 0.1 ms per call (...)"
-    record = bench.collect(tmp_path, {}, line)
-    assert record["break_even"] == bench.NO_EVALUATE_CALLS
-    assert record["break_even"].startswith(bench.BREAK_EVEN + " unavailable")
-    assert "evaluate_batch" in record["break_even"]
-    # With calls recorded, perfbench's line is kept as it is.
-    result = json.loads(
-        (tmp_path / "result-channel-baseline-trace1.json").read_text())
-    result["metrics"]["evaluators.evaluate.calls"]["value"] = 164.5
-    (tmp_path / "result-channel-baseline-trace1.json").write_text(
-        json.dumps(result))
-    assert bench.collect(tmp_path, {}, line)["break_even"] == line
+    # The study runs the channel config's seeds 0-9.
+    assert bench.STUDY[1:] == ["scripts/efficiency_study.py", "--config",
+                               "configs/channel_run.json", "--seeds", "10"]
+    assert bench.break_even("median break-even:     0.8392 ms per call\n")[
+        "median_ms_per_call"] == 0.8392
+    # Output without the median, or with two, is not a measurement.
+    for stdout in ("", "median time ratio:     1.0000\n",
+                   "median break-even:     1.0 ms per call\n" * 2):
+        with pytest.raises(ValueError, match="not one median break-even"):
+            bench.break_even(stdout)
 
 
 def test_bench_rejects_results_of_different_trees(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import eval_tree
 from sagep.fields import ConfigError
 from sagep.symreg import (
     Candidate,
@@ -22,7 +23,6 @@ from sagep.symreg import (
     crowding_distance,
     decode,
     dominance_matrix,
-    eval_tree,
     evolve_generation,
     fast_nondominated_sort,
     literal,
@@ -329,6 +329,12 @@ class TestParseExpression:
     def test_rejects_garbage(self):
         with pytest.raises(ConfigError):
             parse_expression("I1 +")
+
+    @pytest.mark.parametrize("text", ["I1 + True", "False", "I1 * -True"])
+    def test_rejects_bool_literals(self, text):
+        # A bool is an int to Python, but not a number in an expression.
+        with pytest.raises(ConfigError, match="unsupported syntax Constant"):
+            parse_expression(text)
 
 
 # ---------------------------------------------------------------------------
