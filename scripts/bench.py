@@ -3,18 +3,19 @@
 perfbench/run.py runs each of its three workloads untraced (--trace 0) and
 traced (--trace 1); each invocation leaves its result in
 .bench_out/result-<workload>-trace<t>.json.  The tier-1 suite then runs
-once, and so does scripts/efficiency_study.py on the channel config's
-seeds 0-9.  The output file gathers, per workload, the end-to-end metrics of
-the untraced result and the per-layer metrics of the traced one, the
-context of the measurement (commit, src_lines, tool versions), tier-1's
-pass count and wall time, and the break-even evaluator cost: the median
-over those seeds of the study's paired c*, the cost per evaluator call at
-which a surrogate run and a baseline run take equally long.  perfbench
+once, and scripts/efficiency_study.py STUDY_ROUNDS times on the channel
+config's seeds 0-9.  The output file gathers, per workload, the end-to-end
+metrics of the untraced result and the per-layer metrics of the traced one,
+the context of the measurement (commit, src_lines, tool versions), tier-1's
+pass count and wall time, and the break-even evaluator cost: each round's
+median over those seeds of the study's paired c*, the cost per evaluator
+call at which a surrogate run and a baseline run take equally long, and the
+median of the rounds' medians.  perfbench
 itself is only run, never changed.  Every perfbench invocation uses seed 0
 and the run length BENCHMARK.json declares (`run_seconds`), and the record
 stores both.
 
-Usage (from anywhere; about 4 minutes on a 2-vCPU host):
+Usage (from anywhere; about 5 minutes on a 2-vCPU host):
     python3 scripts/bench.py --out BENCH_<n>.json
 """
 
@@ -22,6 +23,7 @@ import argparse
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import time
@@ -36,6 +38,8 @@ STUDY = [sys.executable, "scripts/efficiency_study.py",
          "--config", "configs/channel_run.json", "--seeds", "10"]
 STUDY_MEDIAN = re.compile(r"^median break-even: +(\S+) ms per call$",
                           re.MULTILINE)
+# One round's median c* moves by about 25% between rounds of one tree.
+STUDY_ROUNDS = 3
 SEED = 0
 RUN_SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 # pytest writes "1 error" / "2 errors" and "1 warning" / "2 warnings".
@@ -83,13 +87,20 @@ def run_study() -> str:
                           capture_output=True, text=True, check=True).stdout
 
 
-def break_even(study_stdout: str) -> dict:
-    """The study's median c* with what it was measured on."""
+def round_median(study_stdout: str) -> float:
+    """The median c* one run of the study printed."""
     medians = STUDY_MEDIAN.findall(study_stdout)
     if len(medians) != 1:
         raise ValueError("the efficiency study printed not one median "
                          f"break-even line but {len(medians)}")
-    return {"median_ms_per_call": float(medians[0]),
+    return float(medians[0])
+
+
+def break_even(study_stdouts: list[str]) -> dict:
+    """Each study round's median c*, their median, and the command."""
+    rounds = [round_median(stdout) for stdout in study_stdouts]
+    return {"median_ms_per_call": statistics.median(rounds),
+            "round_medians_ms_per_call": rounds,
             "command": " ".join(["python3", *STUDY[1:]])}
 
 
@@ -122,7 +133,8 @@ def main(argv: list[str] | None = None) -> None:
     for name in WORKLOADS:
         for trace in (0, 1):
             run_perfbench(name, trace)
-    record = collect(RESULTS, run_tier1(), break_even(run_study()))
+    record = collect(RESULTS, run_tier1(), break_even(
+        [run_study() for _ in range(STUDY_ROUNDS)]))
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out}: tier-1 {record['tier1']}; break-even "
           f"{record['break_even']['median_ms_per_call']} ms per call")

@@ -180,7 +180,8 @@ class ChannelCase:
     truth_exprs holds the hidden generating expressions, either (g, alpha)
     or (g, r, alpha) when an artificial production slot is trained too.
     reference profiles are produced by make_reference from the truth; given
-    by hand, both come together, one finite number per cell.
+    by hand, both come together, one finite number per cell, and the truth
+    must still solve.
     """
 
     n_cells: int = 64
@@ -367,8 +368,10 @@ def _normalized_rms(profile: np.ndarray, reference: np.ndarray) -> float:
 
 
 def make_reference(case: ChannelCase) -> ChannelCase:
-    """Generate reference profiles by solving the case with its truth
-    expressions at a tenth of the evaluation tolerance."""
+    """The case with its reference profiles: those given, or else the
+    solve of its truth expressions at a tenth of the evaluation tolerance.
+    The truth is parsed and solved either way, so a truth that does not
+    parse, names an unknown feature or diverges is a ConfigError."""
     truth = [tree_polynomial(parse_expression(t)) for t in case.truth_exprs]
     try:
         u, T, _, ok = _solve_batch(case, [_closure_slots(truth)],
@@ -378,6 +381,8 @@ def make_reference(case: ChannelCase) -> ChannelCase:
             f"truth expressions name unknown features: {exc}") from None
     if not ok:
         raise ConfigError("truth expressions diverge on this case")
+    if case.reference_u is not None:
+        return case
     return replace(case, reference_u=u, reference_t=T)
 
 
@@ -389,9 +394,9 @@ def load_channel_case(source: str | Path | dict) -> ChannelCase:
     """Build a case from a JSON file or an already-parsed mapping.
 
     The truth block maps slot names to expression strings: {"g": ...,
-    "alpha": ...} with an optional "r".  Reference profiles are regenerated
-    from the truth unless both are included.  Every other key names a
-    ChannelCase field.
+    "alpha": ...} with an optional "r".  The truth is checked by
+    `make_reference`, whose profiles fill in when the case gives none.
+    Every other key names a ChannelCase field.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -419,13 +424,14 @@ def load_channel_case(source: str | Path | dict) -> ChannelCase:
             unknown = set(truth) - set(order)
             if unknown:
                 raise ConfigError(f"unknown truth slots {sorted(unknown)}")
+            if not {"g", "alpha"} <= set(truth):
+                raise ConfigError("truth needs slots g and alpha, got "
+                                  f"{sorted(truth)}")
             kwargs["truth_exprs"] = tuple(truth[k] for k in order)
         case = ChannelCase(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid channel case: {exc}") from None
-    if case.reference_u is None:
-        case = make_reference(case)
-    return case
+    return make_reference(case)
 
 
 class ChannelEvaluator:

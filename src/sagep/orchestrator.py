@@ -114,20 +114,11 @@ class EmbeddingSettings:
 @dataclass(frozen=True)
 class SurrogateSettings:
     restarts: int = sur_mod.RESTARTS
-    bounds: sur_mod.ParamBounds = field(default_factory=sur_mod.ParamBounds)
 
     def __post_init__(self):
         check_fields(self)
         if self.restarts < 1:
             raise ConfigError("surrogate restarts must be >= 1")
-        # Under bounds failing this check the LML can evaluate no point, so
-        # every fit would fall back to defaults; the RQ kernel's denominator
-        # 2 * alpha * ell**2 is smallest at the box's lower corner.
-        b = self.bounds
-        if 2.0 * b.alpha[0] * b.ell[0] ** 2 == 0.0:
-            raise ConfigError(
-                "surrogate bounds: 2 * alpha * ell**2 underflows to 0 at "
-                f"alpha = {b.alpha[0]!r}, ell = {b.ell[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -382,7 +373,6 @@ def _fit_surrogate(history: sel_mod.SelectionHistory,
         raise RunError("no converged expensive data to fit the surrogate")
     return sur_mod.fit_multi(history.converged_points,
                              _to_gp_target(history.converged_objectives),
-                             bounds=settings.bounds,
                              restarts=settings.restarts, rng=rng,
                              last=history.last_fit)
 

@@ -36,8 +36,12 @@ rarely moves the optimum, so `fit_multi` searches only once the history has
 SEARCH_GROWTH times the rows of the last search; in between it keeps that
 search's (ell, alpha, tau) and refactors A and re-profiles B on every row.
 
-Observation noise has a hard floor, tau >= NOISE_FLOOR on the unit scale:
-the history of expensive evaluations can contain near-identical embeddings
+The search box of (ell, alpha, tau) is SEARCH_BOX, and each fitted
+sigma_j is clipped to SIGMA_CLIP.  Both are fixed: the loop always z-scores
+the embeddings and regresses log10 objectives, so the inputs and targets
+live in one frame, where unit-order length scales and signal scales
+dominate.  Observation noise has a hard floor, tau >= NOISE_FLOOR: the
+history of expensive evaluations can contain near-identical embeddings
 with slightly different outcomes, and a noiseless kernel matrix goes
 singular on those.  Predictive variance is reported for a new observation,
 i.e. it includes the noise term, so far from data objective j's recovers
@@ -53,16 +57,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
-from .fields import ConfigError, check_fields
-
 __all__ = [
     "NOISE_FLOOR",
+    "SEARCH_BOX",
+    "SIGMA_CLIP",
     "JITTER_LADDER",
     "SEARCH_GROWTH",
     "RESTARTS",
     "FitError",
     "KernelParams",
-    "ParamBounds",
     "MultiGp",
     "rq_gram",
     "log_marginal_likelihood",
@@ -73,6 +76,11 @@ __all__ = [
 ]
 
 NOISE_FLOOR = 1e-8
+
+# The search's box, (lower, upper) of (ell, alpha, tau), and the clip of
+# each fitted sigma_j, both for z-scored inputs and log10 targets.
+SEARCH_BOX = ((1e-2, 1e-2, NOISE_FLOOR), (1e2, 1e3, 1e1))
+SIGMA_CLIP = (1e-3, 1e2)
 
 # Extra diagonal jitter tried in order when the Cholesky factorization fails.
 JITTER_LADDER = (0.0, 1e-8, 1e-6, 1e-4)
@@ -100,54 +108,25 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelParams:
-    """RQ kernel hyperparameters plus observation noise variance."""
+    """The unit-scale RQ kernel's ell and alpha, and `noise`, the
+    noise-to-signal variance ratio tau."""
 
-    sigma: float = 1.0
     ell: float = 1.0
     alpha: float = 1.0
     noise: float = 1e-6
 
     def __post_init__(self):
-        if not (self.sigma > 0 and self.ell > 0 and self.alpha > 0):
+        if not (self.ell > 0 and self.alpha > 0):
             raise ValueError("kernel parameters must be positive")
         if self.noise < NOISE_FLOOR:
-            raise ValueError(f"noise variance below floor {NOISE_FLOOR}")
+            raise ValueError(f"noise ratio below floor {NOISE_FLOOR}")
 
     @classmethod
     def from_log_array(cls, values: np.ndarray) -> "KernelParams":
-        sigma, ell, alpha, noise = np.exp(np.asarray(values, dtype=float))
-        return cls(sigma=float(sigma), ell=float(ell), alpha=float(alpha),
+        """The kernel at a search point log(ell, alpha, tau)."""
+        ell, alpha, noise = np.exp(np.asarray(values, dtype=float))
+        return cls(ell=float(ell), alpha=float(alpha),
                    noise=float(max(noise, NOISE_FLOOR)))
-
-
-@dataclass(frozen=True)
-class ParamBounds:
-    """Box bounds for hyperparameter search, in natural units.
-
-    The search runs over ell, alpha and tau, whose box is `noise`: tau is a
-    noise-to-signal variance ratio.  `sigma` clips each objective's fitted
-    signal standard deviation sqrt(B_jj).  Defaults assume standardized
-    inputs, where unit-order length scales dominate.
-    """
-
-    sigma: tuple[float, float] = (1e-3, 1e2)
-    ell: tuple[float, float] = (1e-2, 1e2)
-    alpha: tuple[float, float] = (1e-2, 1e3)
-    noise: tuple[float, float] = (NOISE_FLOOR, 1e1)
-
-    def __post_init__(self):
-        check_fields(self)
-        for name in ("sigma", "ell", "alpha", "noise"):
-            lo, hi = getattr(self, name)
-            if not (0 < lo < hi):
-                raise ConfigError(f"invalid bounds for {name}: ({lo}, {hi})")
-        if self.noise[0] < NOISE_FLOOR:
-            raise ConfigError(f"noise lower bound below floor {NOISE_FLOOR}")
-
-    def log_box(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.log([self.sigma[0], self.ell[0], self.alpha[0], self.noise[0]])
-        hi = np.log([self.sigma[1], self.ell[1], self.alpha[1], self.noise[1]])
-        return lo, hi
 
 
 # Underflow only rounds a subnormal difference's square to 0.
@@ -168,21 +147,21 @@ def _rq_from_sqdist(sq: np.ndarray, params: KernelParams) -> np.ndarray:
     # 0 (base 1, full covariance) and a distant pair's covariance to 0.
     with np.errstate(under="ignore"):
         base = 1.0 + sq / (2.0 * params.alpha * params.ell ** 2)
-        return params.sigma ** 2 * base ** (-params.alpha)
+        return base ** (-params.alpha)
 
 
 def rq_gram(X: np.ndarray, X2: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Kernel matrix between rows of X and rows of X2."""
+    """Unit-scale kernel matrix between rows of X and rows of X2."""
     return _rq_from_sqdist(_sqdist(X, X2), params)
 
 
 def _training_data(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X as a float matrix and Y as an (n, p) float matrix or else a float
-    vector, checked to match and be finite."""
+    """X as a float matrix and Y as an (n, p) float matrix, a vector being
+    one column, checked to match and be finite."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
-        Y = Y.ravel()
+        Y = Y.reshape(-1, 1)
     if X.shape[0] != Y.shape[0]:
         raise ValueError("X and Y row counts differ")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
@@ -194,10 +173,11 @@ def _chol_with_jitter(K: np.ndarray, noise: float) -> tuple[np.ndarray, float]:
     """Lower factor of K + (noise + jitter) I on the first rung that
     factorizes, and its jitter; each rung starts from the unjittered K.
 
-    A non-finite K (reachable only through extreme bounds) fails every rung
-    or carries a NaN or inf onto the diagonal of L.  Finite diagonal entries
-    are square roots, at most ~1e154, so the trace is finite exactly when
-    the diagonal is.
+    A non-finite K, which only a kernel whose 2 alpha ell^2 underflows
+    gives (no point of SEARCH_BOX does), fails every rung or carries a NaN
+    or inf onto the diagonal of L.  Finite diagonal entries are square
+    roots, at most ~1e154, so the trace is finite exactly when the
+    diagonal is.
     """
     n = K.shape[0]
     for jitter in JITTER_LADDER:
@@ -218,49 +198,29 @@ def _cho_solve(L: np.ndarray, y: np.ndarray) -> np.ndarray:
     return lapack.dpotrs(L, y, lower=1)[0]
 
 
-def log_marginal_likelihood(X: np.ndarray, Y: np.ndarray,
-                            params: KernelParams,
-                            sqdist: np.ndarray | None = None,
-                            profiled: bool = False):
-    """Zero-mean Gaussian log evidence of Y under the kernel.
+def log_marginal_likelihood(Y: np.ndarray, params: KernelParams,
+                            sqdist: np.ndarray) -> tuple[float, np.ndarray]:
+    """The separable model's profiled log evidence of the (n, p) float
+    targets Y, at inputs whose squared distances are sqdist, and its
+    gradient in log(ell, alpha, tau): Rasmussen & Williams eq. 5.9 with
+    each B_jj at its optimum.  A column of zeros makes the value +inf.
 
-    Y is a vector, or an (n, p) matrix whose columns are independent draws
-    under the same kernel; the evidence of a matrix is the sum over its
-    columns.  With `profiled`, each column's covariance K + sigma_n^2 I is
-    first scaled by the factor that maximizes that column's evidence, and
-    the result is the pair (evidence, gradient): the separable model's
-    profiled evidence, which depends on params only through ell, alpha and
-    tau = noise / sigma^2 (+inf for a column of zeros), and its gradient in
-    log(ell, alpha, tau), Rasmussen & Williams eq. 5.9 with the scales at
-    their optimum.
-
-    Computed through one Cholesky factor of K + sigma_n^2 I for all
-    columns; raises FitError if the matrix stays indefinite after the
-    jitter ladder.  A caller that passes sqdist, the squared distances
-    between the rows of X, has already validated X and Y as float arrays;
-    without it, non-finite or mismatched data raise ValueError.
+    One Cholesky factor of A = K + tau I serves all p columns; raises
+    FitError if A stays indefinite after the jitter ladder.
     """
-    if sqdist is None:
-        X, Y = _training_data(X, Y)
-        sqdist = _sqdist(X, X)
     K = _rq_from_sqdist(sqdist, params)
     L, _ = _chol_with_jitter(K, params.noise)
     W = _cho_solve(L, Y)
-    quad = Y @ W if Y.ndim == 1 else np.einsum("ij,ij->j", Y, W)
-    n = Y.shape[0]
-    p = 1 if Y.ndim == 1 else Y.shape[1]
+    quad = np.einsum("ij,ij->j", Y, W)
+    n, p = Y.shape
     half_logdet = np.sum(np.log(np.diag(L)))
-    if not profiled:
-        return float(-0.5 * np.sum(quad) - p * half_logdet
-                     - 0.5 * n * p * np.log(2.0 * np.pi))
     # Underflow to zero covariance is the distant-pair limit, as in the
     # kernel; a column of zeros makes the value +inf and M NaN.
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
         value = float(-0.5 * n * np.sum(np.log(quad / n)) - p * half_logdet
                       - 0.5 * n * p * (1.0 + np.log(2.0 * np.pi)))
         # d value / d theta = tr(M dK/dtheta) / 2 with
-        # M = n sum_j w_j w_j' / (y_j' w_j) - p (K + sigma_n^2 I)^-1.
-        W = W.reshape(n, -1)
+        # M = n sum_j w_j w_j' / (y_j' w_j) - p A^-1.
         M = n * (W / quad) @ W.T - p * _cho_solve(L, np.eye(n))
         u = 1.0 + sqdist / (2.0 * params.alpha * params.ell ** 2)
         KM = K * M
@@ -275,8 +235,8 @@ def log_marginal_likelihood(X: np.ndarray, Y: np.ndarray,
 class MultiGp:
     """The fitted separable GP B (x) k on inputs X and (n, p) targets Y.
 
-    `kernel` is k, shared by all objectives, at unit scale (sigma 1, noise
-    tau) as `fit` finds it, and `sigmas` holds sqrt(B_jj) per objective.  L
+    `kernel` is k, shared by all objectives, at unit scale with noise tau,
+    and `sigmas` holds sqrt(B_jj) per objective.  L
     is the one lower Cholesky factor of k(X, X) + (tau + jitter) I, and
     weights = L^-T L^-1 Y.  The kernel was searched on `searched_n` rows.
     """
@@ -308,7 +268,6 @@ def build_gp(X: np.ndarray, Y: np.ndarray, kernel: KernelParams,
     X, Y = _training_data(X, Y)
     if X.shape[0] == 0:
         raise ValueError("cannot build a GP on zero samples")
-    Y = Y.reshape(X.shape[0], -1)
     L, jitter = _chol_with_jitter(rq_gram(X, X, kernel), kernel.noise)
     return MultiGp(X=X, Y=Y, kernel=kernel,
                    sigmas=np.asarray(sigmas, dtype=float), L=L,
@@ -346,11 +305,6 @@ def _halton(d: int, n: int, seed: int) -> np.ndarray:
             index //= base
             scale /= base
     return points
-
-
-def _unit_kernel(log_theta: np.ndarray) -> KernelParams:
-    """The kernel with sigma 1 at a search point log(ell, alpha, tau)."""
-    return KernelParams.from_log_array(np.concatenate(([0.0], log_theta)))
 
 
 def _bounded_bfgs(objective, x: np.ndarray, lo: np.ndarray,
@@ -419,28 +373,26 @@ def _bounded_bfgs(objective, x: np.ndarray, lo: np.ndarray,
 
 
 def _profiled_gp(X: np.ndarray, Y: np.ndarray, kernel: KernelParams,
-                 bounds: ParamBounds, searched_n: int) -> MultiGp:
-    """The model at unit-scale `kernel` on (n, p) targets Y, with sigma_j =
-    sqrt(B_jj) clipped to bounds.sigma."""
+                 searched_n: int) -> MultiGp:
+    """The model at `kernel` on (n, p) targets Y, with sigma_j = sqrt(B_jj)
+    clipped to SIGMA_CLIP."""
     model = build_gp(X, Y, kernel, np.ones(Y.shape[1]))
     quad = np.einsum("ij,ij->j", model.Y, model.weights)
     return replace(model, searched_n=searched_n,
-                   sigmas=np.clip(np.sqrt(quad / model.n), *bounds.sigma))
+                   sigmas=np.clip(np.sqrt(quad / model.n), *SIGMA_CLIP))
 
 
-def fit(X: np.ndarray, Y: np.ndarray,
-        bounds: ParamBounds | None = None,
-        restarts: int = RESTARTS,
+def fit(X: np.ndarray, Y: np.ndarray, restarts: int = RESTARTS,
         rng: np.random.Generator | int | None = None) -> MultiGp:
     """Fit the shared kernel to the columns of Y, shape (n, p) or a vector
     for p = 1, by maximizing the profiled log evidence.
 
     Multi-start local search over log(ell, alpha, tau) from `restarts`
-    scrambled-Halton points in the box of bounds.ell, bounds.alpha and
-    bounds.noise; the first k points are the same for any `restarts` >= k,
-    and a fixed rng seed fixes the result.  The model is `_profiled_gp` at
-    the optimum, searched on n rows.  A single sample yields default
-    parameters, and so does failure on every restart, with `warned` set.
+    scrambled-Halton points in SEARCH_BOX; the first k points are the same
+    for any `restarts` >= k, and a fixed rng seed fixes the result.  The
+    model is `_profiled_gp` at the optimum, searched on n rows.  A single
+    sample yields default parameters, and so does failure on every restart,
+    with `warned` set.
     Non-finite data, or `restarts` below 1, raise ValueError on entry.
     """
     X, Y = _training_data(X, Y)
@@ -449,12 +401,10 @@ def fit(X: np.ndarray, Y: np.ndarray,
         raise ValueError("cannot fit a GP on zero samples")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    Y = Y.reshape(n, -1)
     if n == 1:
         return build_gp(X, Y, KernelParams(), np.ones(Y.shape[1]))
-    bounds = bounds or ParamBounds()
     rng = np.random.default_rng(rng)
-    lo, hi = (side[1:] for side in bounds.log_box())
+    lo, hi = np.log(SEARCH_BOX)
     sqdist = _sqdist(X, X)
 
     # Every evaluation goes through the module attribute, so a wrapper
@@ -462,7 +412,7 @@ def fit(X: np.ndarray, Y: np.ndarray,
     def objective(log_theta: np.ndarray) -> tuple[float, np.ndarray]:
         try:
             value, gradient = log_marginal_likelihood(
-                X, Y, _unit_kernel(log_theta), sqdist, profiled=True)
+                Y, KernelParams.from_log_array(log_theta), sqdist)
         except (FitError, ValueError, FloatingPointError, OverflowError):
             return 1e25, np.zeros(3)
         if not (math.isfinite(value) and np.all(np.isfinite(gradient))):
@@ -483,16 +433,13 @@ def fit(X: np.ndarray, Y: np.ndarray,
         return build_gp(X, Y, KernelParams(), np.ones(Y.shape[1]),
                         warned=True)
     # exp(log(bound)) can land an ulp outside the box.
-    ell, alpha, tau = np.clip(np.exp(best_theta), *zip(
-        bounds.ell, bounds.alpha, bounds.noise))
-    kernel = KernelParams(sigma=1.0, ell=float(ell), alpha=float(alpha),
+    ell, alpha, tau = np.clip(np.exp(best_theta), *SEARCH_BOX)
+    kernel = KernelParams(ell=float(ell), alpha=float(alpha),
                           noise=float(tau))
-    return _profiled_gp(X, Y, kernel, bounds, searched_n=n)
+    return _profiled_gp(X, Y, kernel, searched_n=n)
 
 
-def fit_multi(X: np.ndarray, Y: np.ndarray,
-              bounds: ParamBounds | None = None,
-              restarts: int = RESTARTS,
+def fit_multi(X: np.ndarray, Y: np.ndarray, restarts: int = RESTARTS,
               rng: np.random.Generator | int | None = None,
               last: MultiGp | None = None) -> MultiGp:
     """The GP on every row of X and column of Y after the fit `last`: a
@@ -504,9 +451,8 @@ def fit_multi(X: np.ndarray, Y: np.ndarray,
     n = X.shape[0]
     if last is None or last.warned or n >= SEARCH_GROWTH * last.searched_n:
         # A wrapper patched onto the module attribute fit sees every search.
-        return fit(X, Y, bounds=bounds, restarts=restarts, rng=rng)
-    return _profiled_gp(X, Y.reshape(n, -1), last.kernel,
-                        bounds or ParamBounds(), last.searched_n)
+        return fit(X, Y, restarts=restarts, rng=rng)
+    return _profiled_gp(X, Y, last.kernel, last.searched_n)
 
 
 def predict_multi_batch(model: MultiGp,
@@ -521,7 +467,7 @@ def predict_multi_batch(model: MultiGp,
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
     K_star = rq_gram(model.X, Xq, model.kernel)
     v = solve_triangular(model.L, K_star, lower=True)
-    var = (model.kernel.sigma ** 2 + model.kernel.noise + model.jitter
+    var = (1.0 + model.kernel.noise + model.jitter
            - np.einsum("ij,ij->j", v, v))
     return (K_star.T @ model.weights,
             np.maximum(var, 0.0)[:, None] * model.sigmas ** 2)

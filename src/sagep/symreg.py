@@ -22,9 +22,8 @@ are demoted behind every finitely-ranked front.
 from __future__ import annotations
 
 import ast
-import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -49,7 +48,6 @@ __all__ = [
     "decode",
     "preorder",
     "tree_polynomial",
-    "polynomial_key",
     "polynomial_plan",
     "plan_eval",
     "polynomials_eval",
@@ -74,15 +72,9 @@ class StructureError(ValueError):
     """A genotype or tree violates the head/tail layout contract."""
 
 
-# name -> (arity, implementation).  All operators are closed over floats and
-# numpy arrays alike; broadcasting is what lets one tree evaluate a whole
-# feature table column-wise.
-OP_TABLE: dict[str, tuple[int, Callable]] = {
-    "+": (2, operator.add),
-    "-": (2, operator.sub),
-    "*": (2, operator.mul),
-    "neg": (1, operator.neg),
-}
+# name -> arity.  The operators are the ring operations `tree_polynomial`
+# expands.
+OP_TABLE: dict[str, int] = {"+": 2, "-": 2, "*": 2, "neg": 1}
 
 
 @dataclass(frozen=True)
@@ -108,7 +100,7 @@ class Symbol:
 def op_symbol(name: str) -> Symbol:
     if name not in OP_TABLE:
         raise ConfigError(f"unknown operator {name!r}")
-    return Symbol(kind="op", name=name, arity=OP_TABLE[name][0])
+    return Symbol(kind="op", name=name, arity=OP_TABLE[name])
 
 
 def terminal(name: str) -> Symbol:
@@ -177,7 +169,7 @@ class SymbolSet:
 
     @property
     def max_arity(self) -> int:
-        return max(OP_TABLE[name][0] for name in self.operators)
+        return max(OP_TABLE[name] for name in self.operators)
 
     def leaf_symbols(self) -> tuple[Symbol, ...]:
         return self._leaves
@@ -339,8 +331,10 @@ def tree_polynomial(tree: ExprTree,
     raise StructureError(f"operator {sym.name!r} is not a ring operation")
 
 
-def polynomial_key(poly: Mapping[tuple[str, ...], float]) -> str:
-    """Render a polynomial as a canonical, hashable string."""
+def canonical_key(poly: Mapping[tuple[str, ...], float]) -> str:
+    """Canonical phenotype key of a `tree_polynomial`: two trees share a key
+    iff they are the same polynomial, hence the same function on every
+    input."""
     if not poly:
         return "0"
     terms = []
@@ -353,16 +347,6 @@ def polynomial_key(poly: Mapping[tuple[str, ...], float]) -> str:
         else:
             terms.append(repr(coeff) + "*" + "*".join(mono))
     return " + ".join(terms)
-
-
-def canonical_key(tree: ExprTree | Mapping[tuple[str, ...], float],
-                  pool: ConstantsPool | None = None) -> str:
-    """Canonical phenotype key of a tree, or of its `tree_polynomial`: two
-    trees share a key iff they are the same polynomial, hence the same
-    function on every input."""
-    if isinstance(tree, ExprTree):
-        tree = tree_polynomial(tree, pool)
-    return polynomial_key(tree)
 
 
 def polynomial_plan(polys: Sequence[Mapping[tuple[str, ...], float]],

@@ -5,12 +5,18 @@ evaluates expressions only through their canonical polynomials
 (`symreg.plan_eval`), so agreement between the two is a real check.
 """
 
+import operator
 from collections.abc import Mapping
 
 import numpy as np
 
 from sagep.fields import ConfigError
-from sagep.symreg import OP_TABLE, ConstantsPool, ExprTree
+from sagep.symreg import ConstantsPool, ExprTree
+
+# Each operator of symreg.OP_TABLE as a function of floats and numpy arrays
+# alike; broadcasting lets one tree evaluate whole feature columns.
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "neg": operator.neg}
 
 
 def eval_tree(tree: ExprTree, row: Mapping[str, float],
@@ -39,7 +45,7 @@ def eval_tree(tree: ExprTree, row: Mapping[str, float],
             raise ConfigError(
                 f"constant index {sym.index} outside pool of "
                 f"size {len(pool)}") from None
-    fn = OP_TABLE[sym.name][1]
+    fn = OPERATORS[sym.name]
     args = [eval_tree(child, row, pool) for child in tree.children]
     with np.errstate(all="ignore"):
         return fn(*args)

@@ -55,6 +55,7 @@ from sagep.symreg import (
     op_symbol,
     parse_expression,
     terminal,
+    tree_polynomial,
 )
 
 
@@ -81,9 +82,9 @@ def test_criterion_1_decoding_worked_example():
 
     row = {"I1": 2.0, "I2": 3.0}
     ok = (eval_tree(sum_tree, row) == 12.0
-          and canonical_key(sum_tree) == "2.0*I1*I2"
+          and canonical_key(tree_polynomial(sum_tree)) == "2.0*I1*I2"
           and eval_tree(square_tree, row) == 12.0
-          and canonical_key(square_tree) == "I1*I1*I2"
+          and canonical_key(tree_polynomial(square_tree)) == "I1*I1*I2"
           and eval_tree(square_tree, {"I1": 3.0, "I2": 1.0}) == 9.0
           and best < 1e-3)
     report(1, ok, f"decode worked example exact, {best * 1e6:.0f} us")
@@ -107,20 +108,25 @@ def test_criterion_2_gp_correctness():
         mean, _ = predict_multi_batch(model, X)
         interp_ok &= bool(np.max(np.abs(mean[:, 0] - y)) < 1e-6)
 
+    # The profiled evidence, with the optimal scale B = y'A^-1 y / n of
+    # A = K + tau I, against a dense slogdet/solve evaluation.  Each draw
+    # gives a scale s and a noise variance, whose ratio is tau.
     lml_ok = True
     for _ in range(20):
         X = rng.normal(size=(5, 2))
         y = rng.normal(size=5)
-        params = KernelParams(sigma=float(rng.uniform(0.2, 2.0)),
-                              ell=float(rng.uniform(0.3, 2.0)),
+        s = float(rng.uniform(0.2, 2.0))
+        params = KernelParams(ell=float(rng.uniform(0.3, 2.0)),
                               alpha=float(rng.uniform(0.5, 5.0)),
-                              noise=float(rng.uniform(1e-4, 1e-1)))
-        K = rq_gram(X, X, params) + params.noise * np.eye(5)
-        sign, logdet = np.linalg.slogdet(K)
-        dense = (-0.5 * y @ np.linalg.solve(K, y) - 0.5 * logdet
-                 - 2.5 * np.log(2 * np.pi))
-        lml_ok &= bool(abs(log_marginal_likelihood(X, y, params) - dense)
-                       < 1e-8)
+                              noise=float(rng.uniform(1e-4, 1e-1)) / s ** 2)
+        A = rq_gram(X, X, params) + params.noise * np.eye(5)
+        sign, logdet = np.linalg.slogdet(A)
+        B = y @ np.linalg.solve(A, y) / 5
+        dense = (-2.5 * np.log(B) - 0.5 * logdet
+                 - 2.5 * (1.0 + np.log(2 * np.pi)))
+        sqdist = np.sum((X[:, None] - X[None]) ** 2, axis=-1)
+        value, _ = log_marginal_likelihood(y[:, None], params, sqdist)
+        lml_ok &= bool(sign > 0 and abs(value - dense) < 1e-8)
 
     # The separable model against one joint system whose Gram matrix is
     # diag(B) (x) (RQ(ell, alpha; 1) + tau I), B_jj = sigma_j^2 (p = 2,

@@ -475,6 +475,12 @@ class TestLoadChannelCase:
         with pytest.raises(ConfigError):
             load_channel_case({"truth": {"g": "0", "alpha": "0", "zz": "0"}})
 
+    @pytest.mark.parametrize("truth", [{"g": "0"}, {"alpha": "0"},
+                                       {"r": "0", "alpha": "0"}, {}])
+    def test_missing_truth_slot_rejected(self, truth):
+        with pytest.raises(ConfigError, match="truth needs slots"):
+            load_channel_case({"truth": truth})
+
     @pytest.mark.parametrize("payload", [
         {"n_cells": "64"}, {"wall_u": ["a", 0.0]}, {"wall_u": ["1.0", 0.0]},
         {"wall_u": [0, 0, 0]}, {"wall_u": [0]}, {"wall_t": 0.5},

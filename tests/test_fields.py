@@ -11,10 +11,9 @@ from sagep.fields import ConfigError, check_fields, field_types, finite
 from sagep.orchestrator import (EmbeddingSettings, EvaluatorSpec, GepSettings,
                                 RunConfig, SurrogateSettings)
 from sagep.selection import SelectionConfig
-from sagep.surrogate import ParamBounds
 
 BLOCKS = [GepSettings, EmbeddingSettings, SurrogateSettings, EvaluatorSpec,
-          RunConfig, ParamBounds, SelectionConfig, ChannelCase]
+          RunConfig, SelectionConfig, ChannelCase]
 
 
 def wrong_value(hint):

@@ -32,6 +32,10 @@ from sagep.symreg import DIVERGENCE_SENTINEL, Candidate, parse_expression
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TARGETS = ["I1*I1 - 0.5*I2", "0.3 + I2"]
+# A channel case's own reference profiles, finite and n_cells long.
+GIVEN_PROFILES = {"n_cells": 16,
+                  "reference_u": [k / 15 for k in range(16)],
+                  "reference_t": [0.5 - k / 15 for k in range(16)]}
 
 
 def write_features(tmp_path):
@@ -170,8 +174,8 @@ class TestConfig:
         ("beta", {"selection": {"beta": float("nan")}}),
         ("xi", {"selection": {"metric": "ei", "xi": float("inf")}}),
         ("delta", {"selection": {"delta": "0.75"}}),
-        ("sigma", {"surrogate": {"bounds": {"sigma": [True, 10.0]}}}),
-        ("ell", {"surrogate": {"bounds": {"ell": [0.01, True]}}}),
+        ("bounds", {"surrogate": {"bounds": {"sigma": [True, 10.0]}}}),
+        ("bounds", {"surrogate": {"bounds": {"ell": [0.01, True]}}}),
         ("output_dir", {"output_dir": 5}),
         ("output_dir", {"output_dir": None}),
         ("feature_table", {"embedding": {"feature_table": 3}}),
@@ -211,7 +215,8 @@ class TestConfig:
         # Each is caught while the config loads, and `sagep run` exits 1
         # instead of running with another meaning or crashing mid-run.  The
         # removed switches surrogate.log_error and
-        # embedding.average_inputs_first are rejected whatever their value.
+        # embedding.average_inputs_first, and the removed surrogate.bounds
+        # block, are rejected whatever their value.
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=name):
             load_run_config(path)
@@ -385,7 +390,7 @@ class TestGenerationStep:
     def tight_fit(self, monkeypatch):
         """A fixed-hyperparameter GP on the targets the step passes in;
         returns the list those targets are appended to."""
-        tight = KernelParams(sigma=1.0, ell=1.0, alpha=1.0, noise=1e-8)
+        tight = KernelParams(ell=1.0, alpha=1.0, noise=1e-8)
         targets = []
 
         def fit_multi(X, Y, **_):
@@ -578,9 +583,9 @@ class TestRunTraining:
                 expanded.append(id(tree))
             return expand(tree, pool)
 
-        def key_spy(poly, pool=None):
+        def key_spy(poly):
             keyed.append(poly)
-            return key(poly, pool)
+            return key(poly)
 
         def embed_spy(polys, table):
             embedded.extend(poly for slots in polys for poly in slots)
@@ -793,9 +798,9 @@ class TestSearchGrowth:
         calls = []
         fit, fit_multi = orch.sur_mod.fit, orch.sur_mod.fit_multi
 
-        def fit_spy(X, Y, bounds=None, restarts=8, rng=None):
+        def fit_spy(X, Y, restarts, rng):
             calls[-1][1] = restarts
-            model = fit(X, Y, bounds=bounds, restarts=restarts, rng=rng)
+            model = fit(X, Y, restarts=restarts, rng=rng)
             if warn_first and sum(c[1] is not None for c in calls) == 1:
                 model = dataclasses.replace(model, warned=True)
             return model
@@ -1088,18 +1093,36 @@ class TestCli:
             "g": "-0.1 - I1", "alpha": "False - 2.108*J1"}}}},
         {"evaluator": {"kind": "channel"},
          "embedding": {"feature_table": "features.csv"}},  # lacks J1
-        # Bounds under which every GP fit would fall back to defaults.
+        # surrogate.bounds is no field, whatever it holds.
         {"surrogate": {"bounds": {"sigma": [0.001, float("inf")]}}},
         {"surrogate": {"bounds": {"ell": [1e-300, 1e-200]}}},
+        # Truths that given reference profiles must not let past set-up.
+        {"evaluator": {"kind": "channel", "case": {
+            **GIVEN_PROFILES, "truth": {"g": "I1/2", "alpha": "0"}}}},
+        {"evaluator": {"kind": "channel", "case": {
+            **GIVEN_PROFILES, "truth": {"g": "K9", "alpha": "0"}}}},
+        {"evaluator": {"kind": "channel", "case": {
+            **GIVEN_PROFILES, "truth": {"g": "0", "alpha": "-1000"}}}},
     ], ids=["operator", "head_len", "const_range", "mutation_rate",
             "target_syntax", "target_column", "target_bool", "negative_slot",
             "case_n_cells", "case_field", "case_truth_feature",
             "case_truth_bool",
-            "table_terminals", "bounds_infinite", "bounds_ell_underflow"])
+            "table_terminals", "bounds_infinite", "bounds_ell_underflow",
+            "profiles_truth_syntax", "profiles_truth_feature",
+            "profiles_truth_diverges"])
     def test_set_up_faults_are_config_errors(self, tmp_path, capsys,
                                              overrides):
         cfg_path = write_config(tmp_path, **overrides)
         assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
+
+    def test_surrogate_bounds_is_an_unknown_field(self, tmp_path, capsys):
+        path = write_config(tmp_path, surrogate={"bounds": {
+            "ell": [0.01, 100.0]}})
+        with pytest.raises(ConfigError,
+                           match=r"unknown SurrogateSettings fields \['bounds'\]"):
+            load_run_config(path)
+        assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("configuration error:")
 
     @pytest.mark.parametrize("overrides, args", [

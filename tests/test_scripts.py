@@ -251,6 +251,7 @@ def test_bench_collects_stub_results(tmp_path, monkeypatch):
     assert record["tier1"] == tier1
     assert record["break_even"] == {
         "median_ms_per_call": -0.125,
+        "round_medians_ms_per_call": [-0.125] * 3,
         "command": "python3 scripts/efficiency_study.py --config "
                    "configs/channel_run.json --seeds 10"}
     for name in bench.WORKLOADS:
@@ -260,18 +261,44 @@ def test_bench_collects_stub_results(tmp_path, monkeypatch):
         assert list(entry["per_layer"]) == ["evaluators.iterations"]
 
 
-def test_bench_reads_the_study_break_even():
+def test_bench_reads_the_study_break_even(tmp_path, monkeypatch):
     bench = load_script("bench")
-    # The study runs the channel config's seeds 0-9.
+    # The study runs the channel config's seeds 0-9, in three rounds.
     assert bench.STUDY[1:] == ["scripts/efficiency_study.py", "--config",
                                "configs/channel_run.json", "--seeds", "10"]
-    assert bench.break_even("median break-even:     0.8392 ms per call\n")[
-        "median_ms_per_call"] == 0.8392
+    assert bench.STUDY_ROUNDS == 3
+    assert bench.round_median(
+        "median break-even:     0.8392 ms per call\n") == 0.8392
     # Output without the median, or with two, is not a measurement.
     for stdout in ("", "median time ratio:     1.0000\n",
                    "median break-even:     1.0 ms per call\n" * 2):
         with pytest.raises(ValueError, match="not one median break-even"):
-            bench.break_even(stdout)
+            bench.round_median(stdout)
+        with pytest.raises(ValueError, match="not one median break-even"):
+            bench.break_even(["median break-even: 1.0 ms per call\n", stdout])
+    # main runs one study per round and keeps each round's median and the
+    # median of those.
+    for name in bench.WORKLOADS:
+        for trace in (0, 1):
+            (tmp_path / f"result-{name}-trace{trace}.json").write_text(
+                json.dumps(stub_result(name, trace)))
+    rounds = iter(["0.88", "1.12", "0.68"])
+    studies = []
+
+    def run_study():
+        studies.append(1)
+        return f"median break-even:     {next(rounds)} ms per call\n"
+
+    monkeypatch.setattr(bench, "RESULTS", tmp_path)
+    monkeypatch.setattr(bench, "run_perfbench", lambda workload, trace: None)
+    monkeypatch.setattr(bench, "run_tier1", lambda: {})
+    monkeypatch.setattr(bench, "run_study", run_study)
+    out = tmp_path / "BENCH_test.json"
+    bench.main(["--out", str(out)])
+    record = json.loads(out.read_text())["break_even"]
+    assert len(studies) == 3
+    assert record["round_medians_ms_per_call"] == [0.88, 1.12, 0.68]
+    assert record["median_ms_per_call"] == 0.88
 
 
 def test_bench_rejects_results_of_different_trees(tmp_path):

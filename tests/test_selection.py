@@ -23,7 +23,7 @@ from sagep.selection import (
 from sagep.surrogate import KernelParams, build_gp, predict_multi_batch
 from sagep.symreg import Candidate
 
-TIGHT = KernelParams(sigma=1.0, ell=1.0, alpha=1.0, noise=1e-8)
+TIGHT = KernelParams(ell=1.0, alpha=1.0, noise=1e-8)
 
 
 def make_model(X, Y):

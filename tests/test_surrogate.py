@@ -14,9 +14,10 @@ from scipy.stats import qmc
 from sagep import surrogate
 from sagep.surrogate import (
     JITTER_LADDER,
+    SEARCH_BOX,
+    SIGMA_CLIP,
     FitError,
     KernelParams,
-    ParamBounds,
     build_gp,
     fit,
     fit_multi,
@@ -25,42 +26,31 @@ from sagep.surrogate import (
     rq_gram,
 )
 
-UNIT = KernelParams(sigma=1.0, ell=1.0, alpha=1.0, noise=1e-6)
+UNIT = KernelParams(ell=1.0, alpha=1.0, noise=1e-6)
+LOG_LO, LOG_HI = np.log(SEARCH_BOX)
 
 
-def dense_lml(X, y, params):
-    """Reference evidence through an explicit inverse and slogdet."""
-    K = rq_gram(X, X, params) + params.noise * np.eye(len(y))
-    sign, logdet = np.linalg.slogdet(K)
+def dense_profiled(X, Y, params):
+    """The profiled evidence through an explicit solve and slogdet: the
+    matrix-normal evidence of the columns of Y at B_jj = y_j' A^-1 y_j / n,
+    A = K + tau I."""
+    n, p = Y.shape
+    A = rq_gram(X, X, params) + params.noise * np.eye(n)
+    sign, logdet = np.linalg.slogdet(A)
     assert sign > 0
-    return float(-0.5 * y @ np.linalg.solve(K, y)
-                 - 0.5 * logdet
-                 - 0.5 * len(y) * np.log(2.0 * np.pi))
+    B = np.einsum("ij,ij->j", Y, np.linalg.solve(A, Y)) / n
+    return float(np.sum(-0.5 * n * np.log(B) - 0.5 * logdet
+                        - 0.5 * n * (1.0 + np.log(2.0 * np.pi))))
 
 
-def reference_lml(X, y, params):
-    """The evidence through the checked scipy wrappers, each jitter rung on
-    K + (noise + jitter) I, as the search computed it before distances were
-    cached and LAPACK was called directly."""
-    K = rq_gram(X, X, params)
-    for jitter in JITTER_LADDER:
-        try:
-            L = cholesky(K + (params.noise + jitter) * np.eye(len(y)),
-                         lower=True)
-            break
-        except np.linalg.LinAlgError:
-            continue
-    else:
-        raise FitError("indefinite after the jitter ladder")
-    weights = cho_solve((L, True), y)
-    return float(-0.5 * y @ weights
+def reference_lml(X, y, params, scale=1.0):
+    """The unprofiled evidence of one column y under the covariance
+    scale * (K + tau I), through scipy's checked Cholesky."""
+    L = cholesky(scale * (rq_gram(X, X, params)
+                          + params.noise * np.eye(len(y))), lower=True)
+    return float(-0.5 * y @ cho_solve((L, True), y)
                  - np.sum(np.log(np.diag(L)))
                  - 0.5 * len(y) * np.log(2.0 * np.pi))
-
-
-def unit_kernel(log_theta):
-    """The kernel with sigma 1 at a search point log(ell, alpha, tau)."""
-    return KernelParams.from_log_array(np.concatenate(([0.0], log_theta)))
 
 
 def reference_profiled(X, Y, params):
@@ -94,17 +84,18 @@ def reference_profiled(X, Y, params):
             params.noise * np.trace(M)])
 
 
-def reference_search(X, Y, restarts, rng, bounds=ParamBounds()):
-    """fit's multi-start search over log(ell, alpha, tau), from the same
-    starts, by scipy's L-BFGS-B with reference_profiled as its objective:
-    the best search point (None when every restart failed) and the summed
-    nfev."""
-    lo, hi = (side[1:] for side in bounds.log_box())
+def reference_search(X, Y, restarts, rng, box=SEARCH_BOX):
+    """fit's multi-start search over log(ell, alpha, tau) in box, from the
+    same starts, by scipy's L-BFGS-B with reference_profiled as its
+    objective: the best search point (None when every restart failed) and
+    the summed nfev."""
+    lo, hi = np.log(box)
     rng = np.random.default_rng(rng)
 
     def objective(log_theta):
         try:
-            value, gradient = reference_profiled(X, Y, unit_kernel(log_theta))
+            value, gradient = reference_profiled(
+                X, Y, KernelParams.from_log_array(log_theta))
         except (FitError, ValueError, FloatingPointError, OverflowError):
             return 1e25, np.zeros(3)
         if not (np.isfinite(value) and np.all(np.isfinite(gradient))):
@@ -135,8 +126,15 @@ def search_data(p=2):
     return X, Y
 
 
+def evidence(X, Y, params):
+    """The package's profiled evidence and gradient of Y, a vector being
+    one column, at inputs X."""
+    Y = np.asarray(Y, dtype=float).reshape(len(X), -1)
+    return log_marginal_likelihood(Y, params, surrogate._sqdist(X, X))
+
+
 def profiled(X, Y, params):
-    return log_marginal_likelihood(X, Y, params, profiled=True)[0]
+    return evidence(X, Y, params)[0]
 
 
 def count_lml_calls(monkeypatch):
@@ -302,20 +300,21 @@ class TestHalton:
 
 
 class TestKernel:
-    def test_zero_distance_gives_sigma_squared(self):
-        p = KernelParams(sigma=1.7, ell=0.3, alpha=2.0, noise=1e-6)
+    def test_zero_distance_gives_one(self):
+        # The kernel is at unit scale; MultiGp.sigmas scales each objective.
+        p = KernelParams(ell=0.3, alpha=2.0, noise=1e-6)
         x = np.array([[0.4, -1.2]])
         G = rq_gram(x, x, p)
         assert G.shape == (1, 1)
-        assert G[0, 0] == pytest.approx(1.7 ** 2, rel=1e-12)
+        assert G[0, 0] == 1.0
 
     def test_unit_params_at_squared_distance_two(self):
-        # sigma = ell = alpha = 1 and |x - x'|^2 = 2 gives (1 + 2/2)^-1 = 0.5.
+        # ell = alpha = 1 and |x - x'|^2 = 2 gives (1 + 2/2)^-1 = 0.5.
         x, x2 = np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])
         assert rq_gram(x, x2, UNIT)[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_large_alpha_approaches_squared_exponential(self):
-        p = KernelParams(sigma=1.0, ell=1.0, alpha=1e6, noise=1e-6)
+        p = KernelParams(ell=1.0, alpha=1e6, noise=1e-6)
         x, x2 = np.array([[0.0]]), np.array([[1.0]])
         assert rq_gram(x, x2, p)[0, 0] == pytest.approx(np.exp(-0.5),
                                                         abs=1e-3)
@@ -324,25 +323,24 @@ class TestKernel:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(5, 3))
         X2 = rng.normal(size=(4, 3))
-        p = KernelParams(sigma=0.8, ell=0.5, alpha=3.0, noise=1e-6)
+        p = KernelParams(ell=0.5, alpha=3.0, noise=1e-6)
         G = rq_gram(X, X2, p)
         assert G.shape == (5, 4)
         for i in range(5):
             for j in range(4):
                 sq = np.sum((X[i] - X2[j]) ** 2)
-                rq = p.sigma ** 2 * (1.0 + sq / (2.0 * p.alpha * p.ell ** 2)
-                                     ) ** -p.alpha
+                rq = (1.0 + sq / (2.0 * p.alpha * p.ell ** 2)) ** -p.alpha
                 assert G[i, j] == pytest.approx(rq, rel=1e-12)
 
-    @given(st.floats(0.1, 5.0), st.floats(0.1, 5.0), st.floats(0.1, 50.0),
+    @given(st.floats(0.1, 5.0), st.floats(0.1, 50.0),
            st.floats(0.0, 10.0), st.floats(0.0, 10.0))
-    def test_kernel_decreases_with_distance(self, sigma, ell, alpha, d1, d2):
-        p = KernelParams(sigma=sigma, ell=ell, alpha=alpha, noise=1e-6)
+    def test_kernel_decreases_with_distance(self, ell, alpha, d1, d2):
+        p = KernelParams(ell=ell, alpha=alpha, noise=1e-6)
         near, far = sorted((d1, d2))
         k_near = rq_gram(np.array([[0.0]]), np.array([[near]]), p)[0, 0]
         k_far = rq_gram(np.array([[0.0]]), np.array([[far]]), p)[0, 0]
         assert k_near >= k_far
-        assert 0.0 < k_far <= sigma ** 2 + 1e-12
+        assert 0.0 < k_far <= 1.0
 
     def test_tiny_squared_distance_does_not_underflow(self):
         # 1e-320 / (2 alpha ell^2) underflows to 0, and the kernel at a
@@ -354,72 +352,84 @@ class TestKernel:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            KernelParams(sigma=-1.0, ell=1.0, alpha=1.0, noise=1e-6)
+            KernelParams(ell=-1.0, alpha=1.0, noise=1e-6)
         with pytest.raises(ValueError):
-            KernelParams(sigma=1.0, ell=0.0, alpha=1.0, noise=1e-6)
+            KernelParams(ell=0.0, alpha=1.0, noise=1e-6)
         with pytest.raises(ValueError):
-            KernelParams(sigma=1.0, ell=1.0, alpha=1.0, noise=-1e-3)
+            KernelParams(ell=1.0, alpha=0.0, noise=1e-6)
+        with pytest.raises(ValueError):
+            KernelParams(ell=1.0, alpha=1.0, noise=-1e-3)
 
     def test_log_array_round_trip(self):
-        p = KernelParams(sigma=0.3, ell=2.0, alpha=7.0, noise=1e-4)
-        back = KernelParams.from_log_array(
-            np.log([p.sigma, p.ell, p.alpha, p.noise]))
-        for name in ("sigma", "ell", "alpha", "noise"):
+        p = KernelParams(ell=2.0, alpha=7.0, noise=1e-4)
+        back = KernelParams.from_log_array(np.log([p.ell, p.alpha, p.noise]))
+        for name in ("ell", "alpha", "noise"):
             assert getattr(back, name) == pytest.approx(getattr(p, name),
                                                         rel=1e-12)
 
 
 class TestEvidence:
     def test_single_point_closed_form(self):
-        # n = 1, sigma = 1, tiny noise: -y^2/2 - log(2 pi)/2.
-        p = KernelParams(sigma=1.0, ell=1.0, alpha=1.0, noise=1e-8)
-        lml0 = log_marginal_likelihood(np.array([[0.0]]), np.array([0.0]), p)
-        lml1 = log_marginal_likelihood(np.array([[0.0]]), np.array([1.0]), p)
-        assert lml0 == pytest.approx(-0.9189385, abs=1e-6)
-        assert lml1 == pytest.approx(-1.4189385, abs=1e-6)
+        # n = 1: B = y^2 / (1 + tau) cancels tau, and the profiled
+        # evidence is -log|y| - (1 + log 2 pi) / 2.
+        p = KernelParams(ell=1.0, alpha=1.0, noise=1e-8)
+        for y, value in ((1.0, -1.4189385), (-3.0, -2.5175508)):
+            assert profiled(np.array([[0.0]]), np.array([y]), p) == (
+                pytest.approx(value, abs=1e-6))
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             X = rng.normal(size=(5, 2))
             y = rng.normal(size=5)
-            p = KernelParams(sigma=float(rng.uniform(0.2, 2.0)),
-                             ell=float(rng.uniform(0.3, 2.0)),
+            # A scale s and a noise variance: the profiled evidence
+            # depends only on their ratio tau.
+            s = float(rng.uniform(0.2, 2.0))
+            p = KernelParams(ell=float(rng.uniform(0.3, 2.0)),
                              alpha=float(rng.uniform(0.5, 5.0)),
-                             noise=float(rng.uniform(1e-4, 1e-1)))
-            assert log_marginal_likelihood(X, y, p) == pytest.approx(
-                dense_lml(X, y, p), abs=1e-8)
+                             noise=float(rng.uniform(1e-4, 1e-1)) / s ** 2)
+            assert profiled(X, y, p) == pytest.approx(
+                dense_profiled(X, y[:, None], p), abs=1e-8)
 
     def test_duplicate_rows_survive_via_jitter(self):
         X = np.zeros((4, 2))
         y = np.array([0.1, 0.1, 0.1, 0.1])
-        p = KernelParams(sigma=1.0, ell=1.0, alpha=1.0, noise=1e-8)
-        val = log_marginal_likelihood(X, y, p)
+        p = KernelParams(ell=1.0, alpha=1.0, noise=1e-8)
+        val = profiled(X, y, p)
         assert np.isfinite(val)
 
     def test_equals_checked_reference_bitwise(self):
         rng = np.random.default_rng(29)
-        lo, hi = ParamBounds().log_box()
         for n, d in ((2, 1), (7, 2), (20, 3), (45, 2)):
             X = rng.normal(size=(n, d))
-            y = rng.normal(size=n)
+            Y = rng.normal(size=(n, 2))
             for _ in range(10):
-                p = KernelParams.from_log_array(lo + (hi - lo) * rng.random(4))
-                assert log_marginal_likelihood(X, y, p) == reference_lml(X, y, p)
+                p = KernelParams.from_log_array(
+                    LOG_LO + (LOG_HI - LOG_LO) * rng.random(3))
+                value, gradient = evidence(X, Y, p)
+                ref_value, ref_gradient = reference_profiled(X, Y, p)
+                assert value == ref_value
+                assert np.array_equal(gradient, ref_gradient)
 
     def test_precomputed_distances_give_the_same_bits(self):
+        # The search passes one distance matrix to every evaluation, so an
+        # evaluation must neither write into it nor depend on earlier ones.
         rng = np.random.default_rng(31)
-        lo, hi = ParamBounds().log_box()
         X = rng.normal(size=(30, 2))
-        y = rng.normal(size=30)
+        Y = rng.normal(size=(30, 1))
         sq = surrogate._sqdist(X, X)
         for _ in range(20):
-            p = KernelParams.from_log_array(lo + (hi - lo) * rng.random(4))
-            assert (log_marginal_likelihood(X, y, p, sq)
-                    == log_marginal_likelihood(X, y, p))
+            p = KernelParams.from_log_array(
+                LOG_LO + (LOG_HI - LOG_LO) * rng.random(3))
+            value, gradient = log_marginal_likelihood(Y, p, sq)
+            fresh_value, fresh_gradient = evidence(X, Y, p)
+            assert value == fresh_value
+            assert np.array_equal(gradient, fresh_gradient)
+        assert sq.tobytes() == surrogate._sqdist(X, X).tobytes()
 
     # At (3e4, 3e-8), K_ii + noise + jitter added in two steps rounds
-    # differently from K_ii + (noise + jitter), and the evidence shows it.
+    # differently from K_ii + (noise + jitter); each rung factors the
+    # latter, as scipy's checked Cholesky of K + (noise + jitter) I does.
     @pytest.mark.parametrize("sigma, noise, rung", [(3e4, 3e-8, 2),
                                                     (3e5, 1e-8, 3)])
     def test_duplicate_rows_take_the_same_jitter_rung(self, sigma, noise,
@@ -427,18 +437,23 @@ class TestEvidence:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(6, 2))
         X = np.vstack([X, X[:3]])
-        y = rng.normal(size=9)
-        p = KernelParams(sigma=sigma, ell=1.0, alpha=1.0, noise=noise)
-        assert build_gp(X, y, p, [1.0]).jitter == JITTER_LADDER[rung]
-        assert log_marginal_likelihood(X, y, p) == reference_lml(X, y, p)
+        K = sigma ** 2 * rq_gram(X, X, UNIT)
+        L, jitter = surrogate._chol_with_jitter(K, noise)
+        assert jitter == JITTER_LADDER[rung]
+        for below in JITTER_LADDER[:rung]:
+            with pytest.raises(np.linalg.LinAlgError):
+                cholesky(K + (noise + below) * np.eye(9), lower=True)
+        reference = cholesky(K + (noise + jitter) * np.eye(9), lower=True)
+        assert L.tobytes() == reference.tobytes()
 
     def test_noise_floor_enforced(self):
         with pytest.raises(ValueError):
-            KernelParams(sigma=1.0, ell=1.0, alpha=1.0, noise=0.0)
+            KernelParams(ell=1.0, alpha=1.0, noise=0.0)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            log_marginal_likelihood(np.zeros((3, 1)), np.zeros(2), UNIT)
+        # The evidence takes fit's checked arrays; fit checks the shapes.
+        with pytest.raises(ValueError, match="row counts"):
+            fit(np.zeros((3, 1)), np.zeros(2))
 
 
 class TestPrediction:
@@ -462,7 +477,7 @@ class TestPrediction:
         assert var[0] == pytest.approx(1.3 ** 2 + 0.04, abs=1e-3)
 
     def test_variance_collapses_at_training_points(self):
-        p = KernelParams(sigma=1.0, ell=1.0, alpha=1.0, noise=1e-8)
+        p = KernelParams(ell=1.0, alpha=1.0, noise=1e-8)
         X = np.array([[0.0], [10.0]])
         model = build_gp(X, np.array([0.5, -0.5]), p, [1.0])
         _, var_train = predict_multi_batch(model, X)
@@ -474,8 +489,7 @@ class TestPrediction:
         rng = np.random.default_rng(33)
         X = rng.normal(size=(8, 2))
         model = build_gp(X, rng.normal(size=8),
-                         KernelParams(sigma=1.0, ell=1.0, alpha=1.0,
-                                      noise=1e-8), [1.0])
+                         KernelParams(ell=1.0, alpha=1.0, noise=1e-8), [1.0])
         _, var = predict_multi_batch(model,
                                      np.vstack([X, rng.normal(size=(20, 2))]))
         assert np.all(var >= 0.0)
@@ -501,11 +515,8 @@ class TestFit:
         X = rng.uniform(-3, 3, size=(12, 1))
         y = 0.3 * X[:, 0] ** 2 - 1.0
         model = fit(X, y, restarts=6, rng=1)
-        sigma = float(model.sigmas[0])
-        fitted = log_marginal_likelihood(X, y, KernelParams(
-            sigma=sigma, ell=model.kernel.ell, alpha=model.kernel.alpha,
-            noise=model.kernel.noise * sigma ** 2))
-        baseline = log_marginal_likelihood(X, y, KernelParams())
+        fitted = reference_lml(X, y, model.kernel, model.sigmas[0] ** 2)
+        baseline = reference_lml(X, y, KernelParams())
         assert fitted >= baseline - 1e-6
 
     def test_deterministic_for_fixed_seed(self):
@@ -525,14 +536,26 @@ class TestFit:
         assert vector.kernel == column.kernel
         assert vector.sigmas.tolist() == column.sigmas.tolist()
 
+    @pytest.mark.parametrize("n", [1, 14])
+    def test_vector_and_column_give_the_same_bits(self, n):
+        X, Y = search_data(p=1)
+        y = Y[:n, 0]
+        vector, column = (fit(X[:n], targets, restarts=2, rng=4)
+                          for targets in (y, y[:, None]))
+        assert (vector.kernel, vector.jitter, vector.warned,
+                vector.searched_n) == (column.kernel, column.jitter,
+                                       column.warned, column.searched_n)
+        for name in ("X", "Y", "sigmas", "L", "weights"):
+            a, b = getattr(vector, name), getattr(column, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     def test_zero_samples_rejected(self):
         with pytest.raises(ValueError):
             fit(np.zeros((0, 2)), np.zeros(0))
 
     @pytest.mark.parametrize("call", [
         lambda X, y: fit(X, y, restarts=1, rng=0),
-        lambda X, y: log_marginal_likelihood(X, y, UNIT),
-    ], ids=["fit", "lml"])
+    ], ids=["fit"])
     def test_non_finite_training_data_rejected(self, call):
         with pytest.raises(ValueError):
             call(np.array([[0.0], [np.nan], [1.0]]), np.array([1.0, 2.0, 0.0]))
@@ -555,7 +578,8 @@ class TestFit:
         model = fit(X, Y, restarts=3, rng=seed)
         assert not model.warned
         assert (profiled(X, Y, model.kernel)
-                >= profiled(X, Y, unit_kernel(best_theta)) - 1e-7)
+                >= profiled(X, Y, KernelParams.from_log_array(best_theta))
+                - 1e-7)
 
     def test_every_lml_call_goes_through_the_module_attribute(
             self, monkeypatch):
@@ -587,37 +611,56 @@ class TestFit:
         assert len(calls) == sum(counts)
         assert not model.warned
 
+    def test_failing_every_start_falls_back_to_defaults(self, monkeypatch):
+        X, Y = search_data()
+        calls = count_lml_calls(monkeypatch)
+        counted = surrogate.log_marginal_likelihood
+
+        def always_fails(*args):
+            counted(*args)
+            raise FitError("indefinite")
+
+        monkeypatch.setattr(surrogate, "log_marginal_likelihood",
+                            always_fails)
+        with pytest.warns(UserWarning, match="every restart"):
+            model = fit(X, Y, restarts=2, rng=0)
+        assert model.warned and model.kernel == KernelParams()
+        assert model.sigmas.tolist() == [1.0, 1.0]
+        assert model.searched_n == 0
+        # One call per failing start.
+        assert len(calls) == 2
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_kernel_fails_like_reference(self, monkeypatch):
-        # ell**2 underflows to 0 on these bounds, so every kernel matrix
-        # holds NaN: every evaluation must fail as the checked wrappers
-        # did, for the same number of evaluations, before the fallback.
+        # ell**2 underflows to 0 in this box, so every kernel matrix holds
+        # NaN: every evaluation must fail as the checked wrappers did, for
+        # the same number of evaluations, before the fallback.
         X, Y = search_data()
-        bounds = ParamBounds(ell=(1e-300, 1e-200))
-        best_theta, nfev = reference_search(X, Y, restarts=2, rng=0,
-                                            bounds=bounds)
+        box = ((1e-300, 1e-2, 1e-8), (1e-200, 1e3, 1e1))
+        monkeypatch.setattr(surrogate, "SEARCH_BOX", box)
+        best_theta, nfev = reference_search(X, Y, restarts=2, rng=0, box=box)
         assert best_theta is None
         calls = count_lml_calls(monkeypatch)
         with pytest.warns(UserWarning, match="every restart"):
-            model = fit(X, Y, bounds=bounds, restarts=2, rng=0)
+            model = fit(X, Y, restarts=2, rng=0)
         assert model.warned and model.kernel == KernelParams()
-        assert model.sigmas.tolist() == [1.0, 1.0]
         # One call per failing start.
         assert len(calls) == nfev == 2
 
     def test_bounds_are_respected(self):
-        # noise bounds the noise-to-signal ratio tau; sigma clips each
-        # objective's fitted scale, here on targets of scale 0.1 and 10.
+        # The box of (ell, alpha, tau) and the sigma clip are fixed, at
+        # values set for z-scored inputs and log10 targets.
+        assert SEARCH_BOX == ((1e-2, 1e-2, 1e-8), (1e2, 1e3, 1e1))
+        assert SIGMA_CLIP == (1e-3, 1e2)
+        # Targets of scale 1e-5 and 1e4 clip their fitted scales.
         rng = np.random.default_rng(12)
         X = rng.normal(size=(8, 1))
-        Y = rng.normal(size=(8, 2)) * [0.1, 10.0]
-        bounds = ParamBounds(sigma=(0.5, 2.0), ell=(0.5, 2.0),
-                             alpha=(0.5, 2.0), noise=(1e-6, 1e-2))
-        model = fit(X, Y, bounds=bounds, restarts=4, rng=3)
-        assert 0.5 <= model.kernel.ell <= 2.0
-        assert 0.5 <= model.kernel.alpha <= 2.0
-        assert 1e-6 <= model.kernel.noise <= 1e-2
-        assert model.sigmas.tolist() == [0.5, 2.0]
+        Y = rng.normal(size=(8, 2)) * [1e-5, 1e4]
+        model = fit(X, Y, restarts=4, rng=3)
+        k = model.kernel
+        assert np.all(np.array(SEARCH_BOX[0]) <= [k.ell, k.alpha, k.noise])
+        assert np.all([k.ell, k.alpha, k.noise] <= np.array(SEARCH_BOX[1]))
+        assert model.sigmas.tolist() == [1e-3, 1e2]
 
 
 class TestProfiledKernel:
@@ -631,15 +674,13 @@ class TestProfiledKernel:
 
     @staticmethod
     def column_sum(X, Y, kernel, scales):
-        return sum(log_marginal_likelihood(
-            X, y, KernelParams(sigma=float(np.sqrt(b)), ell=kernel.ell,
-                               alpha=kernel.alpha, noise=kernel.noise * b))
-            for y, b in zip(Y.T, scales))
+        return sum(reference_lml(X, y, kernel, b)
+                   for y, b in zip(Y.T, scales))
 
     def random_kernels(self, seed, count=10):
         rng = np.random.default_rng(seed)
         for _ in range(count):
-            yield KernelParams(sigma=1.0, ell=float(rng.uniform(0.3, 3.0)),
+            yield KernelParams(ell=float(rng.uniform(0.3, 3.0)),
                                alpha=float(rng.uniform(0.5, 10.0)),
                                noise=float(10 ** rng.uniform(-4, 0)))
 
@@ -650,15 +691,11 @@ class TestProfiledKernel:
             b = self.scales(X, Y, kernel)
             assert profiled(X, Y, kernel) == pytest.approx(
                 self.column_sum(X, Y, kernel, b), abs=1e-8)
-            # Unprofiled, a matrix's evidence is the sum over its columns.
-            assert log_marginal_likelihood(X, Y, kernel) == pytest.approx(
-                sum(log_marginal_likelihood(X, y, kernel) for y in Y.T),
-                abs=1e-8)
-            # Only the noise-to-signal ratio matters, not sigma itself.
-            scaled = KernelParams(sigma=3.0, ell=kernel.ell,
-                                  alpha=kernel.alpha, noise=9 * kernel.noise)
-            assert profiled(X, Y, scaled) == pytest.approx(
-                profiled(X, Y, kernel), abs=1e-8)
+            # Targets scaled by 3 scale every B_jj by 9 and leave the
+            # kernel's fit alone: the evidence moves by -n p log 3.
+            n = len(Y)
+            assert profiled(X, 3.0 * Y, kernel) == pytest.approx(
+                profiled(X, Y, kernel) - n * p * np.log(3.0), abs=1e-8)
 
     def test_every_scale_sits_at_its_optimum(self):
         X, Y = search_data(p=3)
@@ -676,11 +713,11 @@ class TestProfiledKernel:
         X, Y = search_data(p)
         for kernel in self.random_kernels(11 + p, count=4):
             theta = np.log([kernel.ell, kernel.alpha, kernel.noise])
-            _, gradient = log_marginal_likelihood(X, Y, kernel,
-                                                  profiled=True)
+            _, gradient = evidence(X, Y, kernel)
             h = 1e-5
-            numeric = [(profiled(X, Y, unit_kernel(theta + h * e))
-                        - profiled(X, Y, unit_kernel(theta - h * e))) / (2 * h)
+            at = KernelParams.from_log_array
+            numeric = [(profiled(X, Y, at(theta + h * e))
+                        - profiled(X, Y, at(theta - h * e))) / (2 * h)
                        for e in np.eye(3)]
             assert gradient == pytest.approx(numeric, rel=1e-5, abs=1e-5)
 
@@ -689,8 +726,7 @@ class TestProfiledKernel:
         # same L-BFGS-B path to the same bits.
         X, Y = search_data(p=3)
         for kernel in self.random_kernels(5, count=5):
-            value, gradient = log_marginal_likelihood(X, Y, kernel,
-                                                      profiled=True)
+            value, gradient = evidence(X, Y, kernel)
             ref_value, ref_gradient = reference_profiled(X, Y, kernel)
             assert value == ref_value
             assert np.array_equal(gradient, ref_gradient)
@@ -698,8 +734,8 @@ class TestProfiledKernel:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_one_factorization_per_evaluation_for_all_objectives(
             self, monkeypatch, p):
-        # A noise ratio of at least 1e-3 keeps every factorization on the
-        # first jitter rung, so each one is a single dpotrf call.
+        # Without duplicate rows every factorization stays on the first
+        # jitter rung, so each one is a single dpotrf call.
         X, Y = search_data(p)
         X[13] += 0.5
         factorizations = []
@@ -712,16 +748,15 @@ class TestProfiledKernel:
         per_call = []
         lml = surrogate.log_marginal_likelihood
 
-        def counted_lml(X_, Y_, *args, **kwargs):
+        def counted_lml(Y_, *args):
             before = len(factorizations)
-            value = lml(X_, Y_, *args, **kwargs)
+            value = lml(Y_, *args)
             per_call.append((Y_.shape, len(factorizations) - before))
             return value
 
         monkeypatch.setattr(surrogate.lapack, "dpotrf", counted_dpotrf)
         monkeypatch.setattr(surrogate, "log_marginal_likelihood", counted_lml)
-        model = fit(X, Y, bounds=ParamBounds(noise=(1e-3, 1.0)), restarts=2,
-                    rng=0)
+        model = fit(X, Y, restarts=2, rng=0)
         assert per_call and set(per_call) == {((14, p), 1)}
         # Then one factor for the scales, which is the model's factor.
         assert len(factorizations) == len(per_call) + 1
@@ -758,7 +793,7 @@ class TestProfiledKernel:
         reference = build_gp(X[:12], Y[:12], searched.kernel, [1.0, 1.0])
         quad = np.einsum("ij,ij->j", Y[:12], reference.weights)
         reference = dataclasses.replace(
-            reference, sigmas=np.clip(np.sqrt(quad / 12), 1e-3, 1e2),
+            reference, sigmas=np.clip(np.sqrt(quad / 12), *SIGMA_CLIP),
             searched_n=10)
         for refit, expected in ((same, searched), (grown, reference)):
             assert refit.kernel == expected.kernel
