@@ -146,18 +146,28 @@ class NormStats:
             raise ValueError("mean and std must share a shape")
 
 
-# Underflow only rounds a subnormal mean or squared deviation.
-@np.errstate(under="ignore")
+# Underflow only rounds a subnormal mean or squared deviation; overflow is
+# handled column by column below.
+@np.errstate(under="ignore", over="ignore")
 def fit_norm_stats(points: np.ndarray) -> NormStats:
-    """Population z-score statistics (ddof=0) over rows of (n, d) points."""
+    """Population z-score statistics (ddof=0) over rows of (n, d) points;
+    every column of finite points gets a finite mean and std."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("need at least two points to fit normalization")
+    mean, std = pts.mean(axis=0), pts.std(axis=0, ddof=0)
+    # A column whose plain statistics overflow is fitted in units of its
+    # largest magnitude; every other column keeps the plain bits.
+    wide = ~(np.isfinite(mean) & np.isfinite(std))
+    if wide.any():
+        scale = np.abs(pts[:, wide]).max(axis=0)
+        unit = pts[:, wide] / scale
+        mean[wide] = unit.mean(axis=0) * scale
+        std[wide] = unit.std(axis=0, ddof=0) * scale
     # np.std of an exactly constant column can round to nonzero when the
     # column mean is inexact; such columns must hit the zero-variance path.
-    span = pts.max(axis=0) - pts.min(axis=0)
-    std = np.where(span == 0.0, 0.0, pts.std(axis=0, ddof=0))
-    return NormStats(mean=pts.mean(axis=0), std=std)
+    std[pts.max(axis=0) == pts.min(axis=0)] = 0.0
+    return NormStats(mean=mean, std=std)
 
 
 def normalize(points: np.ndarray, stats: NormStats) -> np.ndarray:

@@ -40,7 +40,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .embedding import FeatureTable
 from .fields import ConfigError, check_fields
-from .symreg import (DIVERGENCE_SENTINEL, ConstantsPool, ExprTree,
+from .symreg import (DIVERGENCE_SENTINEL, ExprTree,
                      parse_expression, plan_eval, polynomial_plan,
                      polynomials_eval, preorder, tree_polynomial)
 
@@ -87,7 +87,7 @@ class EvaluationOutcome:
 Slot = ExprTree | Mapping[tuple[str, ...], float]
 
 
-def _polynomial(slot: Slot, pool: ConstantsPool | None) -> Mapping:
+def _polynomial(slot: Slot, pool: Sequence[float] | None) -> Mapping:
     """A slot's canonical polynomial: the slot itself, or its tree's."""
     if not isinstance(slot, ExprTree):
         return slot
@@ -148,7 +148,7 @@ class SymbolicBenchmark:
         return self.table
 
     def evaluate(self, slots: Sequence[Slot],
-                 pool: ConstantsPool | None = None) -> EvaluationOutcome:
+                 pool: Sequence[float] | None = None) -> EvaluationOutcome:
         if len(slots) != self.n_slots:
             raise ValueError(f"expected {self.n_slots} slots, got {len(slots)}")
         _note_expensive_call()
@@ -162,7 +162,7 @@ class SymbolicBenchmark:
         return EvaluationOutcome(objectives=objectives, converged=True)
 
     def evaluate_batch(self, slots_list: Sequence[Sequence[Slot]],
-                       pool: ConstantsPool | None = None
+                       pool: Sequence[float] | None = None
                        ) -> list[EvaluationOutcome]:
         """evaluate of each candidate in turn: at about 0.1 ms a call there
         is no loop overhead to share."""
@@ -456,11 +456,11 @@ class ChannelEvaluator:
             _CHANNEL_TERMINALS, _channel_factors(self.case, u, T, h))))
 
     def evaluate(self, slots: Sequence[Slot],
-                 pool: ConstantsPool | None = None) -> EvaluationOutcome:
+                 pool: Sequence[float] | None = None) -> EvaluationOutcome:
         return self.evaluate_batch([slots], pool)[0]
 
     def evaluate_batch(self, slots_list: Sequence[Sequence[Slot]],
-                       pool: ConstantsPool | None = None
+                       pool: Sequence[float] | None = None
                        ) -> list[EvaluationOutcome]:
         """Solve a generation's candidates as one batch; outcome i is
         evaluate(slots_list[i], pool), bit for bit.

@@ -14,6 +14,10 @@ that writes a candidate's objectives and the one builder of the
 generation's records, which training appends to the database and from
 which training, replay and report compute metrics.
 
+Each config block, `gep` being the engine's own symreg.GepConfig, checks
+its fields when the config loads; set-up then builds the evaluator, the
+GEP alphabet and the run's constants.
+
 Everything is deterministic per seed: random streams are spawned from one
 seed sequence per purpose and generation, costs are counted in abstract
 evaluation units rather than wall time, and floats are serialized with
@@ -30,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -49,8 +52,6 @@ __all__ = [
     "ConfigError",
     "RunError",
     "ReplayError",
-    "GepSettings",
-    "EmbeddingSettings",
     "SurrogateSettings",
     "EvaluatorSpec",
     "RunConfig",
@@ -83,32 +84,6 @@ class RunError(RuntimeError):
 
 class ReplayError(RuntimeError):
     """A stored database cannot be replayed."""
-
-
-@dataclass(frozen=True)
-class GepSettings:
-    head_len: int = 8
-    operators: tuple[str, ...] = ("+", "-", "*")
-    n_constants: int = 5
-    const_range: tuple[float, float] = (-2.0, 2.0)
-    mutation_rate: float = 0.1
-    crossover_rate: float = 0.9
-
-    def __post_init__(self):
-        check_fields(self)
-        # The constants pool draws from the range: its width is a float too.
-        low, high = self.const_range
-        if not low < high or not math.isfinite(float(high) - float(low)):
-            raise ConfigError("const_range must be (low, high) with low < "
-                              f"high and a finite width, got {(low, high)!r}")
-
-
-@dataclass(frozen=True)
-class EmbeddingSettings:
-    feature_table: str | None = None
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -151,8 +126,7 @@ class RunConfig:
     offspring: int = 48
     surrogate_enabled: bool = True
     output_dir: str = "runs/out"
-    gep: GepSettings = field(default_factory=GepSettings)
-    embedding: EmbeddingSettings = field(default_factory=EmbeddingSettings)
+    gep: symreg.GepConfig = field(default_factory=symreg.GepConfig)
     surrogate: SurrogateSettings = field(default_factory=SurrogateSettings)
     selection: sel_mod.SelectionConfig | None = None
     evaluator: EvaluatorSpec = field(default_factory=EvaluatorSpec)
@@ -181,7 +155,7 @@ class RunConfig:
 
 
 # Fields that name files; every one but output_dir names an input.
-_PATH_FIELDS = ("output_dir", "feature_table", "case", "table")
+_PATH_FIELDS = ("output_dir", "case", "table")
 
 
 def _settings(cls, raw: dict, base_dir: Path | None):
@@ -379,8 +353,8 @@ def _fit_surrogate(history: sel_mod.SelectionHistory,
 
 def _streams(seed: int, generations: int):
     """The run's random streams, all spawned from one seed: the generation-0
-    population rng, the constants-pool seed, and per-generation evolve,
-    select and fit rngs."""
+    population rng, the seed the run's constants are drawn with, and
+    per-generation evolve, select and fit rngs."""
     init_ss, pool_ss, *per_gen = np.random.SeedSequence(seed).spawn(5)
     evolve, select, fit = ([np.random.default_rng(s)
                             for s in ss.spawn(generations)]
@@ -561,31 +535,18 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
     init_rng, pool_seed, evolve_rngs, select_rngs, fit_rngs = _streams(
         config.seed, config.generations)
     evaluator = build_evaluator(config.evaluator)
-    if config.embedding.feature_table is not None:
-        table = emb_mod.ingest_feature_table(config.embedding.feature_table)
-        missing = set(evaluator.terminals) - set(table.names)
-        if missing:
-            raise ConfigError(
-                f"feature table lacks terminals {sorted(missing)}")
-    else:
-        table = evaluator.baseline_table()
-    symbols = symreg.SymbolSet(operators=config.gep.operators,
-                               terminals=tuple(evaluator.terminals),
-                               n_constants=config.gep.n_constants)
-    gep_config = symreg.GepConfig(symbols=symbols,
-                                  head_len=config.gep.head_len,
-                                  mutation_rate=config.gep.mutation_rate,
-                                  crossover_rate=config.gep.crossover_rate)
-    pool = symreg.ConstantsPool.from_seed(
-        pool_seed, size=config.gep.n_constants,
-        low=config.gep.const_range[0], high=config.gep.const_range[1])
+    table = evaluator.baseline_table()
+    gep = config.gep
+    symbols = symreg.SymbolSet.build(gep, evaluator.terminals)
+    pool = tuple(np.random.default_rng(pool_seed).uniform(
+        *gep.const_range, size=gep.n_constants).tolist())
     p = evaluator.n_objectives
     n_slots = evaluator.n_slots
 
     population = [symreg.Candidate(
-        genotypes=tuple(symreg.random_genotype(init_rng, gep_config)
+        genotypes=tuple(symreg.random_genotype(init_rng, gep, symbols)
                         for _ in range(n_slots)),
-        generation=0, id=i) for i in range(config.population)]
+        id=i) for i in range(config.population)]
     next_id = config.population
 
     db = EvaluationDatabase()
@@ -597,8 +558,8 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
         else:
             ranks = symreg.rank_population(survivors)
             current = symreg.evolve_generation(survivors, ranks,
-                                               evolve_rngs[gen], gep_config,
-                                               config.offspring, next_id, gen)
+                                               evolve_rngs[gen], gep, symbols,
+                                               config.offspring, next_id)
             next_id += config.offspring
 
         # Each slot's polynomial is built once, then keyed, embedded and
@@ -673,7 +634,7 @@ def passive_replay(db: EvaluationDatabase,
     generations = []
     for gen in gens:
         rec_by_id = {rec.id: rec for rec in by_gen[gen]}
-        stand_ins = [symreg.Candidate(genotypes=(), generation=gen, id=rec.id,
+        stand_ins = [symreg.Candidate(genotypes=(), id=rec.id,
                                       phenotype_keys=rec.keys,
                                       embedding=np.asarray(rec.embedding))
                      for rec in by_gen[gen]]

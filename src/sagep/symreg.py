@@ -8,6 +8,11 @@ finds enough leaves to close the tree, so every genotype is a valid
 expression.  Variation operators (point mutation, one-point crossover) act on
 the linear string and therefore never produce syntactically broken offspring.
 
+GepConfig, the run's `gep` config block, checks the engine's parameters
+once, at load.  A run builds its alphabet (SymbolSet) from it and the
+evaluator's terminals, and draws its constants, a tuple of floats that
+constant symbols index, from its range.
+
 Phenotypes are compared through a canonical polynomial form.  The operator
 set is restricted to ring operations (+, -, *, unary negation) precisely so
 that expansion into a monomial-coefficient map is exact and two genotypes
@@ -22,20 +27,20 @@ are demoted behind every finitely-ranked front.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fields import ConfigError
+from .fields import ConfigError, check_fields
 
 __all__ = [
     "DIVERGENCE_SENTINEL",
     "OP_TABLE",
     "Symbol",
-    "ConstantsPool",
-    "SymbolSet",
     "GepConfig",
+    "SymbolSet",
     "Genotype",
     "ExprTree",
     "Candidate",
@@ -83,7 +88,7 @@ class Symbol:
 
     kind is one of "op", "term", "const", "lit".  Operators carry their
     arity, terminals their feature name, constants an index into the run's
-    ConstantsPool, and literals an explicit float payload (used by parsed
+    constants, and literals an explicit float payload (used by parsed
     reference expressions, never by randomly generated genotypes).
     """
 
@@ -98,8 +103,6 @@ class Symbol:
 
 
 def op_symbol(name: str) -> Symbol:
-    if name not in OP_TABLE:
-        raise ConfigError(f"unknown operator {name!r}")
     return Symbol(kind="op", name=name, arity=OP_TABLE[name])
 
 
@@ -108,8 +111,6 @@ def terminal(name: str) -> Symbol:
 
 
 def constant(index: int) -> Symbol:
-    if index < 0:
-        raise ConfigError("constant index must be non-negative")
     return Symbol(kind="const", index=index)
 
 
@@ -118,86 +119,56 @@ def literal(value: float) -> Symbol:
 
 
 @dataclass(frozen=True)
-class ConstantsPool:
-    """Fixed bank of ephemeral constants shared by a whole run.
-
-    Values are drawn once from a uniform range at run start; genotypes refer
-    to them by index, so reproducing the pool from its seed reproduces every
-    expression exactly.
-    """
-
-    values: tuple[float, ...]
-    seed: int
-
-    @classmethod
-    def from_seed(cls, seed: int, size: int = 5,
-                  low: float = -2.0, high: float = 2.0) -> "ConstantsPool":
-        if size < 0:
-            raise ConfigError("constant pool size must be >= 0")
-        if not low < high:
-            raise ConfigError("constant range must be non-empty")
-        rng = np.random.default_rng(seed)
-        values = tuple(float(v) for v in rng.uniform(low, high, size=size))
-        return cls(values=values, seed=int(seed))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class SymbolSet:
-    """The alphabet a run samples genotypes from."""
-
-    operators: tuple[str, ...] = ("+", "-", "*")
-    terminals: tuple[str, ...] = ()
-    n_constants: int = 5
-
-    def __post_init__(self):
-        for name in self.operators:
-            if name not in OP_TABLE:
-                raise ConfigError(f"unknown operator {name!r}")
-        if not self.operators:
-            raise ConfigError("symbol set needs at least one operator")
-        if not self.terminals and self.n_constants == 0:
-            raise ConfigError("symbol set needs terminals or constants")
-        # Built once: a draw indexes into these, so their order is fixed.
-        leaves = (tuple(terminal(name) for name in self.terminals)
-                  + tuple(constant(i) for i in range(self.n_constants)))
-        object.__setattr__(self, "_leaves", leaves)
-        object.__setattr__(self, "_heads", tuple(
-            op_symbol(name) for name in self.operators) + leaves)
-
-    @property
-    def max_arity(self) -> int:
-        return max(OP_TABLE[name] for name in self.operators)
-
-    def leaf_symbols(self) -> tuple[Symbol, ...]:
-        return self._leaves
-
-    def head_symbols(self) -> tuple[Symbol, ...]:
-        return self._heads
-
-
-@dataclass(frozen=True)
 class GepConfig:
-    """Engine parameters independent of the evaluation problem."""
+    """The `gep` config block: the engine's parameters, independent of the
+    evaluation problem, each checked here once."""
 
-    symbols: SymbolSet = field(default_factory=SymbolSet)
     head_len: int = 8
+    operators: tuple[str, ...] = ("+", "-", "*")
+    n_constants: int = 5
+    const_range: tuple[float, float] = (-2.0, 2.0)
     mutation_rate: float = 0.1
     crossover_rate: float = 0.9
 
     def __post_init__(self):
+        check_fields(self)
+        if not self.operators or not set(self.operators) <= set(OP_TABLE):
+            raise ConfigError(f"operators must be a non-empty list of "
+                              f"{list(OP_TABLE)}, got {list(self.operators)}")
         if self.head_len < 1:
-            raise ConfigError("head length must be >= 1")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ConfigError("mutation rate must lie in [0, 1]")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ConfigError("crossover rate must lie in [0, 1]")
+            raise ConfigError("head_len must be >= 1")
+        if self.n_constants < 0:
+            raise ConfigError("n_constants must be >= 0")
+        for name in ("mutation_rate", "crossover_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1]")
+        # The constants are drawn from the range, so its width is a float.
+        low, high = self.const_range
+        if not low < high or not math.isfinite(float(high) - float(low)):
+            raise ConfigError("const_range must be (low, high) with low < "
+                              f"high and a finite width, got {(low, high)!r}")
 
     @property
     def tail_len(self) -> int:
-        return self.head_len * (self.symbols.max_arity - 1) + 1
+        arity = max(OP_TABLE[name] for name in self.operators)
+        return self.head_len * (arity - 1) + 1
+
+
+@dataclass(frozen=True)
+class SymbolSet:
+    """The alphabet a run draws genotypes from: head slots take any of
+    `heads`, tail slots any of `leaves`.  A draw indexes into these, so
+    their order is fixed: operators, then terminals, then constants."""
+
+    heads: tuple[Symbol, ...]
+    leaves: tuple[Symbol, ...]
+
+    @classmethod
+    def build(cls, config: GepConfig,
+              terminals: Sequence[str]) -> "SymbolSet":
+        leaves = (tuple(map(terminal, terminals))
+                  + tuple(map(constant, range(config.n_constants))))
+        return cls(tuple(map(op_symbol, config.operators)) + leaves, leaves)
 
 
 @dataclass(frozen=True)
@@ -224,14 +195,13 @@ class ExprTree:
             raise StructureError("leaf node cannot have children")
 
 
-def random_genotype(rng: np.random.Generator, config: GepConfig) -> Genotype:
+def random_genotype(rng: np.random.Generator, config: GepConfig,
+                    symbols: SymbolSet) -> Genotype:
     """Sample a genotype uniformly over the head/tail alphabets."""
-    head_pool = config.symbols.head_symbols()
-    tail_pool = config.symbols.leaf_symbols()
-    head = [head_pool[int(i)] for i in rng.integers(len(head_pool),
-                                                    size=config.head_len)]
-    tail = [tail_pool[int(i)] for i in rng.integers(len(tail_pool),
-                                                    size=config.tail_len)]
+    head = [symbols.heads[int(i)] for i in rng.integers(
+        len(symbols.heads), size=config.head_len)]
+    tail = [symbols.leaves[int(i)] for i in rng.integers(
+        len(symbols.leaves), size=config.tail_len)]
     return Genotype(symbols=tuple(head + tail), head_len=config.head_len)
 
 
@@ -300,8 +270,8 @@ def _poly_mul(left: dict, right: dict) -> dict:
     return out
 
 
-def tree_polynomial(tree: ExprTree,
-                    pool: ConstantsPool | None = None) -> dict[tuple[str, ...], float]:
+def tree_polynomial(tree: ExprTree, pool: Sequence[float] | None = None
+                    ) -> dict[tuple[str, ...], float]:
     """Expand a ring-op tree into a monomial -> coefficient map.
 
     Monomials are sorted tuples of variable names (with multiplicity), the
@@ -317,7 +287,7 @@ def tree_polynomial(tree: ExprTree,
     if sym.kind == "const":
         if pool is None:
             return {(f"c{sym.index}",): 1.0}
-        value = float(pool.values[sym.index])
+        value = float(pool[sym.index])
         return {(): value} if value != 0.0 else {}
     parts = [tree_polynomial(child, pool) for child in tree.children]
     if sym.name == "+":
@@ -441,12 +411,10 @@ def mutate(genotype: Genotype, rate: float, rng: np.random.Generator,
            symbols: SymbolSet) -> Genotype:
     """Point mutation: each slot flips with probability `rate` to a symbol
     legal at that position, so head/tail structure is preserved."""
-    head_pool = symbols.head_symbols()
-    tail_pool = symbols.leaf_symbols()
     flips = rng.random(len(genotype.symbols)) < rate
     out = list(genotype.symbols)
     for pos in np.flatnonzero(flips):
-        pool = head_pool if pos < genotype.head_len else tail_pool
+        pool = symbols.heads if pos < genotype.head_len else symbols.leaves
         out[pos] = pool[int(rng.integers(len(pool)))]
     return Genotype(symbols=tuple(out), head_len=genotype.head_len)
 
@@ -473,7 +441,6 @@ class Candidate:
     its evaluation state."""
 
     genotypes: tuple[Genotype, ...]
-    generation: int
     id: int
     phenotype_keys: tuple[str, ...] = ()
     embedding: np.ndarray | None = None
@@ -583,9 +550,9 @@ def evolve_generation(population: Sequence[Candidate],
                       ranks: Sequence[tuple[int, float]],
                       rng: np.random.Generator,
                       config: GepConfig,
+                      symbols: SymbolSet,
                       n_offspring: int,
-                      first_id: int,
-                      generation: int) -> list[Candidate]:
+                      first_id: int) -> list[Candidate]:
     """Produce n_offspring children by binary tournament on (rank, crowding),
     one-point crossover per slot, then point mutation.
 
@@ -607,13 +574,12 @@ def evolve_generation(population: Sequence[Candidate],
                 ca, cb = crossover(ga, gb, rng)
             else:
                 ca, cb = ga, gb
-            slots_a.append(mutate(ca, config.mutation_rate, rng, config.symbols))
-            slots_b.append(mutate(cb, config.mutation_rate, rng, config.symbols))
+            slots_a.append(mutate(ca, config.mutation_rate, rng, symbols))
+            slots_b.append(mutate(cb, config.mutation_rate, rng, symbols))
         for slots in (slots_a, slots_b):
             if len(offspring) >= n_offspring:
                 break
-            offspring.append(Candidate(genotypes=tuple(slots),
-                                       generation=generation, id=next_id))
+            offspring.append(Candidate(genotypes=tuple(slots), id=next_id))
             next_id += 1
     return offspring
 

@@ -6,12 +6,12 @@ evaluates expressions only through their canonical polynomials
 """
 
 import operator
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from sagep.fields import ConfigError
-from sagep.symreg import ConstantsPool, ExprTree
+from sagep.symreg import ExprTree
 
 # Each operator of symreg.OP_TABLE as a function of floats and numpy arrays
 # alike; broadcasting lets one tree evaluate whole feature columns.
@@ -20,7 +20,7 @@ OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 
 def eval_tree(tree: ExprTree, row: Mapping[str, float],
-              pool: ConstantsPool | None = None):
+              pool: Sequence[float] | None = None):
     """Evaluate a tree on one input row (or on whole columns via broadcasting).
 
     Unknown terminal names raise KeyError; a constant reference without a
@@ -40,7 +40,7 @@ def eval_tree(tree: ExprTree, row: Mapping[str, float],
             raise ConfigError(
                 "tree references a constant but no pool was given")
         try:
-            return pool.values[sym.index]
+            return pool[sym.index]
         except IndexError:
             raise ConfigError(
                 f"constant index {sym.index} outside pool of "

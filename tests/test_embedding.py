@@ -19,7 +19,6 @@ from sagep.embedding import (
 )
 from sagep.fields import ConfigError
 from sagep.symreg import (
-    ConstantsPool,
     ExprTree,
     constant,
     op_symbol,
@@ -155,7 +154,7 @@ class TestEmbed:
 
     def test_pool_constants_fold_into_embedding(self):
         t = table_from(I1=[2.0, 4.0])
-        pool = ConstantsPool(values=(0.5,), seed=0)
+        pool = (0.5,)
         tree = ExprTree(op_symbol("*"), (ExprTree(constant(0)),
                                          ExprTree(terminal("I1"))))
         assert embed_trees([tree], t, pool=pool)[0] == 1.5
@@ -226,3 +225,23 @@ class TestNormalization:
             stats = fit_norm_stats(pts)
             out = normalize(pts, stats)
         assert stats.std[0] >= 0.0 and np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("column", [
+        [0.0, 1e160, 2e160],          # the squared deviations overflow
+        [-1.5e308, 1.5e308, 0.0],     # so do the deviations themselves
+        [1.5e308, 1.5e308, 1e308],    # and the sum behind the mean
+    ], ids=["squares", "deviations", "sum"])
+    def test_wide_column_keeps_a_finite_scale(self, column):
+        # A column whose plain statistics overflow would get std inf, and
+        # normalize would then map it to 0 for every candidate of the run.
+        pts = np.column_stack([column, [1.0, 2.0, 3.0]])
+        with np.errstate(all="raise"):
+            stats = fit_norm_stats(pts)
+            z = normalize(pts, stats)
+        col = np.array(column) / 1e160
+        assert np.all(np.isfinite(stats.mean)) and np.all(stats.std > 0.0)
+        assert np.allclose(z[:, 0], (col - col.mean()) / col.std())
+        # The other column keeps the bits of the plain statistics.
+        narrow = fit_norm_stats(pts[:, 1:])
+        assert (stats.mean[1], stats.std[1]) == (narrow.mean[0],
+                                                 narrow.std[0])

@@ -25,7 +25,7 @@ from sagep.evaluators import (
     make_reference,
 )
 from sagep.fields import ConfigError
-from sagep.symreg import (ConstantsPool, ExprTree, constant, op_symbol,
+from sagep.symreg import (ExprTree, constant, op_symbol,
                           parse_expression, terminal, tree_polynomial)
 
 
@@ -78,27 +78,27 @@ class TestSymbolicBenchmark:
 
     def test_exact_recovery_scores_zero(self):
         trees = [parse_expression("I1*I1"), parse_expression("0.5 - I2")]
-        out = self.bench.evaluate(trees, ConstantsPool(values=(), seed=0))
+        out = self.bench.evaluate(trees, ())
         assert out.converged
         assert np.allclose(out.objectives, 0.0, atol=1e-12)
 
     def test_rms_of_constant_offset(self):
         trees = [parse_expression("I1*I1 + 1"), parse_expression("0.5 - I2")]
-        out = self.bench.evaluate(trees, ConstantsPool(values=(), seed=0))
+        out = self.bench.evaluate(trees, ())
         assert out.objectives[0] == pytest.approx(1.0, rel=1e-12)
         assert out.objectives[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_counter_increments_per_evaluation(self):
         before = expensive_call_count()
         trees = [parse_expression("I1"), parse_expression("I2")]
-        self.bench.evaluate(trees, ConstantsPool(values=(), seed=0))
+        self.bench.evaluate(trees, ())
         assert expensive_call_count() == before + 1
 
     def test_overflow_trips_sentinel(self):
         table = FeatureTable(columns={"I1": np.array([1e300, 1e300])})
         bench = SymbolicBenchmark(table, targets=("I1",))
         trees = [parse_expression("I1*I1*I1")]
-        out = bench.evaluate(trees, ConstantsPool(values=(), seed=0))
+        out = bench.evaluate(trees, ())
         assert not out.converged
         assert np.all(out.objectives == DIVERGENCE_SENTINEL)
 
@@ -107,7 +107,7 @@ class TestSymbolicBenchmark:
                                   slot_of_objective=(0, 0))
         assert bench.n_slots == 1
         out = bench.evaluate([parse_expression("I1")],
-                             ConstantsPool(values=(), seed=0))
+                             ())
         assert np.allclose(out.objectives, 0.0, atol=1e-12)
 
     def test_target_must_be_finite_on_table(self):
@@ -131,7 +131,7 @@ class TestSymbolicBenchmark:
     def test_term_order_changes_no_bit(self):
         # Objectives depend only on the phenotype key, so every order of
         # the same terms gives the same bits.
-        pool = ConstantsPool(values=(), seed=0)
+        pool = ()
         for terms in (("I1", "I1*I2", "I2"), ("0.3", "I1", "I2")):
             outcomes = {self.bench.evaluate([tree, tree], pool)
                         .objectives.tobytes() for tree in term_orders(terms)}
@@ -152,7 +152,7 @@ class TestChannelSolver:
         case = default_channel_case()
         ev_channel = ChannelEvaluator(case)
         trees = [parse_expression(e) for e in case.truth_exprs]
-        out = ev_channel.evaluate(trees, ConstantsPool(values=(), seed=0))
+        out = ev_channel.evaluate(trees, ())
         assert out.converged
         assert np.all(out.objectives <= case.tol * 10)
 
@@ -177,7 +177,7 @@ class TestChannelSolver:
         case = default_channel_case()
         ev_channel = ChannelEvaluator(case)
         trees = [parse_expression("0"), parse_expression("-1000")]
-        out = ev_channel.evaluate(trees, ConstantsPool(values=(), seed=0))
+        out = ev_channel.evaluate(trees, ())
         assert not out.converged
         assert np.all(out.objectives == DIVERGENCE_SENTINEL)
 
@@ -222,12 +222,12 @@ class TestChannelSolver:
         ev_channel = ChannelEvaluator(default_channel_case())
         before = expensive_call_count()
         trees = [parse_expression("0"), parse_expression("0")]
-        ev_channel.evaluate(trees, ConstantsPool(values=(), seed=0))
+        ev_channel.evaluate(trees, ())
         assert expensive_call_count() == before + 1
 
     def test_term_order_changes_no_bit(self):
         ev_channel = ChannelEvaluator(default_channel_case())
-        pool = ConstantsPool(values=(), seed=0)
+        pool = ()
         alpha = parse_expression("0.945 - 2.108*J1")
         for terms in (("I1", "I1*J1", "J1"), ("0.3", "I1", "J1")):
             outcomes = [ev_channel.evaluate([g, alpha], pool)
@@ -240,7 +240,7 @@ class TestChannelSolver:
         ev_channel = ChannelEvaluator(case)
         assert ev_channel.n_slots == 3
         trees = [parse_expression(e) for e in case.truth_exprs]
-        out = ev_channel.evaluate(trees, ConstantsPool(values=(), seed=0))
+        out = ev_channel.evaluate(trees, ())
         assert out.converged
         assert np.all(out.objectives <= case.tol * 10)
 
@@ -254,7 +254,7 @@ class TestChannelSolver:
                  (THREE_SLOT_TRUTH[0], r, THREE_SLOT_TRUTH[2])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = ev_channel.evaluate(trees, ConstantsPool(values=(), seed=0))
+            out = ev_channel.evaluate(trees, ())
         assert out.converged is False
         assert np.all(out.objectives == DIVERGENCE_SENTINEL)
 
@@ -405,7 +405,7 @@ class TestSolveBatch:
         evaluator = ChannelEvaluator(default_channel_case())
         trees = [[parse_expression(e) for e in SOLVE_PINS[name][0]]
                  for name in SOLVE_PINS if None not in SOLVE_PINS[name][0]]
-        pool = ConstantsPool(values=(), seed=0)
+        pool = ()
         batch = evaluator.evaluate_batch(trees, pool)
         for t, in_batch in zip(trees, batch):
             alone = evaluator.evaluate(t, pool)
@@ -423,7 +423,7 @@ class TestSolveBatch:
             table = FeatureTable(columns={"I1": np.array([0.5, 1.0])})
             evaluator = SymbolicBenchmark(table, targets=("I1",))
             trees = [parse_expression("I1")]
-        pool = ConstantsPool(values=(), seed=0)
+        pool = ()
         before = expensive_call_count()
         assert evaluator.evaluate_batch([], pool) == []
         assert expensive_call_count() == before
@@ -436,7 +436,7 @@ class TestSolveBatch:
         table = FeatureTable(columns={"I1": rng.uniform(0.2, 1.0, size=12),
                                       "I2": rng.uniform(-1.0, 0.0, size=12)})
         bench = SymbolicBenchmark(table, targets=("I1*I1", "0.5 - I2"))
-        pool = ConstantsPool(values=(), seed=0)
+        pool = ()
         trees = [[parse_expression(a), parse_expression(b)]
                  for a, b in (("I1", "I2"), ("I1*I1", "0.5 - I2"))]
         batch = bench.evaluate_batch(trees, pool)

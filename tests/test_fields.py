@@ -1,5 +1,6 @@
 """The one field rule every config block checks its fields by."""
 
+import dataclasses
 import typing
 from dataclasses import dataclass
 
@@ -8,12 +9,19 @@ import pytest
 
 from sagep.evaluators import ChannelCase
 from sagep.fields import ConfigError, check_fields, field_types, finite
-from sagep.orchestrator import (EmbeddingSettings, EvaluatorSpec, GepSettings,
-                                RunConfig, SurrogateSettings)
-from sagep.selection import SelectionConfig
+from sagep.orchestrator import RunConfig
 
-BLOCKS = [GepSettings, EmbeddingSettings, SurrogateSettings, EvaluatorSpec,
-          RunConfig, SelectionConfig, ChannelCase]
+
+def blocks(cls) -> list:
+    """cls, then each config block its fields are typed as, depth first."""
+    return [cls] + [block for hint in field_types(cls).values()
+                    for member in typing.get_args(hint) or (hint,)
+                    if dataclasses.is_dataclass(member)
+                    for block in blocks(member)]
+
+
+# The channel case is a file the evaluator block names, not a field type.
+BLOCKS = blocks(RunConfig) + [ChannelCase]
 
 
 def wrong_value(hint):

@@ -148,12 +148,9 @@ class TestConfig:
         ("log_error", {"surrogate": {"log_error": "false"}}),
         ("log_error", {"surrogate": {"log_error": True}}),
         ("log_error", {"surrogate": {"log_error": False}}),
-        ("average_inputs_first", {"embedding": {
-            "average_inputs_first": "no"}}),
-        ("average_inputs_first", {"embedding": {
-            "average_inputs_first": True}}),
-        ("average_inputs_first", {"embedding": {
-            "average_inputs_first": False}}),
+        ("embedding", {"embedding": {"average_inputs_first": "no"}}),
+        ("embedding", {"embedding": {"average_inputs_first": True}}),
+        ("embedding", {"embedding": {"average_inputs_first": False}}),
         ("n_init", {"selection": {"n_init": 2.5}}),
         ("m_fixed", {"selection": {"m_fixed": 1.5}}),
         ("m_fixed", {"selection": {"m_fixed": True}}),
@@ -178,7 +175,7 @@ class TestConfig:
         ("bounds", {"surrogate": {"bounds": {"ell": [0.01, True]}}}),
         ("output_dir", {"output_dir": 5}),
         ("output_dir", {"output_dir": None}),
-        ("feature_table", {"embedding": {"feature_table": 3}}),
+        ("embedding", {"embedding": {"feature_table": 3}}),
         ("case", {"evaluator": {"kind": "channel", "case": 7}}),
         ("table", {"evaluator": {"kind": "symbolic", "table": 4,
                                  "targets": TARGETS}}),
@@ -196,6 +193,14 @@ class TestConfig:
         ("targets", {"evaluator": {"kind": "symbolic", "table": "features.csv",
                                    "targets": "I1"}}),
         ("operators", {"gep": {"head_len": 4, "operators": "+-"}}),
+        # The gep block is the engine's GepConfig, so its range faults
+        # are found at load too, not at set-up.
+        ("operators", {"gep": {"operators": ["/"]}}),
+        ("operators", {"gep": {"operators": []}}),
+        ("head_len", {"gep": {"head_len": 0}}),
+        ("n_constants", {"gep": {"n_constants": -1}}),
+        ("mutation_rate", {"gep": {"mutation_rate": 2}}),
+        ("crossover_rate", {"gep": {"crossover_rate": -0.1}}),
     ], ids=["surrogate_enabled_string", "surrogate_enabled_int",
             "log_error", "log_error_true", "log_error_false",
             "average_inputs_first", "average_inputs_first_true",
@@ -209,14 +214,16 @@ class TestConfig:
             "output_dir_int", "output_dir_null", "feature_table_int",
             "case_int", "table_int", "slot_of_objective_strings",
             "slot_of_objective_floats", "slot_of_objective_bools",
-            "targets_numbers", "targets_string", "operators_string"])
+            "targets_numbers", "targets_string", "operators_string",
+            "operator_unknown", "operators_empty", "head_len_zero",
+            "n_constants_negative", "mutation_rate_two",
+            "crossover_rate_negative"])
     def test_ill_typed_field_rejected_on_load(self, tmp_path, capsys, name,
                                               overrides):
         # Each is caught while the config loads, and `sagep run` exits 1
         # instead of running with another meaning or crashing mid-run.  The
-        # removed switches surrogate.log_error and
-        # embedding.average_inputs_first, and the removed surrogate.bounds
-        # block, are rejected whatever their value.
+        # removed switch surrogate.log_error, and the removed embedding and
+        # surrogate.bounds blocks, are rejected whatever their value.
         path = write_config(tmp_path, **overrides)
         with pytest.raises(ConfigError, match=name):
             load_run_config(path)
@@ -362,7 +369,7 @@ class TestGenerationStep:
     IDENTITY = NormStats(mean=np.zeros(2), std=np.ones(2))
 
     def population(self, *embeddings):
-        return [Candidate(genotypes=(), generation=0, id=i,
+        return [Candidate(genotypes=(), id=i,
                           phenotype_keys=(f"k{i}",),
                           embedding=np.asarray(e, dtype=float))
                 for i, e in enumerate(embeddings)]
@@ -564,6 +571,17 @@ class TestRunTraining:
         assert calls == metrics.total_expensive == len(distinct)
         assert all(r.wall_time == float(r.provenance == "expensive")
                    for r in db.records)
+
+    def test_wide_constants_keep_every_embedding_coordinate(self, tmp_path):
+        # Constants near 1e150 spread generation 0's embeddings past 1e154,
+        # where the plain std overflows (a RuntimeWarning, an error in this
+        # suite) and normalization would map the coordinate to 0 all run.
+        cfg = load_run_config(write_config(tmp_path, gep={
+            "head_len": 4, "n_constants": 2, "const_range": [1e150, 1e151]}))
+        db, _ = run_training(cfg)
+        stats = orch._gen0_norm_stats(
+            [r.embedding for r in db.records if r.generation == 0])
+        assert np.all(np.isfinite(stats.std)) and np.all(stats.std > 0.0)
 
     def test_key_and_embedding_share_one_polynomial_per_slot(
             self, tmp_path, monkeypatch):
@@ -1091,8 +1109,9 @@ class TestCli:
             "g": "-0.1 - I2", "alpha": "0.945 - 2.108*J1"}}}},
         {"evaluator": {"kind": "channel", "case": {"truth": {
             "g": "-0.1 - I1", "alpha": "False - 2.108*J1"}}}},
+        # embedding is no field, whatever it holds.
         {"evaluator": {"kind": "channel"},
-         "embedding": {"feature_table": "features.csv"}},  # lacks J1
+         "embedding": {"feature_table": "features.csv"}},
         # surrogate.bounds is no field, whatever it holds.
         {"surrogate": {"bounds": {"sigma": [0.001, float("inf")]}}},
         {"surrogate": {"bounds": {"ell": [1e-300, 1e-200]}}},

@@ -41,7 +41,7 @@ def make_history(X, diverged=np.empty((0, 2))):
 
 def make_candidate(cid, emb):
     emb = np.asarray(emb, dtype=float)
-    return Candidate(genotypes=(), generation=0, id=cid,
+    return Candidate(genotypes=(), id=cid,
                      phenotype_keys=(f"k{cid}",), embedding=emb,
                      embedding_norm=emb)
 

@@ -11,7 +11,6 @@ from oracles import eval_tree
 from sagep.fields import ConfigError
 from sagep.symreg import (
     Candidate,
-    ConstantsPool,
     ExprTree,
     GepConfig,
     Genotype,
@@ -100,7 +99,6 @@ class TestDecode:
 class TestGenotypeLayout:
     def test_tail_length_rule(self):
         cfg = GepConfig(head_len=8)
-        assert cfg.symbols.max_arity == 2
         assert cfg.tail_len == 9
         assert cfg.head_len + cfg.tail_len == 17
 
@@ -114,21 +112,21 @@ class TestGenotypeLayout:
             GepConfig(head_len=0)
 
 
-def assert_layout(g, max_arity=2):
-    """Operators only in the head, and the tail the GEP rule's length."""
+def assert_layout(g):
+    """Operators only in the head, and the tail the GEP rule's length for
+    binary operators."""
     assert all(s.is_leaf() for s in g.symbols[g.head_len:])
-    assert len(g.symbols) - g.head_len == g.head_len * (max_arity - 1) + 1
+    assert len(g.symbols) - g.head_len == g.head_len + 1
 
 
 @st.composite
 def genotypes(draw, head_len=None):
-    symbols = SymbolSet(terminals=("I1", "I2", "J1"), n_constants=2)
     h = head_len if head_len is not None else draw(st.integers(1, 6))
-    cfg = GepConfig(symbols=symbols, head_len=h)
-    head_pool = symbols.head_symbols()
-    tail_pool = symbols.leaf_symbols()
-    head = draw(st.lists(st.sampled_from(head_pool), min_size=h, max_size=h))
-    tail = draw(st.lists(st.sampled_from(tail_pool),
+    cfg = GepConfig(head_len=h, n_constants=2)
+    symbols = SymbolSet.build(cfg, ("I1", "I2", "J1"))
+    head = draw(st.lists(st.sampled_from(symbols.heads), min_size=h,
+                         max_size=h))
+    tail = draw(st.lists(st.sampled_from(symbols.leaves),
                          min_size=cfg.tail_len, max_size=cfg.tail_len))
     return Genotype(symbols=tuple(head + tail), head_len=h)
 
@@ -152,10 +150,10 @@ class TestDecodeProperties:
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8))
     def test_random_genotype_is_valid(self, seed, head_len):
-        symbols = SymbolSet(terminals=("I1", "J1"), n_constants=3)
-        cfg = GepConfig(symbols=symbols, head_len=head_len)
-        g = random_genotype(np.random.default_rng(seed), cfg)
-        assert_layout(g, symbols.max_arity)
+        cfg = GepConfig(head_len=head_len, n_constants=3)
+        symbols = SymbolSet.build(cfg, ("I1", "J1"))
+        g = random_genotype(np.random.default_rng(seed), cfg, symbols)
+        assert_layout(g)
         decode(g)
 
 
@@ -165,7 +163,7 @@ class TestDecodeProperties:
 
 class TestEvaluation:
     def test_constant_pool_lookup(self):
-        pool = ConstantsPool(values=(0.5, -1.0, 2.0), seed=0)
+        pool = (0.5, -1.0, 2.0)
         g = make_genotype(constant(0), I1, I1, head_len=1)
         assert eval_tree(decode(g), {"I1": 3.0}, pool=pool) == 0.5
 
@@ -198,7 +196,7 @@ class TestCanonicalKey:
         assert canonical_key(tree_polynomial(tree)) == "0"
 
     def test_constant_folding_with_pool(self):
-        pool = ConstantsPool(values=(0.5, 2.0), seed=0)
+        pool = (0.5, 2.0)
         tree = decode(make_genotype(MUL, constant(1), I1, I1, I1, head_len=2))
         assert canonical_key(tree_polynomial(tree, pool)) == "2.0*I1"
         # Without the pool the reference stays opaque.
@@ -212,7 +210,7 @@ class TestCanonicalKey:
 
     @given(genotypes())
     def test_key_agrees_with_pointwise_evaluation(self, g):
-        pool = ConstantsPool(values=(0.5, -1.5), seed=0)
+        pool = (0.5, -1.5)
         tree = decode(g)
         poly = tree_polynomial(tree, pool)
         rng = np.random.default_rng(0)
@@ -223,7 +221,7 @@ class TestCanonicalKey:
 
     @given(genotypes(), genotypes())
     def test_equal_keys_imply_equal_functions(self, a, b):
-        pool = ConstantsPool(values=(0.5, -1.5), seed=0)
+        pool = (0.5, -1.5)
         ta, tb = decode(a), decode(b)
         if (canonical_key(tree_polynomial(ta, pool))
                 != canonical_key(tree_polynomial(tb, pool))):
@@ -337,16 +335,16 @@ class TestParseExpression:
 class TestVariation:
     @given(genotypes(head_len=4), st.floats(0.0, 1.0), st.integers(0, 2 ** 16))
     def test_mutation_preserves_layout(self, g, rate, seed):
-        symbols = SymbolSet(terminals=("I1", "I2", "J1"), n_constants=2)
+        symbols = SymbolSet.build(GepConfig(n_constants=2), ("I1", "I2", "J1"))
         child = mutate(g, rate, np.random.default_rng(seed), symbols)
         assert len(child.symbols) == len(g.symbols)
         assert child.head_len == g.head_len
         assert_layout(child)
 
     def test_mutation_rate_zero_is_identity(self):
-        symbols = SymbolSet(terminals=("I1",), n_constants=1)
-        cfg = GepConfig(symbols=symbols, head_len=4)
-        g = random_genotype(np.random.default_rng(1), cfg)
+        cfg = GepConfig(head_len=4, n_constants=1)
+        symbols = SymbolSet.build(cfg, ("I1",))
+        g = random_genotype(np.random.default_rng(1), cfg, symbols)
         assert mutate(g, 0.0, np.random.default_rng(2), symbols) == g
 
     @given(genotypes(head_len=3), genotypes(head_len=3), st.integers(0, 2 ** 16))
@@ -366,23 +364,22 @@ class TestVariation:
 
 
 class TestAlphabets:
-    SYMBOLS = SymbolSet(operators=("+", "-", "*", "neg"),
-                        terminals=("I1", "I2", "J1"), n_constants=3)
+    CONFIG = GepConfig(head_len=4, operators=("+", "-", "*", "neg"),
+                       n_constants=3)
+    SYMBOLS = SymbolSet.build(CONFIG, ("I1", "I2", "J1"))
 
     def test_alphabets_equal_fresh_tuples_in_order(self):
         leaves = (I1, I2, J1, constant(0), constant(1), constant(2))
-        assert self.SYMBOLS.leaf_symbols() == leaves
-        assert self.SYMBOLS.head_symbols() == (ADD, SUB, MUL, NEG) + leaves
+        assert self.SYMBOLS.leaves == leaves
+        assert self.SYMBOLS.heads == (ADD, SUB, MUL, NEG) + leaves
 
     def test_alphabets_are_built_once(self):
-        assert self.SYMBOLS.head_symbols() is self.SYMBOLS.head_symbols()
-        assert self.SYMBOLS.leaf_symbols() is self.SYMBOLS.leaf_symbols()
-
-    def test_cached_alphabets_stay_out_of_equality_and_repr(self):
-        twin = SymbolSet(operators=("+", "-", "*", "neg"),
-                         terminals=("I1", "I2", "J1"), n_constants=3)
-        assert twin == self.SYMBOLS and hash(twin) == hash(self.SYMBOLS)
-        assert "_heads" not in repr(twin)
+        # Draws hand out the alphabet's own symbols; none is built per draw.
+        rng = np.random.default_rng(3)
+        g = random_genotype(rng, self.CONFIG, self.SYMBOLS)
+        drawn = g.symbols + mutate(g, 1.0, rng, self.SYMBOLS).symbols
+        owned = {id(s) for s in self.SYMBOLS.heads}
+        assert all(id(s) in owned for s in drawn)
 
     def test_seeded_draws_pinned(self):
         # A draw indexes into the alphabets, so reordering either one
@@ -391,11 +388,10 @@ class TestAlphabets:
             return " ".join(s.name if s.kind in ("op", "term")
                             else f"c{s.index}" for s in g.symbols)
 
-        cfg = GepConfig(symbols=self.SYMBOLS, head_len=4)
         rng = np.random.default_rng(7)
         drawn = []
         for _ in range(2):
-            g = random_genotype(rng, cfg)
+            g = random_genotype(rng, self.CONFIG, self.SYMBOLS)
             drawn += [render(g), render(mutate(g, 0.5, rng, self.SYMBOLS))]
         assert drawn == ["c2 J1 J1 c1 c0 c1 c2 I2 I1",
                          "c2 neg J1 c1 J1 c0 c0 c0 c0",
@@ -516,8 +512,8 @@ class TestDominance:
                                                     [2.0, 1.0]]))).all()
 
 
-def _candidate(cid, objectives, generation=0):
-    return Candidate(genotypes=(), generation=generation, id=cid,
+def _candidate(cid, objectives):
+    return Candidate(genotypes=(), id=cid,
                      objectives=tuple(objectives))
 
 
@@ -535,7 +531,7 @@ class TestRanking:
 
     def test_candidate_without_objectives_rejected(self):
         pop = [_candidate(0, (1.0, 1.0)),
-               Candidate(genotypes=(), generation=0, id=7)]
+               Candidate(genotypes=(), id=7)]
         with pytest.raises(ValueError, match="candidate 7"):
             rank_population(pop)
 
@@ -550,23 +546,22 @@ class TestRanking:
         assert len(keep) == 3
 
     def test_evolve_generation_shapes(self):
-        symbols = SymbolSet(terminals=("I1", "I2"), n_constants=2)
-        cfg = GepConfig(symbols=symbols, head_len=4)
+        cfg = GepConfig(head_len=4, n_constants=2)
+        symbols = SymbolSet.build(cfg, ("I1", "I2"))
         rng = np.random.default_rng(5)
         pop = []
         for i in range(6):
-            pop.append(Candidate(genotypes=(random_genotype(rng, cfg),
-                                            random_genotype(rng, cfg)),
-                                 generation=0, id=i,
+            pop.append(Candidate(genotypes=(random_genotype(rng, cfg, symbols),
+                                            random_genotype(rng, cfg, symbols)),
+                                 id=i,
                                  objectives=(float(i), float(5 - i))))
         ranks = rank_population(pop)
         # Invalid pairing of ranks and population must be rejected upstream;
         # here we check the offspring contract.
-        children = evolve_generation(pop, ranks, rng, cfg,
-                                     n_offspring=8, first_id=100, generation=3)
+        children = evolve_generation(pop, ranks, rng, cfg, symbols,
+                                     n_offspring=8, first_id=100)
         assert len(children) == 8
         assert [c.id for c in children] == list(range(100, 108))
-        assert all(c.generation == 3 for c in children)
         for child in children:
             assert len(child.genotypes) == 2
             for g in child.genotypes:
