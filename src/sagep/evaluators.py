@@ -19,8 +19,12 @@ objectives depend only on the phenotype keys; a tree-walking oracle in
 the tests is the reference semantics they are checked against.
 
 The channel evaluator solves a generation's candidates as one batch: one
-damped fixed-point loop on (k, n) profiles, whose rows leave as they exit,
-each with the bits of its candidate's solve alone.
+damped fixed-point loop on the u and T profiles of all k candidates,
+stacked as (2, k, n), whose rows leave as they exit.  Each iteration
+solves both equations of every row with one LAPACK dgtsv call on one
+block-diagonal system; a row whose solution is not all finite and nonzero
+is solved again on its own.  Each row gets the bits of its candidate's
+solve alone.
 
 Both evaluators bump a module-level call counter; passive replay must leave
 that counter untouched, which is how tests prove no expensive call happens
@@ -230,50 +234,67 @@ class ChannelCase:
 
 
 def _tridiag_solve(diff_face: np.ndarray, source: np.ndarray,
-                   walls: tuple[float, float], h: float) -> np.ndarray:
+                   walls: np.ndarray, h: float) -> np.ndarray:
     """Solve d/dy(D du/dy) = -source with Dirichlet walls, one system per
-    row of diff_face (k, n-1) and source (k, n); a 1-D pair is one row.
+    row of diff_face (k, n-1), source (k, n) and walls (k, 2), n >= 4.
 
     diff_face holds face diffusivities D_{i+1/2}; interior equations use
-    conservative second-order differences, each row solved by LAPACK
-    dgtsv, the routine scipy's solve_banded calls for one band each side.
-    Returns a (k, n) array.
+    conservative second-order differences.  The k systems are joined into
+    one, linked by zero off-diagonals, for one call of LAPACK dgtsv (the
+    routine scipy's solve_banded calls for one band each side).  Faces are
+    > 0, so dgtsv never pivots across a link, and a link adds 0 * x to its
+    neighbour, which leaves a nonzero finite value as it was.  0 * x can
+    flip the sign of a zero, and 0 * inf is nan, so each row whose solution
+    is not all finite and nonzero is solved again alone: every row has the
+    bits of its lone dgtsv call.  A singular system raises LinAlgError.
     """
-    diff_face, source = np.atleast_2d(diff_face, source)
+    k, n = source.shape
     rhs = -source[:, 1:-1] * h * h
-    rhs[:, 0] -= diff_face[:, 0] * walls[0]
-    rhs[:, -1] -= diff_face[:, -1] * walls[1]
-    off = diff_face[:, 1:-1]
+    # Columns 0 and -1 of rhs (n-2 wide) and of diff_face (n-1 wide).
+    rhs[:, ::n - 3] -= diff_face[:, ::n - 2] * walls
+    link = diff_face[:, 1:].copy()
+    link[:, -1] = 0.0  # to the next row's system
     diag = -(diff_face[:, :-1] + diff_face[:, 1:])
     out = np.empty(source.shape)
-    out[:, 0], out[:, -1] = walls
-    for o, d, b, x in zip(off, diag, rhs, out[:, 1:-1]):
-        # dl and du alias one buffer, so neither may be overwritten.
-        *_, x[:], info = dgtsv(o, d, o, b)
+    out[:, ::n - 1] = walls
+    inner = out[:, 1:-1]
+    # dl and du alias one buffer, so neither may be overwritten.
+    dl = link.ravel()[:-1]
+    *_, x, info = dgtsv(dl, diag.ravel(), dl, rhs.ravel())
+    inner[:] = x.reshape(k, n - 2)
+    exact = (inner != 0.0).all(1) & np.isfinite(inner).all(1)
+    for i in range(k) if info else np.flatnonzero(~exact):
+        *_, inner[i], info = dgtsv(link[i, :-1], diag[i], link[i, :-1],
+                                   rhs[i])
         if info > 0:
             raise LinAlgError("singular matrix")
     return out
 
 
-def _gradient(f: np.ndarray, h: float) -> np.ndarray:
+def _gradient(f: np.ndarray, h: float,
+              out: np.ndarray | None = None) -> np.ndarray:
     """np.gradient(f, h, axis=-1), as its own slice expressions."""
-    out = np.empty_like(f)
-    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
-    out[..., 0] = (f[..., 1] - f[..., 0]) / h
-    out[..., -1] = (f[..., -1] - f[..., -2]) / h
+    out = np.empty_like(f) if out is None else out
+    np.divide(f[..., 2:] - f[..., :-2], 2.0 * h, out=out[..., 1:-1])
+    np.divide(f[..., 1] - f[..., 0], h, out=out[..., 0])
+    np.divide(f[..., -1] - f[..., -2], h, out=out[..., -1])
     return out
 
 
 _CHANNEL_TERMINALS = ("I1", "J1")
 
 
-def _channel_factors(case: ChannelCase, u: np.ndarray, T: np.ndarray,
-                     h: float) -> np.ndarray:
-    """The closure inputs I1 and J1 on the profiles u and T, then ones (the
-    factor a polynomial plan pads with), stacked along a new first axis."""
-    out = np.ones((len(_CHANNEL_TERMINALS) + 1, *u.shape))
-    out[0] = (_gradient(u, h) / case.omega) ** 2
-    out[1] = _gradient(T, h) ** 2
+def _channel_factors(case: ChannelCase, state: np.ndarray, h: float,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """The closure inputs I1 and J1 on the stacked profiles (u, T), then
+    ones (the factor a polynomial plan pads with), stacked along the first
+    axis; out, if given, already holds the ones."""
+    if out is None:
+        out = np.ones((len(_CHANNEL_TERMINALS) + 1, *state.shape[1:]))
+    grad = _gradient(state, h, out[:2])
+    # T's gradient over 1.0 keeps its bits.
+    grad /= np.reshape([case.omega, 1.0], (2,) + (1,) * (state.ndim - 1))
+    np.square(grad, out=grad)
     return out
 
 
@@ -288,76 +309,88 @@ Profiles = tuple[np.ndarray, np.ndarray, int, bool]
 def _solve_batch(case: ChannelCase, closures: Sequence[tuple],
                  tol: float) -> list[Profiles]:
     """Damped fixed-point iteration on the coupled system, for a batch of
-    (g, r, alpha) closure polynomials at once on (k, n) profiles.
+    (g, r, alpha) closure polynomials at once.
 
-    Returns (u, T, iterations, converged) per closure.  Each row's result
-    has the bits of its solve alone: all work is elementwise or an exact
-    per-row reduction, and each row's tridiagonal systems are solved on
-    their own.  A row leaves the batch, holding a copy of its iterate, at
-    the first check it fails: a non-finite or non-positive diffusivity,
-    then a non-finite solve (both keep the previous iterate), then a
-    non-finite residual; or when it converges.  converged False covers
-    every divergence and running out of iterations.
+    The state stacks u and T of the k active rows as (2, k, n), so one
+    gradient, damping update and residual serve both equations; g and
+    alpha are one polynomial plan, and one _tridiag_solve call solves both
+    equations of every row.  Returns (u, T, iterations, converged) per
+    closure, each with the bits of its solve alone: all other work is
+    elementwise or an exact per-row reduction.  A row leaves the batch,
+    holding a copy of its iterate, at the first check it fails: a
+    non-finite or non-positive diffusivity, then a non-finite solve (both
+    keep the previous iterate), then a non-finite residual; or when it
+    converges.  converged False covers every divergence and running out
+    of iterations.  Per-row arrays are rebuilt only when rows leave.
     """
     _, h = case.grid()
     k, n = len(closures), case.n_cells
     nut = case.nut_profile()
-    plans = [polynomial_plan([closure[s] for closure in closures],
-                             _CHANNEL_TERMINALS) for s in range(3)]
+    base = np.reshape([case.nu, case.alpha_base], (2, 1, 1))
+    walls = np.array([case.wall_u, case.wall_t])
+    # g then alpha as one plan of two k-row blocks; r alone, {} if absent.
+    diff_plan = polynomial_plan([c[0] for c in closures]
+                                + [c[2] for c in closures],
+                                _CHANNEL_TERMINALS)
+    r_plan = polynomial_plan([c[1] for c in closures], _CHANNEL_TERMINALS)
     rows = np.arange(k)  # batch index of each active row
-    u = np.tile(np.linspace(case.wall_u[0], case.wall_u[1], n), (k, 1))
-    T = np.tile(np.linspace(case.wall_t[0], case.wall_t[1], n), (k, 1))
+    state = np.stack([np.tile(np.linspace(*wall, n), (k, 1))
+                      for wall in walls])
     theta = case.damping
     out: list = [None] * k
 
+    def buffers(k: int) -> tuple:
+        """The factors' ones, the sources (T's stays zero) and the walls
+        of k rows."""
+        return (np.ones((len(_CHANNEL_TERMINALS) + 1, k, n)),
+                np.zeros((2, k, n)), np.repeat(walls, k, axis=0))
+
+    factors, source, row_walls = buffers(k)
     # Any value a closure drives non-finite is divergence, caught below.
     with np.errstate(all="ignore"):
         for iteration in range(1, case.max_iters + 1):
             if not len(rows):
                 break
-            factors = _channel_factors(case, u, T, h)
-            g_val, r_val, a_val = (plan_eval(plan, factors)
-                                   for plan in plans)
-            del factors
-            diff_u = case.nu + g_val * nut
-            diff_t = case.alpha_base + a_val * nut
-            del g_val, a_val
-            usable = (np.isfinite(diff_u).all(1) & np.isfinite(diff_t).all(1)
-                      & (diff_u.min(1) > 0.0) & (diff_t.min(1) > 0.0))
-            face_u = 0.5 * (diff_u[:, :-1] + diff_u[:, 1:])
-            face_t = 0.5 * (diff_t[:, :-1] + diff_t[:, 1:])
-            del diff_u, diff_t
+            _channel_factors(case, state, h, factors)
+            diff = plan_eval(diff_plan, factors).reshape(state.shape)
+            diff *= nut
+            diff += base
+            usable = ((diff.min((0, 2)) > 0.0)
+                      & (diff.max((0, 2)) < np.inf))
+            face = diff[..., :-1] + diff[..., 1:]
+            face *= 0.5
+            del diff
             if not usable.all():
                 # These rows leave with their previous iterate; a unit
                 # system keeps dgtsv from meeting a zero pivot on them.
-                face_u[~usable] = face_t[~usable] = 1.0
-            source_u = case.coupling * T + case.forcing + r_val * nut
-            u_new = _tridiag_solve(face_u, source_u, case.wall_u, h)
-            t_new = _tridiag_solve(face_t, np.zeros((len(rows), n)),
-                                   case.wall_t, h)
-            del face_u, face_t, source_u, r_val
-            solved = (usable & np.isfinite(u_new).all(1)
-                      & np.isfinite(t_new).all(1))
-            u_next = (1.0 - theta) * u + theta * u_new
-            t_next = (1.0 - theta) * T + theta * t_new
-            del u_new, t_new
-            res_u = np.abs(u_next - u).max(1)
-            res_t = np.abs(t_next - T).max(1)
+                face[:, ~usable] = 1.0
+            np.multiply(state[1], case.coupling, out=source[0])
+            source[0] += case.forcing
+            source[0] += plan_eval(r_plan, factors) * nut
+            new = _tridiag_solve(face.reshape(-1, n - 1),
+                                 source.reshape(-1, n), row_walls,
+                                 h).reshape(state.shape)
+            solved = usable & np.isfinite(new).all((0, 2))
+            new *= theta
+            new += (1.0 - theta) * state
+            res_u, res_t = np.abs(new - state).max(2)
             # max(res_u, res_t) as Python's max picks it.
             residual = np.where(res_t > res_u, res_t, res_u)
             leave = ~solved | ~np.isfinite(residual) | (residual < tol)
             if leave.any():
                 for i in np.flatnonzero(leave):
-                    u_i, t_i = ((u_next[i], t_next[i]) if solved[i]
-                                else (u[i], T[i]))
+                    u_i, t_i = (new if solved[i] else state)[:, i]
                     out[rows[i]] = (u_i.copy(), t_i.copy(), iteration,
                                     bool(solved[i] and residual[i] < tol))
                 stay = ~leave
-                rows, u_next, t_next = rows[stay], u_next[stay], t_next[stay]
-                plans = [(c[stay], f[stay]) for c, f in plans]
-            u, T = u_next, t_next
+                rows, new = rows[stay], new[:, stay]
+                diff_plan = tuple(a[np.tile(stay, 2)] for a in diff_plan)
+                r_plan = tuple(a[stay] for a in r_plan)
+                factors, source, row_walls = buffers(len(rows))
+            state = new
     for i, row in enumerate(rows):
-        out[row] = (u[i].copy(), T[i].copy(), case.max_iters, False)
+        out[row] = (state[0, i].copy(), state[1, i].copy(), case.max_iters,
+                    False)
     return out
 
 
@@ -453,7 +486,8 @@ class ChannelEvaluator:
             raise ConfigError("zero-correction baseline solve diverged")
         _, h = self.case.grid()
         return FeatureTable(columns=dict(zip(
-            _CHANNEL_TERMINALS, _channel_factors(self.case, u, T, h))))
+            _CHANNEL_TERMINALS,
+            _channel_factors(self.case, np.stack([u, T]), h))))
 
     def evaluate(self, slots: Sequence[Slot],
                  pool: Sequence[float] | None = None) -> EvaluationOutcome:

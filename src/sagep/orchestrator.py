@@ -232,7 +232,9 @@ class EvaluationRecord:
     predicted: tuple[float, ...] | None = None
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+        # Field by field: dataclasses.asdict would deep-copy every tuple.
+        return json.dumps({name: getattr(self, name)
+                           for name in _RECORD_FIELDS}, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "EvaluationRecord":
@@ -269,6 +271,9 @@ class EvaluationRecord:
                    wall_time=float(typed("wall_time", "a number", number)),
                    predicted=(None if payload.get("predicted") is None
                               else numbers("predicted")))
+
+
+_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(EvaluationRecord))
 
 
 @dataclass

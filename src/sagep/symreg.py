@@ -346,17 +346,22 @@ def polynomial_plan(polys: Sequence[Mapping[tuple[str, ...], float]],
 
 def plan_eval(plan: tuple[np.ndarray, np.ndarray],
               factors: np.ndarray) -> np.ndarray:
-    """Each row of a polynomial_plan on its own row of the stacked factors
-    (f, k, n), the monomials added in key order from +0.0.  Arithmetic is
-    not trapped: overflow gives inf or nan for the caller to detect."""
+    """Row i of a polynomial_plan on row i mod k of the stacked factors
+    (f, k, n), the monomials added in key order from +0.0: a plan of
+    several k-row blocks evaluates each block on the same k factor rows.
+    Arithmetic is not trapped: overflow gives inf or nan for the caller to
+    detect."""
     coefficients, index = plan
-    rows = np.arange(len(coefficients))
-    total = np.zeros(factors.shape[1:])
+    f, k, n = factors.shape
+    flat = factors.reshape(f * k, n)
+    # The flat factor row of each (row, monomial, variable).
+    at = index * k + (np.arange(len(coefficients)) % k)[:, None, None]
+    total = np.zeros((len(coefficients), n))
     for j in range(coefficients.shape[1]):
         term = coefficients[:, j, None]
         for v in range(index.shape[2]):
-            term = term * factors[index[:, j, v], rows]
-        total = total + term
+            term = term * flat[at[:, j, v]]
+        total += term
     return total
 
 
@@ -365,8 +370,7 @@ def polynomials_eval(polys: Sequence[Mapping[tuple[str, ...], float]],
     """Every polynomial on the same named columns: a (k, n) array whose row
     i depends only on the key of polys[i]."""
     stack = np.array(list(columns.values()), dtype=float)
-    stack = np.vstack([stack, np.ones_like(stack[:1])])[:, None]
-    factors = np.broadcast_to(stack, (len(stack), len(polys), stack.shape[2]))
+    factors = np.vstack([stack, np.ones_like(stack[:1])])[:, None]
     with np.errstate(all="ignore"):
         return plan_eval(polynomial_plan(polys, tuple(columns)), factors)
 

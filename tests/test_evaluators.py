@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgtsv
 
 import sagep.evaluators as ev
 from sagep.embedding import FeatureTable
@@ -33,7 +34,8 @@ THREE_SLOT_TRUTH = ("-0.1 - I1", "0.0", "0.945 - 2.108*J1")
 
 
 def reference_tridiag_solve(diff_face, source, walls, h):
-    """The channel's tridiagonal solve through scipy's checked banded route."""
+    """One row of the channel's tridiagonal solve through scipy's banded
+    route, which calls dgtsv on that row's system alone."""
     n = len(source)
     lower = diff_face[:-1]
     upper = diff_face[1:]
@@ -44,7 +46,7 @@ def reference_tridiag_solve(diff_face, source, walls, h):
     ab[0, 1:] = upper[:-1]
     ab[1, :] = -(diff_face[:-1] + diff_face[1:])
     ab[2, :-1] = lower[1:]
-    inner = solve_banded((1, 1), ab, rhs)
+    inner = solve_banded((1, 1), ab, rhs, check_finite=False)
     return np.concatenate([[walls[0]], inner, [walls[1]]])
 
 
@@ -292,6 +294,22 @@ positive = st.floats(1e-3, 1e3)
 finite = st.floats(-1e3, 1e3)
 
 
+@st.composite
+def stacked_system(draw, n):
+    """(faces, source, walls) of one row of a stacked solve.  Some rows
+    are all zeros, whose solution is zeros of one sign, and some carry an
+    inf or nan source cell."""
+    faces = draw(st.lists(positive, min_size=n - 1, max_size=n - 1))
+    kind = draw(st.sampled_from(["random", "zeros", "inf", "nan"]))
+    if kind == "zeros":
+        return faces, [0.0] * n, (0.0, 0.0)
+    source = draw(st.lists(finite, min_size=n, max_size=n))
+    if kind != "random":
+        source[draw(st.integers(0, n - 1))] = float(kind) * draw(
+            st.sampled_from([1.0, -1.0]))
+    return faces, source, draw(st.tuples(finite, finite))
+
+
 class TestSolveBits:
     @pytest.mark.parametrize("name", SOLVE_PINS)
     def test_solve_bits_pinned(self, name):
@@ -311,16 +329,65 @@ class TestSolveBits:
     def test_tridiag_solve_equals_banded_route_bitwise(self, arrays, walls, h):
         diff_face, source = (np.array(a) for a in arrays)
         with np.errstate(all="ignore"):
-            got = ev._tridiag_solve(diff_face, source, walls, h)
+            got = ev._tridiag_solve(diff_face[None], source[None],
+                                    np.array([walls]), h)
             ref = reference_tridiag_solve(diff_face, source, walls, h)
-        assert got.tobytes() == ref.tobytes()
+        assert got.shape == (1, len(source))
+        assert got[0].tobytes() == ref.tobytes()
+
+    @given(st.integers(8, 24).flatmap(lambda n: st.lists(
+        stacked_system(n), min_size=1, max_size=6)), st.floats(1e-2, 1.0))
+    def test_stacked_rows_equal_their_lone_solves_bitwise(self, systems, h):
+        # Zero links join the rows into one system: no non-finite row may
+        # leak into a neighbour, nor a link flip the sign of a zero.
+        diff_face, source, walls = (np.array(a) for a in zip(*systems))
+        with np.errstate(all="ignore"):
+            got = ev._tridiag_solve(diff_face, source, walls, h)
+            for i, row in enumerate(got):
+                ref = reference_tridiag_solve(diff_face[i], source[i],
+                                              walls[i], h)
+                assert row.tobytes() == ref.tobytes(), i
+
+    def test_finite_rows_take_one_dgtsv_call(self, monkeypatch):
+        # A non-finite middle row leaks nan into both neighbours through
+        # the zero links, so all three are solved again on their own.
+        calls = count_dgtsv(monkeypatch)
+        rng = np.random.default_rng(3)
+        diff_face = rng.uniform(0.5, 2.0, (3, 15))
+        source = rng.uniform(-1.0, 1.0, (3, 16))
+        walls = np.array([[0.0, 0.0], [0.5, -0.5], [1.0, 2.0]])
+        ev._tridiag_solve(diff_face, source, walls, 0.1)
+        assert len(calls) == 1
+        source[1, 1] = np.inf
+        with np.errstate(all="ignore"):
+            got = ev._tridiag_solve(diff_face, source, walls, 0.1)
+        assert calls[1:] == [42, 14, 14, 14]
+        assert not np.isfinite(got[1]).all()
+        for i in (0, 2):
+            ref = reference_tridiag_solve(diff_face[i], source[i], walls[i],
+                                          0.1)
+            assert got[i].tobytes() == ref.tobytes()
+
+    def test_zero_row_keeps_the_sign_of_its_lone_zeros(self):
+        # The lone solve of the zero row gives +0.0; the link to the
+        # negative row below would give -0.0, so that row is solved alone.
+        diff_face = np.ones((2, 9))
+        source = np.zeros((2, 10))
+        walls = np.array([[0.0, 0.0], [-1.0, -1.0]])
+        got = ev._tridiag_solve(diff_face, source, walls, 0.1)
+        for i in range(2):
+            ref = reference_tridiag_solve(diff_face[i], source[i], walls[i],
+                                          0.1)
+            assert got[i].tobytes() == ref.tobytes(), i
+        assert np.signbit(got[0]).sum() == 0
 
     def test_singular_system_raises_like_banded_route(self):
         args = (np.zeros(7), np.ones(8), (0.0, 1.0), 0.1)
         with pytest.raises(LinAlgError):
             reference_tridiag_solve(*args)
         with pytest.raises(LinAlgError):
-            ev._tridiag_solve(*args)
+            ev._tridiag_solve(np.zeros((1, 7)), np.ones((1, 8)),
+                              np.array([[0.0, 1.0]]), 0.1)
 
     @given(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=80),
            st.floats(1e-3, 10.0))
@@ -330,6 +397,19 @@ class TestSolveBits:
             got = ev._gradient(f, h)
             ref = np.gradient(f, h)
         assert got.tobytes() == ref.tobytes()
+
+
+def count_dgtsv(monkeypatch):
+    """The list that gains one entry, the system's size, per dgtsv call of
+    the evaluators."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return dgtsv(*args, **kwargs)
+
+    monkeypatch.setattr(ev, "dgtsv", counted)
+    return calls
 
 
 def pin_closures(name):
@@ -386,6 +466,37 @@ class TestSolveBatch:
                 assert (its, ok) == (iterations, converged), name
             else:
                 assert (its, ok) == (4, False), name
+
+    def test_non_finite_rows_leak_into_no_neighbour(self):
+        # The non-finite r closures of the sentinel test, between finite
+        # rows of a three-slot batch: every row is its solo solve.
+        case = make_reference(ChannelCase(truth_exprs=THREE_SLOT_TRUTH))
+        g, zero, alpha = THREE_SLOT_TRUTH
+        rows = [(g, zero, alpha), (g, "1e200*1e200", alpha),
+                ("0.3*I1 - 0.2*J1", "0.1*J1", "0.5 + I1*J1"),
+                (g, "1e300*I1*I1*I1", alpha), ("0", "I1", "0")]
+        closures = [tuple(tree_polynomial(parse_expression(e)) for e in row)
+                    for row in rows]
+        solved = ev._solve_batch(case, closures, case.tol)
+        for row, closure, (u, T, its, ok) in zip(rows, closures, solved):
+            su, sT, s_its, s_ok = ev._solve_batch(case, [closure],
+                                                  case.tol)[0]
+            assert u.tobytes() == su.tobytes(), row
+            assert T.tobytes() == sT.tobytes(), row
+            assert (its, ok) == (s_its, s_ok), row
+        assert [ok for *_, ok in solved] == [True, False, True, False, True]
+
+    def test_one_dgtsv_call_per_iteration(self, monkeypatch):
+        # Both equations of every finite row go to one call, from the
+        # first iteration to the last row's exit.
+        case = default_channel_case()
+        calls = count_dgtsv(monkeypatch)
+        names = ["truth", "zero", "gep-linear", "gep-square", "gep-strong",
+                 "negative-diffusivity"]
+        solved = ev._solve_batch(case, [pin_closures(n) for n in names],
+                                 case.tol)
+        assert len(calls) == max(its for _, _, its, _ in solved) == 29
+        assert calls[0] == 2 * len(names) * (case.n_cells - 2)
 
     @given(st.lists(st.sampled_from(list(SOLVE_PINS)), max_size=10))
     def test_rows_equal_their_solo_solve(self, names):

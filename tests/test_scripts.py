@@ -145,6 +145,73 @@ def test_output_digests_on_small_config(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == lines
 
 
+# Every output of the shipped configs at seed 0, as
+# scripts/output_digests.py prints it: (mode, file, sha256).  A change
+# that moves one of them updates its pin and says why in CHANGES.md.
+SHIPPED_DIGESTS = {
+    "channel_run": [
+        ("surrogate", "db.jsonl",
+         "32e4190eb99f28b75b8e7113f907a4249af299a1b14547c5f2bac830248d5b92"),
+        ("surrogate", "metrics.csv",
+         "b7571cd2efbbe73f2b94b4da6f670e61240a3972a4382f6af5fa4997695520b9"),
+        ("surrogate", "summary.txt",
+         "e7ad31fbb19335bd8a95208bff592e520a28aa32ce502a5ebfed17764c62f55a"),
+        ("surrogate", "decisions",
+         "6a8d1d185c26a32c037388ec7645b8a78484e05fc7644edda1624972fe3771da"),
+        ("baseline", "db.jsonl",
+         "369264e215469584d5479a0472f84e681e786cd241b253b23953531622113dd9"),
+        ("baseline", "metrics.csv",
+         "8ed92bdfcc5d3346810b40739645d366b0de6ac24924bf9c008576d67c914cd6"),
+        ("baseline", "summary.txt",
+         "23397deb2c7a80b2e10b62be8210e169b3d365b31de6c27d40a34f3f0c8bf36e"),
+        ("baseline", "decisions",
+         "503479f5bdb45e8478de1b74ac74f1e2dadb0a831b8e651cde2edf180d9fc30a"),
+        ("replay-surrogate", "metrics.csv",
+         "f44b068acd5dd1f35e522d7276d8f939dfe489f6f1d8510b2291096facbf50f6"),
+        ("replay-surrogate", "summary.txt",
+         "07561e953c1c3a8e759bb61418a619ff578f0bc58b8e4916b075858e3370631e"),
+        ("replay-baseline", "metrics.csv",
+         "8ed92bdfcc5d3346810b40739645d366b0de6ac24924bf9c008576d67c914cd6"),
+        ("replay-baseline", "summary.txt",
+         "23397deb2c7a80b2e10b62be8210e169b3d365b31de6c27d40a34f3f0c8bf36e"),
+    ],
+    "symbolic_quadratic": [
+        ("surrogate", "db.jsonl",
+         "998f8cd4125b9e0fc053751e5c432777ce5e6fe8eac1ecd96f5aec0f691f664f"),
+        ("surrogate", "metrics.csv",
+         "4c193c129e86c5f8f53995e6bf0490937731653ee369ee584862e9d4e735f4a6"),
+        ("surrogate", "summary.txt",
+         "7f8db9c56f48a35d94d1b517355392488a1dc2fb48270928f960b31941d75292"),
+        ("surrogate", "decisions",
+         "846879f2abf939f057f94239dd2a179aed9d40f9500244158c85e1bd74772852"),
+        ("baseline", "db.jsonl",
+         "afa9b254c88f147afcb888324384612f4d02545b74fc137194cb5aed4f2d1fd2"),
+        ("baseline", "metrics.csv",
+         "8c93502841a225f768e8eab83df3fc5ea6165325e2d169143f738a0ec5553fb4"),
+        ("baseline", "summary.txt",
+         "2f8f3631b1ec9acce55323a3f45471ea239dfc8a53364e91061af083cc99550f"),
+        ("baseline", "decisions",
+         "6157f5f9f24e6dbdd7286163a72db181b8baba162f2d8b22d27b49fa9b9401c5"),
+        ("replay-surrogate", "metrics.csv",
+         "789f718f041a2d53d87adee492bde20bc3b0430385897adc6367492b31805eb5"),
+        ("replay-surrogate", "summary.txt",
+         "a9e63e74fc7baa56a6b1a170ac7e35cd8bf4ee06c246153347eacc370a6d3334"),
+        ("replay-baseline", "metrics.csv",
+         "8c93502841a225f768e8eab83df3fc5ea6165325e2d169143f738a0ec5553fb4"),
+        ("replay-baseline", "summary.txt",
+         "2f8f3631b1ec9acce55323a3f45471ea239dfc8a53364e91061af083cc99550f"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", SHIPPED_DIGESTS)
+def test_shipped_outputs_match_their_pins(name, tmp_path):
+    script = load_script("output_digests")
+    config = dataclasses.replace(
+        load_run_config(ROOT / "configs" / f"{name}.json"), seed=0)
+    assert script.config_digests(config, tmp_path) == SHIPPED_DIGESTS[name]
+
+
 def test_decisions_digest_ignores_predictions_only():
     script = load_script("output_digests")
     config = load_run_config(ROOT / "configs" / "symbolic_quadratic.json")

@@ -289,6 +289,23 @@ class TestPolynomialEvaluation:
                                   factors[:, i:i + 1])
                 assert batch[i].tobytes() == alone[0].tobytes()
 
+    @given(st.lists(polynomials, min_size=1, max_size=4),
+           st.lists(polynomials, min_size=1, max_size=4), st.data())
+    def test_blocks_of_one_plan_share_the_factors(self, first, second, data):
+        # The channel's g and alpha: a plan of two k-row blocks evaluates
+        # each block on the same k factor rows, as two plans would.
+        k = min(len(first), len(second))
+        first, second = first[:k], second[:k]
+        factors = np.ones((len(VARS) + 1, k, 3))
+        factors[:-1] = np.reshape(data.draw(st.lists(
+            st.floats(-1e3, 1e3), min_size=len(VARS) * k * 3,
+            max_size=len(VARS) * k * 3)), (len(VARS), k, 3))
+        with np.errstate(all="ignore"):
+            joint = plan_eval(polynomial_plan(first + second, VARS), factors)
+            apart = [plan_eval(polynomial_plan(polys, VARS), factors)
+                     for polys in (first, second)]
+        assert joint.tobytes() == np.vstack(apart).tobytes()
+
     def test_worked_example(self):
         cols = {"I1": np.array([1.0, 2.0]), "J1": np.array([3.0, -1.0])}
         polys = [{}, {(): 0.5}, {("I1", "J1"): 2.0, ("I1",): -1.0}]
