@@ -9,16 +9,19 @@ the orchestrator runs the loop, persists every outcome, and supports
 passive replay of stored runs; metrics provides the Pareto front, the
 hypervolume against each run's one reference point, and the run reports.
 Every config block checks its fields by their declared types (fields).
+The LAPACK routines come from scipy's compiled module, loaded without
+scipy.linalg (lapack).
 """
 
-from . import (cli, embedding, evaluators, fields, metrics, orchestrator,
-               selection, surrogate, symreg)
+from . import (cli, embedding, evaluators, fields, lapack, metrics,
+               orchestrator, selection, surrogate, symreg)
 
 __all__ = [
     "cli",
     "embedding",
     "evaluators",
     "fields",
+    "lapack",
     "metrics",
     "orchestrator",
     "selection",

@@ -24,7 +24,8 @@ stacked as (2, k, n), whose rows leave as they exit.  Each iteration
 solves both equations of every row with one LAPACK dgtsv call on one
 block-diagonal system; a row whose solution is not all finite and nonzero
 is solved again on its own.  Each row gets the bits of its candidate's
-solve alone.
+solve alone.  dgtsv is scipy's own wrapper, taken from scipy's compiled
+LAPACK module through `sagep.lapack` without importing `scipy.linalg`.
 
 Both evaluators bump a module-level call counter; passive replay must leave
 that counter untouched, which is how tests prove no expensive call happens
@@ -39,11 +40,11 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from numpy.linalg import LinAlgError
 
 from .embedding import FeatureTable
 from .fields import ConfigError, check_fields
+from .lapack import dgtsv
 from .symreg import (DIVERGENCE_SENTINEL, ExprTree,
                      parse_expression, plan_eval, polynomial_plan,
                      polynomials_eval, preorder, tree_polynomial)

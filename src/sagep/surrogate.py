@@ -31,6 +31,9 @@ The search evaluates the likelihood thousands of times on one data set, so
 per fit; each evaluation only builds the kernel from them and calls LAPACK
 `potrf` / `potrs` directly, the routines `scipy.linalg.cholesky` and
 `cho_solve` call after their finiteness checks, so the bits are the same.
+Prediction calls `trtrs` as `solve_triangular` does, with its finiteness
+check.  All three come from scipy's compiled LAPACK module through
+`sagep.lapack`, which does not import `scipy.linalg`.
 A run refits every generation on a history grown by a few rows, which
 rarely moves the optimum, so `fit_multi` searches only once the history has
 SEARCH_GROWTH times the rows of the last search; in between it keeps that
@@ -55,7 +58,8 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+
+from . import lapack
 
 __all__ = [
     "NOISE_FLOOR",
@@ -466,7 +470,13 @@ def predict_multi_batch(model: MultiGp,
     """
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
     K_star = rq_gram(model.X, Xq, model.kernel)
-    v = solve_triangular(model.L, K_star, lower=True)
+    # L is Fortran-ordered, so this is solve_triangular(L, K*, lower=True)
+    # with its finiteness check.
+    if not np.all(np.isfinite(K_star)):
+        raise ValueError("array must not contain infs or NaNs")
+    v, info = lapack.dtrtrs(model.L, K_star, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular matrix: info {info}")
     var = (1.0 + model.kernel.noise + model.jitter
            - np.einsum("ij,ij->j", v, v))
     return (K_star.T @ model.weights,

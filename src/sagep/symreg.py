@@ -353,6 +353,8 @@ def plan_eval(plan: tuple[np.ndarray, np.ndarray],
     detect."""
     coefficients, index = plan
     f, k, n = factors.shape
+    if coefficients.shape[1] == 0:
+        return np.zeros((len(coefficients), n))
     flat = factors.reshape(f * k, n)
     # The flat factor row of each (row, monomial, variable).
     at = index * k + (np.arange(len(coefficients)) % k)[:, None, None]

@@ -1,5 +1,5 @@
 """Each module's __all__ names exactly its public top-level API, and
-importing the package loads no scipy subpackage but scipy.linalg."""
+importing the package loads no scipy subpackage."""
 
 import importlib
 import inspect
@@ -39,10 +39,11 @@ def test_every_public_definition_is_exported(name):
 
 def test_import_leaves_scipy_stats_unloaded():
     # Each of these subpackages costs more to import than a short run takes
-    # (scipy.optimize alone about 0.3 s); the package needs only
-    # scipy.linalg.
-    heavy = ["scipy.optimize", "scipy.spatial", "scipy.special",
-             "scipy.stats"]
+    # (scipy.optimize alone about 0.3 s, scipy.linalg about 0.2 s); the
+    # package needs only scipy's compiled LAPACK module, which sagep.lapack
+    # loads without scipy.linalg.
+    heavy = ["scipy.linalg", "scipy.optimize", "scipy.spatial",
+             "scipy.special", "scipy.stats"]
     code = (f"import sys, sagep; "
             f"print([m for m in {heavy!r} if m in sys.modules])")
     src = str(Path(sagep.__file__).parents[1])

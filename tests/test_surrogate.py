@@ -768,13 +768,13 @@ class TestProfiledKernel:
         X, Y = search_data(p)
         model = fit(X, Y, restarts=1, rng=0)
         solves = []
-        solve_triangular = surrogate.solve_triangular
+        dtrtrs = surrogate.lapack.dtrtrs
 
         def counted(*args, **kwargs):
             solves.append(1)
-            return solve_triangular(*args, **kwargs)
+            return dtrtrs(*args, **kwargs)
 
-        monkeypatch.setattr(surrogate, "solve_triangular", counted)
+        monkeypatch.setattr(surrogate.lapack, "dtrtrs", counted)
         mean, var = predict_multi_batch(model, X[:5] + 0.1)
         assert mean.shape == var.shape == (5, p)
         assert len(solves) == 1

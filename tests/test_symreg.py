@@ -312,6 +312,16 @@ class TestPolynomialEvaluation:
         assert np.array_equal(polynomials_eval(polys, cols),
                               [[0.0, 0.0], [0.5, 0.5], [5.0, -6.0]])
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_plan_without_monomials_is_positive_zeros(self, k):
+        # The channel's r plan on cases with two slots: every row is {}.
+        plan = polynomial_plan([{}] * k, VARS)
+        assert plan[0].shape == (k, 0)
+        factors = np.full((len(VARS) + 1, k, 4), -2.0)
+        got = plan_eval(plan, factors)
+        assert got.shape == (k, 4)
+        assert got.tobytes() == np.zeros((k, 4)).tobytes()
+
     def test_unknown_terminal_raises(self):
         with pytest.raises(KeyError, match="Q"):
             polynomials_eval([{("Q",): 1.0}], {"I1": np.ones(2)})
