@@ -446,8 +446,8 @@ def load_channel_case(source: str | Path | dict) -> ChannelCase:
                           f"{type(raw).__name__}")
     kwargs = dict(raw)
     truth = kwargs.pop("truth", None)
-    unknown = (set(kwargs) - {f.name for f in fields(ChannelCase)}
-               - {"truth_exprs"})
+    unknown = set(kwargs) - {f.name for f in fields(ChannelCase)
+                             if f.name != "truth_exprs"}
     if unknown:
         raise ConfigError(f"unknown channel case fields {sorted(unknown)}")
     if truth is not None and not isinstance(truth, dict):

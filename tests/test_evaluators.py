@@ -581,6 +581,14 @@ class TestLoadChannelCase:
         with pytest.raises(ConfigError):
             load_channel_case({"bogus": 1,
                                "truth": {"g": "0", "alpha": "0"}})
+        # The truth block is the one way to give a truth.
+        truth = {"g": "-0.1 - I1", "alpha": "0.945 - 2.108*J1"}
+        for raw in ({"truth_exprs": list(truth.values())},
+                    {"truth": truth, "truth_exprs": ["0", "1", "2", "3"]}):
+            with pytest.raises(ConfigError,
+                               match=r"unknown channel case fields "
+                                     r"\['truth_exprs'\]"):
+                load_channel_case(raw)
 
     def test_unknown_truth_slot_rejected(self):
         with pytest.raises(ConfigError):

@@ -37,8 +37,7 @@ def reference_predict(model, Xq):
     checked solve_triangular."""
     K_star = rq_gram(model.X, Xq, model.kernel)
     v = solve_triangular(model.L, K_star, lower=True)
-    var = (1.0 + model.kernel.noise + model.jitter
-           - np.einsum("ij,ij->j", v, v))
+    var = 1.0 + model.kernel.noise - np.einsum("ij,ij->j", v, v)
     return (K_star.T @ model.weights,
             np.maximum(var, 0.0)[:, None] * model.sigmas ** 2)
 

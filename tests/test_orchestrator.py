@@ -10,6 +10,7 @@ import pytest
 import sagep.evaluators as ev
 import sagep.orchestrator as orch
 import sagep.selection as sel
+import sagep.surrogate as surrogate
 import sagep.symreg as symreg
 from sagep.cli import main
 from sagep.embedding import FeatureTable, NormStats, write_feature_table
@@ -1210,6 +1211,17 @@ class TestCli:
         assert main(["replay", "--db", str(db_path),
                      "--config", str(cfg_path)]) == 2
 
+    @pytest.mark.filterwarnings("ignore:GP hyperparameter search failed")
+    def test_failed_factorization_is_runtime_error(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # A kernel matrix LAPACK cannot factor is a fault found in the run.
+        monkeypatch.setattr(surrogate.lapack, "dpotrf",
+                            lambda a, **kwargs: (a, 1))
+        cfg_path = write_config(tmp_path, generations=3)
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: kernel matrix not positive definite")
+
     def test_report_from_database(self, tmp_path):
         cfg_path = write_config(tmp_path)
         assert main(["run", "--config", str(cfg_path)]) == 0
@@ -1218,3 +1230,30 @@ class TestCli:
                      "--out", str(tmp_path / "rep")]) == 0
         assert (tmp_path / "rep" / "metrics.csv").exists()
         assert (tmp_path / "rep" / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("name", ["channel_run", "symbolic_quadratic"])
+def test_shipped_runs_factor_on_the_first_attempt(monkeypatch, name):
+    # K + tau I is positive definite in exact arithmetic, and the GP makes
+    # one Cholesky attempt on it.  A kernel or embedding change that makes
+    # a shipped run's matrix numerically indefinite shows here, not as a
+    # failed evaluation scored 1e25 inside the search.
+    infos = []
+    dpotrf = surrogate.lapack.dpotrf
+
+    def recorded(*args, **kwargs):
+        L, info = dpotrf(*args, **kwargs)
+        infos.append(info)
+        return L, info
+
+    monkeypatch.setattr(surrogate.lapack, "dpotrf", recorded)
+    config = dataclasses.replace(
+        load_run_config(CONFIGS / f"{name}.json"), seed=0,
+        surrogate_enabled=True)
+    run_training(config)
+    baseline, _ = run_training(dataclasses.replace(
+        config, surrogate_enabled=False))
+    training = len(infos)
+    passive_replay(baseline, config)
+    assert 0 < training < len(infos)
+    assert set(infos) == {0}

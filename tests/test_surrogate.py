@@ -13,7 +13,6 @@ from scipy.stats import qmc
 
 from sagep import surrogate
 from sagep.surrogate import (
-    JITTER_LADDER,
     SEARCH_BOX,
     SIGMA_CLIP,
     FitError,
@@ -56,17 +55,9 @@ def reference_lml(X, y, params, scale=1.0):
 def reference_profiled(X, Y, params):
     """The profiled evidence of the columns of Y, each at its own best
     scale, and its gradient in log(ell, alpha, tau), through the checked
-    scipy wrappers and each jitter rung."""
+    scipy wrappers: one Cholesky of K + tau I."""
     K = rq_gram(X, X, params)
-    for jitter in JITTER_LADDER:
-        try:
-            L = cholesky(K + (params.noise + jitter) * np.eye(len(Y)),
-                         lower=True)
-            break
-        except np.linalg.LinAlgError:
-            continue
-    else:
-        raise FitError("indefinite after the jitter ladder")
+    L = cholesky(K + params.noise * np.eye(len(Y)), lower=True)
     n, p = Y.shape
     W = cho_solve((L, True), Y)
     quad = np.einsum("ij,ij->j", Y, W)
@@ -96,7 +87,7 @@ def reference_search(X, Y, restarts, rng, box=SEARCH_BOX):
         try:
             value, gradient = reference_profiled(
                 X, Y, KernelParams.from_log_array(log_theta))
-        except (FitError, ValueError, FloatingPointError, OverflowError):
+        except (ValueError, FloatingPointError, OverflowError):
             return 1e25, np.zeros(3)
         if not (np.isfinite(value) and np.all(np.isfinite(gradient))):
             return 1e25, np.zeros(3)
@@ -391,7 +382,7 @@ class TestEvidence:
             assert profiled(X, y, p) == pytest.approx(
                 dense_profiled(X, y[:, None], p), abs=1e-8)
 
-    def test_duplicate_rows_survive_via_jitter(self):
+    def test_duplicate_rows_survive_via_noise_floor(self):
         X = np.zeros((4, 2))
         y = np.array([0.1, 0.1, 0.1, 0.1])
         p = KernelParams(ell=1.0, alpha=1.0, noise=1e-8)
@@ -427,24 +418,39 @@ class TestEvidence:
             assert np.array_equal(gradient, fresh_gradient)
         assert sq.tobytes() == surrogate._sqdist(X, X).tobytes()
 
-    # At (3e4, 3e-8), K_ii + noise + jitter added in two steps rounds
-    # differently from K_ii + (noise + jitter); each rung factors the
-    # latter, as scipy's checked Cholesky of K + (noise + jitter) I does.
-    @pytest.mark.parametrize("sigma, noise, rung", [(3e4, 3e-8, 2),
-                                                    (3e5, 1e-8, 3)])
-    def test_duplicate_rows_take_the_same_jitter_rung(self, sigma, noise,
-                                                      rung):
+    # Duplicate rows under a kernel scaled by sigma^2 leave a noise of
+    # 1e-8 or 3e-8 below roundoff, so K + noise I is numerically singular,
+    # as scipy's checked Cholesky finds.
+    @pytest.mark.parametrize("sigma, noise", [(3e4, 3e-8), (3e5, 1e-8)])
+    def test_indefinite_matrix_fails_in_one_factorization(
+            self, monkeypatch, sigma, noise):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(6, 2))
         X = np.vstack([X, X[:3]])
         K = sigma ** 2 * rq_gram(X, X, UNIT)
-        L, jitter = surrogate._chol_with_jitter(K, noise)
-        assert jitter == JITTER_LADDER[rung]
-        for below in JITTER_LADDER[:rung]:
-            with pytest.raises(np.linalg.LinAlgError):
-                cholesky(K + (noise + below) * np.eye(9), lower=True)
-        reference = cholesky(K + (noise + jitter) * np.eye(9), lower=True)
-        assert L.tobytes() == reference.tobytes()
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky(K + noise * np.eye(9), lower=True)
+        infos = []
+        dpotrf = surrogate.lapack.dpotrf
+
+        def counted_dpotrf(*args, **kwargs):
+            L, info = dpotrf(*args, **kwargs)
+            infos.append(info)
+            return L, info
+
+        monkeypatch.setattr(surrogate.lapack, "dpotrf", counted_dpotrf)
+        with pytest.raises(FitError, match="not positive definite"):
+            surrogate._cholesky(K, noise)
+        assert len(infos) == 1 and infos[0] > 0
+        # The evidence on that kernel matrix raises it too, after one more.
+        monkeypatch.setattr(surrogate, "_rq_from_sqdist",
+                            lambda sq, params: K)
+        with pytest.raises(FitError):
+            log_marginal_likelihood(
+                rng.normal(size=(9, 1)),
+                KernelParams(ell=1.0, alpha=1.0, noise=noise),
+                surrogate._sqdist(X, X))
+        assert len(infos) == 2 and infos[1] > 0
 
     def test_noise_floor_enforced(self):
         with pytest.raises(ValueError):
@@ -734,10 +740,7 @@ class TestProfiledKernel:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_one_factorization_per_evaluation_for_all_objectives(
             self, monkeypatch, p):
-        # Without duplicate rows every factorization stays on the first
-        # jitter rung, so each one is a single dpotrf call.
         X, Y = search_data(p)
-        X[13] += 0.5
         factorizations = []
         dpotrf = surrogate.lapack.dpotrf
 
