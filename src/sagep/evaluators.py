@@ -45,9 +45,9 @@ from numpy.linalg import LinAlgError
 from .embedding import FeatureTable
 from .fields import ConfigError, check_fields
 from .lapack import dgtsv
-from .symreg import (DIVERGENCE_SENTINEL, ExprTree,
-                     parse_expression, plan_eval, polynomial_plan,
-                     polynomials_eval, preorder, tree_polynomial)
+from .symreg import (DIVERGENCE_SENTINEL, ExprTree, parse_expression,
+                     plan_eval, polynomial_plan, polynomials_eval,
+                     tree_polynomial)
 
 __all__ = [
     "EvaluationOutcome",
@@ -92,15 +92,9 @@ class EvaluationOutcome:
 Slot = ExprTree | Mapping[tuple[str, ...], float]
 
 
-def _polynomial(slot: Slot, pool: Sequence[float] | None) -> Mapping:
+def _polynomial(slot: Slot) -> Mapping:
     """A slot's canonical polynomial: the slot itself, or its tree's."""
-    if not isinstance(slot, ExprTree):
-        return slot
-    if pool is None and any(sym.kind == "const" for sym in preorder(slot)):
-        # Opaque constants "c<i>" would be looked up as feature columns.
-        raise ConfigError(
-            "tree references a constant but no pool was given")
-    return tree_polynomial(slot, pool)
+    return tree_polynomial(slot) if isinstance(slot, ExprTree) else slot
 
 
 def _sentinel_outcome(p: int, iterations: int = 0) -> EvaluationOutcome:
@@ -138,7 +132,7 @@ class SymbolicBenchmark:
         self.n_objectives = len(self.targets)
         try:
             self._target_values = polynomials_eval(
-                [_polynomial(t, None) for t in self.targets], table.columns)
+                [_polynomial(t) for t in self.targets], table.columns)
         except KeyError as exc:
             raise ConfigError(
                 f"targets name columns the table lacks: {exc}") from None
@@ -152,12 +146,13 @@ class SymbolicBenchmark:
     def baseline_table(self) -> FeatureTable:
         return self.table
 
-    def evaluate(self, slots: Sequence[Slot],
-                 pool: Sequence[float] | None = None) -> EvaluationOutcome:
+    # The second parameter is ignored.  Kept because the benchmark's output
+    # check passes it; it goes when the benchmark stops passing it.
+    def evaluate(self, slots: Sequence[Slot], _=None) -> EvaluationOutcome:
         if len(slots) != self.n_slots:
             raise ValueError(f"expected {self.n_slots} slots, got {len(slots)}")
         _note_expensive_call()
-        values = polynomials_eval([_polynomial(s, pool) for s in slots],
+        values = polynomials_eval([_polynomial(s) for s in slots],
                                   self.table.columns)
         with np.errstate(all="ignore"):
             errors = values[list(self.slot_of_objective)] - self._target_values
@@ -166,12 +161,11 @@ class SymbolicBenchmark:
             return _sentinel_outcome(self.n_objectives)
         return EvaluationOutcome(objectives=objectives, converged=True)
 
-    def evaluate_batch(self, slots_list: Sequence[Sequence[Slot]],
-                       pool: Sequence[float] | None = None
+    def evaluate_batch(self, slots_list: Sequence[Sequence[Slot]]
                        ) -> list[EvaluationOutcome]:
         """evaluate of each candidate in turn: at about 0.1 ms a call there
         is no loop overhead to share."""
-        return [self.evaluate(slots, pool) for slots in slots_list]
+        return [self.evaluate(slots) for slots in slots_list]
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +205,8 @@ class ChannelCase:
             raise ConfigError("n_cells must be >= 8")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
+        if self.max_iters < 1:
+            raise ConfigError("max_iters must be >= 1")
         if not 0 < self.damping <= 1:
             raise ConfigError("damping must lie in (0, 1]")
         if self.omega <= 0:
@@ -490,15 +486,15 @@ class ChannelEvaluator:
             _CHANNEL_TERMINALS,
             _channel_factors(self.case, np.stack([u, T]), h))))
 
-    def evaluate(self, slots: Sequence[Slot],
-                 pool: Sequence[float] | None = None) -> EvaluationOutcome:
-        return self.evaluate_batch([slots], pool)[0]
+    # The second parameter is ignored.  Kept because the benchmark's output
+    # check passes it; it goes when the benchmark stops passing it.
+    def evaluate(self, slots: Sequence[Slot], _=None) -> EvaluationOutcome:
+        return self.evaluate_batch([slots])[0]
 
-    def evaluate_batch(self, slots_list: Sequence[Sequence[Slot]],
-                       pool: Sequence[float] | None = None
+    def evaluate_batch(self, slots_list: Sequence[Sequence[Slot]]
                        ) -> list[EvaluationOutcome]:
         """Solve a generation's candidates as one batch; outcome i is
-        evaluate(slots_list[i], pool), bit for bit.
+        evaluate(slots_list[i]), bit for bit.
 
         Objectives are (normalized RMS of u vs reference, same for T); any
         divergence mechanism yields the sentinel pair with converged False.
@@ -507,7 +503,7 @@ class ChannelEvaluator:
             if len(slots) != self.n_slots:
                 raise ValueError(
                     f"expected {self.n_slots} slots, got {len(slots)}")
-        closures = [_closure_slots([_polynomial(s, pool) for s in slots])
+        closures = [_closure_slots([_polynomial(s) for s in slots])
                     for slots in slots_list]
         _note_expensive_call(len(slots_list))
         ref_u, ref_t = (np.asarray(self.case.reference_u),

@@ -15,8 +15,8 @@ generation's records, which training appends to the database and from
 which training, replay and report compute metrics.
 
 Each config block, `gep` being the engine's own symreg.GepConfig, checks
-its fields when the config loads; set-up then builds the evaluator, the
-GEP alphabet and the run's constants.
+its fields when the config loads; set-up then builds the evaluator and
+the GEP alphabet, the run's constants included.
 
 Everything is deterministic per seed: random streams are spawned from one
 seed sequence per purpose and generation, costs are counted in abstract
@@ -128,7 +128,8 @@ class RunConfig:
     output_dir: str = "runs/out"
     gep: symreg.GepConfig = field(default_factory=symreg.GepConfig)
     surrogate: SurrogateSettings = field(default_factory=SurrogateSettings)
-    selection: sel_mod.SelectionConfig | None = None
+    selection: sel_mod.SelectionConfig = field(
+        default_factory=sel_mod.SelectionConfig)
     evaluator: EvaluatorSpec = field(default_factory=EvaluatorSpec)
 
     def __post_init__(self):
@@ -143,15 +144,10 @@ class RunConfig:
             raise ConfigError("population must be >= 2 and offspring >= 1")
         # Selection thresholds the surrogate's picks from generation 2 on.
         if (self.surrogate_enabled and self.generations >= 3
-                and not self.selection_config().has_threshold()):
+                and not self.selection.has_threshold()):
             raise ConfigError(
                 "selection: a surrogate run of 3 or more generations needs "
                 "at least one of m_fixed, m_rel, m_pareto")
-
-    def selection_config(self) -> sel_mod.SelectionConfig:
-        if self.selection is not None:
-            return self.selection
-        return sel_mod.default_selection_config(self.population)
 
 
 # Fields that name files; every one but output_dir names an input.
@@ -185,16 +181,7 @@ def build_run_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     Relative paths are resolved against the configuration file's directory
     so a config plus its referenced files stay relocatable as a unit.
     """
-    raw = dict(raw)
-    selection = raw.pop("selection", None)
-    config = _settings(RunConfig, raw, base_dir)
-    if isinstance(selection, dict):
-        # Overrides apply on top of the defaults for the real population.
-        defaults = sel_mod.default_selection_config(config.population)
-        selection = _settings(sel_mod.SelectionConfig,
-                              {**dataclasses.asdict(defaults), **selection},
-                              base_dir)
-    return dataclasses.replace(config, selection=selection)
+    return _settings(RunConfig, raw, base_dir)
 
 
 def load_run_config(path: str | Path, **overrides) -> RunConfig:
@@ -360,12 +347,12 @@ def _streams(seed: int, generations: int):
     """The run's random streams, all spawned from one seed: the generation-0
     population rng, the seed the run's constants are drawn with, and
     per-generation evolve, select and fit rngs."""
-    init_ss, pool_ss, *per_gen = np.random.SeedSequence(seed).spawn(5)
+    init_ss, constants_ss, *per_gen = np.random.SeedSequence(seed).spawn(5)
     evolve, select, fit = ([np.random.default_rng(s)
                             for s in ss.spawn(generations)]
                            for ss in per_gen)
-    return (np.random.default_rng(init_ss), int(pool_ss.generate_state(1)[0]),
-            evolve, select, fit)
+    return (np.random.default_rng(init_ss),
+            int(constants_ss.generate_state(1)[0]), evolve, select, fit)
 
 
 def _gen0_norm_stats(embeddings: list) -> emb_mod.NormStats | None:
@@ -427,8 +414,8 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
                                                   fit_rng)
         if offered:
             decision = sel_mod.select_generation(
-                gen, selected, model, history, config.selection_config(),
-                select_rng)
+                gen, selected, model, history,
+                config.selection.for_population(config.population), select_rng)
             predicted = dict(zip(offered, _to_objective(decision.means)))
             chosen = set(decision.selected_ids)
             selected = [c for c in selected if c.id in chosen]
@@ -537,14 +524,12 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
     Everything wrong with the config or the files it names surfaces during
     set-up, before generation 0, as a ConfigError.
     """
-    init_rng, pool_seed, evolve_rngs, select_rngs, fit_rngs = _streams(
+    init_rng, constants_seed, evolve_rngs, select_rngs, fit_rngs = _streams(
         config.seed, config.generations)
     evaluator = build_evaluator(config.evaluator)
     table = evaluator.baseline_table()
     gep = config.gep
-    symbols = symreg.SymbolSet.build(gep, evaluator.terminals)
-    pool = tuple(np.random.default_rng(pool_seed).uniform(
-        *gep.const_range, size=gep.n_constants).tolist())
+    symbols = symreg.SymbolSet.build(gep, evaluator.terminals, constants_seed)
     p = evaluator.n_objectives
     n_slots = evaluator.n_slots
 
@@ -569,7 +554,7 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
 
         # Each slot's polynomial is built once, then keyed, embedded and
         # handed to the evaluator.
-        polys = {cand.id: [symreg.tree_polynomial(symreg.decode(g), pool)
+        polys = {cand.id: [symreg.tree_polynomial(symreg.decode(g))
                            for g in cand.genotypes] for cand in current}
         points = emb_mod.embed(list(polys.values()), table)
         for cand, point in zip(current, points):
@@ -585,7 +570,7 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
         records = _generation_step(
             gen, current, norm_stats, history, config, p, select_rngs[gen],
             fit_rngs[gen], lambda cands: evaluator.evaluate_batch(
-                [polys[c.id] for c in cands], pool))
+                [polys[c.id] for c in cands]))
         for record in records:
             db.append(record)
 

@@ -25,7 +25,7 @@ the lower candidate id so decisions are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +45,6 @@ __all__ = [
     "aggregate_multiobjective",
     "apply_thresholds",
     "select_generation",
-    "default_selection_config",
 ]
 
 
@@ -55,20 +54,23 @@ class SelectionContractError(ValueError):
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    """Acquisition metric plus the threshold battery of the selection loop.
+    """Acquisition metric plus the threshold battery of the selection loop;
+    the defaults are a run's.
 
-    Any of m_fixed / m_rel / m_pareto may be absent (None), but generations
-    that rely on thresholding need at least one present.
+    n_init None stands for 40% of the run's population (see
+    for_population).  Any of m_fixed / m_rel / m_pareto may be absent
+    (None), but generations that rely on thresholding need at least one
+    present.
     """
 
     metric: str = "lcb"
     beta: float = 5.0
     xi: float = 0.0
     delta: float = 0.75
-    n_init: int = 1
-    m_init_rel: float | None = None
-    m_fixed: int | None = None
-    m_rel: float | None = None
+    n_init: int | None = None
+    m_init_rel: float | None = 0.5
+    m_fixed: int | None = 1
+    m_rel: float | None = 0.25
     m_pareto: int | None = None
 
     def __post_init__(self):
@@ -79,7 +81,7 @@ class SelectionConfig:
             raise ConfigError("beta and xi must be >= 0")
         if not 0.0 < self.delta <= 1.0:
             raise ConfigError("delta must lie in (0, 1]")
-        if self.n_init < 1:
+        if self.n_init is not None and self.n_init < 1:
             raise ConfigError("n_init must be >= 1")
         if self.m_init_rel is not None and not 0.0 <= self.m_init_rel <= 1.0:
             raise ConfigError("m_init_rel must lie in [0, 1]")
@@ -94,12 +96,12 @@ class SelectionConfig:
         return any(v is not None for v in (self.m_fixed, self.m_rel,
                                            self.m_pareto))
 
-
-def default_selection_config(population_size: int) -> SelectionConfig:
-    """Default selection settings; n_init scales to 40% of the population."""
-    return SelectionConfig(metric="lcb", beta=5.0, delta=0.75,
-                           n_init=max(1, round(0.4 * population_size)),
-                           m_init_rel=0.5, m_fixed=1, m_rel=0.25)
+    def for_population(self, population: int) -> "SelectionConfig":
+        """These settings with an unset n_init resolved to 40% of the
+        population, at least 1."""
+        if self.n_init is not None:
+            return self
+        return replace(self, n_init=max(1, round(0.4 * population)))
 
 
 @dataclass

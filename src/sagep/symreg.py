@@ -9,9 +9,9 @@ expression.  Variation operators (point mutation, one-point crossover) act on
 the linear string and therefore never produce syntactically broken offspring.
 
 GepConfig, the run's `gep` config block, checks the engine's parameters
-once, at load.  A run builds its alphabet (SymbolSet) from it and the
-evaluator's terminals, and draws its constants, a tuple of floats that
-constant symbols index, from its range.
+once, at load.  A run builds its alphabet (SymbolSet) from it, the
+evaluator's terminals and a seed; the run's constants are drawn from the
+configured range and join the alphabet as literal leaves.
 
 Phenotypes are compared through a canonical polynomial form.  The operator
 set is restricted to ring operations (+, -, *, unary negation) precisely so
@@ -47,11 +47,9 @@ __all__ = [
     "StructureError",
     "op_symbol",
     "terminal",
-    "constant",
     "literal",
     "random_genotype",
     "decode",
-    "preorder",
     "tree_polynomial",
     "polynomial_plan",
     "plan_eval",
@@ -86,16 +84,14 @@ OP_TABLE: dict[str, int] = {"+": 2, "-": 2, "*": 2, "neg": 1}
 class Symbol:
     """One slot of a genotype.
 
-    kind is one of "op", "term", "const", "lit".  Operators carry their
-    arity, terminals their feature name, constants an index into the run's
-    constants, and literals an explicit float payload (used by parsed
-    reference expressions, never by randomly generated genotypes).
+    kind is one of "op", "term", "lit".  Operators carry their arity,
+    terminals their feature name, and literals a float: one of the run's
+    constants, or a number in a parsed expression.
     """
 
     kind: str
     name: str = ""
     arity: int = 0
-    index: int = 0
     value: float = 0.0
 
     def is_leaf(self) -> bool:
@@ -108,10 +104,6 @@ def op_symbol(name: str) -> Symbol:
 
 def terminal(name: str) -> Symbol:
     return Symbol(kind="term", name=name)
-
-
-def constant(index: int) -> Symbol:
-    return Symbol(kind="const", index=index)
 
 
 def literal(value: float) -> Symbol:
@@ -158,16 +150,19 @@ class GepConfig:
 class SymbolSet:
     """The alphabet a run draws genotypes from: head slots take any of
     `heads`, tail slots any of `leaves`.  A draw indexes into these, so
-    their order is fixed: operators, then terminals, then constants."""
+    their order is fixed: operators, then terminals, then the run's
+    constants, drawn from `const_range` with the seed."""
 
     heads: tuple[Symbol, ...]
     leaves: tuple[Symbol, ...]
 
     @classmethod
-    def build(cls, config: GepConfig,
-              terminals: Sequence[str]) -> "SymbolSet":
+    def build(cls, config: GepConfig, terminals: Sequence[str],
+              seed: int) -> "SymbolSet":
+        constants = np.random.default_rng(seed).uniform(
+            *config.const_range, size=config.n_constants).tolist()
         leaves = (tuple(map(terminal, terminals))
-                  + tuple(map(constant, range(config.n_constants))))
+                  + tuple(map(literal, constants)))
         return cls(tuple(map(op_symbol, config.operators)) + leaves, leaves)
 
 
@@ -235,13 +230,6 @@ def decode(genotype: Genotype) -> ExprTree:
     return build()
 
 
-def preorder(tree: ExprTree) -> list[Symbol]:
-    out = [tree.node]
-    for child in tree.children:
-        out.extend(preorder(child))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Canonical polynomial form
 
@@ -270,26 +258,18 @@ def _poly_mul(left: dict, right: dict) -> dict:
     return out
 
 
-def tree_polynomial(tree: ExprTree, pool: Sequence[float] | None = None
-                    ) -> dict[tuple[str, ...], float]:
+def tree_polynomial(tree: ExprTree) -> dict[tuple[str, ...], float]:
     """Expand a ring-op tree into a monomial -> coefficient map.
 
     Monomials are sorted tuples of variable names (with multiplicity), the
-    empty tuple holding the constant term.  When no pool is given, constant
-    references stay opaque as pseudo-variables "c<i>" so structurally equal
-    expressions still compare equal.
+    empty tuple holding the constant term.
     """
     sym = tree.node
     if sym.kind == "term":
         return {(sym.name,): 1.0}
     if sym.kind == "lit":
         return {(): float(sym.value)} if sym.value != 0.0 else {}
-    if sym.kind == "const":
-        if pool is None:
-            return {(f"c{sym.index}",): 1.0}
-        value = float(pool[sym.index])
-        return {(): value} if value != 0.0 else {}
-    parts = [tree_polynomial(child, pool) for child in tree.children]
+    parts = [tree_polynomial(child) for child in tree.children]
     if sym.name == "+":
         return _poly_merge(parts[0], parts[1], 1.0)
     if sym.name == "-":

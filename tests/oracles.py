@@ -6,11 +6,10 @@ evaluates expressions only through their canonical polynomials
 """
 
 import operator
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
 import numpy as np
 
-from sagep.fields import ConfigError
 from sagep.symreg import ExprTree
 
 # Each operator of symreg.OP_TABLE as a function of floats and numpy arrays
@@ -19,13 +18,11 @@ OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
              "neg": operator.neg}
 
 
-def eval_tree(tree: ExprTree, row: Mapping[str, float],
-              pool: Sequence[float] | None = None):
+def eval_tree(tree: ExprTree, row: Mapping[str, float]):
     """Evaluate a tree on one input row (or on whole columns via broadcasting).
 
-    Unknown terminal names raise KeyError; a constant reference without a
-    pool raises ConfigError.  Arithmetic itself is never trapped, so
-    overflow propagates as inf/nan for the caller to detect.
+    Unknown terminal names raise KeyError.  Arithmetic itself is never
+    trapped, so overflow propagates as inf/nan for the caller to detect.
     """
     sym = tree.node
     if sym.kind == "term":
@@ -35,17 +32,7 @@ def eval_tree(tree: ExprTree, row: Mapping[str, float],
             raise KeyError(f"unknown terminal {sym.name!r}") from None
     if sym.kind == "lit":
         return sym.value
-    if sym.kind == "const":
-        if pool is None:
-            raise ConfigError(
-                "tree references a constant but no pool was given")
-        try:
-            return pool[sym.index]
-        except IndexError:
-            raise ConfigError(
-                f"constant index {sym.index} outside pool of "
-                f"size {len(pool)}") from None
     fn = OPERATORS[sym.name]
-    args = [eval_tree(child, row, pool) for child in tree.children]
+    args = [eval_tree(child, row) for child in tree.children]
     with np.errstate(all="ignore"):
         return fn(*args)

@@ -262,9 +262,12 @@ def test_criterion_5_thresholds_exhaustive():
             scalar = rng.choice(grid, size=n)
             front = rng.integers(0, 4, size=n)
             configs = [paper_rule,
-                       SelectionConfig(m_fixed=int(rng.integers(1, 13))),
-                       SelectionConfig(m_rel=float(rng.choice(grid))),
-                       SelectionConfig(m_pareto=int(rng.integers(1, 5))),
+                       SelectionConfig(m_fixed=int(rng.integers(1, 13)),
+                                       m_rel=None),
+                       SelectionConfig(m_fixed=None,
+                                       m_rel=float(rng.choice(grid))),
+                       SelectionConfig(m_fixed=None, m_rel=None,
+                                       m_pareto=int(rng.integers(1, 5))),
                        SelectionConfig(m_fixed=int(rng.integers(1, 13)),
                                        m_rel=float(rng.choice(grid)),
                                        m_pareto=int(rng.integers(1, 5)))]

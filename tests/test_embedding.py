@@ -20,7 +20,8 @@ from sagep.embedding import (
 from sagep.fields import ConfigError
 from sagep.symreg import (
     ExprTree,
-    constant,
+    GepConfig,
+    SymbolSet,
     op_symbol,
     parse_expression,
     terminal,
@@ -28,10 +29,10 @@ from sagep.symreg import (
 )
 
 
-def embed_trees(trees, table, pool=None):
+def embed_trees(trees, table):
     """One candidate's slots embedded through their polynomials, as the
     generation step embeds a generation: a batch of one."""
-    return embed([[tree_polynomial(tree, pool) for tree in trees]], table)[0]
+    return embed([[tree_polynomial(tree) for tree in trees]], table)[0]
 
 
 def table_from(**columns):
@@ -153,11 +154,12 @@ class TestEmbed:
             assert row.tobytes() == embed_trees(trees, t).tobytes()
 
     def test_pool_constants_fold_into_embedding(self):
+        # The run's constants are literal leaves of its alphabet.
         t = table_from(I1=[2.0, 4.0])
-        pool = (0.5,)
-        tree = ExprTree(op_symbol("*"), (ExprTree(constant(0)),
+        c = SymbolSet.build(GepConfig(n_constants=1), ("I1",), 0).leaves[1]
+        tree = ExprTree(op_symbol("*"), (ExprTree(c),
                                          ExprTree(terminal("I1"))))
-        assert embed_trees([tree], t, pool=pool)[0] == 1.5
+        assert embed_trees([tree], t)[0] == c.value * 3.0
 
     def test_overflow_becomes_non_finite(self):
         t = table_from(I1=[1e200, 1e200])

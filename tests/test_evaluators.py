@@ -26,8 +26,7 @@ from sagep.evaluators import (
     make_reference,
 )
 from sagep.fields import ConfigError
-from sagep.symreg import (ExprTree, constant, op_symbol,
-                          parse_expression, terminal, tree_polynomial)
+from sagep.symreg import parse_expression, tree_polynomial
 
 
 THREE_SLOT_TRUTH = ("-0.1 - I1", "0.0", "0.945 - 2.108*J1")
@@ -80,27 +79,27 @@ class TestSymbolicBenchmark:
 
     def test_exact_recovery_scores_zero(self):
         trees = [parse_expression("I1*I1"), parse_expression("0.5 - I2")]
-        out = self.bench.evaluate(trees, ())
+        out = self.bench.evaluate(trees)
         assert out.converged
         assert np.allclose(out.objectives, 0.0, atol=1e-12)
 
     def test_rms_of_constant_offset(self):
         trees = [parse_expression("I1*I1 + 1"), parse_expression("0.5 - I2")]
-        out = self.bench.evaluate(trees, ())
+        out = self.bench.evaluate(trees)
         assert out.objectives[0] == pytest.approx(1.0, rel=1e-12)
         assert out.objectives[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_counter_increments_per_evaluation(self):
         before = expensive_call_count()
         trees = [parse_expression("I1"), parse_expression("I2")]
-        self.bench.evaluate(trees, ())
+        self.bench.evaluate(trees)
         assert expensive_call_count() == before + 1
 
     def test_overflow_trips_sentinel(self):
         table = FeatureTable(columns={"I1": np.array([1e300, 1e300])})
         bench = SymbolicBenchmark(table, targets=("I1",))
         trees = [parse_expression("I1*I1*I1")]
-        out = bench.evaluate(trees, ())
+        out = bench.evaluate(trees)
         assert not out.converged
         assert np.all(out.objectives == DIVERGENCE_SENTINEL)
 
@@ -108,8 +107,7 @@ class TestSymbolicBenchmark:
         bench = SymbolicBenchmark(self.table, targets=("I1", "I1"),
                                   slot_of_objective=(0, 0))
         assert bench.n_slots == 1
-        out = bench.evaluate([parse_expression("I1")],
-                             ())
+        out = bench.evaluate([parse_expression("I1")])
         assert np.allclose(out.objectives, 0.0, atol=1e-12)
 
     def test_target_must_be_finite_on_table(self):
@@ -133,20 +131,10 @@ class TestSymbolicBenchmark:
     def test_term_order_changes_no_bit(self):
         # Objectives depend only on the phenotype key, so every order of
         # the same terms gives the same bits.
-        pool = ()
         for terms in (("I1", "I1*I2", "I2"), ("0.3", "I1", "I2")):
-            outcomes = {self.bench.evaluate([tree, tree], pool)
+            outcomes = {self.bench.evaluate([tree, tree])
                         .objectives.tobytes() for tree in term_orders(terms)}
             assert len(outcomes) == 1, terms
-
-    def test_constant_without_pool_rejected(self):
-        tree = ExprTree(op_symbol("*"), (ExprTree(constant(0)),
-                                         ExprTree(terminal("I1"))))
-        with pytest.raises(ConfigError):
-            self.bench.evaluate([tree, tree], None)
-        with pytest.raises(ConfigError):
-            ChannelEvaluator(default_channel_case()).evaluate([tree, tree],
-                                                              None)
 
 
 class TestChannelSolver:
@@ -154,7 +142,7 @@ class TestChannelSolver:
         case = default_channel_case()
         ev_channel = ChannelEvaluator(case)
         trees = [parse_expression(e) for e in case.truth_exprs]
-        out = ev_channel.evaluate(trees, ())
+        out = ev_channel.evaluate(trees)
         assert out.converged
         assert np.all(out.objectives <= case.tol * 10)
 
@@ -179,7 +167,7 @@ class TestChannelSolver:
         case = default_channel_case()
         ev_channel = ChannelEvaluator(case)
         trees = [parse_expression("0"), parse_expression("-1000")]
-        out = ev_channel.evaluate(trees, ())
+        out = ev_channel.evaluate(trees)
         assert not out.converged
         assert np.all(out.objectives == DIVERGENCE_SENTINEL)
 
@@ -224,15 +212,14 @@ class TestChannelSolver:
         ev_channel = ChannelEvaluator(default_channel_case())
         before = expensive_call_count()
         trees = [parse_expression("0"), parse_expression("0")]
-        ev_channel.evaluate(trees, ())
+        ev_channel.evaluate(trees)
         assert expensive_call_count() == before + 1
 
     def test_term_order_changes_no_bit(self):
         ev_channel = ChannelEvaluator(default_channel_case())
-        pool = ()
         alpha = parse_expression("0.945 - 2.108*J1")
         for terms in (("I1", "I1*J1", "J1"), ("0.3", "I1", "J1")):
-            outcomes = [ev_channel.evaluate([g, alpha], pool)
+            outcomes = [ev_channel.evaluate([g, alpha])
                         for g in term_orders(terms)]
             assert all(out.converged for out in outcomes)
             assert len({out.objectives.tobytes() for out in outcomes}) == 1
@@ -242,7 +229,7 @@ class TestChannelSolver:
         ev_channel = ChannelEvaluator(case)
         assert ev_channel.n_slots == 3
         trees = [parse_expression(e) for e in case.truth_exprs]
-        out = ev_channel.evaluate(trees, ())
+        out = ev_channel.evaluate(trees)
         assert out.converged
         assert np.all(out.objectives <= case.tol * 10)
 
@@ -256,7 +243,7 @@ class TestChannelSolver:
                  (THREE_SLOT_TRUTH[0], r, THREE_SLOT_TRUTH[2])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = ev_channel.evaluate(trees, ())
+            out = ev_channel.evaluate(trees)
         assert out.converged is False
         assert np.all(out.objectives == DIVERGENCE_SENTINEL)
 
@@ -516,11 +503,10 @@ class TestSolveBatch:
         evaluator = ChannelEvaluator(default_channel_case())
         trees = [[parse_expression(e) for e in SOLVE_PINS[name][0]]
                  for name in SOLVE_PINS if None not in SOLVE_PINS[name][0]]
-        pool = ()
-        batch = evaluator.evaluate_batch(trees, pool)
+        batch = evaluator.evaluate_batch(trees)
         for t, in_batch in zip(trees, batch):
-            alone = evaluator.evaluate(t, pool)
-            for other in (evaluator.evaluate_batch([t], pool)[0], in_batch):
+            alone = evaluator.evaluate(t)
+            for other in (evaluator.evaluate_batch([t])[0], in_batch):
                 assert other.objectives.tobytes() == alone.objectives.tobytes()
                 assert (other.converged, other.iterations) == (
                     alone.converged, alone.iterations)
@@ -534,11 +520,10 @@ class TestSolveBatch:
             table = FeatureTable(columns={"I1": np.array([0.5, 1.0])})
             evaluator = SymbolicBenchmark(table, targets=("I1",))
             trees = [parse_expression("I1")]
-        pool = ()
         before = expensive_call_count()
-        assert evaluator.evaluate_batch([], pool) == []
+        assert evaluator.evaluate_batch([]) == []
         assert expensive_call_count() == before
-        outcomes = evaluator.evaluate_batch([trees] * 3, pool)
+        outcomes = evaluator.evaluate_batch([trees] * 3)
         assert len(outcomes) == 3
         assert expensive_call_count() == before + 3
 
@@ -547,20 +532,19 @@ class TestSolveBatch:
         table = FeatureTable(columns={"I1": rng.uniform(0.2, 1.0, size=12),
                                       "I2": rng.uniform(-1.0, 0.0, size=12)})
         bench = SymbolicBenchmark(table, targets=("I1*I1", "0.5 - I2"))
-        pool = ()
         trees = [[parse_expression(a), parse_expression(b)]
                  for a, b in (("I1", "I2"), ("I1*I1", "0.5 - I2"))]
-        batch = bench.evaluate_batch(trees, pool)
+        batch = bench.evaluate_batch(trees)
         for t, outcome in zip(trees, batch):
             assert (outcome.objectives.tobytes()
-                    == bench.evaluate(t, pool).objectives.tobytes())
+                    == bench.evaluate(t).objectives.tobytes())
 
     def test_bad_slot_count_rejected_before_counting(self):
         evaluator = ChannelEvaluator(default_channel_case())
         before = expensive_call_count()
         with pytest.raises(ValueError, match="expected 2 slots"):
             evaluator.evaluate_batch([[parse_expression("0")] * 2,
-                                      [parse_expression("0")]], None)
+                                      [parse_expression("0")]])
         assert expensive_call_count() == before
 
 
@@ -621,6 +605,12 @@ class TestLoadChannelCase:
     def test_ill_typed_fields_rejected(self, payload):
         with pytest.raises(ConfigError, match="invalid channel case"):
             load_channel_case(payload)
+
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_max_iters_below_one_rejected(self, max_iters):
+        # Once read as a truth that diverges on the case.
+        with pytest.raises(ConfigError, match="max_iters must be >= 1"):
+            load_channel_case({"max_iters": max_iters})
 
     def test_float_fields_must_be_finite_numbers(self):
         for name in ("forcing", "coupling", "nu", "alpha_base", "nut_max",

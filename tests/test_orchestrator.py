@@ -76,15 +76,17 @@ class TestConfig:
 
     def test_selection_defaults_scale_with_population(self, tmp_path):
         cfg = load_run_config(write_config(tmp_path))
-        sel = cfg.selection_config()
+        sel = cfg.selection.for_population(cfg.population)
         assert sel.metric == "lcb"
         assert sel.n_init == 5
         assert sel.m_fixed == 1
+        # Resolved where it is used, so a changed population rescales it.
+        assert cfg.selection.for_population(96).n_init == 38
 
     def test_selection_block_override(self, tmp_path):
         cfg = load_run_config(write_config(
             tmp_path, selection={"metric": "ei", "m_fixed": 2}))
-        sel = cfg.selection_config()
+        sel = cfg.selection.for_population(cfg.population)
         assert sel.metric == "ei"
         assert sel.m_fixed == 2
         assert sel.n_init == 5  # still scaled from the population
@@ -92,15 +94,20 @@ class TestConfig:
     def test_empty_selection_block_keeps_defaults(self, tmp_path):
         plain = load_run_config(write_config(tmp_path))
         empty = load_run_config(write_config(tmp_path, selection={}))
-        assert empty.selection_config() == plain.selection_config()
+        assert empty.selection == plain.selection == SelectionConfig()
 
     def test_partial_selection_block_keeps_other_defaults(self):
         # population omitted: the RunConfig default of 96 sets n_init.
         cfg = build_run_config({"selection": {"m_fixed": 1}})
-        sel = cfg.selection_config()
+        sel = cfg.selection.for_population(cfg.population)
         assert sel.n_init == 38
         assert sel.m_init_rel == 0.5
-        assert sel == RunConfig().selection_config()
+        assert cfg.selection == RunConfig().selection
+
+    @pytest.mark.parametrize("block", ["gep", "selection"])
+    def test_null_block_rejected(self, block):
+        with pytest.raises(ConfigError, match=f"^{block} must be a "):
+            build_run_config({block: None})
 
     def test_missing_table_rejected(self, tmp_path):
         path = write_config(tmp_path)
@@ -378,7 +385,8 @@ class TestGenerationStep:
     def step(self, gen, pop, history, surrogate_enabled=True):
         config = RunConfig(
             surrogate_enabled=surrogate_enabled,
-            selection=SelectionConfig(metric="lcb", beta=50.0, m_fixed=1))
+            selection=SelectionConfig(metric="lcb", beta=50.0, n_init=1,
+                                      m_init_rel=None, m_rel=None))
         calls = []
 
         def oracle(cands):
@@ -597,10 +605,10 @@ class TestRunTraining:
             roots[id(tree)] = tree
             return tree
 
-        def expand_spy(tree, pool=None):
+        def expand_spy(tree):
             if id(tree) in roots:
                 expanded.append(id(tree))
-            return expand(tree, pool)
+            return expand(tree)
 
         def key_spy(poly):
             keyed.append(poly)
@@ -610,9 +618,9 @@ class TestRunTraining:
             embedded.extend(poly for slots in polys for poly in slots)
             return embed(polys, table)
 
-        def evaluate_spy(self, slots, pool=None):
+        def evaluate_spy(self, slots):
             evaluated.extend(slots)
-            return evaluate(self, slots, pool)
+            return evaluate(self, slots)
 
         monkeypatch.setattr(symreg, "decode", decode_spy)
         monkeypatch.setattr(symreg, "tree_polynomial", expand_spy)
@@ -703,7 +711,7 @@ class TestRunTraining:
                                                    ("symbolic_quadratic", 8)])
     def test_stored_keys_reproduce_objectives(self, name, generations):
         # An outcome is a function of the phenotype keys alone: evaluating
-        # the parsed keys without a pool gives the stored objectives.
+        # the parsed keys gives the stored objectives.
         cfg = dataclasses.replace(load_run_config(CONFIGS / f"{name}.json"),
                                   surrogate_enabled=False,
                                   generations=generations)
@@ -715,7 +723,7 @@ class TestRunTraining:
                 continue
             if rec.keys not in outcomes:
                 outcomes[rec.keys] = evaluator.evaluate(
-                    [parse_expression(key) for key in rec.keys], None)
+                    [parse_expression(key) for key in rec.keys])
             assert outcomes[rec.keys].converged
             assert tuple(outcomes[rec.keys].objectives) == rec.objectives
 

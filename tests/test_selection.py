@@ -18,7 +18,6 @@ from sagep.selection import (
     ei,
     lcb,
     select_generation,
-    default_selection_config,
 )
 from sagep.surrogate import KernelParams, build_gp, predict_multi_batch
 from sagep.symreg import Candidate
@@ -282,16 +281,23 @@ def brute_force_thresholds(scalar, front_index, config):
     return sorted(passing)
 
 
+def bare(**fields):
+    """SelectionConfig with n_init 1 and no threshold or filter unless
+    fields sets one."""
+    return SelectionConfig(**{"n_init": 1, "m_init_rel": None,
+                              "m_fixed": None, "m_rel": None, **fields})
+
+
 class TestThresholds:
     def test_fixed_count_takes_top(self):
-        cfg = SelectionConfig(m_fixed=1)
+        cfg = bare(m_fixed=1)
         out = apply_thresholds(np.array([0.9, 0.3]), np.zeros(2, dtype=int),
                                cfg)
         assert out == [0]
 
     def test_combined_rule(self):
         # Cap of 10 with a 0.5 floor keeps exactly the candidates >= 0.5.
-        cfg = SelectionConfig(m_fixed=10, m_rel=0.5)
+        cfg = bare(m_fixed=10, m_rel=0.5)
         out = apply_thresholds(np.array([0.6, 0.4, 0.7]),
                                np.zeros(3, dtype=int), cfg)
         assert out == [0, 2]
@@ -299,11 +305,11 @@ class TestThresholds:
     def test_pareto_threshold(self):
         scalar, front = aggregate_multiobjective(np.array([[2.0, 2.0],
                                                            [1.0, 1.0]]))
-        out = apply_thresholds(scalar, front, SelectionConfig(m_pareto=1))
+        out = apply_thresholds(scalar, front, bare(m_pareto=1))
         assert out == [0]
 
     def test_ties_break_by_lower_id(self):
-        cfg = SelectionConfig(m_fixed=2)
+        cfg = bare(m_fixed=2)
         out = apply_thresholds(np.array([0.5, 0.5, 0.5]),
                                np.zeros(3, dtype=int), cfg)
         assert out == [0, 1]
@@ -316,7 +322,7 @@ class TestThresholds:
         scalar = np.asarray(scalars)
         rng = np.random.default_rng(len(scalars))
         front = rng.integers(0, 4, size=len(scalars))
-        cfg = SelectionConfig(m_fixed=m_fixed, m_rel=m_rel, m_pareto=m_pareto)
+        cfg = bare(m_fixed=m_fixed, m_rel=m_rel, m_pareto=m_pareto)
         got = apply_thresholds(scalar, front, cfg)
         assert got == brute_force_thresholds(scalar, front, cfg)
         if m_fixed is not None:
@@ -330,7 +336,7 @@ class TestSelectGeneration:
         pop = [make_candidate(0, [0.0, 0.0]), make_candidate(1, [np.nan, 0.0])]
         with pytest.raises(SelectionContractError, match="finite"):
             select_generation(1, pop, make_model(X, np.zeros((2, 2))),
-                              make_history(X), SelectionConfig(m_fixed=1),
+                              make_history(X), bare(m_fixed=1),
                               np.random.default_rng(0))
 
     @pytest.mark.parametrize("gen, size", [(0, 1), (2, 0)])
@@ -342,7 +348,7 @@ class TestSelectGeneration:
         pop = [make_candidate(0, [0.5, 0.5])][:size]
         with pytest.raises(SelectionContractError, match="generation 1"):
             select_generation(gen, pop, make_model(X, np.zeros((2, 2))),
-                              make_history(X), SelectionConfig(m_fixed=1),
+                              make_history(X), bare(m_fixed=1),
                               np.random.default_rng(0))
 
     def test_gen_two_needs_a_threshold(self):
@@ -351,7 +357,7 @@ class TestSelectGeneration:
         history = make_history(X)
         with pytest.raises(SelectionContractError):
             select_generation(2, [make_candidate(0, [0.5, 0.5])], model,
-                              history, SelectionConfig(),
+                              history, bare(),
                               np.random.default_rng(0))
 
     def test_uncertain_candidate_beats_known_one_under_large_beta(self):
@@ -360,7 +366,7 @@ class TestSelectGeneration:
         history = make_history(X)
         pop = [make_candidate(0, [0.0, 0.0]),   # at a training embedding
                make_candidate(1, [8.0, 8.0])]   # far away, high variance
-        cfg = SelectionConfig(metric="lcb", beta=50.0, m_fixed=1)
+        cfg = bare(metric="lcb", beta=50.0, m_fixed=1)
         decision = select_generation(2, pop, model, history, cfg,
                                      np.random.default_rng(0))
         assert decision.selected_ids == [1]
@@ -370,7 +376,7 @@ class TestSelectGeneration:
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         model = make_model(X, np.array([[1.0, 2.0], [1.0, 2.0]]))
         pop = [make_candidate(0, [0.0, 0.0]), make_candidate(1, [7.0, 7.0])]
-        cfg = SelectionConfig(metric="lcb", beta=50.0, n_init=1, m_fixed=1)
+        cfg = bare(metric="lcb", beta=50.0, n_init=1, m_fixed=1)
         decision = select_generation(gen, pop, model, make_history(X), cfg,
                                      np.random.default_rng(0))
         assert decision.selected_ids
@@ -387,7 +393,7 @@ class TestSelectGeneration:
         pop = [make_candidate(0, [2.0, 2.0]),
                make_candidate(1, [2.1, 2.1]),
                make_candidate(2, [0.0, 0.0])]
-        cfg = SelectionConfig(metric="lcb", beta=5.0, delta=0.75, m_fixed=1)
+        cfg = bare(metric="lcb", beta=5.0, delta=0.75, m_fixed=1)
         decision = select_generation(2, pop, model, history, cfg,
                                      np.random.default_rng(0))
         weights = convergence_weights([c.embedding_norm for c in pop],
@@ -406,7 +412,7 @@ class TestSelectGeneration:
         history = make_history(X)
         pop = [make_candidate(i, rng.uniform(0, 1, size=2))
                for i in range(20)]
-        cfg = SelectionConfig(metric="lcb", beta=5.0, n_init=5, m_fixed=1)
+        cfg = bare(metric="lcb", beta=5.0, n_init=5, m_fixed=1)
         decision = select_generation(1, pop, model, history, cfg,
                                      np.random.default_rng(9))
         assert len(decision.selected_ids) <= 5
@@ -418,8 +424,8 @@ class TestSelectGeneration:
         model = make_model(X, np.zeros((4, 2)))
         history = make_history(X)
         pop = [make_candidate(i, rng.uniform(0, 1, size=2)) for i in range(8)]
-        cfg = SelectionConfig(metric="lcb", beta=5.0, n_init=8,
-                              m_init_rel=1.0, m_fixed=1)
+        cfg = bare(metric="lcb", beta=5.0, n_init=8, m_init_rel=1.0,
+                   m_fixed=1)
         decision = select_generation(1, pop, model, history, cfg,
                                      np.random.default_rng(1))
         # A floor of exactly 1.0 keeps only picks at the top scalar value;
@@ -443,7 +449,7 @@ class TestSelectGeneration:
             pop = [make_candidate(i, rng_pop.uniform(0, 1, size=2))
                    for i in range(10)]
             return select_generation(1, pop, model, history,
-                                     default_selection_config(10),
+                                     SelectionConfig().for_population(10),
                                      np.random.default_rng(77)).selected_ids
 
         rng_pop = np.random.default_rng(5)
@@ -457,7 +463,7 @@ class TestSelectGeneration:
         model = make_model(X, np.array([[0.5, 0.4], [0.2, 0.3]]))
         history = make_history(X)
         pop = [make_candidate(0, [0.5, 0.5]), make_candidate(1, [4.0, 4.0])]
-        cfg = SelectionConfig(metric="ei", xi=0.0, m_fixed=1)
+        cfg = bare(metric="ei", xi=0.0, m_fixed=1)
         decision = select_generation(2, pop, model, history, cfg,
                                      np.random.default_rng(0))
         assert len(decision.selected_ids) == 1
@@ -494,7 +500,10 @@ class TestSelectionConfig:
 
 class TestDefaultSelectionScaling:
     def test_shape(self):
-        cfg = default_selection_config(96)
+        # A run's defaults are the field defaults, n_init resolved against
+        # the population where it is used.
+        assert SelectionConfig().n_init is None
+        cfg = SelectionConfig().for_population(96)
         assert cfg.metric == "lcb"
         assert cfg.beta == 5.0
         assert cfg.delta == 0.75
@@ -505,4 +514,5 @@ class TestDefaultSelectionScaling:
         assert cfg.m_pareto is None
 
     def test_n_init_floor(self):
-        assert default_selection_config(1).n_init == 1
+        assert SelectionConfig().for_population(1).n_init == 1
+        assert SelectionConfig(n_init=3).for_population(96).n_init == 3

@@ -17,7 +17,6 @@ from sagep.symreg import (
     StructureError,
     SymbolSet,
     canonical_key,
-    constant,
     crossover,
     crowding_distance,
     decode,
@@ -31,7 +30,6 @@ from sagep.symreg import (
     plan_eval,
     polynomial_plan,
     polynomials_eval,
-    preorder,
     random_genotype,
     rank_population,
     select_survivors,
@@ -45,6 +43,12 @@ MUL, ADD, SUB, NEG = (op_symbol(n) for n in ("*", "+", "-", "neg"))
 
 def make_genotype(*symbols, head_len):
     return Genotype(symbols=tuple(symbols), head_len=head_len)
+
+
+def preorder(tree):
+    """The tree's symbols in depth-first pre-order."""
+    return [tree.node] + [s for child in tree.children
+                          for s in preorder(child)]
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +127,7 @@ def assert_layout(g):
 def genotypes(draw, head_len=None):
     h = head_len if head_len is not None else draw(st.integers(1, 6))
     cfg = GepConfig(head_len=h, n_constants=2)
-    symbols = SymbolSet.build(cfg, ("I1", "I2", "J1"))
+    symbols = SymbolSet.build(cfg, ("I1", "I2", "J1"), seed=0)
     head = draw(st.lists(st.sampled_from(symbols.heads), min_size=h,
                          max_size=h))
     tail = draw(st.lists(st.sampled_from(symbols.leaves),
@@ -151,7 +155,7 @@ class TestDecodeProperties:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8))
     def test_random_genotype_is_valid(self, seed, head_len):
         cfg = GepConfig(head_len=head_len, n_constants=3)
-        symbols = SymbolSet.build(cfg, ("I1", "J1"))
+        symbols = SymbolSet.build(cfg, ("I1", "J1"), seed=seed)
         g = random_genotype(np.random.default_rng(seed), cfg, symbols)
         assert_layout(g)
         decode(g)
@@ -162,16 +166,6 @@ class TestDecodeProperties:
 
 
 class TestEvaluation:
-    def test_constant_pool_lookup(self):
-        pool = (0.5, -1.0, 2.0)
-        g = make_genotype(constant(0), I1, I1, head_len=1)
-        assert eval_tree(decode(g), {"I1": 3.0}, pool=pool) == 0.5
-
-    def test_constant_without_pool_raises(self):
-        tree = decode(make_genotype(constant(1), I1, I1, head_len=1))
-        with pytest.raises(ValueError):
-            eval_tree(tree, {"I1": 0.0})
-
     def test_unknown_terminal_raises(self):
         tree = decode(make_genotype(ADD, I1, I2, head_len=1))
         with pytest.raises(KeyError):
@@ -196,11 +190,12 @@ class TestCanonicalKey:
         assert canonical_key(tree_polynomial(tree)) == "0"
 
     def test_constant_folding_with_pool(self):
-        pool = (0.5, 2.0)
-        tree = decode(make_genotype(MUL, constant(1), I1, I1, I1, head_len=2))
-        assert canonical_key(tree_polynomial(tree, pool)) == "2.0*I1"
-        # Without the pool the reference stays opaque.
-        assert canonical_key(tree_polynomial(tree)) == "I1*c1"
+        # The run's constants are literal leaves: each folds into its
+        # coefficient, and a zero drops the term.
+        tree = decode(make_genotype(MUL, literal(2.0), I1, I1, I1, head_len=2))
+        assert canonical_key(tree_polynomial(tree)) == "2.0*I1"
+        zero = decode(make_genotype(MUL, literal(0.0), I1, I1, I1, head_len=2))
+        assert canonical_key(tree_polynomial(zero)) == "0"
 
     def test_key_formatting(self):
         assert canonical_key({}) == "0"
@@ -210,26 +205,24 @@ class TestCanonicalKey:
 
     @given(genotypes())
     def test_key_agrees_with_pointwise_evaluation(self, g):
-        pool = (0.5, -1.5)
         tree = decode(g)
-        poly = tree_polynomial(tree, pool)
+        poly = tree_polynomial(tree)
         rng = np.random.default_rng(0)
         cols = {name: rng.normal(size=4) for name in ("I1", "I2", "J1")}
-        direct = eval_tree(tree, cols, pool=pool)
+        direct = eval_tree(tree, cols)
         via_poly = polynomials_eval([poly], cols)[0]
         assert np.allclose(direct, via_poly, atol=1e-9, rtol=1e-9)
 
     @given(genotypes(), genotypes())
     def test_equal_keys_imply_equal_functions(self, a, b):
-        pool = (0.5, -1.5)
         ta, tb = decode(a), decode(b)
-        if (canonical_key(tree_polynomial(ta, pool))
-                != canonical_key(tree_polynomial(tb, pool))):
+        if (canonical_key(tree_polynomial(ta))
+                != canonical_key(tree_polynomial(tb))):
             return
         rng = np.random.default_rng(7)
         cols = {name: rng.normal(size=8) for name in ("I1", "I2", "J1")}
-        assert np.allclose(eval_tree(ta, cols, pool=pool),
-                           eval_tree(tb, cols, pool=pool),
+        assert np.allclose(eval_tree(ta, cols),
+                           eval_tree(tb, cols),
                            atol=1e-8, rtol=1e-8)
 
 
@@ -362,7 +355,8 @@ class TestParseExpression:
 class TestVariation:
     @given(genotypes(head_len=4), st.floats(0.0, 1.0), st.integers(0, 2 ** 16))
     def test_mutation_preserves_layout(self, g, rate, seed):
-        symbols = SymbolSet.build(GepConfig(n_constants=2), ("I1", "I2", "J1"))
+        symbols = SymbolSet.build(GepConfig(n_constants=2), ("I1", "I2", "J1"),
+                                  seed)
         child = mutate(g, rate, np.random.default_rng(seed), symbols)
         assert len(child.symbols) == len(g.symbols)
         assert child.head_len == g.head_len
@@ -370,7 +364,7 @@ class TestVariation:
 
     def test_mutation_rate_zero_is_identity(self):
         cfg = GepConfig(head_len=4, n_constants=1)
-        symbols = SymbolSet.build(cfg, ("I1",))
+        symbols = SymbolSet.build(cfg, ("I1",), seed=0)
         g = random_genotype(np.random.default_rng(1), cfg, symbols)
         assert mutate(g, 0.0, np.random.default_rng(2), symbols) == g
 
@@ -393,12 +387,24 @@ class TestVariation:
 class TestAlphabets:
     CONFIG = GepConfig(head_len=4, operators=("+", "-", "*", "neg"),
                        n_constants=3)
-    SYMBOLS = SymbolSet.build(CONFIG, ("I1", "I2", "J1"))
+    SYMBOLS = SymbolSet.build(CONFIG, ("I1", "I2", "J1"), seed=11)
+    CONSTANTS = SYMBOLS.leaves[3:]
 
     def test_alphabets_equal_fresh_tuples_in_order(self):
-        leaves = (I1, I2, J1, constant(0), constant(1), constant(2))
+        leaves = (I1, I2, J1) + tuple(literal(s.value) for s in self.CONSTANTS)
         assert self.SYMBOLS.leaves == leaves
         assert self.SYMBOLS.heads == (ADD, SUB, MUL, NEG) + leaves
+
+    @pytest.mark.parametrize("seed", [0, 11, 2 ** 63])
+    def test_constants_are_the_seeded_uniform_draw(self, seed):
+        # The run's constants: one uniform draw over const_range, in order.
+        cfg = GepConfig(n_constants=5, const_range=(-3.0, 0.5))
+        leaves = SymbolSet.build(cfg, ("I1",), seed).leaves
+        drawn = np.random.default_rng(seed).uniform(-3.0, 0.5, size=5)
+        assert [s.kind for s in leaves[1:]] == ["lit"] * 5
+        assert [s.value for s in leaves[1:]] == drawn.tolist()
+        assert SymbolSet.build(GepConfig(n_constants=0), ("I1",),
+                               seed).leaves == (I1,)
 
     def test_alphabets_are_built_once(self):
         # Draws hand out the alphabet's own symbols; none is built per draw.
@@ -413,7 +419,8 @@ class TestAlphabets:
         # changes these strings.
         def render(g):
             return " ".join(s.name if s.kind in ("op", "term")
-                            else f"c{s.index}" for s in g.symbols)
+                            else f"c{self.CONSTANTS.index(s)}"
+                            for s in g.symbols)
 
         rng = np.random.default_rng(7)
         drawn = []
@@ -574,7 +581,7 @@ class TestRanking:
 
     def test_evolve_generation_shapes(self):
         cfg = GepConfig(head_len=4, n_constants=2)
-        symbols = SymbolSet.build(cfg, ("I1", "I2"))
+        symbols = SymbolSet.build(cfg, ("I1", "I2"), seed=0)
         rng = np.random.default_rng(5)
         pop = []
         for i in range(6):
