@@ -21,11 +21,11 @@ the tests is the reference semantics they are checked against.
 The channel evaluator solves a generation's candidates as one batch: one
 damped fixed-point loop on the u and T profiles of all k candidates,
 stacked as (2, k, n), whose rows leave as they exit.  Each iteration
-solves both equations of every row with one LAPACK dgtsv call on one
-block-diagonal system; a row whose solution is not all finite and nonzero
-is solved again on its own.  Each row gets the bits of its candidate's
-solve alone.  dgtsv is scipy's own wrapper, taken from scipy's compiled
-LAPACK module through `sagep.lapack` without importing `scipy.linalg`.
+solves both equations of every row with one in-place LAPACK dgtsv call on
+one block-diagonal system, in arrays allocated once per batch; checks run
+on the whole batch, and row by row only when one fails.  Each row gets
+the bits of its candidate's solve alone.  dgtsv is scipy's own wrapper,
+loaded by `sagep.lapack` without importing `scipy.linalg`.
 
 Both evaluators bump a module-level call counter; passive replay must leave
 that counter untouched, which is how tests prove no expensive call happens
@@ -45,9 +45,9 @@ from numpy.linalg import LinAlgError
 from .embedding import FeatureTable
 from .fields import ConfigError, check_fields
 from .lapack import dgtsv
-from .symreg import (DIVERGENCE_SENTINEL, ExprTree, parse_expression,
-                     plan_eval, polynomial_plan, polynomials_eval,
-                     tree_polynomial)
+from .symreg import (DIVERGENCE_SENTINEL, ExprTree, bind_plan,
+                     parse_expression, plan_eval, polynomial_plan,
+                     polynomials_eval, tree_polynomial)
 
 __all__ = [
     "EvaluationOutcome",
@@ -231,7 +231,8 @@ class ChannelCase:
 
 
 def _tridiag_solve(diff_face: np.ndarray, source: np.ndarray,
-                   walls: np.ndarray, h: float) -> np.ndarray:
+                   walls: np.ndarray, h: float, work: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Solve d/dy(D du/dy) = -source with Dirichlet walls, one system per
     row of diff_face (k, n-1), source (k, n) and walls (k, 2), n >= 4.
 
@@ -241,40 +242,50 @@ def _tridiag_solve(diff_face: np.ndarray, source: np.ndarray,
     routine scipy's solve_banded calls for one band each side).  Faces are
     > 0, so dgtsv never pivots across a link, and a link adds 0 * x to its
     neighbour, which leaves a nonzero finite value as it was.  0 * x can
-    flip the sign of a zero, and 0 * inf is nan, so each row whose solution
-    is not all finite and nonzero is solved again alone: every row has the
-    bits of its lone dgtsv call.  A singular system raises LinAlgError.
+    flip the sign of a zero, and 0 * inf is nan, so when the joint solution
+    holds a zero or a non-finite value, each row that does is solved again
+    alone: every row has the bits of its lone dgtsv call.  A singular
+    system raises LinAlgError.  dgtsv works in place in work (4, k, n-2).
     """
     k, n = source.shape
-    rhs = -source[:, 1:-1] * h * h
+    work = np.empty((4, k, n - 2)) if work is None else work
+    out = np.empty(source.shape) if out is None else out
+    off, diag, rhs, inner = work[:2], work[2], work[3], out[:, 1:-1]
+    np.negative(source[:, 1:-1], out=rhs)
+    rhs *= h
+    rhs *= h
     # Columns 0 and -1 of rhs (n-2 wide) and of diff_face (n-1 wide).
     rhs[:, ::n - 3] -= diff_face[:, ::n - 2] * walls
-    link = diff_face[:, 1:].copy()
-    link[:, -1] = 0.0  # to the next row's system
-    diag = -(diff_face[:, :-1] + diff_face[:, 1:])
-    out = np.empty(source.shape)
+    off[..., :-1] = diff_face[:, 1:-1]
+    off[..., -1] = 0.0  # to the next row's system
+    np.negative(np.add(diff_face[:, :-1], diff_face[:, 1:], out=diag),
+                out=diag)
+    *_, info = dgtsv(off[0].reshape(-1)[:-1], diag.reshape(-1),
+                     off[1].reshape(-1)[:-1], rhs.reshape(-1), 1, 1, 1, 1)
     out[:, ::n - 1] = walls
-    inner = out[:, 1:-1]
-    # dl and du alias one buffer, so neither may be overwritten.
-    dl = link.ravel()[:-1]
-    *_, x, info = dgtsv(dl, diag.ravel(), dl, rhs.ravel())
-    inner[:] = x.reshape(k, n - 2)
-    exact = (inner != 0.0).all(1) & np.isfinite(inner).all(1)
-    for i in range(k) if info else np.flatnonzero(~exact):
-        *_, inner[i], info = dgtsv(link[i, :-1], diag[i], link[i, :-1],
-                                   rhs[i])
-        if info > 0:
-            raise LinAlgError("singular matrix")
+    inner[:] = rhs
+    if k > 1 and (info or not (rhs.all() and np.isfinite(rhs.sum()))):
+        exact = (inner != 0.0).all(1) & np.isfinite(inner).all(1)
+        for i in range(k) if info else np.flatnonzero(~exact):
+            inner[i] = _tridiag_solve(diff_face[i:i + 1], source[i:i + 1],
+                                      walls[i:i + 1], h)[0, 1:-1]
+    elif info > 0:
+        raise LinAlgError("singular matrix")
     return out
 
 
 def _gradient(f: np.ndarray, h: float,
               out: np.ndarray | None = None) -> np.ndarray:
-    """np.gradient(f, h, axis=-1), as its own slice expressions."""
-    out = np.empty_like(f) if out is None else out
-    np.divide(f[..., 2:] - f[..., :-2], 2.0 * h, out=out[..., 1:-1])
-    np.divide(f[..., 1] - f[..., 0], h, out=out[..., 0])
-    np.divide(f[..., -1] - f[..., -2], h, out=out[..., -1])
+    """np.gradient(f, h, axis=-1) of a C-contiguous f, as its own slice
+    expressions: centred over the flat array, then one-sided at the ends
+    (columns 1 and n-1 less columns 0 and n-2)."""
+    n, out = f.shape[-1], np.empty_like(f) if out is None else out
+    flat, grad, ends = f.reshape(-1), out.reshape(-1), out[..., ::n - 1]
+    np.subtract(flat[2:], flat[:-2], out=grad[1:-1])
+    grad[1:-1] /= 2.0 * h
+    step = max(n - 2, 1)
+    np.subtract(f[..., 1::step], f[..., :-1:step], out=ends)
+    ends /= h
     return out
 
 
@@ -289,8 +300,8 @@ def _channel_factors(case: ChannelCase, state: np.ndarray, h: float,
     if out is None:
         out = np.ones((len(_CHANNEL_TERMINALS) + 1, *state.shape[1:]))
     grad = _gradient(state, h, out[:2])
-    # T's gradient over 1.0 keeps its bits.
-    grad /= np.reshape([case.omega, 1.0], (2,) + (1,) * (state.ndim - 1))
+    if case.omega != 1.0:  # x / 1.0 == x
+        grad[0] /= case.omega
     np.square(grad, out=grad)
     return out
 
@@ -318,7 +329,7 @@ def _solve_batch(case: ChannelCase, closures: Sequence[tuple],
     non-finite or non-positive diffusivity, then a non-finite solve (both
     keep the previous iterate), then a non-finite residual; or when it
     converges.  converged False covers every divergence and running out
-    of iterations.  Per-row arrays are rebuilt only when rows leave.
+    of iterations.  Checks run row by row only when a whole-batch one fails.
     """
     _, h = case.grid()
     k, n = len(closures), case.n_cells
@@ -330,69 +341,84 @@ def _solve_batch(case: ChannelCase, closures: Sequence[tuple],
                                 + [c[2] for c in closures],
                                 _CHANNEL_TERMINALS)
     r_plan = polynomial_plan([c[1] for c in closures], _CHANNEL_TERMINALS)
-    rows = np.arange(k)  # batch index of each active row
-    state = np.stack([np.tile(np.linspace(*wall, n), (k, 1))
-                      for wall in walls])
-    theta = case.damping
-    out: list = [None] * k
+    # No r adds +0.0 to the source, as forcing + 0.0 does.
+    has_r = r_plan[0].shape[1] > 0
+    forcing = case.forcing if has_r else case.forcing + 0.0
+    rows, out = np.arange(k), [None] * k  # batch index of each active row
+    # Allocated once, per row: three iterates (state, solve, damped solve),
+    # the factors, the faces (column n-1 unused) and the system.
+    shapes = ((2, n), (2, n), (2, n), (3, n), (2, n), (8, n - 2))
+    stores = [np.empty(a * k * b) for a, b in shapes]
+    wall_rows = np.repeat(walls, k, axis=0)  # rows k - j to k + j serve j
 
-    def buffers(k: int) -> tuple:
-        """The factors' ones, the sources (T's stays zero) and the walls
-        of k rows."""
-        return (np.ones((len(_CHANNEL_TERMINALS) + 1, k, n)),
-                np.zeros((2, k, n)), np.repeat(walls, k, axis=0))
+    def views(j: int) -> tuple:  # arrays, walls and plans of j rows
+        *arrays, system = (store[:a * j * b].reshape(a, j, b)
+                           for store, (a, b) in zip(stores, shapes))
+        arrays[3][2] = 1.0
+        return (*arrays, system.reshape(4, 2 * j, n - 2),
+                wall_rows[k - j:k + j], bind_plan(tuple(
+                    a[np.concatenate((rows, rows + k))] for a in diff_plan), j),
+                has_r and bind_plan(tuple(a[rows] for a in r_plan), j))
 
-    factors, source, row_walls = buffers(k)
+    (state, raw, damped, factors, face, system, row_walls, g_alpha,
+     r) = views(k)
+    state[:] = [np.linspace(*wall, n)[None] for wall in walls]
     # Any value a closure drives non-finite is divergence, caught below.
     with np.errstate(all="ignore"):
-        for iteration in range(1, case.max_iters + 1):
-            if not len(rows):
-                break
+        for iteration in range(1, case.max_iters + 1) if k else ():
             _channel_factors(case, state, h, factors)
-            diff = plan_eval(diff_plan, factors).reshape(state.shape)
+            source = damped  # until the damped solve overwrites it
+            np.multiply(state[1], case.coupling, out=source[0])
+            source[0] += forcing
+            source[1] = 0.0
+            if has_r:
+                source[0] += plan_eval(r, factors, raw[0], system) * nut
+            diff = raw  # until the solve overwrites it
+            plan_eval(g_alpha, factors, diff.reshape(-1, n), system)
             diff *= nut
             diff += base
-            usable = ((diff.min((0, 2)) > 0.0)
-                      & (diff.max((0, 2)) < np.inf))
-            face = diff[..., :-1] + diff[..., 1:]
+            # Faces over the flat array: column n-1 spans two rows.
+            np.add(diff.reshape(-1)[:-1], diff.reshape(-1)[1:],
+                   out=face.reshape(-1)[:-1])
             face *= 0.5
-            del diff
-            if not usable.all():
+            usable = bool(diff.min() > 0.0 and diff.max() < np.inf)
+            if not usable:
+                usable = ((diff.min((0, 2)) > 0.0)
+                          & (diff.max((0, 2)) < np.inf))
                 # These rows leave with their previous iterate; a unit
                 # system keeps dgtsv from meeting a zero pivot on them.
                 face[:, ~usable] = 1.0
-            np.multiply(state[1], case.coupling, out=source[0])
-            source[0] += case.forcing
-            source[0] += plan_eval(r_plan, factors) * nut
-            new = _tridiag_solve(face.reshape(-1, n - 1),
-                                 source.reshape(-1, n), row_walls,
-                                 h).reshape(state.shape)
-            solved = usable & np.isfinite(new).all((0, 2))
-            new *= theta
-            new += (1.0 - theta) * state
-            res_u, res_t = np.abs(new - state).max(2)
-            # max(res_u, res_t) as Python's max picks it.
-            residual = np.where(res_t > res_u, res_t, res_u)
-            leave = ~solved | ~np.isfinite(residual) | (residual < tol)
-            if leave.any():
-                for i in np.flatnonzero(leave):
-                    u_i, t_i = (new if solved[i] else state)[:, i]
-                    out[rows[i]] = (u_i.copy(), t_i.copy(), iteration,
-                                    bool(solved[i] and residual[i] < tol))
-                stay = ~leave
-                rows, new = rows[stay], new[:, stay]
-                diff_plan = tuple(a[np.tile(stay, 2)] for a in diff_plan)
-                r_plan = tuple(a[stay] for a in r_plan)
-                factors, source, row_walls = buffers(len(rows))
-            state = new
-    for i, row in enumerate(rows):
-        out[row] = (state[0, i].copy(), state[1, i].copy(), case.max_iters,
-                    False)
+            _tridiag_solve(face.reshape(-1, n)[:, :-1], source.reshape(-1, n),
+                           row_walls, h, system, raw.reshape(-1, n))
+            change = np.multiply(state, 1.0 - case.damping, out=factors[:2])
+            np.add(np.multiply(raw, case.damping, out=damped), change,
+                   out=damped)
+            # As max(res_u, res_t) in Python, except on an unsolved row's nan.
+            residual = np.abs(np.subtract(damped, state, out=change),
+                              out=change).max((0, 2))
+            if (usable is not True or not tol <= residual.min()
+                    or not residual.max() < np.inf):
+                solved = usable & np.isfinite(raw).all((0, 2))
+                stay = solved & (residual >= tol) & (residual < np.inf)
+                # A row that failed a check keeps its previous iterate.
+                damped[:, ~solved] = state[:, ~solved]
+                for i, u, T, ok in zip(rows[~stay], *damped[:, ~stay], (
+                        solved & (residual < tol))[~stay].tolist()):
+                    out[i] = (u, T, iteration, ok)
+                rows, ends = rows[stay], damped[:, stay]
+                if not len(rows):
+                    break
+                (damped, raw, state, factors, face, system, row_walls,
+                 g_alpha, r) = views(len(rows))
+                damped[...] = ends  # the state once rotated below
+            state, raw, damped = damped, state, raw
+    for i, u, T in zip(rows, *state):
+        out[i] = (u.copy(), T.copy(), case.max_iters, False)
     return out
 
 
-def _normalized_rms(profile: np.ndarray, reference: np.ndarray) -> float:
-    scale = float(np.sqrt(np.mean(reference ** 2)))
+def _normalized_rms(profile: np.ndarray, reference: np.ndarray,
+                    scale: float) -> float:
     err = float(np.sqrt(np.mean((profile - reference) ** 2)))
     return err / scale if scale > 0 else err
 
@@ -474,6 +500,8 @@ class ChannelEvaluator:
         self.n_objectives = 2
         self.n_slots = len(case.truth_exprs)
         self.terminals = _CHANNEL_TERMINALS
+        refs = map(np.asarray, (case.reference_u, case.reference_t))
+        self._references = [(r, float(np.sqrt(np.mean(r ** 2)))) for r in refs]
 
     def baseline_table(self) -> FeatureTable:
         """Feature columns from the zero-correction (closure-free) solve."""
@@ -506,14 +534,12 @@ class ChannelEvaluator:
         closures = [_closure_slots([_polynomial(s) for s in slots])
                     for slots in slots_list]
         _note_expensive_call(len(slots_list))
-        ref_u, ref_t = (np.asarray(self.case.reference_u),
-                        np.asarray(self.case.reference_t))
         outcomes = []
         for u, T, iterations, ok in _solve_batch(self.case, closures,
                                                  self.case.tol):
             if ok:
-                objectives = np.array([_normalized_rms(u, ref_u),
-                                       _normalized_rms(T, ref_t)])
+                objectives = np.array([_normalized_rms(p, *ref) for p, ref
+                                       in zip((u, T), self._references)])
                 ok = np.all(np.isfinite(objectives))
             outcomes.append(
                 EvaluationOutcome(objectives=objectives, converged=True,

@@ -52,6 +52,7 @@ __all__ = [
     "decode",
     "tree_polynomial",
     "polynomial_plan",
+    "bind_plan",
     "plan_eval",
     "polynomials_eval",
     "canonical_key",
@@ -307,16 +308,16 @@ def polynomial_plan(polys: Sequence[Mapping[tuple[str, ...], float]],
 
     Row i lists its monomials in key order, each as its coefficient, then
     its variables in key order.  Missing terms pad with coefficient 0.0 and
-    missing factors with the ones.  Both pads are exact: x * 1.0 == x, and
-    a sum that starts at +0.0 never becomes -0.0, so adding 0.0 changes no
-    bit; each row therefore gets the bits of its polynomial alone.
+    missing factors with -1, the ones.  Both pads are exact: x * 1.0 == x,
+    and a sum that starts at +0.0 never becomes -0.0, so adding 0.0 changes
+    no bit; each row therefore gets the bits of its polynomial alone.
     """
     row_of = {name: i for i, name in enumerate(names)}
     monos = [sorted(poly) for poly in polys]
     m = max(map(len, monos), default=0)
     d = max((len(mono) for row in monos for mono in row), default=0)
     coefficients = np.zeros((len(polys), m))
-    factors = np.full((len(polys), m, d), len(row_of))
+    factors = np.full((len(polys), m, d), -1)
     for i, (poly, row) in enumerate(zip(polys, monos)):
         for j, mono in enumerate(row):
             coefficients[i, j] = poly[mono]
@@ -324,25 +325,38 @@ def polynomial_plan(polys: Sequence[Mapping[tuple[str, ...], float]],
     return coefficients, factors
 
 
-def plan_eval(plan: tuple[np.ndarray, np.ndarray],
-              factors: np.ndarray) -> np.ndarray:
-    """Row i of a polynomial_plan on row i mod k of the stacked factors
-    (f, k, n), the monomials added in key order from +0.0: a plan of
-    several k-row blocks evaluates each block on the same k factor rows.
-    Arithmetic is not trapped: overflow gives inf or nan for the caller to
-    detect."""
+def bind_plan(plan: tuple[np.ndarray, np.ndarray], k: int) -> tuple:
+    """plan bound to k stacked factor rows, for plan_eval: its rows, and
+    per monomial its coefficient column and the flat factor rows (index * k
+    + row mod k, -1 wrapping to the ones) of each variable that is not the
+    ones in every row (x * 1.0 == x)."""
     coefficients, index = plan
+    at = np.multiply(index.transpose(1, 2, 0), k, order="C")
+    at += np.arange(len(index)) % max(k, 1)
+    top = np.maximum.reduce(index, 0, initial=-1).tolist()
+    return len(index), [(coefficients[:, j, None],
+                         [at[j, v] for v, i in enumerate(row) if i >= 0])
+                        for j, row in enumerate(top)]
+
+
+def plan_eval(plan: tuple, factors: np.ndarray, out: np.ndarray | None = None,
+              work: np.ndarray | None = None) -> np.ndarray:
+    """Row i of a polynomial_plan, or of one bound to k rows by bind_plan,
+    on row i mod k of the stacked factors (f, k, n), the monomials added in
+    key order from +0.0: a plan of several k-row blocks evaluates each
+    block on the same k factor rows.  out (rows, n) takes the values and a
+    C-contiguous work of 2 * rows * n floats or more the terms.  Arithmetic
+    is not trapped: overflow gives inf or nan for the caller to detect."""
     f, k, n = factors.shape
-    if coefficients.shape[1] == 0:
-        return np.zeros((len(coefficients), n))
+    rows, steps = plan if isinstance(plan[0], int) else bind_plan(plan, k)
     flat = factors.reshape(f * k, n)
-    # The flat factor row of each (row, monomial, variable).
-    at = index * k + (np.arange(len(coefficients)) % k)[:, None, None]
-    total = np.zeros((len(coefficients), n))
-    for j in range(coefficients.shape[1]):
-        term = coefficients[:, j, None]
-        for v in range(index.shape[2]):
-            term = term * flat[at[:, j, v]]
+    total = np.empty((rows, n)) if out is None else out
+    total.fill(0.0)
+    buf, gathered = (np.empty(2 * rows * n) if work is None
+                     else work.reshape(-1)[:2 * rows * n]).reshape(2, rows, n)
+    for term, ats in steps:
+        for at in ats:
+            term = np.multiply(term, flat.take(at, 0, gathered, "wrap"), out=buf)
         total += term
     return total
 
@@ -351,8 +365,8 @@ def polynomials_eval(polys: Sequence[Mapping[tuple[str, ...], float]],
                      columns: Mapping[str, np.ndarray]) -> np.ndarray:
     """Every polynomial on the same named columns: a (k, n) array whose row
     i depends only on the key of polys[i]."""
-    stack = np.array(list(columns.values()), dtype=float)
-    factors = np.vstack([stack, np.ones_like(stack[:1])])[:, None]
+    stack = list(columns.values())
+    factors = np.array([*stack, np.ones_like(stack[0])], float)[:, None]
     with np.errstate(all="ignore"):
         return plan_eval(polynomial_plan(polys, tuple(columns)), factors)
 

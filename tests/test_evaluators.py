@@ -473,6 +473,27 @@ class TestSolveBatch:
             assert (its, ok) == (s_its, s_ok), row
         assert [ok for *_, ok in solved] == [True, False, True, False, True]
 
+    def test_three_slot_batch_of_constant_and_quadratic_closures(self):
+        # Constant and degree-2 closures in one (g, r, alpha) batch, whose
+        # rows leave at iterations 1 to 29: every row is its solo solve.
+        case = make_reference(ChannelCase(truth_exprs=THREE_SLOT_TRUTH))
+        rows = [("-0.1", "0.0", "0.9"), THREE_SLOT_TRUTH,
+                ("0.2*I1*I1 - 0.1", "0.05*I1*J1", "1.0 - J1*J1"),
+                ("-40", "0", "1"), ("0.3", "-0.2", "0.5"),
+                ("-0.1 - I1*I1", "0", "0.945 - 2.108*J1*J1"),
+                ("0.5", "0.3*I1*I1", "2")]
+        closures = [tuple(tree_polynomial(parse_expression(e)) for e in row)
+                    for row in rows]
+        solved = ev._solve_batch(case, closures, case.tol)
+        for row, closure, (u, T, its, ok) in zip(rows, closures, solved):
+            su, sT, s_its, s_ok = ev._solve_batch(case, [closure],
+                                                  case.tol)[0]
+            assert u.tobytes() + T.tobytes() == su.tobytes() + sT.tobytes()
+            assert (its, ok) == (s_its, s_ok), row
+        assert [(its, ok) for *_, its, ok in solved] == [
+            (14, True), (29, True), (14, True), (1, False), (14, True),
+            (10, False), (13, True)]
+
     def test_one_dgtsv_call_per_iteration(self, monkeypatch):
         # Both equations of every finite row go to one call, from the
         # first iteration to the last row's exit.

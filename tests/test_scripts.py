@@ -113,6 +113,36 @@ def test_efficiency_study_prints_wall_times(monkeypatch, capsys):
     assert lines[6] == "median break-even:     8.3333 ms per call"
 
 
+def test_solve_replay_on_a_two_generation_run(capsys):
+    script = load_script("solve_replay")
+    solve = ev._solve_batch
+    config = dataclasses.replace(
+        load_run_config(ROOT / "configs" / "channel_run.json"),
+        generations=2, surrogate_enabled=False)
+    before = ev.expensive_call_count()
+    calls = script.capture(config)
+    assert ev._solve_batch is solve
+    # The truth and zero-closure set-up solves, then one batch per
+    # generation holding every candidate the run evaluated.
+    groups = [group for group, _ in calls]
+    assert groups[:2] == ["truth", "zero-closure"] and len(groups) == 4
+    rows = sum(len(args[1]) for _, args in calls[2:])
+    assert rows == ev.expensive_call_count() - before
+    stats, digest = script.replay(calls, 2)
+    assert stats["truth"][:2] == [1, 1] and stats["zero-closure"][:2] == [1, 1]
+    assert sum(stats[group][1] for group in script.GROUPS) == 2 + rows
+    for batches, candidates, iterations, row_iterations, seconds in (
+            stats.values()):
+        assert iterations <= row_iterations <= iterations * candidates
+        assert (seconds > 0.0) == (batches > 0)
+    assert script.replay(calls, 1)[1] == digest
+    script.main(["--generations", "2", "--repeats", "1", "--modes",
+                 "baseline", "surrogate"])
+    out = capsys.readouterr().out
+    assert out.count("outputs sha256") == 2 and "mode surrogate" in out
+    assert f"outputs sha256 {digest}" in out
+
+
 def test_output_digests_on_small_config(tmp_path, capsys):
     raw = json.loads((ROOT / "configs" / "symbolic_quadratic.json").read_text())
     raw.update(population=12, offspring=6, generations=3,

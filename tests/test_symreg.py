@@ -16,6 +16,7 @@ from sagep.symreg import (
     Genotype,
     StructureError,
     SymbolSet,
+    bind_plan,
     canonical_key,
     crossover,
     crowding_distance,
@@ -239,6 +240,33 @@ polynomials = st.one_of(
     st.builds(lambda c: {(): c}, coefficients))
 
 
+constant_polys = st.builds(lambda c: {(): c}, coefficients)
+linear_polys = st.dictionaries(st.sampled_from([()] + [(v,) for v in VARS]),
+                               coefficients, min_size=1, max_size=4)
+cubic_polys = st.dictionaries(
+    st.lists(st.sampled_from(VARS), min_size=3, max_size=3).map(
+        lambda names: tuple(sorted(names))), coefficients, min_size=1,
+    max_size=3)
+factor_values = st.one_of(st.floats(-1e3, 1e3),
+                          st.sampled_from([-0.0, np.inf, -np.inf, np.nan]))
+
+
+def reference_plan_eval(plan, factors):
+    """A plan's rows by its definition, row by row: each monomial is its
+    coefficient times every one of its d factor rows, the ones included,
+    and the terms are added in order from +0.0."""
+    coefficients, index = plan
+    k = factors.shape[1]
+    total = np.zeros((len(coefficients), factors.shape[2]))
+    for i, (row, factor_rows) in enumerate(zip(coefficients, index)):
+        for coefficient, at in zip(row, factor_rows):
+            term = coefficient
+            for f in at:
+                term = term * factors[f, i % k]
+            total[i] += term
+    return total
+
+
 def poly_tree(poly):
     """The polynomial as a tree: each monomial as its coefficient times its
     variables, summed in key order; the empty polynomial is literal 0."""
@@ -298,6 +326,37 @@ class TestPolynomialEvaluation:
             apart = [plan_eval(polynomial_plan(polys, VARS), factors)
                      for polys in (first, second)]
         assert joint.tobytes() == np.vstack(apart).tobytes()
+
+    @given(st.lists(st.one_of(constant_polys, linear_polys, cubic_polys),
+                    min_size=1, max_size=6), st.integers(1, 4), st.data())
+    def test_bound_plan_equals_the_definition_as_rows_leave(self, polys, n,
+                                                             data):
+        # The channel's use: a plan of two k-row blocks, bound once, then
+        # bound again to the rows that stay, on factors that hold -0.0,
+        # infinities and nans.
+        k = len(polys)
+        factors = np.ones((len(VARS) + 1, k, n))
+        factors[:-1] = np.reshape(data.draw(st.lists(
+            factor_values, min_size=len(VARS) * k * n,
+            max_size=len(VARS) * k * n)), (len(VARS), k, n))
+        plan = polynomial_plan(polys + polys[::-1], VARS)
+        stay = np.array(data.draw(st.lists(st.booleans(), min_size=k,
+                                           max_size=k)))
+        kept = tuple(a[np.concatenate((stay, stay))] for a in plan)
+        with np.errstate(all="ignore"):
+            for plan, factors in ((plan, factors), (kept, factors[:, stay])):
+                rows, j = 2 * factors.shape[1], factors.shape[1]
+                out = np.full((rows, n), np.nan)
+                got = plan_eval(bind_plan(plan, j), factors, out,
+                                np.full(2 * rows * n + 3, np.nan))
+                assert got is out
+                assert got.tobytes() == plan_eval(plan, factors).tobytes()
+                # The definition's bits, but for a nan's sign: of nan + nan,
+                # numpy's add keeps either nan, by the element's place.
+                want = reference_plan_eval(plan, factors)
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan)
+                assert got[~nan].tobytes() == want[~nan].tobytes()
 
     def test_worked_example(self):
         cols = {"I1": np.array([1.0, 2.0]), "J1": np.array([3.0, -1.0])}
