@@ -8,11 +8,13 @@ of them in generation 0 and when the surrogate is disabled), the evaluator
 runs on those, outcomes are appended to a line-delimited database, the
 surrogate is refit on the converged true outcomes, one row per evaluated
 phenotype, and the combined truth/predicted fitness feeds back into
-survivor selection.  Selection only decides; the generation step here is
-the one place that asks whether a phenotype has an outcome, the one place
-that writes a candidate's objectives and the one builder of the
-generation's records, which training appends to the database and from
-which training, replay and report compute metrics.
+survivor selection.  The layers pass a generation's candidates to each
+other as arrays: ids, phenotype keys and embeddings in, records out.
+Selection only decides; the generation step here is the one place that
+asks whether a phenotype has an outcome and the one builder of the
+generation's records, which training appends to the database, copies the
+objectives of onto its candidates for survivor selection, and from which
+training, replay and report compute metrics.
 
 Each config block, `gep` being the engine's own symreg.GepConfig, checks
 its fields when the config loads; set-up then builds the evaluator and
@@ -24,9 +26,9 @@ evaluation units rather than wall time, and floats are serialized with
 round-trip repr, so identical configurations produce byte-identical
 databases and reports.
 
-Passive replay runs the same generation step against a stored baseline
-database, without evolution: stored objectives stand in for the expensive
-evaluator, which is never constructed, let alone called.
+Passive replay runs the same generation step on the stored rows of a
+baseline database, without evolution: stored objectives stand in for the
+expensive evaluator, which is never constructed, let alone called.
 """
 
 from __future__ import annotations
@@ -355,24 +357,24 @@ def _streams(seed: int, generations: int):
             int(constants_ss.generate_state(1)[0]), evolve, select, fit)
 
 
-def _gen0_norm_stats(embeddings: list) -> emb_mod.NormStats | None:
+def _gen0_norm_stats(embeddings: Iterable) -> emb_mod.NormStats | None:
     """Training's and replay's one rule for the embedding scale: statistics
     of the finite generation-0 embeddings, None if there are none."""
     finite = [e for e in embeddings if np.all(np.isfinite(e))]
     return emb_mod.fit_norm_stats(finite) if finite else None
 
 
-def _generation_step(gen: int, current: list[symreg.Candidate],
-                     norm_stats: emb_mod.NormStats,
-                     history: sel_mod.SelectionHistory,
-                     config: RunConfig, p: int,
-                     select_rng: np.random.Generator,
+def _generation_step(gen: int, ids: Sequence[int], keys: Sequence[tuple],
+                     embeddings: np.ndarray, norm_stats: emb_mod.NormStats,
+                     history: sel_mod.SelectionHistory, config: RunConfig,
+                     p: int, select_rng: np.random.Generator,
                      fit_rng: np.random.Generator,
-                     oracle: Callable[[list[symreg.Candidate]], list]
+                     oracle: Callable[[list[int]], list]
                      ) -> list[EvaluationRecord]:
     """One generation of the loop, shared by training and replay: the only
-    code that asks whether a phenotype already has an outcome, the only code
-    that writes a candidate's objectives and the only builder of records.
+    code that asks whether a phenotype already has an outcome and the only
+    builder of records.  The generation's candidates arrive row for row as
+    their ids, ascending, phenotype keys and raw embeddings.
 
     Normalizes the embeddings; a candidate whose normalized embedding is not
     finite gets the divergence sentinel.  A usable candidate whose keys have
@@ -380,32 +382,23 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
     candidate of each other phenotype is offered.  In generation 0 and
     without a surrogate every offered candidate is selected; otherwise the
     surrogate, refit from generation 1 on and kept in the history for the
-    next refit, predicts the offered candidates and selection
-    ranks them.  The oracle takes the selected candidates, in id order, in
+    next refit, predicts the offered candidates and selection ranks them.
+    The oracle takes the selected candidates' positions, in id order, in
     one call and returns their outcomes in that order ("expensive"); each
     joins the history: one row per evaluated phenotype.  Every other
     candidate reuses its keys' outcome if they now have one ("cache"), and
     otherwise gets its phenotype's prediction ("surrogate").  Only
     expensive and surrogate records carry a prediction.  An oracle outcome
     has .objectives and .converged: the evaluator's EvaluationOutcome in
-    training, the stored EvaluationRecord in replay.  Returns the
-    generation's records in id order.
+    training, the stored EvaluationRecord in replay.  Returns one record
+    per candidate, in id order.
     """
-    current = sorted(current, key=lambda c: c.id)
-    converged: dict[int, bool] = {}
-    offered: dict[tuple, symreg.Candidate] = {}
-    usable = []
-    points = emb_mod.normalize(np.array([c.embedding for c in current]),
-                               norm_stats)
-    for cand, point in zip(current, points):
-        cand.embedding_norm = point
-        if np.all(np.isfinite(point)):
-            usable.append(cand)
-            if cand.phenotype_keys not in history.outcomes:
-                offered.setdefault(cand.phenotype_keys, cand)
-        else:
-            cand.objectives = np.full(p, symreg.DIVERGENCE_SENTINEL)
-            converged[cand.id] = False
+    points = emb_mod.normalize(embeddings, norm_stats)
+    usable = np.all(np.isfinite(points), axis=1)
+    offered: dict[tuple, int] = {}
+    for i in np.flatnonzero(usable):
+        if keys[i] not in history.outcomes:
+            offered.setdefault(keys[i], i)
 
     selected = list(offered.values())
     predicted: dict[tuple, np.ndarray] = {}
@@ -414,37 +407,33 @@ def _generation_step(gen: int, current: list[symreg.Candidate],
                                                   fit_rng)
         if offered:
             decision = sel_mod.select_generation(
-                gen, selected, model, history,
-                config.selection.for_population(config.population), select_rng)
+                gen, [ids[i] for i in selected], points[selected], model,
+                history, config.selection.for_population(config.population),
+                select_rng)
             predicted = dict(zip(offered, _to_objective(decision.means)))
             chosen = set(decision.selected_ids)
-            selected = [c for c in selected if c.id in chosen]
+            selected = [i for i in selected if ids[i] in chosen]
 
-    provenance: dict[int, str] = {}
-    for cand, outcome in zip(selected, oracle(selected), strict=True):
-        history.add(cand.embedding_norm, cand.phenotype_keys,
-                    outcome.objectives, outcome.converged)
-        provenance[cand.id] = "expensive"
-    for cand in usable:
-        keys = cand.phenotype_keys
-        if keys in history.outcomes:
-            provenance.setdefault(cand.id, "cache")
-            objectives, converged[cand.id] = history.outcomes[keys]
-        else:
-            provenance[cand.id] = "surrogate"
-            objectives, converged[cand.id] = predicted[keys], True
-        cand.objectives = np.asarray(objectives, dtype=float)
-
+    for i, outcome in zip(selected, oracle(selected), strict=True):
+        history.add(points[i], keys[i], outcome.objectives, outcome.converged)
+    expensive = set(selected)
+    sentinel = (symreg.DIVERGENCE_SENTINEL,) * p, False
     records = []
-    for cand in current:
-        kind = provenance.get(cand.id)
-        pred = (predicted.get(cand.phenotype_keys)
-                if kind in ("expensive", "surrogate") else None)
+    for i, (cid, key, raw) in enumerate(zip(ids, keys, embeddings)):
+        pred = None
+        if not usable[i]:
+            kind, (objectives, converged) = "surrogate", sentinel
+        elif i not in expensive and key in history.outcomes:
+            kind, (objectives, converged) = "cache", history.outcomes[key]
+        else:
+            kind = "expensive" if i in expensive else "surrogate"
+            pred = predicted.get(key)
+            objectives, converged = history.outcomes.get(key, (pred, True))
         records.append(EvaluationRecord(
-            generation=gen, id=cand.id, keys=tuple(cand.phenotype_keys),
-            embedding=tuple(float(v) for v in cand.embedding),
-            objectives=tuple(float(v) for v in cand.objectives),
-            converged=converged[cand.id], provenance=kind or "surrogate",
+            generation=gen, id=cid, keys=key,
+            embedding=tuple(float(v) for v in raw),
+            objectives=tuple(float(v) for v in objectives),
+            converged=converged, provenance=kind,
             wall_time=float(kind == "expensive"),
             predicted=None if pred is None else tuple(float(v) for v in pred)))
     return records
@@ -554,24 +543,22 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
 
         # Each slot's polynomial is built once, then keyed, embedded and
         # handed to the evaluator.
-        polys = {cand.id: [symreg.tree_polynomial(symreg.decode(g))
-                           for g in cand.genotypes] for cand in current}
-        points = emb_mod.embed(list(polys.values()), table)
-        for cand, point in zip(current, points):
-            cand.embedding = point
-            cand.phenotype_keys = tuple(map(symreg.canonical_key,
-                                            polys[cand.id]))
-
+        polys = [[symreg.tree_polynomial(symreg.decode(g))
+                  for g in cand.genotypes] for cand in current]
+        embeddings = emb_mod.embed(polys, table)
         if gen == 0:
-            norm_stats = _gen0_norm_stats([c.embedding for c in current])
+            norm_stats = _gen0_norm_stats(embeddings)
             if norm_stats is None:
                 raise RunError("no usable embeddings in generation 0")
 
         records = _generation_step(
-            gen, current, norm_stats, history, config, p, select_rngs[gen],
-            fit_rngs[gen], lambda cands: evaluator.evaluate_batch(
-                [polys[c.id] for c in cands]))
-        for record in records:
+            gen, [c.id for c in current],
+            [tuple(map(symreg.canonical_key, slots)) for slots in polys],
+            embeddings, norm_stats, history, config, p, select_rngs[gen],
+            fit_rngs[gen],
+            lambda picks: evaluator.evaluate_batch([polys[i] for i in picks]))
+        for cand, record in zip(current, records, strict=True):
+            cand.objectives = np.array(record.objectives)
             db.append(record)
 
         survivors = (list(current) if gen == 0
@@ -623,16 +610,14 @@ def passive_replay(db: EvaluationDatabase,
     _, _, _, select_rngs, fit_rngs = _streams(config.seed, len(gens))
     generations = []
     for gen in gens:
-        rec_by_id = {rec.id: rec for rec in by_gen[gen]}
-        stand_ins = [symreg.Candidate(genotypes=(), id=rec.id,
-                                      phenotype_keys=rec.keys,
-                                      embedding=np.asarray(rec.embedding))
-                     for rec in by_gen[gen]]
+        rows = by_gen[gen]
         records = _generation_step(
-            gen, stand_ins, norm_stats, history, config, p, select_rngs[gen],
-            fit_rngs[gen], lambda cands: [rec_by_id[c.id] for c in cands])
+            gen, [rec.id for rec in rows], [rec.keys for rec in rows],
+            np.array([rec.embedding for rec in rows]), norm_stats, history,
+            config, p, select_rngs[gen], fit_rngs[gen],
+            lambda picks: [rows[i] for i in picks])
         generations.append((records, [
-            (rec_by_id[r.id].objectives, r.predicted) for r in records
+            (row.objectives, r.predicted) for row, r in zip(rows, records)
             if r.provenance == "surrogate" and r.predicted is not None
-            and rec_by_id[r.id].converged]))
+            and row.converged]))
     return _run_metrics(generations)

@@ -1,9 +1,10 @@
 """Per-generation choice of which new phenotypes get expensive evaluation.
 
 The orchestrator's generation step offers one candidate per phenotype that
-has no outcome yet; in generation 0, before any surrogate exists, and in
-runs without one it evaluates every offered candidate.  From generation 1
-on, selection ranks the offered candidates:
+has no outcome yet, as its id and normalized embedding; in generation 0,
+before any surrogate exists, and in runs without one it evaluates every
+offered candidate.  From generation 1 on, selection ranks the offered
+candidates:
 
   gen 1   space-filling warm-up: low-discrepancy points are drawn over the
           bounding box of the evaluated history and each point claims its
@@ -15,11 +16,11 @@ on, selection ranks the offered candidates:
           through the configured thresholds (fixed count, relative value,
           Pareto front membership).
 
-Selection only decides: it returns the chosen ids and every offered
-candidate's GP-space posterior means, and writes nothing to the
-candidates.  Whether a phenotype already has an outcome is the generation
-step's question, and the step writes every outcome.  All tie-breaks go to
-the lower candidate id so decisions are reproducible.
+Selection only decides: it takes ids and points and returns the chosen
+ids and every offered point's GP-space posterior means.  Whether a
+phenotype already has an outcome is the generation step's question, and
+the step writes every outcome.  All tie-breaks go to the lower candidate
+id so decisions are reproducible.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .fields import ConfigError, check_fields
 from .surrogate import MultiGp, _halton, _sqdist, predict_multi_batch
-from .symreg import Candidate, fast_nondominated_sort
+from .symreg import front_ranks
 
 __all__ = [
     "SelectionConfig",
@@ -142,7 +143,7 @@ class SelectionDecision:
     """Outcome of one generation's selection pass.
 
     `means` holds the surrogate's GP-space posterior means, one row per
-    candidate in population order, selected or not.
+    offered candidate in the order given, selected or not.
     """
 
     selected_ids: list[int]
@@ -222,13 +223,12 @@ def convergence_weights(X: np.ndarray, converged_set: np.ndarray,
     return np.where(denom == 0.0, on_diverged, ramp)
 
 
-def aggregate_multiobjective(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def aggregate_multiobjective(values: np.ndarray) -> np.ndarray:
     """Collapse per-objective selection values to one scalar per candidate.
 
     Each objective column is min-max normalized over the population; the
     scalar is the max over objectives (a candidate attractive on any single
-    objective stays attractive).  The second return is the Pareto front
-    index of each candidate in selection-value space, maximizing.
+    objective stays attractive).
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if not np.all(np.isfinite(values)):
@@ -240,23 +240,18 @@ def aggregate_multiobjective(values: np.ndarray) -> tuple[np.ndarray, np.ndarray
     # A subnormal quotient is the value, rounded.
     with np.errstate(under="ignore"):
         normed[:, nz] = (values[:, nz] - lo[nz]) / span[nz]
-    scalar = normed.max(axis=1)
-    fronts = fast_nondominated_sort(-values)
-    front_index = np.empty(values.shape[0], dtype=int)
-    for rank, front in enumerate(fronts):
-        front_index[front] = rank
-    return scalar, front_index
+    return normed.max(axis=1)
 
 
-def apply_thresholds(scalar: np.ndarray, front_index: np.ndarray,
+def apply_thresholds(scalar: np.ndarray, front_index: np.ndarray | None,
                      config: SelectionConfig,
                      ids: Sequence[int] | None = None) -> list[int]:
     """Threshold battery over aggregated scalars.
 
     A candidate passes when it satisfies every present threshold (relative
-    value, Pareto front), then the fixed-count cap keeps the top m_fixed by
-    scalar with ties broken by lower id.  Returns selected ids in ascending
-    order.
+    value, Pareto front index, read only when m_pareto is set), then the
+    fixed-count cap keeps the top m_fixed by scalar with ties broken by
+    lower id.  Returns selected ids in ascending order.
     """
     scalar = np.asarray(scalar, dtype=float)
     n = scalar.shape[0]
@@ -273,26 +268,20 @@ def apply_thresholds(scalar: np.ndarray, front_index: np.ndarray,
     return sorted(ids[i] for i in passing)
 
 
-def select_generation(gen_index: int,
-                      population: Sequence[Candidate],
-                      model: MultiGp,
-                      history: SelectionHistory,
+def select_generation(gen_index: int, ids: Sequence[int], points: np.ndarray,
+                      model: MultiGp, history: SelectionHistory,
                       config: SelectionConfig,
                       rng: np.random.Generator) -> SelectionDecision:
     """Decide which offered candidates of generation gen_index >= 1 get an
     expensive evaluation.
 
-    The population is the offered candidates, at least one: one per new
-    phenotype, each with a finite normalized embedding.  Nothing is written
-    to the candidates.
+    The offer is at least one candidate, one per new phenotype: its unique
+    id and, row for row in points, its finite normalized embedding.
     """
-    if gen_index < 1 or not population:
+    if gen_index < 1 or not len(ids):
         raise SelectionContractError(
             "selection ranks a non-empty population from generation 1 on")
-    ids = [c.id for c in population]
-    if len(set(ids)) != len(ids):
-        raise SelectionContractError("population ids must be unique")
-    emb = np.array([c.embedding_norm for c in population], dtype=float)
+    emb = np.asarray(points, dtype=float)
     if not np.all(np.isfinite(emb)):
         raise SelectionContractError("normalized embeddings must be finite")
 
@@ -309,11 +298,14 @@ def select_generation(gen_index: int,
     else:
         raw = ei(means, stds, model.best_observed(), config.xi)
     values = raw * weights[:, None]
-    scalar, front_index = aggregate_multiobjective(values)
+    scalar = aggregate_multiobjective(values)
 
     if gen_index == 1:
         selected = _initial_sampling(emb, scalar, ids, history, config, rng)
     else:
+        # The Pareto front index in selection-value space, maximizing.
+        front_index = (None if config.m_pareto is None
+                       else front_ranks(-values))
         selected = apply_thresholds(scalar, front_index, config, ids=ids)
     return SelectionDecision(selected_ids=selected, means=means)
 

@@ -60,7 +60,7 @@ __all__ = [
     "mutate",
     "crossover",
     "dominance_matrix",
-    "fast_nondominated_sort",
+    "front_ranks",
     "crowding_distance",
     "rank_population",
     "evolve_generation",
@@ -310,7 +310,9 @@ def polynomial_plan(polys: Sequence[Mapping[tuple[str, ...], float]],
     its variables in key order.  Missing terms pad with coefficient 0.0 and
     missing factors with -1, the ones.  Both pads are exact: x * 1.0 == x,
     and a sum that starts at +0.0 never becomes -0.0, so adding 0.0 changes
-    no bit; each row therefore gets the bits of its polynomial alone.
+    no bit; each row therefore gets the bits of its polynomial alone, but
+    for a nan's sign bit: of nan + nan, numpy's add keeps either nan, by
+    the element's place in the batch.
     """
     row_of = {name: i for i, name in enumerate(names)}
     monos = [sorted(poly) for poly in polys]
@@ -341,14 +343,14 @@ def bind_plan(plan: tuple[np.ndarray, np.ndarray], k: int) -> tuple:
 
 def plan_eval(plan: tuple, factors: np.ndarray, out: np.ndarray | None = None,
               work: np.ndarray | None = None) -> np.ndarray:
-    """Row i of a polynomial_plan, or of one bound to k rows by bind_plan,
-    on row i mod k of the stacked factors (f, k, n), the monomials added in
-    key order from +0.0: a plan of several k-row blocks evaluates each
-    block on the same k factor rows.  out (rows, n) takes the values and a
+    """Row i of a polynomial_plan bound to k rows by bind_plan, on row i mod
+    k of the stacked factors (f, k, n), the monomials added in key order
+    from +0.0: a plan of several k-row blocks evaluates each block on the
+    same k factor rows.  out (rows, n) takes the values and a
     C-contiguous work of 2 * rows * n floats or more the terms.  Arithmetic
     is not trapped: overflow gives inf or nan for the caller to detect."""
     f, k, n = factors.shape
-    rows, steps = plan if isinstance(plan[0], int) else bind_plan(plan, k)
+    rows, steps = plan
     flat = factors.reshape(f * k, n)
     total = np.empty((rows, n)) if out is None else out
     total.fill(0.0)
@@ -368,7 +370,8 @@ def polynomials_eval(polys: Sequence[Mapping[tuple[str, ...], float]],
     stack = list(columns.values())
     factors = np.array([*stack, np.ones_like(stack[0])], float)[:, None]
     with np.errstate(all="ignore"):
-        return plan_eval(polynomial_plan(polys, tuple(columns)), factors)
+        return plan_eval(bind_plan(polynomial_plan(polys, tuple(columns)), 1),
+                         factors)
 
 
 def parse_expression(text: str) -> ExprTree:
@@ -437,14 +440,11 @@ def crossover(a: Genotype, b: Genotype,
 
 @dataclass
 class Candidate:
-    """One population member: a tuple of genotypes (one per model slot) plus
-    its evaluation state."""
+    """One population member: a tuple of genotypes (one per model slot), its
+    id and, once its generation is evaluated, its objectives."""
 
     genotypes: tuple[Genotype, ...]
     id: int
-    phenotype_keys: tuple[str, ...] = ()
-    embedding: np.ndarray | None = None
-    embedding_norm: np.ndarray | None = None
     objectives: np.ndarray | None = None
 
 
@@ -461,24 +461,20 @@ def dominance_matrix(objectives: np.ndarray) -> np.ndarray:
     return nowhere_worse & somewhere_better
 
 
-def fast_nondominated_sort(objectives: np.ndarray) -> list[list[int]]:
-    """Sort rows of an (n, p) objective matrix into Pareto fronts.
-
-    Returns a list of fronts, each a list of row indices in ascending
-    order; front 0 is the non-dominated set.  Minimization throughout: a
-    row dominates another when it is nowhere worse and somewhere strictly
-    better.
-    """
+def front_ranks(objectives: np.ndarray) -> np.ndarray:
+    """Pareto front index of each row of an (n, p) objective matrix; front 0
+    is the non-dominated set.  Minimization throughout: a row dominates
+    another when it is nowhere worse and somewhere strictly better."""
     dominates = dominance_matrix(objectives)
     count = dominates.sum(axis=0)  # count[j]: rows dominating row j
-    fronts: list[list[int]] = []
-    current = np.flatnonzero(count == 0)
+    ranks = np.empty(len(count), dtype=int)
+    current, rank = np.flatnonzero(count == 0), 0
     while current.size:
-        fronts.append(current.tolist())
+        ranks[current] = rank
         count[current] = -1  # a placed row never reads zero again
         count -= dominates[current].sum(axis=0)
-        current = np.flatnonzero(count == 0)
-    return fronts
+        current, rank = np.flatnonzero(count == 0), rank + 1
+    return ranks
 
 
 def crowding_distance(objectives: np.ndarray) -> np.ndarray:
@@ -499,55 +495,43 @@ def crowding_distance(objectives: np.ndarray) -> np.ndarray:
     return dist
 
 
-def rank_population(population: Sequence[Candidate]) -> list[tuple[int, float]]:
-    """Assign (front rank, crowding distance) per candidate.
+def rank_population(population: Sequence[Candidate]) -> np.ndarray:
+    """(front rank, crowding distance) of each candidate, as an (n, 2) array.
 
     Sentinel-carrying candidates are pushed into one final front behind all
-    finite fronts, so a diverged model can never shadow a finite one even if
-    its raw sentinel vector would be non-dominated.
+    finite fronts, with crowding 0, so a diverged model can never shadow a
+    finite one even if its raw sentinel vector would be non-dominated.
     """
     if not population:
-        return []
+        return np.zeros((0, 2))
     for c in population:
         if c.objectives is None:
             raise ValueError(f"candidate {c.id} has no objectives yet")
     objs = np.array([c.objectives for c in population], dtype=float)
-    sentinel_mask = (np.any(objs >= DIVERGENCE_SENTINEL, axis=1)
-                     | ~np.all(np.isfinite(objs), axis=1))
-    finite_idx = np.flatnonzero(~sentinel_mask)
-    ranks: list[tuple[int, float]] = [(0, 0.0)] * len(population)
-    n_fronts = 0
-    if finite_idx.size:
-        fronts = fast_nondominated_sort(objs[finite_idx])
-        n_fronts = len(fronts)
-        for rank, front in enumerate(fronts):
-            members = finite_idx[front]
-            dists = crowding_distance(objs[members])
-            for local, idx in enumerate(members):
-                ranks[idx] = (rank, float(dists[local]))
-    for idx in np.flatnonzero(sentinel_mask):
-        ranks[idx] = (n_fronts, 0.0)
+    sentinel = (np.any(objs >= DIVERGENCE_SENTINEL, axis=1)
+                | ~np.all(np.isfinite(objs), axis=1))
+    finite = np.flatnonzero(~sentinel)
+    front = front_ranks(objs[finite])
+    n_fronts = front.max(initial=-1) + 1
+    ranks = np.zeros((len(objs), 2))
+    ranks[finite, 0] = front
+    ranks[sentinel, 0] = n_fronts
+    for rank in range(n_fronts):
+        members = finite[front == rank]
+        ranks[members, 1] = crowding_distance(objs[members])
     return ranks
 
 
-def _tournament_pick(ranked: Sequence[tuple[Candidate, tuple[int, float]]],
-                     rng: np.random.Generator) -> Candidate:
-    i, j = rng.integers(len(ranked), size=2)
-    (cand_i, (rank_i, crowd_i)) = ranked[int(i)]
-    (cand_j, (rank_j, crowd_j)) = ranked[int(j)]
-    if rank_i < rank_j:
-        return cand_i
-    if rank_j < rank_i:
-        return cand_j
-    if crowd_i > crowd_j:
-        return cand_i
-    if crowd_j > crowd_i:
-        return cand_j
-    return cand_i if i <= j else cand_j
+def _tournament_pick(ranks: np.ndarray, rng: np.random.Generator) -> int:
+    """Index of the better of two rows drawn from rank_population's ranks:
+    lower front, then larger crowding, then lower index."""
+    i, j = rng.integers(len(ranks), size=2)
+    return min((ranks[i, 0], -ranks[i, 1], i),
+               (ranks[j, 0], -ranks[j, 1], j))[2]
 
 
 def evolve_generation(population: Sequence[Candidate],
-                      ranks: Sequence[tuple[int, float]],
+                      ranks: np.ndarray,
                       rng: np.random.Generator,
                       config: GepConfig,
                       symbols: SymbolSet,
@@ -562,12 +546,11 @@ def evolve_generation(population: Sequence[Candidate],
         raise ValueError("cannot evolve an empty population")
     if len(population) != len(ranks):
         raise ValueError("ranks must align with the population")
-    ranked = list(zip(population, ranks))
     offspring: list[Candidate] = []
     next_id = first_id
     while len(offspring) < n_offspring:
-        parent_a = _tournament_pick(ranked, rng)
-        parent_b = _tournament_pick(ranked, rng)
+        parent_a = population[_tournament_pick(ranks, rng)]
+        parent_b = population[_tournament_pick(ranks, rng)]
         slots_a, slots_b = [], []
         for ga, gb in zip(parent_a.genotypes, parent_b.genotypes):
             if rng.random() < config.crossover_rate:
@@ -591,6 +574,5 @@ def select_survivors(population: Sequence[Candidate], mu: int) -> list[Candidate
     if len(population) <= mu:
         return list(population)
     ranks = rank_population(population)
-    order = sorted(range(len(population)),
-                   key=lambda i: (ranks[i][0], -ranks[i][1], population[i].id))
+    order = np.lexsort(([c.id for c in population], -ranks[:, 1], ranks[:, 0]))
     return [population[i] for i in order[:mu]]

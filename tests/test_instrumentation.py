@@ -41,7 +41,20 @@ def test_every_span_records_a_call():
     spans = load_spans()
     tracer = spans.Tracer()
     with spans.instrument(tracer):
-        orchestrator.run_training(config)
+        db, _ = orchestrator.run_training(config)
     layers = tracer.run_layers(tracer.run_id)
     assert set(layers) == SPAN_NAMES
     assert all(layer["calls"] >= 1 for layer in layers.values())
+
+    # The counters keep their meaning: each generation after the first ranks
+    # the survivors, then survivors and offspring together; selection is
+    # offered each new phenotype the surrogate predicts, and picks the
+    # expensive records of generations 1 on.
+    counts = tracer.counts[tracer.run_id]
+    assert counts["symreg.rank_population.rows"] == (
+        (config.generations - 1) * (2 * config.population + config.offspring))
+    assert counts["selection.selected"] == sum(
+        r.provenance == "expensive" and r.generation > 0 for r in db.records)
+    assert counts["selection.pool"] == len({(r.generation, r.keys)
+                                            for r in db.records
+                                            if r.predicted is not None})

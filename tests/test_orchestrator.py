@@ -29,7 +29,7 @@ from sagep.orchestrator import (
 )
 from sagep.selection import SelectionConfig, SelectionHistory
 from sagep.surrogate import KernelParams, build_gp
-from sagep.symreg import DIVERGENCE_SENTINEL, Candidate, parse_expression
+from sagep.symreg import DIVERGENCE_SENTINEL, parse_expression
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TARGETS = ["I1*I1 - 0.5*I2", "0.3 + I2"]
@@ -376,11 +376,11 @@ class TestGenerationStep:
 
     IDENTITY = NormStats(mean=np.zeros(2), std=np.ones(2))
 
-    def population(self, *embeddings):
-        return [Candidate(genotypes=(), id=i,
-                          phenotype_keys=(f"k{i}",),
-                          embedding=np.asarray(e, dtype=float))
-                for i, e in enumerate(embeddings)]
+    def population(self, *embeddings, ids=None):
+        """The step's input: ids (0, 1, ... unless given), keys k<id> and
+        the raw embeddings."""
+        ids = list(range(len(embeddings))) if ids is None else ids
+        return ids, [(f"k{i}",) for i in ids], np.array(embeddings, float)
 
     def step(self, gen, pop, history, surrogate_enabled=True):
         config = RunConfig(
@@ -389,18 +389,20 @@ class TestGenerationStep:
                                       m_init_rel=None, m_rel=None))
         calls = []
 
-        def oracle(cands):
-            calls.append([c.id for c in cands])
+        def oracle(picks):
+            calls.append(list(picks))
             return [ev.EvaluationOutcome(objectives=np.array([0.1, 0.2]),
-                                         converged=True) for _ in cands]
+                                         converged=True) for _ in picks]
 
+        ids = pop[0]
         records = orch._generation_step(
-            gen, pop, self.IDENTITY, history, config, 2,
+            gen, *pop, self.IDENTITY, history, config, 2,
             np.random.default_rng(0), np.random.default_rng(1), oracle)
-        assert [r.id for r in records] == sorted(c.id for c in pop)
+        assert [r.id for r in records] == ids
         selected = [r.id for r in records if r.provenance == "expensive"]
-        # One oracle call per generation, with the selected ids in order.
-        assert calls == [selected]
+        # One oracle call per generation, with the selected positions in
+        # id order.
+        assert calls == [[ids.index(cid) for cid in selected]]
         return selected, records
 
     def tight_fit(self, monkeypatch):
@@ -436,8 +438,6 @@ class TestGenerationStep:
             assert [r.provenance for r in records] == ["expensive",
                                                       "expensive",
                                                       "surrogate"]
-            assert np.array_equal(pop[2].objectives,
-                                  [DIVERGENCE_SENTINEL, DIVERGENCE_SENTINEL])
             assert records[2].objectives == (DIVERGENCE_SENTINEL,
                                              DIVERGENCE_SENTINEL)
             assert records[2].converged is False
@@ -446,18 +446,25 @@ class TestGenerationStep:
             assert history.converged_objectives.tolist() == [[0.1, 0.2]] * 2
 
     def test_oracle_takes_the_selected_in_id_order(self):
-        # The population arrives in reverse id order; step asserts that the
-        # one oracle call lists the selected ids in order.
-        pop = self.population([0.0, 0.0], [1.0, 1.0], [2.0, 2.0])[::-1]
-        selected, _ = self.step(0, pop, SelectionHistory.empty(2, 2))
-        assert selected == [0, 1, 2]
+        # Ids are not positions, and candidate 7 repeats 4's phenotype;
+        # step asserts that the one oracle call lists the selected
+        # candidates' positions, 0 and 2, in id order.
+        pop = self.population([0.0, 0.0], [1.0, 1.0], [2.0, 2.0],
+                              ids=[4, 7, 30])
+        keys = pop[1]
+        keys[1] = keys[0]
+        selected, records = self.step(0, pop, SelectionHistory.empty(2, 2))
+        assert selected == [4, 30]
+        assert [(r.id, r.provenance) for r in records] == [
+            (4, "expensive"), (7, "cache"), (30, "expensive")]
 
     @pytest.mark.parametrize("surrogate_enabled", [True, False])
     def test_repeated_key_is_evaluated_once(self, surrogate_enabled):
         # Two candidates with one key: the second reuses the first's
         # outcome, costs nothing, and adds no row to the GP history.
         pop = self.population([0.0, 0.0], [1.0, 1.0])
-        pop[1].phenotype_keys = pop[0].phenotype_keys
+        keys = pop[1]
+        keys[1] = keys[0]
         history = SelectionHistory.empty(2, 2)
         selected, records = self.step(0, pop, history, surrogate_enabled)
         assert selected == [0]  # one candidate evaluated
@@ -470,13 +477,13 @@ class TestGenerationStep:
         assert history.outcomes == {("k0",): ((0.1, 0.2), True)}
 
     def offered_to_selection(self, monkeypatch):
-        """The ids of each select_generation call's population."""
+        """The ids of each select_generation call's offer."""
         offered = []
         select = sel.select_generation
 
-        def spy(gen, population, *args):
-            offered.append([c.id for c in population])
-            return select(gen, population, *args)
+        def spy(gen, ids, *args):
+            offered.append(list(ids))
+            return select(gen, ids, *args)
 
         monkeypatch.setattr(sel, "select_generation", spy)
         return offered
@@ -488,7 +495,8 @@ class TestGenerationStep:
         self.tight_fit(monkeypatch)
         offered = self.offered_to_selection(monkeypatch)
         pop = self.population([9.0, 9.0], [0.1, 0.1])
-        pop[0].phenotype_keys = ("seen0",)
+        keys = pop[1]
+        keys[0] = ("seen0",)
         history = self.history([1.0, 2.0])
         selected, records = self.step(2, pop, history)
         assert offered == [[1]]
@@ -509,7 +517,8 @@ class TestGenerationStep:
         offered = self.offered_to_selection(monkeypatch)
         pop = self.population([twin_at] * 2, [twin_at + 0.1] * 2,
                               [7.0 - twin_at] * 2)
-        pop[1].phenotype_keys = pop[0].phenotype_keys
+        keys = pop[1]
+        keys[1] = keys[0]
         selected, records = self.step(2, pop, self.history([1.0, 2.0]))
         assert offered == [[0, 2]]
         assert selected == ([0] if twin_selected else [2])
@@ -528,8 +537,8 @@ class TestGenerationStep:
         self.tight_fit(monkeypatch)
         offered = self.offered_to_selection(monkeypatch)
         pop = self.population([9.0, 9.0], [0.1, 0.1])
-        for i, cand in enumerate(pop):
-            cand.phenotype_keys = (f"seen{i}",)
+        keys = pop[1]
+        keys[:] = [("seen0",), ("seen1",)]
         history = self.history([1.0, 2.0])
         selected, records = self.step(3, pop, history)
         assert (offered, selected) == ([], [])
@@ -545,10 +554,9 @@ class TestGenerationStep:
         filled = records[0]
         assert filled.provenance == "surrogate"
         assert filled.converged is True
-        assert np.allclose(pop[0].objectives, [1.0, 2.0], atol=1e-3)
+        assert np.allclose(filled.objectives, [1.0, 2.0], atol=1e-3)
         assert [r.predicted is not None for r in records] == [True, True,
                                                               False]
-        assert np.array_equal(filled.predicted, pop[0].objectives)
         assert filled.objectives == filled.predicted
         assert records[1].provenance == "expensive"
         assert records[2].converged is False
@@ -558,9 +566,9 @@ class TestGenerationStep:
         # posterior means back with 10**mean.
         targets = self.tight_fit(monkeypatch)
         pop = self.population([0.0, 0.0], [6.0, 6.0])
-        self.step(2, pop, self.history([10.0, 100.0]))
+        _, records = self.step(2, pop, self.history([10.0, 100.0]))
         assert np.array_equal(targets[0], [[1.0, 2.0], [1.0, 2.0]])
-        assert np.allclose(pop[0].objectives, [10.0, 100.0], rtol=1e-3)
+        assert np.allclose(records[0].objectives, [10.0, 100.0], rtol=1e-3)
 
 
 class TestRunTraining:
@@ -771,8 +779,9 @@ class TestOutcomeCache:
         steps = []
         step = orch._generation_step
 
-        def spy(gen, current, norm_stats, history, *rest):
-            records = step(gen, current, norm_stats, history, *rest)
+        def spy(gen, ids, keys, embeddings, norm_stats, history, *rest):
+            records = step(gen, ids, keys, embeddings, norm_stats, history,
+                           *rest)
             steps.append((records, history.converged_points.shape[0]))
             return records
 

@@ -20,7 +20,7 @@ from sagep.selection import (
     select_generation,
 )
 from sagep.surrogate import KernelParams, build_gp, predict_multi_batch
-from sagep.symreg import Candidate
+from sagep.symreg import front_ranks
 
 TIGHT = KernelParams(ell=1.0, alpha=1.0, noise=1e-8)
 
@@ -38,11 +38,10 @@ def make_history(X, diverged=np.empty((0, 2))):
                             diverged_points=diverged, outcomes={})
 
 
-def make_candidate(cid, emb):
-    emb = np.asarray(emb, dtype=float)
-    return Candidate(genotypes=(), id=cid,
-                     phenotype_keys=(f"k{cid}",), embedding=emb,
-                     embedding_norm=emb)
+def offer(*points):
+    """An offer of candidates 0, 1, ...: their ids and normalized
+    embeddings."""
+    return list(range(len(points))), np.array(points, dtype=float)
 
 
 class TestLcb:
@@ -225,26 +224,24 @@ class TestConvergenceWeight:
 
 class TestAggregate:
     def test_symmetric_tradeoff(self):
-        scalar, front = aggregate_multiobjective(np.array([[1.0, 0.0],
-                                                           [0.0, 1.0]]))
-        assert np.array_equal(scalar, [1.0, 1.0])
-        assert np.array_equal(front, [0, 0])
+        values = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert np.array_equal(aggregate_multiobjective(values), [1.0, 1.0])
+        assert np.array_equal(front_ranks(-values), [0, 0])
 
     def test_dominating_row_wins(self):
-        scalar, front = aggregate_multiobjective(np.array([[2.0, 2.0],
-                                                           [1.0, 1.0]]))
-        assert np.array_equal(scalar, [1.0, 0.0])
-        assert np.array_equal(front, [0, 1])
+        values = np.array([[2.0, 2.0], [1.0, 1.0]])
+        assert np.array_equal(aggregate_multiobjective(values), [1.0, 0.0])
+        assert np.array_equal(front_ranks(-values), [0, 1])
 
     def test_single_objective(self):
-        scalar, front = aggregate_multiobjective(np.array([[3.0], [1.0],
-                                                           [2.0]]))
-        assert np.array_equal(scalar, [1.0, 0.0, 0.5])
-        assert np.array_equal(front, [0, 2, 1])
+        values = np.array([[3.0], [1.0], [2.0]])
+        assert np.array_equal(aggregate_multiobjective(values),
+                              [1.0, 0.0, 0.5])
+        assert np.array_equal(front_ranks(-values), [0, 2, 1])
 
     def test_zero_span_column_normalizes_to_zero(self):
-        scalar, _ = aggregate_multiobjective(np.array([[4.0, 1.0],
-                                                       [4.0, 0.0]]))
+        scalar = aggregate_multiobjective(np.array([[4.0, 1.0],
+                                                    [4.0, 0.0]]))
         assert np.array_equal(scalar, [1.0, 0.0])
 
     def test_non_finite_rejected(self):
@@ -254,7 +251,7 @@ class TestAggregate:
     def test_subnormal_value_raises_no_floating_point_error(self):
         # 2.2e-311 / 0.4375 is subnormal, the normalized value it rounds to.
         with np.errstate(all="raise"):
-            scalar, _ = aggregate_multiobjective(np.array(
+            scalar = aggregate_multiobjective(np.array(
                 [[0.0, 0.0], [0.0, 0.4375], [0.0, 2.225073858507e-311]]))
         assert scalar[:2].tolist() == [0.0, 1.0] and 0.0 < scalar[2] < 1e-300
 
@@ -262,14 +259,14 @@ class TestAggregate:
                     min_size=1, max_size=15))
     def test_scalar_range_and_max_attained(self, rows):
         values = np.asarray(rows)
-        scalar, front = aggregate_multiobjective(values)
+        scalar = aggregate_multiobjective(values)
         assert np.all((scalar >= 0.0) & (scalar <= 1.0))
         has_span = np.any(values.max(axis=0) > values.min(axis=0))
         if has_span:
             assert scalar.max() == 1.0
         else:
             assert np.all(scalar == 0.0)
-        assert front.min() == 0
+        assert front_ranks(-values).min() == 0
 
 
 def brute_force_thresholds(scalar, front_index, config):
@@ -303,9 +300,9 @@ class TestThresholds:
         assert out == [0, 2]
 
     def test_pareto_threshold(self):
-        scalar, front = aggregate_multiobjective(np.array([[2.0, 2.0],
-                                                           [1.0, 1.0]]))
-        out = apply_thresholds(scalar, front, bare(m_pareto=1))
+        values = np.array([[2.0, 2.0], [1.0, 1.0]])
+        out = apply_thresholds(aggregate_multiobjective(values),
+                               front_ranks(-values), bare(m_pareto=1))
         assert out == [0]
 
     def test_ties_break_by_lower_id(self):
@@ -333,9 +330,9 @@ class TestSelectGeneration:
     def test_non_finite_embedding_rejected(self):
         # Unusable candidates are the caller's to handle.
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
-        pop = [make_candidate(0, [0.0, 0.0]), make_candidate(1, [np.nan, 0.0])]
         with pytest.raises(SelectionContractError, match="finite"):
-            select_generation(1, pop, make_model(X, np.zeros((2, 2))),
+            select_generation(1, *offer([0.0, 0.0], [np.nan, 0.0]),
+                              make_model(X, np.zeros((2, 2))),
                               make_history(X), bare(m_fixed=1),
                               np.random.default_rng(0))
 
@@ -345,9 +342,10 @@ class TestSelectGeneration:
         # Generation 0 evaluates every offered candidate without ranking,
         # and the caller skips selection when nothing is offered.
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
-        pop = [make_candidate(0, [0.5, 0.5])][:size]
+        ids, points = offer([0.5, 0.5])
         with pytest.raises(SelectionContractError, match="generation 1"):
-            select_generation(gen, pop, make_model(X, np.zeros((2, 2))),
+            select_generation(gen, ids[:size], points[:size],
+                              make_model(X, np.zeros((2, 2))),
                               make_history(X), bare(m_fixed=1),
                               np.random.default_rng(0))
 
@@ -356,7 +354,7 @@ class TestSelectGeneration:
         model = make_model(X, np.zeros((2, 2)))
         history = make_history(X)
         with pytest.raises(SelectionContractError):
-            select_generation(2, [make_candidate(0, [0.5, 0.5])], model,
+            select_generation(2, *offer([0.5, 0.5]), model,
                               history, bare(),
                               np.random.default_rng(0))
 
@@ -364,24 +362,22 @@ class TestSelectGeneration:
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         model = make_model(X, np.zeros((2, 2)))
         history = make_history(X)
-        pop = [make_candidate(0, [0.0, 0.0]),   # at a training embedding
-               make_candidate(1, [8.0, 8.0])]   # far away, high variance
+        pop = offer([0.0, 0.0],   # at a training embedding
+                    [8.0, 8.0])   # far away, high variance
         cfg = bare(metric="lcb", beta=50.0, m_fixed=1)
-        decision = select_generation(2, pop, model, history, cfg,
+        decision = select_generation(2, *pop, model, history, cfg,
                                      np.random.default_rng(0))
         assert decision.selected_ids == [1]
 
     @pytest.mark.parametrize("gen", [1, 2])
-    def test_leaves_candidates_untouched(self, gen):
+    def test_means_cover_every_offered_candidate(self, gen):
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         model = make_model(X, np.array([[1.0, 2.0], [1.0, 2.0]]))
-        pop = [make_candidate(0, [0.0, 0.0]), make_candidate(1, [7.0, 7.0])]
         cfg = bare(metric="lcb", beta=50.0, n_init=1, m_fixed=1)
-        decision = select_generation(gen, pop, model, make_history(X), cfg,
+        decision = select_generation(gen, *offer([0.0, 0.0], [7.0, 7.0]),
+                                     model, make_history(X), cfg,
                                      np.random.default_rng(0))
         assert decision.selected_ids
-        for cand in pop:
-            assert cand.objectives is None
         # GP-space means for every candidate, selected or not.
         assert decision.means.shape == (2, 2)
         assert np.allclose(decision.means[0], [1.0, 2.0], atol=1e-3)
@@ -390,14 +386,12 @@ class TestSelectGeneration:
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         model = make_model(X, np.zeros((2, 2)))
         history = make_history(X, diverged=np.array([[2.0, 2.0]]))
-        pop = [make_candidate(0, [2.0, 2.0]),
-               make_candidate(1, [2.1, 2.1]),
-               make_candidate(2, [0.0, 0.0])]
+        ids, points = offer([2.0, 2.0], [2.1, 2.1], [0.0, 0.0])
         cfg = bare(metric="lcb", beta=5.0, delta=0.75, m_fixed=1)
-        decision = select_generation(2, pop, model, history, cfg,
+        decision = select_generation(2, ids, points, model, history, cfg,
                                      np.random.default_rng(0))
-        weights = convergence_weights([c.embedding_norm for c in pop],
-                                      X, history.diverged_points, cfg.delta)
+        weights = convergence_weights(points, X, history.diverged_points,
+                                      cfg.delta)
         assert weights[0] == 0.0
         assert 0.0 < weights[1] < 1.0
         assert weights[2] == 1.0
@@ -410,10 +404,9 @@ class TestSelectGeneration:
         X = rng.uniform(0, 1, size=(6, 2))
         model = make_model(X, np.zeros((6, 2)))
         history = make_history(X)
-        pop = [make_candidate(i, rng.uniform(0, 1, size=2))
-               for i in range(20)]
+        pop = offer(*(rng.uniform(0, 1, size=2) for i in range(20)))
         cfg = bare(metric="lcb", beta=5.0, n_init=5, m_fixed=1)
-        decision = select_generation(1, pop, model, history, cfg,
+        decision = select_generation(1, *pop, model, history, cfg,
                                      np.random.default_rng(9))
         assert len(decision.selected_ids) <= 5
         assert len(set(decision.selected_ids)) == len(decision.selected_ids)
@@ -423,21 +416,18 @@ class TestSelectGeneration:
         X = rng.uniform(0, 1, size=(4, 2))
         model = make_model(X, np.zeros((4, 2)))
         history = make_history(X)
-        pop = [make_candidate(i, rng.uniform(0, 1, size=2)) for i in range(8)]
+        ids, points = offer(*(rng.uniform(0, 1, size=2) for i in range(8)))
         cfg = bare(metric="lcb", beta=5.0, n_init=8, m_init_rel=1.0,
                    m_fixed=1)
-        decision = select_generation(1, pop, model, history, cfg,
+        decision = select_generation(1, ids, points, model, history, cfg,
                                      np.random.default_rng(1))
         # A floor of exactly 1.0 keeps only picks at the top scalar value;
         # with no diverged history every weight is 1.
-        means, variances = predict_multi_batch(
-            model, [c.embedding_norm for c in pop])
-        scalar, _ = aggregate_multiobjective(
+        means, variances = predict_multi_batch(model, points)
+        scalar = aggregate_multiobjective(
             lcb(means, np.sqrt(variances), cfg.beta))
-        picked = [i for i, c in enumerate(pop)
-                  if c.id in decision.selected_ids]
-        assert all(scalar[i] == 1.0 for i in picked)
-        assert len(decision.selected_ids) < len(pop)
+        assert all(scalar[i] == 1.0 for i in decision.selected_ids)
+        assert len(decision.selected_ids) < len(ids)
 
     def test_selection_is_deterministic(self):
         rng = np.random.default_rng(14)
@@ -446,9 +436,8 @@ class TestSelectGeneration:
         history = make_history(X)
 
         def run():
-            pop = [make_candidate(i, rng_pop.uniform(0, 1, size=2))
-                   for i in range(10)]
-            return select_generation(1, pop, model, history,
+            pop = offer(*(rng_pop.uniform(0, 1, size=2) for i in range(10)))
+            return select_generation(1, *pop, model, history,
                                      SelectionConfig().for_population(10),
                                      np.random.default_rng(77)).selected_ids
 
@@ -462,9 +451,9 @@ class TestSelectGeneration:
         X = np.array([[0.0, 0.0], [1.0, 1.0]])
         model = make_model(X, np.array([[0.5, 0.4], [0.2, 0.3]]))
         history = make_history(X)
-        pop = [make_candidate(0, [0.5, 0.5]), make_candidate(1, [4.0, 4.0])]
         cfg = bare(metric="ei", xi=0.0, m_fixed=1)
-        decision = select_generation(2, pop, model, history, cfg,
+        decision = select_generation(2, *offer([0.5, 0.5], [4.0, 4.0]),
+                                     model, history, cfg,
                                      np.random.default_rng(0))
         assert len(decision.selected_ids) == 1
         # Each objective's EI is below its own best observed target, 0.2
@@ -473,10 +462,10 @@ class TestSelectGeneration:
         expect = np.column_stack([ei(means[:, j], np.sqrt(variances[:, j]),
                                      best, 0.0)
                                   for j, best in enumerate([0.2, 0.3])])
-        scalar, front_index = aggregate_multiobjective(expect)
+        scalar = aggregate_multiobjective(expect)
         assert np.all(np.isfinite(scalar))
-        assert decision.selected_ids == apply_thresholds(scalar, front_index,
-                                                         cfg, ids=[0, 1])
+        assert decision.selected_ids == apply_thresholds(
+            scalar, front_ranks(-expect), cfg, ids=[0, 1])
 
 
 class TestSelectionConfig:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import eval_tree
 from sagep.fields import ConfigError
 from sagep.symreg import (
+    DIVERGENCE_SENTINEL,
     Candidate,
     ExprTree,
     GepConfig,
@@ -23,7 +24,7 @@ from sagep.symreg import (
     decode,
     dominance_matrix,
     evolve_generation,
-    fast_nondominated_sort,
+    front_ranks,
     literal,
     mutate,
     op_symbol,
@@ -304,9 +305,10 @@ class TestPolynomialEvaluation:
             st.floats(-1e3, 1e3), min_size=len(VARS) * k * n,
             max_size=len(VARS) * k * n)), (len(VARS), k, n))
         with np.errstate(all="ignore"):
-            batch = plan_eval(polynomial_plan(polys, VARS), factors)
+            batch = plan_eval(bind_plan(polynomial_plan(polys, VARS), k),
+                              factors)
             for i, poly in enumerate(polys):
-                alone = plan_eval(polynomial_plan([poly], VARS),
+                alone = plan_eval(bind_plan(polynomial_plan([poly], VARS), 1),
                                   factors[:, i:i + 1])
                 assert batch[i].tobytes() == alone[0].tobytes()
 
@@ -322,9 +324,10 @@ class TestPolynomialEvaluation:
             st.floats(-1e3, 1e3), min_size=len(VARS) * k * 3,
             max_size=len(VARS) * k * 3)), (len(VARS), k, 3))
         with np.errstate(all="ignore"):
-            joint = plan_eval(polynomial_plan(first + second, VARS), factors)
-            apart = [plan_eval(polynomial_plan(polys, VARS), factors)
-                     for polys in (first, second)]
+            joint = plan_eval(
+                bind_plan(polynomial_plan(first + second, VARS), k), factors)
+            apart = [plan_eval(bind_plan(polynomial_plan(polys, VARS), k),
+                               factors) for polys in (first, second)]
         assert joint.tobytes() == np.vstack(apart).tobytes()
 
     @given(st.lists(st.one_of(constant_polys, linear_polys, cubic_polys),
@@ -350,7 +353,8 @@ class TestPolynomialEvaluation:
                 got = plan_eval(bind_plan(plan, j), factors, out,
                                 np.full(2 * rows * n + 3, np.nan))
                 assert got is out
-                assert got.tobytes() == plan_eval(plan, factors).tobytes()
+                assert (got.tobytes()
+                        == plan_eval(bind_plan(plan, j), factors).tobytes())
                 # The definition's bits, but for a nan's sign: of nan + nan,
                 # numpy's add keeps either nan, by the element's place.
                 want = reference_plan_eval(plan, factors)
@@ -370,7 +374,7 @@ class TestPolynomialEvaluation:
         plan = polynomial_plan([{}] * k, VARS)
         assert plan[0].shape == (k, 0)
         factors = np.full((len(VARS) + 1, k, 4), -2.0)
-        got = plan_eval(plan, factors)
+        got = plan_eval(bind_plan(plan, k), factors)
         assert got.shape == (k, 4)
         assert got.tobytes() == np.zeros((k, 4)).tobytes()
 
@@ -502,21 +506,24 @@ def brute_dominates(a, b):
             and any(x < y for x, y in zip(a, b)))
 
 
+def brute_front_ranks(rows):
+    """Reference front index of each row: strip nondominated layers one by
+    one.  A row holding NaN neither dominates nor is dominated."""
+    ranks, remaining, rank = [None] * len(rows), set(range(len(rows))), 0
+    while remaining:
+        layer = {i for i in remaining
+                 if not any(brute_dominates(rows[j], rows[i])
+                            for j in remaining if j != i)}
+        for i in layer:
+            ranks[i] = rank
+        remaining -= layer
+        rank += 1
+    return ranks
+
+
 def check_sort_against_brute_force(rows):
-    objs = np.asarray(rows, dtype=float)
-    fronts = fast_nondominated_sort(objs)
-    seen = sorted(i for front in fronts for i in front)
-    assert seen == list(range(len(rows)))
-    # Brute-force front index: strip nondominated layers one by one.
-    # Each front must also be in ascending order, which crowding ties
-    # and survivor order depend on.
-    remaining = set(range(len(rows)))
-    for front in fronts:
-        expect = {i for i in remaining
-                  if not any(brute_dominates(rows[j], rows[i])
-                             for j in remaining if j != i)}
-        assert front == sorted(expect)
-        remaining -= expect
+    got = front_ranks(np.asarray(rows, dtype=float))
+    assert got.tolist() == brute_front_ranks(rows)
 
 
 def reference_dominance(objs):
@@ -544,24 +551,24 @@ class TestDominance:
     def test_strict_dominance(self):
         # A dominated row lands in a later front than its dominator; equal
         # rows and trade-offs share a front.
-        def fronts(rows):
-            return fast_nondominated_sort(np.array(rows))
+        def ranks(rows):
+            return front_ranks(np.array(rows)).tolist()
 
-        assert fronts([(1.0, 1.0), (2.0, 2.0)]) == [[0], [1]]
-        assert fronts([(1.0, 3.0), (1.0, 2.0)]) == [[1], [0]]
-        assert fronts([(1.0, 2.0), (1.0, 2.0)]) == [[0, 1]]
-        assert fronts([(1.0, 3.0), (2.0, 2.0)]) == [[0, 1]]
+        assert ranks([(1.0, 1.0), (2.0, 2.0)]) == [0, 1]
+        assert ranks([(1.0, 3.0), (1.0, 2.0)]) == [1, 0]
+        assert ranks([(1.0, 2.0), (1.0, 2.0)]) == [0, 0]
+        assert ranks([(1.0, 3.0), (2.0, 2.0)]) == [0, 0]
 
     def test_tradeoff_points_share_first_front(self):
-        fronts = fast_nondominated_sort(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert fronts == [[0, 1]]
+        ranks = front_ranks(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert ranks.tolist() == [0, 0]
 
     def test_dominated_point_in_second_front(self):
-        fronts = fast_nondominated_sort(np.array([[2.0, 2.0], [1.0, 1.0]]))
-        assert fronts == [[1], [0]]
+        ranks = front_ranks(np.array([[2.0, 2.0], [1.0, 1.0]]))
+        assert ranks.tolist() == [1, 0]
 
     def test_empty_input_has_no_fronts(self):
-        assert fast_nondominated_sort(np.empty((0, 3))) == []
+        assert front_ranks(np.empty((0, 3))).tolist() == []
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                     min_size=1, max_size=12))
@@ -616,7 +623,7 @@ class TestRanking:
                _candidate(1, (9999.0, 9999.0)),
                _candidate(2, (0.5, 2.0)),
                _candidate(3, (np.nan, 1.0))]
-        ranks = rank_population(pop)
+        ranks = rank_population(pop).tolist()
         finite_ranks = {ranks[0][0], ranks[2][0]}
         assert ranks[1] == ranks[3]
         assert ranks[1][0] > max(finite_ranks)
@@ -659,3 +666,83 @@ class TestRanking:
             assert len(child.genotypes) == 2
             for g in child.genotypes:
                 assert_layout(g)
+
+
+@st.composite
+def nsga_populations(draw):
+    """(objectives (n, p), ids) with n in 2-14 and p in 1-3: rows drawn from
+    a few values, so ties and repeated rows are common, among them sentinel
+    rows, NaN rows and infinite rows; ids are distinct and unordered."""
+    p = draw(st.integers(1, 3))
+    value = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+    odd = st.sampled_from([DIVERGENCE_SENTINEL, 2e4, np.nan, np.inf])
+    rows = draw(st.lists(st.lists(value, min_size=p, max_size=p)
+                         | st.lists(value | odd, min_size=p, max_size=p),
+                         min_size=2, max_size=14))
+    ids = draw(st.permutations(range(100, 100 + 3 * len(rows))))
+    return np.array(rows, dtype=float), list(ids[:len(rows)])
+
+
+def reference_ranks(objs):
+    """(front rank, crowding distance) per row by definition: finite rows
+    below the sentinel take the front layers of pairwise dominance and the
+    crowding distance within their front, every other row one front behind
+    them with crowding 0."""
+    finite = [i for i, row in enumerate(objs) if np.all(np.isfinite(row))
+              and np.all(row < DIVERGENCE_SENTINEL)]
+    front = brute_front_ranks([tuple(objs[i]) for i in finite])
+    ranks = [(max(front, default=-1) + 1, 0.0)] * len(objs)
+    for rank in set(front):
+        members = [i for i, r in zip(finite, front) if r == rank]
+        for i, dist in zip(members, crowding_distance(objs[members])):
+            ranks[i] = (rank, float(dist))
+    return ranks
+
+
+class TestNsgaDecisions:
+    """rank_population, select_survivors and the tournament against
+    brute-force references, on ties, sentinels, NaN and infinities."""
+
+    @given(nsga_populations())
+    def test_rank_population_matches_reference(self, population):
+        objs, ids = population
+        pop = [_candidate(cid, row) for cid, row in zip(ids, objs)]
+        got = np.asarray(rank_population(pop), dtype=float)
+        assert got.shape == (len(pop), 2)
+        assert [tuple(row) for row in got.tolist()] == reference_ranks(objs)
+
+    @given(nsga_populations(), st.data())
+    def test_survivor_order_is_rank_then_crowding_then_id(self, population,
+                                                          data):
+        objs, ids = population
+        pop = [_candidate(cid, row) for cid, row in zip(ids, objs)]
+        mu = data.draw(st.integers(1, len(pop) - 1))
+        ranks = reference_ranks(objs)
+        order = sorted(range(len(pop)),
+                       key=lambda i: (ranks[i][0], -ranks[i][1], ids[i]))
+        assert ([c.id for c in select_survivors(pop, mu)]
+                == [ids[i] for i in order[:mu]])
+
+    @given(nsga_populations(), st.integers(0, 2 ** 32 - 1))
+    def test_tournament_takes_rank_then_crowding_then_index(self, population,
+                                                           seed):
+        # Without crossover or mutation the two children copy the two
+        # tournament winners, each the better of two rows drawn with
+        # rng.integers(n, size=2).
+        objs, _ = population
+        cfg = GepConfig(mutation_rate=0.0, crossover_rate=0.0)
+        symbols = SymbolSet.build(cfg, ("x",), seed=0)
+        pop = [Candidate(genotypes=(Genotype((literal(i),), head_len=1),),
+                         id=i, objectives=row) for i, row in enumerate(objs)]
+        ranks = reference_ranks(objs)
+        draws = np.random.default_rng(seed)
+        winners = []
+        for _ in range(2):
+            i, j = (int(v) for v in draws.integers(len(pop), size=2))
+            winners.append(min((ranks[i][0], -ranks[i][1], i),
+                               (ranks[j][0], -ranks[j][1], j))[2])
+        children = evolve_generation(pop, rank_population(pop),
+                                     np.random.default_rng(seed), cfg,
+                                     symbols, n_offspring=2, first_id=100)
+        assert [c.genotypes for c in children] == [pop[w].genotypes
+                                                   for w in winners]
