@@ -16,25 +16,28 @@ with S a run's wall time outside the evaluator and N its evaluator calls:
 the surrogate run is the faster one whenever a call costs more than c*, so
 a negative c* means it pays for itself even with a free evaluator.
 
+The study's settings are those of `--config` (configs/channel_run.json
+by default); `--generations`, `--population` and `--offspring`, when
+given, replace that config's values.
+
 Usage:
-    python3 scripts/efficiency_study.py [--seeds 10] [--generations 12]
-        [--population 96] [--offspring 24] [--config path/to/run.json]
+    python3 scripts/efficiency_study.py [--seeds 10] [--generations N]
+        [--population N] [--offspring N] [--config path/to/run.json]
 """
 
 import argparse
 import dataclasses
 import time
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from sagep import orchestrator
-from sagep.orchestrator import (
-    EvaluatorSpec,
-    RunConfig,
-    load_run_config,
-    run_training,
-)
+from sagep.orchestrator import RunConfig, load_run_config, run_training
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "channel_run.json"
+SIZES = ("generations", "population", "offspring")
 
 
 class Pair(NamedTuple):
@@ -108,21 +111,15 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=10,
                         help="number of seeds, run as 0..N-1")
-    parser.add_argument("--generations", type=int, default=12)
-    parser.add_argument("--population", type=int, default=96)
-    parser.add_argument("--offspring", type=int, default=24)
-    parser.add_argument("--config", default=None,
-                        help="run config JSON; overrides the size flags")
+    for size in SIZES:
+        parser.add_argument(f"--{size}", type=int, default=None,
+                            help="replaces the config's value")
+    parser.add_argument("--config", default=str(CONFIG), help=(
+        "run config JSON (default: configs/channel_run.json)"))
     args = parser.parse_args(argv)
-
-    if args.config is not None:
-        config = load_run_config(args.config)
-    else:
-        config = RunConfig(seed=0, generations=args.generations,
-                           population=args.population,
-                           offspring=args.offspring,
-                           surrogate_enabled=True,
-                           evaluator=EvaluatorSpec(kind="channel"))
+    config = load_run_config(args.config, **{
+        size: getattr(args, size) for size in SIZES
+        if getattr(args, size) is not None})
 
     pairs = []
     t0 = time.perf_counter()

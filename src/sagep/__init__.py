@@ -8,7 +8,8 @@ candidates earn a true evaluation against an expensive oracle (evaluators);
 the orchestrator runs the loop, persists every outcome, and supports
 passive replay of stored runs; metrics provides the Pareto front, the
 hypervolume against each run's one reference point, and the run reports.
-Every config block checks its fields by their declared types (fields).
+Every config block, the channel case too, is built from its JSON object
+and checks its fields by their declared types (fields).
 The LAPACK routines come from scipy's compiled module, loaded without
 scipy.linalg (lapack).
 """

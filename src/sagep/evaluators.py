@@ -34,8 +34,7 @@ during replay.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -43,7 +42,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .embedding import FeatureTable
-from .fields import ConfigError, check_fields
+from .fields import ConfigError, build, check_fields, read_object
 from .lapack import dgtsv
 from .symreg import (DIVERGENCE_SENTINEL, ExprTree, bind_plan,
                      parse_expression, plan_eval, polynomial_plan,
@@ -176,11 +175,11 @@ class SymbolicBenchmark:
 class ChannelCase:
     """Definition of the toy wall-bounded coupled flow problem.
 
-    truth_exprs holds the hidden generating expressions, either (g, alpha)
-    or (g, r, alpha) when an artificial production slot is trained too.
-    reference profiles are produced by make_reference from the truth; given
-    by hand, both come together, one finite number per cell, and the truth
-    must still solve.
+    truth maps the slots g and alpha, and r when an artificial production
+    slot is trained too, to the hidden generating expressions.  reference
+    profiles are produced by make_reference from the truth; given by hand,
+    both come together, one finite number per cell, and the truth must
+    still solve.
     """
 
     n_cells: int = 64
@@ -195,7 +194,8 @@ class ChannelCase:
     tol: float = 1e-8
     max_iters: int = 500
     damping: float = 0.7
-    truth_exprs: tuple[str, ...] = ("-0.1 - I1", "0.945 - 2.108*J1")
+    truth: dict = field(default_factory=lambda: {
+        "g": "-0.1 - I1", "alpha": "0.945 - 2.108*J1"})
     reference_u: np.ndarray | None = None
     reference_t: np.ndarray | None = None
 
@@ -211,15 +211,22 @@ class ChannelCase:
             raise ConfigError("damping must lie in (0, 1]")
         if self.omega <= 0:
             raise ConfigError("omega must be positive")
-        if len(self.truth_exprs) not in (2, 3):
-            raise ConfigError(
-                "truth_exprs must be (g, alpha) or (g, r, alpha)")
+        if not ({"g", "alpha"} <= set(self.truth) <= {"g", "r", "alpha"}
+                and all(isinstance(e, str) for e in self.truth.values())):
+            raise ConfigError("truth needs slots g and alpha, and may have r, "
+                              f"each an expression string; got {self.truth!r}")
         if (self.reference_u is None) != (self.reference_t is None):
             raise ConfigError(
                 "reference_u and reference_t come together or not at all")
         for ref in (self.reference_u, self.reference_t):
             if ref is not None and len(ref) != self.n_cells:
                 raise ConfigError("reference profiles must match n_cells")
+
+    @property
+    def truth_exprs(self) -> tuple[str, ...]:
+        """(g, alpha) or (g, r, alpha): the truth's expressions in order."""
+        return tuple(self.truth[s] for s in ("g", "r", "alpha")
+                     if s in self.truth)
 
     def grid(self) -> tuple[np.ndarray, float]:
         y = np.linspace(0.0, 1.0, self.n_cells)
@@ -328,8 +335,9 @@ def _solve_batch(case: ChannelCase, closures: Sequence[tuple],
     holding a copy of its iterate, at the first check it fails: a
     non-finite or non-positive diffusivity, then a non-finite solve (both
     keep the previous iterate), then a non-finite residual; or when it
-    converges.  converged False covers every divergence and running out
-    of iterations.  Checks run row by row only when a whole-batch one fails.
+    converges, or when the last iteration ends.  converged False covers
+    every divergence and running out of iterations.  Checks run row by row
+    only when a whole-batch one fails or on the last iteration.
     """
     _, h = case.grid()
     k, n = len(closures), case.n_cells
@@ -396,10 +404,12 @@ def _solve_batch(case: ChannelCase, closures: Sequence[tuple],
             # As max(res_u, res_t) in Python, except on an unsolved row's nan.
             residual = np.abs(np.subtract(damped, state, out=change),
                               out=change).max((0, 2))
-            if (usable is not True or not tol <= residual.min()
+            last = iteration == case.max_iters
+            if (last or usable is not True or not tol <= residual.min()
                     or not residual.max() < np.inf):
                 solved = usable & np.isfinite(raw).all((0, 2))
-                stay = solved & (residual >= tol) & (residual < np.inf)
+                stay = (solved & (residual >= tol) & (residual < np.inf)
+                        & (not last))
                 # A row that failed a check keeps its previous iterate.
                 damped[:, ~solved] = state[:, ~solved]
                 for i, u, T, ok in zip(rows[~stay], *damped[:, ~stay], (
@@ -412,8 +422,6 @@ def _solve_batch(case: ChannelCase, closures: Sequence[tuple],
                  g_alpha, r) = views(len(rows))
                 damped[...] = ends  # the state once rotated below
             state, raw, damped = damped, state, raw
-    for i, u, T in zip(rows, *state):
-        out[i] = (u.copy(), T.copy(), case.max_iters, False)
     return out
 
 
@@ -447,47 +455,10 @@ def default_channel_case() -> ChannelCase:
 
 
 def load_channel_case(source: str | Path | dict) -> ChannelCase:
-    """Build a case from a JSON file or an already-parsed mapping.
-
-    The truth block maps slot names to expression strings: {"g": ...,
-    "alpha": ...} with an optional "r".  The truth is checked by
-    `make_reference`, whose profiles fill in when the case gives none.
-    Every other key names a ChannelCase field.
-    """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(
-                f"cannot load channel case {source}: {exc}") from None
-    else:
-        raw = source
-    if not isinstance(raw, dict):
-        raise ConfigError("channel case must be a JSON object, got "
-                          f"{type(raw).__name__}")
-    kwargs = dict(raw)
-    truth = kwargs.pop("truth", None)
-    unknown = set(kwargs) - {f.name for f in fields(ChannelCase)
-                             if f.name != "truth_exprs"}
-    if unknown:
-        raise ConfigError(f"unknown channel case fields {sorted(unknown)}")
-    if truth is not None and not isinstance(truth, dict):
-        raise ConfigError(f"truth must be an object, got {truth!r}")
-    try:
-        if truth is not None:
-            order = ("g", "r", "alpha") if "r" in truth else ("g", "alpha")
-            unknown = set(truth) - set(order)
-            if unknown:
-                raise ConfigError(f"unknown truth slots {sorted(unknown)}")
-            if not {"g", "alpha"} <= set(truth):
-                raise ConfigError("truth needs slots g and alpha, got "
-                                  f"{sorted(truth)}")
-            kwargs["truth_exprs"] = tuple(truth[k] for k in order)
-        case = ChannelCase(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid channel case: {exc}") from None
-    return make_reference(case)
+    """The case a JSON file or a parsed object holds, built by the blocks'
+    one rule; `make_reference` checks its truth and fills in profiles."""
+    raw = source if isinstance(source, dict) else read_object(source)
+    return make_reference(build(ChannelCase, raw))
 
 
 class ChannelEvaluator:

@@ -8,21 +8,24 @@ or `dict` that type only, `X | None` an X or null, `tuple[X, ...]` a list
 of X and `tuple[X, X]` a pair of X, both stored as tuples, an
 `np.ndarray` a list of finite numbers, stored as a float array, and a
 dataclass an instance of it.  Anything wrong with a run configuration, or
-with a file it names, is a ConfigError.  This module imports nothing else
-from the package.
+with a file it names, is a ConfigError.  read_object is the one reader
+of a JSON object and build the one builder of a block from one: the run
+config and the channel case alike.  This module imports nothing else from
+the package.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import typing
 
 import numpy as np
 
 __all__ = ["ConfigError", "integer", "number", "finite", "field_types",
-           "check_fields"]
+           "check_fields", "read_object", "build"]
 
 
 class ConfigError(ValueError):
@@ -115,3 +118,33 @@ def check_fields(obj) -> None:
             raise ConfigError(f"{name} must be {what}, got {value!r}")
         if store is not None:
             object.__setattr__(obj, name, store(value))
+
+
+def read_object(path) -> dict:
+    """The JSON object the file at path holds; ConfigError when the file
+    cannot be read, is not JSON or holds another value."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got "
+                          f"{type(raw).__name__}")
+    return raw
+
+
+def build(cls, raw: dict):
+    """The block cls built from one JSON object: a key that names no field
+    is a ConfigError, and an object given for a field typed as a block is
+    built the same way."""
+    types = field_types(cls)
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown {cls.__name__} fields {sorted(unknown)}")
+    return cls(**{name: build(types[name], value)
+                  if isinstance(value, dict)
+                  and dataclasses.is_dataclass(types[name]) else value
+                  for name, value in raw.items()})

@@ -16,9 +16,10 @@ generation's records, which training appends to the database, copies the
 objectives of onto its candidates for survivor selection, and from which
 training, replay and report compute metrics.
 
-Each config block, `gep` being the engine's own symreg.GepConfig, checks
-its fields when the config loads; set-up then builds the evaluator and
-the GEP alphabet, the run's constants included.
+Each config block, `gep` being the engine's own symreg.GepConfig, is
+built by fields.build and checks its fields when the config loads; set-up
+then builds the evaluator, its channel case by the same rule, and the GEP
+alphabet, the run's constants included.
 
 Everything is deterministic per seed: random streams are spawned from one
 seed sequence per purpose and generation, costs are counted in abstract
@@ -48,7 +49,8 @@ from . import metrics as metrics_mod
 from . import selection as sel_mod
 from . import surrogate as sur_mod
 from . import symreg
-from .fields import ConfigError, check_fields, field_types, integer, number
+from .fields import (ConfigError, build, check_fields, integer, number,
+                     read_object)
 
 __all__ = [
     "ConfigError",
@@ -152,54 +154,39 @@ class RunConfig:
                 "at least one of m_fixed, m_rel, m_pareto")
 
 
-# Fields that name files; every one but output_dir names an input.
-_PATH_FIELDS = ("output_dir", "case", "table")
-
-
-def _settings(cls, raw: dict, base_dir: Path | None):
-    """cls built from one JSON object: an object given for a field typed as
-    a config block is built the same way, relative paths resolve against
-    base_dir, and an input file must exist."""
-    types = field_types(cls)
-    unknown = set(raw) - set(types)
-    if unknown:
-        raise ConfigError(f"unknown {cls.__name__} fields {sorted(unknown)}")
-    kwargs = {}
-    for name, value in raw.items():
-        if isinstance(value, dict) and dataclasses.is_dataclass(types[name]):
-            value = _settings(types[name], value, base_dir)
-        elif name in _PATH_FIELDS and isinstance(value, str):
-            if base_dir is not None and not Path(value).is_absolute():
-                value = str(base_dir / value)
-            if name != "output_dir" and not Path(value).exists():
-                raise ConfigError(f"{name} not found: {value}")
-        kwargs[name] = value
-    return cls(**kwargs)
+def _resolve(path, base_dir: Path | None):
+    """path against base_dir if it is a relative path, else as given."""
+    if (isinstance(path, str) and base_dir is not None
+            and not Path(path).is_absolute()):
+        return str(base_dir / path)
+    return path
 
 
 def build_run_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     """Build a validated RunConfig from a parsed mapping.
 
     Relative paths are resolved against the configuration file's directory
-    so a config plus its referenced files stay relocatable as a unit.
+    so a config plus its referenced files stay relocatable as a unit, and
+    every input file it names (the evaluator's case and table) must exist.
     """
-    return _settings(RunConfig, raw, base_dir)
+    config = build(RunConfig, raw)
+    spec = config.evaluator
+    inputs = {name: _resolve(getattr(spec, name), base_dir)
+              for name in ("case", "table")}
+    for name, path in inputs.items():
+        if isinstance(path, str) and not Path(path).exists():
+            raise ConfigError(f"{name} not found: {path}")
+    return dataclasses.replace(
+        config, output_dir=_resolve(config.output_dir, base_dir),
+        evaluator=dataclasses.replace(spec, **inputs))
 
 
 def load_run_config(path: str | Path, **overrides) -> RunConfig:
     """The config a JSON file holds, with overrides in place of its
     top-level fields of the same names."""
     path = Path(path)
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return build_run_config({**raw, **overrides}, base_dir=path.parent)
+    return build_run_config({**read_object(path), **overrides},
+                            base_dir=path.parent)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +346,9 @@ def _streams(seed: int, generations: int):
 
 def _gen0_norm_stats(embeddings: Iterable) -> emb_mod.NormStats | None:
     """Training's and replay's one rule for the embedding scale: statistics
-    of the finite generation-0 embeddings, None if there are none."""
+    of the finite generation-0 embeddings, None below the two a fit needs."""
     finite = [e for e in embeddings if np.all(np.isfinite(e))]
-    return emb_mod.fit_norm_stats(finite) if finite else None
+    return emb_mod.fit_norm_stats(finite) if len(finite) >= 2 else None
 
 
 def _generation_step(gen: int, ids: Sequence[int], keys: Sequence[tuple],
@@ -549,7 +536,7 @@ def run_training(config: RunConfig) -> tuple[EvaluationDatabase,
         if gen == 0:
             norm_stats = _gen0_norm_stats(embeddings)
             if norm_stats is None:
-                raise RunError("no usable embeddings in generation 0")
+                raise RunError("fewer than two usable generation-0 embeddings")
 
         records = _generation_step(
             gen, [c.id for c in current],
@@ -602,7 +589,7 @@ def passive_replay(db: EvaluationDatabase,
 
     norm_stats = _gen0_norm_stats([rec.embedding for rec in by_gen[0]])
     if norm_stats is None:
-        raise ReplayError("no finite generation-0 embeddings in database")
+        raise ReplayError("fewer than two finite generation-0 embeddings")
 
     first = by_gen[0][0]
     p = len(first.objectives)

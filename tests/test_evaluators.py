@@ -30,6 +30,8 @@ from sagep.symreg import parse_expression, tree_polynomial
 
 
 THREE_SLOT_TRUTH = ("-0.1 - I1", "0.0", "0.945 - 2.108*J1")
+# The same truth as a case's truth object.
+THREE_SLOT_OBJECT = dict(zip(("g", "r", "alpha"), THREE_SLOT_TRUTH))
 
 
 def reference_tridiag_solve(diff_face, source, walls, h):
@@ -199,12 +201,13 @@ class TestChannelSolver:
         assert nut.max() == pytest.approx(case.nut_max, rel=0.01)
 
     def test_make_reference_rejects_diverging_truth(self):
-        case = ChannelCase(truth_exprs=("0", "-1000"))
+        case = ChannelCase(truth={"g": "0", "alpha": "-1000"})
         with pytest.raises(ConfigError):
             make_reference(case)
 
     def test_make_reference_rejects_unknown_feature(self):
-        case = ChannelCase(truth_exprs=("-0.1 - I2", "0.945 - 2.108*J1"))
+        case = ChannelCase(truth={"g": "-0.1 - I2",
+                                  "alpha": "0.945 - 2.108*J1"})
         with pytest.raises(ConfigError, match="I2"):
             make_reference(case)
 
@@ -225,7 +228,8 @@ class TestChannelSolver:
             assert len({out.objectives.tobytes() for out in outcomes}) == 1
 
     def test_three_slot_case(self):
-        case = ChannelCase(truth_exprs=("-0.1 - I1", "0", "0.945 - 2.108*J1"))
+        case = ChannelCase(truth={"g": "-0.1 - I1", "r": "0",
+                                  "alpha": "0.945 - 2.108*J1"})
         ev_channel = ChannelEvaluator(case)
         assert ev_channel.n_slots == 3
         trees = [parse_expression(e) for e in case.truth_exprs]
@@ -238,7 +242,7 @@ class TestChannelSolver:
     def test_non_finite_closure_gives_sentinel_without_warning(self, r):
         # r = inf makes the source NaN at the walls, where nut is 0; a huge
         # finite r overflows the squared gradients of the next iterate.
-        ev_channel = ChannelEvaluator(ChannelCase(truth_exprs=THREE_SLOT_TRUTH))
+        ev_channel = ChannelEvaluator(ChannelCase(truth=THREE_SLOT_OBJECT))
         trees = [parse_expression(e) for e in
                  (THREE_SLOT_TRUTH[0], r, THREE_SLOT_TRUTH[2])]
         with warnings.catch_warnings():
@@ -454,10 +458,31 @@ class TestSolveBatch:
             else:
                 assert (its, ok) == (4, False), name
 
+    def test_rows_that_run_out_of_iterations_equal_their_lone_solves(self):
+        # Cut off at 15 iterations, one batch holds rows that converge
+        # before it (14) and on it (15), that diverge (1, 10) and that run
+        # out of iterations (17, 29): every row is its solo solve.
+        case = dataclasses.replace(default_channel_case(), max_iters=15)
+        closures = [pin_closures(name) for name in SOLVE_PINS]
+        solved = ev._solve_batch(case, closures, case.tol)
+        for name, closure, (u, T, its, ok) in zip(SOLVE_PINS, closures,
+                                                  solved):
+            su, sT, s_its, s_ok = ev._solve_batch(case, [closure],
+                                                  case.tol)[0]
+            assert u.tobytes() == su.tobytes(), name
+            assert T.tobytes() == sT.tobytes(), name
+            assert (its, ok) == (s_its, s_ok), name
+        assert {name: (its, ok) for name, (*_, its, ok)
+                in zip(SOLVE_PINS, solved)} == {
+            "truth": (15, False), "zero": (15, True),
+            "gep-linear": (14, True), "gep-square": (15, True),
+            "gep-cross": (10, False), "gep-strong": (15, False),
+            "negative-diffusivity": (1, False), "cut-off": (15, False)}
+
     def test_non_finite_rows_leak_into_no_neighbour(self):
         # The non-finite r closures of the sentinel test, between finite
         # rows of a three-slot batch: every row is its solo solve.
-        case = make_reference(ChannelCase(truth_exprs=THREE_SLOT_TRUTH))
+        case = make_reference(ChannelCase(truth=THREE_SLOT_OBJECT))
         g, zero, alpha = THREE_SLOT_TRUTH
         rows = [(g, zero, alpha), (g, "1e200*1e200", alpha),
                 ("0.3*I1 - 0.2*J1", "0.1*J1", "0.5 + I1*J1"),
@@ -476,7 +501,7 @@ class TestSolveBatch:
     def test_three_slot_batch_of_constant_and_quadratic_closures(self):
         # Constant and degree-2 closures in one (g, r, alpha) batch, whose
         # rows leave at iterations 1 to 29: every row is its solo solve.
-        case = make_reference(ChannelCase(truth_exprs=THREE_SLOT_TRUTH))
+        case = make_reference(ChannelCase(truth=THREE_SLOT_OBJECT))
         rows = [("-0.1", "0.0", "0.9"), THREE_SLOT_TRUTH,
                 ("0.2*I1*I1 - 0.1", "0.05*I1*J1", "1.0 - J1*J1"),
                 ("-40", "0", "1"), ("0.3", "-0.2", "0.5"),
@@ -591,7 +616,7 @@ class TestLoadChannelCase:
         for raw in ({"truth_exprs": list(truth.values())},
                     {"truth": truth, "truth_exprs": ["0", "1", "2", "3"]}):
             with pytest.raises(ConfigError,
-                               match=r"unknown channel case fields "
+                               match=r"unknown ChannelCase fields "
                                      r"\['truth_exprs'\]"):
                 load_channel_case(raw)
 
@@ -624,7 +649,8 @@ class TestLoadChannelCase:
         {"n_cells": 16, "reference_t": [0.0] * 16},
         {"truth": {"g": True, "alpha": "0"}}])
     def test_ill_typed_fields_rejected(self, payload):
-        with pytest.raises(ConfigError, match="invalid channel case"):
+        # Each fault is the field's own message, which names it.
+        with pytest.raises(ConfigError, match=rf"\b({'|'.join(payload)})\b"):
             load_channel_case(payload)
 
     @pytest.mark.parametrize("max_iters", [0, -3])

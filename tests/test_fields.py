@@ -20,7 +20,8 @@ def blocks(cls) -> list:
                     for block in blocks(member)]
 
 
-# The channel case is a file the evaluator block names, not a field type.
+# The channel case is built by the same rule from the object or file the
+# evaluator block gives; no field is typed as it.
 BLOCKS = blocks(RunConfig) + [ChannelCase]
 
 

@@ -258,6 +258,42 @@ class TestConfig:
         with pytest.raises(ConfigError, match="case"):
             load_run_config(write_config(tmp_path, evaluator=evaluator))
 
+    def test_channel_case_is_built_alike_three_ways(self, tmp_path):
+        # Inline in a run config, from the case file a run config names,
+        # and through load_channel_case: one rule builds the case, so all
+        # three give one case, or one message for one fault.
+        def outcomes(raw):
+            (tmp_path / "case.json").write_text(json.dumps(raw))
+            makers = [lambda case=case: orch.build_evaluator(load_run_config(
+                write_config(tmp_path, evaluator={"kind": "channel",
+                                                  "case": case})
+            ).evaluator).case for case in (raw, "case.json")]
+            makers.append(lambda: ev.load_channel_case(raw))
+            out = []
+            for make in makers:
+                try:
+                    out.append(make())
+                except ConfigError as exc:
+                    out.append(str(exc))
+            return out
+
+        raw = {"n_cells": 16, "coupling": 10, "wall_t": [0.5, -0.25],
+               "truth": {"g": "-0.1 - I1", "r": "0.1*J1",
+                         "alpha": "0.945 - 2.108*J1"}}
+        first, *others = outcomes(raw)
+        assert first.truth_exprs == ("-0.1 - I1", "0.1*J1",
+                                     "0.945 - 2.108*J1")
+        for other in others:
+            for f in dataclasses.fields(ev.ChannelCase):
+                mine, theirs = getattr(first, f.name), getattr(other, f.name)
+                assert (mine.tobytes() == theirs.tobytes()
+                        if isinstance(mine, np.ndarray)
+                        else mine == theirs), f.name
+        assert outcomes({**raw, "bogus": 1}) == [
+            "unknown ChannelCase fields ['bogus']"] * 3
+        assert outcomes({**raw, "n_cells": "16"}) == [
+            "n_cells must be an integer, got '16'"] * 3
+
 
 class TestDatabase:
     def make_record(self, gen=0, cid=0, **overrides):
@@ -600,6 +636,22 @@ class TestRunTraining:
             [r.embedding for r in db.records if r.generation == 0])
         assert np.all(np.isfinite(stats.std)) and np.all(stats.std > 0.0)
 
+    def test_one_finite_generation_0_embedding_is_a_run_error(
+            self, tmp_path, monkeypatch):
+        # Normalization needs two points; a lone finite row is the run's
+        # own error, not fit_norm_stats' ValueError.
+        cfg = load_run_config(write_config(tmp_path))
+        embed = orch.emb_mod.embed
+
+        def one_finite(polys, table):
+            embeddings = embed(polys, table)
+            embeddings[1:] = np.nan
+            return embeddings
+
+        monkeypatch.setattr(orch.emb_mod, "embed", one_finite)
+        with pytest.raises(orch.RunError, match="fewer than two"):
+            run_training(cfg)
+
     def test_key_and_embedding_share_one_polynomial_per_slot(
             self, tmp_path, monkeypatch):
         cfg = load_run_config(write_config(tmp_path))
@@ -927,6 +979,18 @@ class TestPassiveReplay:
         _, cfg = self.baseline_db(tmp_path)
         with pytest.raises(ReplayError):
             passive_replay(EvaluationDatabase(), cfg)
+
+    def test_rejects_one_finite_generation_0_embedding(self):
+        # Normalization needs two points; a lone finite row is replay's
+        # own error, not fit_norm_stats' ValueError.
+        nan = float("nan")
+        db = EvaluationDatabase([EvaluationRecord(
+            generation=0, id=i, keys=(f"k{i}",), embedding=embedding,
+            objectives=(0.1, 0.2), converged=True, provenance="expensive",
+            wall_time=1.0) for i, embedding in enumerate(
+                [(0.5, 1.5), (nan, 1.0), (2.0, float("inf"))])])
+        with pytest.raises(ReplayError, match="fewer than two"):
+            passive_replay(db, RunConfig(surrogate_enabled=False))
 
     def test_relative_error_scores_hidden_truth_only(self, tmp_path,
                                                      monkeypatch):

@@ -113,6 +113,37 @@ def test_efficiency_study_prints_wall_times(monkeypatch, capsys):
     assert lines[6] == "median break-even:     8.3333 ms per call"
 
 
+def test_efficiency_study_sizes_apply_on_top_of_the_config(monkeypatch,
+                                                          capsys):
+    # A size flag replaces its value in the config, which keeps the rest.
+    script = load_script("efficiency_study")
+    configs, generations = [], []
+
+    def spy(config):
+        configs.append(config)
+        db, metrics = run_training(config)
+        generations.append(len(metrics.rows))
+        return db, metrics
+
+    monkeypatch.setattr(script, "run_training", spy)
+    script.main(["--config", str(ROOT / "configs" / "channel_run.json"),
+                 "--generations", "2", "--seeds", "1"])
+    assert generations == [2, 2]
+    shipped = load_run_config(ROOT / "configs" / "channel_run.json")
+    for config in configs:
+        assert config == dataclasses.replace(
+            shipped, generations=2,
+            surrogate_enabled=config.surrogate_enabled)
+    # Without --config the study starts from the same shipped config.
+    configs.clear()
+    script.main(["--generations", "1", "--population", "8",
+                 "--offspring", "4", "--seeds", "1"])
+    assert configs[0] == dataclasses.replace(
+        shipped, generations=1, population=8, offspring=4,
+        surrogate_enabled=False)
+    capsys.readouterr()
+
+
 def test_solve_replay_on_a_two_generation_run(capsys):
     script = load_script("solve_replay")
     solve = ev._solve_batch
